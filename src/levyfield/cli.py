@@ -21,17 +21,22 @@ import numpy as np
 
 from ._rng import stream
 from .spaces import SpaceSpec
-from .subordinator import (QuadratureError, SubordinatorSpec,
-                           sample_stable_oneside, simulate_path)
-from .noise import CylindricalWienerSpec, LevyNoiseSpec, char_functional, sample_increments
-from .spectral import (SpectralOperator, charfn_oracle, regularity_exponent_bound,
-                       sample_convolution)
+from .subordinator import (DEFAULT_CUTOFF, PathBatch, QuadratureError, SubordinatorSpec,
+                           sample_stable_oneside, simulate_path, simulate_paths)
+from .noise import (CylindricalWienerSpec, LevyNoiseSpec, char_functional,
+                    increment_coefficients)
+from .spectral import (FieldSample, SpectralOperator, charfn_oracle, regularity_exponent_bound,
+                       sample_convolution, sample_convolution_batch)
 from .regularity import (CirclePath, blowup_probe, circle_convolution,
                          estimate_holder, fourier_profile, scalar_levy_jumps)
 from .burgers import (StepSizeError, check_apriori, solve_modified_burgers,
                       solve_stochastic_burgers, sine_coefficients, weak_residual)
 
+# experiment name -> (function, default of every config key it accepts)
 EXPERIMENTS = {}
+# The batched Monte Carlo experiments hold at most this many jump x mode
+# terms in memory at once.
+CHUNK_TERMS = 1 << 16
 
 # static mapping shown by list-experiments
 EXPERIMENT_SUMMARY = {
@@ -46,11 +51,24 @@ EXPERIMENT_SUMMARY = {
 }
 
 
-def _experiment(name):
+def _experiment(name, **defaults):
     def wrap(fn):
-        EXPERIMENTS[name] = fn
+        EXPERIMENTS[name] = (fn, defaults)
         return fn
     return wrap
+
+
+def _chunks(batch: PathBatch, n_modes: int):
+    """Consecutive slices of a batch, each holding at most CHUNK_TERMS
+    jump x mode terms (or one path); a path without jumps counts as one,
+    for its own Gaussian mode draws."""
+    ends = np.cumsum(np.maximum(batch.counts, 1) * n_modes)
+    lo = 0
+    while lo < batch.n_paths:
+        start = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, start + CHUNK_TERMS, side="right")))
+        yield batch[lo:hi]
+        lo = hi
 
 
 def _write_csv(path: Path, header, rows):
@@ -60,11 +78,12 @@ def _write_csv(path: Path, header, rows):
         w.writerows(rows)
 
 
-@_experiment("subordinator-check")
+@_experiment("subordinator-check", betas=[0.25, 0.5, 0.9], r_values=[0.5, 1.0, 2.0],
+             n_paths=100000)
 def _run_subordinator(cfg, out: Path):
-    betas = cfg.get("betas", [0.25, 0.5, 0.9])
-    rs = cfg.get("r_values", [0.5, 1.0, 2.0])
-    n_paths = int(cfg.get("n_paths", 100000))
+    betas = cfg["betas"]
+    rs = cfg["r_values"]
+    n_paths = int(cfg["n_paths"])
     seed = int(cfg["master_seed"])
     rows, checks = [], []
     for i, beta in enumerate(betas):
@@ -80,28 +99,35 @@ def _run_subordinator(cfg, out: Path):
     return {"cases": len(rows), "failures": int(len(checks) - sum(checks))}, all(checks)
 
 
-@_experiment("charfn-test")
+def _charfn_projections(spec: LevyNoiseSpec, phis, t: float, n_paths: int,
+                        seed: int, case: int) -> np.ndarray:
+    """<Y(t), phi> for each path (rows) and test function phi (columns).
+
+    The Z(t) values come from stream(seed, 1, case), the Gaussian mode draws
+    from stream(seed, 2, case).
+    """
+    batch = simulate_paths(spec.subordinator, t, n_paths, stream(seed, 1, case), grid_n=1)
+    rng = stream(seed, 2, case)
+    return np.concatenate([increment_coefficients(spec, part.values(t), rng) @ phis.T
+                           for part in _chunks(batch, spec.wiener.truncation_N)])
+
+
+@_experiment("charfn-test", n_modes=64, beta=0.9, t_values=[0.5, 1.0], n_phi=5,
+             mc_paths=100000)
 def _run_charfn(cfg, out: Path):
-    N = int(cfg.get("n_modes", 64))
-    beta = float(cfg.get("beta", 0.9))
-    ts = cfg.get("t_values", [0.5, 1.0])
-    n_phi = int(cfg.get("n_phi", 5))
-    mc = int(cfg.get("mc_paths", 100000))
+    N = int(cfg["n_modes"])
+    beta = float(cfg["beta"])
+    ts = cfg["t_values"]
+    n_phi = int(cfg["n_phi"])
+    mc = int(cfg["mc_paths"])
     seed = int(cfg["master_seed"])
     spec = LevyNoiseSpec(CylindricalWienerSpec(np.ones(N)), SubordinatorSpec.stable(beta))
-    rng = stream(seed, 0)
-    phis = rng.standard_normal((n_phi, N)) / math.sqrt(N)
+    phis = stream(seed, 0).standard_normal((n_phi, N)) / math.sqrt(N)
     rows, checks = [], []
-    for t in ts:
-        grid = np.array([0.0, t])
-        proj = np.empty((mc, n_phi))
-        for m in range(mc):
-            zp = simulate_path(spec.subordinator, t, seed=seed + 13 * m + 1, grid_n=1)
-            inc = sample_increments(spec, zp, grid, seed=seed + 13 * m + 2)[0]
-            proj[m] = phis @ inc.coefficients
+    for case, t in enumerate(ts):
+        vals = np.cos(_charfn_projections(spec, phis, t, mc, seed, case))
         for i, phi in enumerate(phis):
-            vals = np.cos(proj[:, i])
-            emp, se = float(vals.mean()), float(vals.std() / math.sqrt(mc))
+            emp, se = float(vals[:, i].mean()), float(vals[:, i].std() / math.sqrt(mc))
             ana = char_functional(spec, phi, t)
             ok = abs(emp - ana) <= 4.0 * se
             rows.append([t, i, emp, se, ana, ok])
@@ -110,12 +136,27 @@ def _run_charfn(cfg, out: Path):
     return {"cases": len(rows), "failures": int(len(checks) - sum(checks))}, all(checks)
 
 
-@_experiment("ou-sample")
+def _ou_draws(op: SpectralOperator, spec: LevyNoiseSpec, t: float, n_paths: int,
+              seed: int, case: int, cutoff_eps: float):
+    """Per-path draws of X(t) through the cutoff jump route: yields the
+    coefficients of consecutive chunks of paths, shape (paths, modes).
+
+    The jumps come from stream(seed, 1, case), the Gaussian mode draws from
+    stream(seed, 2, case).
+    """
+    batch = simulate_paths(spec.subordinator, t, n_paths, stream(seed, 1, case),
+                           cutoff_eps=cutoff_eps, method="jumps")
+    rng = stream(seed, 2, case)
+    for part in _chunks(batch, op.n_modes):
+        yield sample_convolution_batch(op, spec, part, t, rng)
+
+
+@_experiment("ou-sample", n_modes=16, beta=0.5, mc_paths=20000, n_pairs=4)
 def _run_ou(cfg, out: Path):
-    N = int(cfg.get("n_modes", 16))
-    beta = float(cfg.get("beta", 0.5))
-    mc = int(cfg.get("mc_paths", 20000))
-    n_pairs = int(cfg.get("n_pairs", 4))
+    N = int(cfg["n_modes"])
+    beta = float(cfg["beta"])
+    mc = int(cfg["mc_paths"])
+    n_pairs = int(cfg["n_pairs"])
     seed = int(cfg["master_seed"])
     op = SpectralOperator.dirichlet(1, 1.0, N)
     spec = LevyNoiseSpec(CylindricalWienerSpec(np.ones(N)), SubordinatorSpec.stable(beta))
@@ -125,29 +166,24 @@ def _run_ou(cfg, out: Path):
         phi = rng.standard_normal(N) / math.sqrt(N)
         t = float(rng.uniform(0.4, 1.2))
         ana = charfn_oracle(op, spec, phi, t)
-        vals = np.empty(mc)
-        for m in range(mc):
-            zp = simulate_path(spec.subordinator, t, cutoff_eps=1e-3,
-                               seed=seed + 31 * m + i, method="jumps")
-            fs = sample_convolution(op, spec, zp, t, seed=seed + 31 * m + i + 7)
-            vals[m] = math.cos(float(fs.coefficients @ phi))
+        vals = np.concatenate([np.cos(coeffs @ phi)
+                               for coeffs in _ou_draws(op, spec, t, mc, seed, i, cutoff_eps=1e-3)])
         emp, se = float(vals.mean()), float(vals.std() / math.sqrt(mc))
         ok = abs(emp - ana) <= 4.0 * se
         rows.append([i, t, emp, se, ana, ok])
         checks.append(ok)
     _write_csv(out / "ou_charfn.csv", ["pair", "t", "empirical", "stderr", "analytic", "pass"], rows)
-    # one exported field sample
-    zp = simulate_path(spec.subordinator, 1.0, seed=seed + 5, method="jumps")
-    fs = sample_convolution(op, spec, zp, 1.0, seed=seed + 6)
-    fs.to_csv(out / "field_sample.csv", op)
+    # one exported field sample, drawn as case n_pairs at the default cutoff
+    coeffs = next(_ou_draws(op, spec, 1.0, 1, seed, n_pairs, cutoff_eps=DEFAULT_CUTOFF))[0]
+    FieldSample(coefficients=coeffs, time_t=1.0).to_csv(out / "field_sample.csv", op)
     return {"cases": len(rows), "failures": int(len(checks) - sum(checks))}, all(checks)
 
 
-@_experiment("regularity")
+@_experiment("regularity", n_modes=512, grid_M=2048, n_paths=10)
 def _run_regularity(cfg, out: Path):
-    N = int(cfg.get("n_modes", 512))
-    M = int(cfg.get("grid_M", 2048))
-    n_paths = int(cfg.get("n_paths", 10))
+    N = int(cfg["n_modes"])
+    M = int(cfg["grid_M"])
+    n_paths = int(cfg["n_paths"])
     seed = int(cfg["master_seed"])
     op = SpectralOperator.dirichlet(1, 1.0, N)
     rows = []
@@ -171,12 +207,13 @@ def _run_regularity(cfg, out: Path):
     return results, ok
 
 
-@_experiment("blowup")
+@_experiment("blowup", n_modes=4096, truncations=[2 ** k for k in range(6, 13)],
+             threshold=0.05)
 def _run_blowup(cfg, out: Path):
-    Nmax = int(cfg.get("n_modes", 4096))
-    truncs = cfg.get("truncations", [2 ** k for k in range(6, 13)])
+    Nmax = int(cfg["n_modes"])
+    truncs = cfg["truncations"]
     seed = int(cfg["master_seed"])
-    threshold = float(cfg.get("threshold", 0.05))
+    threshold = float(cfg["threshold"])
     op = SpectralOperator.dirichlet(1, 1.0, Nmax)
     spec = LevyNoiseSpec(CylindricalWienerSpec(np.ones(Nmax)), SubordinatorSpec.stable(0.5))
     j = np.arange(1.0, Nmax + 1)
@@ -192,11 +229,11 @@ def _run_blowup(cfg, out: Path):
     return rep, ok
 
 
-@_experiment("circle")
+@_experiment("circle", beta=0.75, thetas=[0.0, 0.5, 1.0, 2.0], grids=[128, 256, 512, 1024])
 def _run_circle(cfg, out: Path):
-    beta = float(cfg.get("beta", 0.75))
-    thetas = cfg.get("thetas", [0.0, 0.5, 1.0, 2.0])
-    grids = cfg.get("grids", [128, 256, 512, 1024])
+    beta = float(cfg["beta"])
+    thetas = cfg["thetas"]
+    grids = cfg["grids"]
     seed = int(cfg["master_seed"])
     times, incs = scalar_levy_jumps(SubordinatorSpec.stable(beta), seed=seed)
     rows = []
@@ -210,20 +247,21 @@ def _run_circle(cfg, out: Path):
     return {"rows": len(rows)}, True
 
 
-@_experiment("burgers")
+@_experiment("burgers", n_modes=255, dt=1e-4, T=0.2, theta=0.25, weight_scale=5.0,
+             residual_tol=1e-3, u0_amplitude=0.2, forcing_amplitude=0.1)
 def _run_burgers(cfg, out: Path):
-    n = int(cfg.get("n_modes", 255))
-    dt = float(cfg.get("dt", 1e-4))
-    T = float(cfg.get("T", 0.2))
-    theta = float(cfg.get("theta", 0.25))
-    w_scale = float(cfg.get("weight_scale", 5.0))
-    tol = float(cfg.get("residual_tol", 1e-3))
+    n = int(cfg["n_modes"])
+    dt = float(cfg["dt"])
+    T = float(cfg["T"])
+    theta = float(cfg["theta"])
+    w_scale = float(cfg["weight_scale"])
+    tol = float(cfg["residual_tol"])
     seed = int(cfg["master_seed"])
     k = np.arange(1, n + 1)
     w = w_scale * (k * math.pi) ** theta
     noise = LevyNoiseSpec(CylindricalWienerSpec(w), SubordinatorSpec.stable(0.75))
-    u0 = np.zeros(n); u0[0] = float(cfg.get("u0_amplitude", 0.2))
-    f = np.zeros(n); f[1] = float(cfg.get("forcing_amplitude", 0.1))
+    u0 = np.zeros(n); u0[0] = float(cfg["u0_amplitude"])
+    f = np.zeros(n); f[1] = float(cfg["forcing_amplitude"])
     res = solve_stochastic_burgers(u0, noise, f, T, dt, n, seed=seed)
     residuals = [weak_residual(res, f, kk) for kk in range(1, 6)]
     _write_csv(out / "burgers_residuals.csv", ["test_mode", "residual"],
@@ -235,12 +273,12 @@ def _run_burgers(cfg, out: Path):
             "max_residual": max(abs(r) for r in residuals)}, ok
 
 
-@_experiment("bounds")
+@_experiment("bounds", n_modes=63, n_instances=20, dt=1e-3, T=0.5)
 def _run_bounds(cfg, out: Path):
-    n = int(cfg.get("n_modes", 63))
-    n_instances = int(cfg.get("n_instances", 20))
-    dt = float(cfg.get("dt", 1e-3))
-    T = float(cfg.get("T", 0.5))
+    n = int(cfg["n_modes"])
+    n_instances = int(cfg["n_instances"])
+    dt = float(cfg["dt"])
+    T = float(cfg["T"])
     seed = int(cfg["master_seed"])
     rng = stream(seed)
     rows, all_ok = [], True
@@ -269,15 +307,24 @@ def run(config: dict, out_dir: str) -> int:
     if "master_seed" not in config:
         print("error: config is missing required field 'master_seed'", file=sys.stderr)
         return 2
+    experiment, defaults = EXPERIMENTS[kind]
+    unknown = sorted(set(config) - {"experiment", "master_seed"} - set(defaults))
+    if unknown:
+        print(f"error: unknown config keys {unknown} for {kind}; accepted: {sorted(defaults)}",
+              file=sys.stderr)
+        return 2
     t0 = time.time()
     try:
-        summary, passed = EXPERIMENTS[kind](config, out)
+        summary, passed = experiment({**defaults, **config}, out)
     except (StepSizeError, QuadratureError, FloatingPointError, RuntimeError) as exc:
         report = {"experiment": kind, "config": config, "status": "numeric-failure",
                   "error": str(exc)}
         (out / "report.json").write_text(json.dumps(report, indent=2, default=str))
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+    except (ValueError, TypeError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     report = {"experiment": kind, "config": config,
               "status": "pass" if passed else "fail",
               "elapsed_s": round(time.time() - t0, 3), "summary": summary}
@@ -293,8 +340,6 @@ def main(argv=None) -> int:
     runp = sub.add_parser("run", help="run an experiment from a JSON config")
     runp.add_argument("--config", required=True)
     runp.add_argument("--seed", type=int, default=None, help="override master_seed")
-    runp.add_argument("--threads", type=int, default=1,
-                      help="worker hint (experiments are deterministic regardless)")
     runp.add_argument("--out", default="out")
     sub.add_parser("list-experiments", help="show the experiment table")
     args = parser.parse_args(argv)

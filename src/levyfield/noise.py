@@ -36,6 +36,7 @@ __all__ = [
     "NoiseIncrementSample",
     "char_functional",
     "sample_increments",
+    "increment_coefficients",
     "intensity_measure_functional",
     "finite_variation_test",
     "export_increments_csv",
@@ -113,17 +114,24 @@ def sample_increments(
         raise ValueError("grid must be a nondecreasing 1-d array of length >= 2")
     if grid[0] < 0 or grid[-1] > zpath.horizon_T:
         raise ValueError("grid must lie within [0, horizon_T]")
-    rng = stream(seed)
-    zvals = zpath.value(grid)
-    dz = np.diff(zvals)
-    inv_w = 1.0 / spec.wiener.hilbert_weights
-    g = rng.standard_normal((dz.size, inv_w.size))
-    coeffs = np.sqrt(dz)[:, None] * inv_w * g
+    dz = np.diff(zpath.value(grid))
+    coeffs = increment_coefficients(spec, dz, stream(seed))
     return [
         NoiseIncrementSample(t_lo=grid[i], t_hi=grid[i + 1],
                              coefficients=coeffs[i], generating_dZ=float(dz[i]))
         for i in range(dz.size)
     ]
+
+
+def increment_coefficients(spec: LevyNoiseSpec, dz, rng: np.random.Generator) -> np.ndarray:
+    """Mode-wise Y increments given Z increments ``dz`` (any shape).
+
+    Mode j of the increment over dz is N(0, w_j^{-2} dz); the result has
+    shape dz.shape + (n_modes,), drawn from rng in C order.
+    """
+    dz = np.asarray(dz, dtype=float)
+    inv_w = 1.0 / spec.wiener.hilbert_weights
+    return np.sqrt(dz)[..., None] * inv_w * rng.standard_normal(dz.shape + inv_w.shape)
 
 
 def export_increments_csv(samples: list[NoiseIncrementSample], path) -> None:

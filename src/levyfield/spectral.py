@@ -22,7 +22,8 @@ from scipy import fft as sfft
 from ._rng import stream
 from .spaces import SpaceSpec
 from .noise import LevyNoiseSpec
-from .subordinator import SubordinatorPath, _quad, laplace_exponent, sub_p_membership
+from .subordinator import (PathBatch, SubordinatorPath, _quad, laplace_exponent,
+                           sub_p_membership)
 
 __all__ = [
     "SpectralOperator",
@@ -32,7 +33,9 @@ __all__ = [
     "power_law_envelope",
     "check_radonifying",
     "convolution_variances",
+    "convolution_variances_batch",
     "sample_convolution",
+    "sample_convolution_batch",
     "charfn_oracle",
     "regularity_exponent_bound",
     "synthesize",
@@ -200,14 +203,37 @@ def check_radonifying(op: SpectralOperator, alpha: float, r: float,
 
 def convolution_variances(op: SpectralOperator, zpath: SubordinatorPath, t: float) -> np.ndarray:
     """V_j = int_0^t e^(-2 lambda_j (t-s)) dZ(s), closed form over the jump list."""
-    if not 0 <= t <= zpath.horizon_T:
+    return convolution_variances_batch(op, PathBatch.of_path(zpath), t)[0]
+
+
+def convolution_variances_batch(op: SpectralOperator, batch: PathBatch, t: float) -> np.ndarray:
+    """V_j of every path of a batch, shape (n_paths, n_modes).
+
+    V_j = slope (1 - e^(-2 lambda_j t)) / (2 lambda_j)
+          + sum_{tau_k <= t} e^(-2 lambda_j (t - tau_k)) xi_k.
+
+    Jumps after t are dropped (their terms overflow exp), so a path with
+    no jump up to t keeps the slope term alone.  Paths are summed in groups
+    of equal jump count, each group as one (paths, modes, jumps) array
+    reduced over its last axis: every path's sum then rounds exactly as it
+    does for a batch of one.
+    """
+    if not 0 <= t <= batch.horizon_T:
         raise ValueError("t must lie in [0, horizon_T]")
     lam = op.lambdas
-    v = zpath.total_slope * (1.0 - np.exp(-2.0 * lam * t)) / (2.0 * lam)
-    k = np.searchsorted(zpath.times, t, side="right")
-    if k:
-        v = v + (np.exp(-2.0 * np.multiply.outer(lam, t - zpath.times[:k]))
-                 * zpath.sizes[:k]).sum(axis=1)
+    v = np.tile(batch.total_slope * (1.0 - np.exp(-2.0 * lam * t)) / (2.0 * lam),
+                (batch.n_paths, 1))
+    # jumps are sorted within a path, so those up to t are a prefix of it
+    kept = np.bincount(batch.rows[batch.times <= t], minlength=batch.n_paths)
+    for k in np.unique(kept[kept > 0]):
+        paths = np.flatnonzero(kept == k)
+        jumps = batch.offsets[paths, None] + np.arange(k)
+        # updated in place, so a group holds one (paths, modes, jumps) array
+        terms = lam[:, None] * (t - batch.times[jumps])[:, None, :]
+        terms *= -2.0
+        np.exp(terms, out=terms)
+        terms *= batch.sizes[jumps][:, None, :]
+        v[paths] += terms.sum(axis=-1)
     return v
 
 
@@ -216,14 +242,24 @@ def sample_convolution(op: SpectralOperator, noise: LevyNoiseSpec,
     """One exact-in-law draw of X(t) = int_0^t e^((t-s)A) dY(s) given zpath.
 
     Conditionally on Z, mode j is centered Gaussian with variance
-    w_j^(-2) V_j.
+    w_j^(-2) V_j.  The batch of one of ``sample_convolution_batch``, drawn
+    from ``stream(seed)``.
+    """
+    coeff = sample_convolution_batch(op, noise, PathBatch.of_path(zpath), t, stream(seed))[0]
+    return FieldSample(coefficients=coeff, time_t=t)
+
+
+def sample_convolution_batch(op: SpectralOperator, noise: LevyNoiseSpec,
+                             batch: PathBatch, t: float, rng: np.random.Generator) -> np.ndarray:
+    """Coefficients of one draw of X(t) per path of a batch, shape (n_paths, n_modes).
+
+    The Gaussian variates are drawn from rng path after path, so drawing a
+    batch in consecutive slices from one generator gives the same values.
     """
     if noise.wiener.truncation_N != op.n_modes:
         raise ValueError("noise truncation must match the operator mode count")
-    v = convolution_variances(op, zpath, t)
-    rng = stream(seed)
-    coeff = np.sqrt(v) / noise.wiener.hilbert_weights * rng.standard_normal(op.n_modes)
-    return FieldSample(coefficients=coeff, time_t=t)
+    v = convolution_variances_batch(op, batch, t)
+    return np.sqrt(v) / noise.wiener.hilbert_weights * rng.standard_normal(v.shape)
 
 
 def charfn_oracle(op: SpectralOperator, noise: LevyNoiseSpec, phi, t: float,

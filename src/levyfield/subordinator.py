@@ -30,17 +30,22 @@ __all__ = [
     "IntensityMeasure",
     "SubordinatorSpec",
     "SubordinatorPath",
+    "PathBatch",
     "QuadratureError",
     "stable_intensity",
     "laplace_exponent",
     "sub_p_membership",
     "simulate_path",
+    "simulate_paths",
     "finite_variation_diagnostic",
     "sample_stable_oneside",
 ]
 
 DEFAULT_CUTOFF = 1e-4
 QUAD_RTOL = 1e-8
+# simulate_paths refuses to draw more jumps than this in expectation; each
+# jump costs three 8-byte values, so the cap bounds a batch at about 240 MB
+MAX_EXPECTED_JUMPS = 10_000_000
 
 
 class QuadratureError(RuntimeError):
@@ -379,6 +384,72 @@ class SubordinatorPath:
                    compensation=meta.get("compensation", 0.0), times=times, sizes=sizes)
 
 
+@dataclass(frozen=True)
+class PathBatch:
+    """Independent realizations of Z on [0, T] in CSR layout.
+
+    Path p has the jumps ``times[offsets[p]:offsets[p+1]]`` (increasing)
+    with sizes ``sizes[offsets[p]:offsets[p+1]]``; all paths share the
+    slope ``drift_slope + compensation``.
+    """
+
+    horizon_T: float
+    drift_slope: float
+    offsets: np.ndarray
+    times: np.ndarray
+    sizes: np.ndarray
+    compensation: float = 0.0
+
+    @property
+    def n_paths(self) -> int:
+        return self.offsets.size - 1
+
+    @property
+    def total_slope(self) -> float:
+        return self.drift_slope + self.compensation
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Number of jumps of each path."""
+        return np.diff(self.offsets)
+
+    @property
+    def rows(self) -> np.ndarray:
+        """Path index of each jump."""
+        return np.repeat(np.arange(self.n_paths), self.counts)
+
+    @classmethod
+    def of_path(cls, zpath: SubordinatorPath) -> "PathBatch":
+        """The batch holding ``zpath`` alone."""
+        return cls(horizon_T=zpath.horizon_T, drift_slope=zpath.drift_slope,
+                   offsets=np.array([0, zpath.times.size]), times=zpath.times,
+                   sizes=zpath.sizes, compensation=zpath.compensation)
+
+    def __getitem__(self, paths: slice) -> "PathBatch":
+        """The paths ``lo:hi`` as a batch of their own."""
+        lo, hi, step = paths.indices(self.n_paths)
+        if step != 1:
+            raise ValueError("a batch slice must be contiguous")
+        hi = max(lo, hi)
+        a, b = self.offsets[lo], self.offsets[hi]
+        return PathBatch(horizon_T=self.horizon_T, drift_slope=self.drift_slope,
+                         offsets=self.offsets[lo:hi + 1] - a, times=self.times[a:b],
+                         sizes=self.sizes[a:b], compensation=self.compensation)
+
+    def path(self, p: int) -> SubordinatorPath:
+        a, b = self.offsets[p], self.offsets[p + 1]
+        return SubordinatorPath(horizon_T=self.horizon_T, drift_slope=self.drift_slope,
+                                times=self.times[a:b], sizes=self.sizes[a:b],
+                                compensation=self.compensation)
+
+    def values(self, t: float) -> np.ndarray:
+        """Z(t) of every path at one time t in [0, T]."""
+        up_to_t = self.times <= t
+        jumps = np.bincount(self.rows[up_to_t], weights=self.sizes[up_to_t],
+                            minlength=self.n_paths)
+        return self.total_slope * t + jumps
+
+
 # -- operations ----------------------------------------------------------
 
 
@@ -462,31 +533,61 @@ def simulate_path(
     grid_n: int = 256,
     method: Optional[str] = None,
 ) -> SubordinatorPath:
-    """Simulate one path of Z on [0, T].
+    """Simulate one path of Z on [0, T]: the batch of one of ``simulate_paths``
+    drawn from ``stream(seed)``.
+    """
+    batch = simulate_paths(spec, T, 1, stream(seed), cutoff_eps=cutoff_eps,
+                           method=method, grid_n=grid_n)
+    return batch.path(0)
+
+
+def _check_expected_jumps(expected: float) -> None:
+    if not expected <= MAX_EXPECTED_JUMPS:
+        raise ValueError(f"the batch would draw {expected:.3g} jumps in expectation, more "
+                         f"than the limit {MAX_EXPECTED_JUMPS:.3g}")
+
+
+def simulate_paths(
+    spec: SubordinatorSpec,
+    T: float,
+    n_paths: int,
+    rng: np.random.Generator,
+    cutoff_eps: float = DEFAULT_CUTOFF,
+    method: Optional[str] = None,
+    grid_n: int = 256,
+) -> PathBatch:
+    """Simulate ``n_paths`` independent paths of Z on [0, T] in one draw from rng.
 
     Stable kind defaults to exact grid sampling (increments drawn from the
     one-sided stable law on a uniform grid of ``grid_n`` cells; the cutoff is
     ignored).  Passing method="jumps" forces the marked-Poisson route with
     small jumps below ``cutoff_eps`` folded into the slope, which keeps the
     exact jump times needed by convolution formulas at the cost of an
-    O(eps^(2-beta)) bias in the law.
+    O(eps^(2-beta)) bias in the law.  The jump route draws every path's jump
+    count, then every jump time, then every jump size; raises ValueError
+    when the batch would hold more than MAX_EXPECTED_JUMPS jumps in
+    expectation.
     """
     if T <= 0:
         raise ValueError("T must be positive")
     if not 0 < cutoff_eps <= 1:
         raise ValueError("cutoff_eps must be in (0,1]")
-    rng = stream(seed)
+    if n_paths < 1:
+        raise ValueError("n_paths must be positive")
 
     if spec.kind == "drift_only":
-        return SubordinatorPath(horizon_T=T, drift_slope=spec.drift_b,
-                                times=np.empty(0), sizes=np.empty(0))
+        return PathBatch(horizon_T=T, drift_slope=spec.drift_b,
+                         offsets=np.zeros(n_paths + 1, dtype=int),
+                         times=np.empty(0), sizes=np.empty(0))
 
     if spec.kind == "stable" and method != "jumps":
+        _check_expected_jumps(n_paths * grid_n)
         dt = T / grid_n
-        incr = dt ** (1.0 / spec.beta) * sample_stable_oneside(spec.beta, grid_n, rng)
-        times = dt * np.arange(1, grid_n + 1)
-        return SubordinatorPath(horizon_T=T, drift_slope=spec.drift_b,
-                                times=times, sizes=incr)
+        incr = dt ** (1.0 / spec.beta) * sample_stable_oneside(spec.beta, (n_paths, grid_n), rng)
+        times = np.tile(dt * np.arange(1, grid_n + 1), n_paths)
+        return PathBatch(horizon_T=T, drift_slope=spec.drift_b,
+                         offsets=grid_n * np.arange(n_paths + 1), times=times,
+                         sizes=incr.ravel())
 
     # Marked Poisson process of jumps >= eps, mean-compensated below.
     if spec.kind == "compound_poisson":
@@ -499,8 +600,17 @@ def simulate_path(
         compensation = spec.intensity.truncated_moment(1.0, 0.0, eps)
     if not np.isfinite(rate):
         raise ValueError(f"intensity mass above cutoff {eps} is not finite")
-    n = rng.poisson(rate * T)
-    times = np.sort(rng.uniform(0.0, T, size=n))
-    sizes = spec.intensity.sample_sizes(max(eps, 1e-300), n, rng) if n else np.empty(0)
-    return SubordinatorPath(horizon_T=T, drift_slope=spec.drift_b,
-                            times=times, sizes=sizes, compensation=compensation)
+    _check_expected_jumps(n_paths * rate * T)
+    counts = rng.poisson(rate * T, size=n_paths)
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    n = int(offsets[-1])
+    # sort the times within each path: complex numbers sort by real part
+    # (the path index), then by imaginary part (the time)
+    keys = np.empty(n, dtype=complex)
+    keys.real = np.repeat(np.arange(n_paths), counts)
+    keys.imag = rng.uniform(0.0, T, size=n)
+    keys.sort()
+    times = keys.imag.copy()
+    sizes = spec.intensity.sample_sizes(max(eps, 1e-300), n, rng)
+    return PathBatch(horizon_T=T, drift_slope=spec.drift_b, offsets=offsets,
+                     times=times, sizes=sizes, compensation=compensation)

@@ -1,8 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
-from levyfield.cli import EXPERIMENT_SUMMARY, EXPERIMENTS, main
+from levyfield import cli
+from levyfield._rng import stream
+from levyfield.cli import EXPERIMENT_SUMMARY, EXPERIMENTS, _charfn_projections, main
+from levyfield.noise import CylindricalWienerSpec, LevyNoiseSpec
+from levyfield.subordinator import SubordinatorSpec
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -94,3 +99,67 @@ def test_report_and_csv_deterministic_across_reruns(tmp_path):
         rep.pop("elapsed_s")
         outs.append((rep, (out / "laplace.csv").read_text()))
     assert outs[0] == outs[1]
+
+
+def test_run_ou_sample_small(tmp_path):
+    cfg = write_config(tmp_path, {"experiment": "ou-sample", "master_seed": 3,
+                                  "n_modes": 8, "mc_paths": 3000, "n_pairs": 2})
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "pass" and report["summary"]["cases"] == 2
+    assert (out / "field_sample.csv").exists()
+
+
+@pytest.mark.parametrize("beta", [1.5, float("nan")])
+def test_invalid_config_value_exit_2(tmp_path, capsys, beta):
+    cfg = write_config(tmp_path, {"experiment": "charfn-test", "master_seed": 1,
+                                  "beta": beta, "mc_paths": 10})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "beta" in capsys.readouterr().err
+
+
+def test_expected_jump_limit_exit_2(tmp_path, capsys):
+    # 10^12 paths of about 14 jumps each: refused before anything is drawn
+    cfg = write_config(tmp_path, {"experiment": "ou-sample", "master_seed": 1,
+                                  "mc_paths": 10 ** 12, "n_pairs": 1})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "jumps in expectation" in capsys.readouterr().err
+
+
+def test_unknown_config_key_exit_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"experiment": "charfn-test", "master_seed": 1,
+                                  "mc_path": 10})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "mc_path" in capsys.readouterr().err
+
+
+def test_charfn_cases_draw_independent_paths():
+    # With shared draws Z(1) = 2^(1/beta) Z(0.5) path by path, so every
+    # projection at t=1 would be 2^(1/(2 beta)) times the one at t=0.5.
+    beta, n_modes = 0.9, 16
+    spec = LevyNoiseSpec(CylindricalWienerSpec(np.ones(n_modes)), SubordinatorSpec.stable(beta))
+    phis = stream(3, 0).standard_normal((2, n_modes)) / np.sqrt(n_modes)
+    half = _charfn_projections(spec, phis, 0.5, 4000, 3, 0)
+    whole = _charfn_projections(spec, phis, 1.0, 4000, 3, 1)
+    assert not np.allclose(whole, 2.0 ** (1.0 / (2.0 * beta)) * half)
+    for i in range(2):
+        assert abs(np.corrcoef(half[:, i], whole[:, i])[0, 1]) < 0.1
+
+
+@pytest.mark.parametrize("payload, csv_name", [
+    ({"experiment": "charfn-test", "n_modes": 16, "mc_paths": 3000, "n_phi": 2}, "charfn.csv"),
+    ({"experiment": "ou-sample", "n_modes": 8, "mc_paths": 2000, "n_pairs": 2}, "ou_charfn.csv"),
+])
+def test_batched_experiments_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch,
+                                                             payload, csv_name):
+    # the draws are the same; only the rounding of the projections may move
+    cfg = write_config(tmp_path, {**payload, "master_seed": 4})
+    tables = []
+    for chunk_terms in (cli.CHUNK_TERMS, 100):
+        monkeypatch.setattr(cli, "CHUNK_TERMS", chunk_terms)
+        out = tmp_path / str(chunk_terms)
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        tables.append(np.genfromtxt(out / csv_name, delimiter=",", skip_header=1,
+                                    usecols=(0, 1, 2, 3, 4)))
+    np.testing.assert_allclose(tables[0], tables[1], rtol=1e-12, atol=0.0)

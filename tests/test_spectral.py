@@ -14,14 +14,17 @@ from levyfield.spectral import (
     charfn_oracle,
     check_radonifying,
     convolution_variances,
+    convolution_variances_batch,
     power_law_envelope,
     regularity_exponent_bound,
     sample_convolution,
+    sample_convolution_batch,
     semigroup_norm,
     semigroup_norm_power,
     synthesize,
 )
-from levyfield.subordinator import SubordinatorPath, SubordinatorSpec, simulate_path
+from levyfield.subordinator import (PathBatch, SubordinatorPath, SubordinatorSpec,
+                                   simulate_path, simulate_paths)
 
 
 def make_noise(sub, n_modes):
@@ -175,6 +178,79 @@ def test_sample_convolution_mc_matches_oracle():
     ana = charfn_oracle(op, noise, phi, t)
     se = vals.std() / math.sqrt(mc)
     assert abs(vals.mean() - ana) < 4.0 * se
+
+
+def _batch_with_every_kind_of_path():
+    # about 22% of the paths have no jump on [0, 1]; t = 0.6 leaves paths
+    # whose jumps all come after t, whose terms overflow exp if not dropped
+    spec = SubordinatorSpec.compound_poisson([0.3, 2.0], [1.0, 0.5], drift_b=0.2)
+    batch = simulate_paths(spec, 1.0, 400, stream(21), method="jumps")
+    t = 0.6
+    first = np.full(batch.n_paths, np.inf)
+    has = batch.counts > 0
+    first[has] = batch.times[batch.offsets[:-1][has]]
+    assert (~has).any() and (first > t)[has].any() and (first <= t).any()
+    return batch, t
+
+
+def test_batch_variances_match_per_path_and_direct_sum():
+    op = SpectralOperator.dirichlet(1, 1.0, 32)  # 2 lambda_32 (1 - 0.6) > 709
+    batch, t = _batch_with_every_kind_of_path()
+    v = convolution_variances_batch(op, batch, t)
+    assert v.shape == (batch.n_paths, 32) and np.all(np.isfinite(v))
+    loop = np.array([convolution_variances(op, batch.path(p), t) for p in range(batch.n_paths)])
+    assert np.allclose(v, loop, rtol=1e-12, atol=0.0)
+    lam = op.lambdas
+    slope = batch.total_slope * (1.0 - np.exp(-2.0 * lam * t)) / (2.0 * lam)
+    for p in range(batch.n_paths):
+        direct = slope.copy()
+        for tau, xi in zip(batch.path(p).times, batch.path(p).sizes):
+            if tau <= t:
+                direct += np.exp(-2.0 * lam * (t - tau)) * xi
+        np.testing.assert_allclose(v[p], direct, rtol=1e-12, atol=0.0)
+
+
+def _per_path_sample_convolution(op, noise, zpath, t, seed):
+    """The one-path sampler that sample_convolution was before it became a batch of one."""
+    lam = op.lambdas
+    v = zpath.total_slope * (1.0 - np.exp(-2.0 * lam * t)) / (2.0 * lam)
+    k = np.searchsorted(zpath.times, t, side="right")
+    if k:
+        v = v + (np.exp(-2.0 * np.multiply.outer(lam, t - zpath.times[:k]))
+                 * zpath.sizes[:k]).sum(axis=1)
+    rng = stream(seed)
+    return np.sqrt(v) / noise.wiener.hilbert_weights * rng.standard_normal(op.n_modes)
+
+
+def test_sample_convolution_is_bitwise_the_per_path_sampler():
+    jumps = set()
+    for op in (SpectralOperator.dirichlet(1, 1.0, 16), SpectralOperator.dirichlet(2, 0.75, 5)):
+        noise = LevyNoiseSpec(CylindricalWienerSpec(np.linspace(1.0, 2.0, op.n_modes)),
+                              SubordinatorSpec.stable(0.5))
+        for seed in range(15):
+            for eps in (1e-1, 1e-4):
+                zp = simulate_path(noise.subordinator, 1.0, cutoff_eps=eps, seed=seed,
+                                   method="jumps")
+                jumps.add(zp.times.size)
+                for t in (0.0, 0.45, 1.0):
+                    fs = sample_convolution(op, noise, zp, t, seed=seed + 100)
+                    ref = _per_path_sample_convolution(op, noise, zp, t, seed + 100)
+                    assert np.array_equal(fs.coefficients, ref), (seed, eps, t)
+    assert min(jumps) == 0 and max(jumps) > 40
+
+
+def test_batch_sample_does_not_depend_on_the_slicing():
+    op = SpectralOperator.dirichlet(1, 1.0, 8)
+    noise = make_noise(SubordinatorSpec.stable(0.5), 8)
+    batch = simulate_paths(noise.subordinator, 1.0, 50, stream(2), cutoff_eps=1e-2,
+                           method="jumps")
+    whole = sample_convolution_batch(op, noise, batch, 0.7, stream(3))
+    rng = stream(3)
+    parts = [sample_convolution_batch(op, noise, batch[lo:hi], 0.7, rng)
+             for lo, hi in ((0, 1), (1, 20), (20, 50))]
+    assert np.array_equal(whole, np.concatenate(parts))
+    single = sample_convolution_batch(op, noise, PathBatch.of_path(batch.path(0)), 0.7, stream(3))
+    assert np.array_equal(single[0], whole[0])
 
 
 # -- characteristic-functional oracle ------------------------------------

@@ -6,12 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from levyfield._rng import stream
 from levyfield.subordinator import (
+    MAX_EXPECTED_JUMPS,
+    PathBatch,
     SubordinatorPath,
     SubordinatorSpec,
     finite_variation_diagnostic,
     laplace_exponent,
     sample_stable_oneside,
     simulate_path,
+    simulate_paths,
     sub_p_membership,
 )
 
@@ -184,6 +187,113 @@ def test_config_roundtrip():
         assert back.kind == spec.kind
         assert laplace_exponent(back, 1.7) == pytest.approx(
             laplace_exponent(spec, 1.7), rel=1e-14)
+
+
+# -- batched paths -------------------------------------------------------
+
+
+def _per_path_sampler(spec, T, cutoff_eps, seed, grid_n, method):
+    """The one-path sampler that simulate_path was before it became a batch of one."""
+    rng = stream(seed)
+    if spec.kind == "drift_only":
+        return np.empty(0), np.empty(0), 0.0
+    if spec.kind == "stable" and method != "jumps":
+        dt = T / grid_n
+        incr = dt ** (1.0 / spec.beta) * sample_stable_oneside(spec.beta, grid_n, rng)
+        return dt * np.arange(1, grid_n + 1), incr, 0.0
+    if spec.kind == "compound_poisson":
+        eps, rate, compensation = 0.0, spec.intensity.tail_mass(0.0), 0.0
+    else:
+        eps = cutoff_eps
+        rate = spec.intensity.tail_mass(eps)
+        compensation = spec.intensity.truncated_moment(1.0, 0.0, eps)
+    n = rng.poisson(rate * T)
+    times = np.sort(rng.uniform(0.0, T, size=n))
+    sizes = spec.intensity.sample_sizes(max(eps, 1e-300), n, rng) if n else np.empty(0)
+    return times, sizes, compensation
+
+
+def _stable_density(beta):
+    c = beta / math.gamma(1.0 - beta)
+    return SubordinatorSpec.tabulated(lambda x: c * x ** (-1.0 - beta))
+
+
+@pytest.mark.parametrize("spec, method", [
+    (SubordinatorSpec.stable(0.5), None),
+    (SubordinatorSpec.stable(0.9), "jumps"),
+    (SubordinatorSpec.drift_only(1.5), None),
+    (SubordinatorSpec.compound_poisson([0.3, 2.0], [2.0, 0.5], drift_b=0.2), None),
+    (_stable_density(0.5), None),
+])
+def test_simulate_path_is_bitwise_the_per_path_sampler(spec, method):
+    for seed in range(20):
+        for eps in (1e-2, 1e-4):
+            grid_n = 1 + seed % 7
+            zp = simulate_path(spec, 1.3, cutoff_eps=eps, seed=seed, grid_n=grid_n, method=method)
+            times, sizes, compensation = _per_path_sampler(spec, 1.3, eps, seed, grid_n, method)
+            assert np.array_equal(zp.times, times)
+            assert np.array_equal(zp.sizes, sizes)
+            assert zp.compensation == compensation
+            assert zp.drift_slope == spec.drift_b
+
+
+@pytest.mark.parametrize("spec, method", [
+    (SubordinatorSpec.stable(0.5), None),
+    (SubordinatorSpec.stable(0.5), "jumps"),
+    (SubordinatorSpec.compound_poisson([0.3, 2.0], [2.0, 0.5], drift_b=0.2), "jumps"),
+])
+def test_simulate_paths_laplace_identity(spec, method):
+    # E exp(-r Z(T)) = exp(-T psi(r)); the cutoff route's bias at eps=1e-3
+    # is below 1e-5, far under the Monte Carlo standard error
+    T, n = 0.8, 20000
+    batch = simulate_paths(spec, T, n, stream(11, 0 if method is None else 1),
+                           cutoff_eps=1e-3, method=method, grid_n=4)
+    z = batch.values(T)
+    for r in (0.5, 1.0, 2.0):
+        vals = np.exp(-r * z)
+        se = vals.std() / math.sqrt(n)
+        assert abs(vals.mean() - math.exp(-T * laplace_exponent(spec, r))) < 4.0 * se, r
+
+
+def test_path_batch_csr_layout():
+    spec = SubordinatorSpec.compound_poisson([0.3, 2.0], [1.0, 0.5], drift_b=0.2)
+    batch = simulate_paths(spec, 2.0, 300, stream(4), method="jumps")
+    assert batch.offsets.shape == (301,) and batch.offsets[0] == 0
+    assert batch.offsets[-1] == batch.times.size == batch.sizes.size
+    assert (batch.counts == 0).any() and (batch.counts > 2).any()
+    assert np.all((batch.times > 0) & (batch.times <= 2.0))
+    assert np.array_equal(batch.rows, np.repeat(np.arange(300), batch.counts))
+    # sorted within each path, and each path is a valid SubordinatorPath
+    within = np.diff(batch.times)[np.diff(batch.rows) == 0]
+    assert np.all(within > 0)
+    values = batch.values(1.1)
+    part = batch[100:200]
+    assert part.n_paths == 100 and part.total_slope == batch.total_slope
+    for p in range(100, 200):
+        zp = batch.path(p)
+        assert zp.value(1.1) == pytest.approx(values[p], rel=1e-14)
+        assert np.array_equal(part.path(p - 100).times, zp.times)
+        single = PathBatch.of_path(zp)
+        assert single.n_paths == 1 and np.array_equal(single.path(0).sizes, zp.sizes)
+
+
+def test_drift_only_batch_has_no_jumps():
+    batch = simulate_paths(SubordinatorSpec.drift_only(2.0), 3.0, 5, stream(0))
+    assert batch.n_paths == 5 and batch.times.size == 0
+    assert np.array_equal(batch.values(1.5), np.full(5, 3.0))
+
+
+def test_expected_jump_count_is_bounded_before_drawing():
+    with pytest.raises(ValueError, match="jumps in expectation"):
+        simulate_paths(SubordinatorSpec.stable(0.9), 1.0, 1, stream(0),
+                       cutoff_eps=1e-12, method="jumps")
+    with pytest.raises(ValueError, match="jumps in expectation"):
+        simulate_path(SubordinatorSpec.stable(0.9), 1.0, cutoff_eps=1e-12, method="jumps")
+    with pytest.raises(ValueError, match="jumps in expectation"):
+        simulate_paths(SubordinatorSpec.stable(0.5), 1.0, MAX_EXPECTED_JUMPS + 1,
+                       stream(0), grid_n=1)
+    with pytest.raises(ValueError):
+        simulate_paths(SubordinatorSpec.stable(0.5), 1.0, 0, stream(0))
 
 
 # -- property tests ------------------------------------------------------
