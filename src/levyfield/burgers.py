@@ -21,11 +21,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import fft as sfft
 
 from ._rng import stream
 from .noise import LevyNoiseSpec
-from .spectral import SpectralOperator
+from .sine import by_blocks, cos_coefficients, l4_norm4, sine_values
 from .subordinator import SubordinatorPath, simulate_path
 
 __all__ = [
@@ -36,9 +35,6 @@ __all__ = [
     "check_apriori",
     "solve_stochastic_burgers",
     "weak_residual",
-    "sine_coefficients",
-    "sine_values",
-    "l4_norm4",
 ]
 
 
@@ -46,63 +42,22 @@ class StepSizeError(RuntimeError):
     """Energy left the a priori corridor; the explicit step is too large."""
 
 
-# -- sine/cosine plumbing on (0,1) ---------------------------------------
-#
-# Coefficients are w.r.t. the orthonormal basis sqrt(2) sin(k pi x),
-# k = 1..M-1, values live at the interior points i/M.
-
-
-def sine_values(coef: np.ndarray, M: Optional[int] = None) -> np.ndarray:
-    """Grid values at i/M (i=1..M-1) of a sine-coefficient vector."""
-    n = coef.size
-    M = M or n + 1
-    pad = np.zeros(M - 1)
-    pad[:n] = coef
-    return sfft.dst(pad, type=1) * (math.sqrt(2.0) / 2.0)
-
-
-def sine_coefficients(values: np.ndarray) -> np.ndarray:
-    """Inverse of sine_values on the same grid."""
-    M = values.size + 1
-    return sfft.dst(values, type=1) / (math.sqrt(2.0) * M)
-
-
-def _cos_coefficients(values_inner: np.ndarray) -> np.ndarray:
-    """Coefficients int q(x) sqrt(2) cos(k pi x) dx, k=1..M-1.
-
-    ``values_inner`` holds q at the interior points of a grid with q=0 at
-    both endpoints (true for the products v*z and v^2 of Dirichlet fields).
-    """
-    M = values_inner.size + 1
-    full = np.concatenate([[0.0], values_inner, [0.0]])
-    d = sfft.dct(full, type=1)
-    return d[1:-1] * (math.sqrt(2.0) / (2.0 * M))
-
-
-def l4_norm4(coef: np.ndarray, grid_M: Optional[int] = None) -> float:
-    """int_0^1 v^4 dx from sine coefficients (rectangle rule on a fine grid)."""
-    n = coef.size
-    M = grid_M or 2 * (n + 1)
-    vals = sine_values(coef, M)
-    return float((vals ** 4).sum() / M)
-
-
-def _transport_coefficients(v: np.ndarray, z: Optional[np.ndarray]) -> np.ndarray:
+def _transport_coefficients(v: np.ndarray, z: Optional[np.ndarray] = None) -> np.ndarray:
     """Sine coefficients of -(v z)_x - (v^2/2)_x, dealiased on a doubled grid.
 
     Integration by parts against the sine basis turns the x-derivative into
     k pi times the cosine coefficients of q = v z + v^2/2; the doubled grid
-    makes the quadratic product's cosine transform exact.
+    makes the quadratic product's cosine transform exact.  Works along the
+    last axis, so v (and z) may hold a block of time steps.
     """
-    n = v.size
+    n = v.shape[-1]
     M2 = 2 * (n + 1)
     vv = sine_values(v, M2)
     q = 0.5 * vv * vv
     if z is not None:
         q += vv * sine_values(z, M2)
-    qc = _cos_coefficients(q)[:n]
-    k = np.arange(1, n + 1)
-    return k * math.pi * qc
+    qc = cos_coefficients(q)[..., :n]
+    return np.arange(1, n + 1) * math.pi * qc
 
 
 @dataclass(frozen=True)
@@ -170,9 +125,9 @@ def solve_modified_burgers(
     phi1 = (1.0 - decay) / lam
     times = dt * np.arange(n_steps + 1)
 
-    zs = None if z_fn is None else [np.asarray(z_fn(t), dtype=float) for t in times]
+    zs = None if z_fn is None else np.array([z_fn(t) for t in times], dtype=float)
     gs = None if g_fn is None else [np.asarray(g_fn(t), dtype=float) for t in times]
-    z_l4 = np.zeros(n_steps + 1) if zs is None else np.array([l4_norm4(z) for z in zs])
+    z_l4 = np.zeros(n_steps + 1) if zs is None else l4_norm4(zs)
     g_vp = np.zeros(n_steps + 1) if gs is None else np.array([(g ** 2 / lam).sum() for g in gs])
 
     # explicit a priori corridor for the blow-up guard
@@ -220,7 +175,7 @@ def check_apriori(traj: BurgersTrajectory, slack: float = 0.05) -> dict:
     grad2 = (traj.v_coeffs ** 2 * lam).sum(axis=1)
     int_grad = float(np.trapezoid(grad2, times))
     int_vp = float(np.trapezoid(traj.vprime_vprime, times))
-    v_l4 = np.array([l4_norm4(v) for v in traj.v_coeffs])
+    v_l4 = l4_norm4(traj.v_coeffs)
     int_v4 = float(np.trapezoid(v_l4, times))
 
     bounds = {
@@ -312,8 +267,7 @@ def solve_stochastic_burgers(
         raise ValueError("u0 must have n_modes sine coefficients")
     if noise.wiener.truncation_N != n_modes:
         raise ValueError("noise truncation must equal n_modes")
-    k = np.arange(1, n_modes + 1)
-    lam = (k * math.pi) ** 2
+    lam = (np.arange(1, n_modes + 1) * math.pi) ** 2
     n_steps = int(round(T / dt))
     times = dt * np.arange(n_steps + 1)
     sub = noise.subordinator
@@ -323,7 +277,7 @@ def solve_stochastic_burgers(
                                            zpath, times, seed=seed + 1)
 
     # refinement diagnostic for int |z|^4: compare full grid vs every other point
-    z_l4 = np.array([l4_norm4(z) for z in z_hist])
+    z_l4 = l4_norm4(z_hist)
     full = float(np.trapezoid(z_l4, times))
     half = float(np.trapezoid(z_l4[::2], times[::2]))
     if full > 1.0 and half > 0 and full / half > 4.0:
@@ -332,23 +286,17 @@ def solve_stochastic_burgers(
             "the OU path is too rough for this grid")
 
     # g(t) = f - (z(t)^2/2)_x  (sine coefficients, dealiased)
-    g_list = []
-    for z in z_hist:
-        M2 = 2 * (n_modes + 1)
-        zz = sine_values(z, M2)
-        qc = _cos_coefficients(0.5 * zz * zz)[:n_modes]
-        g = k * math.pi * qc   # sine coefficients of -(z^2/2)_x
-        if f is not None:
-            g = g + f
-        g_list.append(g)
+    g = by_blocks(_transport_coefficients, z_hist)
+    if f is not None:
+        g += f
 
     v0 = u0 - z_hist[0]
     traj = solve_modified_burgers(v0, lambda t: z_hist[int(round(t / dt))],
-                                  lambda t: g_list[int(round(t / dt))],
+                                  lambda t: g[int(round(t / dt))],
                                   T, dt, n_modes)
     u_hist = traj.v_coeffs + z_hist
     u_l2sq = (u_hist ** 2).sum(axis=1)
-    u_l4 = np.array([l4_norm4(u) for u in u_hist])
+    u_l4 = l4_norm4(u_hist)
     certificate = {"sup_u_sq": float(u_l2sq.max()),
                    "int_u_l4": float(np.trapezoid(u_l4, times))}
     return {"times": times, "u_coeffs": u_hist, "v_traj": traj,
@@ -367,7 +315,6 @@ def weak_residual(result: dict, f: Optional[np.ndarray], test_mode_k: int,
     u = result["u_coeffs"]
     y = result["y_coeffs"]
     z = result["z_coeffs"]
-    v = u - z
     if t_index < 0:
         t_index = times.size + t_index
     k = test_mode_k
@@ -377,15 +324,12 @@ def weak_residual(result: dict, f: Optional[np.ndarray], test_mode_k: int,
     # (u, Lap psi) = -lam_k u_k; the v part is smooth (trapezoid), while the
     # rough OU part integrates exactly through its own equation:
     # lam int z_k ds = Y_k(t) - z_k(t) + z_k(0)
-    int_lap = float(np.trapezoid(-lamk * v[sl, k - 1], tgrid)) \
+    int_lap = float(np.trapezoid(-lamk * (u[sl, k - 1] - z[sl, k - 1]), tgrid)) \
         - (y[t_index, k - 1] - z[t_index, k - 1] + z[0, k - 1])
-    # (u^2, grad psi) = k pi * cosine coefficient of u^2
-    q = np.empty(t_index + 1)
-    for i in range(t_index + 1):
-        M2 = 2 * (u.shape[1] + 1)
-        vals = sine_values(u[i], M2)
-        q[i] = k * math.pi * _cos_coefficients(vals * vals)[k - 1]
-    int_nl = 0.5 * float(np.trapezoid(q, tgrid))
+    # 1/2 (u^2, grad psi) = k pi * cosine coefficient of u^2/2, the k-th
+    # transport coefficient of u alone
+    q = by_blocks(lambda ub: _transport_coefficients(ub)[:, k - 1], u[sl])
+    int_nl = float(np.trapezoid(q, tgrid))
     int_f = 0.0 if f is None else float(f[k - 1]) * float(tgrid[-1])
     lhs = u[t_index, k - 1] - u[0, k - 1] - int_lap - int_nl
     rhs = int_f + y[t_index, k - 1]

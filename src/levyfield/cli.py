@@ -22,15 +22,15 @@ import numpy as np
 from ._rng import stream
 from .spaces import SpaceSpec
 from .subordinator import (DEFAULT_CUTOFF, PathBatch, QuadratureError, SubordinatorSpec,
-                           sample_stable_oneside, simulate_path, simulate_paths)
+                           sample_stable_oneside, simulate_paths)
 from .noise import (CylindricalWienerSpec, LevyNoiseSpec, char_functional,
                     increment_coefficients)
 from .spectral import (FieldSample, SpectralOperator, charfn_oracle, regularity_exponent_bound,
-                       sample_convolution, sample_convolution_batch)
+                       sample_convolution_batch)
 from .regularity import (CirclePath, blowup_probe, circle_convolution,
                          estimate_holder, fourier_profile, scalar_levy_jumps)
 from .burgers import (StepSizeError, check_apriori, solve_modified_burgers,
-                      solve_stochastic_burgers, sine_coefficients, weak_residual)
+                      solve_stochastic_burgers, weak_residual)
 
 # experiment name -> (function, default of every config key it accepts)
 EXPERIMENTS = {}
@@ -138,8 +138,8 @@ def _run_charfn(cfg, out: Path):
 
 def _ou_draws(op: SpectralOperator, spec: LevyNoiseSpec, t: float, n_paths: int,
               seed: int, case: int, cutoff_eps: float):
-    """Per-path draws of X(t) through the cutoff jump route: yields the
-    coefficients of consecutive chunks of paths, shape (paths, modes).
+    """Per-path draws of X(t), through the cutoff jump route if Z jumps: yields
+    the coefficients of consecutive chunks of paths, shape (paths, modes).
 
     The jumps come from stream(seed, 1, case), the Gaussian mode draws from
     stream(seed, 2, case).
@@ -188,19 +188,14 @@ def _run_regularity(cfg, out: Path):
     op = SpectralOperator.dirichlet(1, 1.0, N)
     rows = []
     results = {}
-    for label, sub, method in [("gaussian", SubordinatorSpec.drift_only(1.0), None),
-                               ("stable_alpha1", SubordinatorSpec.stable(0.5), "jumps")]:
+    for case, (label, sub) in enumerate([("gaussian", SubordinatorSpec.drift_only(1.0)),
+                                         ("stable_alpha1", SubordinatorSpec.stable(0.5))]):
         spec = LevyNoiseSpec(CylindricalWienerSpec(np.ones(N)), sub)
-        ests = []
-        for m in range(n_paths):
-            zp = simulate_path(sub, 1.0, cutoff_eps=1e-3, seed=seed + 17 * m, method=method)
-            fs = sample_convolution(op, spec, zp, 1.0, seed=seed + 17 * m + 9)
-            r = estimate_holder(fs, op, M)
-            ests.append(r["delta_hat"])
-            rows.append([label, m, r["delta_hat"]])
-        results[label] = {"mean_delta": float(np.mean(ests)), "per_path": ests}
-        results[label]["critical"] = regularity_exponent_bound(
-            op, spec, ("holder", 0.0))["critical_exponent"]
+        coeffs = np.concatenate(list(_ou_draws(op, spec, 1.0, n_paths, seed, case, cutoff_eps=1e-3)))
+        ests = [estimate_holder(FieldSample(c, 1.0), op, M)["delta_hat"] for c in coeffs]
+        rows += [[label, m, d] for m, d in enumerate(ests)]
+        critical = regularity_exponent_bound(op, spec, ("holder", 0.0))["critical_exponent"]
+        results[label] = {"mean_delta": float(np.mean(ests)), "per_path": ests, "critical": critical}
     _write_csv(out / "holder.csv", ["case", "path", "delta_hat"], rows)
     ok = (0.2 <= results["gaussian"]["mean_delta"] <= 0.8
           and results["stable_alpha1"]["mean_delta"] > results["gaussian"]["mean_delta"])

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import fft as sfft
 
 from ._rng import stream
+from .sine import sine_values
 from .spaces import SpaceSpec
 from .noise import LevyNoiseSpec
 from .subordinator import (PathBatch, SubordinatorPath, _quad, laplace_exponent,
@@ -177,19 +177,15 @@ def check_radonifying(op: SpectralOperator, alpha: float, r: float,
     makes boundary cases decidable.
     """
     s = r * alpha
-    if growth is not None:
-        pass
-    elif math.isnan(op.gamma):
+    if growth is None and math.isnan(op.gamma):
         lam = op.lambdas
         k0, k1 = lam.size // 10 + 1, lam.size
         growth = (math.log(lam[k1 - 1]) - math.log(lam[k0 - 1])) / (math.log(k1) - math.log(k0))
-    else:
+    elif growth is None:
         growth = 2.0 * op.gamma / op.dim_d
-    converges = s * growth > 1.0 + tol
-    if not converges and s * growth > 1.0 - tol:
-        converges = False  # boundary treated as divergent (harmonic-type)
     partial = float((op.lambdas ** (-s)).sum())
-    if converges:
+    # the boundary |s * growth - 1| <= tol is treated as divergent (harmonic-type)
+    if s * growth > 1.0 + tol:
         # integral tail bound for lambda_k ~ c k^growth beyond the truncation
         n = op.n_modes
         c = op.lambdas[-1] / n ** growth
@@ -278,9 +274,9 @@ def charfn_oracle(op: SpectralOperator, noise: LevyNoiseSpec, phi, t: float,
 
     # the integrand is largest and steepest at sigma=0; split the range there
     brk = min(t, 1.0 / (2.0 * op.lambdas[-1]))
-    total = _quad(np.vectorize(integrand), 0.0, brk, rtol=quad_tol)
+    total = _quad(integrand, 0.0, brk, rtol=quad_tol)
     if brk < t:
-        total += _quad(np.vectorize(integrand), brk, t, rtol=quad_tol)
+        total += _quad(integrand, brk, t, rtol=quad_tol)
     return math.exp(-total)
 
 
@@ -342,15 +338,8 @@ def synthesize(op: SpectralOperator, sample: FieldSample, grid_M: int) -> np.nda
     Basis functions are prod_i sqrt(2) sin(n_i pi x_i); returns values at
     the interior points (i_1/M, ..., i_d/M), shape (M-1,)*d.
     """
-    if grid_M <= op.truncation_N:
-        raise ValueError("grid_M must exceed the truncation")
-    d, N = op.dim_d, op.truncation_N
-    dense = np.zeros((N,) * d)
-    dense[tuple((op.multi_indices - 1).T)] = sample.coefficients
-    pad = np.zeros((grid_M - 1,) * d)
-    pad[(slice(0, N),) * d] = dense
-    # DST-I: sum_n c_n sin(pi n i / M); orthonormal basis carries sqrt(2)
-    out = pad
-    for axis in range(d):
-        out = sfft.dst(out, type=1, axis=axis) / 2.0
-    return out * (math.sqrt(2.0) ** d)
+    out = np.zeros((op.truncation_N,) * op.dim_d)
+    out[tuple((op.multi_indices - 1).T)] = sample.coefficients
+    for axis in range(op.dim_d):
+        out = sine_values(out, grid_M, axis=axis)
+    return out

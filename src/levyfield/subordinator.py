@@ -458,24 +458,22 @@ def laplace_exponent(spec: SubordinatorSpec, r) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise ValueError("r must be nonnegative")
-    base = spec.drift_b * r
-    if spec.kind == "drift_only":
-        return base[()] if base.ndim == 0 else base
+    psi = spec.drift_b * r
     if spec.kind == "stable":
-        return (base + r ** spec.beta)[()] if base.ndim == 0 else base + r ** spec.beta
-    if spec.kind == "compound_poisson":
+        psi = psi + r ** spec.beta
+    elif spec.kind == "compound_poisson":
         sizes, rates = spec.intensity.atoms
-        jump = ((1.0 - np.exp(-np.multiply.outer(r, sizes))) * rates).sum(axis=-1)
-        return (base + jump)[()] if base.ndim == 0 else base + jump
+        psi = psi + ((1.0 - np.exp(-np.multiply.outer(r, sizes))) * rates).sum(axis=-1)
+    elif spec.kind != "drift_only":
+        def one(rv):
+            if rv == 0.0:
+                return 0.0
+            integrand = lambda x: (1.0 - np.exp(-rv * x)) * spec.intensity.density(x)
+            return _quad(integrand, 0.0, 1.0) + _quad(integrand, 1.0, min(np.inf, spec.intensity.support_cap))
 
-    def one(rv):
-        if rv == 0.0:
-            return 0.0
-        integrand = lambda x: (1.0 - np.exp(-rv * x)) * spec.intensity.density(x)
-        return _quad(integrand, 0.0, 1.0) + _quad(integrand, 1.0, min(np.inf, spec.intensity.support_cap))
-
-    jump = np.vectorize(one)(r)
-    return (base + jump)[()] if base.ndim == 0 else base + jump
+        psi = psi + np.vectorize(one)(r)
+    # a 0-d r gives a numpy scalar, an array r an array
+    return psi[()]
 
 
 def sub_p_membership(spec: SubordinatorSpec, p: float) -> tuple[bool, float]:

@@ -11,14 +11,14 @@ import numpy as np
 from scipy.special import zeta
 
 from levyfield._rng import stream
-from levyfield.burgers import (check_apriori, sine_coefficients, sine_values,
-                               l4_norm4, solve_modified_burgers,
+from levyfield.burgers import (check_apriori, solve_modified_burgers,
                                solve_stochastic_burgers, weak_residual)
 from levyfield.jumps import (StepIntegrand, verify_moment_inequality_p_le_1,
                              verify_moment_inequality_type_p)
 from levyfield.noise import CylindricalWienerSpec, LevyNoiseSpec, char_functional
 from levyfield.regularity import (TrajectoryEnsemble, blowup_probe,
                                   estimate_holder, time_integrability)
+from levyfield.sine import l4_norm4, sine_coefficients, sine_values
 from levyfield.spaces import SpaceSpec
 from levyfield.spectral import (SpectralOperator, charfn_oracle,
                                 check_radonifying, sample_convolution,
@@ -231,10 +231,7 @@ def test_09_time_integrability_and_scaling():
     spec = make_noise(SubordinatorSpec.stable(0.75), N)
     ens = TrajectoryEnsemble.simulate(op, spec, T=1.0, n_times=16384,
                                       n_paths=8, seed=900)
-    l4 = np.empty(ens.coefficients.shape[:2])
-    for m in range(l4.shape[0]):
-        for i in range(l4.shape[1]):
-            l4[m, i] = l4_norm4(ens.coefficients[m, i]) ** 0.25
+    l4 = l4_norm4(ens.coefficients) ** 0.25
     wrapped = TrajectoryEnsemble(times=ens.times, coefficients=l4[:, :, None])
     rep = time_integrability(wrapped, SpaceSpec(2.0, np.ones(1)), p=4.0)
     checks["l4_stabilizes"] = rep["stabilization"] < 0.05

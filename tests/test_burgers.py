@@ -8,14 +8,12 @@ from levyfield.burgers import (
     AprioriConstants,
     StepSizeError,
     check_apriori,
-    l4_norm4,
-    sine_coefficients,
-    sine_values,
     solve_modified_burgers,
     solve_stochastic_burgers,
     weak_residual,
 )
 from levyfield.noise import CylindricalWienerSpec, LevyNoiseSpec
+from levyfield.sine import l4_norm4, sine_coefficients, sine_values
 from levyfield.subordinator import SubordinatorSpec
 
 

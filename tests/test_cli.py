@@ -163,3 +163,18 @@ def test_batched_experiments_do_not_depend_on_the_chunk_size(tmp_path, monkeypat
         tables.append(np.genfromtxt(out / csv_name, delimiter=",", skip_header=1,
                                     usecols=(0, 1, 2, 3, 4)))
     np.testing.assert_allclose(tables[0], tables[1], rtol=1e-12, atol=0.0)
+
+
+def test_regularity_seeds_do_not_share_paths(tmp_path):
+    # integer seed offsets (seed + 17 m) once gave master_seed 17 the paths
+    # of master_seed 0 shifted by one
+    deltas = []
+    for seed in (0, 17):
+        cfg = write_config(tmp_path, {"experiment": "regularity", "master_seed": seed,
+                                      "n_modes": 64, "grid_M": 256, "n_paths": 3})
+        out = tmp_path / str(seed)
+        assert main(["run", "--config", cfg, "--out", str(out)]) in (0, 1)
+        rows = (out / "holder.csv").read_text().splitlines()[1:]
+        deltas.append({row.split(",")[2] for row in rows})
+    assert len(deltas[0]) == len(deltas[1]) == 6
+    assert not deltas[0] & deltas[1]

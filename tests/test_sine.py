@@ -1,0 +1,111 @@
+"""The sine-basis transforms against the one-vector helpers they replaced.
+
+The reference functions below are the per-vector helpers the Burgers solver
+used before the transforms moved to ``levyfield.sine``; every transform must
+equal them bitwise, one row at a time, at every shape and block count.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from scipy import fft as sfft
+
+from levyfield import sine
+from levyfield._rng import stream
+from levyfield.sine import (BLOCK_ROWS, by_blocks, cos_coefficients, l4_norm4,
+                            sine_coefficients, sine_values)
+
+
+def ref_sine_values(coef, M=None):
+    n = coef.size
+    M = M or n + 1
+    pad = np.zeros(M - 1)
+    pad[:n] = coef
+    return sfft.dst(pad, type=1) * (math.sqrt(2.0) / 2.0)
+
+
+def ref_sine_coefficients(values):
+    M = values.size + 1
+    return sfft.dst(values, type=1) / (math.sqrt(2.0) * M)
+
+
+def ref_cos_coefficients(values_inner):
+    M = values_inner.size + 1
+    full = np.concatenate([[0.0], values_inner, [0.0]])
+    d = sfft.dct(full, type=1)
+    return d[1:-1] * (math.sqrt(2.0) / (2.0 * M))
+
+
+def ref_l4_norm4(coef, grid_M=None):
+    n = coef.size
+    M = grid_M or 2 * (n + 1)
+    vals = ref_sine_values(coef, M)
+    return float((vals ** 4).sum() / M)
+
+
+def row_by_row(ref, a):
+    """The reference applied to every vector along the last axis of a."""
+    rows = [ref(r) for r in a.reshape(-1, a.shape[-1])]
+    return np.array(rows).reshape(a.shape[:-1] + np.shape(rows[0]))
+
+
+N = 31
+SHAPES = [(N,), (3, N), (BLOCK_ROWS, N), (2 * BLOCK_ROWS + 5, N), (2, BLOCK_ROWS + 1, N)]
+CASES = [
+    (lambda a: sine_values(a), ref_sine_values),
+    (lambda a: sine_values(a, 4 * (N + 1)), lambda r: ref_sine_values(r, 4 * (N + 1))),
+    (sine_coefficients, ref_sine_coefficients),
+    (cos_coefficients, ref_cos_coefficients),
+    (lambda a: l4_norm4(a), ref_l4_norm4),
+    (lambda a: l4_norm4(a, 1024), lambda r: ref_l4_norm4(r, 1024)),
+]
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+@pytest.mark.parametrize("case", range(len(CASES)))
+def test_transforms_are_bitwise_the_one_vector_helpers(shape, case):
+    fn, ref = CASES[case]
+    a = stream(3, case).standard_normal(shape)
+    out = fn(a)
+    expected = row_by_row(ref, a)
+    assert np.shape(out) == expected.shape
+    assert np.array_equal(out, expected)
+
+
+def test_one_vector_l4_norm_is_a_scalar():
+    c = stream(4).standard_normal(N)
+    assert np.ndim(l4_norm4(c)) == 0
+    assert float(l4_norm4(c)) == ref_l4_norm4(c)
+
+
+@pytest.mark.parametrize("axis", [0, 1, -2])
+def test_axis_argument_transforms_along_that_axis(axis):
+    a = stream(5).standard_normal((N, 4, 7))
+    last = np.moveaxis(a, axis, -1)
+    assert np.array_equal(sine_values(a, 64, axis=axis),
+                          np.moveaxis(sine_values(last, 64), -1, axis))
+
+
+@pytest.mark.parametrize("lead", [(0,), (2, 0)], ids=str)
+def test_no_rows_give_an_empty_result(lead):
+    a = np.empty(lead + (N,))
+    assert sine_values(a).shape == lead + (N,)
+    assert sine_values(a, 64).shape == lead + (63,)
+    assert sine_coefficients(a).shape == lead + (N,)
+    assert cos_coefficients(a).shape == lead + (N,)
+    assert l4_norm4(a).shape == lead
+
+
+def test_by_blocks_hands_fn_at_most_block_rows(monkeypatch):
+    monkeypatch.setattr(sine, "BLOCK_ROWS", 4)
+    seen = []
+    a = stream(7).standard_normal((2, 5, N))
+    out = by_blocks(lambda b: seen.append(b.shape[0]) or b[:, 0], a)
+    assert seen == [4, 4, 2]
+    assert np.array_equal(out, a[..., 0])
+
+
+def test_too_coarse_grid_is_refused():
+    with pytest.raises(ValueError):
+        sine_values(np.ones(N), N)
