@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -303,9 +303,10 @@ def solve_stochastic_burgers(
             "z_coeffs": z_hist, "y_coeffs": y_hist, "certificate": certificate}
 
 
-def weak_residual(result: dict, f: Optional[np.ndarray], test_mode_k: int,
-                  t_index: int = -1) -> float:
-    """Residual of the weak identity against psi = sqrt(2) sin(k pi x).
+def weak_residual(result: dict, f: Optional[np.ndarray], test_modes: Sequence[int],
+                  t_index: int = -1) -> list[float]:
+    """Residuals of the weak identity against psi = sqrt(2) sin(k pi x), one
+    per test mode k in ``test_modes``.
 
     (u(t),psi) - (u0,psi) - int (u, Lap psi) - 1/2 int (u^2, grad psi)
       - int (f,psi) - <psi, Y(t)>, with time integrals by the trapezoid
@@ -317,20 +318,22 @@ def weak_residual(result: dict, f: Optional[np.ndarray], test_mode_k: int,
     z = result["z_coeffs"]
     if t_index < 0:
         t_index = times.size + t_index
-    k = test_mode_k
-    lamk = (k * math.pi) ** 2
+    cols = np.asarray(test_modes, dtype=int) - 1
     sl = slice(0, t_index + 1)
     tgrid = times[sl]
-    # (u, Lap psi) = -lam_k u_k; the v part is smooth (trapezoid), while the
-    # rough OU part integrates exactly through its own equation:
-    # lam int z_k ds = Y_k(t) - z_k(t) + z_k(0)
-    int_lap = float(np.trapezoid(-lamk * (u[sl, k - 1] - z[sl, k - 1]), tgrid)) \
-        - (y[t_index, k - 1] - z[t_index, k - 1] + z[0, k - 1])
     # 1/2 (u^2, grad psi) = k pi * cosine coefficient of u^2/2, the k-th
     # transport coefficient of u alone
-    q = by_blocks(lambda ub: _transport_coefficients(ub)[:, k - 1], u[sl])
-    int_nl = float(np.trapezoid(q, tgrid))
-    int_f = 0.0 if f is None else float(f[k - 1]) * float(tgrid[-1])
-    lhs = u[t_index, k - 1] - u[0, k - 1] - int_lap - int_nl
-    rhs = int_f + y[t_index, k - 1]
-    return float(lhs - rhs)
+    q = by_blocks(lambda ub: _transport_coefficients(ub)[:, cols], u[sl])
+    residuals = []
+    for j, c in enumerate(cols):
+        lamk = ((c + 1) * math.pi) ** 2
+        # (u, Lap psi) = -lam_k u_k; the v part is smooth (trapezoid), while the
+        # rough OU part integrates exactly through its own equation:
+        # lam int z_k ds = Y_k(t) - z_k(t) + z_k(0)
+        int_lap = float(np.trapezoid(-lamk * (u[sl, c] - z[sl, c]), tgrid)) \
+            - (y[t_index, c] - z[t_index, c] + z[0, c])
+        int_nl = float(np.trapezoid(q[:, j], tgrid))
+        int_f = 0.0 if f is None else float(f[c]) * float(tgrid[-1])
+        lhs = u[t_index, c] - u[0, c] - int_lap - int_nl
+        residuals.append(float(lhs - (int_f + y[t_index, c])))
+    return residuals

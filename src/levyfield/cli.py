@@ -72,6 +72,11 @@ def _chunks(batch: PathBatch, n_modes: int):
 
 
 def _write_csv(path: Path, header, rows):
+    """Writes the rows, or raises FloatingPointError if a float in them is
+    NaN or infinite."""
+    rows = list(rows)
+    if any(isinstance(v, float) and not math.isfinite(v) for row in rows for v in row):
+        raise FloatingPointError(f"non-finite value in {path.name}")
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
@@ -258,7 +263,7 @@ def _run_burgers(cfg, out: Path):
     u0 = np.zeros(n); u0[0] = float(cfg["u0_amplitude"])
     f = np.zeros(n); f[1] = float(cfg["forcing_amplitude"])
     res = solve_stochastic_burgers(u0, noise, f, T, dt, n, seed=seed)
-    residuals = [weak_residual(res, f, kk) for kk in range(1, 6)]
+    residuals = weak_residual(res, f, range(1, 6))
     _write_csv(out / "burgers_residuals.csv", ["test_mode", "residual"],
                list(enumerate(residuals, start=1)))
     _write_csv(out / "burgers_final.csv", ["mode", "u_coefficient"],

@@ -36,6 +36,9 @@ __all__ = [
     "scalar_levy_jumps",
 ]
 
+# circle_convolution refuses a common grid finer than this many cells
+MAX_CIRCLE_CELLS = 1 << 24
+
 
 # -- exact trajectory sampling ------------------------------------------
 
@@ -264,14 +267,14 @@ class CirclePath:
     """Periodic profile plus a scalar driving Levy path on [0, 2*pi].
 
     ``profile`` holds values on the uniform circle grid including both
-    endpoints (first == last).  The driving path is a jump list
-    (times, increments) plus a diffusive slope for the continuous part.
+    endpoints (first == last).  The driving path is a list of increments at
+    times in (0, 2*pi]; ``scalar_levy_jumps`` merges the continuous part in
+    as Brownian increments on a grid.
     """
 
     profile: np.ndarray
     jump_times: np.ndarray
     jump_increments: np.ndarray
-    slope: float = 0.0
 
     def __post_init__(self):
         f = np.asarray(self.profile, dtype=float)
@@ -289,12 +292,11 @@ class CirclePath:
 
 def scalar_levy_jumps(sub: SubordinatorSpec, seed: int = 0,
                       cutoff_eps: float = 1e-3, slope_grid: int = 4096) -> tuple[np.ndarray, np.ndarray]:
-    """Scalar subordinated Levy path on [0, 2*pi] as (times, increments, slope_part).
+    """Scalar subordinated Levy path on [0, 2*pi] as (times, increments).
 
     Jumps of Z get Gaussian marks sqrt(dZ) g; the subordinator's slope
-    contributes Brownian increments which are returned on a uniform grid of
-    ``slope_grid`` cells (times at the cell right endpoints) and merged into
-    the jump list.
+    contributes Brownian increments on a uniform grid of ``slope_grid``
+    cells (times at the cell right endpoints), merged into the same list.
     """
     T = 2.0 * np.pi
     zp = simulate_path(sub, T, cutoff_eps=cutoff_eps, seed=seed, method=None
@@ -322,29 +324,47 @@ def fourier_profile(theta: float, n_harmonics: int, grid_M: int, seed: int = 0) 
     """Periodic profile with Fourier decay |f_k| ~ k^(-(theta + 1/2)).
 
     Random signs per harmonic; theta sweeps the Sobolev smoothness
-    W^(theta,2) boundary of the profile family.
+    W^(theta,2) boundary of the profile family.  The grid_M + 1 values come
+    from one inverse FFT, harmonics at or above grid_M folded onto k mod
+    grid_M, which is exact on the grid.
     """
-    rng = stream(seed)
-    z = np.linspace(0.0, 2.0 * np.pi, grid_M + 1)
-    f = np.zeros_like(z)
-    for k in range(1, n_harmonics + 1):
-        amp = k ** (-(theta + 0.5))
-        sc, ss = rng.choice([-1.0, 1.0], size=2)
-        f += amp * (sc * np.cos(k * z) + ss * np.sin(k * z))
-    return f
+    signs = stream(seed).choice([-1.0, 1.0], size=(n_harmonics, 2))
+    k = np.arange(1, n_harmonics + 1)
+    amp = k ** (-(theta + 0.5))
+    # amp (sc cos kz + ss sin kz) = Re(amp (sc - i ss) e^(ikz))
+    c = np.zeros(grid_M, dtype=complex)
+    np.add.at(c, k % grid_M, amp * (signs[:, 0] - 1j * signs[:, 1]))
+    f = np.fft.ifft(c).real * grid_M
+    return np.append(f, f[0])
 
 
 def circle_convolution(path: CirclePath, grid_M: int) -> np.ndarray:
     """z -> sum_k profile(z - tau_k) dY_k on the uniform circle grid.
 
-    The profile is interpolated periodically; output has grid_M + 1 points
-    with matching endpoints.
+    The profile is interpolated periodically and linearly; output has
+    grid_M + 1 points with matching endpoints.  On the grid of L =
+    lcm(P, grid_M) cells (P profile cells) the interpolant's knots and the
+    output points are grid points, so depositing each increment onto its
+    two neighbouring grid points with linear weights and convolving
+    circularly (one FFT) gives the same function exactly.  Raises
+    ValueError if grid_M < 1 or L exceeds MAX_CIRCLE_CELLS.
     """
+    if grid_M < 1:
+        raise ValueError("grid_M must be positive")
     f = path.profile
-    zf = np.linspace(0.0, 2.0 * np.pi, f.size)
-    z = np.linspace(0.0, 2.0 * np.pi, grid_M + 1)
-    out = np.zeros_like(z)
-    for tau, dy in zip(path.jump_times, path.jump_increments):
-        arg = np.mod(z - tau, 2.0 * np.pi)
-        out += dy * np.interp(arg, zf, f)
-    return out
+    P = f.size - 1
+    L = math.lcm(P, grid_M)
+    if L > MAX_CIRCLE_CELLS:
+        raise ValueError(f"circle grid of lcm({P}, {grid_M}) = {L} cells exceeds "
+                         f"MAX_CIRCLE_CELLS = {MAX_CIRCLE_CELLS}")
+    r = L // P
+    g = np.interp(np.arange(L) / r, np.arange(P + 1), f)
+    u = path.jump_times * (L / (2.0 * np.pi))
+    cell = np.floor(u)
+    w = u - cell
+    i0 = cell.astype(np.int64) % L
+    dy = path.jump_increments
+    d = (np.bincount(i0, (1.0 - w) * dy, minlength=L)
+         + np.bincount((i0 + 1) % L, w * dy, minlength=L))
+    conv = np.fft.irfft(np.fft.rfft(g) * np.fft.rfft(d), n=L)[::L // grid_M]
+    return np.append(conv, conv[0])

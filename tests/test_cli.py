@@ -178,3 +178,26 @@ def test_regularity_seeds_do_not_share_paths(tmp_path):
         deltas.append({row.split(",")[2] for row in rows})
     assert len(deltas[0]) == len(deltas[1]) == 6
     assert not deltas[0] & deltas[1]
+
+
+def test_non_finite_output_exit_3(tmp_path, monkeypatch, capsys):
+    def nan_experiment(cfg, out):
+        cli._write_csv(out / "nan.csv", ["x"], [[1.0], [float("nan")]])
+        return {}, True
+
+    monkeypatch.setitem(EXPERIMENTS, "nan-probe", (nan_experiment, {}))
+    cfg = write_config(tmp_path, {"experiment": "nan-probe", "master_seed": 0})
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "numeric-failure"
+    assert "nan.csv" in report["error"]
+    assert not (out / "nan.csv").exists()
+
+
+def test_circle_grid_limit_exit_2(tmp_path, capsys):
+    # lcm(4096, 4097) cells: refused before any convolution
+    cfg = write_config(tmp_path, {"experiment": "circle", "master_seed": 1,
+                                  "thetas": [1.0], "grids": [4097]})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "MAX_CIRCLE_CELLS" in capsys.readouterr().err

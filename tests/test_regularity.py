@@ -6,6 +6,7 @@ import pytest
 from levyfield._rng import stream
 from levyfield.noise import CylindricalWienerSpec, LevyNoiseSpec
 from levyfield.regularity import (
+    MAX_CIRCLE_CELLS,
     CirclePath,
     TrajectoryEnsemble,
     blowup_probe,
@@ -203,3 +204,78 @@ def test_circle_profile_must_be_periodic():
     with pytest.raises(ValueError):
         CirclePath(profile=np.array([0.0, 1.0, 2.0]),
                    jump_times=np.array([1.0]), jump_increments=np.array([1.0]))
+
+
+def interp_loop_convolution(path, grid_M):
+    # the per-increment np.interp loop that circle_convolution replaced
+    f = path.profile
+    zf = np.linspace(0.0, 2.0 * np.pi, f.size)
+    z = np.linspace(0.0, 2.0 * np.pi, grid_M + 1)
+    out = np.zeros_like(z)
+    for tau, dy in zip(path.jump_times, path.jump_increments):
+        arg = np.mod(z - tau, 2.0 * np.pi)
+        out += dy * np.interp(arg, zf, f)
+    return out
+
+
+def harmonic_loop_profile(theta, n_harmonics, grid_M, seed=0):
+    # the per-harmonic loop that fourier_profile replaced
+    rng = stream(seed)
+    z = np.linspace(0.0, 2.0 * np.pi, grid_M + 1)
+    f = np.zeros_like(z)
+    for k in range(1, n_harmonics + 1):
+        amp = k ** (-(theta + 0.5))
+        sc, ss = rng.choice([-1.0, 1.0], size=2)
+        f += amp * (sc * np.cos(k * z) + ss * np.sin(k * z))
+    return f
+
+
+def assert_close_to(actual, expected, rtol):
+    # relative to the sup, since single grid values may cross zero
+    np.testing.assert_allclose(actual, expected, rtol=rtol,
+                               atol=rtol * np.abs(expected).max())
+
+
+@pytest.mark.parametrize("profile_size", [257, 4097])
+@pytest.mark.parametrize("grid_M", [32, 100, 128, 384, 1024, 8192])
+def test_circle_convolution_matches_interp_loop(profile_size, grid_M):
+    times, incs = scalar_levy_jumps(SubordinatorSpec.stable(0.75), seed=11)
+    prof = fourier_profile(0.5, 96, profile_size - 1, seed=12)
+    cp = CirclePath(profile=prof, jump_times=times, jump_increments=incs)
+    out = circle_convolution(cp, grid_M)
+    assert out.shape == (grid_M + 1,)
+    assert out[0] == out[-1]
+    assert_close_to(out, interp_loop_convolution(cp, grid_M), 1e-10)
+
+
+def test_circle_convolution_jump_at_two_pi_and_no_jumps():
+    prof = fourier_profile(1.0, 64, 256, seed=3)
+    for tau in (2.0 * np.pi, np.nextafter(2.0 * np.pi, 0.0), 1e-300):
+        cp = CirclePath(profile=prof, jump_times=np.sort([1.0, tau]),
+                        jump_increments=np.array([0.5, -2.0]))
+        for grid_M in (64, 100):
+            assert_close_to(circle_convolution(cp, grid_M),
+                            interp_loop_convolution(cp, grid_M), 1e-12)
+    empty = CirclePath(profile=prof, jump_times=np.array([]), jump_increments=np.array([]))
+    out = circle_convolution(empty, 128)
+    assert out.shape == (129,) and not out.any()
+
+
+def test_circle_convolution_refuses_too_fine_a_common_grid():
+    prof = np.ones(4097)
+    cp = CirclePath(profile=prof, jump_times=np.array([1.0]), jump_increments=np.array([1.0]))
+    assert math.lcm(4096, 4097) > MAX_CIRCLE_CELLS
+    with pytest.raises(ValueError, match="MAX_CIRCLE_CELLS"):
+        circle_convolution(cp, 4097)
+    with pytest.raises(ValueError, match="positive"):
+        circle_convolution(cp, 0)
+    assert circle_convolution(cp, 4096 * 4) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("n_harmonics,grid_M", [(512, 4096), (256, 4096), (300, 257)])
+def test_fourier_profile_matches_harmonic_loop(n_harmonics, grid_M):
+    for theta in (0.0, 2.0):
+        f = fourier_profile(theta, n_harmonics, grid_M, seed=5)
+        assert f.shape == (grid_M + 1,)
+        assert f[0] == f[-1]
+        assert_close_to(f, harmonic_loop_profile(theta, n_harmonics, grid_M, seed=5), 1e-12)
