@@ -24,7 +24,8 @@ import numpy as np
 
 from ._rng import stream
 from .noise import LevyNoiseSpec
-from .sine import by_blocks, cos_coefficients, l4_norm4, sine_values
+from .sine import BLOCK_ROWS, by_blocks, cos_coefficients, l4_norm4, sine_values
+from .spectral import cell_moments
 from .subordinator import SubordinatorPath, simulate_path
 
 __all__ = [
@@ -111,7 +112,9 @@ def solve_modified_burgers(
 
     ``z_fn``/``g_fn`` return sine coefficients at a given time (None means
     zero).  Raises StepSizeError if |v|^2 leaves 10x its a priori corridor,
-    which is how an unstable explicit step shows up.
+    which is how an unstable explicit step shows up, and RuntimeError if
+    int |z|_L4^4 exceeds 1 and 4 times its trapezoid sum over every other
+    grid point (z too rough for the grid).
     """
     v0 = np.asarray(v0, dtype=float)
     if v0.size != n_modes:
@@ -128,10 +131,16 @@ def solve_modified_burgers(
     zs = None if z_fn is None else np.array([z_fn(t) for t in times], dtype=float)
     gs = None if g_fn is None else [np.asarray(g_fn(t), dtype=float) for t in times]
     z_l4 = np.zeros(n_steps + 1) if zs is None else l4_norm4(zs)
+    int_z = float(np.trapezoid(z_l4, times))
+    # refinement diagnostic for int |z|^4: compare full grid vs every other point
+    half = float(np.trapezoid(z_l4[::2], times[::2]))
+    if int_z > 1.0 and half > 0 and int_z / half > 4.0:
+        raise RuntimeError(
+            f"int |Y_A|_L4^4 not stable under refinement ({half:.3g} -> {int_z:.3g}); "
+            "the OU path is too rough for this grid")
     g_vp = np.zeros(n_steps + 1) if gs is None else np.array([(g ** 2 / lam).sum() for g in gs])
 
     # explicit a priori corridor for the blow-up guard
-    int_z = float(np.trapezoid(z_l4, times))
     int_g = float(np.trapezoid(g_vp, times))
     consts = AprioriConstants.from_data(float(np.sqrt((v0 ** 2).sum())), int_z, int_g, T)
     corridor = 10.0 * (consts.K * consts.L) ** 2 + 1e-12
@@ -204,43 +213,41 @@ def _joint_ou_noise_paths(lam: np.ndarray, inv_w: np.ndarray,
 
     Per cell and mode, (Delta Y, OU innovation) is bivariate Gaussian with
     Var(DY) = w^-2 dZ, Var(eta) = w^-2 int e^(-2 lam (t'-s)) dZ and
-    Cov = w^-2 int e^(-lam (t'-s)) dZ, all closed-form over the cell's jumps.
+    Cov = w^-2 int e^(-lam (t'-s)) dZ, all closed-form over the cell's jumps
+    (``cell_moments`` with c = 2 and c = 1).
     """
     rng = stream(seed)
     n = lam.size
+    w2 = inv_w ** 2
+    # cell i is (t0[i], times[i]] and holds counts[i] jumps from starts[i]
+    t0 = np.append(0.0, times[:-1])
+    k = np.searchsorted(zpath.times, np.append(0.0, times), side="right")
+    starts, counts = k[:-1], np.diff(k)
+    dz = np.diff(zpath.value(np.append(0.0, times)))
     z = np.zeros(n)
     y = np.zeros(n)
-    z_hist = np.empty((times.size, n))
-    y_hist = np.empty((times.size, n))
-    t_prev = 0.0
-    for i, t in enumerate(times):
-        dtc = t - t_prev
-        if dtc > 0:
-            slope = zpath.total_slope
-            dz_cell = float(zpath.value(t) - zpath.value(t_prev))
-            v_dy = dz_cell * np.ones(n)
-            v_eta = slope * (1.0 - np.exp(-2.0 * lam * dtc)) / (2.0 * lam)
-            cov = slope * (1.0 - np.exp(-lam * dtc)) / lam
-            k0 = np.searchsorted(zpath.times, t_prev, side="right")
-            k1 = np.searchsorted(zpath.times, t, side="right")
-            if k1 > k0:
-                e1 = np.exp(-np.multiply.outer(lam, t - zpath.times[k0:k1]))
-                v_eta = v_eta + (e1 ** 2 * zpath.sizes[k0:k1]).sum(axis=1)
-                cov = cov + (e1 * zpath.sizes[k0:k1]).sum(axis=1)
-            v_dy = v_dy * inv_w ** 2
-            v_eta = v_eta * inv_w ** 2
-            cov = cov * inv_w ** 2
-            g1, g2 = rng.standard_normal((2, n))
-            dy = np.sqrt(v_dy) * g1
-            with np.errstate(invalid="ignore", divide="ignore"):
-                beta = np.where(v_dy > 0, cov / np.where(v_dy > 0, v_dy, 1.0), 0.0)
-                resid = np.maximum(v_eta - beta * cov, 0.0)
-            eta = beta * dy + np.sqrt(resid) * g2
-            y = y + dy
-            z = np.exp(-lam * dtc) * z + eta
-        z_hist[i] = z
-        y_hist[i] = y
-        t_prev = t
+    z_hist = np.zeros((times.size, n))
+    y_hist = np.zeros((times.size, n))
+    # a grid starting at 0 starts with z = Y = 0 and draws nothing for it
+    for lo in range(int(times[0] == 0), times.size, BLOCK_ROWS):
+        s = slice(lo, lo + BLOCK_ROWS)
+        cells = (zpath.total_slope, t0[s], times[s], zpath.times, zpath.sizes[:, None],
+                 starts[s], counts[s])
+        cov = cell_moments(lam, 1.0, *cells) * w2
+        v_eta = cell_moments(lam, 2.0, *cells) * w2
+        v_dy = dz[s, None] * w2
+        g = rng.standard_normal((len(v_dy), 2, n))
+        dy = np.sqrt(v_dy) * g[:, 0]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            beta = np.where(v_dy > 0, cov / np.where(v_dy > 0, v_dy, 1.0), 0.0)
+            resid = np.maximum(v_eta - beta * cov, 0.0)
+        eta = beta * dy + np.sqrt(resid) * g[:, 1]
+        decay = np.exp(-lam * (times[s] - t0[s])[:, None])
+        for i in range(len(eta)):
+            y = y + dy[i]
+            z = decay[i] * z + eta[i]
+            z_hist[lo + i] = z
+            y_hist[lo + i] = y
     return z_hist, y_hist
 
 
@@ -275,15 +282,6 @@ def solve_stochastic_burgers(
     zpath = simulate_path(sub, T, cutoff_eps=cutoff_eps, seed=seed, method=method)
     z_hist, y_hist = _joint_ou_noise_paths(lam, 1.0 / noise.wiener.hilbert_weights,
                                            zpath, times, seed=seed + 1)
-
-    # refinement diagnostic for int |z|^4: compare full grid vs every other point
-    z_l4 = l4_norm4(z_hist)
-    full = float(np.trapezoid(z_l4, times))
-    half = float(np.trapezoid(z_l4[::2], times[::2]))
-    if full > 1.0 and half > 0 and full / half > 4.0:
-        raise RuntimeError(
-            f"int |Y_A|_L4^4 not stable under refinement ({half:.3g} -> {full:.3g}); "
-            "the OU path is too rough for this grid")
 
     # g(t) = f - (z(t)^2/2)_x  (sine coefficients, dealiased)
     g = by_blocks(_transport_coefficients, z_hist)

@@ -316,7 +316,7 @@ def run(config: dict, out_dir: str) -> int:
     t0 = time.time()
     try:
         summary, passed = experiment({**defaults, **config}, out)
-    except (StepSizeError, QuadratureError, FloatingPointError, RuntimeError) as exc:
+    except (StepSizeError, QuadratureError, ArithmeticError, RuntimeError) as exc:
         report = {"experiment": kind, "config": config, "status": "numeric-failure",
                   "error": str(exc)}
         (out / "report.json").write_text(json.dumps(report, indent=2, default=str))

@@ -26,7 +26,6 @@ __all__ = [
     "marked_path_from_z",
     "split",
     "integrate_large",
-    "integrate_small_compensated",
     "verify_moment_inequality_p_le_1",
     "verify_moment_inequality_type_p",
     "estimate_type_p_constant",
@@ -108,7 +107,11 @@ def split(path: MarkedJumpList) -> tuple[MarkedJumpList, MarkedJumpList]:
 
 def integrate_large(psi: Callable[[float], np.ndarray], y2: MarkedJumpList,
                     t: Optional[float] = None) -> np.ndarray:
-    """Sum over jump times tau_k <= t of diag(psi(tau_k)) applied to the mark."""
+    """Sum over jump times tau_k <= t of diag(psi(tau_k)) applied to the mark.
+
+    This is also the compensated integral over the small part of a split:
+    the Gaussian mark law is symmetric, so its compensator vanishes.
+    """
     if t is None:
         t = y2.horizon_T
     k = np.searchsorted(y2.times, t, side="right")
@@ -116,35 +119,6 @@ def integrate_large(psi: Callable[[float], np.ndarray], y2: MarkedJumpList,
     for i in range(k):
         out += np.asarray(psi(y2.times[i]), dtype=float) * y2.marks[i]
     return out
-
-
-def integrate_small_compensated(
-    psi: Callable[[float], np.ndarray],
-    y1: MarkedJumpList,
-    spec: LevyNoiseSpec,
-    t: Optional[float] = None,
-    compensator_samples: int = 2048,
-) -> np.ndarray:
-    """Compensated small-jump integral of a diagonal kernel.
-
-    Because the Gaussian mark law is symmetric, the principal-value
-    compensator over {|u| < threshold} vanishes; it is re-estimated with an
-    antithetic cloud (exact cancellation) and asserted to be ~0, after
-    which the integral is just the raw small-jump sum.
-    """
-    if t is None:
-        t = y1.horizon_T
-    # antithetic pairs cancel exactly; this asserts the symmetry rather than
-    # assuming it
-    rng = stream(13)
-    inv_w = 1.0 / spec.wiener.hilbert_weights
-    g = rng.standard_normal((compensator_samples // 2, inv_w.size))
-    cloud = np.concatenate([g, -g]) * inv_w
-    norms = np.sqrt((cloud ** 2).sum(axis=1))
-    comp = np.where(norms[:, None] < y1.threshold, cloud, 0.0).mean(axis=0)
-    if np.abs(comp).max() > 1e-12:
-        raise AssertionError("small-jump compensator did not vanish under symmetry")
-    return integrate_large(psi, y1, t)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,8 @@ from ._rng import stream
 from .spaces import SpaceSpec
 from .noise import LevyNoiseSpec
 from .jumps import MarkedJumpList, marked_path_from_z, split
-from .spectral import FieldSample, SpectralOperator, synthesize
+from .sine import BLOCK_ROWS
+from .spectral import FieldSample, SpectralOperator, cell_moments, synthesize
 from .subordinator import SubordinatorPath, SubordinatorSpec, simulate_path
 
 __all__ = [
@@ -61,21 +62,22 @@ def sample_trajectory(op: SpectralOperator, noise: LevyNoiseSpec,
     rng = stream(seed)
     lam = op.lambdas
     inv_w = 1.0 / noise.wiener.hilbert_weights
-    out = np.empty((times.size, lam.size))
+    # cell i is (t0[i], times[i]] and holds counts[i] jumps from starts[i]
+    t0 = np.append(0.0, times[:-1])
+    k = np.searchsorted(zpath.times, np.append(0.0, times), side="right")
+    starts, counts = k[:-1], np.diff(k)
+    out = np.zeros((times.size, lam.size))
     x = np.zeros(lam.size)
-    t_prev = 0.0
-    for i, t in enumerate(times):
-        dt = t - t_prev
-        if dt > 0:
-            var = zpath.total_slope * (1.0 - np.exp(-2.0 * lam * dt)) / (2.0 * lam)
-            k0 = np.searchsorted(zpath.times, t_prev, side="right")
-            k1 = np.searchsorted(zpath.times, t, side="right")
-            if k1 > k0:
-                var = var + (np.exp(-2.0 * np.multiply.outer(lam, t - zpath.times[k0:k1]))
-                             * zpath.sizes[k0:k1]).sum(axis=1)
-            x = np.exp(-lam * dt) * x + np.sqrt(var) * inv_w * rng.standard_normal(lam.size)
-        out[i] = x
-        t_prev = t
+    # a grid starting at 0 starts with X(0) = 0 and draws nothing for it
+    for lo in range(int(times[0] == 0), times.size, BLOCK_ROWS):
+        s = slice(lo, lo + BLOCK_ROWS)
+        var = cell_moments(lam, 2.0, zpath.total_slope, t0[s], times[s], zpath.times,
+                           zpath.sizes[:, None], starts[s], counts[s])
+        eta = np.sqrt(var) * inv_w * rng.standard_normal(var.shape)
+        decay = np.exp(-lam * (times[s] - t0[s])[:, None])
+        for i in range(len(eta)):
+            x = decay[i] * x + eta[i]
+            out[lo + i] = x
     return out
 
 
@@ -228,29 +230,15 @@ def blowup_probe(op: SpectralOperator, noise: LevyNoiseSpec, F: SpaceSpec,
         return {"conclusive": False, "reason": "no jump reached the threshold"}
     tau1 = float(large.times[0])
     h = window_h if window_h is not None else 0.1 * T
-    offsets = np.geomspace(1e-9, h, 40)
-    sups, u_norms = [], []
-    for N in N_sequence:
-        lamN = op.lambdas[:N]
-        fw = F.weights[:N]
-        sup = 0.0
-        for dt in offsets:
-            t = tau1 + dt
-            k = np.searchsorted(large.times, t, side="right")
-            x2 = (np.exp(-np.multiply.outer(lamN, t - large.times[:k]))
-                  * large.marks[:k, :N].T).sum(axis=1)
-            wx = np.abs(x2) * fw
-            val = wx.max() if np.isinf(F.exponent_q) else (wx ** F.exponent_q).sum() ** (1.0 / F.exponent_q)
-            sup = max(sup, float(val))
-        sups.append(sup)
-        mark = large.marks[0, :N]
-        if u_space is None:
-            u_norms.append(float(np.sqrt((mark ** 2).sum())))
-        else:
-            uw = u_space.weights[:N]
-            um = np.abs(mark) * uw
-            u_norms.append(float(um.max() if np.isinf(u_space.exponent_q)
-                                 else (um ** u_space.exponent_q).sum() ** (1.0 / u_space.exponent_q)))
+    t = tau1 + np.geomspace(1e-9, h, 40)
+    n = N_sequence[-1]
+    x2 = cell_moments(op.lambdas[:n], 1.0, 0.0, np.zeros(t.size), t, large.times,
+                      large.marks[:, :n], np.zeros(t.size, dtype=int),
+                      np.searchsorted(large.times, t, side="right"))
+    sups = [float(F.prefix(N).norm(x2[:, :N]).max()) for N in N_sequence]
+    mark = large.marks[0]
+    u_norms = [float(np.sqrt((mark[:N] ** 2).sum()) if u_space is None
+                     else u_space.prefix(N).norm(mark[:N])) for N in N_sequence]
     slope = float(np.polyfit(np.log(N_sequence), np.log(sups), 1)[0])
     return {
         "conclusive": True, "tau1": tau1, "window_h": h,

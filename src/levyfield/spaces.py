@@ -40,6 +40,12 @@ class SpaceSpec:
     def dim(self) -> int:
         return self.weights.size
 
+    def prefix(self, n: int) -> "SpaceSpec":
+        """The same space on the first n modes."""
+        if not 1 <= n <= self.dim:
+            raise ValueError(f"a prefix must keep 1..{self.dim} modes, not {n}")
+        return SpaceSpec(self.exponent_q, self.weights[:n], self.role)
+
     def norm(self, x: np.ndarray) -> float:
         """Weighted l^q norm of a coefficient vector (or batch, last axis = modes)."""
         x = np.asarray(x, dtype=float)

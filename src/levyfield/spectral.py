@@ -32,6 +32,7 @@ __all__ = [
     "semigroup_norm_power",
     "power_law_envelope",
     "check_radonifying",
+    "cell_moments",
     "convolution_variances",
     "convolution_variances_batch",
     "sample_convolution",
@@ -101,6 +102,10 @@ class FieldSample:
         return float(space.norm(self.coefficients))
 
     def to_csv(self, path, op: Optional[SpectralOperator] = None) -> None:
+        """Writes the coefficients, or raises FloatingPointError if one of them
+        or time_t is NaN or infinite."""
+        if not (np.isfinite(self.coefficients).all() and math.isfinite(self.time_t)):
+            raise FloatingPointError(f"non-finite value in field sample for {path}")
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["# time_t", self.time_t])
@@ -202,35 +207,50 @@ def convolution_variances(op: SpectralOperator, zpath: SubordinatorPath, t: floa
     return convolution_variances_batch(op, PathBatch.of_path(zpath), t)[0]
 
 
-def convolution_variances_batch(op: SpectralOperator, batch: PathBatch, t: float) -> np.ndarray:
-    """V_j of every path of a batch, shape (n_paths, n_modes).
+def cell_moments(lam: np.ndarray, c: float, slope: float, t0: np.ndarray, t1: np.ndarray,
+                 jump_times: np.ndarray, weights: np.ndarray, starts: np.ndarray,
+                 counts: np.ndarray) -> np.ndarray:
+    """OU cell moments int_(t0_s, t1_s] e^(-c lam_j (t1_s - s)) dW(s), shape (cells, modes).
 
-    V_j = slope (1 - e^(-2 lambda_j t)) / (2 lambda_j)
-          + sum_{tau_k <= t} e^(-2 lambda_j (t - tau_k)) xi_k.
+    W has the slope ``slope`` and the jumps ``jump_times`` with weights
+    (jumps, 1) (one size per jump) or (jumps, modes) (one mark per jump and
+    mode); the jumps of cell s are ``starts[s]:starts[s] + counts[s]``.  So
+
+        moment = slope (1 - e^(-c lam (t1_s - t0_s))) / (c lam)
+                 + sum_(k in cell s) e^(-c lam (t1_s - tau_k)) w_k.
+
+    Cells are summed in groups of equal jump count, each group as one
+    (modes, cells, jumps) array reduced over its last axis: every cell's
+    sum then rounds exactly as it does for a group of one.
+    """
+    out = slope * (1.0 - np.exp(-c * lam * (t1 - t0)[:, None])) / (c * lam)
+    weights = weights.T
+    for k in np.unique(counts[counts > 0]):
+        cells = np.flatnonzero(counts == k)
+        jumps = starts[cells][:, None] + np.arange(k)
+        # updated in place, so a group holds one (modes, cells, jumps) array
+        terms = lam[:, None, None] * (t1[cells][:, None] - jump_times[jumps])
+        terms *= -c
+        np.exp(terms, out=terms)
+        terms *= weights[:, jumps]
+        out[cells] += terms.sum(axis=-1).T
+    return out
+
+
+def convolution_variances_batch(op: SpectralOperator, batch: PathBatch, t: float) -> np.ndarray:
+    """V_j of every path of a batch, shape (n_paths, n_modes): the cell moment
+    with c = 2 over the one cell [0, t] of each path.
 
     Jumps after t are dropped (their terms overflow exp), so a path with
-    no jump up to t keeps the slope term alone.  Paths are summed in groups
-    of equal jump count, each group as one (paths, modes, jumps) array
-    reduced over its last axis: every path's sum then rounds exactly as it
-    does for a batch of one.
+    no jump up to t keeps the slope term alone.
     """
     if not 0 <= t <= batch.horizon_T:
         raise ValueError("t must lie in [0, horizon_T]")
-    lam = op.lambdas
-    v = np.tile(batch.total_slope * (1.0 - np.exp(-2.0 * lam * t)) / (2.0 * lam),
-                (batch.n_paths, 1))
     # jumps are sorted within a path, so those up to t are a prefix of it
     kept = np.bincount(batch.rows[batch.times <= t], minlength=batch.n_paths)
-    for k in np.unique(kept[kept > 0]):
-        paths = np.flatnonzero(kept == k)
-        jumps = batch.offsets[paths, None] + np.arange(k)
-        # updated in place, so a group holds one (paths, modes, jumps) array
-        terms = lam[:, None] * (t - batch.times[jumps])[:, None, :]
-        terms *= -2.0
-        np.exp(terms, out=terms)
-        terms *= batch.sizes[jumps][:, None, :]
-        v[paths] += terms.sum(axis=-1)
-    return v
+    ends = np.full(batch.n_paths, float(t))
+    return cell_moments(op.lambdas, 2.0, batch.total_slope, np.zeros(batch.n_paths), ends,
+                        batch.times, batch.sizes[:, None], batch.offsets[:-1], kept)
 
 
 def sample_convolution(op: SpectralOperator, noise: LevyNoiseSpec,

@@ -87,6 +87,17 @@ def test_burgers_step_size_failure_exit_3(tmp_path, capsys):
     assert report["error"]
 
 
+def test_burgers_overflow_exit_3(tmp_path, capsys):
+    # a tiny weight scale makes int |z|_L4^4 overflow exp in the a priori constants
+    cfg = write_config(tmp_path, {"experiment": "burgers", "master_seed": 1,
+                                  "weight_scale": 0.001, "T": 0.01})
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "numeric-failure"
+    assert "numeric failure" in capsys.readouterr().err
+
+
 def test_report_and_csv_deterministic_across_reruns(tmp_path):
     payload = {"experiment": "subordinator-check", "master_seed": 5,
                "n_paths": 5000}

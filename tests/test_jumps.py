@@ -10,7 +10,6 @@ from levyfield.jumps import (
     StepIntegrand,
     estimate_type_p_constant,
     integrate_large,
-    integrate_small_compensated,
     marked_path_from_z,
     split,
     verify_moment_inequality_p_le_1,
@@ -117,7 +116,7 @@ def test_small_jump_compensator_vanishes():
     spec = make_spec(SubordinatorSpec.stable(0.5))
     zp = simulate_path(spec.subordinator, 1.0, cutoff_eps=1e-2, seed=5, method="jumps")
     small, _ = split(marked_path_from_z(spec, zp, seed=6))
-    out = integrate_small_compensated(lambda s: np.ones(4), small, spec)
+    out = integrate_large(lambda s: np.ones(4), small)
     assert np.allclose(out, small.sum_until(1.0), atol=1e-14)
 
 
@@ -125,7 +124,7 @@ def test_small_jump_zero_kernel():
     spec = make_spec(SubordinatorSpec.stable(0.5))
     zp = simulate_path(spec.subordinator, 1.0, cutoff_eps=1e-2, seed=7, method="jumps")
     small, _ = split(marked_path_from_z(spec, zp, seed=8))
-    out = integrate_small_compensated(lambda s: np.zeros(4), small, spec)
+    out = integrate_large(lambda s: np.zeros(4), small)
     assert np.all(out == 0.0)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from levyfield._rng import stream
+from levyfield.jumps import marked_path_from_z, split
 from levyfield.noise import CylindricalWienerSpec, LevyNoiseSpec
 from levyfield.regularity import (
     MAX_CIRCLE_CELLS,
@@ -106,6 +107,42 @@ def test_trajectory_matches_marginal_variances():
         assert np.allclose(emp[i], v, rtol=0.15)
 
 
+def _per_cell_trajectory(op, noise, zpath, times, seed):
+    """The per-cell loop that sample_trajectory was before it summed cells in blocks."""
+    rng = stream(seed)
+    lam = op.lambdas
+    inv_w = 1.0 / noise.wiener.hilbert_weights
+    out = np.empty((times.size, lam.size))
+    x = np.zeros(lam.size)
+    t_prev = 0.0
+    for i, t in enumerate(times):
+        dt = t - t_prev
+        if dt > 0:
+            var = zpath.total_slope * (1.0 - np.exp(-2.0 * lam * dt)) / (2.0 * lam)
+            k0 = np.searchsorted(zpath.times, t_prev, side="right")
+            k1 = np.searchsorted(zpath.times, t, side="right")
+            if k1 > k0:
+                var = var + (np.exp(-2.0 * np.multiply.outer(lam, t - zpath.times[k0:k1]))
+                             * zpath.sizes[k0:k1]).sum(axis=1)
+            x = np.exp(-lam * dt) * x + np.sqrt(var) * inv_w * rng.standard_normal(lam.size)
+        out[i] = x
+        t_prev = t
+    return out
+
+
+@pytest.mark.parametrize("sub", [SubordinatorSpec.stable(0.5), SubordinatorSpec.drift_only(0.3)])
+@pytest.mark.parametrize("n_times", [3, 512, 2049])
+@pytest.mark.parametrize("from_zero", [False, True])
+def test_trajectory_is_bitwise_the_per_cell_loop(sub, n_times, from_zero):
+    op = SpectralOperator.dirichlet(1, 1.0, 24)
+    noise = LevyNoiseSpec(CylindricalWienerSpec(np.linspace(1.0, 3.0, 24)), sub)
+    zp = simulate_path(sub, 1.0, cutoff_eps=1e-3, seed=2,
+                       method=None if sub.kind == "drift_only" else "jumps")
+    times = np.linspace(0.0 if from_zero else 1.0 / n_times, 1.0, n_times)
+    got = sample_trajectory(op, noise, zp, times, seed=9)
+    assert np.array_equal(got, _per_cell_trajectory(op, noise, zp, times, 9))
+
+
 def test_time_integrability_zero_noise():
     ens = TrajectoryEnsemble(times=np.linspace(0.1, 1.0, 16),
                              coefficients=np.zeros((3, 16, 4)))
@@ -169,6 +206,68 @@ def test_blowup_inconclusive_without_jumps():
     noise = make_noise(SubordinatorSpec.drift_only(1.0), Nmax)
     rep = blowup_probe(op, noise, SpaceSpec(2.0, np.ones(Nmax)), [16, 32, 64], seed=0)
     assert not rep["conclusive"]
+
+
+def _per_truncation_probe(op, noise, F, N_sequence, seed, threshold, u_space):
+    """The sups and mark norms of blowup_probe before it summed at the full
+    truncation once, with the weighted norms written out."""
+    zp = simulate_path(noise.subordinator, 1.0, cutoff_eps=1e-3, seed=seed, method="jumps")
+    marked = marked_path_from_z(noise, zp, seed=seed + 1, u_space=u_space,
+                                threshold=threshold)
+    _, large = split(marked)
+    tau1 = float(large.times[0])
+    sups, u_norms = [], []
+    for N in N_sequence:
+        lamN = op.lambdas[:N]
+        fw = F.weights[:N]
+        sup = 0.0
+        for dt in np.geomspace(1e-9, 0.1, 40):
+            t = tau1 + dt
+            k = np.searchsorted(large.times, t, side="right")
+            x2 = (np.exp(-np.multiply.outer(lamN, t - large.times[:k]))
+                  * large.marks[:k, :N].T).sum(axis=1)
+            wx = np.abs(x2) * fw
+            val = wx.max() if np.isinf(F.exponent_q) else (wx ** F.exponent_q).sum() ** (1.0 / F.exponent_q)
+            sup = max(sup, float(val))
+        sups.append(sup)
+        mark = large.marks[0, :N]
+        if u_space is None:
+            u_norms.append(float(np.sqrt((mark ** 2).sum())))
+        else:
+            um = np.abs(mark) * u_space.weights[:N]
+            u_norms.append(float(um.max() if np.isinf(u_space.exponent_q)
+                                 else (um ** u_space.exponent_q).sum() ** (1.0 / u_space.exponent_q)))
+    return sups, u_norms
+
+
+@pytest.mark.parametrize("q", [2.0, math.inf])
+@pytest.mark.parametrize("with_u", [False, True])
+def test_blowup_probe_matches_the_per_truncation_loop(q, with_u):
+    Nmax = 512
+    op = SpectralOperator.dirichlet(1, 1.0, Nmax)
+    noise = make_noise(SubordinatorSpec.stable(0.5), Nmax)
+    j = np.arange(1.0, Nmax + 1)
+    F = SpaceSpec(q, j, "F")
+    U = SpaceSpec(q, 1.0 / j, "U") if with_u else None
+    truncs = [2 ** k for k in range(4, 10)]
+    conclusive = 0
+    for seed in range(6):
+        rep = blowup_probe(op, noise, F, truncs, seed=seed, threshold=0.05, u_space=U)
+        if rep["conclusive"]:
+            conclusive += 1
+            ref = _per_truncation_probe(op, noise, F, truncs, seed, 0.05, U)
+            assert (rep["sup_F"], rep["u_norm_of_mark"]) == ref, seed
+    assert conclusive >= 3
+
+
+def test_space_prefix_keeps_exponent_and_role():
+    E = SpaceSpec(3.0, np.arange(1.0, 6.0), "F")
+    P = E.prefix(2)
+    assert (P.exponent_q, P.role, P.weights.tolist()) == (3.0, "F", [1.0, 2.0])
+    assert E.prefix(5).dim == 5
+    for n in (-1, 0, 6):
+        with pytest.raises(ValueError):
+            E.prefix(n)
 
 
 # -- circle convolution --------------------------------------------------

@@ -11,6 +11,7 @@ from levyfield.spaces import SpaceSpec
 from levyfield.spectral import (
     FieldSample,
     SpectralOperator,
+    cell_moments,
     charfn_oracle,
     check_radonifying,
     convolution_variances,
@@ -210,6 +211,33 @@ def test_batch_variances_match_per_path_and_direct_sum():
         np.testing.assert_allclose(v[p], direct, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("c", [1.0, 2.0])
+@pytest.mark.parametrize("marks", [False, True])
+def test_cell_moments_match_a_direct_double_loop(c, marks):
+    rng = stream(4)
+    lam = SpectralOperator.dirichlet(1, 1.0, 6).lambdas
+    jump_times = np.sort(rng.uniform(0.0, 1.0, 30))
+    weights = rng.standard_normal((30, 6)) if marks else rng.exponential(size=(30, 1))
+    # cells (0, 0.2], (0.2, 0.2] (empty, zero length), (0.2, 0.5], (0.5, 0.55], (0.55, 1]
+    t0 = np.array([0.0, 0.2, 0.2, 0.5, 0.55])
+    t1 = np.array([0.2, 0.2, 0.5, 0.55, 1.0])
+    k = np.searchsorted(jump_times, np.append(t0, 1.0), side="right")
+    starts, counts = k[:-1], np.diff(k)
+    assert (counts == 0).any() and len(np.unique(counts)) > 2
+    got = cell_moments(lam, c, 0.7, t0, t1, jump_times, weights, starts, counts)
+    for s in range(t0.size):
+        direct = 0.7 * (1.0 - np.exp(-c * lam * (t1[s] - t0[s]))) / (c * lam)
+        for j in range(lam.size):
+            for tau, w in zip(jump_times, weights[:, j if marks else 0]):
+                if t0[s] < tau <= t1[s]:
+                    direct[j] += math.exp(-c * lam[j] * (t1[s] - tau)) * w
+        np.testing.assert_allclose(got[s], direct, rtol=1e-12, atol=0.0)
+    none = cell_moments(lam, c, 0.7, t0, t1, np.empty(0), weights[:0],
+                        np.zeros(5, dtype=int), np.zeros(5, dtype=int))
+    np.testing.assert_array_equal(none, 0.7 * (1.0 - np.exp(-c * lam * (t1 - t0)[:, None]))
+                                  / (c * lam))
+
+
 def _per_path_sample_convolution(op, noise, zpath, t, seed):
     """The one-path sampler that sample_convolution was before it became a batch of one."""
     lam = op.lambdas
@@ -368,3 +396,13 @@ def test_field_sample_csv(tmp_path):
     lines = f.read_text().strip().splitlines()
     assert len(lines) == 5
     assert lines[2].split(",")[2] == "1.0"
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_field_sample_csv_refuses_non_finite_values(tmp_path, bad):
+    f = tmp_path / "field.csv"
+    with pytest.raises(FloatingPointError):
+        FieldSample(np.array([1.0, bad]), 2.0).to_csv(f)
+    with pytest.raises(FloatingPointError):
+        FieldSample(np.array([1.0, 2.0]), bad).to_csv(f)
+    assert not f.exists()
