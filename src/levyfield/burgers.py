@@ -24,8 +24,7 @@ import numpy as np
 
 from ._rng import stream
 from .noise import LevyNoiseSpec
-from .sine import BLOCK_ROWS, by_blocks, cos_coefficients, l4_norm4, sine_values
-from .spectral import cell_moments
+from .sine import by_blocks, cos_coefficients, l4_norm4, sine_values
 from .subordinator import SubordinatorPath, simulate_path
 
 __all__ = [
@@ -213,41 +212,43 @@ def _joint_ou_noise_paths(lam: np.ndarray, inv_w: np.ndarray,
 
     Per cell and mode, (Delta Y, OU innovation) is bivariate Gaussian with
     Var(DY) = w^-2 dZ, Var(eta) = w^-2 int e^(-2 lam (t'-s)) dZ and
-    Cov = w^-2 int e^(-lam (t'-s)) dZ, all closed-form over the cell's jumps
-    (``cell_moments`` with c = 2 and c = 1).
+    Cov = w^-2 int e^(-lam (t'-s)) dZ, all closed-form over the cell's jumps.
     """
     rng = stream(seed)
     n = lam.size
-    w2 = inv_w ** 2
-    # cell i is (t0[i], times[i]] and holds counts[i] jumps from starts[i]
-    t0 = np.append(0.0, times[:-1])
-    k = np.searchsorted(zpath.times, np.append(0.0, times), side="right")
-    starts, counts = k[:-1], np.diff(k)
-    dz = np.diff(zpath.value(np.append(0.0, times)))
     z = np.zeros(n)
     y = np.zeros(n)
-    z_hist = np.zeros((times.size, n))
-    y_hist = np.zeros((times.size, n))
-    # a grid starting at 0 starts with z = Y = 0 and draws nothing for it
-    for lo in range(int(times[0] == 0), times.size, BLOCK_ROWS):
-        s = slice(lo, lo + BLOCK_ROWS)
-        cells = (zpath.total_slope, t0[s], times[s], zpath.times, zpath.sizes[:, None],
-                 starts[s], counts[s])
-        cov = cell_moments(lam, 1.0, *cells) * w2
-        v_eta = cell_moments(lam, 2.0, *cells) * w2
-        v_dy = dz[s, None] * w2
-        g = rng.standard_normal((len(v_dy), 2, n))
-        dy = np.sqrt(v_dy) * g[:, 0]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            beta = np.where(v_dy > 0, cov / np.where(v_dy > 0, v_dy, 1.0), 0.0)
-            resid = np.maximum(v_eta - beta * cov, 0.0)
-        eta = beta * dy + np.sqrt(resid) * g[:, 1]
-        decay = np.exp(-lam * (times[s] - t0[s])[:, None])
-        for i in range(len(eta)):
-            y = y + dy[i]
-            z = decay[i] * z + eta[i]
-            z_hist[lo + i] = z
-            y_hist[lo + i] = y
+    z_hist = np.empty((times.size, n))
+    y_hist = np.empty((times.size, n))
+    t_prev = 0.0
+    for i, t in enumerate(times):
+        dtc = t - t_prev
+        if dtc > 0:
+            slope = zpath.total_slope
+            dz_cell = float(zpath.value(t) - zpath.value(t_prev))
+            v_dy = dz_cell * np.ones(n)
+            v_eta = slope * (1.0 - np.exp(-2.0 * lam * dtc)) / (2.0 * lam)
+            cov = slope * (1.0 - np.exp(-lam * dtc)) / lam
+            k0 = np.searchsorted(zpath.times, t_prev, side="right")
+            k1 = np.searchsorted(zpath.times, t, side="right")
+            if k1 > k0:
+                e1 = np.exp(-np.multiply.outer(lam, t - zpath.times[k0:k1]))
+                v_eta = v_eta + (e1 ** 2 * zpath.sizes[k0:k1]).sum(axis=1)
+                cov = cov + (e1 * zpath.sizes[k0:k1]).sum(axis=1)
+            v_dy = v_dy * inv_w ** 2
+            v_eta = v_eta * inv_w ** 2
+            cov = cov * inv_w ** 2
+            g1, g2 = rng.standard_normal((2, n))
+            dy = np.sqrt(v_dy) * g1
+            with np.errstate(invalid="ignore", divide="ignore"):
+                beta = np.where(v_dy > 0, cov / np.where(v_dy > 0, v_dy, 1.0), 0.0)
+                resid = np.maximum(v_eta - beta * cov, 0.0)
+            eta = beta * dy + np.sqrt(resid) * g2
+            y = y + dy
+            z = np.exp(-lam * dtc) * z + eta
+        z_hist[i] = z
+        y_hist[i] = y
+        t_prev = t
     return z_hist, y_hist
 
 

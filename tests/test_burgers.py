@@ -6,7 +6,6 @@ import pytest
 from levyfield._rng import stream
 from levyfield.burgers import (
     AprioriConstants,
-    _joint_ou_noise_paths,
     StepSizeError,
     check_apriori,
     solve_modified_burgers,
@@ -15,7 +14,7 @@ from levyfield.burgers import (
 )
 from levyfield.noise import CylindricalWienerSpec, LevyNoiseSpec
 from levyfield.sine import l4_norm4, sine_coefficients, sine_values
-from levyfield.subordinator import SubordinatorSpec, simulate_path
+from levyfield.subordinator import SubordinatorSpec
 
 
 # -- spectral plumbing ---------------------------------------------------
@@ -218,65 +217,6 @@ def test_stochastic_determinism():
     b = solve_stochastic_burgers(u0, burgers_noise(n), None, T=0.05, dt=1e-3,
                                  n_modes=n, seed=11)
     assert np.array_equal(a["u_coeffs"], b["u_coeffs"])
-
-
-def _per_cell_noise_paths(lam, inv_w, zpath, times, seed):
-    """The per-cell loop that _joint_ou_noise_paths was before it summed cells
-    in blocks, except that Var(eta) sums exp(-2 lam (t - tau)) where it
-    squared exp(-lam (t - tau))."""
-    rng = stream(seed)
-    n = lam.size
-    z = np.zeros(n)
-    y = np.zeros(n)
-    z_hist = np.empty((times.size, n))
-    y_hist = np.empty((times.size, n))
-    t_prev = 0.0
-    for i, t in enumerate(times):
-        dtc = t - t_prev
-        if dtc > 0:
-            slope = zpath.total_slope
-            dz_cell = float(zpath.value(t) - zpath.value(t_prev))
-            v_dy = dz_cell * np.ones(n)
-            v_eta = slope * (1.0 - np.exp(-2.0 * lam * dtc)) / (2.0 * lam)
-            cov = slope * (1.0 - np.exp(-lam * dtc)) / lam
-            k0 = np.searchsorted(zpath.times, t_prev, side="right")
-            k1 = np.searchsorted(zpath.times, t, side="right")
-            if k1 > k0:
-                e1 = np.exp(-np.multiply.outer(lam, t - zpath.times[k0:k1]))
-                e2 = np.exp(-2.0 * np.multiply.outer(lam, t - zpath.times[k0:k1]))
-                v_eta = v_eta + (e2 * zpath.sizes[k0:k1]).sum(axis=1)
-                cov = cov + (e1 * zpath.sizes[k0:k1]).sum(axis=1)
-            v_dy = v_dy * inv_w ** 2
-            v_eta = v_eta * inv_w ** 2
-            cov = cov * inv_w ** 2
-            g1, g2 = rng.standard_normal((2, n))
-            dy = np.sqrt(v_dy) * g1
-            with np.errstate(invalid="ignore", divide="ignore"):
-                beta = np.where(v_dy > 0, cov / np.where(v_dy > 0, v_dy, 1.0), 0.0)
-                resid = np.maximum(v_eta - beta * cov, 0.0)
-            eta = beta * dy + np.sqrt(resid) * g2
-            y = y + dy
-            z = np.exp(-lam * dtc) * z + eta
-        z_hist[i] = z
-        y_hist[i] = y
-        t_prev = t
-    return z_hist, y_hist
-
-
-@pytest.mark.parametrize("sub", [SubordinatorSpec.stable(0.75), SubordinatorSpec.drift_only(0.5)])
-@pytest.mark.parametrize("n_steps", [2, 300])
-def test_joint_noise_paths_are_bitwise_the_per_cell_loop(sub, n_steps):
-    n = 31
-    lam = (np.arange(1, n + 1) * math.pi) ** 2
-    inv_w = 1.0 / (5.0 * (np.arange(1, n + 1) * math.pi) ** 0.25)
-    T = 0.1
-    zpath = simulate_path(sub, T, cutoff_eps=1e-3, seed=3,
-                          method=None if sub.kind == "drift_only" else "jumps")
-    times = (T / n_steps) * np.arange(n_steps + 1)
-    z, y = _joint_ou_noise_paths(lam, inv_w, zpath, times, seed=4)
-    z_ref, y_ref = _per_cell_noise_paths(lam, inv_w, zpath, times, 4)
-    assert np.array_equal(y, y_ref)
-    assert np.array_equal(z, z_ref)
 
 
 def test_rough_z_fails_the_refinement_diagnostic():
