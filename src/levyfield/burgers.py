@@ -25,7 +25,7 @@ import numpy as np
 from ._rng import stream
 from .noise import LevyNoiseSpec
 from .sine import by_blocks, cos_coefficients, l4_norm4, sine_values
-from .subordinator import SubordinatorPath, simulate_path
+from .subordinator import SubordinatorPath, simulate_paths
 
 __all__ = [
     "BurgersTrajectory",
@@ -280,7 +280,8 @@ def solve_stochastic_burgers(
     times = dt * np.arange(n_steps + 1)
     sub = noise.subordinator
     method = None if sub.kind in ("drift_only", "compound_poisson") else "jumps"
-    zpath = simulate_path(sub, T, cutoff_eps=cutoff_eps, seed=seed, method=method)
+    zpath = simulate_paths(sub, T, 1, stream(seed), cutoff_eps=cutoff_eps,
+                           method=method).path(0)
     z_hist, y_hist = _joint_ou_noise_paths(lam, 1.0 / noise.wiener.hilbert_weights,
                                            zpath, times, seed=seed + 1)
 

@@ -10,7 +10,7 @@ Poisson stochastic integrals of step functions by Monte Carlo.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np

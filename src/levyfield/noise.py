@@ -13,7 +13,6 @@ available in closed form (psi = Laplace exponent of Z).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -21,26 +20,19 @@ import numpy as np
 
 from ._rng import stream
 from .spaces import SpaceSpec
-from .subordinator import (
-    QuadratureError,
-    SubordinatorPath,
-    SubordinatorSpec,
-    _quad,
-    laplace_exponent,
-    simulate_path,
-)
+from .subordinator import QuadratureError, SubordinatorSpec, laplace_exponent, simulate_paths
 
 __all__ = [
     "CylindricalWienerSpec",
     "LevyNoiseSpec",
-    "NoiseIncrementSample",
     "char_functional",
-    "sample_increments",
     "increment_coefficients",
     "intensity_measure_functional",
     "finite_variation_test",
-    "export_increments_csv",
 ]
+
+# cells of finite_variation_test's fine grid; its coarse grid has 1/16 as many
+FV_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -80,47 +72,12 @@ class LevyNoiseSpec:
         return cls(CylindricalWienerSpec(np.ones(1)), subordinator)
 
 
-@dataclass(frozen=True)
-class NoiseIncrementSample:
-    """Mode-wise increments of Y over one time cell, plus the generating dZ."""
-
-    t_lo: float
-    t_hi: float
-    coefficients: np.ndarray
-    generating_dZ: float
-
-
 def char_functional(spec: LevyNoiseSpec, phi, t: float) -> float:
     """E exp(i <Y(t), phi>) = exp(-t psi(0.5 |phi|_H^2)); real and positive."""
     if t < 0:
         raise ValueError("t must be nonnegative")
     half_sq = 0.5 * spec.wiener.h_norm_sq(phi)
     return float(np.exp(-t * laplace_exponent(spec.subordinator, half_sq)))
-
-
-def sample_increments(
-    spec: LevyNoiseSpec,
-    zpath: SubordinatorPath,
-    grid: np.ndarray,
-    seed: int = 0,
-) -> list[NoiseIncrementSample]:
-    """Sample Y-increments over the cells of ``grid``, conditionally on zpath.
-
-    Increments across cells and modes are independent given the Z path; each
-    mode j over cell [s,t] is N(0, w_j^{-2} (Z(t)-Z(s))).
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) < 0):
-        raise ValueError("grid must be a nondecreasing 1-d array of length >= 2")
-    if grid[0] < 0 or grid[-1] > zpath.horizon_T:
-        raise ValueError("grid must lie within [0, horizon_T]")
-    dz = np.diff(zpath.value(grid))
-    coeffs = increment_coefficients(spec, dz, stream(seed))
-    return [
-        NoiseIncrementSample(t_lo=grid[i], t_hi=grid[i + 1],
-                             coefficients=coeffs[i], generating_dZ=float(dz[i]))
-        for i in range(dz.size)
-    ]
 
 
 def increment_coefficients(spec: LevyNoiseSpec, dz, rng: np.random.Generator) -> np.ndarray:
@@ -134,14 +91,20 @@ def increment_coefficients(spec: LevyNoiseSpec, dz, rng: np.random.Generator) ->
     return np.sqrt(dz)[..., None] * inv_w * rng.standard_normal(dz.shape + inv_w.shape)
 
 
-def export_increments_csv(samples: list[NoiseIncrementSample], path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["cell_lo", "cell_hi", "mode", "value", "dz"])
-        for s in samples:
-            for j, v in enumerate(s.coefficients):
-                w.writerow([repr(float(s.t_lo)), repr(float(s.t_hi)), j,
-                            repr(float(v)), repr(float(s.generating_dZ))])
+def _u_norm(x: np.ndarray, u_space: Optional[SpaceSpec]) -> np.ndarray:
+    """|x|_U along the last axis; the Euclidean norm when u_space is None."""
+    return np.sqrt((x ** 2).sum(axis=-1)) if u_space is None else u_space.norm(x)
+
+
+def _radial_norms(spec: LevyNoiseSpec, u_space: Optional[SpaceSpec]) -> np.ndarray:
+    """|W(1)|_U over a fixed cloud of 4096 draws of the N-mode Gaussian law of
+    W(1), from stream(12345).
+
+    sqrt(s) times the cloud is a cloud of W(s): averages over it are common
+    random numbers, so they are smooth in s.
+    """
+    inv_w = 1.0 / spec.wiener.hilbert_weights
+    return _u_norm(stream(12345).standard_normal((4096, inv_w.size)) * inv_w, u_space)
 
 
 def intensity_measure_functional(
@@ -149,26 +112,19 @@ def intensity_measure_functional(
     radial_test: Callable[[np.ndarray], np.ndarray],
     quad_tol: float = 1e-6,
     u_space: Optional[SpaceSpec] = None,
-    inner_samples: int = 4096,
-    inner_seed: int = 12345,
 ) -> float:
     """Integral of radial_test(|u|_U) against the jump intensity of Y.
 
     The intensity is nu(G) = int_0^inf zeta_s(G) rho(ds) with zeta_s the
-    N-mode Gaussian law of W(s).  The inner Gaussian expectation uses a
-    fixed standard-normal cloud rescaled by sqrt(s) (common random numbers,
-    so the outer integrand is smooth in s); the outer rho-integral is
-    adaptive quadrature, or an atom sum for compound-Poisson intensities.
+    N-mode Gaussian law of W(s).  The inner Gaussian expectation is an
+    average over the fixed cloud of ``_radial_norms``; the outer rho-integral
+    is a log-spaced trapezoid rule, or an atom sum for compound-Poisson
+    intensities.
     """
     sub = spec.subordinator
     if sub.kind == "drift_only":
         return 0.0
-    inv_w = 1.0 / spec.wiener.hilbert_weights
-    cloud = stream(inner_seed).standard_normal((inner_samples, inv_w.size)) * inv_w
-    if u_space is None:
-        norms = np.sqrt((cloud ** 2).sum(axis=1))
-    else:
-        norms = u_space.norm(cloud)
+    norms = _radial_norms(spec, u_space)
 
     def inner(s):
         return float(np.mean(radial_test(np.sqrt(s) * norms)))
@@ -211,20 +167,22 @@ def finite_variation_test(
     partly Brownian) and int_0^1 E[|W(s)|_U ; |W(s)|_U < 1] rho(ds) < inf.
     The integral's convergence near s=0 is probed on shrinking lower limits.
 
-    Empirical: total variation of sampled paths on dyadically refined grids;
-    a persistent ~sqrt(2) growth per refinement flags infinite variation.
+    Empirical: the total variation of each of ``mc_paths`` sampled paths on
+    FV_CELLS cells and on 1/16 as many, whose increments are sums of 16
+    consecutive fine ones.  So both scales see the same path, exactly in law
+    (a sum of independent stable increments is stable).  A median growth
+    per 4x refinement of 1.25 or more flags infinite variation.  Z comes
+    from stream(seed, 1), the Gaussian mode draws from stream(seed, 2).
     Disagreement is reported, not raised.
     """
     sub = spec.subordinator
-    inv_w = 1.0 / spec.wiener.hilbert_weights
 
     # analytic verdict
     if sub.kind == "drift_only" or sub.drift_b > 0:
         analytic_finite = False
         criterion_integral = 0.0 if sub.kind == "drift_only" else None
     else:
-        cloud = stream(997).standard_normal((4096, inv_w.size)) * inv_w
-        norms = np.sqrt((cloud ** 2).sum(axis=1)) if u_space is None else u_space.norm(cloud)
+        norms = _radial_norms(spec, u_space)
 
         def inner(s):
             x = np.sqrt(s) * norms
@@ -253,28 +211,19 @@ def finite_variation_test(
                 analytic_finite = False
                 criterion_integral = float("inf")
 
-    # empirical cross-check: TV growth under grid refinement.  For the stable
-    # kind the Z-path is re-drawn resolution-matched so each scale sees the
-    # true increment law; other kinds reuse one (finitely resolved) path.
-    grids = [2 ** k for k in (8, 10, 12)]
-    ratios = []
-    for m in range(mc_paths):
-        zp_fixed = None if sub.kind == "stable" else simulate_path(sub, T, seed=seed + 7919 * m)
-        tvs = []
-        for n in grids:
-            zp = zp_fixed if zp_fixed is not None else simulate_path(
-                sub, T, seed=seed + 7919 * m + n, grid_n=n)
-            samples = sample_increments(spec, zp, np.linspace(0.0, T, n + 1), seed=seed + 104729 * m + n)
-            inc = np.array([s.coefficients for s in samples])
-            step = np.sqrt((inc ** 2).sum(axis=1)) if u_space is None else u_space.norm(inc)
-            tvs.append(step.sum())
-        if tvs[0] == 0.0:  # path without jumps (possible for finite intensities)
-            ratios.append(1.0)
-        else:
-            ratios.append((tvs[-1] / tvs[0]) ** (1.0 / (len(grids) - 1)))
+    # empirical cross-check: TV growth under grid refinement
+    batch = simulate_paths(sub, T, mc_paths, stream(seed, 1), grid_n=FV_CELLS)
+    grid = np.linspace(0.0, T, FV_CELLS + 1)
+    dz = np.diff([batch.path(m).value(grid) for m in range(mc_paths)], axis=1)
+    inc = increment_coefficients(spec, dz, stream(seed, 2))
+    fine = _u_norm(inc, u_space).sum(axis=1)
+    coarse = _u_norm(inc.reshape(mc_paths, FV_CELLS // 16, 16, -1).sum(axis=2),
+                     u_space).sum(axis=1)
+    # growth per 4x refinement step: ~1 for finite variation, 2 for Brownian,
+    # 4^(1-1/(2 beta)) for the stable kind, and 1 for a path without jumps
+    # (possible for finite intensities)
+    ratios = np.divide(fine, coarse, out=np.ones(mc_paths), where=coarse > 0) ** 0.5
     growth = float(np.median(ratios))
-    # per-refinement-step ratio: ~1 for finite variation, 2 for Brownian,
-    # 4^(1-1/(2 beta)) for the stable kind
     empirical_finite = growth < 1.25
     return {
         "analytic_finite": bool(analytic_finite),

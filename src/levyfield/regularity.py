@@ -12,17 +12,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from ._rng import stream
 from .spaces import SpaceSpec
 from .noise import LevyNoiseSpec
-from .jumps import MarkedJumpList, marked_path_from_z, split
+from .jumps import marked_path_from_z, split
 from .sine import BLOCK_ROWS
 from .spectral import FieldSample, SpectralOperator, cell_moments, synthesize
-from .subordinator import SubordinatorPath, SubordinatorSpec, simulate_path
+from .subordinator import SubordinatorPath, SubordinatorSpec, simulate_paths
 
 __all__ = [
     "TrajectoryEnsemble",
@@ -46,20 +46,20 @@ MAX_CIRCLE_CELLS = 1 << 24
 
 def sample_trajectory(op: SpectralOperator, noise: LevyNoiseSpec,
                       zpath: SubordinatorPath, times: np.ndarray,
-                      seed: int = 0) -> np.ndarray:
+                      rng: np.random.Generator) -> np.ndarray:
     """Exact joint draw of X at the given times, conditionally on zpath.
 
     Uses the OU recursion X_j(t') = e^(-lambda_j (t'-t)) X_j(t) + eta with
     eta Gaussian of variance w_j^(-2) int_t^(t') e^(-2 lambda_j (t'-s)) dZ(s)
     (closed form over the cell's jumps), so the joint law across the grid is
-    exact given Z.  Returns an array of shape (len(times), n_modes).
+    exact given Z.  The Gaussian variates are drawn from rng cell after
+    cell.  Returns an array of shape (len(times), n_modes).
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or np.any(np.diff(times) <= 0) or times[0] < 0:
         raise ValueError("times must be strictly increasing and nonnegative")
     if times[-1] > zpath.horizon_T:
         raise ValueError("times exceed the path horizon")
-    rng = stream(seed)
     lam = op.lambdas
     inv_w = 1.0 / noise.wiener.hilbert_weights
     # cell i is (t0[i], times[i]] and holds counts[i] jumps from starts[i]
@@ -101,12 +101,15 @@ class TrajectoryEnsemble:
     def simulate(cls, op: SpectralOperator, noise: LevyNoiseSpec, T: float,
                  n_times: int, n_paths: int, seed: int = 0,
                  cutoff_eps: float = 1e-3, method: Optional[str] = "jumps") -> "TrajectoryEnsemble":
+        """Trajectories of ``n_paths`` paths on n_times times up to T: the paths
+        of Z from stream(seed, 1), the Gaussian draws from stream(seed, 2)."""
         times = np.linspace(T / n_times, T, n_times)
+        batch = simulate_paths(noise.subordinator, T, n_paths, stream(seed, 1),
+                               cutoff_eps=cutoff_eps, method=method)
+        rng = stream(seed, 2)
         coeffs = np.empty((n_paths, n_times, op.n_modes))
         for m in range(n_paths):
-            zp = simulate_path(noise.subordinator, T, cutoff_eps=cutoff_eps,
-                               seed=seed + 2 * m, method=method)
-            coeffs[m] = sample_trajectory(op, noise, zp, times, seed=seed + 2 * m + 1)
+            coeffs[m] = sample_trajectory(op, noise, batch.path(m), times, rng)
         return cls(times=times, coefficients=coeffs,
                    metadata={"T": T, "seed": seed, "cutoff_eps": cutoff_eps})
 
@@ -217,12 +220,16 @@ def blowup_probe(op: SpectralOperator, noise: LevyNoiseSpec, F: SpaceSpec,
     time offsets in (tau_1, tau_1 + h].  A positive log-log slope of the
     sup in N while the U-norm of the mark stays bounded is the blow-up
     signature; no large jump in the horizon yields an inconclusive report.
+    Raises ValueError for fewer than two distinct truncations, through
+    which no slope can be fitted.
     """
     N_sequence = sorted(int(n) for n in N_sequence)
+    if len(set(N_sequence)) < 2:
+        raise ValueError("a growth slope needs at least two distinct truncations")
     if N_sequence[-1] > op.n_modes:
         raise ValueError("truncation sequence exceeds the operator mode count")
-    zp = simulate_path(noise.subordinator, T, cutoff_eps=cutoff_eps,
-                       seed=seed, method="jumps")
+    zp = simulate_paths(noise.subordinator, T, 1, stream(seed), cutoff_eps=cutoff_eps,
+                        method="jumps").path(0)
     marked = marked_path_from_z(noise, zp, seed=seed + 1, u_space=u_space,
                                 threshold=threshold)
     _, large = split(marked)
@@ -287,8 +294,8 @@ def scalar_levy_jumps(sub: SubordinatorSpec, seed: int = 0,
     cells (times at the cell right endpoints), merged into the same list.
     """
     T = 2.0 * np.pi
-    zp = simulate_path(sub, T, cutoff_eps=cutoff_eps, seed=seed, method=None
-                       if sub.kind in ("drift_only", "compound_poisson") else "jumps")
+    method = None if sub.kind in ("drift_only", "compound_poisson") else "jumps"
+    zp = simulate_paths(sub, T, 1, stream(seed), cutoff_eps=cutoff_eps, method=method).path(0)
     rng = stream(seed, 1)
     if sub.kind == "drift_only":
         times = np.linspace(T / slope_grid, T, slope_grid)

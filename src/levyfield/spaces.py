@@ -9,7 +9,7 @@ operator-norm diagnostics rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

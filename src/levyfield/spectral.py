@@ -18,12 +18,10 @@ from typing import Optional
 
 import numpy as np
 
-from ._rng import stream
 from .sine import sine_values
 from .spaces import SpaceSpec
 from .noise import LevyNoiseSpec
-from .subordinator import (PathBatch, SubordinatorPath, _quad, laplace_exponent,
-                           sub_p_membership)
+from .subordinator import PathBatch, _quad, laplace_exponent, sub_p_membership
 
 __all__ = [
     "SpectralOperator",
@@ -33,9 +31,7 @@ __all__ = [
     "power_law_envelope",
     "check_radonifying",
     "cell_moments",
-    "convolution_variances",
     "convolution_variances_batch",
-    "sample_convolution",
     "sample_convolution_batch",
     "charfn_oracle",
     "regularity_exponent_bound",
@@ -202,11 +198,6 @@ def check_radonifying(op: SpectralOperator, alpha: float, r: float,
 # -- sampling and the characteristic functional --------------------------
 
 
-def convolution_variances(op: SpectralOperator, zpath: SubordinatorPath, t: float) -> np.ndarray:
-    """V_j = int_0^t e^(-2 lambda_j (t-s)) dZ(s), closed form over the jump list."""
-    return convolution_variances_batch(op, PathBatch.of_path(zpath), t)[0]
-
-
 def cell_moments(lam: np.ndarray, c: float, slope: float, t0: np.ndarray, t1: np.ndarray,
                  jump_times: np.ndarray, weights: np.ndarray, starts: np.ndarray,
                  counts: np.ndarray) -> np.ndarray:
@@ -238,8 +229,8 @@ def cell_moments(lam: np.ndarray, c: float, slope: float, t0: np.ndarray, t1: np
 
 
 def convolution_variances_batch(op: SpectralOperator, batch: PathBatch, t: float) -> np.ndarray:
-    """V_j of every path of a batch, shape (n_paths, n_modes): the cell moment
-    with c = 2 over the one cell [0, t] of each path.
+    """V_j = int_0^t e^(-2 lambda_j (t-s)) dZ(s) of every path of a batch, shape
+    (n_paths, n_modes): the cell moment with c = 2 over the one cell [0, t].
 
     Jumps after t are dropped (their terms overflow exp), so a path with
     no jump up to t keeps the slope term alone.
@@ -253,24 +244,14 @@ def convolution_variances_batch(op: SpectralOperator, batch: PathBatch, t: float
                         batch.times, batch.sizes[:, None], batch.offsets[:-1], kept)
 
 
-def sample_convolution(op: SpectralOperator, noise: LevyNoiseSpec,
-                       zpath: SubordinatorPath, t: float, seed: int = 0) -> FieldSample:
-    """One exact-in-law draw of X(t) = int_0^t e^((t-s)A) dY(s) given zpath.
-
-    Conditionally on Z, mode j is centered Gaussian with variance
-    w_j^(-2) V_j.  The batch of one of ``sample_convolution_batch``, drawn
-    from ``stream(seed)``.
-    """
-    coeff = sample_convolution_batch(op, noise, PathBatch.of_path(zpath), t, stream(seed))[0]
-    return FieldSample(coefficients=coeff, time_t=t)
-
-
 def sample_convolution_batch(op: SpectralOperator, noise: LevyNoiseSpec,
                              batch: PathBatch, t: float, rng: np.random.Generator) -> np.ndarray:
     """Coefficients of one draw of X(t) per path of a batch, shape (n_paths, n_modes).
 
-    The Gaussian variates are drawn from rng path after path, so drawing a
-    batch in consecutive slices from one generator gives the same values.
+    X(t) = int_0^t e^((t-s)A) dY(s) is drawn exactly in law given the path:
+    mode j is centered Gaussian with variance w_j^(-2) V_j.  The Gaussian
+    variates are drawn from rng path after path, so drawing a batch in
+    consecutive slices from one generator gives the same values.
     """
     if noise.wiener.truncation_N != op.n_modes:
         raise ValueError("noise truncation must match the operator mode count")

@@ -24,8 +24,6 @@ import numpy as np
 from scipy import integrate
 from scipy.special import gamma as gamma_fn
 
-from ._rng import stream
-
 __all__ = [
     "IntensityMeasure",
     "SubordinatorSpec",
@@ -35,7 +33,6 @@ __all__ = [
     "stable_intensity",
     "laplace_exponent",
     "sub_p_membership",
-    "simulate_path",
     "simulate_paths",
     "finite_variation_diagnostic",
     "sample_stable_oneside",
@@ -418,13 +415,6 @@ class PathBatch:
         """Path index of each jump."""
         return np.repeat(np.arange(self.n_paths), self.counts)
 
-    @classmethod
-    def of_path(cls, zpath: SubordinatorPath) -> "PathBatch":
-        """The batch holding ``zpath`` alone."""
-        return cls(horizon_T=zpath.horizon_T, drift_slope=zpath.drift_slope,
-                   offsets=np.array([0, zpath.times.size]), times=zpath.times,
-                   sizes=zpath.sizes, compensation=zpath.compensation)
-
     def __getitem__(self, paths: slice) -> "PathBatch":
         """The paths ``lo:hi`` as a batch of their own."""
         lo, hi, step = paths.indices(self.n_paths)
@@ -521,22 +511,6 @@ def sample_stable_oneside(beta: float, size, rng: np.random.Generator) -> np.nda
              + (1.0 - beta) * np.log(np.sin((1.0 - beta) * u))
              - np.log(np.sin(u))) / (1.0 - beta)
     return np.exp((1.0 - beta) / beta * (log_a - np.log(e)))
-
-
-def simulate_path(
-    spec: SubordinatorSpec,
-    T: float,
-    cutoff_eps: float = DEFAULT_CUTOFF,
-    seed: int = 0,
-    grid_n: int = 256,
-    method: Optional[str] = None,
-) -> SubordinatorPath:
-    """Simulate one path of Z on [0, T]: the batch of one of ``simulate_paths``
-    drawn from ``stream(seed)``.
-    """
-    batch = simulate_paths(spec, T, 1, stream(seed), cutoff_eps=cutoff_eps,
-                           method=method, grid_n=grid_n)
-    return batch.path(0)
 
 
 def _check_expected_jumps(expected: float) -> None:

@@ -20,11 +20,11 @@ from levyfield.regularity import (TrajectoryEnsemble, blowup_probe,
                                   estimate_holder, time_integrability)
 from levyfield.sine import l4_norm4, sine_coefficients, sine_values
 from levyfield.spaces import SpaceSpec
-from levyfield.spectral import (SpectralOperator, charfn_oracle,
-                                check_radonifying, sample_convolution,
+from levyfield.spectral import (FieldSample, SpectralOperator, charfn_oracle,
+                                check_radonifying, sample_convolution_batch,
                                 semigroup_norm_power)
 from levyfield.subordinator import (SubordinatorSpec, sample_stable_oneside,
-                                    simulate_path)
+                                    simulate_paths)
 
 
 def _report(num, label, checks):
@@ -82,12 +82,9 @@ def test_03_ou_characteristic_functional():
         phi = rng.standard_normal(N) / math.sqrt(N)
         t = float(rng.uniform(0.4, 1.2))
         ana = charfn_oracle(op, spec, phi, t)
-        vals = np.empty(mc)
-        for m in range(mc):
-            zp = simulate_path(spec.subordinator, t, cutoff_eps=1e-3,
-                               seed=1000 * i + m, method="jumps")
-            fs = sample_convolution(op, spec, zp, t, seed=777 + 1000 * i + m)
-            vals[m] = math.cos(float(fs.coefficients @ phi))
+        batch = simulate_paths(spec.subordinator, t, mc, stream(303, 1, i), cutoff_eps=1e-3,
+                               method="jumps")
+        vals = np.cos(sample_convolution_batch(op, spec, batch, t, stream(303, 2, i)) @ phi)
         se = vals.std() / math.sqrt(mc)
         checks[f"pair{i}"] = abs(vals.mean() - ana) <= 4.0 * se
     # drift-only noise: closed-form Gaussian stationary-variance expression
@@ -187,9 +184,10 @@ def test_07_holder_regularity_estimator():
         spec = make_noise(sub, N)
         ests = []
         for m in range(n_paths):
-            zp = simulate_path(sub, 1.0, cutoff_eps=eps, seed=700 + 17 * m,
-                               method=method)
-            fs = sample_convolution(op, spec, zp, 1.0, seed=701 + 17 * m)
+            batch = simulate_paths(sub, 1.0, 1, stream(700 + 17 * m), cutoff_eps=eps,
+                                   method=method)
+            coeffs = sample_convolution_batch(op, spec, batch, 1.0, stream(701 + 17 * m))[0]
+            fs = FieldSample(coeffs, 1.0)
             ests.append(estimate_holder(fs, op, M)["delta_hat"])
         means[label] = float(np.mean(ests))
     checks["gaussian_band"] = 0.35 <= means["gaussian"] <= 0.65
@@ -250,19 +248,13 @@ def test_09_time_integrability_and_scaling():
     for k, T in enumerate(Ts):
         slope_w = float((T / (2 * lam)
                          - (1 - np.exp(-2 * lam * T)) / (4 * lam ** 2)).sum())
-        acc = 0.0
         n_paths = 4000
-        for m in range(n_paths):
-            zp = simulate_path(sub, T, cutoff_eps=1e-3,
-                               seed=910 + 10000 * k + m, method="jumps")
-            keep = zp.sizes < 1.0               # small-jump part of the clock
-            tau, xi = zp.times[keep], zp.sizes[keep]
-            acc += zp.total_slope * slope_w
-            if tau.size:
-                H = ((1 - np.exp(-2 * np.multiply.outer(T - tau, lam)))
-                     / (2 * lam)).sum(axis=1)
-                acc += float((xi * H).sum())
-        means.append(acc / n_paths)
+        batch = simulate_paths(sub, T, n_paths, stream(910, k), cutoff_eps=1e-3,
+                               method="jumps")
+        keep = batch.sizes < 1.0                # small-jump part of the clock
+        tau, xi = batch.times[keep], batch.sizes[keep]
+        H = ((1 - np.exp(-2 * np.multiply.outer(T - tau, lam))) / (2 * lam)).sum(axis=1)
+        means.append(batch.total_slope * slope_w + float((xi * H).sum()) / n_paths)
     slope = float(np.polyfit(np.log(Ts), np.log(means), 1)[0])
     checks["t_scaling"] = abs(slope - 1.5) <= 0.15
     _report(9, "time integrability and horizon scaling", checks)

@@ -212,3 +212,12 @@ def test_circle_grid_limit_exit_2(tmp_path, capsys):
                                   "thetas": [1.0], "grids": [4097]})
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "MAX_CIRCLE_CELLS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("truncations", [[64], [64, 64]])
+def test_blowup_needs_two_distinct_truncations_exit_2(tmp_path, capsys, truncations):
+    # a slope through one truncation is a one-point fit, not a blow-up verdict
+    cfg = write_config(tmp_path, {"experiment": "blowup", "master_seed": 1,
+                                  "truncations": truncations})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "two distinct truncations" in capsys.readouterr().err

@@ -16,7 +16,7 @@ from levyfield.jumps import (
     verify_moment_inequality_type_p,
 )
 from levyfield.noise import CylindricalWienerSpec, LevyNoiseSpec, intensity_measure_functional
-from levyfield.subordinator import SubordinatorSpec, simulate_path
+from levyfield.subordinator import SubordinatorSpec, simulate_paths
 
 
 def make_spec(sub, n_modes=4):
@@ -37,7 +37,7 @@ def test_split_no_large_jumps():
 
 def test_split_additivity_exact():
     spec = make_spec(SubordinatorSpec.compound_poisson([2.5], [3.0]))
-    zp = simulate_path(spec.subordinator, 1.0, seed=1)
+    zp = simulate_paths(spec.subordinator, 1.0, 1, stream(1)).path(0)
     path = marked_path_from_z(spec, zp, seed=2)
     small, large = split(path)
     assert small.n_jumps + large.n_jumps == path.n_jumps
@@ -57,8 +57,8 @@ def test_large_jump_count_is_poisson():
         spec, lambda x: (x >= 1.0).astype(float), quad_tol=1e-4)
     counts = []
     for m in range(400):
-        zp = simulate_path(spec.subordinator, 1.0, cutoff_eps=1e-3,
-                           seed=m, method="jumps")
+        zp = simulate_paths(spec.subordinator, 1.0, 1, stream(m), cutoff_eps=1e-3,
+                            method="jumps").path(0)
         path = marked_path_from_z(spec, zp, seed=m + 10_000)
         counts.append(split(path)[1].n_jumps)
     counts = np.asarray(counts)
@@ -81,7 +81,7 @@ def test_large_jump_count_is_poisson():
 
 def test_integrate_large_identity_kernel():
     spec = make_spec(SubordinatorSpec.compound_poisson([3.0], [2.0]))
-    zp = simulate_path(spec.subordinator, 1.0, seed=3)
+    zp = simulate_paths(spec.subordinator, 1.0, 1, stream(3)).path(0)
     path = marked_path_from_z(spec, zp, seed=4)
     out = integrate_large(lambda s: np.ones(4), path)
     assert np.allclose(out, path.sum_until(1.0), atol=1e-14)
@@ -114,7 +114,8 @@ def test_integrate_large_matches_loop_oracle():
 
 def test_small_jump_compensator_vanishes():
     spec = make_spec(SubordinatorSpec.stable(0.5))
-    zp = simulate_path(spec.subordinator, 1.0, cutoff_eps=1e-2, seed=5, method="jumps")
+    zp = simulate_paths(spec.subordinator, 1.0, 1, stream(5), cutoff_eps=1e-2,
+                        method="jumps").path(0)
     small, _ = split(marked_path_from_z(spec, zp, seed=6))
     out = integrate_large(lambda s: np.ones(4), small)
     assert np.allclose(out, small.sum_until(1.0), atol=1e-14)
@@ -122,7 +123,8 @@ def test_small_jump_compensator_vanishes():
 
 def test_small_jump_zero_kernel():
     spec = make_spec(SubordinatorSpec.stable(0.5))
-    zp = simulate_path(spec.subordinator, 1.0, cutoff_eps=1e-2, seed=7, method="jumps")
+    zp = simulate_paths(spec.subordinator, 1.0, 1, stream(7), cutoff_eps=1e-2,
+                        method="jumps").path(0)
     small, _ = split(marked_path_from_z(spec, zp, seed=8))
     out = integrate_large(lambda s: np.zeros(4), small)
     assert np.all(out == 0.0)

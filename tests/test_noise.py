@@ -9,12 +9,11 @@ from levyfield.noise import (
     CylindricalWienerSpec,
     LevyNoiseSpec,
     char_functional,
-    export_increments_csv,
     finite_variation_test,
+    increment_coefficients,
     intensity_measure_functional,
-    sample_increments,
 )
-from levyfield.subordinator import SubordinatorSpec, simulate_path
+from levyfield.subordinator import SubordinatorSpec, simulate_paths
 
 
 def make_spec(sub, n_modes=8, weights=None):
@@ -73,24 +72,22 @@ def test_charfn_semigroup_property():
 
 def test_increment_variance_drift_only():
     spec = make_spec(SubordinatorSpec.drift_only(1.0))
-    zp = simulate_path(spec.subordinator, 1.0)
-    samples = [sample_increments(spec, zp, np.array([0.0, 1.0]), seed=s)[0]
-               for s in range(4000)]
-    inc = np.array([s.coefficients for s in samples])
+    dz = simulate_paths(spec.subordinator, 1.0, 4000, stream(0, 1)).values(1.0)
+    assert np.all(dz == 1.0)
+    inc = increment_coefficients(spec, dz, stream(0, 2))
     var = inc.var(axis=0)
     # chi-square band for the per-mode sample variance at 99.9% coverage
     n = inc.shape[0]
     lo = stats.chi2.ppf(5e-4, n - 1) / (n - 1)
     hi = stats.chi2.ppf(1 - 5e-4, n - 1) / (n - 1)
     assert np.all(var > lo) and np.all(var < hi)
-    assert samples[0].generating_dZ == pytest.approx(1.0)
 
 
 def test_zero_length_cell_gives_zero_increment():
     spec = make_spec(SubordinatorSpec.stable(0.5))
-    zp = simulate_path(spec.subordinator, 1.0, seed=1)
-    out = sample_increments(spec, zp, np.array([0.5, 0.5]), seed=0)
-    assert np.all(out[0].coefficients == 0.0)
+    zp = simulate_paths(spec.subordinator, 1.0, 1, stream(1)).path(0)
+    out = increment_coefficients(spec, np.diff(zp.value([0.5, 0.5])), stream(0))
+    assert np.all(out == 0.0)
 
 
 def test_increment_mc_matches_charfn():
@@ -99,11 +96,8 @@ def test_increment_mc_matches_charfn():
     phi = stream(3).standard_normal(8) / math.sqrt(8.0)
     t = 1.0
     mc = 20000
-    vals = np.empty(mc)
-    for m in range(mc):
-        zp = simulate_path(spec.subordinator, t, seed=2 * m, grid_n=1)
-        inc = sample_increments(spec, zp, np.array([0.0, t]), seed=2 * m + 1)[0]
-        vals[m] = math.cos(float(phi @ inc.coefficients))
+    z = simulate_paths(spec.subordinator, t, mc, stream(3, 1), grid_n=1).values(t)
+    vals = np.cos(increment_coefficients(spec, z, stream(3, 2)) @ phi)
     emp = vals.mean()
     se = vals.std() / math.sqrt(mc)
     assert abs(emp - char_functional(spec, phi, t)) < 4.0 * se
@@ -111,26 +105,15 @@ def test_increment_mc_matches_charfn():
 
 def test_jump_times_of_y_match_z():
     spec = make_spec(SubordinatorSpec.stable(0.5))
-    zp = simulate_path(spec.subordinator, 1.0, cutoff_eps=1e-2, seed=5, method="jumps")
+    zp = simulate_paths(spec.subordinator, 1.0, 1, stream(5), cutoff_eps=1e-2,
+                        method="jumps").path(0)
     # increments over cells that contain no Z-jump have zero conditional
     # variance beyond the compensation slope contribution
     grid = np.linspace(0.0, 1.0, 21)
-    out = sample_increments(spec, zp, grid, seed=6)
-    for s in out:
-        in_cell = np.any((zp.times > s.t_lo) & (zp.times <= s.t_hi))
-        jump_part = s.generating_dZ - zp.total_slope * (s.t_hi - s.t_lo)
-        assert (jump_part > 1e-12) == bool(in_cell)
-
-
-def test_increment_csv_export(tmp_path):
-    spec = make_spec(SubordinatorSpec.drift_only(1.0), 3)
-    zp = simulate_path(spec.subordinator, 1.0)
-    out = sample_increments(spec, zp, np.array([0.0, 0.5, 1.0]), seed=0)
-    f = tmp_path / "inc.csv"
-    export_increments_csv(out, f)
-    lines = f.read_text().strip().splitlines()
-    assert lines[0] == "cell_lo,cell_hi,mode,value,dz"
-    assert len(lines) == 1 + 2 * 3
+    jump_part = np.diff(zp.value(grid)) - zp.total_slope * np.diff(grid)
+    for lo, hi, part in zip(grid[:-1], grid[1:], jump_part):
+        in_cell = np.any((zp.times > lo) & (zp.times <= hi))
+        assert (part > 1e-12) == bool(in_cell)
 
 
 # -- intensity measure ---------------------------------------------------
@@ -146,15 +129,13 @@ def test_intensity_functional_large_jump_rate_vs_empirical():
     spec = make_spec(SubordinatorSpec.stable(0.5), n_modes=4)
     rate = intensity_measure_functional(
         spec, lambda x: (x >= 1.0).astype(float), quad_tol=1e-4)
-    counts = []
-    for m in range(600):
-        zp = simulate_path(spec.subordinator, 1.0, cutoff_eps=1e-3,
-                           seed=m, method="jumps")
-        rng = stream(m, 99)
-        marks = np.sqrt(zp.sizes)[:, None] * rng.standard_normal((zp.sizes.size, 4))
-        counts.append(int((np.sqrt((marks ** 2).sum(axis=1)) >= 1.0).sum()))
+    batch = simulate_paths(spec.subordinator, 1.0, 600, stream(0, 1), cutoff_eps=1e-3,
+                           method="jumps")
+    marks = np.sqrt(batch.sizes)[:, None] * stream(0, 2).standard_normal((batch.sizes.size, 4))
+    large = np.sqrt((marks ** 2).sum(axis=1)) >= 1.0
+    counts = np.bincount(batch.rows[large], minlength=batch.n_paths)
     emp = np.mean(counts)
-    se = np.std(counts) / math.sqrt(len(counts))
+    se = np.std(counts) / math.sqrt(counts.size)
     assert abs(emp - rate) < 4.0 * se
 
 
@@ -187,16 +168,28 @@ def test_finite_variation_gaussian_case():
     assert rep["empirical_growth_ratio"] == pytest.approx(2.0, abs=0.2)
 
 
+def test_finite_variation_stable_verdict_holds_across_seeds():
+    # int_0^1 s^(1/2) rho(ds) < inf for beta = 1/4: every seed must agree
+    spec = make_spec(SubordinatorSpec.stable(0.25), 1)
+    for seed in range(10):
+        rep = finite_variation_test(spec, seed=seed)
+        assert rep["analytic_finite"] and rep["agree"], (seed, rep)
+
+
+@pytest.mark.parametrize("sub", [
+    SubordinatorSpec.stable(0.25),
+    SubordinatorSpec.stable(0.75),
+    SubordinatorSpec.drift_only(1.0),
+    SubordinatorSpec.compound_poisson([2.5], [1.0], drift_b=0.5),
+    SubordinatorSpec.tabulated(lambda x: 0.5 / math.gamma(0.5) * x ** -1.5),
+], ids=["stable-0.25", "stable-0.75", "gaussian", "compound-poisson", "tabulated"])
+def test_finite_variation_growth_is_at_least_one(sub):
+    # refining the grid of one path cannot lower its total variation
+    rep = finite_variation_test(make_spec(sub, 2), mc_paths=8, seed=1)
+    assert rep["empirical_growth_ratio"] >= 1.0
+
+
 def test_finite_variation_compound_poisson():
     rep = finite_variation_test(
         make_spec(SubordinatorSpec.compound_poisson([2.5], [1.0]), 1))
     assert rep["analytic_finite"] and rep["empirical_finite"]
-
-
-def test_grid_validation():
-    spec = make_spec(SubordinatorSpec.drift_only(1.0))
-    zp = simulate_path(spec.subordinator, 1.0)
-    with pytest.raises(ValueError):
-        sample_increments(spec, zp, np.array([0.0, 2.0]))
-    with pytest.raises(ValueError):
-        sample_increments(spec, zp, np.array([0.5]))

@@ -23,10 +23,10 @@ from levyfield.spaces import SpaceSpec
 from levyfield.spectral import (
     FieldSample,
     SpectralOperator,
-    convolution_variances,
-    sample_convolution,
+    convolution_variances_batch,
+    sample_convolution_batch,
 )
-from levyfield.subordinator import SubordinatorSpec, simulate_path
+from levyfield.subordinator import SubordinatorSpec, simulate_paths
 
 
 def make_noise(sub, n):
@@ -61,8 +61,8 @@ def test_holder_gaussian_field_near_half():
     noise = make_noise(SubordinatorSpec.drift_only(1.0), N)
     vals = []
     for s in range(10):
-        zp = simulate_path(noise.subordinator, 1.0, seed=s)
-        fs = sample_convolution(op, noise, zp, 1.0, seed=100 + s)
+        batch = simulate_paths(noise.subordinator, 1.0, 1, stream(s))
+        fs = FieldSample(sample_convolution_batch(op, noise, batch, 1.0, stream(100 + s))[0], 1.0)
         vals.append(estimate_holder(fs, op, M)["delta_hat"])
     assert abs(np.mean(vals) - 0.5) <= 0.15
 
@@ -95,15 +95,17 @@ def test_trajectory_matches_marginal_variances():
     N = 4
     op = SpectralOperator.dirichlet(1, 1.0, N)
     noise = make_noise(SubordinatorSpec.stable(0.5), N)
-    zp = simulate_path(noise.subordinator, 1.0, cutoff_eps=1e-3, seed=3, method="jumps")
+    batch = simulate_paths(noise.subordinator, 1.0, 1, stream(3), cutoff_eps=1e-3,
+                           method="jumps")
+    zp = batch.path(0)
     times = np.array([0.3, 0.6, 1.0])
     mc = 4000
     acc = np.zeros((times.size, N))
     for m in range(mc):
-        acc += sample_trajectory(op, noise, zp, times, seed=m) ** 2
+        acc += sample_trajectory(op, noise, zp, times, stream(m)) ** 2
     emp = acc / mc
     for i, t in enumerate(times):
-        v = convolution_variances(op, zp, float(t))
+        v = convolution_variances_batch(op, batch, float(t))[0]
         assert np.allclose(emp[i], v, rtol=0.15)
 
 
@@ -136,10 +138,10 @@ def _per_cell_trajectory(op, noise, zpath, times, seed):
 def test_trajectory_is_bitwise_the_per_cell_loop(sub, n_times, from_zero):
     op = SpectralOperator.dirichlet(1, 1.0, 24)
     noise = LevyNoiseSpec(CylindricalWienerSpec(np.linspace(1.0, 3.0, 24)), sub)
-    zp = simulate_path(sub, 1.0, cutoff_eps=1e-3, seed=2,
-                       method=None if sub.kind == "drift_only" else "jumps")
+    zp = simulate_paths(sub, 1.0, 1, stream(2), cutoff_eps=1e-3,
+                        method=None if sub.kind == "drift_only" else "jumps").path(0)
     times = np.linspace(0.0 if from_zero else 1.0 / n_times, 1.0, n_times)
-    got = sample_trajectory(op, noise, zp, times, seed=9)
+    got = sample_trajectory(op, noise, zp, times, stream(9))
     assert np.array_equal(got, _per_cell_trajectory(op, noise, zp, times, 9))
 
 
@@ -161,6 +163,18 @@ def test_time_integrability_stabilizes_for_ou():
     rep = time_integrability(ens, E, p=2.0)
     assert rep["stabilization"] < 0.05
     assert np.all(np.isfinite(rep["per_path_final"]))
+
+
+def test_ensemble_is_bitwise_a_loop_over_one_batch():
+    op = SpectralOperator.dirichlet(1, 1.0, 16)
+    noise = make_noise(SubordinatorSpec.stable(0.6), 16)
+    ens = TrajectoryEnsemble.simulate(op, noise, T=1.0, n_times=64, n_paths=5, seed=3)
+    batch = simulate_paths(noise.subordinator, 1.0, 5, stream(3, 1), cutoff_eps=1e-3,
+                           method="jumps")
+    rng = stream(3, 2)
+    for m in range(5):
+        ref = sample_trajectory(op, noise, batch.path(m), ens.times, rng)
+        assert np.array_equal(ens.coefficients[m], ref), m
 
 
 # -- blow-up probe -------------------------------------------------------
@@ -211,7 +225,8 @@ def test_blowup_inconclusive_without_jumps():
 def _per_truncation_probe(op, noise, F, N_sequence, seed, threshold, u_space):
     """The sups and mark norms of blowup_probe before it summed at the full
     truncation once, with the weighted norms written out."""
-    zp = simulate_path(noise.subordinator, 1.0, cutoff_eps=1e-3, seed=seed, method="jumps")
+    zp = simulate_paths(noise.subordinator, 1.0, 1, stream(seed), cutoff_eps=1e-3,
+                        method="jumps").path(0)
     marked = marked_path_from_z(noise, zp, seed=seed + 1, u_space=u_space,
                                 threshold=threshold)
     _, large = split(marked)

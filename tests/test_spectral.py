@@ -14,18 +14,15 @@ from levyfield.spectral import (
     cell_moments,
     charfn_oracle,
     check_radonifying,
-    convolution_variances,
     convolution_variances_batch,
     power_law_envelope,
     regularity_exponent_bound,
-    sample_convolution,
     sample_convolution_batch,
     semigroup_norm,
     semigroup_norm_power,
     synthesize,
 )
-from levyfield.subordinator import (PathBatch, SubordinatorPath, SubordinatorSpec,
-                                   simulate_path, simulate_paths)
+from levyfield.subordinator import PathBatch, SubordinatorSpec, simulate_paths
 
 
 def make_noise(sub, n_modes):
@@ -139,18 +136,18 @@ def test_radonifying_theorem_setting():
 
 def test_stationary_variance_drift_only():
     op = SpectralOperator.from_eigenvalues([1.0])
-    zp = SubordinatorPath(horizon_T=100.0, drift_slope=1.0,
-                          times=np.empty(0), sizes=np.empty(0))
-    v = convolution_variances(op, zp, 50.0)
+    batch = PathBatch(horizon_T=100.0, drift_slope=1.0, offsets=np.array([0, 0]),
+                      times=np.empty(0), sizes=np.empty(0))
+    v = convolution_variances_batch(op, batch, 50.0)[0]
     assert v[0] == pytest.approx(0.5, rel=1e-12)
 
 
 def test_single_jump_variance():
     lam, tau, dz, t = 2.0, 0.3, 1.7, 0.9
     op = SpectralOperator.from_eigenvalues([lam])
-    zp = SubordinatorPath(horizon_T=1.0, drift_slope=0.0,
-                          times=np.array([tau]), sizes=np.array([dz]))
-    v = convolution_variances(op, zp, t)
+    batch = PathBatch(horizon_T=1.0, drift_slope=0.0, offsets=np.array([0, 1]),
+                      times=np.array([tau]), sizes=np.array([dz]))
+    v = convolution_variances_batch(op, batch, t)[0]
     assert v[0] == pytest.approx(math.exp(-2 * lam * (t - tau)) * dz, rel=1e-13)
 
 
@@ -158,9 +155,9 @@ def test_single_jump_variance():
 @given(seed=st.integers(0, 1000), t=st.floats(0.1, 1.0))
 def test_variances_nonincreasing_in_lambda(seed, t):
     op = SpectralOperator.dirichlet(1, 1.0, 64)
-    zp = simulate_path(SubordinatorSpec.stable(0.5), 1.0, cutoff_eps=1e-3,
-                       seed=seed, method="jumps")
-    v = convolution_variances(op, zp, t)
+    batch = simulate_paths(SubordinatorSpec.stable(0.5), 1.0, 1, stream(seed), cutoff_eps=1e-3,
+                           method="jumps")
+    v = convolution_variances_batch(op, batch, t)[0]
     assert np.all(np.diff(v) <= 1e-14)
 
 
@@ -170,12 +167,9 @@ def test_sample_convolution_mc_matches_oracle():
     noise = make_noise(SubordinatorSpec.stable(0.5), N)
     phi = stream(5).standard_normal(N) / math.sqrt(N)
     t, mc = 0.8, 20000
-    vals = np.empty(mc)
-    for m in range(mc):
-        zp = simulate_path(noise.subordinator, t, cutoff_eps=1e-3,
-                           seed=3 * m, method="jumps")
-        fs = sample_convolution(op, noise, zp, t, seed=3 * m + 1)
-        vals[m] = math.cos(float(fs.coefficients @ phi))
+    batch = simulate_paths(noise.subordinator, t, mc, stream(5, 1), cutoff_eps=1e-3,
+                           method="jumps")
+    vals = np.cos(sample_convolution_batch(op, noise, batch, t, stream(5, 2)) @ phi)
     ana = charfn_oracle(op, noise, phi, t)
     se = vals.std() / math.sqrt(mc)
     assert abs(vals.mean() - ana) < 4.0 * se
@@ -199,7 +193,8 @@ def test_batch_variances_match_per_path_and_direct_sum():
     batch, t = _batch_with_every_kind_of_path()
     v = convolution_variances_batch(op, batch, t)
     assert v.shape == (batch.n_paths, 32) and np.all(np.isfinite(v))
-    loop = np.array([convolution_variances(op, batch.path(p), t) for p in range(batch.n_paths)])
+    loop = np.concatenate([convolution_variances_batch(op, batch[p:p + 1], t)
+                           for p in range(batch.n_paths)])
     assert np.allclose(v, loop, rtol=1e-12, atol=0.0)
     lam = op.lambdas
     slope = batch.total_slope * (1.0 - np.exp(-2.0 * lam * t)) / (2.0 * lam)
@@ -239,7 +234,7 @@ def test_cell_moments_match_a_direct_double_loop(c, marks):
 
 
 def _per_path_sample_convolution(op, noise, zpath, t, seed):
-    """The one-path sampler that sample_convolution was before it became a batch of one."""
+    """The one-path sampler that a batch of one was before paths were drawn in batches."""
     lam = op.lambdas
     v = zpath.total_slope * (1.0 - np.exp(-2.0 * lam * t)) / (2.0 * lam)
     k = np.searchsorted(zpath.times, t, side="right")
@@ -257,13 +252,13 @@ def test_sample_convolution_is_bitwise_the_per_path_sampler():
                               SubordinatorSpec.stable(0.5))
         for seed in range(15):
             for eps in (1e-1, 1e-4):
-                zp = simulate_path(noise.subordinator, 1.0, cutoff_eps=eps, seed=seed,
-                                   method="jumps")
-                jumps.add(zp.times.size)
+                batch = simulate_paths(noise.subordinator, 1.0, 1, stream(seed),
+                                       cutoff_eps=eps, method="jumps")
+                jumps.add(batch.times.size)
                 for t in (0.0, 0.45, 1.0):
-                    fs = sample_convolution(op, noise, zp, t, seed=seed + 100)
-                    ref = _per_path_sample_convolution(op, noise, zp, t, seed + 100)
-                    assert np.array_equal(fs.coefficients, ref), (seed, eps, t)
+                    got = sample_convolution_batch(op, noise, batch, t, stream(seed + 100))[0]
+                    ref = _per_path_sample_convolution(op, noise, batch.path(0), t, seed + 100)
+                    assert np.array_equal(got, ref), (seed, eps, t)
     assert min(jumps) == 0 and max(jumps) > 40
 
 
@@ -277,7 +272,7 @@ def test_batch_sample_does_not_depend_on_the_slicing():
     parts = [sample_convolution_batch(op, noise, batch[lo:hi], 0.7, rng)
              for lo, hi in ((0, 1), (1, 20), (20, 50))]
     assert np.array_equal(whole, np.concatenate(parts))
-    single = sample_convolution_batch(op, noise, PathBatch.of_path(batch.path(0)), 0.7, stream(3))
+    single = sample_convolution_batch(op, noise, batch[0:1], 0.7, stream(3))
     assert np.array_equal(single[0], whole[0])
 
 

@@ -7,13 +7,11 @@ from hypothesis import given, settings, strategies as st
 from levyfield._rng import stream
 from levyfield.subordinator import (
     MAX_EXPECTED_JUMPS,
-    PathBatch,
     SubordinatorPath,
     SubordinatorSpec,
     finite_variation_diagnostic,
     laplace_exponent,
     sample_stable_oneside,
-    simulate_path,
     simulate_paths,
     sub_p_membership,
 )
@@ -116,7 +114,7 @@ def test_stable_sampler_laplace_transform():
 
 
 def test_drift_only_path_is_deterministic():
-    path = simulate_path(SubordinatorSpec.drift_only(2.0), 3.0, seed=0)
+    path = simulate_paths(SubordinatorSpec.drift_only(2.0), 3.0, 1, stream(0)).path(0)
     assert path.times.size == 0
     assert path.value(3.0) == pytest.approx(6.0)
     assert path.value(0.0) == 0.0
@@ -124,10 +122,8 @@ def test_drift_only_path_is_deterministic():
 
 def test_stable_grid_path_laplace_transform():
     spec = SubordinatorSpec.stable(0.5)
-    vals = np.empty(3000)
-    for m in range(vals.size):
-        zp = simulate_path(spec, 1.0, seed=m, grid_n=4)
-        vals[m] = math.exp(-float(zp.value(1.0)))
+    batch = simulate_paths(spec, 1.0, 3000, stream(0), grid_n=4)
+    vals = np.exp(-batch.values(1.0))
     se = vals.std() / math.sqrt(vals.size)
     assert abs(vals.mean() - math.exp(-1.0)) < 4.0 * se
 
@@ -136,10 +132,7 @@ def test_jump_route_matches_laplace_transform_within_cutoff_bias():
     beta = 0.5
     c = beta / math.gamma(1.0 - beta)
     spec = SubordinatorSpec.tabulated(lambda x: c * x ** (-1.0 - beta))
-    vals = np.empty(20000)
-    for m in range(vals.size):
-        zp = simulate_path(spec, 1.0, cutoff_eps=1e-4, seed=m)
-        vals[m] = math.exp(-float(zp.value(1.0)))
+    vals = np.exp(-simulate_paths(spec, 1.0, 20000, stream(0), cutoff_eps=1e-4).values(1.0))
     assert abs(vals.mean() - math.exp(-1.0)) < 1e-2
 
 
@@ -148,10 +141,8 @@ def test_cutoff_bias_decreases_when_halved():
     target = math.exp(-1.0)
 
     def bias(eps):
-        vals = np.empty(3000)
-        for m in range(vals.size):
-            zp = simulate_path(spec, 1.0, cutoff_eps=eps, seed=m, method="jumps")
-            vals[m] = math.exp(-float(zp.value(1.0)))
+        batch = simulate_paths(spec, 1.0, 3000, stream(0), cutoff_eps=eps, method="jumps")
+        vals = np.exp(-batch.values(1.0))
         return vals.mean() - target, vals.std() / math.sqrt(vals.size)
 
     b_coarse, se = bias(2e-2)
@@ -161,15 +152,16 @@ def test_cutoff_bias_decreases_when_halved():
 
 def test_path_determinism_is_bitwise():
     spec = SubordinatorSpec.stable(0.6)
-    a = simulate_path(spec, 2.0, cutoff_eps=1e-3, seed=7, method="jumps")
-    b = simulate_path(spec, 2.0, cutoff_eps=1e-3, seed=7, method="jumps")
+    a = simulate_paths(spec, 2.0, 4, stream(7), cutoff_eps=1e-3, method="jumps")
+    b = simulate_paths(spec, 2.0, 4, stream(7), cutoff_eps=1e-3, method="jumps")
+    assert np.array_equal(a.offsets, b.offsets)
     assert np.array_equal(a.times, b.times)
     assert np.array_equal(a.sizes, b.sizes)
     assert a.compensation == b.compensation
 
 
 def test_csv_roundtrip(tmp_path):
-    zp = simulate_path(SubordinatorSpec.stable(0.5), 1.0, seed=3, method="jumps")
+    zp = simulate_paths(SubordinatorSpec.stable(0.5), 1.0, 1, stream(3), method="jumps").path(0)
     f = tmp_path / "path.csv"
     zp.to_csv(f)
     back = SubordinatorPath.from_csv(f)
@@ -193,7 +185,7 @@ def test_config_roundtrip():
 
 
 def _per_path_sampler(spec, T, cutoff_eps, seed, grid_n, method):
-    """The one-path sampler that simulate_path was before it became a batch of one."""
+    """The one-path sampler that a batch of one was before paths were drawn in batches."""
     rng = stream(seed)
     if spec.kind == "drift_only":
         return np.empty(0), np.empty(0), 0.0
@@ -229,7 +221,8 @@ def test_simulate_path_is_bitwise_the_per_path_sampler(spec, method):
     for seed in range(20):
         for eps in (1e-2, 1e-4):
             grid_n = 1 + seed % 7
-            zp = simulate_path(spec, 1.3, cutoff_eps=eps, seed=seed, grid_n=grid_n, method=method)
+            zp = simulate_paths(spec, 1.3, 1, stream(seed), cutoff_eps=eps, method=method,
+                                grid_n=grid_n).path(0)
             times, sizes, compensation = _per_path_sampler(spec, 1.3, eps, seed, grid_n, method)
             assert np.array_equal(zp.times, times)
             assert np.array_equal(zp.sizes, sizes)
@@ -273,7 +266,7 @@ def test_path_batch_csr_layout():
         zp = batch.path(p)
         assert zp.value(1.1) == pytest.approx(values[p], rel=1e-14)
         assert np.array_equal(part.path(p - 100).times, zp.times)
-        single = PathBatch.of_path(zp)
+        single = batch[p:p + 1]
         assert single.n_paths == 1 and np.array_equal(single.path(0).sizes, zp.sizes)
 
 
@@ -287,8 +280,6 @@ def test_expected_jump_count_is_bounded_before_drawing():
     with pytest.raises(ValueError, match="jumps in expectation"):
         simulate_paths(SubordinatorSpec.stable(0.9), 1.0, 1, stream(0),
                        cutoff_eps=1e-12, method="jumps")
-    with pytest.raises(ValueError, match="jumps in expectation"):
-        simulate_path(SubordinatorSpec.stable(0.9), 1.0, cutoff_eps=1e-12, method="jumps")
     with pytest.raises(ValueError, match="jumps in expectation"):
         simulate_paths(SubordinatorSpec.stable(0.5), 1.0, MAX_EXPECTED_JUMPS + 1,
                        stream(0), grid_n=1)
@@ -304,8 +295,8 @@ def test_expected_jump_count_is_bounded_before_drawing():
        kind=st.sampled_from(["grid", "jumps"]))
 def test_paths_are_nondecreasing(beta, seed, kind):
     spec = SubordinatorSpec.stable(beta)
-    zp = simulate_path(spec, 1.0, cutoff_eps=1e-3, seed=seed,
-                       method="jumps" if kind == "jumps" else None)
+    zp = simulate_paths(spec, 1.0, 1, stream(seed), cutoff_eps=1e-3,
+                        method="jumps" if kind == "jumps" else None).path(0)
     grid = np.linspace(0.0, 1.0, 101)
     vals = zp.value(grid)
     assert np.all(np.diff(vals) >= 0)
@@ -326,6 +317,6 @@ def test_invalid_specs_rejected():
     with pytest.raises(ValueError):
         SubordinatorSpec(kind="drift_only", drift_b=-1.0)
     with pytest.raises(ValueError):
-        simulate_path(SubordinatorSpec.stable(0.5), -1.0)
+        simulate_paths(SubordinatorSpec.stable(0.5), -1.0, 1, stream(0))
     with pytest.raises(ValueError):
-        simulate_path(SubordinatorSpec.stable(0.5), 1.0, cutoff_eps=2.0)
+        simulate_paths(SubordinatorSpec.stable(0.5), 1.0, 1, stream(0), cutoff_eps=2.0)
