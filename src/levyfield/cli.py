@@ -296,6 +296,14 @@ def _run_bounds(cfg, out: Path):
     return {"instances": n_instances, "all_pass": bool(all_ok)}, bool(all_ok)
 
 
+def _report_json(report: dict) -> str:
+    """The report as JSON, or FloatingPointError if it holds a NaN or infinite float."""
+    try:
+        return json.dumps(report, indent=2, default=str, allow_nan=False)
+    except ValueError as exc:
+        raise FloatingPointError(f"non-finite value in report.json: {exc}") from None
+
+
 def run(config: dict, out_dir: str) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -316,6 +324,10 @@ def run(config: dict, out_dir: str) -> int:
     t0 = time.time()
     try:
         summary, passed = experiment({**defaults, **config}, out)
+        report = {"experiment": kind, "config": config,
+                  "status": "pass" if passed else "fail",
+                  "elapsed_s": round(time.time() - t0, 3), "summary": summary}
+        text = _report_json(report)
     except (StepSizeError, QuadratureError, ArithmeticError, RuntimeError) as exc:
         report = {"experiment": kind, "config": config, "status": "numeric-failure",
                   "error": str(exc)}
@@ -325,10 +337,7 @@ def run(config: dict, out_dir: str) -> int:
     except (ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    report = {"experiment": kind, "config": config,
-              "status": "pass" if passed else "fail",
-              "elapsed_s": round(time.time() - t0, 3), "summary": summary}
-    (out / "report.json").write_text(json.dumps(report, indent=2, default=str))
+    (out / "report.json").write_text(text)
     print(f"{kind}: {report['status']} ({report['elapsed_s']}s)")
     return 0 if passed else 1
 

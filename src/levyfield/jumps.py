@@ -149,9 +149,8 @@ class StepIntegrand:
         return float((norms ** p * self.measures).sum())
 
 
-def _poisson_integral_norms(step: StepIntegrand, q: float, mc: int, seed: int,
-                            compensated: bool) -> np.ndarray:
-    rng = stream(seed)
+def _poisson_integral_norms(step: StepIntegrand, q: float, mc: int,
+                            rng: np.random.Generator, compensated: bool) -> np.ndarray:
     counts = rng.poisson(step.measures, size=(mc, step.measures.size)).astype(float)
     if compensated:
         counts -= step.measures
@@ -166,7 +165,7 @@ def verify_moment_inequality_p_le_1(step: StepIntegrand, p: float, mc: int = 100
     """Check E |int f dpi|^p <= int |f|^p dnu for p in (0, 1] by Monte Carlo."""
     if not 0 < p <= 1:
         raise ValueError("p must be in (0,1]")
-    norms = _poisson_integral_norms(step, q, mc, seed, compensated=False)
+    norms = _poisson_integral_norms(step, q, mc, stream(seed), compensated=False)
     lhs = float(np.mean(norms ** p))
     se = float(np.std(norms ** p) / np.sqrt(mc))
     rhs = step.lp_nu(p, q)
@@ -180,15 +179,16 @@ def verify_moment_inequality_p_le_1(step: StepIntegrand, p: float, mc: int = 100
 
 def estimate_type_p_constant(p: float, q: float, n: int, values: np.ndarray,
                              ensembles: int = 200, signs_mc: int = 4096,
-                             seed: int = 1) -> float:
+                             rng: Optional[np.random.Generator] = None) -> float:
     """Empirical type-p constant of (R^n, l^q).
 
     Maximizes  E_eps |sum_i eps_i x_i|_q^p / sum_i |x_i|_q^p  over random
     vector ensembles (including the supplied values); signs enumerated
     exactly for small ensembles, Monte Carlo otherwise.  A lower bound for
-    the true constant K_p^p, so callers add a safety margin.
+    the true constant K_p^p, so callers add a safety margin.  ``rng``
+    defaults to stream(1).
     """
-    rng = stream(seed)
+    rng = stream(1) if rng is None else rng
     best = 0.0
 
     def ratio(xs):
@@ -220,17 +220,19 @@ def verify_moment_inequality_type_p(step: StepIntegrand, p: float, q: float = 2.
 
     pi~ is the compensated Poisson measure; K_p is the empirical type-p
     constant of (R^n, l^q) inflated by ``margin`` (the estimator maximizes a
-    ratio, hence is a lower bound).
+    ratio, hence is a lower bound).  The Poisson counts come from
+    stream(seed, 1) and the constant from stream(seed, 2), so calls at
+    consecutive seeds share no draws.
     """
     if not 1 < p <= 2:
         raise ValueError("p must be in (1,2]")
     if q < p:
         raise ValueError("l^q is type p only for q >= p")
-    norms = _poisson_integral_norms(step, q, mc, seed, compensated=True)
+    norms = _poisson_integral_norms(step, q, mc, stream(seed, 1), compensated=True)
     lhs = float(np.mean(norms ** p))
     se = float(np.std(norms ** p) / np.sqrt(mc))
     n = step.values.shape[1]
-    k_hat = estimate_type_p_constant(p, q, n, step.values, seed=seed + 1)
+    k_hat = estimate_type_p_constant(p, q, n, step.values, rng=stream(seed, 2))
     rhs = 2.0 ** (2.0 - p) * margin * k_hat * step.lp_nu(p, q)
     return {
         "inequality": "compensated_type_p",

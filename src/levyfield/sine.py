@@ -8,10 +8,30 @@ time, and ``by_blocks`` runs a caller's chain of transforms the same way.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 
 import numpy as np
-from scipy import fft as sfft
+
+
+def _lazy_module(name: str):
+    """``name`` as registered in sys.modules, executed on its first attribute access.
+
+    The object never changes identity, so ``sfft is sys.modules["scipy.fft"]``
+    holds before and after the load.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+sfft = _lazy_module("scipy.fft")
 
 __all__ = ["by_blocks", "sine_values", "sine_coefficients", "cos_coefficients", "l4_norm4"]
 

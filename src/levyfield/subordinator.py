@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
-from scipy.special import gamma as gamma_fn
 
 __all__ = [
     "IntensityMeasure",
@@ -54,6 +52,8 @@ class QuadratureError(RuntimeError):
 
 
 def _quad(fn, lo, hi, rtol=QUAD_RTOL, **kw):
+    from scipy import integrate  # loaded on first use: it dominates import time
+
     with warnings.catch_warnings():
         # The explicit error-estimate check below supersedes quad's warning.
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
@@ -197,7 +197,10 @@ def stable_intensity(beta: float) -> IntensityMeasure:
     """
     if not 0 < beta < 1:
         raise ValueError("beta must be in (0,1)")
-    c = beta / gamma_fn(1.0 - beta)
+    # scipy's gamma, not math.gamma: the two differ in the last bit for most beta
+    from scipy.special import gamma
+
+    c = beta / gamma(1.0 - beta)
 
     def density(x):
         return c * np.asarray(x, dtype=float) ** (-1.0 - beta)
@@ -507,9 +510,14 @@ def sample_stable_oneside(beta: float, size, rng: np.random.Generator) -> np.nda
     """
     u = rng.uniform(0.0, np.pi, size=size)
     e = rng.exponential(size=size)
-    log_a = (beta * np.log(np.sin(beta * u))
-             + (1.0 - beta) * np.log(np.sin((1.0 - beta) * u))
-             - np.log(np.sin(u))) / (1.0 - beta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_a = (beta * np.log(np.sin(beta * u))
+                 + (1.0 - beta) * np.log(np.sin((1.0 - beta) * u))
+                 - np.log(np.sin(u))) / (1.0 - beta)
+    # uniform(0, pi) can return u = 0, where the formula reads 0/0; A is
+    # continuous there, with A(0+) = beta^(beta/(1-beta)) (1-beta)
+    log_a = np.where(u > 0.0, log_a,
+                     (beta * math.log(beta) + (1.0 - beta) * math.log(1.0 - beta)) / (1.0 - beta))
     return np.exp((1.0 - beta) / beta * (log_a - np.log(e)))
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,33 @@ def test_list_experiments(capsys):
     for name in EXPERIMENT_SUMMARY:
         assert name in out
     assert set(EXPERIMENT_SUMMARY) == set(EXPERIMENTS)
+
+
+COLD_IMPORT = """
+import sys
+import levyfield.cli
+loaded = [m for m in ("scipy.integrate", "scipy.special", "scipy.fft._basic") if m in sys.modules]
+assert not loaded, loaded
+import numpy as np
+from levyfield import sine
+fft = sys.modules["scipy.fft"]
+assert sine.sfft is fft
+values = sine.sine_values(np.arange(1.0, 6.0))
+assert "scipy.fft._basic" in sys.modules
+assert sine.sfft is fft and sys.modules["scipy.fft"] is fft
+import scipy.fft
+assert scipy.fft is fft
+assert np.array_equal(values, fft.dst(np.arange(1.0, 6.0), type=1) * (2.0 ** 0.5 / 2.0))
+"""
+
+
+def test_cold_import_defers_scipy_submodules():
+    # scipy's integrate, special and fft load on first use, not with the CLI;
+    # the lazy scipy.fft keeps its identity, which the benchmark's tracer uses
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    subprocess.run([sys.executable, "-c", COLD_IMPORT], env=env, check=True, timeout=120)
 
 
 def test_run_subordinator_check_passes(tmp_path, capsys):
@@ -204,6 +235,23 @@ def test_non_finite_output_exit_3(tmp_path, monkeypatch, capsys):
     assert report["status"] == "numeric-failure"
     assert "nan.csv" in report["error"]
     assert not (out / "nan.csv").exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_summary_exit_3(tmp_path, monkeypatch, capsys, value):
+    # report.json is strict JSON: a summary it cannot hold is a numeric failure
+    def probe(cfg, out):
+        return {"stat": value, "nested": [1.0, {"x": value}]}, True
+
+    monkeypatch.setitem(EXPERIMENTS, "inf-probe", (probe, {}))
+    cfg = write_config(tmp_path, {"experiment": "inf-probe", "master_seed": 0})
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "numeric-failure"
+    assert "report.json" in report["error"]
+    assert "summary" not in report
+    assert "numeric failure" in capsys.readouterr().err
 
 
 def test_circle_grid_limit_exit_2(tmp_path, capsys):

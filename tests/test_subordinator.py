@@ -1,8 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from levyfield._rng import stream
 from levyfield.subordinator import (
@@ -309,6 +310,73 @@ def test_laplace_exponent_is_monotone_and_zero_at_zero(r, beta, b):
     spec = SubordinatorSpec(kind="stable", beta=beta, drift_b=b)
     assert laplace_exponent(spec, 0.0) == 0.0
     assert laplace_exponent(spec, r) <= laplace_exponent(spec, r + 1.0)
+
+
+class _ChosenDraws:
+    """Stands in for a Generator in sample_stable_oneside: uniform(0, pi) returns
+    pi * k 2^-53, numpy's grid of uniforms, and exponential returns e."""
+
+    def __init__(self, k, e):
+        self.k, self.e = k, e
+
+    def uniform(self, low, high, size=None):
+        return low + (high - low) * np.array([self.k * 2.0 ** -53])
+
+    def exponential(self, size=None):
+        return np.array([self.e])
+
+
+def _exact_log_stable(beta, u, e):
+    """log S of Kanter's formula in 40-digit arithmetic, at the same double u."""
+    with mpmath.workdps(40):
+        b, u, e = mpmath.mpf(beta), mpmath.mpf(u), mpmath.mpf(e)
+        if u == 0:
+            log_a = (b * mpmath.log(b) + (1 - b) * mpmath.log(1 - b)) / (1 - b)
+        else:
+            log_a = (b * mpmath.log(mpmath.sin(b * u)) + (1 - b) * mpmath.log(mpmath.sin((1 - b) * u))
+                     - mpmath.log(mpmath.sin(u))) / (1 - b)
+        return float((1 - b) / b * (log_a - mpmath.log(e)))
+
+
+LOG_MAX = math.log(np.finfo(float).max)
+UNIFORM_K = st.one_of(st.integers(0, 2 ** 10), st.integers(2 ** 53 - 2 ** 10, 2 ** 53 - 1),
+                      st.integers(0, 2 ** 53 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(beta=st.one_of(st.sampled_from([0.02, 0.98]), st.floats(0.02, 0.98)),
+       k=UNIFORM_K, e=st.floats(2.0 ** -53, 45.0))
+@example(beta=0.02, k=0, e=1.0)
+@example(beta=0.98, k=0, e=1.0)
+@example(beta=0.02, k=2 ** 53 - 1, e=45.0)
+@example(beta=0.98, k=2 ** 53 - 1, e=2.0 ** -53)
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+def test_stable_sampler_at_kanter_edges(beta, k, e):
+    # every uniform numpy can draw, u = 0 included, and exponentials over
+    # their practical range: never NaN, positive, and +inf only where the
+    # exact value exceeds the double range (at beta = 0.02 that is a tail
+    # of probability about exp(-0.02 * 709.8) / Gamma(0.98), 7e-7)
+    s = float(sample_stable_oneside(beta, 1, _ChosenDraws(k, e))[0])
+    ref = _exact_log_stable(beta, np.pi * (k * 2.0 ** -53), e)
+    assert s > 0.0
+    if ref > LOG_MAX + 1e-6:
+        assert s == math.inf
+    elif ref < LOG_MAX - 1e-6:
+        assert math.isfinite(s)
+        assert math.log(s) == pytest.approx(ref, rel=1e-9, abs=1e-9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(beta=st.one_of(st.sampled_from([0.02, 0.98]), st.floats(0.02, 0.98)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stable_sampler_draws_are_positive_and_finite(beta, seed):
+    # at beta >= 0.25 the chance of a draw beyond the double range is below
+    # 1e-70; at smaller beta only NaN and non-positive values are ruled out
+    s = sample_stable_oneside(beta, 4096, stream(seed))
+    assert s.shape == (4096,)
+    assert np.all(s > 0.0)
+    if beta >= 0.25:
+        assert np.all(np.isfinite(s))
 
 
 def test_invalid_specs_rejected():
