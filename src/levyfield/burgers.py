@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ._rng import stream
 from .noise import LevyNoiseSpec
-from .sine import by_blocks, cos_coefficients, l4_norm4, sine_values
+from .sine import _cos, _values, by_blocks, l4_norm4
 from .subordinator import SubordinatorPath, simulate_paths
 
 __all__ = [
@@ -48,16 +48,18 @@ def _transport_coefficients(v: np.ndarray, z: Optional[np.ndarray] = None) -> np
     Integration by parts against the sine basis turns the x-derivative into
     k pi times the cosine coefficients of q = v z + v^2/2; the doubled grid
     makes the quadratic product's cosine transform exact.  Works along the
-    last axis, so v (and z) may hold a block of time steps.
+    last axis, unblocked: v (and z) is one vector or a block of time steps,
+    and a caller with a whole trajectory runs it through ``by_blocks``.
     """
     n = v.shape[-1]
     M2 = 2 * (n + 1)
-    vv = sine_values(v, M2)
-    q = 0.5 * vv * vv
-    if z is not None:
-        q += vv * sine_values(z, M2)
-    qc = cos_coefficients(q)[..., :n]
-    return np.arange(1, n + 1) * math.pi * qc
+    if z is None:
+        vv = _values(v, M2)
+        q = 0.5 * vv * vv
+    else:
+        vv, zz = _values(np.stack((v, z)), M2)   # one transform call for both
+        q = 0.5 * vv * vv + vv * zz
+    return np.arange(1, n + 1) * math.pi * _cos(q)[..., :n]
 
 
 @dataclass(frozen=True)
@@ -99,18 +101,30 @@ class AprioriConstants:
         return cls(K=K, L=L, M=M, N=N)
 
 
+def _on_grid(name: str, a, shape: tuple[int, int]) -> Optional[np.ndarray]:
+    """``a`` read-only broadcast to ``shape``; None stays None."""
+    if a is None:
+        return None
+    a = np.asarray(a, dtype=float)
+    if a.shape not in (shape[1:], shape):
+        raise ValueError(f"{name} must have shape {shape[1:]} or {shape}, not {a.shape}")
+    return np.broadcast_to(a, shape)
+
+
 def solve_modified_burgers(
     v0: np.ndarray,
-    z_fn: Optional[Callable[[float], np.ndarray]],
-    g_fn: Optional[Callable[[float], np.ndarray]],
+    zs: Optional[np.ndarray],
+    gs: Optional[np.ndarray],
     T: float,
     dt: float,
     n_modes: int,
 ) -> BurgersTrajectory:
     """Exponential-Euler integration of the modified Burgers equation.
 
-    ``z_fn``/``g_fn`` return sine coefficients at a given time (None means
-    zero).  Raises StepSizeError if |v|^2 leaves 10x its a priori corridor,
+    ``zs``/``gs`` hold sine coefficients of z and g: None (zero), one
+    constant (n_modes,) vector, or an (n_steps+1, n_modes) array with one
+    row per grid time; any other shape is a ValueError.  Raises
+    StepSizeError if |v|^2 leaves 10x its a priori corridor,
     which is how an unstable explicit step shows up, and RuntimeError if
     int |z|_L4^4 exceeds 1 and 4 times its trapezoid sum over every other
     grid point (z too rough for the grid).
@@ -127,8 +141,8 @@ def solve_modified_burgers(
     phi1 = (1.0 - decay) / lam
     times = dt * np.arange(n_steps + 1)
 
-    zs = None if z_fn is None else np.array([z_fn(t) for t in times], dtype=float)
-    gs = None if g_fn is None else [np.asarray(g_fn(t), dtype=float) for t in times]
+    zs = _on_grid("zs", zs, (n_steps + 1, n_modes))
+    gs = _on_grid("gs", gs, (n_steps + 1, n_modes))
     z_l4 = np.zeros(n_steps + 1) if zs is None else l4_norm4(zs)
     int_z = float(np.trapezoid(z_l4, times))
     # refinement diagnostic for int |z|^4: compare full grid vs every other point
@@ -137,7 +151,7 @@ def solve_modified_burgers(
         raise RuntimeError(
             f"int |Y_A|_L4^4 not stable under refinement ({half:.3g} -> {int_z:.3g}); "
             "the OU path is too rough for this grid")
-    g_vp = np.zeros(n_steps + 1) if gs is None else np.array([(g ** 2 / lam).sum() for g in gs])
+    g_vp = np.zeros(n_steps + 1) if gs is None else (gs ** 2 / lam).sum(axis=1)
 
     # explicit a priori corridor for the blow-up guard
     int_g = float(np.trapezoid(g_vp, times))
@@ -151,7 +165,7 @@ def solve_modified_burgers(
     for i in range(n_steps + 1):
         rhs = _transport_coefficients(v, None if zs is None else zs[i])
         if gs is not None:
-            rhs = rhs + gs[i]
+            rhs += gs[i]
         vp_hist[i] = ((rhs - lam * v) ** 2 / lam).sum()
         if i == n_steps:
             break
@@ -213,8 +227,9 @@ def _joint_ou_noise_paths(lam: np.ndarray, inv_w: np.ndarray,
     Per cell and mode, (Delta Y, OU innovation) is bivariate Gaussian with
     Var(DY) = w^-2 dZ, Var(eta) = w^-2 int e^(-2 lam (t'-s)) dZ and
     Cov = w^-2 int e^(-lam (t'-s)) dZ, all closed-form over the cell's jumps.
+    The Gaussian draws come from ``stream(seed, 1)``.
     """
-    rng = stream(seed)
+    rng = stream(seed, 1)
     n = lam.size
     z = np.zeros(n)
     y = np.zeros(n)
@@ -268,7 +283,8 @@ def solve_stochastic_burgers(
     semigroup (lambda_k = (k pi)^2); v solves the modified equation with
     g = f - (z^2/2)_x and the solution is u = v + z.  Returns the
     trajectory, the sampled (z, Y) paths and the solution certificate
-    sup_t |u|^2, int |u|_L4^4 dt.
+    sup_t |u|^2, int |u|_L4^4 dt.  The path of Z comes from ``stream(seed)``,
+    the Gaussian draws of (z, Y) from ``stream(seed, 1)``.
     """
     u0 = np.asarray(u0, dtype=float)
     if u0.size != n_modes:
@@ -283,7 +299,7 @@ def solve_stochastic_burgers(
     zpath = simulate_paths(sub, T, 1, stream(seed), cutoff_eps=cutoff_eps,
                            method=method).path(0)
     z_hist, y_hist = _joint_ou_noise_paths(lam, 1.0 / noise.wiener.hilbert_weights,
-                                           zpath, times, seed=seed + 1)
+                                           zpath, times, seed=seed)
 
     # g(t) = f - (z(t)^2/2)_x  (sine coefficients, dealiased)
     g = by_blocks(_transport_coefficients, z_hist)
@@ -291,9 +307,7 @@ def solve_stochastic_burgers(
         g += f
 
     v0 = u0 - z_hist[0]
-    traj = solve_modified_burgers(v0, lambda t: z_hist[int(round(t / dt))],
-                                  lambda t: g[int(round(t / dt))],
-                                  T, dt, n_modes)
+    traj = solve_modified_burgers(v0, z_hist, g, T, dt, n_modes)
     u_hist = traj.v_coeffs + z_hist
     u_l2sq = (u_hist ** 2).sum(axis=1)
     u_l4 = l4_norm4(u_hist)

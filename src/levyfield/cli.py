@@ -287,7 +287,7 @@ def _run_bounds(cfg, out: Path):
         v0[rng.integers(0, 4)] = rng.uniform(-0.3, 0.3)
         zc = np.zeros(n); zc[rng.integers(0, 4)] = rng.uniform(-0.3, 0.3)
         gc = np.zeros(n); gc[rng.integers(0, 4)] = rng.uniform(-0.3, 0.3)
-        traj = solve_modified_burgers(v0, lambda t: zc, lambda t: gc, T, dt, n)
+        traj = solve_modified_burgers(v0, zc, gc, T, dt, n)
         rep = check_apriori(traj)
         all_ok &= rep["all_pass"]
         for name, b in rep["bounds"].items():

@@ -4,6 +4,8 @@ Values live at the interior points i/M (i = 1..M-1) of a uniform grid, where
 DST-I and DCT-I are exact.  Each function transforms a whole trajectory (the
 last axis of any array; ``sine_values`` any ``axis``) BLOCK_ROWS rows at a
 time, and ``by_blocks`` runs a caller's chain of transforms the same way.
+The row kernels ``_values`` and ``_cos`` take one vector or a block of rows
+as they are, for callers that do their own blocking.
 """
 
 from __future__ import annotations
@@ -58,7 +60,9 @@ def by_blocks(fn, a, axis: int = -1) -> np.ndarray:
 def _values(coef: np.ndarray, M: int) -> np.ndarray:
     if M - 1 < coef.shape[-1]:
         raise ValueError("the grid size M must exceed the number of coefficients")
-    return sfft.dst(coef, type=1, n=M - 1, axis=-1) * (math.sqrt(2.0) / 2.0)
+    full = np.zeros(coef.shape[:-1] + (M - 1,))
+    full[..., :coef.shape[-1]] = coef
+    return sfft.dst(full, type=1, overwrite_x=True) * (math.sqrt(2.0) / 2.0)
 
 
 def sine_values(coef, M: int | None = None, axis: int = -1) -> np.ndarray:
@@ -72,14 +76,17 @@ def sine_coefficients(values) -> np.ndarray:
                      values)
 
 
+def _cos(q: np.ndarray) -> np.ndarray:
+    full = np.zeros(q.shape[:-1] + (q.shape[-1] + 2,))
+    full[..., 1:-1] = q
+    scale = math.sqrt(2.0) / (2.0 * (q.shape[-1] + 1))
+    return sfft.dct(full, type=1, overwrite_x=True)[..., 1:-1] * scale
+
+
 def cos_coefficients(values) -> np.ndarray:
     """Coefficients int q(x) sqrt(2) cos(k pi x) dx, k = 1..M-1, from the ``values``
     of q at i/M; q = 0 at both ends, as for products v*z and v^2 of Dirichlet fields."""
-    def rows(q):
-        full = np.pad(q, ((0, 0), (1, 1)))
-        return sfft.dct(full, type=1, axis=-1)[:, 1:-1] * (math.sqrt(2.0) / (2.0 * (q.shape[-1] + 1)))
-
-    return by_blocks(rows, values)
+    return by_blocks(_cos, values)
 
 
 def l4_norm4(coef, grid_M: int | None = None):
@@ -87,6 +94,6 @@ def l4_norm4(coef, grid_M: int | None = None):
     cells, by default 2(n+1)); one vector gives a scalar."""
     def rows(c):
         M = grid_M or 2 * (c.shape[-1] + 1)
-        return (_values(c, M) ** 4).sum(axis=-1) / M
+        return np.square(np.square(_values(c, M))).sum(axis=-1) / M
 
     return by_blocks(rows, coef)

@@ -507,6 +507,8 @@ def sample_stable_oneside(beta: float, size, rng: np.random.Generator) -> np.nda
     Kanter's representation from one uniform and one exponential variate:
     S = (A(U)/E)^((1-beta)/beta) with
     A(u) = [sin(beta u)^beta sin((1-beta) u)^(1-beta) / sin(u)]^(1/(1-beta)).
+    Raises OverflowError when a draw exceeds the double range, which only
+    small beta make likely (about exp(-709.8 beta) / Gamma(1-beta) per draw).
     """
     u = rng.uniform(0.0, np.pi, size=size)
     e = rng.exponential(size=size)
@@ -518,7 +520,11 @@ def sample_stable_oneside(beta: float, size, rng: np.random.Generator) -> np.nda
     # continuous there, with A(0+) = beta^(beta/(1-beta)) (1-beta)
     log_a = np.where(u > 0.0, log_a,
                      (beta * math.log(beta) + (1.0 - beta) * math.log(1.0 - beta)) / (1.0 - beta))
-    return np.exp((1.0 - beta) / beta * (log_a - np.log(e)))
+    with np.errstate(over="ignore"):
+        s = np.exp((1.0 - beta) / beta * (log_a - np.log(e)))
+    if np.isinf(s).any():
+        raise OverflowError(f"a one-sided stable draw at beta={beta:g} exceeds the double range")
+    return s
 
 
 def _check_expected_jumps(expected: float) -> None:

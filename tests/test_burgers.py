@@ -7,13 +7,14 @@ from levyfield._rng import stream
 from levyfield.burgers import (
     AprioriConstants,
     StepSizeError,
+    _transport_coefficients,
     check_apriori,
     solve_modified_burgers,
     solve_stochastic_burgers,
     weak_residual,
 )
 from levyfield.noise import CylindricalWienerSpec, LevyNoiseSpec
-from levyfield.sine import l4_norm4, sine_coefficients, sine_values
+from levyfield.sine import cos_coefficients, l4_norm4, sine_coefficients, sine_values
 from levyfield.subordinator import SubordinatorSpec
 
 
@@ -33,7 +34,45 @@ def test_l4_norm_of_single_mode():
     assert l4_norm4(c, 4096) == pytest.approx(1.5, rel=1e-6)
 
 
+@pytest.mark.parametrize("with_z", [False, True])
+@pytest.mark.parametrize("n", [15, 63, 255])
+def test_transport_of_one_vector_is_bitwise_its_row_and_the_blocked_composition(n, with_z):
+    rng = stream(21, n)
+    v = rng.standard_normal((5, n))
+    z = rng.standard_normal((5, n)) if with_z else None
+    block = _transport_coefficients(v, z)
+    for i in range(5):
+        row = _transport_coefficients(v[i], None if z is None else z[i])
+        assert np.array_equal(row, block[i])
+        # the same product through the blocked public transforms
+        vv = sine_values(v[i], 2 * (n + 1))
+        q = 0.5 * vv * vv
+        if z is not None:
+            q += vv * sine_values(z[i], 2 * (n + 1))
+        assert np.array_equal(row, np.arange(1, n + 1) * math.pi * cos_coefficients(q)[:n])
+
+
 # -- deterministic solver ------------------------------------------------
+
+
+def test_constant_data_equals_its_broadcast_array():
+    n, T, dt = 31, 0.05, 1e-3
+    rng = stream(22)
+    v0, zc, gc = 0.3 * rng.standard_normal((3, n)) / np.arange(1, n + 1)
+    const = solve_modified_burgers(v0, zc, gc, T=T, dt=dt, n_modes=n)
+    rows = np.tile(zc, (51, 1)), np.tile(gc, (51, 1))
+    full = solve_modified_burgers(v0, *rows, T=T, dt=dt, n_modes=n)
+    for field in ("v_coeffs", "z_l4", "g_vprime", "vprime_vprime"):
+        assert np.array_equal(getattr(const, field), getattr(full, field)), field
+
+
+@pytest.mark.parametrize("shape", [(32,), (50, 31), (51, 1), (51, 31, 1), ()], ids=str)
+@pytest.mark.parametrize("which", ["zs", "gs"])
+def test_data_of_a_wrong_shape_is_refused(shape, which):
+    n = 31
+    data = {"zs": None, "gs": None, which: np.zeros(shape)}
+    with pytest.raises(ValueError, match=which):
+        solve_modified_burgers(np.zeros(n), **data, T=0.05, dt=1e-3, n_modes=n)
 
 
 def test_zero_data_stays_zero():
@@ -77,8 +116,9 @@ def test_manufactured_solution_convergence_in_dt():
 
     errs = []
     for dt in (4e-3, 2e-3, 1e-3):
-        traj = solve_modified_burgers(v_star(0.0), lambda t: z, g, T=0.2,
-                                      dt=dt, n_modes=n)
+        times = dt * np.arange(round(0.2 / dt) + 1)
+        gs = np.array([g(t) for t in times])
+        traj = solve_modified_burgers(v_star(0.0), z, gs, T=0.2, dt=dt, n_modes=n)
         errs.append(float(np.abs(traj.v_coeffs[-1] - v_star(0.2)).max()))
     order = math.log(errs[0] / errs[-1]) / math.log(4.0)
     assert order >= 0.9
@@ -130,8 +170,7 @@ def test_apriori_bounds_on_smooth_instance():
     v0 = np.zeros(n); v0[0] = 0.3
     zc = np.zeros(n); zc[1] = 0.25
     gc = np.zeros(n); gc[2] = 0.2
-    traj = solve_modified_burgers(v0, lambda t: zc, lambda t: gc,
-                                  T=0.5, dt=1e-3, n_modes=n)
+    traj = solve_modified_burgers(v0, zc, gc, T=0.5, dt=1e-3, n_modes=n)
     rep = check_apriori(traj)
     assert rep["all_pass"], rep
 
@@ -143,8 +182,7 @@ def test_apriori_forcing_scaling():
     lam2 = (2 * math.pi) ** 2
 
     def consts(scale):
-        traj = solve_modified_burgers(v0, None, lambda t: scale * gc,
-                                      T=0.3, dt=1e-3, n_modes=n)
+        traj = solve_modified_burgers(v0, None, scale * gc, T=0.3, dt=1e-3, n_modes=n)
         rep = check_apriori(traj)
         return rep
 
@@ -163,8 +201,7 @@ def test_apriori_random_instances():
         v0 = np.zeros(n); v0[rng.integers(0, 4)] = rng.uniform(-0.3, 0.3)
         zc = np.zeros(n); zc[rng.integers(0, 4)] = rng.uniform(-0.3, 0.3)
         gc = np.zeros(n); gc[rng.integers(0, 4)] = rng.uniform(-0.3, 0.3)
-        traj = solve_modified_burgers(v0, lambda t: zc, lambda t: gc,
-                                      T=0.5, dt=1e-3, n_modes=n)
+        traj = solve_modified_burgers(v0, zc, gc, T=0.5, dt=1e-3, n_modes=n)
         assert check_apriori(traj)["all_pass"]
 
 
@@ -185,7 +222,7 @@ def test_stochastic_zero_noise_matches_deterministic():
     noise = LevyNoiseSpec(CylindricalWienerSpec(1e9 * np.ones(n)),
                           SubordinatorSpec.drift_only(1e-12))
     res = solve_stochastic_burgers(u0, noise, f, T=0.1, dt=1e-3, n_modes=n, seed=0)
-    det = solve_modified_burgers(u0, None, lambda t: f, T=0.1, dt=1e-3, n_modes=n)
+    det = solve_modified_burgers(u0, None, f, T=0.1, dt=1e-3, n_modes=n)
     assert np.allclose(res["u_coeffs"][-1], det.v_coeffs[-1], atol=1e-6)
 
 
@@ -225,9 +262,9 @@ def test_rough_z_fails_the_refinement_diagnostic():
     n, dt = 15, 1e-3
     big, tiny = np.zeros(n), np.zeros(n)
     big[0], tiny[3] = 6.0, 1e-3
-    z_fn = lambda t: big if round(t / dt) % 2 else tiny
+    zs = np.array([big if i % 2 else tiny for i in range(21)])
     with pytest.raises(RuntimeError, match="not stable under refinement"):
-        solve_modified_burgers(np.zeros(n), z_fn, None, T=0.02, dt=dt, n_modes=n)
+        solve_modified_burgers(np.zeros(n), zs, None, T=0.02, dt=dt, n_modes=n)
 
 
 def test_apriori_constants_formulas():

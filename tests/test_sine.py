@@ -41,7 +41,7 @@ def ref_l4_norm4(coef, grid_M=None):
     n = coef.size
     M = grid_M or 2 * (n + 1)
     vals = ref_sine_values(coef, M)
-    return float((vals ** 4).sum() / M)
+    return float(np.square(np.square(vals)).sum() / M)
 
 
 def row_by_row(ref, a):
@@ -77,6 +77,13 @@ def test_one_vector_l4_norm_is_a_scalar():
     c = stream(4).standard_normal(N)
     assert np.ndim(l4_norm4(c)) == 0
     assert float(l4_norm4(c)) == ref_l4_norm4(c)
+
+
+def test_l4_norm_by_squaring_is_within_rounding_of_the_fourth_power():
+    c = stream(8).standard_normal((200, N)) / np.arange(1, N + 1)
+    vals = sine_values(c, 2 * (N + 1))
+    power = (vals ** 4).sum(axis=-1) / (2 * (N + 1))
+    assert np.allclose(l4_norm4(c), power, rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("axis", [0, 1, -2])
