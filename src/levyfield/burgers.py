@@ -24,7 +24,7 @@ import numpy as np
 
 from ._rng import stream
 from .noise import LevyNoiseSpec
-from .sine import _cos, _values, by_blocks, l4_norm4
+from .sine import BLOCK_ROWS, _cos, _values, by_blocks, l4_norm4
 from .subordinator import SubordinatorPath, simulate_paths
 
 __all__ = [
@@ -111,6 +111,18 @@ def _on_grid(name: str, a, shape: tuple[int, int]) -> Optional[np.ndarray]:
     return np.broadcast_to(a, shape)
 
 
+def _time_grid(T: float, dt: float) -> tuple[int, np.ndarray]:
+    """n_steps and the grid dt * (0, 1, ..., n_steps) of [0, T]; ValueError
+    unless T and dt are finite and positive and T is a multiple of dt."""
+    for name, x in (("T", T), ("dt", dt)):
+        if not (math.isfinite(x) and x > 0):
+            raise ValueError(f"{name} must be finite and positive, not {x!r}")
+    n_steps = int(round(T / dt))
+    if abs(n_steps * dt - T) > 1e-9 * T:
+        raise ValueError(f"T must be an integer multiple of dt (T={T!r}, dt={dt!r})")
+    return n_steps, dt * np.arange(n_steps + 1)
+
+
 def solve_modified_burgers(
     v0: np.ndarray,
     zs: Optional[np.ndarray],
@@ -132,14 +144,11 @@ def solve_modified_burgers(
     v0 = np.asarray(v0, dtype=float)
     if v0.size != n_modes:
         raise ValueError("v0 must have n_modes sine coefficients")
-    n_steps = int(round(T / dt))
-    if abs(n_steps * dt - T) > 1e-9 * T:
-        raise ValueError("T must be an integer multiple of dt")
+    n_steps, times = _time_grid(T, dt)
     k = np.arange(1, n_modes + 1)
     lam = (k * math.pi) ** 2
     decay = np.exp(-lam * dt)
     phi1 = (1.0 - decay) / lam
-    times = dt * np.arange(n_steps + 1)
 
     zs = _on_grid("zs", zs, (n_steps + 1, n_modes))
     gs = _on_grid("gs", gs, (n_steps + 1, n_modes))
@@ -224,46 +233,59 @@ def _joint_ou_noise_paths(lam: np.ndarray, inv_w: np.ndarray,
                           seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact joint draw of the OU path z and the driving noise Y on a grid.
 
-    Per cell and mode, (Delta Y, OU innovation) is bivariate Gaussian with
+    Cell i is (times[i-1], times[i]], with times[-1] taken as 0.  Per cell
+    and mode, (Delta Y, OU innovation) is bivariate Gaussian with
     Var(DY) = w^-2 dZ, Var(eta) = w^-2 int e^(-2 lam (t'-s)) dZ and
     Cov = w^-2 int e^(-lam (t'-s)) dZ, all closed-form over the cell's jumps.
-    The Gaussian draws come from ``stream(seed, 1)``.
+    The cells are taken BLOCK_ROWS at a time; a cell of zero length draws
+    nothing.  The Gaussian draws come from ``stream(seed, 1)``, cell after
+    cell, so they do not depend on the block size.
     """
     rng = stream(seed, 1)
     n = lam.size
+    slope = zpath.total_slope
+    inv_w2 = inv_w ** 2
+    edges = np.concatenate(([0.0], times))
+    dtc = np.diff(edges)
+    dz = np.diff(zpath.value(edges))
+    # the jumps of cell i are zpath.times[k[i]:k[i + 1]]
+    k = np.searchsorted(zpath.times, edges, side="right")
     z = np.zeros(n)
     y = np.zeros(n)
     z_hist = np.empty((times.size, n))
     y_hist = np.empty((times.size, n))
-    t_prev = 0.0
-    for i, t in enumerate(times):
-        dtc = t - t_prev
-        if dtc > 0:
-            slope = zpath.total_slope
-            dz_cell = float(zpath.value(t) - zpath.value(t_prev))
-            v_dy = dz_cell * np.ones(n)
-            v_eta = slope * (1.0 - np.exp(-2.0 * lam * dtc)) / (2.0 * lam)
-            cov = slope * (1.0 - np.exp(-lam * dtc)) / lam
-            k0 = np.searchsorted(zpath.times, t_prev, side="right")
-            k1 = np.searchsorted(zpath.times, t, side="right")
-            if k1 > k0:
-                e1 = np.exp(-np.multiply.outer(lam, t - zpath.times[k0:k1]))
-                v_eta = v_eta + (e1 ** 2 * zpath.sizes[k0:k1]).sum(axis=1)
-                cov = cov + (e1 * zpath.sizes[k0:k1]).sum(axis=1)
-            v_dy = v_dy * inv_w ** 2
-            v_eta = v_eta * inv_w ** 2
-            cov = cov * inv_w ** 2
-            g1, g2 = rng.standard_normal((2, n))
-            dy = np.sqrt(v_dy) * g1
-            with np.errstate(invalid="ignore", divide="ignore"):
-                beta = np.where(v_dy > 0, cov / np.where(v_dy > 0, v_dy, 1.0), 0.0)
-                resid = np.maximum(v_eta - beta * cov, 0.0)
-            eta = beta * dy + np.sqrt(resid) * g2
-            y = y + dy
-            z = np.exp(-lam * dtc) * z + eta
-        z_hist[i] = z
-        y_hist[i] = y
-        t_prev = t
+    for lo in range(0, times.size, BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, times.size)
+        drawn = dtc[lo:hi] > 0
+        cells = lo + np.flatnonzero(drawn)
+        d = dtc[cells, None]
+        decay = np.exp(-lam * d)
+        v_eta = slope * (1.0 - np.exp(-2.0 * lam * d)) / (2.0 * lam)
+        cov = slope * (1.0 - decay) / lam
+        for c in np.flatnonzero(k[cells + 1] > k[cells]):
+            jumps = slice(k[cells[c]], k[cells[c] + 1])
+            e1 = np.exp(-np.multiply.outer(lam, times[cells[c]] - zpath.times[jumps]))
+            v_eta[c] = v_eta[c] + (e1 ** 2 * zpath.sizes[jumps]).sum(axis=1)
+            cov[c] = cov[c] + (e1 * zpath.sizes[jumps]).sum(axis=1)
+        v_dy = dz[cells, None] * inv_w2
+        v_eta = v_eta * inv_w2
+        cov = cov * inv_w2
+        g = rng.standard_normal((cells.size, 2, n))
+        dy = np.sqrt(v_dy) * g[:, 0]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            beta = np.where(v_dy > 0, cov / np.where(v_dy > 0, v_dy, 1.0), 0.0)
+            resid = np.maximum(v_eta - beta * cov, 0.0)
+        eta = beta * dy + np.sqrt(resid) * g[:, 1]
+        j = 0
+        for i, fresh in enumerate(drawn.tolist(), lo):
+            if fresh:
+                y = np.add(y, dy[j], out=y_hist[i])
+                z = np.multiply(decay[j], z, out=z_hist[i])
+                z += eta[j]
+                j += 1
+            else:
+                y_hist[i] = y
+                z_hist[i] = z
     return z_hist, y_hist
 
 
@@ -291,9 +313,8 @@ def solve_stochastic_burgers(
         raise ValueError("u0 must have n_modes sine coefficients")
     if noise.wiener.truncation_N != n_modes:
         raise ValueError("noise truncation must equal n_modes")
+    _, times = _time_grid(T, dt)
     lam = (np.arange(1, n_modes + 1) * math.pi) ** 2
-    n_steps = int(round(T / dt))
-    times = dt * np.arange(n_steps + 1)
     sub = noise.subordinator
     method = None if sub.kind in ("drift_only", "compound_poisson") else "jumps"
     zpath = simulate_paths(sub, T, 1, stream(seed), cutoff_eps=cutoff_eps,

@@ -71,11 +71,18 @@ def _chunks(batch: PathBatch, n_modes: int):
         lo = hi
 
 
+def _non_finite(value) -> bool:
+    """True for a NaN or infinite float, also one inside (nested) lists or tuples."""
+    if isinstance(value, (list, tuple)):
+        return any(map(_non_finite, value))
+    return isinstance(value, float) and not math.isfinite(value)
+
+
 def _write_csv(path: Path, header, rows):
     """Writes the rows, or raises FloatingPointError if a float in them is
     NaN or infinite."""
     rows = list(rows)
-    if any(isinstance(v, float) and not math.isfinite(v) for row in rows for v in row):
+    if _non_finite(rows):
         raise FloatingPointError(f"non-finite value in {path.name}")
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -257,6 +264,8 @@ def _run_burgers(cfg, out: Path):
     w_scale = float(cfg["weight_scale"])
     tol = float(cfg["residual_tol"])
     seed = int(cfg["master_seed"])
+    if n < 5:
+        raise ValueError(f"n_modes must be at least 5, not {n}: the weak residual tests modes 1-5")
     k = np.arange(1, n + 1)
     w = w_scale * (k * math.pi) ** theta
     noise = LevyNoiseSpec(CylindricalWienerSpec(w), SubordinatorSpec.stable(0.75))
@@ -280,6 +289,11 @@ def _run_bounds(cfg, out: Path):
     dt = float(cfg["dt"])
     T = float(cfg["T"])
     seed = int(cfg["master_seed"])
+    if n < 4:
+        raise ValueError(f"n_modes must be at least 4, not {n}: "
+                         "each instance sets one of the first four modes")
+    if n_instances < 1:
+        raise ValueError(f"n_instances must be at least 1, not {n_instances}")
     rng = stream(seed)
     rows, all_ok = [], True
     for i in range(n_instances):
@@ -319,6 +333,11 @@ def run(config: dict, out_dir: str) -> int:
     unknown = sorted(set(config) - {"experiment", "master_seed"} - set(defaults))
     if unknown:
         print(f"error: unknown config keys {unknown} for {kind}; accepted: {sorted(defaults)}",
+              file=sys.stderr)
+        return 2
+    non_finite = sorted(key for key, value in config.items() if _non_finite(value))
+    if non_finite:
+        print(f"error: non-finite values (NaN or Infinity) for config keys {non_finite}",
               file=sys.stderr)
         return 2
     t0 = time.time()

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from levyfield import burgers
 from levyfield._rng import stream
 from levyfield.burgers import (
     AprioriConstants,
     StepSizeError,
+    _joint_ou_noise_paths,
     _transport_coefficients,
     check_apriori,
     solve_modified_burgers,
@@ -15,7 +17,7 @@ from levyfield.burgers import (
 )
 from levyfield.noise import CylindricalWienerSpec, LevyNoiseSpec
 from levyfield.sine import cos_coefficients, l4_norm4, sine_coefficients, sine_values
-from levyfield.subordinator import SubordinatorSpec
+from levyfield.subordinator import SubordinatorPath, SubordinatorSpec, simulate_paths
 
 
 # -- spectral plumbing ---------------------------------------------------
@@ -73,6 +75,18 @@ def test_data_of_a_wrong_shape_is_refused(shape, which):
     data = {"zs": None, "gs": None, which: np.zeros(shape)}
     with pytest.raises(ValueError, match=which):
         solve_modified_burgers(np.zeros(n), **data, T=0.05, dt=1e-3, n_modes=n)
+
+
+@pytest.mark.parametrize("T, dt, message", [
+    (0.05, 0.0, "dt must be"), (0.05, -1e-3, "dt must be"), (0.05, math.nan, "dt must be"),
+    (math.inf, 1e-3, "T must be"), (0.0, 1e-3, "T must be"), (0.05, 0.03, "multiple of dt"),
+])
+def test_both_solvers_refuse_a_bad_time_grid(T, dt, message):
+    n = 15
+    with pytest.raises(ValueError, match=message):
+        solve_modified_burgers(np.zeros(n), None, None, T=T, dt=dt, n_modes=n)
+    with pytest.raises(ValueError, match=message):
+        solve_stochastic_burgers(np.zeros(n), burgers_noise(n), None, T=T, dt=dt, n_modes=n)
 
 
 def test_zero_data_stays_zero():
@@ -212,6 +226,92 @@ def burgers_noise(n, theta=0.25, w_scale=5.0, beta=0.75):
     k = np.arange(1, n + 1)
     w = w_scale * (k * math.pi) ** theta
     return LevyNoiseSpec(CylindricalWienerSpec(w), SubordinatorSpec.stable(beta))
+
+
+def cell_by_cell_ou_noise_paths(lam, inv_w, zpath, times, seed):
+    """Reference for _joint_ou_noise_paths: one cell per iteration."""
+    rng = stream(seed, 1)
+    n = lam.size
+    z = np.zeros(n)
+    y = np.zeros(n)
+    z_hist = np.empty((times.size, n))
+    y_hist = np.empty((times.size, n))
+    t_prev = 0.0
+    for i, t in enumerate(times):
+        dtc = t - t_prev
+        if dtc > 0:
+            slope = zpath.total_slope
+            dz_cell = float(zpath.value(t) - zpath.value(t_prev))
+            v_dy = dz_cell * np.ones(n)
+            v_eta = slope * (1.0 - np.exp(-2.0 * lam * dtc)) / (2.0 * lam)
+            cov = slope * (1.0 - np.exp(-lam * dtc)) / lam
+            k0 = np.searchsorted(zpath.times, t_prev, side="right")
+            k1 = np.searchsorted(zpath.times, t, side="right")
+            if k1 > k0:
+                e1 = np.exp(-np.multiply.outer(lam, t - zpath.times[k0:k1]))
+                v_eta = v_eta + (e1 ** 2 * zpath.sizes[k0:k1]).sum(axis=1)
+                cov = cov + (e1 * zpath.sizes[k0:k1]).sum(axis=1)
+            v_dy = v_dy * inv_w ** 2
+            v_eta = v_eta * inv_w ** 2
+            cov = cov * inv_w ** 2
+            g1, g2 = rng.standard_normal((2, n))
+            dy = np.sqrt(v_dy) * g1
+            with np.errstate(invalid="ignore", divide="ignore"):
+                beta = np.where(v_dy > 0, cov / np.where(v_dy > 0, v_dy, 1.0), 0.0)
+                resid = np.maximum(v_eta - beta * cov, 0.0)
+            eta = beta * dy + np.sqrt(resid) * g2
+            y = y + dy
+            z = np.exp(-lam * dtc) * z + eta
+        z_hist[i] = z
+        y_hist[i] = y
+        t_prev = t
+    return z_hist, y_hist
+
+
+def burgers_cli_path(seed):
+    """The path of Z and the noise of the `burgers` experiment at its defaults."""
+    noise = burgers_noise(255)
+    zpath = simulate_paths(noise.subordinator, 0.2, 1, stream(seed), cutoff_eps=1e-3,
+                           method="jumps").path(0)
+    return noise, zpath
+
+
+HAND_TIMES = 0.01 * np.arange(51)
+# a jump exactly at a grid time, two jumps in the cell (0.12, 0.13] and one
+# after the last grid time
+HAND_PATH = SubordinatorPath(horizon_T=1.0, drift_slope=0.3,
+                             times=np.array([HAND_TIMES[5], 0.123, 0.127, 0.9]),
+                             sizes=np.array([0.4, 0.05, 1.2, 2.0]))
+UNEVEN_TIMES = np.sort(np.concatenate([stream(23).uniform(0.0, 0.2, 150),
+                                       HAND_TIMES[:21:4], [0.07, 0.07]]))
+
+
+@pytest.mark.parametrize("case", ["default-grid", "odd-length", "late-start", "uneven",
+                                  "hand-built-jumps", "no-jumps", "no-noise"])
+def test_blocked_ou_noise_paths_equal_the_cell_by_cell_draw(monkeypatch, case):
+    if case == "default-grid":
+        noise, zpath = burgers_cli_path(1)
+        times = 1e-4 * np.arange(2001)
+    else:
+        noise, zpath = burgers_noise(31), burgers_cli_path(2)[1]
+        times = {"odd-length": 1e-3 * np.arange(131),
+                 "late-start": 0.05 + 1e-3 * np.arange(100),
+                 "uneven": UNEVEN_TIMES}.get(case, HAND_TIMES)
+        if case == "hand-built-jumps":
+            zpath = HAND_PATH
+        elif case in ("no-jumps", "no-noise"):
+            slope = 0.5 if case == "no-jumps" else 0.0
+            zpath = SubordinatorPath(horizon_T=1.0, drift_slope=slope,
+                                     times=np.array([]), sizes=np.array([]))
+    n = noise.wiener.truncation_N
+    lam = (np.arange(1, n + 1) * math.pi) ** 2
+    inv_w = 1.0 / noise.wiener.hilbert_weights
+    want = cell_by_cell_ou_noise_paths(lam, inv_w, zpath, times, seed=5)
+    for block_rows in (1, 7, 64):
+        monkeypatch.setattr(burgers, "BLOCK_ROWS", block_rows)
+        got = _joint_ou_noise_paths(lam, inv_w, zpath, times, seed=5)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes(), block_rows
 
 
 def test_stochastic_zero_noise_matches_deterministic():

@@ -269,3 +269,34 @@ def test_blowup_needs_two_distinct_truncations_exit_2(tmp_path, capsys, truncati
                                   "truncations": truncations})
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "two distinct truncations" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload, key", [
+    ({"experiment": "burgers", "residual_tol": float("nan")}, "residual_tol"),
+    ({"experiment": "burgers", "theta": float("inf")}, "theta"),
+    ({"experiment": "bounds", "T": -float("inf")}, "T"),
+    ({"experiment": "circle", "thetas": [0.0, float("nan")]}, "thetas"),
+], ids=["nan", "infinity", "minus-infinity", "nan-in-a-list"])
+def test_non_finite_config_value_exit_2(tmp_path, capsys, payload, key):
+    # json reads NaN and Infinity; they are refused before the experiment starts
+    cfg = write_config(tmp_path, {**payload, "master_seed": 1})
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "non-finite" in err and repr(key) in err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"experiment": "burgers", "dt": -1e-4}, "dt must be finite and positive"),
+    ({"experiment": "burgers", "dt": 0}, "dt must be finite and positive"),
+    ({"experiment": "burgers", "n_modes": 1}, "n_modes must be at least 5"),
+    ({"experiment": "bounds", "dt": 0}, "dt must be finite and positive"),
+    ({"experiment": "bounds", "n_modes": 2}, "n_modes must be at least 4"),
+    ({"experiment": "bounds", "n_instances": 0}, "n_instances must be at least 1"),
+], ids=["burgers-negative-dt", "burgers-zero-dt", "burgers-n_modes", "bounds-zero-dt",
+        "bounds-n_modes", "bounds-n_instances"])
+def test_invalid_burgers_and_bounds_values_exit_2(tmp_path, capsys, payload, message):
+    cfg = write_config(tmp_path, {**payload, "master_seed": 1})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
