@@ -25,7 +25,7 @@ import numpy as np
 from ._rng import stream
 from .noise import LevyNoiseSpec
 from .sine import BLOCK_ROWS, _cos, _values, by_blocks, l4_norm4
-from .subordinator import SubordinatorPath, simulate_paths
+from .subordinator import PathBatch, simulate_paths
 
 __all__ = [
     "BurgersTrajectory",
@@ -229,7 +229,7 @@ def check_apriori(traj: BurgersTrajectory, slack: float = 0.05) -> dict:
 
 
 def _joint_ou_noise_paths(lam: np.ndarray, inv_w: np.ndarray,
-                          zpath: SubordinatorPath, times: np.ndarray,
+                          zpath: PathBatch, times: np.ndarray,
                           seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact joint draw of the OU path z and the driving noise Y on a grid.
 
@@ -247,7 +247,7 @@ def _joint_ou_noise_paths(lam: np.ndarray, inv_w: np.ndarray,
     inv_w2 = inv_w ** 2
     edges = np.concatenate(([0.0], times))
     dtc = np.diff(edges)
-    dz = np.diff(zpath.value(edges))
+    dz = zpath.increments(edges)[0]
     # the jumps of cell i are zpath.times[k[i]:k[i + 1]]
     k = np.searchsorted(zpath.times, edges, side="right")
     z = np.zeros(n)
@@ -316,9 +316,7 @@ def solve_stochastic_burgers(
     _, times = _time_grid(T, dt)
     lam = (np.arange(1, n_modes + 1) * math.pi) ** 2
     sub = noise.subordinator
-    method = None if sub.kind in ("drift_only", "compound_poisson") else "jumps"
-    zpath = simulate_paths(sub, T, 1, stream(seed), cutoff_eps=cutoff_eps,
-                           method=method).path(0)
+    zpath = simulate_paths(sub, T, 1, stream(seed), cutoff_eps=cutoff_eps, method="jumps")
     z_hist, y_hist = _joint_ou_noise_paths(lam, 1.0 / noise.wiener.hilbert_weights,
                                            zpath, times, seed=seed)
 
@@ -338,37 +336,32 @@ def solve_stochastic_burgers(
             "z_coeffs": z_hist, "y_coeffs": y_hist, "certificate": certificate}
 
 
-def weak_residual(result: dict, f: Optional[np.ndarray], test_modes: Sequence[int],
-                  t_index: int = -1) -> list[float]:
+def weak_residual(result: dict, f: Optional[np.ndarray], test_modes: Sequence[int]) -> list[float]:
     """Residuals of the weak identity against psi = sqrt(2) sin(k pi x), one
     per test mode k in ``test_modes``.
 
     (u(t),psi) - (u0,psi) - int (u, Lap psi) - 1/2 int (u^2, grad psi)
       - int (f,psi) - <psi, Y(t)>, with time integrals by the trapezoid
-    rule on the solver grid.
+    rule on the solver grid, at the final grid time t.
     """
     times = result["times"]
     u = result["u_coeffs"]
     y = result["y_coeffs"]
     z = result["z_coeffs"]
-    if t_index < 0:
-        t_index = times.size + t_index
     cols = np.asarray(test_modes, dtype=int) - 1
-    sl = slice(0, t_index + 1)
-    tgrid = times[sl]
     # 1/2 (u^2, grad psi) = k pi * cosine coefficient of u^2/2, the k-th
     # transport coefficient of u alone
-    q = by_blocks(lambda ub: _transport_coefficients(ub)[:, cols], u[sl])
+    q = by_blocks(lambda ub: _transport_coefficients(ub)[:, cols], u)
     residuals = []
     for j, c in enumerate(cols):
         lamk = ((c + 1) * math.pi) ** 2
         # (u, Lap psi) = -lam_k u_k; the v part is smooth (trapezoid), while the
         # rough OU part integrates exactly through its own equation:
         # lam int z_k ds = Y_k(t) - z_k(t) + z_k(0)
-        int_lap = float(np.trapezoid(-lamk * (u[sl, c] - z[sl, c]), tgrid)) \
-            - (y[t_index, c] - z[t_index, c] + z[0, c])
-        int_nl = float(np.trapezoid(q[:, j], tgrid))
-        int_f = 0.0 if f is None else float(f[c]) * float(tgrid[-1])
-        lhs = u[t_index, c] - u[0, c] - int_lap - int_nl
-        residuals.append(float(lhs - (int_f + y[t_index, c])))
+        int_lap = float(np.trapezoid(-lamk * (u[:, c] - z[:, c]), times)) \
+            - (y[-1, c] - z[-1, c] + z[0, c])
+        int_nl = float(np.trapezoid(q[:, j], times))
+        int_f = 0.0 if f is None else float(f[c]) * float(times[-1])
+        lhs = u[-1, c] - u[0, c] - int_lap - int_nl
+        residuals.append(float(lhs - (int_f + y[-1, c])))
     return residuals

@@ -120,7 +120,7 @@ def _charfn_projections(spec: LevyNoiseSpec, phis, t: float, n_paths: int,
     """
     batch = simulate_paths(spec.subordinator, t, n_paths, stream(seed, 1, case), grid_n=1)
     rng = stream(seed, 2, case)
-    return np.concatenate([increment_coefficients(spec, part.values(t), rng) @ phis.T
+    return np.concatenate([increment_coefficients(spec, part.increments((0.0, t))[:, 0], rng) @ phis.T
                            for part in _chunks(batch, spec.wiener.truncation_N)])
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from ._rng import stream
 from .spaces import SpaceSpec
 from .noise import LevyNoiseSpec
-from .subordinator import SubordinatorPath
+from .subordinator import PathBatch
 
 __all__ = [
     "MarkedJumpList",
@@ -72,17 +72,20 @@ class MarkedJumpList:
 
 def marked_path_from_z(
     spec: LevyNoiseSpec,
-    zpath: SubordinatorPath,
+    zpath: PathBatch,
     seed: int = 0,
     u_space: Optional[SpaceSpec] = None,
     threshold: float = 1.0,
 ) -> MarkedJumpList:
-    """Attach Gaussian marks to the jumps of a subordinator path.
+    """Attach Gaussian marks to the jumps of a subordinator path, given as a
+    batch of one path (ValueError for more).
 
     The jump of Y at a jump time of Z with size dZ has mode-j coefficient
     N(0, w_j^{-2} dZ); the recorded size is the U-norm of that mark
     (unweighted l2 when ``u_space`` is None).
     """
+    if zpath.n_paths != 1:
+        raise ValueError(f"zpath must be a batch of one path, not {zpath.n_paths}")
     rng = stream(seed)
     inv_w = 1.0 / spec.wiener.hilbert_weights
     n = zpath.times.size

@@ -71,10 +71,6 @@ class LevyNoiseSpec:
     wiener: CylindricalWienerSpec
     subordinator: SubordinatorSpec
 
-    @classmethod
-    def scalar(cls, subordinator: SubordinatorSpec) -> "LevyNoiseSpec":
-        return cls(CylindricalWienerSpec(np.ones(1)), subordinator)
-
 
 def char_functional(spec: LevyNoiseSpec, phi, t: float) -> float:
     """E exp(i <Y(t), phi>) = exp(-t psi(0.5 |phi|_H^2)); real and positive."""
@@ -220,7 +216,7 @@ def finite_variation_test(
     # empirical cross-check: TV growth under grid refinement
     batch = simulate_paths(sub, T, mc_paths, stream(seed, 1), grid_n=FV_CELLS)
     grid = np.linspace(0.0, T, FV_CELLS + 1)
-    dz = np.diff([batch.path(m).value(grid) for m in range(mc_paths)], axis=1)
+    dz = batch.increments(grid)
     inc = increment_coefficients(spec, dz, stream(seed, 2))
     fine = _u_norm(inc, u_space).sum(axis=1)
     coarse = _u_norm(inc.reshape(mc_paths, FV_CELLS // 16, 16, -1).sum(axis=2),

@@ -22,7 +22,7 @@ from .noise import LevyNoiseSpec
 from .jumps import marked_path_from_z, split
 from .sine import BLOCK_ROWS
 from .spectral import FieldSample, SpectralOperator, cell_moments, synthesize
-from .subordinator import SubordinatorPath, SubordinatorSpec, simulate_paths
+from .subordinator import PathBatch, SubordinatorSpec, simulate_paths
 
 __all__ = [
     "TrajectoryEnsemble",
@@ -45,9 +45,10 @@ MAX_CIRCLE_CELLS = 1 << 24
 
 
 def sample_trajectory(op: SpectralOperator, noise: LevyNoiseSpec,
-                      zpath: SubordinatorPath, times: np.ndarray,
+                      zpath: PathBatch, times: np.ndarray,
                       rng: np.random.Generator) -> np.ndarray:
-    """Exact joint draw of X at the given times, conditionally on zpath.
+    """Exact joint draw of X at the given times, conditionally on zpath, a
+    batch of one path (ValueError for more).
 
     Uses the OU recursion X_j(t') = e^(-lambda_j (t'-t)) X_j(t) + eta with
     eta Gaussian of variance w_j^(-2) int_t^(t') e^(-2 lambda_j (t'-s)) dZ(s)
@@ -55,6 +56,8 @@ def sample_trajectory(op: SpectralOperator, noise: LevyNoiseSpec,
     exact given Z.  The Gaussian variates are drawn from rng cell after
     cell.  Returns an array of shape (len(times), n_modes).
     """
+    if zpath.n_paths != 1:
+        raise ValueError(f"zpath must be a batch of one path, not {zpath.n_paths}")
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or np.any(np.diff(times) <= 0) or times[0] < 0:
         raise ValueError("times must be strictly increasing and nonnegative")
@@ -109,7 +112,7 @@ class TrajectoryEnsemble:
         rng = stream(seed, 2)
         coeffs = np.empty((n_paths, n_times, op.n_modes))
         for m in range(n_paths):
-            coeffs[m] = sample_trajectory(op, noise, batch.path(m), times, rng)
+            coeffs[m] = sample_trajectory(op, noise, batch[m:m + 1], times, rng)
         return cls(times=times, coefficients=coeffs,
                    metadata={"T": T, "seed": seed, "cutoff_eps": cutoff_eps})
 
@@ -229,7 +232,7 @@ def blowup_probe(op: SpectralOperator, noise: LevyNoiseSpec, F: SpaceSpec,
     if N_sequence[-1] > op.n_modes:
         raise ValueError("truncation sequence exceeds the operator mode count")
     zp = simulate_paths(noise.subordinator, T, 1, stream(seed), cutoff_eps=cutoff_eps,
-                        method="jumps").path(0)
+                        method="jumps")
     marked = marked_path_from_z(noise, zp, seed=seed + 1, u_space=u_space,
                                 threshold=threshold)
     _, large = split(marked)
@@ -294,8 +297,7 @@ def scalar_levy_jumps(sub: SubordinatorSpec, seed: int = 0,
     cells (times at the cell right endpoints), merged into the same list.
     """
     T = 2.0 * np.pi
-    method = None if sub.kind in ("drift_only", "compound_poisson") else "jumps"
-    zp = simulate_paths(sub, T, 1, stream(seed), cutoff_eps=cutoff_eps, method=method).path(0)
+    zp = simulate_paths(sub, T, 1, stream(seed), cutoff_eps=cutoff_eps, method="jumps")
     rng = stream(seed, 1)
     if sub.kind == "drift_only":
         times = np.linspace(T / slope_grid, T, slope_grid)

@@ -55,19 +55,3 @@ class SpaceSpec:
         if np.isinf(self.exponent_q):
             return wx.max(axis=-1)
         return (wx ** self.exponent_q).sum(axis=-1) ** (1.0 / self.exponent_q)
-
-    @classmethod
-    def power_law(cls, lambdas: np.ndarray, exponent: float, q: float, role: str = "E") -> "SpaceSpec":
-        """Weights lambda_j^exponent; exponent < 0 gives the a^{-1}-type dual weighting."""
-        lam = np.asarray(lambdas, dtype=float)
-        return cls(exponent_q=q, weights=lam ** exponent, role=role)
-
-    @classmethod
-    def hilbert_scale(cls, mu: np.ndarray, order: float, role: str = "H") -> "SpaceSpec":
-        """Sobolev-type Hilbert space of the given order over Laplacian eigenvalues mu.
-
-        The squared norm is sum_j mu_j^order x_j^2, so the per-mode weight is
-        mu_j^(order/2).
-        """
-        mu = np.asarray(mu, dtype=float)
-        return cls(exponent_q=2.0, weights=mu ** (order / 2.0), role=role)

@@ -14,7 +14,6 @@ with mean-drift compensation of the removed small jumps.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -25,7 +24,6 @@ import numpy as np
 __all__ = [
     "IntensityMeasure",
     "SubordinatorSpec",
-    "SubordinatorPath",
     "PathBatch",
     "QuadratureError",
     "stable_intensity",
@@ -322,75 +320,13 @@ class SubordinatorSpec:
 
 
 @dataclass(frozen=True)
-class SubordinatorPath:
-    """One realization of Z on [0, T]: a drift slope plus a finite jump list.
-
-    ``compensation`` is the extra slope absorbing the mean of the removed
-    small jumps; Z(t) = (drift_slope + compensation) * t + sum of jumps up
-    to t.
-    """
-
-    horizon_T: float
-    drift_slope: float
-    times: np.ndarray
-    sizes: np.ndarray
-    compensation: float = 0.0
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        s = np.asarray(self.sizes, dtype=float)
-        if t.shape != s.shape:
-            raise ValueError("times and sizes must have equal length")
-        if t.size and (np.any(np.diff(t) <= 0) or t[0] <= 0 or t[-1] > self.horizon_T):
-            raise ValueError("jump times must be strictly increasing in (0, T]")
-        if np.any(s <= 0):
-            raise ValueError("jump sizes must be positive")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "sizes", s)
-
-    @property
-    def total_slope(self) -> float:
-        return self.drift_slope + self.compensation
-
-    def value(self, t) -> np.ndarray:
-        """Z(t) for scalar or array t in [0, T]."""
-        t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self.times, t, side="right")
-        cum = np.concatenate([[0.0], np.cumsum(self.sizes)])
-        return self.total_slope * t + cum[idx]
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["# horizon_T", self.horizon_T])
-            w.writerow(["# drift_slope", self.drift_slope])
-            w.writerow(["# compensation", self.compensation])
-            w.writerow(["tau", "dz"])
-            for tau, dz in zip(self.times, self.sizes):
-                w.writerow([repr(float(tau)), repr(float(dz))])
-
-    @classmethod
-    def from_csv(cls, path) -> "SubordinatorPath":
-        meta, rows = {}, []
-        with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if row and row[0].startswith("#"):
-                    meta[row[0][1:].strip()] = float(row[1])
-                elif row and row[0] != "tau":
-                    rows.append((float(row[0]), float(row[1])))
-        times = np.array([r[0] for r in rows])
-        sizes = np.array([r[1] for r in rows])
-        return cls(horizon_T=meta["horizon_T"], drift_slope=meta["drift_slope"],
-                   compensation=meta.get("compensation", 0.0), times=times, sizes=sizes)
-
-
-@dataclass(frozen=True)
 class PathBatch:
     """Independent realizations of Z on [0, T] in CSR layout.
 
     Path p has the jumps ``times[offsets[p]:offsets[p+1]]`` (increasing)
     with sizes ``sizes[offsets[p]:offsets[p+1]]``; all paths share the
-    slope ``drift_slope + compensation``.
+    slope ``drift_slope + compensation``, where ``compensation`` absorbs the
+    mean of the removed small jumps.  A single path is a batch of one.
     """
 
     horizon_T: float
@@ -429,18 +365,21 @@ class PathBatch:
                          offsets=self.offsets[lo:hi + 1] - a, times=self.times[a:b],
                          sizes=self.sizes[a:b], compensation=self.compensation)
 
-    def path(self, p: int) -> SubordinatorPath:
-        a, b = self.offsets[p], self.offsets[p + 1]
-        return SubordinatorPath(horizon_T=self.horizon_T, drift_slope=self.drift_slope,
-                                times=self.times[a:b], sizes=self.sizes[a:b],
-                                compensation=self.compensation)
+    def increments(self, edges) -> np.ndarray:
+        """Z(edges[i+1]) - Z(edges[i]) of every path for nondecreasing edges,
+        shape (n_paths, len(edges) - 1).
 
-    def values(self, t: float) -> np.ndarray:
-        """Z(t) of every path at one time t in [0, T]."""
-        up_to_t = self.times <= t
-        jumps = np.bincount(self.rows[up_to_t], weights=self.sizes[up_to_t],
-                            minlength=self.n_paths)
-        return self.total_slope * t + jumps
+        Each cell is the slope times its length plus one sum of the jumps in
+        (edges[i], edges[i+1]]: a jump on an edge belongs to the cell that
+        edge closes, and jumps outside the edges are not counted.
+        """
+        edges = np.asarray(edges, dtype=float)
+        n_cells = edges.size - 1
+        cell = np.searchsorted(edges, self.times, side="left") - 1
+        inside = (cell >= 0) & (cell < n_cells)
+        jumps = np.bincount((self.rows * n_cells + cell)[inside],
+                            weights=self.sizes[inside], minlength=self.n_paths * n_cells)
+        return self.total_slope * np.diff(edges) + jumps.reshape(self.n_paths, n_cells)
 
 
 # -- operations ----------------------------------------------------------
@@ -570,7 +509,8 @@ def simulate_paths(
         _check_expected_jumps(n_paths * grid_n)
         dt = T / grid_n
         incr = dt ** (1.0 / spec.beta) * sample_stable_oneside(spec.beta, (n_paths, grid_n), rng)
-        times = np.tile(dt * np.arange(1, grid_n + 1), n_paths)
+        # the grid's own times, so the last is T itself and not grid_n * dt
+        times = np.tile(np.linspace(0.0, T, grid_n + 1)[1:], n_paths)
         return PathBatch(horizon_T=T, drift_slope=spec.drift_b,
                          offsets=grid_n * np.arange(n_paths + 1), times=times,
                          sizes=incr.ravel())

@@ -28,9 +28,9 @@ from levyfield.subordinator import (SubordinatorSpec, sample_stable_oneside,
 
 
 def _report(num, label, checks):
-    ok = all(checks.values())
-    print(f"\n[{num:2d}/10] {label}: {'PASS' if ok else 'FAIL'}")
-    assert ok, {k: v for k, v in checks.items() if not v}
+    failed = {k: v for k, v in checks.items() if not v}
+    print(f"\n[{num:2d}/10] {label}: {'FAIL' if failed else 'PASS'}")
+    assert not failed, failed
 
 
 def make_noise(sub, n):

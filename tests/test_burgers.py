@@ -17,7 +17,7 @@ from levyfield.burgers import (
 )
 from levyfield.noise import CylindricalWienerSpec, LevyNoiseSpec
 from levyfield.sine import cos_coefficients, l4_norm4, sine_coefficients, sine_values
-from levyfield.subordinator import SubordinatorPath, SubordinatorSpec, simulate_paths
+from levyfield.subordinator import PathBatch, SubordinatorSpec, simulate_paths
 
 
 # -- spectral plumbing ---------------------------------------------------
@@ -241,7 +241,7 @@ def cell_by_cell_ou_noise_paths(lam, inv_w, zpath, times, seed):
         dtc = t - t_prev
         if dtc > 0:
             slope = zpath.total_slope
-            dz_cell = float(zpath.value(t) - zpath.value(t_prev))
+            dz_cell = zpath.increments([t_prev, t])[0, 0]
             v_dy = dz_cell * np.ones(n)
             v_eta = slope * (1.0 - np.exp(-2.0 * lam * dtc)) / (2.0 * lam)
             cov = slope * (1.0 - np.exp(-lam * dtc)) / lam
@@ -272,16 +272,16 @@ def burgers_cli_path(seed):
     """The path of Z and the noise of the `burgers` experiment at its defaults."""
     noise = burgers_noise(255)
     zpath = simulate_paths(noise.subordinator, 0.2, 1, stream(seed), cutoff_eps=1e-3,
-                           method="jumps").path(0)
+                           method="jumps")
     return noise, zpath
 
 
 HAND_TIMES = 0.01 * np.arange(51)
 # a jump exactly at a grid time, two jumps in the cell (0.12, 0.13] and one
 # after the last grid time
-HAND_PATH = SubordinatorPath(horizon_T=1.0, drift_slope=0.3,
-                             times=np.array([HAND_TIMES[5], 0.123, 0.127, 0.9]),
-                             sizes=np.array([0.4, 0.05, 1.2, 2.0]))
+HAND_PATH = PathBatch(horizon_T=1.0, drift_slope=0.3, offsets=np.array([0, 4]),
+                      times=np.array([HAND_TIMES[5], 0.123, 0.127, 0.9]),
+                      sizes=np.array([0.4, 0.05, 1.2, 2.0]))
 UNEVEN_TIMES = np.sort(np.concatenate([stream(23).uniform(0.0, 0.2, 150),
                                        HAND_TIMES[:21:4], [0.07, 0.07]]))
 
@@ -301,8 +301,8 @@ def test_blocked_ou_noise_paths_equal_the_cell_by_cell_draw(monkeypatch, case):
             zpath = HAND_PATH
         elif case in ("no-jumps", "no-noise"):
             slope = 0.5 if case == "no-jumps" else 0.0
-            zpath = SubordinatorPath(horizon_T=1.0, drift_slope=slope,
-                                     times=np.array([]), sizes=np.array([]))
+            zpath = PathBatch(horizon_T=1.0, drift_slope=slope, offsets=np.array([0, 0]),
+                              times=np.array([]), sizes=np.array([]))
     n = noise.wiener.truncation_N
     lam = (np.arange(1, n + 1) * math.pi) ** 2
     inv_w = 1.0 / noise.wiener.hilbert_weights

@@ -37,7 +37,7 @@ def test_split_no_large_jumps():
 
 def test_split_additivity_exact():
     spec = make_spec(SubordinatorSpec.compound_poisson([2.5], [3.0]))
-    zp = simulate_paths(spec.subordinator, 1.0, 1, stream(1)).path(0)
+    zp = simulate_paths(spec.subordinator, 1.0, 1, stream(1))
     path = marked_path_from_z(spec, zp, seed=2)
     small, large = split(path)
     assert small.n_jumps + large.n_jumps == path.n_jumps
@@ -58,7 +58,7 @@ def test_large_jump_count_is_poisson():
     counts = []
     for m in range(400):
         zp = simulate_paths(spec.subordinator, 1.0, 1, stream(m), cutoff_eps=1e-3,
-                            method="jumps").path(0)
+                            method="jumps")
         path = marked_path_from_z(spec, zp, seed=m + 10_000)
         counts.append(split(path)[1].n_jumps)
     counts = np.asarray(counts)
@@ -81,7 +81,7 @@ def test_large_jump_count_is_poisson():
 
 def test_integrate_large_identity_kernel():
     spec = make_spec(SubordinatorSpec.compound_poisson([3.0], [2.0]))
-    zp = simulate_paths(spec.subordinator, 1.0, 1, stream(3)).path(0)
+    zp = simulate_paths(spec.subordinator, 1.0, 1, stream(3))
     path = marked_path_from_z(spec, zp, seed=4)
     out = integrate_large(lambda s: np.ones(4), path)
     assert np.allclose(out, path.sum_until(1.0), atol=1e-14)
@@ -115,7 +115,7 @@ def test_integrate_large_matches_loop_oracle():
 def test_small_jump_compensator_vanishes():
     spec = make_spec(SubordinatorSpec.stable(0.5))
     zp = simulate_paths(spec.subordinator, 1.0, 1, stream(5), cutoff_eps=1e-2,
-                        method="jumps").path(0)
+                        method="jumps")
     small, _ = split(marked_path_from_z(spec, zp, seed=6))
     out = integrate_large(lambda s: np.ones(4), small)
     assert np.allclose(out, small.sum_until(1.0), atol=1e-14)
@@ -124,7 +124,7 @@ def test_small_jump_compensator_vanishes():
 def test_small_jump_zero_kernel():
     spec = make_spec(SubordinatorSpec.stable(0.5))
     zp = simulate_paths(spec.subordinator, 1.0, 1, stream(7), cutoff_eps=1e-2,
-                        method="jumps").path(0)
+                        method="jumps")
     small, _ = split(marked_path_from_z(spec, zp, seed=8))
     out = integrate_large(lambda s: np.zeros(4), small)
     assert np.all(out == 0.0)

@@ -72,7 +72,7 @@ def test_charfn_semigroup_property():
 
 def test_increment_variance_drift_only():
     spec = make_spec(SubordinatorSpec.drift_only(1.0))
-    dz = simulate_paths(spec.subordinator, 1.0, 4000, stream(0, 1)).values(1.0)
+    dz = simulate_paths(spec.subordinator, 1.0, 4000, stream(0, 1)).increments((0.0, 1.0))[:, 0]
     assert np.all(dz == 1.0)
     inc = increment_coefficients(spec, dz, stream(0, 2))
     var = inc.var(axis=0)
@@ -85,8 +85,8 @@ def test_increment_variance_drift_only():
 
 def test_zero_length_cell_gives_zero_increment():
     spec = make_spec(SubordinatorSpec.stable(0.5))
-    zp = simulate_paths(spec.subordinator, 1.0, 1, stream(1)).path(0)
-    out = increment_coefficients(spec, np.diff(zp.value([0.5, 0.5])), stream(0))
+    zp = simulate_paths(spec.subordinator, 1.0, 1, stream(1))
+    out = increment_coefficients(spec, zp.increments([0.5, 0.5])[0], stream(0))
     assert np.all(out == 0.0)
 
 
@@ -96,7 +96,7 @@ def test_increment_mc_matches_charfn():
     phi = stream(3).standard_normal(8) / math.sqrt(8.0)
     t = 1.0
     mc = 20000
-    z = simulate_paths(spec.subordinator, t, mc, stream(3, 1), grid_n=1).values(t)
+    z = simulate_paths(spec.subordinator, t, mc, stream(3, 1), grid_n=1).increments((0.0, t))[:, 0]
     vals = np.cos(increment_coefficients(spec, z, stream(3, 2)) @ phi)
     emp = vals.mean()
     se = vals.std() / math.sqrt(mc)
@@ -106,11 +106,11 @@ def test_increment_mc_matches_charfn():
 def test_jump_times_of_y_match_z():
     spec = make_spec(SubordinatorSpec.stable(0.5))
     zp = simulate_paths(spec.subordinator, 1.0, 1, stream(5), cutoff_eps=1e-2,
-                        method="jumps").path(0)
+                        method="jumps")
     # increments over cells that contain no Z-jump have zero conditional
     # variance beyond the compensation slope contribution
     grid = np.linspace(0.0, 1.0, 21)
-    jump_part = np.diff(zp.value(grid)) - zp.total_slope * np.diff(grid)
+    jump_part = zp.increments(grid)[0] - zp.total_slope * np.diff(grid)
     for lo, hi, part in zip(grid[:-1], grid[1:], jump_part):
         in_cell = np.any((zp.times > lo) & (zp.times <= hi))
         assert (part > 1e-12) == bool(in_cell)

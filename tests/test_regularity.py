@@ -97,12 +97,11 @@ def test_trajectory_matches_marginal_variances():
     noise = make_noise(SubordinatorSpec.stable(0.5), N)
     batch = simulate_paths(noise.subordinator, 1.0, 1, stream(3), cutoff_eps=1e-3,
                            method="jumps")
-    zp = batch.path(0)
     times = np.array([0.3, 0.6, 1.0])
     mc = 4000
     acc = np.zeros((times.size, N))
     for m in range(mc):
-        acc += sample_trajectory(op, noise, zp, times, stream(m)) ** 2
+        acc += sample_trajectory(op, noise, batch, times, stream(m)) ** 2
     emp = acc / mc
     for i, t in enumerate(times):
         v = convolution_variances_batch(op, batch, float(t))[0]
@@ -139,7 +138,7 @@ def test_trajectory_is_bitwise_the_per_cell_loop(sub, n_times, from_zero):
     op = SpectralOperator.dirichlet(1, 1.0, 24)
     noise = LevyNoiseSpec(CylindricalWienerSpec(np.linspace(1.0, 3.0, 24)), sub)
     zp = simulate_paths(sub, 1.0, 1, stream(2), cutoff_eps=1e-3,
-                        method=None if sub.kind == "drift_only" else "jumps").path(0)
+                        method=None if sub.kind == "drift_only" else "jumps")
     times = np.linspace(0.0 if from_zero else 1.0 / n_times, 1.0, n_times)
     got = sample_trajectory(op, noise, zp, times, stream(9))
     assert np.array_equal(got, _per_cell_trajectory(op, noise, zp, times, 9))
@@ -173,7 +172,7 @@ def test_ensemble_is_bitwise_a_loop_over_one_batch():
                            method="jumps")
     rng = stream(3, 2)
     for m in range(5):
-        ref = sample_trajectory(op, noise, batch.path(m), ens.times, rng)
+        ref = sample_trajectory(op, noise, batch[m:m + 1], ens.times, rng)
         assert np.array_equal(ens.coefficients[m], ref), m
 
 
@@ -226,7 +225,7 @@ def _per_truncation_probe(op, noise, F, N_sequence, seed, threshold, u_space):
     """The sups and mark norms of blowup_probe before it summed at the full
     truncation once, with the weighted norms written out."""
     zp = simulate_paths(noise.subordinator, 1.0, 1, stream(seed), cutoff_eps=1e-3,
-                        method="jumps").path(0)
+                        method="jumps")
     marked = marked_path_from_z(noise, zp, seed=seed + 1, u_space=u_space,
                                 threshold=threshold)
     _, large = split(marked)

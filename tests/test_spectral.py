@@ -200,7 +200,8 @@ def test_batch_variances_match_per_path_and_direct_sum():
     slope = batch.total_slope * (1.0 - np.exp(-2.0 * lam * t)) / (2.0 * lam)
     for p in range(batch.n_paths):
         direct = slope.copy()
-        for tau, xi in zip(batch.path(p).times, batch.path(p).sizes):
+        jumps = slice(batch.offsets[p], batch.offsets[p + 1])
+        for tau, xi in zip(batch.times[jumps], batch.sizes[jumps]):
             if tau <= t:
                 direct += np.exp(-2.0 * lam * (t - tau)) * xi
         np.testing.assert_allclose(v[p], direct, rtol=1e-12, atol=0.0)
@@ -257,7 +258,7 @@ def test_sample_convolution_is_bitwise_the_per_path_sampler():
                 jumps.add(batch.times.size)
                 for t in (0.0, 0.45, 1.0):
                     got = sample_convolution_batch(op, noise, batch, t, stream(seed + 100))[0]
-                    ref = _per_path_sample_convolution(op, noise, batch.path(0), t, seed + 100)
+                    ref = _per_path_sample_convolution(op, noise, batch, t, seed + 100)
                     assert np.array_equal(got, ref), (seed, eps, t)
     assert min(jumps) == 0 and max(jumps) > 40
 

@@ -6,9 +6,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from levyfield._rng import stream
+from levyfield.jumps import marked_path_from_z
+from levyfield.noise import CylindricalWienerSpec, LevyNoiseSpec
+from levyfield.regularity import sample_trajectory
+from levyfield.spectral import SpectralOperator
 from levyfield.subordinator import (
     MAX_EXPECTED_JUMPS,
-    SubordinatorPath,
+    PathBatch,
     SubordinatorSpec,
     finite_variation_diagnostic,
     laplace_exponent,
@@ -115,16 +119,16 @@ def test_stable_sampler_laplace_transform():
 
 
 def test_drift_only_path_is_deterministic():
-    path = simulate_paths(SubordinatorSpec.drift_only(2.0), 3.0, 1, stream(0)).path(0)
+    path = simulate_paths(SubordinatorSpec.drift_only(2.0), 3.0, 1, stream(0))
     assert path.times.size == 0
-    assert path.value(3.0) == pytest.approx(6.0)
-    assert path.value(0.0) == 0.0
+    assert path.increments([0.0, 3.0])[0, 0] == pytest.approx(6.0)
+    assert path.increments([0.0, 0.0])[0, 0] == 0.0
 
 
 def test_stable_grid_path_laplace_transform():
     spec = SubordinatorSpec.stable(0.5)
     batch = simulate_paths(spec, 1.0, 3000, stream(0), grid_n=4)
-    vals = np.exp(-batch.values(1.0))
+    vals = np.exp(-batch.increments((0.0, 1.0))[:, 0])
     se = vals.std() / math.sqrt(vals.size)
     assert abs(vals.mean() - math.exp(-1.0)) < 4.0 * se
 
@@ -133,7 +137,7 @@ def test_jump_route_matches_laplace_transform_within_cutoff_bias():
     beta = 0.5
     c = beta / math.gamma(1.0 - beta)
     spec = SubordinatorSpec.tabulated(lambda x: c * x ** (-1.0 - beta))
-    vals = np.exp(-simulate_paths(spec, 1.0, 20000, stream(0), cutoff_eps=1e-4).values(1.0))
+    vals = np.exp(-simulate_paths(spec, 1.0, 20000, stream(0), cutoff_eps=1e-4).increments((0.0, 1.0))[:, 0])
     assert abs(vals.mean() - math.exp(-1.0)) < 1e-2
 
 
@@ -143,7 +147,7 @@ def test_cutoff_bias_decreases_when_halved():
 
     def bias(eps):
         batch = simulate_paths(spec, 1.0, 3000, stream(0), cutoff_eps=eps, method="jumps")
-        vals = np.exp(-batch.values(1.0))
+        vals = np.exp(-batch.increments((0.0, 1.0))[:, 0])
         return vals.mean() - target, vals.std() / math.sqrt(vals.size)
 
     b_coarse, se = bias(2e-2)
@@ -159,17 +163,6 @@ def test_path_determinism_is_bitwise():
     assert np.array_equal(a.times, b.times)
     assert np.array_equal(a.sizes, b.sizes)
     assert a.compensation == b.compensation
-
-
-def test_csv_roundtrip(tmp_path):
-    zp = simulate_paths(SubordinatorSpec.stable(0.5), 1.0, 1, stream(3), method="jumps").path(0)
-    f = tmp_path / "path.csv"
-    zp.to_csv(f)
-    back = SubordinatorPath.from_csv(f)
-    assert back.horizon_T == zp.horizon_T
-    assert np.array_equal(back.times, zp.times)
-    assert np.array_equal(back.sizes, zp.sizes)
-    assert back.compensation == zp.compensation
 
 
 def test_config_roundtrip():
@@ -223,7 +216,7 @@ def test_simulate_path_is_bitwise_the_per_path_sampler(spec, method):
         for eps in (1e-2, 1e-4):
             grid_n = 1 + seed % 7
             zp = simulate_paths(spec, 1.3, 1, stream(seed), cutoff_eps=eps, method=method,
-                                grid_n=grid_n).path(0)
+                                grid_n=grid_n)
             times, sizes, compensation = _per_path_sampler(spec, 1.3, eps, seed, grid_n, method)
             assert np.array_equal(zp.times, times)
             assert np.array_equal(zp.sizes, sizes)
@@ -242,7 +235,7 @@ def test_simulate_paths_laplace_identity(spec, method):
     T, n = 0.8, 20000
     batch = simulate_paths(spec, T, n, stream(11, 0 if method is None else 1),
                            cutoff_eps=1e-3, method=method, grid_n=4)
-    z = batch.values(T)
+    z = batch.increments((0.0, T))[:, 0]
     for r in (0.5, 1.0, 2.0):
         vals = np.exp(-r * z)
         se = vals.std() / math.sqrt(n)
@@ -257,24 +250,87 @@ def test_path_batch_csr_layout():
     assert (batch.counts == 0).any() and (batch.counts > 2).any()
     assert np.all((batch.times > 0) & (batch.times <= 2.0))
     assert np.array_equal(batch.rows, np.repeat(np.arange(300), batch.counts))
-    # sorted within each path, and each path is a valid SubordinatorPath
+    # sorted within each path
     within = np.diff(batch.times)[np.diff(batch.rows) == 0]
     assert np.all(within > 0)
-    values = batch.values(1.1)
+    z = batch.increments((0.0, 1.1))[:, 0]
     part = batch[100:200]
     assert part.n_paths == 100 and part.total_slope == batch.total_slope
+    assert np.array_equal(part.increments((0.0, 1.1))[:, 0], z[100:200])
     for p in range(100, 200):
-        zp = batch.path(p)
-        assert zp.value(1.1) == pytest.approx(values[p], rel=1e-14)
-        assert np.array_equal(part.path(p - 100).times, zp.times)
+        jumps = slice(batch.offsets[p], batch.offsets[p + 1])
         single = batch[p:p + 1]
-        assert single.n_paths == 1 and np.array_equal(single.path(0).sizes, zp.sizes)
+        assert single.n_paths == 1
+        assert np.array_equal(single.times, batch.times[jumps])
+        assert np.array_equal(single.sizes, batch.sizes[jumps])
+        direct = batch.total_slope * 1.1 + batch.sizes[jumps][batch.times[jumps] <= 1.1].sum()
+        assert z[p] == pytest.approx(direct, rel=1e-14)
 
 
 def test_drift_only_batch_has_no_jumps():
     batch = simulate_paths(SubordinatorSpec.drift_only(2.0), 3.0, 5, stream(0))
     assert batch.n_paths == 5 and batch.times.size == 0
-    assert np.array_equal(batch.values(1.5), np.full(5, 3.0))
+    assert np.array_equal(batch.increments((0.0, 1.5))[:, 0], np.full(5, 3.0))
+
+
+@pytest.mark.parametrize("beta", [0.25, 0.75])
+def test_increments_are_the_sampled_grid_increments(beta):
+    # with zero drift the cells of the sampling grid hold exactly the drawn
+    # stable increments; a difference of cumulative values rounds them, and
+    # at beta = 0.25 rounds many of them to 0
+    n_paths, grid_n = 20, 4096
+    batch = simulate_paths(SubordinatorSpec.stable(beta), 1.0, n_paths, stream(0),
+                           grid_n=grid_n)
+    edges = np.concatenate(([0.0], batch.times[:grid_n]))
+    assert np.array_equal(batch.increments(edges), batch.sizes.reshape(n_paths, grid_n))
+
+
+def test_grid_route_times_end_at_T():
+    # 11 * (0.1 / 11) rounds above 0.1; the last grid time is T itself
+    batch = simulate_paths(SubordinatorSpec.stable(0.5), 0.1, 3, stream(0), grid_n=11)
+    assert 11 * (0.1 / 11) > 0.1 and batch.times.max() == 0.1
+    assert np.array_equal(batch.increments(np.linspace(0.0, 0.1, 12)),
+                          batch.sizes.reshape(3, 11))
+
+
+def test_increments_at_edges_and_outside():
+    # path 0 jumps before the first edge, on an edge, inside a cell and after
+    # the last edge; path 1 has no jumps; path 2 jumps on the repeated edge
+    batch = PathBatch(horizon_T=1.0, drift_slope=0.25, compensation=0.25,
+                      offsets=np.array([0, 4, 4, 5]),
+                      times=np.array([0.1, 0.25, 0.4, 0.9, 0.5]),
+                      sizes=np.array([1.0, 2.0, 4.0, 8.0, 16.0]))
+    edges = [0.2, 0.25, 0.5, 0.5, 0.75]
+    jumps = np.array([[2.0, 4.0, 0.0, 0.0],
+                      [0.0, 0.0, 0.0, 0.0],
+                      [0.0, 16.0, 0.0, 0.0]])
+    got = batch.increments(edges)
+    assert np.array_equal(got, 0.5 * np.diff(edges) + jumps)
+    assert np.all(got[:, 2] == 0.0)
+    assert batch.increments([0.3, 0.3]).shape == (3, 1)
+    assert np.all(batch.increments([0.25, 0.25]) == 0.0)
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0])
+def test_increments_from_zero_are_z_of_t(t):
+    # a grid_n=1 batch has one jump per path at exactly t, and it counts
+    batch = simulate_paths(SubordinatorSpec(kind="stable", beta=0.9, drift_b=0.3), t, 1024,
+                           stream(5), grid_n=1)
+    up_to_t = batch.times <= t
+    z = batch.total_slope * t + np.bincount(batch.rows[up_to_t], weights=batch.sizes[up_to_t],
+                                            minlength=batch.n_paths)
+    assert np.array_equal(batch.increments((0, t))[:, 0], z)
+
+
+def test_single_path_readers_refuse_a_batch_of_two():
+    sub = SubordinatorSpec.stable(0.5)
+    noise = LevyNoiseSpec(CylindricalWienerSpec(np.ones(4)), sub)
+    batch = simulate_paths(sub, 1.0, 2, stream(0), cutoff_eps=1e-2, method="jumps")
+    with pytest.raises(ValueError, match="one path"):
+        sample_trajectory(SpectralOperator.dirichlet(1, 1.0, 4), noise, batch,
+                          np.array([0.5, 1.0]), stream(1))
+    with pytest.raises(ValueError, match="one path"):
+        marked_path_from_z(noise, batch)
 
 
 def test_expected_jump_count_is_bounded_before_drawing():
@@ -297,11 +353,10 @@ def test_expected_jump_count_is_bounded_before_drawing():
 def test_paths_are_nondecreasing(beta, seed, kind):
     spec = SubordinatorSpec.stable(beta)
     zp = simulate_paths(spec, 1.0, 1, stream(seed), cutoff_eps=1e-3,
-                        method="jumps" if kind == "jumps" else None).path(0)
-    grid = np.linspace(0.0, 1.0, 101)
-    vals = zp.value(grid)
-    assert np.all(np.diff(vals) >= 0)
-    assert vals[0] == 0.0
+                        method="jumps" if kind == "jumps" else None)
+    dz = zp.increments(np.linspace(0.0, 1.0, 101))
+    assert np.all(dz >= 0)
+    assert dz.sum() == pytest.approx(zp.increments((0.0, 1.0))[0, 0], rel=1e-12)
 
 
 @settings(max_examples=20, deadline=None)
