@@ -248,8 +248,8 @@ def _joint_ou_noise_paths(lam: np.ndarray, inv_w: np.ndarray,
     edges = np.concatenate(([0.0], times))
     dtc = np.diff(edges)
     dz = zpath.increments(edges)[0]
-    # the jumps of cell i are zpath.times[k[i]:k[i + 1]]
-    k = np.searchsorted(zpath.times, edges, side="right")
+    # the jumps of cell i are zpath.times[starts[i]:starts[i] + counts[i]]
+    (starts,), (counts,) = zpath.cells(edges)
     z = np.zeros(n)
     y = np.zeros(n)
     z_hist = np.empty((times.size, n))
@@ -262,8 +262,8 @@ def _joint_ou_noise_paths(lam: np.ndarray, inv_w: np.ndarray,
         decay = np.exp(-lam * d)
         v_eta = slope * (1.0 - np.exp(-2.0 * lam * d)) / (2.0 * lam)
         cov = slope * (1.0 - decay) / lam
-        for c in np.flatnonzero(k[cells + 1] > k[cells]):
-            jumps = slice(k[cells[c]], k[cells[c] + 1])
+        for c in np.flatnonzero(counts[cells]):
+            jumps = slice(starts[cells[c]], starts[cells[c]] + counts[cells[c]])
             e1 = np.exp(-np.multiply.outer(lam, times[cells[c]] - zpath.times[jumps]))
             v_eta[c] = v_eta[c] + (e1 ** 2 * zpath.sizes[jumps]).sum(axis=1)
             cov[c] = cov[c] + (e1 * zpath.sizes[jumps]).sum(axis=1)

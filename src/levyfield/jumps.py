@@ -17,7 +17,7 @@ import numpy as np
 
 from ._rng import stream
 from .spaces import SpaceSpec
-from .noise import LevyNoiseSpec
+from .noise import LevyNoiseSpec, _u_norm, increment_coefficients
 from .subordinator import PathBatch
 
 __all__ = [
@@ -62,23 +62,16 @@ class MarkedJumpList:
     def n_jumps(self) -> int:
         return self.times.size
 
-    def sum_until(self, t: float) -> np.ndarray:
-        """Sum of marks with jump time <= t (the pure-jump part of the path)."""
-        k = np.searchsorted(self.times, t, side="right")
-        if k == 0:
-            return np.zeros(self.marks.shape[1])
-        return self.marks[:k].sum(axis=0)
-
 
 def marked_path_from_z(
     spec: LevyNoiseSpec,
     zpath: PathBatch,
-    seed: int = 0,
+    rng: np.random.Generator,
     u_space: Optional[SpaceSpec] = None,
     threshold: float = 1.0,
 ) -> MarkedJumpList:
-    """Attach Gaussian marks to the jumps of a subordinator path, given as a
-    batch of one path (ValueError for more).
+    """Attach Gaussian marks drawn from rng to the jumps of a subordinator
+    path, given as a batch of one path (ValueError for more).
 
     The jump of Y at a jump time of Z with size dZ has mode-j coefficient
     N(0, w_j^{-2} dZ); the recorded size is the U-norm of that mark
@@ -86,16 +79,9 @@ def marked_path_from_z(
     """
     if zpath.n_paths != 1:
         raise ValueError(f"zpath must be a batch of one path, not {zpath.n_paths}")
-    rng = stream(seed)
-    inv_w = 1.0 / spec.wiener.hilbert_weights
-    n = zpath.times.size
-    marks = np.sqrt(zpath.sizes)[:, None] * inv_w * rng.standard_normal((n, inv_w.size))
-    if u_space is None:
-        sizes = np.sqrt((marks ** 2).sum(axis=1))
-    else:
-        sizes = u_space.norm(marks) if n else np.empty(0)
-    return MarkedJumpList(horizon_T=zpath.horizon_T, times=zpath.times,
-                          marks=marks, sizes=np.asarray(sizes), threshold=threshold)
+    marks = increment_coefficients(spec, zpath.sizes, rng)
+    return MarkedJumpList(horizon_T=zpath.horizon_T, times=zpath.times, marks=marks,
+                          sizes=_u_norm(marks, u_space), threshold=threshold)
 
 
 def split(path: MarkedJumpList) -> tuple[MarkedJumpList, MarkedJumpList]:

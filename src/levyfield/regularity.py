@@ -45,43 +45,46 @@ MAX_CIRCLE_CELLS = 1 << 24
 
 
 def sample_trajectory(op: SpectralOperator, noise: LevyNoiseSpec,
-                      zpath: PathBatch, times: np.ndarray,
+                      batch: PathBatch, times: np.ndarray,
                       rng: np.random.Generator) -> np.ndarray:
-    """Exact joint draw of X at the given times, conditionally on zpath, a
-    batch of one path (ValueError for more).
+    """Exact joint draw of X at the given times for every path of a batch,
+    conditionally on the path, shape (n_paths, len(times), n_modes).
 
     Uses the OU recursion X_j(t') = e^(-lambda_j (t'-t)) X_j(t) + eta with
     eta Gaussian of variance w_j^(-2) int_t^(t') e^(-2 lambda_j (t'-s)) dZ(s)
     (closed form over the cell's jumps), so the joint law across the grid is
-    exact given Z.  The Gaussian variates are drawn from rng cell after
-    cell.  Returns an array of shape (len(times), n_modes).
+    exact given Z.  The Gaussian variates are drawn from rng path after
+    path, cell after cell, so drawing a batch in consecutive slices from one
+    generator gives the same values.
     """
-    if zpath.n_paths != 1:
-        raise ValueError(f"zpath must be a batch of one path, not {zpath.n_paths}")
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or np.any(np.diff(times) <= 0) or times[0] < 0:
         raise ValueError("times must be strictly increasing and nonnegative")
-    if times[-1] > zpath.horizon_T:
+    if times[-1] > batch.horizon_T:
         raise ValueError("times exceed the path horizon")
     lam = op.lambdas
     inv_w = 1.0 / noise.wiener.hilbert_weights
-    # cell i is (t0[i], times[i]] and holds counts[i] jumps from starts[i]
-    t0 = np.append(0.0, times[:-1])
-    k = np.searchsorted(zpath.times, np.append(0.0, times), side="right")
-    starts, counts = k[:-1], np.diff(k)
-    out = np.zeros((times.size, lam.size))
-    x = np.zeros(lam.size)
-    # a grid starting at 0 starts with X(0) = 0 and draws nothing for it
-    for lo in range(int(times[0] == 0), times.size, BLOCK_ROWS):
+    n_paths = batch.n_paths
+    # cell i is (t0[i], t1[i]]; a grid starting at 0 starts with X(0) = 0
+    # and draws nothing for it
+    edges = times if times[0] == 0 else np.append(0.0, times)
+    t0, t1 = edges[:-1], edges[1:]
+    starts, counts = batch.cells(edges)
+    x = rng.standard_normal((n_paths, t1.size, lam.size))
+    prev = np.zeros((n_paths, lam.size))
+    for lo in range(0, t1.size, BLOCK_ROWS):
         s = slice(lo, lo + BLOCK_ROWS)
-        var = cell_moments(lam, 2.0, zpath.total_slope, t0[s], times[s], zpath.times,
-                           zpath.sizes[:, None], starts[s], counts[s])
-        eta = np.sqrt(var) * inv_w * rng.standard_normal(var.shape)
-        decay = np.exp(-lam * (times[s] - t0[s])[:, None])
-        for i in range(len(eta)):
-            x = decay[i] * x + eta[i]
-            out[lo + i] = x
-    return out
+        var = cell_moments(lam, 2.0, batch.total_slope, np.tile(t0[s], n_paths),
+                           np.tile(t1[s], n_paths), batch.times, batch.sizes[:, None],
+                           starts[:, s].ravel(), counts[:, s].ravel())
+        eta = x[:, s]
+        eta *= np.sqrt(var).reshape(eta.shape) * inv_w
+        decay = np.exp(-lam * (t1[s] - t0[s])[:, None])
+        for i in range(eta.shape[1]):
+            prev = eta[:, i] = decay[i] * prev + eta[:, i]
+    if t1.size < times.size:
+        x = np.concatenate((np.zeros((n_paths, 1, lam.size)), x), axis=1)
+    return x
 
 
 @dataclass(frozen=True)
@@ -103,16 +106,13 @@ class TrajectoryEnsemble:
     @classmethod
     def simulate(cls, op: SpectralOperator, noise: LevyNoiseSpec, T: float,
                  n_times: int, n_paths: int, seed: int = 0,
-                 cutoff_eps: float = 1e-3, method: Optional[str] = "jumps") -> "TrajectoryEnsemble":
+                 cutoff_eps: float = 1e-3) -> "TrajectoryEnsemble":
         """Trajectories of ``n_paths`` paths on n_times times up to T: the paths
         of Z from stream(seed, 1), the Gaussian draws from stream(seed, 2)."""
         times = np.linspace(T / n_times, T, n_times)
         batch = simulate_paths(noise.subordinator, T, n_paths, stream(seed, 1),
-                               cutoff_eps=cutoff_eps, method=method)
-        rng = stream(seed, 2)
-        coeffs = np.empty((n_paths, n_times, op.n_modes))
-        for m in range(n_paths):
-            coeffs[m] = sample_trajectory(op, noise, batch[m:m + 1], times, rng)
+                               cutoff_eps=cutoff_eps, method="jumps")
+        coeffs = sample_trajectory(op, noise, batch, times, stream(seed, 2))
         return cls(times=times, coefficients=coeffs,
                    metadata={"T": T, "seed": seed, "cutoff_eps": cutoff_eps})
 
@@ -233,7 +233,7 @@ def blowup_probe(op: SpectralOperator, noise: LevyNoiseSpec, F: SpaceSpec,
         raise ValueError("truncation sequence exceeds the operator mode count")
     zp = simulate_paths(noise.subordinator, T, 1, stream(seed), cutoff_eps=cutoff_eps,
                         method="jumps")
-    marked = marked_path_from_z(noise, zp, seed=seed + 1, u_space=u_space,
+    marked = marked_path_from_z(noise, zp, stream(seed, 1), u_space=u_space,
                                 threshold=threshold)
     _, large = split(marked)
     if large.n_jumps == 0:

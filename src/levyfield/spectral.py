@@ -237,11 +237,10 @@ def convolution_variances_batch(op: SpectralOperator, batch: PathBatch, t: float
     """
     if not 0 <= t <= batch.horizon_T:
         raise ValueError("t must lie in [0, horizon_T]")
-    # jumps are sorted within a path, so those up to t are a prefix of it
-    kept = np.bincount(batch.rows[batch.times <= t], minlength=batch.n_paths)
+    starts, counts = batch.cells((0.0, t))
     ends = np.full(batch.n_paths, float(t))
     return cell_moments(op.lambdas, 2.0, batch.total_slope, np.zeros(batch.n_paths), ends,
-                        batch.times, batch.sizes[:, None], batch.offsets[:-1], kept)
+                        batch.times, batch.sizes[:, None], starts[:, 0], counts[:, 0])
 
 
 def sample_convolution_batch(op: SpectralOperator, noise: LevyNoiseSpec,

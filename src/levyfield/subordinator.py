@@ -288,33 +288,6 @@ class SubordinatorSpec:
         return cls(kind="tabulated", drift_b=drift_b,
                    intensity=IntensityMeasure(density=density, support_cap=support_cap))
 
-    # config record
-
-    def to_config(self) -> dict:
-        cfg = {"kind": self.kind, "drift_b": self.drift_b}
-        if self.kind == "stable":
-            cfg["beta"] = self.beta
-        elif self.kind == "compound_poisson":
-            sizes, rates = self.intensity.atoms
-            cfg["atom_sizes"] = sizes.tolist()
-            cfg["atom_rates"] = rates.tolist()
-        elif self.kind == "tabulated":
-            raise ValueError("tabulated densities are not config-serializable; "
-                             "use stable/compound_poisson kinds in configs")
-        return cfg
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "SubordinatorSpec":
-        kind = cfg["kind"]
-        if kind == "stable":
-            return cls.stable(float(cfg["beta"]))
-        if kind == "drift_only":
-            return cls.drift_only(float(cfg["drift_b"]))
-        if kind == "compound_poisson":
-            return cls.compound_poisson(cfg["atom_sizes"], cfg["atom_rates"],
-                                        drift_b=float(cfg.get("drift_b", 0.0)))
-        raise ValueError(f"unknown kind {kind!r} in config")
-
 
 # -- paths ---------------------------------------------------------------
 
@@ -323,10 +296,12 @@ class SubordinatorSpec:
 class PathBatch:
     """Independent realizations of Z on [0, T] in CSR layout.
 
-    Path p has the jumps ``times[offsets[p]:offsets[p+1]]`` (increasing)
-    with sizes ``sizes[offsets[p]:offsets[p+1]]``; all paths share the
-    slope ``drift_slope + compensation``, where ``compensation`` absorbs the
-    mean of the removed small jumps.  A single path is a batch of one.
+    Path p has the jumps ``times[offsets[p]:offsets[p+1]]`` (nondecreasing,
+    in [0, horizon_T]) with sizes ``sizes[offsets[p]:offsets[p+1]]``
+    (finite, nonnegative); all paths share the slope ``drift_slope +
+    compensation``, where ``compensation`` absorbs the mean of the removed
+    small jumps.  A single path is a batch of one.  Raises ValueError for
+    a layout that breaks any of these.
     """
 
     horizon_T: float
@@ -335,6 +310,28 @@ class PathBatch:
     times: np.ndarray
     sizes: np.ndarray
     compensation: float = 0.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "offsets", np.asarray(self.offsets, dtype=int))
+        object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
+        object.__setattr__(self, "sizes", np.asarray(self.sizes, dtype=float))
+        offsets, times, sizes = self.offsets, self.times, self.sizes
+        if (offsets.ndim != 1 or offsets.size == 0 or offsets[0] != 0
+                or offsets[-1] != times.size or np.any(np.diff(offsets) < 0)):
+            raise ValueError("offsets must start at 0, end at the jump count and never fall")
+        if times.ndim != 1 or sizes.shape != times.shape:
+            raise ValueError("times and sizes must be 1-d and of one length")
+        # min and max are NaN if any value is, and then fail both tests
+        if times.size and not (0.0 <= times.min() and times.max() <= self.horizon_T):
+            raise ValueError("jump times must lie in [0, horizon_T]")
+        rises = np.diff(times) >= 0.0
+        # a path may start below where the one before it ends
+        firsts = offsets[1:-1]
+        rises[firsts[(firsts > 0) & (firsts < times.size)] - 1] = True
+        if not rises.all():
+            raise ValueError("jump times must be nondecreasing within each path")
+        if sizes.size and not (0.0 <= sizes.min() and sizes.max() < np.inf):
+            raise ValueError("jump sizes must be finite and nonnegative")
 
     @property
     def n_paths(self) -> int:
@@ -365,6 +362,14 @@ class PathBatch:
                          offsets=self.offsets[lo:hi + 1] - a, times=self.times[a:b],
                          sizes=self.sizes[a:b], compensation=self.compensation)
 
+    def _bins(self, edges: np.ndarray, weights=None) -> np.ndarray:
+        """Jump count (or sum of ``weights``) of every path in each of the
+        len(edges) + 1 bins: up to edges[0], each cell (edges[i], edges[i+1]]
+        and after edges[-1]; shape (n_paths, len(edges) + 1)."""
+        n_bins = edges.size + 1
+        flat = np.searchsorted(edges, self.times, side="left") + n_bins * self.rows
+        return np.bincount(flat, weights, minlength=self.n_paths * n_bins).reshape(-1, n_bins)
+
     def increments(self, edges) -> np.ndarray:
         """Z(edges[i+1]) - Z(edges[i]) of every path for nondecreasing edges,
         shape (n_paths, len(edges) - 1).
@@ -374,12 +379,21 @@ class PathBatch:
         edge closes, and jumps outside the edges are not counted.
         """
         edges = np.asarray(edges, dtype=float)
-        n_cells = edges.size - 1
-        cell = np.searchsorted(edges, self.times, side="left") - 1
-        inside = (cell >= 0) & (cell < n_cells)
-        jumps = np.bincount((self.rows * n_cells + cell)[inside],
-                            weights=self.sizes[inside], minlength=self.n_paths * n_cells)
-        return self.total_slope * np.diff(edges) + jumps.reshape(self.n_paths, n_cells)
+        return self.total_slope * np.diff(edges) + self._bins(edges, self.sizes)[:, 1:-1]
+
+    def cells(self, edges) -> tuple[np.ndarray, np.ndarray]:
+        """(starts, counts), each of shape (n_paths, len(edges) - 1), for
+        nondecreasing edges: the jumps of path p in the cell
+        (edges[i], edges[i+1]] are ``times[starts[p, i]:starts[p, i] + counts[p, i]]``.
+
+        The cells are those of ``increments``: a jump on an edge belongs to
+        the cell that edge closes, and jumps outside the edges are in none.
+        """
+        bins = self._bins(np.asarray(edges, dtype=float))
+        # times are sorted within a path, so the bins, path after path, are
+        # consecutive runs of jumps, each ending at the running total
+        ends = np.cumsum(bins).reshape(bins.shape)
+        return ends[:, :-2], bins[:, 1:-1]
 
 
 # -- operations ----------------------------------------------------------

@@ -38,13 +38,13 @@ def test_split_no_large_jumps():
 def test_split_additivity_exact():
     spec = make_spec(SubordinatorSpec.compound_poisson([2.5], [3.0]))
     zp = simulate_paths(spec.subordinator, 1.0, 1, stream(1))
-    path = marked_path_from_z(spec, zp, seed=2)
+    path = marked_path_from_z(spec, zp, stream(2))
     small, large = split(path)
     assert small.n_jumps + large.n_jumps == path.n_jumps
     for t in (0.25, 0.5, 1.0):
-        total = path.sum_until(t)
-        assert np.allclose(small.sum_until(t) + large.sum_until(t), total,
-                           rtol=0.0, atol=1e-14)
+        total = path.marks[path.times <= t].sum(axis=0)
+        parts = [part.marks[part.times <= t].sum(axis=0) for part in (small, large)]
+        assert np.allclose(parts[0] + parts[1], total, rtol=0.0, atol=1e-14)
     assert np.all(large.sizes >= path.threshold)
     assert np.all(small.sizes < path.threshold)
 
@@ -59,7 +59,7 @@ def test_large_jump_count_is_poisson():
     for m in range(400):
         zp = simulate_paths(spec.subordinator, 1.0, 1, stream(m), cutoff_eps=1e-3,
                             method="jumps")
-        path = marked_path_from_z(spec, zp, seed=m + 10_000)
+        path = marked_path_from_z(spec, zp, stream(m + 10_000))
         counts.append(split(path)[1].n_jumps)
     counts = np.asarray(counts)
     kmax = int(counts.max())
@@ -82,9 +82,9 @@ def test_large_jump_count_is_poisson():
 def test_integrate_large_identity_kernel():
     spec = make_spec(SubordinatorSpec.compound_poisson([3.0], [2.0]))
     zp = simulate_paths(spec.subordinator, 1.0, 1, stream(3))
-    path = marked_path_from_z(spec, zp, seed=4)
+    path = marked_path_from_z(spec, zp, stream(4))
     out = integrate_large(lambda s: np.ones(4), path)
-    assert np.allclose(out, path.sum_until(1.0), atol=1e-14)
+    assert np.allclose(out, path.marks[path.times <= 1.0].sum(axis=0), atol=1e-14)
 
 
 def test_integrate_large_single_jump_closed_form():
@@ -116,16 +116,16 @@ def test_small_jump_compensator_vanishes():
     spec = make_spec(SubordinatorSpec.stable(0.5))
     zp = simulate_paths(spec.subordinator, 1.0, 1, stream(5), cutoff_eps=1e-2,
                         method="jumps")
-    small, _ = split(marked_path_from_z(spec, zp, seed=6))
+    small, _ = split(marked_path_from_z(spec, zp, stream(6)))
     out = integrate_large(lambda s: np.ones(4), small)
-    assert np.allclose(out, small.sum_until(1.0), atol=1e-14)
+    assert np.allclose(out, small.marks[small.times <= 1.0].sum(axis=0), atol=1e-14)
 
 
 def test_small_jump_zero_kernel():
     spec = make_spec(SubordinatorSpec.stable(0.5))
     zp = simulate_paths(spec.subordinator, 1.0, 1, stream(7), cutoff_eps=1e-2,
                         method="jumps")
-    small, _ = split(marked_path_from_z(spec, zp, seed=8))
+    small, _ = split(marked_path_from_z(spec, zp, stream(8)))
     out = integrate_large(lambda s: np.zeros(4), small)
     assert np.all(out == 0.0)
 

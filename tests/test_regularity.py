@@ -101,16 +101,16 @@ def test_trajectory_matches_marginal_variances():
     mc = 4000
     acc = np.zeros((times.size, N))
     for m in range(mc):
-        acc += sample_trajectory(op, noise, batch, times, stream(m)) ** 2
+        acc += sample_trajectory(op, noise, batch, times, stream(m))[0] ** 2
     emp = acc / mc
     for i, t in enumerate(times):
         v = convolution_variances_batch(op, batch, float(t))[0]
         assert np.allclose(emp[i], v, rtol=0.15)
 
 
-def _per_cell_trajectory(op, noise, zpath, times, seed):
-    """The per-cell loop that sample_trajectory was before it summed cells in blocks."""
-    rng = stream(seed)
+def _per_cell_trajectory(op, noise, zpath, times, rng):
+    """The per-cell loop that sample_trajectory was for one path before it
+    summed cells in blocks."""
     lam = op.lambdas
     inv_w = 1.0 / noise.wiener.hilbert_weights
     out = np.empty((times.size, lam.size))
@@ -135,13 +135,19 @@ def _per_cell_trajectory(op, noise, zpath, times, seed):
 @pytest.mark.parametrize("n_times", [3, 512, 2049])
 @pytest.mark.parametrize("from_zero", [False, True])
 def test_trajectory_is_bitwise_the_per_cell_loop(sub, n_times, from_zero):
+    # a batch of several paths draws path after path from one generator
     op = SpectralOperator.dirichlet(1, 1.0, 24)
     noise = LevyNoiseSpec(CylindricalWienerSpec(np.linspace(1.0, 3.0, 24)), sub)
-    zp = simulate_paths(sub, 1.0, 1, stream(2), cutoff_eps=1e-3,
-                        method=None if sub.kind == "drift_only" else "jumps")
     times = np.linspace(0.0 if from_zero else 1.0 / n_times, 1.0, n_times)
-    got = sample_trajectory(op, noise, zp, times, stream(9))
-    assert np.array_equal(got, _per_cell_trajectory(op, noise, zp, times, 9))
+    for n_paths in (1, 3):
+        zp = simulate_paths(sub, 1.0, n_paths, stream(2), cutoff_eps=1e-3,
+                            method=None if sub.kind == "drift_only" else "jumps")
+        got = sample_trajectory(op, noise, zp, times, stream(9))
+        assert got.shape == (n_paths, n_times, 24)
+        rng = stream(9)
+        for p in range(n_paths):
+            ref = _per_cell_trajectory(op, noise, zp[p:p + 1], times, rng)
+            assert np.array_equal(got[p], ref), (n_paths, p)
 
 
 def test_time_integrability_zero_noise():
@@ -172,7 +178,7 @@ def test_ensemble_is_bitwise_a_loop_over_one_batch():
                            method="jumps")
     rng = stream(3, 2)
     for m in range(5):
-        ref = sample_trajectory(op, noise, batch[m:m + 1], ens.times, rng)
+        ref = sample_trajectory(op, noise, batch[m:m + 1], ens.times, rng)[0]
         assert np.array_equal(ens.coefficients[m], ref), m
 
 
@@ -226,7 +232,7 @@ def _per_truncation_probe(op, noise, F, N_sequence, seed, threshold, u_space):
     truncation once, with the weighted norms written out."""
     zp = simulate_paths(noise.subordinator, 1.0, 1, stream(seed), cutoff_eps=1e-3,
                         method="jumps")
-    marked = marked_path_from_z(noise, zp, seed=seed + 1, u_space=u_space,
+    marked = marked_path_from_z(noise, zp, stream(seed, 1), u_space=u_space,
                                 threshold=threshold)
     _, large = split(marked)
     tau1 = float(large.times[0])

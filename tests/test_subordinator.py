@@ -8,8 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 from levyfield._rng import stream
 from levyfield.jumps import marked_path_from_z
 from levyfield.noise import CylindricalWienerSpec, LevyNoiseSpec
-from levyfield.regularity import sample_trajectory
-from levyfield.spectral import SpectralOperator
 from levyfield.subordinator import (
     MAX_EXPECTED_JUMPS,
     PathBatch,
@@ -165,16 +163,6 @@ def test_path_determinism_is_bitwise():
     assert a.compensation == b.compensation
 
 
-def test_config_roundtrip():
-    for spec in (SubordinatorSpec.stable(0.4),
-                 SubordinatorSpec.drift_only(2.0),
-                 SubordinatorSpec.compound_poisson([1.0, 3.0], [0.5, 0.2])):
-        back = SubordinatorSpec.from_config(spec.to_config())
-        assert back.kind == spec.kind
-        assert laplace_exponent(back, 1.7) == pytest.approx(
-            laplace_exponent(spec, 1.7), rel=1e-14)
-
-
 # -- batched paths -------------------------------------------------------
 
 
@@ -327,10 +315,54 @@ def test_single_path_readers_refuse_a_batch_of_two():
     noise = LevyNoiseSpec(CylindricalWienerSpec(np.ones(4)), sub)
     batch = simulate_paths(sub, 1.0, 2, stream(0), cutoff_eps=1e-2, method="jumps")
     with pytest.raises(ValueError, match="one path"):
-        sample_trajectory(SpectralOperator.dirichlet(1, 1.0, 4), noise, batch,
-                          np.array([0.5, 1.0]), stream(1))
-    with pytest.raises(ValueError, match="one path"):
-        marked_path_from_z(noise, batch)
+        marked_path_from_z(noise, batch, stream(1))
+
+
+def _hand_built(**fields):
+    return PathBatch(**{"horizon_T": 1.0, "drift_slope": 0.0, "offsets": [0, 2],
+                        "times": [0.2, 0.5], "sizes": [1.0, 2.0], **fields})
+
+
+def test_hand_built_batch_is_coerced():
+    batch = _hand_built(offsets=[0, 1, 1, 2], times=[0.5, 0.2], sizes=[1, 2])
+    assert batch.n_paths == 3 and batch.offsets.dtype.kind == "i"
+    assert batch.times.dtype == batch.sizes.dtype == float
+    # a jump at time 0 (uniform(0, T) can draw it), at T and of size 0
+    assert _hand_built(times=[0.0, 1.0], sizes=[0.0, 1.0]).n_paths == 1
+
+
+@pytest.mark.parametrize("fields, match", [
+    ({"times": [0.5, 0.2]}, "nondecreasing"),
+    ({"offsets": [0, 1, 3], "times": [0.2, 0.5, 0.4], "sizes": [1, 1, 1]}, "nondecreasing"),
+    ({"offsets": [1, 2]}, "offsets"),
+    ({"offsets": [0, 1]}, "offsets"),
+    ({"offsets": [0, 3]}, "offsets"),
+    ({"offsets": [0, 2, 1, 2]}, "offsets"),
+    ({"offsets": []}, "offsets"),
+    ({"sizes": [1.0]}, "one length"),
+    ({"times": [-0.1, 0.5]}, r"\[0, horizon_T\]"),
+    ({"times": [0.2, 1.5]}, r"\[0, horizon_T\]"),
+    ({"times": [0.2, np.nan]}, r"\[0, horizon_T\]"),
+    ({"sizes": [1.0, -1.0]}, "finite and nonnegative"),
+    ({"sizes": [1.0, np.inf]}, "finite and nonnegative"),
+    ({"sizes": [np.nan, 1.0]}, "finite and nonnegative"),
+])
+def test_hand_built_batch_breaking_the_layout_is_refused(fields, match):
+    with pytest.raises(ValueError, match=match):
+        _hand_built(**fields)
+
+
+def test_cells_at_edges_and_outside():
+    # the batch of test_increments_at_edges_and_outside
+    batch = PathBatch(horizon_T=1.0, drift_slope=0.25, compensation=0.25,
+                      offsets=np.array([0, 4, 4, 5]),
+                      times=np.array([0.1, 0.25, 0.4, 0.9, 0.5]),
+                      sizes=np.array([1.0, 2.0, 4.0, 8.0, 16.0]))
+    starts, counts = batch.cells([0.2, 0.25, 0.5, 0.5, 0.75])
+    assert np.array_equal(starts, [[1, 2, 3, 3], [4, 4, 4, 4], [4, 4, 5, 5]])
+    assert np.array_equal(counts, [[1, 1, 0, 0], [0, 0, 0, 0], [0, 1, 0, 0]])
+    starts, counts = batch.cells([0.5])
+    assert starts.shape == counts.shape == (3, 0)
 
 
 def test_expected_jump_count_is_bounded_before_drawing():
@@ -357,6 +389,29 @@ def test_paths_are_nondecreasing(beta, seed, kind):
     dz = zp.increments(np.linspace(0.0, 1.0, 101))
     assert np.all(dz >= 0)
     assert dz.sum() == pytest.approx(zp.increments((0.0, 1.0))[0, 0], rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 10_000), n_paths=st.integers(1, 4),
+       kind=st.sampled_from(["grid", "jumps"]))
+def test_cells_hold_the_jumps_of_increments(data, seed, n_paths, kind):
+    # slope x cell length + the jumps cells() names is the increment of the cell
+    batch = simulate_paths(SubordinatorSpec(kind="stable", beta=0.5, drift_b=0.3), 1.0, n_paths,
+                           stream(seed), cutoff_eps=0.05, grid_n=8,
+                           method="jumps" if kind == "jumps" else None)
+    # edges on jump times too, so that jumps fall on edges
+    point = st.floats(0.0, 1.0)
+    if batch.times.size:
+        point = point | st.sampled_from(batch.times.tolist())
+    edges = np.sort(data.draw(st.lists(point, min_size=1, max_size=12)))
+    starts, counts = batch.cells(edges)
+    assert starts.shape == counts.shape == (n_paths, edges.size - 1)
+    assert np.all(counts >= 0)
+    assert np.all(starts >= batch.offsets[:-1, None])
+    assert np.all(starts + counts <= batch.offsets[1:, None])
+    jumps = [[batch.sizes[s:s + c].sum() for s, c in zip(*row)] for row in zip(starts, counts)]
+    summed = batch.total_slope * np.diff(edges) + np.reshape(jumps, starts.shape)
+    assert np.allclose(summed, batch.increments(edges), rtol=1e-12, atol=0.0)
 
 
 @settings(max_examples=20, deadline=None)
