@@ -19,9 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
+from . import spectral
 from ._rng import stream
 from .spaces import SpaceSpec
-from .subordinator import (DEFAULT_CUTOFF, PathBatch, QuadratureError, SubordinatorSpec,
+from .subordinator import (DEFAULT_CUTOFF, QuadratureError, SubordinatorSpec,
                            sample_stable_oneside, simulate_paths)
 from .noise import (CylindricalWienerSpec, LevyNoiseSpec, char_functional,
                     increment_coefficients)
@@ -34,9 +35,6 @@ from .burgers import (StepSizeError, check_apriori, solve_modified_burgers,
 
 # experiment name -> (function, default of every config key it accepts)
 EXPERIMENTS = {}
-# The batched Monte Carlo experiments hold at most this many jump x mode
-# terms in memory at once.
-CHUNK_TERMS = 1 << 16
 
 # static mapping shown by list-experiments
 EXPERIMENT_SUMMARY = {
@@ -56,19 +54,6 @@ def _experiment(name, **defaults):
         EXPERIMENTS[name] = (fn, defaults)
         return fn
     return wrap
-
-
-def _chunks(batch: PathBatch, n_modes: int):
-    """Consecutive slices of a batch, each holding at most CHUNK_TERMS
-    jump x mode terms (or one path); a path without jumps counts as one,
-    for its own Gaussian mode draws."""
-    ends = np.cumsum(np.maximum(batch.counts, 1) * n_modes)
-    lo = 0
-    while lo < batch.n_paths:
-        start = ends[lo - 1] if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, start + CHUNK_TERMS, side="right")))
-        yield batch[lo:hi]
-        lo = hi
 
 
 def _non_finite(value) -> bool:
@@ -97,6 +82,9 @@ def _run_subordinator(cfg, out: Path):
     rs = cfg["r_values"]
     n_paths = int(cfg["n_paths"])
     seed = int(cfg["master_seed"])
+    for key in ("betas", "r_values"):
+        if not cfg[key]:
+            raise ValueError(f"{key} must not be empty")
     rows, checks = [], []
     for i, beta in enumerate(betas):
         s = sample_stable_oneside(beta, n_paths, stream(seed, i))
@@ -116,12 +104,15 @@ def _charfn_projections(spec: LevyNoiseSpec, phis, t: float, n_paths: int,
     """<Y(t), phi> for each path (rows) and test function phi (columns).
 
     The Z(t) values come from stream(seed, 1, case), the Gaussian mode draws
-    from stream(seed, 2, case).
+    from stream(seed, 2, case), drawn and projected in row blocks of
+    spectral.CHUNK_TERMS // modes paths.
     """
     batch = simulate_paths(spec.subordinator, t, n_paths, stream(seed, 1, case), grid_n=1)
+    dz = batch.increments((0.0, t))[:, 0]
     rng = stream(seed, 2, case)
-    return np.concatenate([increment_coefficients(spec, part.increments((0.0, t))[:, 0], rng) @ phis.T
-                           for part in _chunks(batch, spec.wiener.truncation_N)])
+    rows = max(1, spectral.CHUNK_TERMS // spec.wiener.truncation_N)
+    return np.concatenate([increment_coefficients(spec, dz[lo:lo + rows], rng) @ phis.T
+                           for lo in range(0, dz.size, rows)])
 
 
 @_experiment("charfn-test", n_modes=64, beta=0.9, t_values=[0.5, 1.0], n_phi=5,
@@ -133,6 +124,10 @@ def _run_charfn(cfg, out: Path):
     n_phi = int(cfg["n_phi"])
     mc = int(cfg["mc_paths"])
     seed = int(cfg["master_seed"])
+    if n_phi < 1:
+        raise ValueError(f"n_phi must be at least 1, not {n_phi}")
+    if not ts:
+        raise ValueError("t_values must not be empty")
     spec = LevyNoiseSpec(CylindricalWienerSpec(np.ones(N)), SubordinatorSpec.stable(beta))
     phis = stream(seed, 0).standard_normal((n_phi, N)) / math.sqrt(N)
     rows, checks = [], []
@@ -150,17 +145,15 @@ def _run_charfn(cfg, out: Path):
 
 def _ou_draws(op: SpectralOperator, spec: LevyNoiseSpec, t: float, n_paths: int,
               seed: int, case: int, cutoff_eps: float):
-    """Per-path draws of X(t), through the cutoff jump route if Z jumps: yields
-    the coefficients of consecutive chunks of paths, shape (paths, modes).
+    """Per-path draws of X(t), through the cutoff jump route if Z jumps: the
+    coefficients of every path in one call, shape (paths, modes).
 
     The jumps come from stream(seed, 1, case), the Gaussian mode draws from
     stream(seed, 2, case).
     """
     batch = simulate_paths(spec.subordinator, t, n_paths, stream(seed, 1, case),
                            cutoff_eps=cutoff_eps, method="jumps")
-    rng = stream(seed, 2, case)
-    for part in _chunks(batch, op.n_modes):
-        yield sample_convolution_batch(op, spec, part, t, rng)
+    return sample_convolution_batch(op, spec, batch, t, stream(seed, 2, case))
 
 
 @_experiment("ou-sample", n_modes=16, beta=0.5, mc_paths=20000, n_pairs=4)
@@ -170,6 +163,8 @@ def _run_ou(cfg, out: Path):
     mc = int(cfg["mc_paths"])
     n_pairs = int(cfg["n_pairs"])
     seed = int(cfg["master_seed"])
+    if n_pairs < 1:
+        raise ValueError(f"n_pairs must be at least 1, not {n_pairs}")
     op = SpectralOperator.dirichlet(1, 1.0, N)
     spec = LevyNoiseSpec(CylindricalWienerSpec(np.ones(N)), SubordinatorSpec.stable(beta))
     rng = stream(seed, 0)
@@ -178,15 +173,14 @@ def _run_ou(cfg, out: Path):
         phi = rng.standard_normal(N) / math.sqrt(N)
         t = float(rng.uniform(0.4, 1.2))
         ana = charfn_oracle(op, spec, phi, t)
-        vals = np.concatenate([np.cos(coeffs @ phi)
-                               for coeffs in _ou_draws(op, spec, t, mc, seed, i, cutoff_eps=1e-3)])
+        vals = np.cos(_ou_draws(op, spec, t, mc, seed, i, cutoff_eps=1e-3) @ phi)
         emp, se = float(vals.mean()), float(vals.std() / math.sqrt(mc))
         ok = abs(emp - ana) <= 4.0 * se
         rows.append([i, t, emp, se, ana, ok])
         checks.append(ok)
     _write_csv(out / "ou_charfn.csv", ["pair", "t", "empirical", "stderr", "analytic", "pass"], rows)
     # one exported field sample, drawn as case n_pairs at the default cutoff
-    coeffs = next(_ou_draws(op, spec, 1.0, 1, seed, n_pairs, cutoff_eps=DEFAULT_CUTOFF))[0]
+    coeffs = _ou_draws(op, spec, 1.0, 1, seed, n_pairs, cutoff_eps=DEFAULT_CUTOFF)[0]
     FieldSample(coefficients=coeffs, time_t=1.0).to_csv(out / "field_sample.csv", op)
     return {"cases": len(rows), "failures": int(len(checks) - sum(checks))}, all(checks)
 
@@ -203,7 +197,7 @@ def _run_regularity(cfg, out: Path):
     for case, (label, sub) in enumerate([("gaussian", SubordinatorSpec.drift_only(1.0)),
                                          ("stable_alpha1", SubordinatorSpec.stable(0.5))]):
         spec = LevyNoiseSpec(CylindricalWienerSpec(np.ones(N)), sub)
-        coeffs = np.concatenate(list(_ou_draws(op, spec, 1.0, n_paths, seed, case, cutoff_eps=1e-3)))
+        coeffs = _ou_draws(op, spec, 1.0, n_paths, seed, case, cutoff_eps=1e-3)
         ests = [estimate_holder(FieldSample(c, 1.0), op, M)["delta_hat"] for c in coeffs]
         rows += [[label, m, d] for m, d in enumerate(ests)]
         critical = regularity_exponent_bound(op, spec, ("holder", 0.0))["critical_exponent"]

@@ -50,8 +50,8 @@ class MarkedJumpList:
             m = m.reshape(0, m.shape[-1] if m.size else 1)
         if m.shape[0] != t.size or s.size != t.size:
             raise ValueError("times, marks, sizes must agree in length")
-        if t.size and np.any(np.diff(t) <= 0):
-            raise ValueError("jump times must be strictly increasing")
+        if t.size and np.any(np.diff(t) < 0):
+            raise ValueError("jump times must be nondecreasing")
         if self.threshold <= 0:
             raise ValueError("threshold must be positive")
         object.__setattr__(self, "times", t)

@@ -38,6 +38,9 @@ __all__ = [
     "synthesize",
 ]
 
+# cell_moments holds at most this many jump x mode terms in memory at once
+CHUNK_TERMS = 1 << 16
+
 
 @dataclass(frozen=True)
 class SpectralOperator:
@@ -210,21 +213,27 @@ def cell_moments(lam: np.ndarray, c: float, slope: float, t0: np.ndarray, t1: np
         moment = slope (1 - e^(-c lam (t1_s - t0_s))) / (c lam)
                  + sum_(k in cell s) e^(-c lam (t1_s - tau_k)) w_k.
 
-    Cells are summed in groups of equal jump count, each group as one
-    (modes, cells, jumps) array reduced over its last axis: every cell's
-    sum then rounds exactly as it does for a group of one.
+    Cells are summed in groups of equal jump count k, each group in slices
+    of at most max(1, CHUNK_TERMS // (k * modes)) cells, so every jump x
+    mode array built holds at most CHUNK_TERMS terms (or one cell's
+    k * modes), whatever the number of cells.  Each slice is one (modes,
+    cells, jumps) array reduced over its last axis: every cell's sum then
+    rounds exactly as it does for a slice of one cell.
     """
     out = slope * (1.0 - np.exp(-c * lam * (t1 - t0)[:, None])) / (c * lam)
     weights = weights.T
     for k in np.unique(counts[counts > 0]):
-        cells = np.flatnonzero(counts == k)
-        jumps = starts[cells][:, None] + np.arange(k)
-        # updated in place, so a group holds one (modes, cells, jumps) array
-        terms = lam[:, None, None] * (t1[cells][:, None] - jump_times[jumps])
-        terms *= -c
-        np.exp(terms, out=terms)
-        terms *= weights[:, jumps]
-        out[cells] += terms.sum(axis=-1).T
+        group = np.flatnonzero(counts == k)
+        step = max(1, CHUNK_TERMS // (k * lam.size))
+        for lo in range(0, group.size, step):
+            cells = group[lo:lo + step]
+            jumps = starts[cells][:, None] + np.arange(k)
+            # updated in place, so a slice holds one (modes, cells, jumps) array
+            terms = lam[:, None, None] * (t1[cells][:, None] - jump_times[jumps])
+            terms *= -c
+            np.exp(terms, out=terms)
+            terms *= weights[:, jumps]
+            out[cells] += terms.sum(axis=-1).T
     return out
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from levyfield import cli
+from levyfield import cli, spectral
 from levyfield._rng import stream
 from levyfield.cli import EXPERIMENT_SUMMARY, EXPERIMENTS, _charfn_projections, main
 from levyfield.noise import CylindricalWienerSpec, LevyNoiseSpec
@@ -192,19 +192,28 @@ def test_charfn_cases_draw_independent_paths():
 @pytest.mark.parametrize("payload, csv_name", [
     ({"experiment": "charfn-test", "n_modes": 16, "mc_paths": 3000, "n_phi": 2}, "charfn.csv"),
     ({"experiment": "ou-sample", "n_modes": 8, "mc_paths": 2000, "n_pairs": 2}, "ou_charfn.csv"),
+    ({"experiment": "regularity", "n_modes": 64, "grid_M": 256, "n_paths": 12}, "holder.csv"),
 ])
 def test_batched_experiments_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch,
                                                              payload, csv_name):
-    # the draws are the same; only the rounding of the projections may move
+    # at a bound of one term, cell_moments sums each cell alone and
+    # charfn-test projects one path at a time
     cfg = write_config(tmp_path, {**payload, "master_seed": 4})
-    tables = []
-    for chunk_terms in (cli.CHUNK_TERMS, 100):
-        monkeypatch.setattr(cli, "CHUNK_TERMS", chunk_terms)
-        out = tmp_path / str(chunk_terms)
-        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
-        tables.append(np.genfromtxt(out / csv_name, delimiter=",", skip_header=1,
-                                    usecols=(0, 1, 2, 3, 4)))
-    np.testing.assert_allclose(tables[0], tables[1], rtol=1e-12, atol=0.0)
+    outs = []
+    for chunk_terms in (spectral.CHUNK_TERMS, 1):
+        monkeypatch.setattr(spectral, "CHUNK_TERMS", chunk_terms)
+        outs.append(tmp_path / str(chunk_terms))
+        assert main(["run", "--config", cfg, "--out", str(outs[-1])]) == 0
+    if csv_name == "charfn.csv":
+        # the draws are the same; BLAS may round a projection by its block size
+        tables = [np.genfromtxt(out / csv_name, delimiter=",", skip_header=1,
+                                usecols=(0, 1, 2, 3, 4)) for out in outs]
+        np.testing.assert_allclose(tables[0], tables[1], rtol=1e-12, atol=0.0)
+    else:
+        names = sorted(path.name for path in outs[0].glob("*.csv"))
+        assert csv_name in names
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_regularity_seeds_do_not_share_paths(tmp_path):
@@ -284,6 +293,22 @@ def test_non_finite_config_value_exit_2(tmp_path, capsys, payload, key):
     assert main(["run", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "non-finite" in err and repr(key) in err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("payload, key", [
+    ({"experiment": "ou-sample", "n_pairs": 0}, "n_pairs"),
+    ({"experiment": "charfn-test", "n_phi": 0}, "n_phi"),
+    ({"experiment": "charfn-test", "t_values": []}, "t_values"),
+    ({"experiment": "subordinator-check", "betas": []}, "betas"),
+    ({"experiment": "subordinator-check", "r_values": []}, "r_values"),
+], ids=lambda v: v if isinstance(v, str) else v["experiment"])
+def test_empty_case_list_exit_2(tmp_path, capsys, payload, key):
+    # no case would run, and a verdict over no cases would read "pass"
+    cfg = write_config(tmp_path, {**payload, "master_seed": 1})
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
     assert not (out / "report.json").exists()
 
 

@@ -16,7 +16,7 @@ from levyfield.jumps import (
     verify_moment_inequality_type_p,
 )
 from levyfield.noise import CylindricalWienerSpec, LevyNoiseSpec, intensity_measure_functional
-from levyfield.subordinator import SubordinatorSpec, simulate_paths
+from levyfield.subordinator import PathBatch, SubordinatorSpec, simulate_paths
 
 
 def make_spec(sub, n_modes=4):
@@ -47,6 +47,23 @@ def test_split_additivity_exact():
         assert np.allclose(parts[0] + parts[1], total, rtol=0.0, atol=1e-14)
     assert np.all(large.sizes >= path.threshold)
     assert np.all(small.sizes < path.threshold)
+
+
+def test_repeated_jump_times_are_marked_and_split():
+    # a batch may hold two jumps at one time; marking it once raised
+    spec = make_spec(SubordinatorSpec.stable(0.5))
+    zp = PathBatch(horizon_T=1.0, drift_slope=0.0, offsets=[0, 2], times=[0.5, 0.5],
+                   sizes=[1, 2])
+    threshold = float(marked_path_from_z(spec, zp, stream(3)).sizes.max())
+    path = marked_path_from_z(spec, zp, stream(3), threshold=threshold)
+    assert path.n_jumps == 2 and path.threshold == threshold
+    small, large = split(path)
+    assert small.n_jumps == large.n_jumps == 1
+    assert small.times[0] == large.times[0] == 0.5
+    both = path.marks.sum(axis=0)
+    for t, total in ((0.4, np.zeros(4)), (0.5, both), (1.0, both)):
+        parts = [integrate_large(lambda s: np.ones(4), part, t) for part in (small, large)]
+        assert np.array_equal(parts[0] + parts[1], total)
 
 
 def test_large_jump_count_is_poisson():
@@ -223,7 +240,7 @@ def test_type_p_rejects_bad_exponents():
 
 
 def test_marked_jump_list_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nondecreasing"):
         MarkedJumpList(horizon_T=1.0, times=np.array([0.5, 0.2]),
                        marks=np.zeros((2, 1)) + 1.0, sizes=np.array([1.0, 1.0]))
     with pytest.raises(ValueError):

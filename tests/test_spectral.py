@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+from levyfield import spectral
 from levyfield._rng import stream
 from levyfield.noise import CylindricalWienerSpec, LevyNoiseSpec
 from levyfield.spaces import SpaceSpec
@@ -232,6 +234,47 @@ def test_cell_moments_match_a_direct_double_loop(c, marks):
                         np.zeros(5, dtype=int), np.zeros(5, dtype=int))
     np.testing.assert_array_equal(none, 0.7 * (1.0 - np.exp(-c * lam * (t1 - t0)[:, None]))
                                   / (c * lam))
+
+
+@pytest.mark.parametrize("marks", [False, True])
+def test_cell_moments_do_not_depend_on_the_term_bound(monkeypatch, marks):
+    # each (mode, cell) row is one contiguous sum, whatever slice holds it;
+    # counts of 128 and more reach numpy's pairwise blocks
+    rng = stream(5)
+    lam = SpectralOperator.dirichlet(1, 1.0, 16).lambdas
+    counts = rng.integers(0, 40, 400)
+    counts[::50] = 150
+    starts = np.cumsum(counts) - counts
+    t1 = rng.uniform(0.5, 1.0, counts.size)
+    t0 = t1 - rng.uniform(0.0, 0.5, counts.size)
+    jump_times = np.repeat(t1, counts) - rng.uniform(0.0, 0.5, counts.sum())
+    weights = (rng.standard_normal((counts.sum(), 16)) if marks
+               else rng.exponential(size=(counts.sum(), 1)))
+    args = (lam, 2.0, 0.7, t0, t1, jump_times, weights, starts, counts)
+    # at the default bound no group of this call is split
+    assert counts.max() * lam.size * np.bincount(counts).max() <= spectral.CHUNK_TERMS
+    whole = cell_moments(*args)
+    monkeypatch.setattr(spectral, "CHUNK_TERMS", 1)
+    np.testing.assert_array_equal(cell_moments(*args), whole)
+
+
+def test_cell_moments_bound_their_temporaries():
+    # unsplit, the one group of 2,000 cells x 8 jumps x 256 modes is a
+    # 33 MB array; the output is 4 MB
+    n_cells, k = 2000, 8
+    lam = SpectralOperator.dirichlet(1, 1.0, 256).lambdas
+    t1 = np.linspace(0.5, 1.0, n_cells)
+    jump_times = np.repeat(t1, k) - stream(6).uniform(0.0, 0.5, n_cells * k)
+    sizes = np.ones((n_cells * k, 1))
+    starts, counts = k * np.arange(n_cells), np.full(n_cells, k)
+    tracemalloc.start()
+    try:
+        out = cell_moments(lam, 2.0, 0.7, t1 - 0.5, t1, jump_times, sizes, starts, counts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes == n_cells * lam.size * 8
+    assert peak < 16e6
 
 
 def _per_path_sample_convolution(op, noise, zpath, t, seed):
