@@ -63,6 +63,21 @@ def _non_finite(value) -> bool:
     return isinstance(value, float) and not math.isfinite(value)
 
 
+def _at_least_one(cfg, key) -> int:
+    """cfg[key] as an int, or ValueError naming the key if it is below 1."""
+    value = int(cfg[key])
+    if value < 1:
+        raise ValueError(f"{key} must be at least 1, not {value}")
+    return value
+
+
+def _non_empty(cfg, key) -> list:
+    """cfg[key], or ValueError naming the key if it holds no entry."""
+    if not cfg[key]:
+        raise ValueError(f"{key} must not be empty")
+    return cfg[key]
+
+
 def _write_csv(path: Path, header, rows):
     """Writes the rows, or raises FloatingPointError if a float in them is
     NaN or infinite."""
@@ -78,13 +93,10 @@ def _write_csv(path: Path, header, rows):
 @_experiment("subordinator-check", betas=[0.25, 0.5, 0.9], r_values=[0.5, 1.0, 2.0],
              n_paths=100000)
 def _run_subordinator(cfg, out: Path):
-    betas = cfg["betas"]
-    rs = cfg["r_values"]
-    n_paths = int(cfg["n_paths"])
+    betas = _non_empty(cfg, "betas")
+    rs = _non_empty(cfg, "r_values")
+    n_paths = _at_least_one(cfg, "n_paths")
     seed = int(cfg["master_seed"])
-    for key in ("betas", "r_values"):
-        if not cfg[key]:
-            raise ValueError(f"{key} must not be empty")
     rows, checks = [], []
     for i, beta in enumerate(betas):
         s = sample_stable_oneside(beta, n_paths, stream(seed, i))
@@ -120,14 +132,10 @@ def _charfn_projections(spec: LevyNoiseSpec, phis, t: float, n_paths: int,
 def _run_charfn(cfg, out: Path):
     N = int(cfg["n_modes"])
     beta = float(cfg["beta"])
-    ts = cfg["t_values"]
-    n_phi = int(cfg["n_phi"])
-    mc = int(cfg["mc_paths"])
+    ts = _non_empty(cfg, "t_values")
+    n_phi = _at_least_one(cfg, "n_phi")
+    mc = _at_least_one(cfg, "mc_paths")
     seed = int(cfg["master_seed"])
-    if n_phi < 1:
-        raise ValueError(f"n_phi must be at least 1, not {n_phi}")
-    if not ts:
-        raise ValueError("t_values must not be empty")
     spec = LevyNoiseSpec(CylindricalWienerSpec(np.ones(N)), SubordinatorSpec.stable(beta))
     phis = stream(seed, 0).standard_normal((n_phi, N)) / math.sqrt(N)
     rows, checks = [], []
@@ -160,11 +168,9 @@ def _ou_draws(op: SpectralOperator, spec: LevyNoiseSpec, t: float, n_paths: int,
 def _run_ou(cfg, out: Path):
     N = int(cfg["n_modes"])
     beta = float(cfg["beta"])
-    mc = int(cfg["mc_paths"])
-    n_pairs = int(cfg["n_pairs"])
+    mc = _at_least_one(cfg, "mc_paths")
+    n_pairs = _at_least_one(cfg, "n_pairs")
     seed = int(cfg["master_seed"])
-    if n_pairs < 1:
-        raise ValueError(f"n_pairs must be at least 1, not {n_pairs}")
     op = SpectralOperator.dirichlet(1, 1.0, N)
     spec = LevyNoiseSpec(CylindricalWienerSpec(np.ones(N)), SubordinatorSpec.stable(beta))
     rng = stream(seed, 0)
@@ -233,8 +239,8 @@ def _run_blowup(cfg, out: Path):
 @_experiment("circle", beta=0.75, thetas=[0.0, 0.5, 1.0, 2.0], grids=[128, 256, 512, 1024])
 def _run_circle(cfg, out: Path):
     beta = float(cfg["beta"])
-    thetas = cfg["thetas"]
-    grids = cfg["grids"]
+    thetas = _non_empty(cfg, "thetas")
+    grids = _non_empty(cfg, "grids")
     seed = int(cfg["master_seed"])
     times, incs = scalar_levy_jumps(SubordinatorSpec.stable(beta), seed=seed)
     rows = []
@@ -279,15 +285,13 @@ def _run_burgers(cfg, out: Path):
 @_experiment("bounds", n_modes=63, n_instances=20, dt=1e-3, T=0.5)
 def _run_bounds(cfg, out: Path):
     n = int(cfg["n_modes"])
-    n_instances = int(cfg["n_instances"])
+    n_instances = _at_least_one(cfg, "n_instances")
     dt = float(cfg["dt"])
     T = float(cfg["T"])
     seed = int(cfg["master_seed"])
     if n < 4:
         raise ValueError(f"n_modes must be at least 4, not {n}: "
                          "each instance sets one of the first four modes")
-    if n_instances < 1:
-        raise ValueError(f"n_instances must be at least 1, not {n_instances}")
     rng = stream(seed)
     rows, all_ok = [], True
     for i in range(n_instances):

@@ -56,6 +56,12 @@ def _quad(fn, lo, hi, rtol=QUAD_RTOL, **kw):
         # The explicit error-estimate check below supersedes quad's warning.
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         val, err = integrate.quad(fn, lo, hi, epsrel=rtol, epsabs=1e-13, limit=200, **kw)
+    return _checked(val, err, lo, hi, rtol)
+
+
+def _checked(val, err, lo, hi, rtol):
+    """val, or QuadratureError if the error estimate err of the integral over
+    [lo, hi] exceeds 100 rtol relative to max(|val|, 1e-10)."""
     scale = max(abs(val), 1e-10)
     if err / scale > 100 * rtol:
         raise QuadratureError(
@@ -195,10 +201,7 @@ def stable_intensity(beta: float) -> IntensityMeasure:
     """
     if not 0 < beta < 1:
         raise ValueError("beta must be in (0,1)")
-    # scipy's gamma, not math.gamma: the two differ in the last bit for most beta
-    from scipy.special import gamma
-
-    c = beta / gamma(1.0 - beta)
+    c = beta / math.gamma(1.0 - beta)
 
     def density(x):
         return c * np.asarray(x, dtype=float) ** (-1.0 - beta)
@@ -486,6 +489,18 @@ def _check_expected_jumps(expected: float) -> None:
                          f"than the limit {MAX_EXPECTED_JUMPS:.3g}")
 
 
+def _sort_within_paths(times: np.ndarray, offsets: np.ndarray) -> None:
+    """Sort each path's run ``times[offsets[p]:offsets[p+1]]`` in place.
+
+    The paths with k jumps are sorted together, as the rows of one
+    (paths, k) array, for each count k above 1.
+    """
+    counts = np.diff(offsets)
+    for k in np.unique(counts[counts > 1]):
+        jumps = offsets[:-1][counts == k][:, None] + np.arange(k)
+        times[jumps] = np.sort(times[jumps], axis=1)
+
+
 def simulate_paths(
     spec: SubordinatorSpec,
     T: float,
@@ -544,13 +559,8 @@ def simulate_paths(
     counts = rng.poisson(rate * T, size=n_paths)
     offsets = np.concatenate([[0], np.cumsum(counts)])
     n = int(offsets[-1])
-    # sort the times within each path: complex numbers sort by real part
-    # (the path index), then by imaginary part (the time)
-    keys = np.empty(n, dtype=complex)
-    keys.real = np.repeat(np.arange(n_paths), counts)
-    keys.imag = rng.uniform(0.0, T, size=n)
-    keys.sort()
-    times = keys.imag.copy()
+    times = rng.uniform(0.0, T, size=n)
+    _sort_within_paths(times, offsets)
     sizes = spec.intensity.sample_sizes(max(eps, 1e-300), n, rng)
     return PathBatch(horizon_T=T, drift_slope=spec.drift_b, offsets=offsets,
                      times=times, sizes=sizes, compensation=compensation)

@@ -55,6 +55,32 @@ def test_cold_import_defers_scipy_submodules():
     subprocess.run([sys.executable, "-c", COLD_IMPORT], env=env, check=True, timeout=120)
 
 
+STABLE_RUNS = """
+import sys, tempfile
+from levyfield import cli
+configs = [
+    {"experiment": "ou-sample", "n_modes": 8, "mc_paths": 200, "n_pairs": 2},
+    {"experiment": "charfn-test", "n_modes": 8, "mc_paths": 200, "n_phi": 1, "t_values": [0.5]},
+    {"experiment": "circle", "thetas": [0.5], "grids": [64]},
+    {"experiment": "blowup", "n_modes": 256, "truncations": [64, 128, 256]},
+]
+for cfg in configs:
+    with tempfile.TemporaryDirectory() as out:
+        assert cli.run({**cfg, "master_seed": 1}, out) in (0, 1), cfg
+loaded = [m for m in ("scipy.integrate", "scipy.special") if m in sys.modules]
+assert not loaded, loaded
+"""
+
+
+def test_stable_noise_runs_load_neither_scipy_integrate_nor_special():
+    # the oracle's quadrature and the stable intensity's Gamma are numpy and
+    # math; only the transforming experiments load scipy (scipy.fft)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    subprocess.run([sys.executable, "-c", STABLE_RUNS], env=env, check=True, timeout=120)
+
+
 def test_run_subordinator_check_passes(tmp_path, capsys):
     cfg = write_config(tmp_path, {"experiment": "subordinator-check",
                                   "master_seed": 7, "n_paths": 20000})
@@ -196,8 +222,9 @@ def test_charfn_cases_draw_independent_paths():
 ])
 def test_batched_experiments_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch,
                                                              payload, csv_name):
-    # at a bound of one term, cell_moments sums each cell alone and
-    # charfn-test projects one path at a time
+    # at a bound of one term, cell_moments sums each cell alone, charfn_oracle
+    # sums the modes of one node at a time and charfn-test projects one path
+    # at a time
     cfg = write_config(tmp_path, {**payload, "master_seed": 4})
     outs = []
     for chunk_terms in (spectral.CHUNK_TERMS, 1):
@@ -302,9 +329,15 @@ def test_non_finite_config_value_exit_2(tmp_path, capsys, payload, key):
     ({"experiment": "charfn-test", "t_values": []}, "t_values"),
     ({"experiment": "subordinator-check", "betas": []}, "betas"),
     ({"experiment": "subordinator-check", "r_values": []}, "r_values"),
+    ({"experiment": "subordinator-check", "n_paths": 0}, "n_paths"),
+    ({"experiment": "circle", "thetas": []}, "thetas"),
+    ({"experiment": "circle", "grids": []}, "grids"),
+    ({"experiment": "charfn-test", "mc_paths": 0}, "mc_paths"),
+    ({"experiment": "ou-sample", "mc_paths": 0}, "mc_paths"),
 ], ids=lambda v: v if isinstance(v, str) else v["experiment"])
 def test_empty_case_list_exit_2(tmp_path, capsys, payload, key):
-    # no case would run, and a verdict over no cases would read "pass"
+    # no case (or no draw) would run, and a verdict over none would read "pass"
+    # or fail on the mean of no draws
     cfg = write_config(tmp_path, {**payload, "master_seed": 1})
     out = tmp_path / "o"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 2

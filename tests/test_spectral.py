@@ -24,7 +24,8 @@ from levyfield.spectral import (
     semigroup_norm_power,
     synthesize,
 )
-from levyfield.subordinator import PathBatch, SubordinatorSpec, simulate_paths
+from levyfield.subordinator import (PathBatch, QuadratureError, SubordinatorSpec, laplace_exponent,
+                                   simulate_paths)
 
 
 def make_noise(sub, n_modes):
@@ -355,6 +356,78 @@ def test_charfn_oracle_stable_matches_direct_quadrature():
 
     direct, _ = integrate.quad(integrand, 0.0, t, limit=200)
     assert charfn_oracle(op, noise, phi, t) == pytest.approx(math.exp(-direct), rel=1e-7)
+
+
+def _quad_oracle(op, noise, phi, t):
+    """The oracle by adaptive QUADPACK quadrature at a tolerance near the double
+    precision, with a scalar integrand and the split at 1 / (2 lambda_N)."""
+    wsq_phi = (noise.wiener.hilbert_weights * phi) ** 2
+
+    def integrand(sigma):
+        hs = 0.5 * float((np.exp(-2.0 * op.lambdas * sigma) * wsq_phi).sum())
+        return float(laplace_exponent(noise.subordinator, hs))
+
+    brk = min(t, 1.0 / (2.0 * op.lambdas[-1]))
+    total = integrate.quad(integrand, 0.0, brk, epsrel=1e-13, epsabs=0.0, limit=500)[0]
+    if brk < t:
+        total += integrate.quad(integrand, brk, t, epsrel=1e-13, epsabs=0.0, limit=500,
+                                points=np.geomspace(brk, t, 12)[1:-1])[0]
+    return math.exp(-total)
+
+
+@pytest.mark.parametrize("sub", [
+    SubordinatorSpec.stable(0.1),
+    SubordinatorSpec.stable(0.5),
+    SubordinatorSpec.stable(0.9),
+    SubordinatorSpec.drift_only(1.3),
+    SubordinatorSpec.compound_poisson([0.5, 2.0], [1.0, 0.3], drift_b=0.2),
+], ids=["stable-0.1", "stable-0.5", "stable-0.9", "drift-only", "compound-poisson"])
+@pytest.mark.parametrize("N", [1, 16, 256])
+def test_charfn_oracle_matches_adaptive_quadrature(sub, N):
+    op = SpectralOperator.dirichlet(1, 1.0, N)
+    noise = make_noise(sub, N)
+    rng = stream(12, N)
+    for t in (1e-3, 0.7, 5.0):
+        phi = rng.standard_normal(N) / math.sqrt(N)
+        assert charfn_oracle(op, noise, phi, t) == pytest.approx(
+            _quad_oracle(op, noise, phi, t), rel=1e-12), t
+
+
+@pytest.mark.parametrize("size", [1e8, 1e12])
+def test_charfn_oracle_halves_the_panels_of_a_steep_integrand(size):
+    # psi(r) = 1 - exp(-size r) switches from 1 to 0 within sigma ~ 1 around
+    # sigma = log(size) / 2, where a geometric panel is wider than 10
+    op = SpectralOperator.dirichlet(1, 1.0, 1)
+    noise = make_noise(SubordinatorSpec.compound_poisson([size], [1.0]), 1)
+    phi, t = np.ones(1), 50.0
+    assert charfn_oracle(op, noise, phi, t) == pytest.approx(
+        _quad_oracle(op, noise, phi, t), rel=1e-12)
+
+
+def test_charfn_oracle_raises_at_an_unreachable_tolerance():
+    op = SpectralOperator.dirichlet(1, 1.0, 16)
+    noise = make_noise(SubordinatorSpec.stable(0.5), 16)
+    phi = stream(13).standard_normal(16) / 4.0
+    with pytest.raises(QuadratureError) as info:
+        charfn_oracle(op, noise, phi, 0.7, quad_tol=1e-20)
+    assert info.value.achieved_tol > 1e-18
+
+
+def test_charfn_oracle_bounds_its_temporaries():
+    # unblocked, the (nodes, modes) exponentials of 4,096 modes would take
+    # 1,200 x 4,096 x 8 bytes = 39 MB
+    N = 4096
+    op = SpectralOperator.dirichlet(1, 1.0, N)
+    noise = make_noise(SubordinatorSpec.stable(0.5), N)
+    phi = stream(14).standard_normal(N) / math.sqrt(N)
+    charfn_oracle(op, noise, phi, 0.7)
+    tracemalloc.start()
+    try:
+        charfn_oracle(op, noise, phi, 0.7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 # -- regularity exponents ------------------------------------------------

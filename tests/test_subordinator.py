@@ -11,6 +11,7 @@ from levyfield.noise import CylindricalWienerSpec, LevyNoiseSpec
 from levyfield.subordinator import (
     MAX_EXPECTED_JUMPS,
     PathBatch,
+    _sort_within_paths,
     SubordinatorSpec,
     finite_variation_diagnostic,
     laplace_exponent,
@@ -228,6 +229,35 @@ def test_simulate_paths_laplace_identity(spec, method):
         vals = np.exp(-r * z)
         se = vals.std() / math.sqrt(n)
         assert abs(vals.mean() - math.exp(-T * laplace_exponent(spec, r))) < 4.0 * se, r
+
+
+def _complex_key_sort(times, offsets):
+    """The jump route's sort before it sorted paths by jump count: complex
+    numbers sort by real part (the path index), then by imaginary part (the time)."""
+    keys = np.empty(times.size, dtype=complex)
+    keys.real = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+    keys.imag = times
+    keys.sort()
+    return keys.imag.copy()
+
+
+@pytest.mark.parametrize("counts", [
+    [0, 1, 0, 3, 3, 3, 1, 5, 0, 3, 2],
+    [0, 0, 0],
+    [1],
+    [9],
+    [2, 2, 2, 2],
+    stream(8).poisson(14.0, 4000),
+], ids=["mixed", "no-jumps", "one-jump", "one-path", "equal-counts", "poisson"])
+def test_times_are_sorted_within_paths_as_by_the_complex_key(counts):
+    offsets = np.concatenate([[0], np.cumsum(counts)]).astype(int)
+    rng = stream(5)
+    for times in (rng.uniform(0.0, 2.0, offsets[-1]),
+                  # a coarse grid, so that paths hold repeated times
+                  0.25 * rng.integers(0, 4, offsets[-1])):
+        expected = _complex_key_sort(times, offsets)
+        _sort_within_paths(times, offsets)
+        assert np.array_equal(times, expected)
 
 
 def test_path_batch_csr_layout():
