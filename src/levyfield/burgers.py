@@ -11,7 +11,9 @@ on a doubled physical grid (exact dealiasing for quadratic products).
 The stochastic Burgers equation du + [Au + B(u)]dt = f dt + dY is solved
 pathwise as u = v + z with z the sampled OU convolution of the noise and
 g = f - (z^2/2)_x, which is the same construction the a priori estimates
-are stated for.
+are stated for.  The weak residual that checks a solution takes its
+nonlinear term in closed form from the sine coefficients, not through the
+solver's transforms.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from ._rng import stream
 from .noise import LevyNoiseSpec
-from .sine import BLOCK_ROWS, _cos, _values, by_blocks, l4_norm4
+from .sine import BLOCK_ROWS, _values, by_blocks, l4_norm4, sfft
 from .subordinator import PathBatch, simulate_paths
 
 __all__ = [
@@ -42,24 +44,43 @@ class StepSizeError(RuntimeError):
     """Energy left the a priori corridor; the explicit step is too large."""
 
 
-def _transport_coefficients(v: np.ndarray, z: Optional[np.ndarray] = None) -> np.ndarray:
+def _transport_work(shape: tuple[int, ...]):
+    """The work arrays of ``_transport_coefficients`` for v of ``shape``: the
+    zero-padded inputs of its sine and cosine transforms, and k pi."""
+    rows, n = shape[:-1], shape[-1]
+    return (np.zeros(rows + (2 * n + 1,)), np.zeros(rows + (2 * n + 3,)),
+            np.arange(1, n + 1) * math.pi)
+
+
+def _transport_coefficients(v: np.ndarray, zz: Optional[np.ndarray] = None,
+                            out: Optional[np.ndarray] = None, work=None) -> np.ndarray:
     """Sine coefficients of -(v z)_x - (v^2/2)_x, dealiased on a doubled grid.
 
-    Integration by parts against the sine basis turns the x-derivative into
-    k pi times the cosine coefficients of q = v z + v^2/2; the doubled grid
-    makes the quadratic product's cosine transform exact.  Works along the
-    last axis, unblocked: v (and z) is one vector or a block of time steps,
-    and a caller with a whole trajectory runs it through ``by_blocks``.
+    ``zz`` holds the values of z at i/(2(n+1)), i = 1..2n+1, as
+    ``_values(z, 2(n+1))`` gives them, or None for z = 0.  Integration by
+    parts against the sine basis turns the x-derivative into k pi times the
+    cosine coefficients of q = v z + v^2/2; the doubled grid makes the
+    quadratic product's cosine transform exact.  One sine and one cosine
+    transform call, along the last axis and unblocked: v is one vector or a
+    block of rows, and a caller with a whole trajectory runs it through
+    ``by_blocks``.  A caller that applies it again and again passes the
+    ``_transport_work(v.shape)`` to reuse as ``work``, and ``out`` for the
+    result.
     """
     n = v.shape[-1]
-    M2 = 2 * (n + 1)
-    if z is None:
-        vv = _values(v, M2)
-        q = 0.5 * vv * vv
-    else:
-        vv, zz = _values(np.stack((v, z)), M2)   # one transform call for both
-        q = 0.5 * vv * vv + vv * zz
-    return np.arange(1, n + 1) * math.pi * _cos(q)[..., :n]
+    sin_in, cos_in, kpi = _transport_work(v.shape) if work is None else work
+    sin_in[..., :n] = v
+    vv = sfft.dst(sin_in, type=1)
+    vv *= math.sqrt(2.0) / 2.0
+    q = cos_in[..., 1:-1]          # the ends stay zero: q vanishes at x = 0 and 1
+    np.multiply(0.5, vv, out=q)
+    q *= vv
+    if zz is not None:
+        vv *= zz
+        q += vv
+    c = sfft.dct(cos_in, type=1)[..., 1:n + 1]
+    c *= math.sqrt(2.0) / (2.0 * (2 * n + 2))
+    return np.multiply(kpi, c, out=out)
 
 
 @dataclass(frozen=True)
@@ -140,6 +161,12 @@ def solve_modified_burgers(
     which is how an unstable explicit step shows up, and RuntimeError if
     int |z|_L4^4 exceeds 1 and 4 times its trapezoid sum over every other
     grid point (z too rough for the grid).
+
+    The steps go BLOCK_ROWS at a time: each block takes z's values on the
+    doubled grid in one transform call, and each step makes one sine
+    transform of v and one cosine transform through reused buffers, writing
+    v into the trajectory and the right-hand side into a block buffer, from
+    which |v'|^2_V' is computed once per block.
     """
     v0 = np.asarray(v0, dtype=float)
     if v0.size != n_modes:
@@ -160,30 +187,36 @@ def solve_modified_burgers(
         raise RuntimeError(
             f"int |Y_A|_L4^4 not stable under refinement ({half:.3g} -> {int_z:.3g}); "
             "the OU path is too rough for this grid")
-    g_vp = np.zeros(n_steps + 1) if gs is None else (gs ** 2 / lam).sum(axis=1)
+    g_vp = (np.zeros(n_steps + 1) if gs is None
+            else by_blocks(lambda g: (g ** 2 / lam).sum(axis=1), gs))
 
     # explicit a priori corridor for the blow-up guard
     int_g = float(np.trapezoid(g_vp, times))
     consts = AprioriConstants.from_data(float(np.sqrt((v0 ** 2).sum())), int_z, int_g, T)
     corridor = 10.0 * (consts.K * consts.L) ** 2 + 1e-12
 
-    v = v0.copy()
     v_hist = np.empty((n_steps + 1, n_modes))
     vp_hist = np.empty(n_steps + 1)
-    v_hist[0] = v
-    for i in range(n_steps + 1):
-        rhs = _transport_coefficients(v, None if zs is None else zs[i])
-        if gs is not None:
-            rhs += gs[i]
-        vp_hist[i] = ((rhs - lam * v) ** 2 / lam).sum()
-        if i == n_steps:
-            break
-        v = decay * v + phi1 * rhs
-        if (v ** 2).sum() > corridor:
-            raise StepSizeError(
-                f"|v|^2 exceeded 10x the a priori bound at t={times[i + 1]:.4g}; "
-                f"reduce dt (currently {dt:g})")
-        v_hist[i + 1] = v
+    v_hist[0] = v0
+    rhs = np.empty((min(BLOCK_ROWS, n_steps + 1), n_modes))
+    work = _transport_work((n_modes,))
+    for lo in range(0, n_steps + 1, BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, n_steps + 1)
+        zz = None if zs is None else _values(zs[lo:hi], 2 * (n_modes + 1))
+        for i in range(lo, hi):
+            r = _transport_coefficients(v_hist[i], None if zz is None else zz[i - lo],
+                                        out=rhs[i - lo], work=work)
+            if gs is not None:
+                r += gs[i]
+            if i == n_steps:
+                break
+            v = np.multiply(decay, v_hist[i], out=v_hist[i + 1])
+            v += phi1 * r
+            if v @ v > corridor:
+                raise StepSizeError(
+                    f"|v|^2 exceeded 10x the a priori bound at t={times[i + 1]:.4g}; "
+                    f"reduce dt (currently {dt:g})")
+        vp_hist[lo:hi] = ((rhs[:hi - lo] - lam * v_hist[lo:hi]) ** 2 / lam).sum(axis=1)
     return BurgersTrajectory(times=times, v_coeffs=v_hist, z_l4=z_l4,
                              g_vprime=g_vp, vprime_vprime=vp_hist)
 
@@ -228,6 +261,15 @@ def check_apriori(traj: BurgersTrajectory, slack: float = 0.05) -> dict:
 # -- stochastic solver ---------------------------------------------------
 
 
+def _regression(v_dy: np.ndarray, v_eta: np.ndarray, cov: np.ndarray):
+    """sqrt Var(DY), the slope beta of eta on DY and sqrt Var(eta - beta DY)
+    from the moments of (DY, eta); a DY of zero variance has beta = 0."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        beta = np.where(v_dy > 0, cov / np.where(v_dy > 0, v_dy, 1.0), 0.0)
+        resid = np.maximum(v_eta - beta * cov, 0.0)
+    return np.sqrt(v_dy), beta, np.sqrt(resid)
+
+
 def _joint_ou_noise_paths(lam: np.ndarray, inv_w: np.ndarray,
                           zpath: PathBatch, times: np.ndarray,
                           seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -237,12 +279,19 @@ def _joint_ou_noise_paths(lam: np.ndarray, inv_w: np.ndarray,
     and mode, (Delta Y, OU innovation) is bivariate Gaussian with
     Var(DY) = w^-2 dZ, Var(eta) = w^-2 int e^(-2 lam (t'-s)) dZ and
     Cov = w^-2 int e^(-lam (t'-s)) dZ, all closed-form over the cell's jumps.
-    The cells are taken BLOCK_ROWS at a time; a cell of zero length draws
-    nothing.  The Gaussian draws come from ``stream(seed, 1)``, cell after
+    A cell without jumps has dZ = slope * length, so its moments depend on
+    its length alone: they are computed once per distinct cell length (13
+    for the 2,000 cells of dt * (0, 1, ..., 2000), which round differently),
+    in a table whose rows the cells gather.  A cell with jumps adds its jump
+    sums to its length's row; the table holds no row per jump, so its size
+    does not grow with the number of jumps.  The cells are taken BLOCK_ROWS
+    at a time; a cell of zero length draws nothing.  The Gaussian draws come from ``stream(seed, 1)``, cell after
     cell, so they do not depend on the block size.
     """
-    rng = stream(seed, 1)
     n = lam.size
+    z_hist = np.empty((times.size, n))
+    y_hist = np.empty((times.size, n))
+    rng = stream(seed, 1)
     slope = zpath.total_slope
     inv_w2 = inv_w ** 2
     edges = np.concatenate(([0.0], times))
@@ -250,37 +299,38 @@ def _joint_ou_noise_paths(lam: np.ndarray, inv_w: np.ndarray,
     dz = zpath.increments(edges)[0]
     # the jumps of cell i are zpath.times[starts[i]:starts[i] + counts[i]]
     (starts,), (counts,) = zpath.cells(edges)
+    drawn = dtc > 0
+    lengths, length_row = np.unique(dtc[drawn], return_inverse=True)
+    row = np.zeros(times.size, dtype=int)
+    row[drawn] = length_row
+    d = lengths[:, None]
+    decay = np.exp(-lam * d)
+    v_eta = slope * (1.0 - np.exp(-2.0 * lam * d)) / (2.0 * lam)
+    cov = slope * (1.0 - decay) / lam
+    sd, beta, sr = _regression(slope * d * inv_w2, v_eta * inv_w2, cov * inv_w2)
     z = np.zeros(n)
     y = np.zeros(n)
-    z_hist = np.empty((times.size, n))
-    y_hist = np.empty((times.size, n))
     for lo in range(0, times.size, BLOCK_ROWS):
         hi = min(lo + BLOCK_ROWS, times.size)
-        drawn = dtc[lo:hi] > 0
-        cells = lo + np.flatnonzero(drawn)
-        d = dtc[cells, None]
-        decay = np.exp(-lam * d)
-        v_eta = slope * (1.0 - np.exp(-2.0 * lam * d)) / (2.0 * lam)
-        cov = slope * (1.0 - decay) / lam
-        for c in np.flatnonzero(counts[cells]):
-            jumps = slice(starts[cells[c]], starts[cells[c]] + counts[cells[c]])
-            e1 = np.exp(-np.multiply.outer(lam, times[cells[c]] - zpath.times[jumps]))
-            v_eta[c] = v_eta[c] + (e1 ** 2 * zpath.sizes[jumps]).sum(axis=1)
-            cov[c] = cov[c] + (e1 * zpath.sizes[jumps]).sum(axis=1)
-        v_dy = dz[cells, None] * inv_w2
-        v_eta = v_eta * inv_w2
-        cov = cov * inv_w2
+        cells = lo + np.flatnonzero(drawn[lo:hi])
+        rows = row[cells]
+        sd_c, beta_c, sr_c = sd[rows], beta[rows], sr[rows]
+        for j in np.flatnonzero(counts[cells]).tolist():
+            c, r = cells[j], rows[j]
+            jumps = slice(starts[c], starts[c] + counts[c])
+            e1 = np.exp(-np.multiply.outer(lam, times[c] - zpath.times[jumps]))
+            sd_c[j], beta_c[j], sr_c[j] = _regression(
+                dz[c] * inv_w2,
+                (v_eta[r] + (e1 ** 2 * zpath.sizes[jumps]).sum(axis=1)) * inv_w2,
+                (cov[r] + (e1 * zpath.sizes[jumps]).sum(axis=1)) * inv_w2)
         g = rng.standard_normal((cells.size, 2, n))
-        dy = np.sqrt(v_dy) * g[:, 0]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            beta = np.where(v_dy > 0, cov / np.where(v_dy > 0, v_dy, 1.0), 0.0)
-            resid = np.maximum(v_eta - beta * cov, 0.0)
-        eta = beta * dy + np.sqrt(resid) * g[:, 1]
+        dy = sd_c * g[:, 0]
+        eta = beta_c * dy + sr_c * g[:, 1]
         j = 0
-        for i, fresh in enumerate(drawn.tolist(), lo):
+        for i, fresh in enumerate(drawn[lo:hi].tolist(), lo):
             if fresh:
                 y = np.add(y, dy[j], out=y_hist[i])
-                z = np.multiply(decay[j], z, out=z_hist[i])
+                z = np.multiply(decay[row[i]], z, out=z_hist[i])
                 z += eta[j]
                 j += 1
             else:
@@ -327,13 +377,34 @@ def solve_stochastic_burgers(
 
     v0 = u0 - z_hist[0]
     traj = solve_modified_burgers(v0, z_hist, g, T, dt, n_modes)
+    del g
     u_hist = traj.v_coeffs + z_hist
-    u_l2sq = (u_hist ** 2).sum(axis=1)
+    u_l2sq = by_blocks(lambda u: (u ** 2).sum(axis=1), u_hist)
     u_l4 = l4_norm4(u_hist)
     certificate = {"sup_u_sq": float(u_l2sq.max()),
                    "int_u_l4": float(np.trapezoid(u_l4, times))}
     return {"times": times, "u_coeffs": u_hist, "v_traj": traj,
             "z_coeffs": z_hist, "y_coeffs": y_hist, "certificate": certificate}
+
+
+def _half_square_against_gradient(u: np.ndarray, modes: Sequence[int]) -> np.ndarray:
+    """1/2 (u^2, d/dx psi_k) for psi_k = sqrt(2) sin(k pi x), one column per k
+    in ``modes`` (1 <= k <= n), from the sine coefficients u_1..u_n of each row.
+
+    The exact Galerkin coefficient, without a transform: the product of
+    two sines is a difference of cosines, so
+    1/2 (u^2, d/dx psi_k) = k pi sqrt(2)/4 (2 sum_j u_j u_(j+k) - sum_(j<k) u_j u_(k-j)).
+    """
+    n = u.shape[-1]
+    out = np.empty(u.shape[:-1] + (len(modes),))
+    for col, k in enumerate(modes):
+        if not 1 <= k <= n:
+            raise ValueError(f"test mode {k} is not in 1..{n}")
+        low = u[..., :k - 1]
+        lagged = np.einsum("...j,...j->...", u[..., :n - k], u[..., k:])
+        folded = np.einsum("...j,...j->...", low, low[..., ::-1])
+        out[..., col] = k * math.pi * math.sqrt(2.0) / 4.0 * (2.0 * lagged - folded)
+    return out
 
 
 def weak_residual(result: dict, f: Optional[np.ndarray], test_modes: Sequence[int]) -> list[float]:
@@ -342,19 +413,20 @@ def weak_residual(result: dict, f: Optional[np.ndarray], test_modes: Sequence[in
 
     (u(t),psi) - (u0,psi) - int (u, Lap psi) - 1/2 int (u^2, grad psi)
       - int (f,psi) - <psi, Y(t)>, with time integrals by the trapezoid
-    rule on the solver grid, at the final grid time t.
+    rule on the solver grid, at the final grid time t.  The nonlinear term
+    is computed in closed form from the sine coefficients of u, so the check
+    shares no transform code with the solver it checks.
     """
     times = result["times"]
     u = result["u_coeffs"]
     y = result["y_coeffs"]
     z = result["z_coeffs"]
-    cols = np.asarray(test_modes, dtype=int) - 1
-    # 1/2 (u^2, grad psi) = k pi * cosine coefficient of u^2/2, the k-th
-    # transport coefficient of u alone
-    q = by_blocks(lambda ub: _transport_coefficients(ub)[:, cols], u)
+    modes = [int(k) for k in test_modes]
+    q = _half_square_against_gradient(u, modes)
     residuals = []
-    for j, c in enumerate(cols):
-        lamk = ((c + 1) * math.pi) ** 2
+    for j, k in enumerate(modes):
+        c = k - 1
+        lamk = (k * math.pi) ** 2
         # (u, Lap psi) = -lam_k u_k; the v part is smooth (trapezoid), while the
         # rough OU part integrates exactly through its own equation:
         # lam int z_k ds = Y_k(t) - z_k(t) + z_k(0)

@@ -130,7 +130,7 @@ def _charfn_projections(spec: LevyNoiseSpec, phis, t: float, n_paths: int,
 @_experiment("charfn-test", n_modes=64, beta=0.9, t_values=[0.5, 1.0], n_phi=5,
              mc_paths=100000)
 def _run_charfn(cfg, out: Path):
-    N = int(cfg["n_modes"])
+    N = _at_least_one(cfg, "n_modes")
     beta = float(cfg["beta"])
     ts = _non_empty(cfg, "t_values")
     n_phi = _at_least_one(cfg, "n_phi")
@@ -166,7 +166,7 @@ def _ou_draws(op: SpectralOperator, spec: LevyNoiseSpec, t: float, n_paths: int,
 
 @_experiment("ou-sample", n_modes=16, beta=0.5, mc_paths=20000, n_pairs=4)
 def _run_ou(cfg, out: Path):
-    N = int(cfg["n_modes"])
+    N = _at_least_one(cfg, "n_modes")
     beta = float(cfg["beta"])
     mc = _at_least_one(cfg, "mc_paths")
     n_pairs = _at_least_one(cfg, "n_pairs")
@@ -193,7 +193,7 @@ def _run_ou(cfg, out: Path):
 
 @_experiment("regularity", n_modes=512, grid_M=2048, n_paths=10)
 def _run_regularity(cfg, out: Path):
-    N = int(cfg["n_modes"])
+    N = _at_least_one(cfg, "n_modes")
     M = int(cfg["grid_M"])
     n_paths = int(cfg["n_paths"])
     seed = int(cfg["master_seed"])
@@ -217,7 +217,7 @@ def _run_regularity(cfg, out: Path):
 @_experiment("blowup", n_modes=4096, truncations=[2 ** k for k in range(6, 13)],
              threshold=0.05)
 def _run_blowup(cfg, out: Path):
-    Nmax = int(cfg["n_modes"])
+    Nmax = _at_least_one(cfg, "n_modes")
     truncs = cfg["truncations"]
     seed = int(cfg["master_seed"])
     threshold = float(cfg["threshold"])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from levyfield._rng import stream
 from levyfield.burgers import (
     AprioriConstants,
     StepSizeError,
+    _half_square_against_gradient,
     _joint_ou_noise_paths,
     _transport_coefficients,
     check_apriori,
@@ -42,9 +44,11 @@ def test_transport_of_one_vector_is_bitwise_its_row_and_the_blocked_composition(
     rng = stream(21, n)
     v = rng.standard_normal((5, n))
     z = rng.standard_normal((5, n)) if with_z else None
-    block = _transport_coefficients(v, z)
+    # the kernel takes z's values on the doubled grid
+    zz = None if z is None else sine_values(z, 2 * (n + 1))
+    block = _transport_coefficients(v, zz)
     for i in range(5):
-        row = _transport_coefficients(v[i], None if z is None else z[i])
+        row = _transport_coefficients(v[i], None if zz is None else zz[i])
         assert np.array_equal(row, block[i])
         # the same product through the blocked public transforms
         vv = sine_values(v[i], 2 * (n + 1))
@@ -87,6 +91,83 @@ def test_both_solvers_refuse_a_bad_time_grid(T, dt, message):
         solve_modified_burgers(np.zeros(n), None, None, T=T, dt=dt, n_modes=n)
     with pytest.raises(ValueError, match=message):
         solve_stochastic_burgers(np.zeros(n), burgers_noise(n), None, T=T, dt=dt, n_modes=n)
+
+
+def per_step_modified_burgers(v0, zs, gs, T, dt, n):
+    """Reference for solve_modified_burgers: one step per iteration, each with
+    one sine transform of v and z stacked and one cosine transform, and
+    |v'|^2_V' step by step.  Returns (v_coeffs, vprime_vprime)."""
+    n_steps = round(T / dt)
+    times = dt * np.arange(n_steps + 1)
+    lam = (np.arange(1, n + 1) * math.pi) ** 2
+    decay = np.exp(-lam * dt)
+    phi1 = (1.0 - decay) / lam
+    zs = None if zs is None else np.broadcast_to(zs, (n_steps + 1, n))
+    gs = None if gs is None else np.broadcast_to(gs, (n_steps + 1, n))
+    z_l4 = np.zeros(n_steps + 1) if zs is None else l4_norm4(zs)
+    g_vp = np.zeros(n_steps + 1) if gs is None else (gs ** 2 / lam).sum(axis=1)
+    c = AprioriConstants.from_data(float(np.sqrt((v0 ** 2).sum())),
+                                   float(np.trapezoid(z_l4, times)),
+                                   float(np.trapezoid(g_vp, times)), T)
+    corridor = 10.0 * (c.K * c.L) ** 2 + 1e-12
+    M2 = 2 * (n + 1)
+    v = v0.copy()
+    v_hist = np.empty((n_steps + 1, n))
+    vp_hist = np.empty(n_steps + 1)
+    v_hist[0] = v
+    for i in range(n_steps + 1):
+        if zs is None:
+            vv = sine_values(v, M2)
+            q = 0.5 * vv * vv
+        else:
+            vv, zz = sine_values(np.stack((v, zs[i])), M2)
+            q = 0.5 * vv * vv + vv * zz
+        rhs = np.arange(1, n + 1) * math.pi * cos_coefficients(q)[:n]
+        if gs is not None:
+            rhs += gs[i]
+        vp_hist[i] = ((rhs - lam * v) ** 2 / lam).sum()
+        if i == n_steps:
+            break
+        v = decay * v + phi1 * rhs
+        if (v ** 2).sum() > corridor:
+            raise StepSizeError(
+                f"|v|^2 exceeded 10x the a priori bound at t={times[i + 1]:.4g}; "
+                f"reduce dt (currently {dt:g})")
+        v_hist[i + 1] = v
+    return v_hist, vp_hist
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 64])
+@pytest.mark.parametrize("z_kind", [None, "constant", "array"])
+@pytest.mark.parametrize("g_kind", [None, "constant", "array"])
+def test_blocked_step_loop_equals_the_per_step_loop(monkeypatch, block_rows, z_kind, g_kind):
+    # 71 grid times: a multiple of none of the block sizes but 1
+    n, T, dt = 31, 0.07, 1e-3
+    rng = stream(24)
+    decay = 1.0 / np.arange(1, n + 1)
+    v0 = 0.3 * rng.standard_normal(n) * decay
+    data = {kind: (None if kind is None else
+                   0.3 * rng.standard_normal(n if kind == "constant" else (71, n)) * decay)
+            for kind in (None, "constant", "array")}
+    zs, gs = data[z_kind], data[g_kind]
+    want = per_step_modified_burgers(v0, zs, gs, T, dt, n)
+    monkeypatch.setattr(burgers, "BLOCK_ROWS", block_rows)
+    got = solve_modified_burgers(v0, zs, gs, T=T, dt=dt, n_modes=n)
+    assert got.v_coeffs.tobytes() == want[0].tobytes()
+    assert got.vprime_vprime.tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 64])
+def test_unstable_step_raises_the_per_step_message(monkeypatch, block_rows):
+    n = 255
+    v0 = np.zeros(n)
+    v0[0] = 40.0
+    with pytest.raises(StepSizeError) as want:
+        per_step_modified_burgers(v0, None, None, 0.2, 5e-3, n)
+    monkeypatch.setattr(burgers, "BLOCK_ROWS", block_rows)
+    with pytest.raises(StepSizeError) as got:
+        solve_modified_burgers(v0, None, None, T=0.2, dt=5e-3, n_modes=n)
+    assert str(got.value) == str(want.value)
 
 
 def test_zero_data_stays_zero():
@@ -312,6 +393,35 @@ def test_blocked_ou_noise_paths_equal_the_cell_by_cell_draw(monkeypatch, case):
         got = _joint_ou_noise_paths(lam, inv_w, zpath, times, seed=5)
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes(), block_rows
+
+
+@pytest.mark.parametrize("n", [5, 31, 255])
+def test_closed_form_nonlinear_term_matches_the_transport_transform(n):
+    rng = stream(25, n)
+    u = rng.standard_normal((6, n)) / np.arange(1, n + 1)
+    modes = sorted({1, 3, 5, n})
+    want = _transport_coefficients(u)[:, [k - 1 for k in modes]]
+    got = _half_square_against_gradient(u, modes)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    for k in (0, n + 1):
+        with pytest.raises(ValueError, match="test mode"):
+            _half_square_against_gradient(u, [k])
+
+
+def test_stochastic_solve_holds_no_more_than_its_outputs_and_g():
+    # u, v, z and Y are returned; g lives only while v is solved, and every
+    # other temporary is a row block: 4.25 trajectories at these sizes
+    n = 255
+    u0 = np.zeros(n); u0[0] = 0.2
+    f = np.zeros(n); f[1] = 0.1
+    trajectory_bytes = 2001 * n * 8
+    tracemalloc.start()
+    try:
+        solve_stochastic_burgers(u0, burgers_noise(n), f, T=0.2, dt=1e-4, n_modes=n, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * trajectory_bytes
 
 
 def test_stochastic_zero_noise_matches_deterministic():

@@ -334,10 +334,14 @@ def test_non_finite_config_value_exit_2(tmp_path, capsys, payload, key):
     ({"experiment": "circle", "grids": []}, "grids"),
     ({"experiment": "charfn-test", "mc_paths": 0}, "mc_paths"),
     ({"experiment": "ou-sample", "mc_paths": 0}, "mc_paths"),
+    ({"experiment": "ou-sample", "n_modes": 0}, "n_modes"),
+    ({"experiment": "charfn-test", "n_modes": 0}, "n_modes"),
+    ({"experiment": "regularity", "n_modes": 0}, "n_modes"),
+    ({"experiment": "blowup", "n_modes": 0}, "n_modes"),
 ], ids=lambda v: v if isinstance(v, str) else v["experiment"])
 def test_empty_case_list_exit_2(tmp_path, capsys, payload, key):
-    # no case (or no draw) would run, and a verdict over none would read "pass"
-    # or fail on the mean of no draws
+    # no case (or no draw, or no mode) would run, and a verdict over none would
+    # read "pass" or fail on the mean of no draws; the error names the key
     cfg = write_config(tmp_path, {**payload, "master_seed": 1})
     out = tmp_path / "o"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 2
