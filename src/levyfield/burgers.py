@@ -5,28 +5,30 @@ The deterministic "modified" equation
     v_t + A v + (v z)_x + (v^2/2)_x = g,    v(0) = v0,
 
 with A the Dirichlet Laplacian, is solved pseudo-spectrally in the
-orthonormal sine basis sqrt(2) sin(k pi x): diffusion is integrated
-exactly per mode (exponential Euler), the transport terms are evaluated
-on a doubled physical grid (exact dealiasing for quadratic products).
-The stochastic Burgers equation du + [Au + B(u)]dt = f dt + dY is solved
-pathwise as u = v + z with z the sampled OU convolution of the noise and
+orthonormal sine basis sqrt(2) sin(k pi x), in its u-form: with
+N(w) = -(w^2/2)_x its transport and g are N(v + z) + h, h = g - N(z), so
+a step transports the one field v + z.  Diffusion is integrated exactly
+per mode (exponential Euler), the transport is evaluated on a doubled
+physical grid (exact dealiasing for quadratic products).  The stochastic
+Burgers equation du + [Au + B(u)]dt = f dt + dY is solved pathwise as
+u = v + z with z the sampled OU convolution of the noise and
 g = f - (z^2/2)_x, which is the same construction the a priori estimates
-are stated for.  The weak residual that checks a solution takes its
-nonlinear term in closed form from the sine coefficients, not through the
-solver's transforms.
+are stated for; in the u-form its h is f itself.  The weak residual that
+checks a solution takes its nonlinear term in closed form from the sine
+coefficients, not through the solver's transforms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from ._rng import stream
 from .noise import LevyNoiseSpec
-from .sine import BLOCK_ROWS, _values, by_blocks, l4_norm4, sfft
+from .sine import BLOCK_ROWS, by_blocks, l4_norm4, sfft
 from .subordinator import PathBatch, simulate_paths
 
 __all__ = [
@@ -45,42 +47,58 @@ class StepSizeError(RuntimeError):
 
 
 def _transport_work(shape: tuple[int, ...]):
-    """The work arrays of ``_transport_coefficients`` for v of ``shape``: the
+    """The work arrays of ``_transport_coefficients`` for w of ``shape``: the
     zero-padded inputs of its sine and cosine transforms, and k pi."""
     rows, n = shape[:-1], shape[-1]
     return (np.zeros(rows + (2 * n + 1,)), np.zeros(rows + (2 * n + 3,)),
             np.arange(1, n + 1) * math.pi)
 
 
-def _transport_coefficients(v: np.ndarray, zz: Optional[np.ndarray] = None,
-                            out: Optional[np.ndarray] = None, work=None) -> np.ndarray:
-    """Sine coefficients of -(v z)_x - (v^2/2)_x, dealiased on a doubled grid.
+def _transport_coefficients(w: np.ndarray, out: Optional[np.ndarray] = None,
+                            work=None) -> np.ndarray:
+    """Sine coefficients of N(w) = -(w^2/2)_x, dealiased on a doubled grid.
 
-    ``zz`` holds the values of z at i/(2(n+1)), i = 1..2n+1, as
-    ``_values(z, 2(n+1))`` gives them, or None for z = 0.  Integration by
-    parts against the sine basis turns the x-derivative into k pi times the
-    cosine coefficients of q = v z + v^2/2; the doubled grid makes the
-    quadratic product's cosine transform exact.  One sine and one cosine
-    transform call, along the last axis and unblocked: v is one vector or a
-    block of rows, and a caller with a whole trajectory runs it through
-    ``by_blocks``.  A caller that applies it again and again passes the
-    ``_transport_work(v.shape)`` to reuse as ``work``, and ``out`` for the
-    result.
+    Integration by parts against the sine basis turns the x-derivative into
+    k pi times the cosine coefficients of q = w^2/2; the doubled grid
+    i/(2(n+1)), i = 1..2n+1, makes the square's cosine transform exact.  One
+    sine and one cosine transform call, along the last axis and unblocked:
+    w is one vector or a block of rows, and a caller with a whole trajectory
+    takes it in blocks.  A caller that applies it again and again passes
+    the ``_transport_work(w.shape)`` to reuse as ``work``, and ``out`` for
+    the result.  The cosine input of ``work`` keeps q on the grid, between
+    zero ends, after the call; ``_l4_of_half_squares`` reads |w|_L4^4 from it.
     """
-    n = v.shape[-1]
-    sin_in, cos_in, kpi = _transport_work(v.shape) if work is None else work
-    sin_in[..., :n] = v
-    vv = sfft.dst(sin_in, type=1)
-    vv *= math.sqrt(2.0) / 2.0
+    n = w.shape[-1]
+    sin_in, cos_in, kpi = _transport_work(w.shape) if work is None else work
+    sin_in[..., :n] = w
+    ww = sfft.dst(sin_in, type=1)
+    ww *= math.sqrt(2.0) / 2.0
     q = cos_in[..., 1:-1]          # the ends stay zero: q vanishes at x = 0 and 1
-    np.multiply(0.5, vv, out=q)
-    q *= vv
-    if zz is not None:
-        vv *= zz
-        q += vv
+    np.multiply(0.5, ww, out=q)
+    q *= ww
     c = sfft.dct(cos_in, type=1)[..., 1:n + 1]
     c *= math.sqrt(2.0) / (2.0 * (2 * n + 2))
     return np.multiply(kpi, c, out=out)
+
+
+def _l4_of_half_squares(cos_in: np.ndarray) -> np.ndarray:
+    """|w|_L4^4 of each row from the cosine input ``_transport_coefficients``
+    leaves in its work: 2q = w^2 on the 2n+1 grid points, so this is
+    ``l4_norm4``'s expression on the same values, bitwise."""
+    squares = 2.0 * cos_in[..., 1:-1]
+    return np.square(squares, out=squares).sum(axis=-1) / (cos_in.shape[-1] - 1)
+
+
+def _nonlinear_blocks(zs: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """(first row, |z|_L4^4, N(z)) of each block of BLOCK_ROWS rows of the
+    sine coefficients ``zs``: one sine transform puts the block on the grid,
+    and its values serve both."""
+    sin_in, cos_in, kpi = _transport_work((min(BLOCK_ROWS, len(zs)), zs.shape[-1]))
+    for lo in range(0, len(zs), BLOCK_ROWS):
+        block = zs[lo:lo + BLOCK_ROWS]
+        work = (sin_in[:len(block)], cos_in[:len(block)], kpi)
+        nz = _transport_coefficients(block, work=work)
+        yield lo, _l4_of_half_squares(work[1]), nz
 
 
 @dataclass(frozen=True)
@@ -114,22 +132,30 @@ class AprioriConstants:
 
     @classmethod
     def from_data(cls, v0_l2: float, int_z_l4: float, int_g_vp: float, T: float) -> "AprioriConstants":
-        K = math.exp(int_z_l4)                       # K = e^{int |z|^4}
-        L = math.sqrt(v0_l2 ** 2 + 2.0 * int_g_vp)
-        M = math.sqrt(v0_l2 ** 2 + 9.0 * K * L * int_z_l4 + int_g_vp)
-        N = math.sqrt(int_g_vp) + 2.0 * K * L * M * math.sqrt(int_z_l4) \
-            + T ** 0.25 / math.sqrt(2.0) * K ** 1.5 * math.sqrt(L)
+        """The constants, or RuntimeError if K = e^(int |z|_L4^4) or a power of
+        it overflows the double range."""
+        try:
+            K = math.exp(int_z_l4)                       # K = e^{int |z|^4}
+            L = math.sqrt(v0_l2 ** 2 + 2.0 * int_g_vp)
+            M = math.sqrt(v0_l2 ** 2 + 9.0 * K * L * int_z_l4 + int_g_vp)
+            N = math.sqrt(int_g_vp) + 2.0 * K * L * M * math.sqrt(int_z_l4) \
+                + T ** 0.25 / math.sqrt(2.0) * K ** 1.5 * math.sqrt(L)
+        except OverflowError:
+            raise RuntimeError(
+                f"int |z|_L4^4 dt = {int_z_l4:.4g} makes the a priori constant "
+                "K = e^(int |z|_L4^4 dt) overflow the double range") from None
         return cls(K=K, L=L, M=M, N=N)
 
 
 def _on_grid(name: str, a, shape: tuple[int, int]) -> Optional[np.ndarray]:
-    """``a`` read-only broadcast to ``shape``; None stays None."""
+    """``a`` as a float array of shape ``shape[1:]`` (one row for every grid
+    time) or ``shape``; None stays None."""
     if a is None:
         return None
     a = np.asarray(a, dtype=float)
     if a.shape not in (shape[1:], shape):
         raise ValueError(f"{name} must have shape {shape[1:]} or {shape}, not {a.shape}")
-    return np.broadcast_to(a, shape)
+    return a
 
 
 def _time_grid(T: float, dt: float) -> tuple[int, np.ndarray]:
@@ -142,6 +168,75 @@ def _time_grid(T: float, dt: float) -> tuple[int, np.ndarray]:
     if abs(n_steps * dt - T) > 1e-9 * T:
         raise ValueError(f"T must be an integer multiple of dt (T={T!r}, dt={dt!r})")
     return n_steps, dt * np.arange(n_steps + 1)
+
+
+def _u_form_steps(v0: np.ndarray, zs: Optional[np.ndarray], h: Optional[np.ndarray],
+                  z_l4: np.ndarray, g_vp: np.ndarray, T: float, dt: float,
+                  times: np.ndarray) -> tuple[BurgersTrajectory, np.ndarray]:
+    """The modified equation stepped in its u-form, and |v + z|_L4^4 at the grid times.
+
+    v_(i+1) = e^(-lam dt) v_i + phi1 (N(v_i + z_i) + h_i) with
+    phi1 = (1 - e^(-lam dt)) / lam; ``zs`` and ``h`` are None (zero) or
+    broadcast to one row per grid time, and ``z_l4``, ``g_vp`` are |z|_L4^4
+    and |g|_V'^2 there.  Raises RuntimeError if int |z|_L4^4 exceeds 1 and
+    4 times its trapezoid sum over every other grid point (z too rough for
+    the grid), and StepSizeError if |v|^2 leaves 10x its a priori corridor
+    after any step, which is how an unstable explicit step shows up.
+
+    The steps go BLOCK_ROWS at a time.  Each step makes one sine transform
+    of v + z and one cosine transform of half its square, writing v into the
+    trajectory, the right-hand side into a block buffer and the cosine
+    input into a block of rows; once per block |v'|^2_V' comes from the
+    right-hand sides and |v + z|_L4^4 from the cosine inputs.
+    """
+    n_modes = v0.size
+    shape = (times.size, n_modes)
+    lam = (np.arange(1, n_modes + 1) * math.pi) ** 2
+    decay = np.exp(-lam * dt)
+    phi1 = (1.0 - decay) / lam
+
+    int_z = float(np.trapezoid(z_l4, times))
+    # refinement diagnostic for int |z|^4: compare full grid vs every other point
+    half = float(np.trapezoid(z_l4[::2], times[::2]))
+    if int_z > 1.0 and half > 0 and int_z / half > 4.0:
+        raise RuntimeError(
+            f"int |Y_A|_L4^4 not stable under refinement ({half:.3g} -> {int_z:.3g}); "
+            "the OU path is too rough for this grid")
+    # explicit a priori corridor for the blow-up guard
+    int_g = float(np.trapezoid(g_vp, times))
+    consts = AprioriConstants.from_data(float(np.sqrt((v0 ** 2).sum())), int_z, int_g, T)
+    corridor = 10.0 * (consts.K * consts.L) ** 2 + 1e-12
+
+    zs = None if zs is None else np.broadcast_to(zs, shape)
+    h = None if h is None else np.broadcast_to(h, shape)
+    v_hist = np.empty(shape)
+    vp_hist = np.empty(times.size)
+    w_l4 = np.empty(times.size)
+    v_hist[0] = v0
+    rhs = np.empty((min(BLOCK_ROWS, times.size), n_modes))
+    sin_in, cos_row, kpi = _transport_work((n_modes,))
+    cos_in = np.zeros((len(rhs),) + cos_row.shape)
+    u = sin_in[:n_modes]           # v + z goes straight into the sine input
+    for lo in range(0, times.size, BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, times.size)
+        for i in range(lo, hi):
+            w = v_hist[i] if zs is None else np.add(v_hist[i], zs[i], out=u)
+            r = _transport_coefficients(w, out=rhs[i - lo], work=(sin_in, cos_in[i - lo], kpi))
+            if h is not None:
+                r += h[i]
+            if i == times.size - 1:
+                break
+            v = np.multiply(decay, v_hist[i], out=v_hist[i + 1])
+            v += phi1 * r
+            if v @ v > corridor:
+                raise StepSizeError(
+                    f"|v|^2 exceeded 10x the a priori bound at t={times[i + 1]:.4g}; "
+                    f"reduce dt (currently {dt:g})")
+        vp_hist[lo:hi] = ((rhs[:hi - lo] - lam * v_hist[lo:hi]) ** 2 / lam).sum(axis=1)
+        w_l4[lo:hi] = _l4_of_half_squares(cos_in[:hi - lo])
+    traj = BurgersTrajectory(times=times, v_coeffs=v_hist, z_l4=z_l4,
+                             g_vprime=g_vp, vprime_vprime=vp_hist)
+    return traj, w_l4
 
 
 def solve_modified_burgers(
@@ -162,63 +257,34 @@ def solve_modified_burgers(
     int |z|_L4^4 exceeds 1 and 4 times its trapezoid sum over every other
     grid point (z too rough for the grid).
 
-    The steps go BLOCK_ROWS at a time: each block takes z's values on the
-    doubled grid in one transform call, and each step makes one sine
-    transform of v and one cosine transform through reused buffers, writing
-    v into the trajectory and the right-hand side into a block buffer, from
-    which |v'|^2_V' is computed once per block.
+    The steps run in the u-form, v_t + A v = N(v + z) + h with
+    N(w) = -(w^2/2)_x and h = g - N(z): z's rows are put on the doubled
+    grid once, in blocks of BLOCK_ROWS, for |z|_L4^4 and N(z), and h is
+    one vector unless ``zs`` or ``gs`` is a full array.  Each step then
+    makes one sine transform of v + z and one cosine transform.
     """
     v0 = np.asarray(v0, dtype=float)
     if v0.size != n_modes:
         raise ValueError("v0 must have n_modes sine coefficients")
     n_steps, times = _time_grid(T, dt)
-    k = np.arange(1, n_modes + 1)
-    lam = (k * math.pi) ** 2
-    decay = np.exp(-lam * dt)
-    phi1 = (1.0 - decay) / lam
+    shape = (n_steps + 1, n_modes)
+    zs = _on_grid("zs", zs, shape)
+    gs = _on_grid("gs", gs, shape)
+    lam = (np.arange(1, n_modes + 1) * math.pi) ** 2
 
-    zs = _on_grid("zs", zs, (n_steps + 1, n_modes))
-    gs = _on_grid("gs", gs, (n_steps + 1, n_modes))
-    z_l4 = np.zeros(n_steps + 1) if zs is None else l4_norm4(zs)
-    int_z = float(np.trapezoid(z_l4, times))
-    # refinement diagnostic for int |z|^4: compare full grid vs every other point
-    half = float(np.trapezoid(z_l4[::2], times[::2]))
-    if int_z > 1.0 and half > 0 and int_z / half > 4.0:
-        raise RuntimeError(
-            f"int |Y_A|_L4^4 not stable under refinement ({half:.3g} -> {int_z:.3g}); "
-            "the OU path is too rough for this grid")
-    g_vp = (np.zeros(n_steps + 1) if gs is None
-            else by_blocks(lambda g: (g ** 2 / lam).sum(axis=1), gs))
-
-    # explicit a priori corridor for the blow-up guard
-    int_g = float(np.trapezoid(g_vp, times))
-    consts = AprioriConstants.from_data(float(np.sqrt((v0 ** 2).sum())), int_z, int_g, T)
-    corridor = 10.0 * (consts.K * consts.L) ** 2 + 1e-12
-
-    v_hist = np.empty((n_steps + 1, n_modes))
-    vp_hist = np.empty(n_steps + 1)
-    v_hist[0] = v0
-    rhs = np.empty((min(BLOCK_ROWS, n_steps + 1), n_modes))
-    work = _transport_work((n_modes,))
-    for lo in range(0, n_steps + 1, BLOCK_ROWS):
-        hi = min(lo + BLOCK_ROWS, n_steps + 1)
-        zz = None if zs is None else _values(zs[lo:hi], 2 * (n_modes + 1))
-        for i in range(lo, hi):
-            r = _transport_coefficients(v_hist[i], None if zz is None else zz[i - lo],
-                                        out=rhs[i - lo], work=work)
-            if gs is not None:
-                r += gs[i]
-            if i == n_steps:
-                break
-            v = np.multiply(decay, v_hist[i], out=v_hist[i + 1])
-            v += phi1 * r
-            if v @ v > corridor:
-                raise StepSizeError(
-                    f"|v|^2 exceeded 10x the a priori bound at t={times[i + 1]:.4g}; "
-                    f"reduce dt (currently {dt:g})")
-        vp_hist[lo:hi] = ((rhs[:hi - lo] - lam * v_hist[lo:hi]) ** 2 / lam).sum(axis=1)
-    return BurgersTrajectory(times=times, v_coeffs=v_hist, z_l4=z_l4,
-                             g_vprime=g_vp, vprime_vprime=vp_hist)
+    z_l4, h = np.zeros(n_steps + 1), gs
+    if zs is not None:
+        z_rows = np.atleast_2d(zs)
+        row_l4, nz = np.empty(len(z_rows)), np.empty(z_rows.shape)
+        for lo, l4, block in _nonlinear_blocks(z_rows):
+            row_l4[lo:lo + len(l4)] = l4
+            nz[lo:lo + len(l4)] = block
+        z_l4[:] = row_l4
+        h = -nz if gs is None else gs - nz
+    g_vp = np.zeros(n_steps + 1)
+    if gs is not None:
+        g_vp[:] = by_blocks(lambda g: (g ** 2 / lam).sum(axis=1), np.atleast_2d(gs))
+    return _u_form_steps(v0, zs, h, z_l4, g_vp, T, dt, times)[0]
 
 
 def check_apriori(traj: BurgersTrajectory, slack: float = 0.05) -> dict:
@@ -285,7 +351,8 @@ def _joint_ou_noise_paths(lam: np.ndarray, inv_w: np.ndarray,
     in a table whose rows the cells gather.  A cell with jumps adds its jump
     sums to its length's row; the table holds no row per jump, so its size
     does not grow with the number of jumps.  The cells are taken BLOCK_ROWS
-    at a time; a cell of zero length draws nothing.  The Gaussian draws come from ``stream(seed, 1)``, cell after
+    at a time, Y by one running sum per block; a cell of zero length draws
+    nothing.  The Gaussian draws come from ``stream(seed, 1)``, cell after
     cell, so they do not depend on the block size.
     """
     n = lam.size
@@ -326,15 +393,19 @@ def _joint_ou_noise_paths(lam: np.ndarray, inv_w: np.ndarray,
         g = rng.standard_normal((cells.size, 2, n))
         dy = sd_c * g[:, 0]
         eta = beta_c * dy + sr_c * g[:, 1]
+        # Y is the running sum of the increments, a cell of zero length adding 0
+        ys = y_hist[lo:hi]
+        ys[drawn[lo:hi]] = dy
+        ys[~drawn[lo:hi]] = 0.0
+        ys[0] += y
+        y = np.add.accumulate(ys, axis=0, out=ys)[-1]
         j = 0
         for i, fresh in enumerate(drawn[lo:hi].tolist(), lo):
             if fresh:
-                y = np.add(y, dy[j], out=y_hist[i])
                 z = np.multiply(decay[row[i]], z, out=z_hist[i])
                 z += eta[j]
                 j += 1
             else:
-                y_hist[i] = y
                 z_hist[i] = z
     return z_hist, y_hist
 
@@ -357,6 +428,11 @@ def solve_stochastic_burgers(
     trajectory, the sampled (z, Y) paths and the solution certificate
     sup_t |u|^2, int |u|_L4^4 dt.  The path of Z comes from ``stream(seed)``,
     the Gaussian draws of (z, Y) from ``stream(seed, 1)``.
+
+    One blocked pass puts z on the doubled grid once, for |z|_L4^4 and
+    |g|_V'^2 = |f + N(z)|_V'^2; g itself is not kept.  The steps run in
+    the u-form with h = f, and int |u|_L4^4 comes from the squares the
+    steps already hold on the grid.
     """
     u0 = np.asarray(u0, dtype=float)
     if u0.size != n_modes:
@@ -364,23 +440,25 @@ def solve_stochastic_burgers(
     if noise.wiener.truncation_N != n_modes:
         raise ValueError("noise truncation must equal n_modes")
     _, times = _time_grid(T, dt)
+    f = _on_grid("f", f, (times.size, n_modes))
     lam = (np.arange(1, n_modes + 1) * math.pi) ** 2
     sub = noise.subordinator
     zpath = simulate_paths(sub, T, 1, stream(seed), cutoff_eps=cutoff_eps, method="jumps")
     z_hist, y_hist = _joint_ou_noise_paths(lam, 1.0 / noise.wiener.hilbert_weights,
                                            zpath, times, seed=seed)
 
-    # g(t) = f - (z(t)^2/2)_x  (sine coefficients, dealiased)
-    g = by_blocks(_transport_coefficients, z_hist)
-    if f is not None:
-        g += f
+    z_l4, g_vp = np.empty(times.size), np.empty(times.size)
+    f_rows = None if f is None else np.broadcast_to(f, z_hist.shape)
+    for lo, l4, g in _nonlinear_blocks(z_hist):
+        hi = lo + len(l4)
+        z_l4[lo:hi] = l4
+        if f is not None:
+            g += f_rows[lo:hi]
+        g_vp[lo:hi] = (g ** 2 / lam).sum(axis=1)
 
-    v0 = u0 - z_hist[0]
-    traj = solve_modified_burgers(v0, z_hist, g, T, dt, n_modes)
-    del g
+    traj, u_l4 = _u_form_steps(u0 - z_hist[0], z_hist, f, z_l4, g_vp, T, dt, times)
     u_hist = traj.v_coeffs + z_hist
     u_l2sq = by_blocks(lambda u: (u ** 2).sum(axis=1), u_hist)
-    u_l4 = l4_norm4(u_hist)
     certificate = {"sup_u_sq": float(u_l2sq.max()),
                    "int_u_l4": float(np.trapezoid(u_l4, times))}
     return {"times": times, "u_coeffs": u_hist, "v_traj": traj,

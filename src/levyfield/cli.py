@@ -78,6 +78,16 @@ def _non_empty(cfg, key) -> list:
     return cfg[key]
 
 
+def _within(cfg, key, lo: float, hi: float) -> list:
+    """cfg[key], or ValueError naming the key if it holds no entry or an entry
+    outside the open interval (lo, hi)."""
+    values = _non_empty(cfg, key)
+    for value in values:
+        if not lo < float(value) < hi:
+            raise ValueError(f"{key} must lie in ({lo:g}, {hi:g}), not {value}")
+    return values
+
+
 def _write_csv(path: Path, header, rows):
     """Writes the rows, or raises FloatingPointError if a float in them is
     NaN or infinite."""
@@ -93,7 +103,7 @@ def _write_csv(path: Path, header, rows):
 @_experiment("subordinator-check", betas=[0.25, 0.5, 0.9], r_values=[0.5, 1.0, 2.0],
              n_paths=100000)
 def _run_subordinator(cfg, out: Path):
-    betas = _non_empty(cfg, "betas")
+    betas = _within(cfg, "betas", 0.0, 1.0)
     rs = _non_empty(cfg, "r_values")
     n_paths = _at_least_one(cfg, "n_paths")
     seed = int(cfg["master_seed"])
@@ -132,7 +142,7 @@ def _charfn_projections(spec: LevyNoiseSpec, phis, t: float, n_paths: int,
 def _run_charfn(cfg, out: Path):
     N = _at_least_one(cfg, "n_modes")
     beta = float(cfg["beta"])
-    ts = _non_empty(cfg, "t_values")
+    ts = _within(cfg, "t_values", 0.0, math.inf)
     n_phi = _at_least_one(cfg, "n_phi")
     mc = _at_least_one(cfg, "mc_paths")
     seed = int(cfg["master_seed"])

@@ -4,14 +4,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from levyfield import burgers
+from levyfield import burgers, sine
 from levyfield._rng import stream
 from levyfield.burgers import (
     AprioriConstants,
     StepSizeError,
     _half_square_against_gradient,
     _joint_ou_noise_paths,
+    _l4_of_half_squares,
     _transport_coefficients,
+    _transport_work,
     check_apriori,
     solve_modified_burgers,
     solve_stochastic_burgers,
@@ -38,24 +40,23 @@ def test_l4_norm_of_single_mode():
     assert l4_norm4(c, 4096) == pytest.approx(1.5, rel=1e-6)
 
 
-@pytest.mark.parametrize("with_z", [False, True])
+@pytest.mark.parametrize("reused_work", [False, True])
 @pytest.mark.parametrize("n", [15, 63, 255])
-def test_transport_of_one_vector_is_bitwise_its_row_and_the_blocked_composition(n, with_z):
+def test_transport_of_one_vector_is_bitwise_its_row_and_the_blocked_composition(n, reused_work):
     rng = stream(21, n)
-    v = rng.standard_normal((5, n))
-    z = rng.standard_normal((5, n)) if with_z else None
-    # the kernel takes z's values on the doubled grid
-    zz = None if z is None else sine_values(z, 2 * (n + 1))
-    block = _transport_coefficients(v, zz)
+    w = rng.standard_normal((5, n))
+    work = _transport_work(w.shape)
+    block = _transport_coefficients(w, work=work)
+    # the squares the kernel leaves on the grid give l4_norm4, bitwise
+    assert np.array_equal(_l4_of_half_squares(work[1]), l4_norm4(w))
+    # the step loop hands one work to every step
+    row_work = _transport_work((n,)) if reused_work else None
     for i in range(5):
-        row = _transport_coefficients(v[i], None if zz is None else zz[i])
+        row = _transport_coefficients(w[i], work=row_work)
         assert np.array_equal(row, block[i])
-        # the same product through the blocked public transforms
-        vv = sine_values(v[i], 2 * (n + 1))
-        q = 0.5 * vv * vv
-        if z is not None:
-            q += vv * sine_values(z[i], 2 * (n + 1))
-        assert np.array_equal(row, np.arange(1, n + 1) * math.pi * cos_coefficients(q)[:n])
+        # the same square through the blocked public transforms
+        ww = sine_values(w[i], 2 * (n + 1))
+        assert np.array_equal(row, np.arange(1, n + 1) * math.pi * cos_coefficients(0.5 * ww * ww)[:n])
 
 
 # -- deterministic solver ------------------------------------------------
@@ -137,24 +138,86 @@ def per_step_modified_burgers(v0, zs, gs, T, dt, n):
     return v_hist, vp_hist
 
 
-@pytest.mark.parametrize("block_rows", [1, 7, 64])
-@pytest.mark.parametrize("z_kind", [None, "constant", "array"])
-@pytest.mark.parametrize("g_kind", [None, "constant", "array"])
-def test_blocked_step_loop_equals_the_per_step_loop(monkeypatch, block_rows, z_kind, g_kind):
-    # 71 grid times: a multiple of none of the block sizes but 1
-    n, T, dt = 31, 0.07, 1e-3
+def per_step_u_form_burgers(v0, zs, gs, T, dt, n):
+    """Reference for the u-form steps: one step per iteration, each with one
+    sine transform of v + z and one cosine transform, h = g - N(z) and
+    |v'|^2_V' step by step.  Returns (v_coeffs, vprime_vprime)."""
+    n_steps = round(T / dt)
+    times = dt * np.arange(n_steps + 1)
+    lam = (np.arange(1, n + 1) * math.pi) ** 2
+    decay = np.exp(-lam * dt)
+    phi1 = (1.0 - decay) / lam
+    zs = None if zs is None else np.broadcast_to(zs, (n_steps + 1, n))
+    gs = None if gs is None else np.broadcast_to(gs, (n_steps + 1, n))
+    z_l4 = np.zeros(n_steps + 1) if zs is None else l4_norm4(zs)
+    g_vp = np.zeros(n_steps + 1) if gs is None else (gs ** 2 / lam).sum(axis=1)
+    c = AprioriConstants.from_data(float(np.sqrt((v0 ** 2).sum())),
+                                   float(np.trapezoid(z_l4, times)),
+                                   float(np.trapezoid(g_vp, times)), T)
+    corridor = 10.0 * (c.K * c.L) ** 2 + 1e-12
+
+    def transport(w):       # N(w) = -(w^2/2)_x
+        ww = sine_values(w, 2 * (n + 1))
+        return np.arange(1, n + 1) * math.pi * cos_coefficients(0.5 * ww * ww)[:n]
+
+    v = v0.copy()
+    v_hist = np.empty((n_steps + 1, n))
+    vp_hist = np.empty(n_steps + 1)
+    v_hist[0] = v
+    for i in range(n_steps + 1):
+        rhs = transport(v if zs is None else v + zs[i])
+        if zs is not None:
+            rhs += -transport(zs[i]) if gs is None else gs[i] - transport(zs[i])
+        elif gs is not None:
+            rhs += gs[i]
+        vp_hist[i] = ((rhs - lam * v) ** 2 / lam).sum()
+        if i == n_steps:
+            break
+        v = decay * v + phi1 * rhs
+        if (v ** 2).sum() > corridor:
+            raise StepSizeError(
+                f"|v|^2 exceeded 10x the a priori bound at t={times[i + 1]:.4g}; "
+                f"reduce dt (currently {dt:g})")
+        v_hist[i + 1] = v
+    return v_hist, vp_hist
+
+
+def step_loop_data(z_kind, g_kind):
+    """v0, zs and gs of 31 modes on 71 grid times, each z and g None, one
+    constant vector or an array."""
+    n = 31
     rng = stream(24)
     decay = 1.0 / np.arange(1, n + 1)
     v0 = 0.3 * rng.standard_normal(n) * decay
     data = {kind: (None if kind is None else
                    0.3 * rng.standard_normal(n if kind == "constant" else (71, n)) * decay)
             for kind in (None, "constant", "array")}
-    zs, gs = data[z_kind], data[g_kind]
-    want = per_step_modified_burgers(v0, zs, gs, T, dt, n)
+    return v0, data[z_kind], data[g_kind]
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 64])
+@pytest.mark.parametrize("z_kind", [None, "constant", "array"])
+@pytest.mark.parametrize("g_kind", [None, "constant", "array"])
+def test_blocked_step_loop_equals_the_per_step_loop(monkeypatch, block_rows, z_kind, g_kind):
+    # 71 grid times: a multiple of none of the block sizes but 1
+    n, T, dt = 31, 0.07, 1e-3
+    v0, zs, gs = step_loop_data(z_kind, g_kind)
+    want = per_step_u_form_burgers(v0, zs, gs, T, dt, n)
     monkeypatch.setattr(burgers, "BLOCK_ROWS", block_rows)
     got = solve_modified_burgers(v0, zs, gs, T=T, dt=dt, n_modes=n)
     assert got.v_coeffs.tobytes() == want[0].tobytes()
     assert got.vprime_vprime.tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("z_kind", [None, "constant", "array"])
+@pytest.mark.parametrize("g_kind", [None, "constant", "array"])
+def test_u_form_steps_match_the_v_form_loop(z_kind, g_kind):
+    # N(v + z) + g - N(z) is -(vz)_x - (v^2/2)_x + g up to rounding
+    n, T, dt = 31, 0.07, 1e-3
+    v0, zs, gs = step_loop_data(z_kind, g_kind)
+    want = per_step_modified_burgers(v0, zs, gs, T, dt, n)[0]
+    got = solve_modified_burgers(v0, zs, gs, T=T, dt=dt, n_modes=n).v_coeffs
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("block_rows", [1, 7, 64])
@@ -409,8 +472,8 @@ def test_closed_form_nonlinear_term_matches_the_transport_transform(n):
 
 
 def test_stochastic_solve_holds_no_more_than_its_outputs_and_g():
-    # u, v, z and Y are returned; g lives only while v is solved, and every
-    # other temporary is a row block: 4.25 trajectories at these sizes
+    # u, v, z and Y are returned; g is never stored, and every other
+    # temporary is a row block: 4.25 trajectories at these sizes
     n = 255
     u0 = np.zeros(n); u0[0] = 0.2
     f = np.zeros(n); f[1] = 0.1
@@ -421,7 +484,38 @@ def test_stochastic_solve_holds_no_more_than_its_outputs_and_g():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4.5 * trajectory_bytes
+    assert peak < 4.25 * trajectory_bytes
+
+
+class CountingFFT:
+    """scipy.fft's dst and dct, counting their calls."""
+
+    def __init__(self, fft):
+        self.fft, self.calls = fft, 0
+
+    def dst(self, *args, **kwargs):
+        self.calls += 1
+        return self.fft.dst(*args, **kwargs)
+
+    def dct(self, *args, **kwargs):
+        self.calls += 1
+        return self.fft.dct(*args, **kwargs)
+
+
+@pytest.mark.parametrize("block_rows", [7, 64])
+def test_stochastic_solve_stays_at_the_transform_floor(monkeypatch, block_rows):
+    # one sine and one cosine transform per step and per block of z's rows:
+    # a third transform per step exceeds the count
+    n, T, dt = 31, 0.05, 1e-3
+    counter = CountingFFT(burgers.sfft)
+    monkeypatch.setattr(burgers, "sfft", counter)
+    monkeypatch.setattr(sine, "sfft", counter)
+    monkeypatch.setattr(burgers, "BLOCK_ROWS", block_rows)
+    u0 = np.zeros(n); u0[0] = 0.2
+    res = solve_stochastic_burgers(u0, burgers_noise(n), None, T=T, dt=dt, n_modes=n, seed=3)
+    rows = res["times"].size
+    assert rows == 51
+    assert 0 < counter.calls <= 2 * rows + 2 * math.ceil(rows / block_rows)
 
 
 def test_stochastic_zero_noise_matches_deterministic():
@@ -454,6 +548,16 @@ def test_stochastic_certificate_finite():
                                    n_modes=n, seed=7)
     cert = res["certificate"]
     assert np.isfinite(cert["sup_u_sq"]) and np.isfinite(cert["int_u_l4"])
+
+
+def test_certificate_l4_integral_is_the_trajectory_l4_norm():
+    # the steps' squares on the grid give int |u|_L4^4 without another transform
+    n = 63
+    u0 = np.zeros(n); u0[0] = 0.2
+    f = np.zeros(n); f[1] = 0.1
+    res = solve_stochastic_burgers(u0, burgers_noise(n), f, T=0.1, dt=1e-3, n_modes=n, seed=7)
+    want = float(np.trapezoid(l4_norm4(res["u_coeffs"]), res["times"]))
+    assert res["certificate"]["int_u_l4"] == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_stochastic_determinism():

@@ -155,6 +155,19 @@ def test_burgers_overflow_exit_3(tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+def test_burgers_apriori_constant_overflow_names_its_integral(tmp_path, capsys):
+    # int |z|_L4^4 of about 5e4: K = e^(int |z|_L4^4) is beyond the double range
+    cfg = write_config(tmp_path, {"experiment": "burgers", "master_seed": 1,
+                                  "weight_scale": 0.01, "dt": 0.01, "T": 0.5})
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "int |z|_L4^4 dt = " in err
+    assert "K = e^(int |z|_L4^4 dt) overflow the double range" in err
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "numeric-failure" and report["error"] in err
+
+
 def test_report_and_csv_deterministic_across_reruns(tmp_path):
     payload = {"experiment": "subordinator-check", "master_seed": 5,
                "n_paths": 5000}
@@ -346,6 +359,23 @@ def test_empty_case_list_exit_2(tmp_path, capsys, payload, key):
     out = tmp_path / "o"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 2
     assert key in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"experiment": "subordinator-check", "betas": [1.0]}, "betas must lie in (0, 1), not 1.0"),
+    ({"experiment": "subordinator-check", "betas": [0.5, 0.0]}, "betas must lie in (0, 1), not 0.0"),
+    ({"experiment": "subordinator-check", "betas": [1.5]}, "betas must lie in (0, 1), not 1.5"),
+    ({"experiment": "charfn-test", "t_values": [0.0]}, "t_values must lie in (0, inf), not 0.0"),
+    ({"experiment": "charfn-test", "t_values": [0.5, -1.0]},
+     "t_values must lie in (0, inf), not -1.0"),
+], ids=["beta-one", "beta-zero", "beta-above-one", "t-zero", "t-negative"])
+def test_out_of_range_case_value_exit_2(tmp_path, capsys, payload, message):
+    # refused before any case runs, naming the key, not as a math domain error
+    cfg = write_config(tmp_path, {**payload, "master_seed": 1})
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
     assert not (out / "report.json").exists()
 
 

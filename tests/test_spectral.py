@@ -217,24 +217,28 @@ def test_cell_moments_match_a_direct_double_loop(c, marks):
     lam = SpectralOperator.dirichlet(1, 1.0, 6).lambdas
     jump_times = np.sort(rng.uniform(0.0, 1.0, 30))
     weights = rng.standard_normal((30, 6)) if marks else rng.exponential(size=(30, 1))
-    # cells (0, 0.2], (0.2, 0.2] (empty, zero length), (0.2, 0.5], (0.5, 0.55], (0.55, 1]
-    t0 = np.array([0.0, 0.2, 0.2, 0.5, 0.55])
-    t1 = np.array([0.2, 0.2, 0.5, 0.55, 1.0])
-    k = np.searchsorted(jump_times, np.append(t0, 1.0), side="right")
-    starts, counts = k[:-1], np.diff(k)
-    assert (counts == 0).any() and len(np.unique(counts)) > 2
-    got = cell_moments(lam, c, 0.7, t0, t1, jump_times, weights, starts, counts)
-    for s in range(t0.size):
-        direct = 0.7 * (1.0 - np.exp(-c * lam * (t1[s] - t0[s]))) / (c * lam)
-        for j in range(lam.size):
-            for tau, w in zip(jump_times, weights[:, j if marks else 0]):
-                if t0[s] < tau <= t1[s]:
-                    direct[j] += math.exp(-c * lam[j] * (t1[s] - tau)) * w
-        np.testing.assert_allclose(got[s], direct, rtol=1e-12, atol=0.0)
-    none = cell_moments(lam, c, 0.7, t0, t1, np.empty(0), weights[:0],
-                        np.zeros(5, dtype=int), np.zeros(5, dtype=int))
-    np.testing.assert_array_equal(none, 0.7 * (1.0 - np.exp(-c * lam * (t1 - t0)[:, None]))
-                                  / (c * lam))
+    for edges in (
+        # (0, 0.2], (0.2, 0.2] (empty, zero length), (0.2, 0.5], (0.5, 0.55], (0.55, 1]
+        [0.0, 0.2, 0.2, 0.5, 0.55, 1.0],
+        # four cells of length 0.25 and two of length 0: two rows of slope terms
+        [0.0, 0.25, 0.25, 0.5, 0.75, 0.75, 1.0],
+    ):
+        t0, t1 = np.array(edges[:-1]), np.array(edges[1:])
+        k = np.searchsorted(jump_times, np.append(t0, 1.0), side="right")
+        starts, counts = k[:-1], np.diff(k)
+        assert (counts == 0).any() and len(np.unique(counts)) > 2
+        got = cell_moments(lam, c, 0.7, t0, t1, jump_times, weights, starts, counts)
+        for s in range(t0.size):
+            direct = 0.7 * (1.0 - np.exp(-c * lam * (t1[s] - t0[s]))) / (c * lam)
+            for j in range(lam.size):
+                for tau, w in zip(jump_times, weights[:, j if marks else 0]):
+                    if t0[s] < tau <= t1[s]:
+                        direct[j] += math.exp(-c * lam[j] * (t1[s] - tau)) * w
+            np.testing.assert_allclose(got[s], direct, rtol=1e-12, atol=0.0)
+        none = cell_moments(lam, c, 0.7, t0, t1, np.empty(0), weights[:0],
+                            np.zeros(t0.size, dtype=int), np.zeros(t0.size, dtype=int))
+        np.testing.assert_array_equal(none, 0.7 * (1.0 - np.exp(-c * lam * (t1 - t0)[:, None]))
+                                      / (c * lam))
 
 
 @pytest.mark.parametrize("marks", [False, True])
