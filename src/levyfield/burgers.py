@@ -427,7 +427,10 @@ def solve_stochastic_burgers(
     g = f - (z^2/2)_x and the solution is u = v + z.  Returns the
     trajectory, the sampled (z, Y) paths and the solution certificate
     sup_t |u|^2, int |u|_L4^4 dt.  The path of Z comes from ``stream(seed)``,
-    the Gaussian draws of (z, Y) from ``stream(seed, 1)``.
+    the Gaussian draws of (z, Y) from ``stream(seed, 1)``.  The forcing
+    ``f`` is None or one time-independent vector of n_modes sine
+    coefficients, the form ``weak_residual`` checks; anything else raises
+    ValueError.
 
     One blocked pass puts z on the doubled grid once, for |z|_L4^4 and
     |g|_V'^2 = |f + N(z)|_V'^2; g itself is not kept.  The steps run in
@@ -440,7 +443,10 @@ def solve_stochastic_burgers(
     if noise.wiener.truncation_N != n_modes:
         raise ValueError("noise truncation must equal n_modes")
     _, times = _time_grid(T, dt)
-    f = _on_grid("f", f, (times.size, n_modes))
+    if f is not None:
+        f = np.asarray(f, dtype=float)
+        if f.shape != (n_modes,):
+            raise ValueError(f"f must be None or one vector of shape ({n_modes},), not {f.shape}")
     lam = (np.arange(1, n_modes + 1) * math.pi) ** 2
     sub = noise.subordinator
     zpath = simulate_paths(sub, T, 1, stream(seed), cutoff_eps=cutoff_eps, method="jumps")
@@ -448,12 +454,11 @@ def solve_stochastic_burgers(
                                            zpath, times, seed=seed)
 
     z_l4, g_vp = np.empty(times.size), np.empty(times.size)
-    f_rows = None if f is None else np.broadcast_to(f, z_hist.shape)
     for lo, l4, g in _nonlinear_blocks(z_hist):
         hi = lo + len(l4)
         z_l4[lo:hi] = l4
         if f is not None:
-            g += f_rows[lo:hi]
+            g += f
         g_vp[lo:hi] = (g ** 2 / lam).sum(axis=1)
 
     traj, u_l4 = _u_form_steps(u0 - z_hist[0], z_hist, f, z_l4, g_vp, T, dt, times)

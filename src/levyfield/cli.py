@@ -234,8 +234,8 @@ def _run_blowup(cfg, out: Path):
     op = SpectralOperator.dirichlet(1, 1.0, Nmax)
     spec = LevyNoiseSpec(CylindricalWienerSpec(np.ones(Nmax)), SubordinatorSpec.stable(0.5))
     j = np.arange(1.0, Nmax + 1)
-    F = SpaceSpec(2.0, j, "F")
-    U = SpaceSpec(2.0, 1.0 / j, "U")
+    F = SpaceSpec(2.0, j)
+    U = SpaceSpec(2.0, 1.0 / j)
     rep = blowup_probe(op, spec, F, truncs, seed=seed, threshold=threshold, u_space=U)
     if rep.get("conclusive"):
         _write_csv(out / "blowup.csv", ["N", "sup_F", "u_norm"],

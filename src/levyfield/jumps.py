@@ -31,6 +31,11 @@ __all__ = [
     "estimate_type_p_constant",
 ]
 
+# random sign rows per ensemble of more than 12 vectors in estimate_type_p_constant
+SIGNS_MC = 4096
+# factor on the estimated type-p constant, which is a lower bound of the true one
+TYPE_P_MARGIN = 1.25
+
 
 @dataclass(frozen=True)
 class MarkedJumpList:
@@ -167,15 +172,15 @@ def verify_moment_inequality_p_le_1(step: StepIntegrand, p: float, mc: int = 100
 
 
 def estimate_type_p_constant(p: float, q: float, n: int, values: np.ndarray,
-                             ensembles: int = 200, signs_mc: int = 4096,
+                             ensembles: int = 200,
                              rng: Optional[np.random.Generator] = None) -> float:
     """Empirical type-p constant of (R^n, l^q).
 
     Maximizes  E_eps |sum_i eps_i x_i|_q^p / sum_i |x_i|_q^p  over random
     vector ensembles (including the supplied values); signs enumerated
-    exactly for small ensembles, Monte Carlo otherwise.  A lower bound for
-    the true constant K_p^p, so callers add a safety margin.  ``rng``
-    defaults to stream(1).
+    exactly for up to 12 vectors, SIGNS_MC random sign rows otherwise.  A
+    lower bound for the true constant K_p^p, so callers add a safety
+    margin.  ``rng`` defaults to stream(1).
     """
     rng = stream(1) if rng is None else rng
     best = 0.0
@@ -190,7 +195,7 @@ def estimate_type_p_constant(p: float, q: float, n: int, values: np.ndarray,
         if k <= 12:
             signs = np.array(np.meshgrid(*([[-1.0, 1.0]] * k))).reshape(k, -1).T
         else:
-            signs = rng.choice([-1.0, 1.0], size=(signs_mc, k))
+            signs = rng.choice([-1.0, 1.0], size=(SIGNS_MC, k))
         sums = signs @ xs
         return float(np.mean(np.linalg.norm(sums, ord=q, axis=1) ** p)) / denom
 
@@ -203,12 +208,11 @@ def estimate_type_p_constant(p: float, q: float, n: int, values: np.ndarray,
 
 
 def verify_moment_inequality_type_p(step: StepIntegrand, p: float, q: float = 2.0,
-                                    mc: int = 100000, seed: int = 0,
-                                    margin: float = 1.25) -> dict:
+                                    mc: int = 100000, seed: int = 0) -> dict:
     """Check E|int f dpi~|^p <= 2^(2-p) K_p int |f|^p dnu for p in (1, 2].
 
     pi~ is the compensated Poisson measure; K_p is the empirical type-p
-    constant of (R^n, l^q) inflated by ``margin`` (the estimator maximizes a
+    constant of (R^n, l^q) inflated by TYPE_P_MARGIN (the estimator maximizes a
     ratio, hence is a lower bound).  The Poisson counts come from
     stream(seed, 1) and the constant from stream(seed, 2), so calls at
     consecutive seeds share no draws.
@@ -222,11 +226,11 @@ def verify_moment_inequality_type_p(step: StepIntegrand, p: float, q: float = 2.
     se = float(np.std(norms ** p) / np.sqrt(mc))
     n = step.values.shape[1]
     k_hat = estimate_type_p_constant(p, q, n, step.values, rng=stream(seed, 2))
-    rhs = 2.0 ** (2.0 - p) * margin * k_hat * step.lp_nu(p, q)
+    rhs = 2.0 ** (2.0 - p) * TYPE_P_MARGIN * k_hat * step.lp_nu(p, q)
     return {
         "inequality": "compensated_type_p",
         "p": p, "q": q, "mc": mc,
-        "k_hat": k_hat, "margin": margin,
+        "k_hat": k_hat, "margin": TYPE_P_MARGIN,
         "lhs_estimate": lhs, "lhs_stderr": se, "rhs": rhs,
         "pass": bool(lhs - 4.0 * se <= rhs),
     }

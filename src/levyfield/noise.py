@@ -20,7 +20,8 @@ import numpy as np
 
 from ._rng import stream
 from .spaces import SpaceSpec
-from .subordinator import QuadratureError, SubordinatorSpec, laplace_exponent, simulate_paths
+from .subordinator import (QuadratureError, SubordinatorSpec, finite_variation_diagnostic,
+                           laplace_exponent, simulate_paths, sub_p_membership)
 
 __all__ = [
     "CylindricalWienerSpec",
@@ -146,13 +147,12 @@ def intensity_measure_functional(
     # trapezoid rule averages over them instead; node count is sized from
     # quad_tol.  Endpoint decay is checked so truncating the s-range is safe.
     n_nodes = int(np.clip(20.0 / np.sqrt(max(quad_tol, 1e-12)), 2000, 20000))
-    cap = meas.support_cap if np.isfinite(meas.support_cap) else 1e16
-    svals = np.geomspace(1e-12, cap, n_nodes)
+    svals = np.geomspace(1e-12, 1e16, n_nodes)
     fvals = _cloud_means(radial_test, svals, norms) * np.asarray(meas.density(svals), dtype=float)
     logland = fvals * svals  # integrand per unit of log s
-    if logland.max() > 0 and np.isinf(meas.support_cap) and logland[-1] > 1e-6 * logland.max():
+    if logland.max() > 0 and logland[-1] > 1e-6 * logland.max():
         raise QuadratureError("intensity integrand has not decayed by s=1e16; "
-                              "supply a support_cap or a faster-decaying radial_test")
+                              "supply a faster-decaying radial_test")
     return float(np.trapezoid(logland, np.log(svals)))
 
 
@@ -163,11 +163,12 @@ def finite_variation_test(
     seed: int = 0,
     u_space: Optional[SpaceSpec] = None,
 ) -> dict:
-    """Finite-variation verdict for Y, analytic criterion plus an MC cross-check.
+    """Finite-variation verdict for Y, exact criterion plus an MC cross-check.
 
-    Analytic: Y has finite variation iff Z has no drift (drift would make Y
-    partly Brownian) and int_0^1 E[|W(s)|_U ; |W(s)|_U < 1] rho(ds) < inf.
-    The integral's convergence near s=0 is probed on shrinking lower limits.
+    Exact: ``analytic_finite`` is ``finite_variation_diagnostic`` of the
+    subordinator (no drift and int_0^1 s^(1/2) rho(ds) < inf), and
+    ``criterion_integral`` is that integral, from ``sub_p_membership`` at
+    p = 1.  Both hold for every U-norm on the mode truncation.
 
     Empirical: the total variation of each of ``mc_paths`` sampled paths on
     FV_CELLS cells and on 1/16 as many, whose increments are sums of 16
@@ -178,40 +179,8 @@ def finite_variation_test(
     Disagreement is reported, not raised.
     """
     sub = spec.subordinator
-
-    # analytic verdict
-    if sub.kind == "drift_only" or sub.drift_b > 0:
-        analytic_finite = False
-        criterion_integral = 0.0 if sub.kind == "drift_only" else None
-    else:
-        norms = _radial_norms(spec, u_space)
-
-        def small(x):
-            return np.where(x < 1.0, x, 0.0)
-
-        if sub.intensity.atoms is not None:
-            sizes, rates = sub.intensity.atoms
-            below = sizes < 1.0
-            criterion_integral = float(sum(rates[below] * _cloud_means(small, sizes[below], norms)))
-            analytic_finite = True
-        else:
-            def tail_int(lo):
-                # log-trapezoid; the MC inner expectation is too kinked for quad
-                svals = np.geomspace(lo, 1.0, 4000)
-                ivals = _cloud_means(small, svals, norms)
-                dens = np.asarray(sub.intensity.density(svals), dtype=float)
-                return float(np.trapezoid(ivals * dens * svals, np.log(svals)))
-
-            probes = [tail_int(10.0 ** -k) for k in (2, 4, 6)]
-            d1, d2 = probes[1] - probes[0], probes[2] - probes[1]
-            # geometric extrapolation: increments shrinking under the cutoff
-            # shrinking means the s->0 contribution converges
-            if d2 <= max(1e-9 * max(probes[2], 1.0), 0.9 * d1):
-                analytic_finite = True
-                criterion_integral = probes[2] + (d2 ** 2 / (d1 - d2) if d1 > d2 > 0 else 0.0)
-            else:
-                analytic_finite = False
-                criterion_integral = float("inf")
+    analytic_finite = finite_variation_diagnostic(sub)
+    criterion_integral = sub_p_membership(sub, 1.0)[1]
 
     # empirical cross-check: TV growth under grid refinement
     batch = simulate_paths(sub, T, mc_paths, stream(seed, 1), grid_n=FV_CELLS)

@@ -11,7 +11,7 @@ profile against a scalar subordinated Levy path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -39,6 +39,10 @@ __all__ = [
 
 # circle_convolution refuses a common grid finer than this many cells
 MAX_CIRCLE_CELLS = 1 << 24
+# dyadic scales holder_from_values needs, and the fewest its regression keeps
+MIN_SCALES = 4
+# cells of the grid on which scalar_levy_jumps draws the Brownian part
+SLOPE_GRID = 4096
 
 
 # -- exact trajectory sampling ------------------------------------------
@@ -93,7 +97,6 @@ class TrajectoryEnsemble:
 
     times: np.ndarray                 # (n_times,)
     coefficients: np.ndarray          # (n_paths, n_times, n_modes)
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -113,14 +116,13 @@ class TrajectoryEnsemble:
         batch = simulate_paths(noise.subordinator, T, n_paths, stream(seed, 1),
                                cutoff_eps=cutoff_eps, method="jumps")
         coeffs = sample_trajectory(op, noise, batch, times, stream(seed, 2))
-        return cls(times=times, coefficients=coeffs,
-                   metadata={"T": T, "seed": seed, "cutoff_eps": cutoff_eps})
+        return cls(times=times, coefficients=coeffs)
 
 
 # -- Hoelder estimation --------------------------------------------------
 
 
-def holder_from_values(values: np.ndarray, min_scales: int = 4) -> dict:
+def holder_from_values(values: np.ndarray) -> dict:
     """Hoelder exponent from max dyadic increments of grid values on (0,1).
 
     For scales 2^-k the statistic is max_i |f(x_(i+M/2^k)) - f(x_i)|; the
@@ -145,9 +147,9 @@ def holder_from_values(values: np.ndarray, min_scales: int = 4) -> dict:
         if inc > 0:
             scales.append(step / M)
             incs.append(inc)
-    if len(scales) < min_scales:
-        raise ValueError("fewer than 4 usable dyadic scales")
-    keep = max(min_scales, (len(scales) + 1) // 2)
+    if len(scales) < MIN_SCALES:
+        raise ValueError(f"fewer than {MIN_SCALES} usable dyadic scales")
+    keep = max(MIN_SCALES, (len(scales) + 1) // 2)
     scales, incs = scales[-keep:], incs[-keep:]
     ls, li = np.log(scales), np.log(incs)
     slope, intercept = np.polyfit(ls, li, 1)
@@ -185,6 +187,8 @@ def time_integrability(ensemble: TrajectoryEnsemble, E: SpaceSpec, p: float) -> 
     n_times = times.size
     if n_times & (n_times - 1):
         raise ValueError("time grid length must be a power of 2 for dyadic coarsening")
+    if n_times < 8:
+        raise ValueError("time_integrability needs at least 8 grid times (two dyadic levels)")
     norms = E.norm(ensemble.coefficients) ** p     # (paths, times)
     T = float(times[-1])
     levels = []
@@ -289,25 +293,21 @@ class CirclePath:
 
 
 def scalar_levy_jumps(sub: SubordinatorSpec, seed: int = 0,
-                      cutoff_eps: float = 1e-3, slope_grid: int = 4096) -> tuple[np.ndarray, np.ndarray]:
+                      cutoff_eps: float = 1e-3) -> tuple[np.ndarray, np.ndarray]:
     """Scalar subordinated Levy path on [0, 2*pi] as (times, increments).
 
-    Jumps of Z get Gaussian marks sqrt(dZ) g; the subordinator's slope
-    contributes Brownian increments on a uniform grid of ``slope_grid``
-    cells (times at the cell right endpoints), merged into the same list.
+    Jumps of Z get Gaussian marks sqrt(dZ) g; a positive slope of Z
+    contributes Brownian increments on a uniform grid of SLOPE_GRID cells
+    (times at the cell right endpoints), merged into the same list.
     """
     T = 2.0 * np.pi
     zp = simulate_paths(sub, T, 1, stream(seed), cutoff_eps=cutoff_eps, method="jumps")
     rng = stream(seed, 1)
-    if sub.kind == "drift_only":
-        times = np.linspace(T / slope_grid, T, slope_grid)
-        incs = math.sqrt(sub.drift_b * T / slope_grid) * rng.standard_normal(slope_grid)
-        return times, incs
     incs = np.sqrt(zp.sizes) * rng.standard_normal(zp.sizes.size)
     times = zp.times.copy()
     if zp.total_slope > 0:
-        gt = np.linspace(T / slope_grid, T, slope_grid)
-        gi = math.sqrt(zp.total_slope * T / slope_grid) * rng.standard_normal(slope_grid)
+        gt = np.linspace(T / SLOPE_GRID, T, SLOPE_GRID)
+        gi = math.sqrt(zp.total_slope * T / SLOPE_GRID) * rng.standard_normal(SLOPE_GRID)
         times = np.concatenate([times, gt])
         incs = np.concatenate([incs, gi])
         order = np.argsort(times, kind="stable")

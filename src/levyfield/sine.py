@@ -67,7 +67,7 @@ def _values(coef: np.ndarray, M: int) -> np.ndarray:
 
 def sine_values(coef, M: int | None = None, axis: int = -1) -> np.ndarray:
     """Values at i/M (i = 1..M-1) of sine coefficients c_1..c_n; M defaults to n+1."""
-    return by_blocks(lambda c: _values(c, M or c.shape[-1] + 1), coef, axis)
+    return by_blocks(lambda c: _values(c, c.shape[-1] + 1 if M is None else M), coef, axis)
 
 
 def sine_coefficients(values) -> np.ndarray:
@@ -93,7 +93,7 @@ def l4_norm4(coef, grid_M: int | None = None):
     """int_0^1 v^4 dx from sine coefficients (rectangle rule on a grid of grid_M
     cells, by default 2(n+1)); one vector gives a scalar."""
     def rows(c):
-        M = grid_M or 2 * (c.shape[-1] + 1)
+        M = 2 * (c.shape[-1] + 1) if grid_M is None else grid_M
         return np.square(np.square(_values(c, M))).sum(axis=-1) / M
 
     return by_blocks(rows, coef)

@@ -18,13 +18,11 @@ import numpy as np
 class SpaceSpec:
     """A weighted l^q space restricted to a finite mode set.
 
-    ``weights`` holds one positive weight per retained mode.  ``role`` is a
-    free-form tag ("H", "U", "E", "F") used only for reporting.
+    ``weights`` holds one positive weight per retained mode.
     """
 
     exponent_q: float
     weights: np.ndarray
-    role: str = "E"
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -44,7 +42,7 @@ class SpaceSpec:
         """The same space on the first n modes."""
         if not 1 <= n <= self.dim:
             raise ValueError(f"a prefix must keep 1..{self.dim} modes, not {n}")
-        return SpaceSpec(self.exponent_q, self.weights[:n], self.role)
+        return SpaceSpec(self.exponent_q, self.weights[:n])
 
     def norm(self, x: np.ndarray) -> float:
         """Weighted l^q norm of a coefficient vector (or batch, last axis = modes)."""

@@ -48,6 +48,8 @@ CHUNK_TERMS = 1 << 16
 ORACLE_NODES = 16
 ORACLE_PANELS = 24
 ORACLE_SPLITS = 8
+# check_radonifying reads s * growth within this of 1 as the divergent boundary
+RADON_TOL = 1e-3
 
 
 @functools.cache
@@ -186,7 +188,7 @@ def power_law_envelope(alpha: float, beta: float, r: float, q: float, t) -> np.n
 
 
 def check_radonifying(op: SpectralOperator, alpha: float, r: float,
-                      tol: float = 1e-3, growth: Optional[float] = None) -> tuple[bool, float]:
+                      growth: Optional[float] = None) -> tuple[bool, float]:
     """Summability test sum_j lambda_j^(-r alpha) deciding gamma-radonification.
 
     For the Dirichlet eigenvalues (lambda_k ~ k^(2 gamma / d)) the verdict
@@ -205,8 +207,8 @@ def check_radonifying(op: SpectralOperator, alpha: float, r: float,
     elif growth is None:
         growth = 2.0 * op.gamma / op.dim_d
     partial = float((op.lambdas ** (-s)).sum())
-    # the boundary |s * growth - 1| <= tol is treated as divergent (harmonic-type)
-    if s * growth > 1.0 + tol:
+    # the boundary |s * growth - 1| <= RADON_TOL is treated as divergent (harmonic-type)
+    if s * growth > 1.0 + RADON_TOL:
         # integral tail bound for lambda_k ~ c k^growth beyond the truncation
         n = op.n_modes
         c = op.lambdas[-1] / n ** growth

@@ -87,12 +87,10 @@ class IntensityMeasure:
         tail_mass_fn: Optional[Callable[[float], float]] = None,
         truncated_moment_fn: Optional[Callable[[float, float, float], float]] = None,
         sample_sizes_fn: Optional[Callable] = None,
-        support_cap: float = np.inf,
     ):
         if (density is None) == (atoms is None):
             raise ValueError("exactly one of density/atoms must be given")
         self.density = density
-        self.support_cap = support_cap
         if atoms is not None:
             sizes = np.asarray(atoms[0], dtype=float)
             rates = np.asarray(atoms[1], dtype=float)
@@ -116,8 +114,7 @@ class IntensityMeasure:
         if self.atoms is not None:
             sizes, rates = self.atoms
             return float(rates[sizes >= eps].sum())
-        hi = self.support_cap
-        return _quad(self.density, eps, hi)
+        return _quad(self.density, eps, np.inf)
 
     def truncated_moment(self, power: float, lo: float, hi: float) -> float:
         """int_lo^hi xi^power rho(dxi); may return inf for divergent densities."""
@@ -127,7 +124,6 @@ class IntensityMeasure:
             sizes, rates = self.atoms
             mask = (sizes >= lo) & (sizes < hi)
             return float((sizes[mask] ** power * rates[mask]).sum())
-        hi = min(hi, self.support_cap)
         if hi <= lo:
             return 0.0
         return _quad(lambda x: x ** power * self.density(x), lo, hi)
@@ -167,19 +163,16 @@ class IntensityMeasure:
         # so repeated path draws don't redo the quadrature.
         if eps not in self._cdf_cache:
             cap = max(10.0 * eps, 1.0)
-            if not np.isfinite(self.support_cap):
-                # extend decade by decade; each increment is integrated on its
-                # own (well-scaled) interval rather than as a difference of two
-                # wide integrals, which loses the tail to cancellation
-                mass = _quad(self.density, eps, cap)
-                while cap <= 1e14:
-                    inc = _quad(self.density, cap, 10.0 * cap)
-                    if inc <= 1e-12 * (mass + inc):
-                        break
-                    mass += inc
-                    cap *= 10.0
-            else:
-                cap = self.support_cap
+            # extend decade by decade; each increment is integrated on its
+            # own (well-scaled) interval rather than as a difference of two
+            # wide integrals, which loses the tail to cancellation
+            mass = _quad(self.density, eps, cap)
+            while cap <= 1e14:
+                inc = _quad(self.density, cap, 10.0 * cap)
+                if inc <= 1e-12 * (mass + inc):
+                    break
+                mass += inc
+                cap *= 10.0
             grid = np.geomspace(eps, cap, 4096)
             dens = self.density(grid)
             cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))])
@@ -287,9 +280,8 @@ class SubordinatorSpec:
                    intensity=IntensityMeasure(atoms=(np.asarray(sizes), np.asarray(rates))))
 
     @classmethod
-    def tabulated(cls, density, drift_b: float = 0.0, support_cap: float = np.inf) -> "SubordinatorSpec":
-        return cls(kind="tabulated", drift_b=drift_b,
-                   intensity=IntensityMeasure(density=density, support_cap=support_cap))
+    def tabulated(cls, density, drift_b: float = 0.0) -> "SubordinatorSpec":
+        return cls(kind="tabulated", drift_b=drift_b, intensity=IntensityMeasure(density=density))
 
 
 # -- paths ---------------------------------------------------------------
@@ -418,7 +410,7 @@ def laplace_exponent(spec: SubordinatorSpec, r) -> np.ndarray:
             if rv == 0.0:
                 return 0.0
             integrand = lambda x: (1.0 - np.exp(-rv * x)) * spec.intensity.density(x)
-            return _quad(integrand, 0.0, 1.0) + _quad(integrand, 1.0, min(np.inf, spec.intensity.support_cap))
+            return _quad(integrand, 0.0, 1.0) + _quad(integrand, 1.0, np.inf)
 
         psi = psi + np.vectorize(one)(r)
     # a 0-d r gives a numpy scalar, an array r an array
@@ -449,12 +441,13 @@ def sub_p_membership(spec: SubordinatorSpec, p: float) -> tuple[bool, float]:
 
 
 def finite_variation_diagnostic(spec: SubordinatorSpec) -> bool:
-    """Finite variation of the scalar subordinated process: int_0^1 s^(1/2) rho(ds) < inf."""
-    ok, _ = sub_p_membership(spec, 1.0)
-    if spec.kind == "drift_only":
-        # Scalar Brownian motion has unbounded variation.
-        return False
-    return ok
+    """Whether W(Z) has finite variation, for W Brownian on finitely many modes.
+
+    |W(s)| has the law of s^(1/2) |W(1)|, so by the Levy-Ito criterion W(Z)
+    has finite variation iff Z has no drift (a drift gives W(Z) a Brownian
+    part) and int_0^1 s^(1/2) rho(ds) < inf, which is Sub(1).
+    """
+    return spec.drift_b == 0 and sub_p_membership(spec, 1.0)[0]
 
 
 def sample_stable_oneside(beta: float, size, rng: np.random.Generator) -> np.ndarray:

@@ -201,8 +201,8 @@ def test_08_post_jump_blowup_probe():
     op = SpectralOperator.dirichlet(1, 1.0, Nmax)
     spec = make_noise(SubordinatorSpec.stable(0.5), Nmax)
     j = np.arange(1.0, Nmax + 1)
-    F = SpaceSpec(2.0, j, "F")                  # sum of squared weight ratios = inf
-    U = SpaceSpec(2.0, 1.0 / j, "U")
+    F = SpaceSpec(2.0, j)                  # sum of squared weight ratios = inf
+    U = SpaceSpec(2.0, 1.0 / j)
     truncs = [2 ** k for k in range(6, 13)]
     successes, conclusive, seed = 0, 0, 0
     while conclusive < 10 and seed < 40:

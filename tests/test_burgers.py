@@ -94,6 +94,16 @@ def test_both_solvers_refuse_a_bad_time_grid(T, dt, message):
         solve_stochastic_burgers(np.zeros(n), burgers_noise(n), None, T=T, dt=dt, n_modes=n)
 
 
+@pytest.mark.parametrize("shape", [(51, 15), (1, 15), (16,), ()], ids=str)
+def test_stochastic_solver_takes_only_a_constant_forcing(shape):
+    # weak_residual integrates f as one vector, so a time-dependent f would
+    # be solved with but not checked
+    n = 15
+    with pytest.raises(ValueError, match="f must be"):
+        solve_stochastic_burgers(np.zeros(n), burgers_noise(n), np.zeros(shape),
+                                 T=0.05, dt=1e-3, n_modes=n)
+
+
 def per_step_modified_burgers(v0, zs, gs, T, dt, n):
     """Reference for solve_modified_burgers: one step per iteration, each with
     one sine transform of v and z stacked and one cosine transform, and

@@ -13,7 +13,7 @@ from levyfield.noise import (
     increment_coefficients,
     intensity_measure_functional,
 )
-from levyfield.subordinator import SubordinatorSpec, simulate_paths
+from levyfield.subordinator import SubordinatorSpec, finite_variation_diagnostic, simulate_paths
 
 
 def make_spec(sub, n_modes=8, weights=None):
@@ -193,3 +193,23 @@ def test_finite_variation_compound_poisson():
     rep = finite_variation_test(
         make_spec(SubordinatorSpec.compound_poisson([2.5], [1.0]), 1))
     assert rep["analytic_finite"] and rep["empirical_finite"]
+
+
+@pytest.mark.parametrize("sub, finite, integral", [
+    (SubordinatorSpec.stable(0.25), True, 0.25 / math.gamma(0.75) / 0.25),
+    (SubordinatorSpec.stable(0.49), True, 0.49 / math.gamma(0.51) / 0.01),
+    (SubordinatorSpec.stable(0.5), False, math.inf),
+    (SubordinatorSpec.stable(0.75), False, math.inf),
+    (SubordinatorSpec.drift_only(1.0), False, 0.0),
+    (SubordinatorSpec.compound_poisson([2.5], [1.0]), True, 0.0),
+    (SubordinatorSpec.compound_poisson([2.5], [1.0], drift_b=0.5), False, 0.0),
+    (SubordinatorSpec.compound_poisson([0.5, 1.0], [2.0, 1.0], drift_b=0.5), False, 2.0 * 0.5 ** 0.5),
+    (SubordinatorSpec.tabulated(lambda x: 0.5 / math.gamma(0.5) * x ** -1.5), False, math.inf),
+], ids=["stable-0.25", "stable-0.49", "stable-0.5", "stable-0.75", "gaussian",
+        "compound-poisson", "compound-poisson-drift", "small-jumps-drift", "tabulated"])
+def test_finite_variation_verdict_is_the_exact_criterion(sub, finite, integral):
+    # the verdict is finite_variation_diagnostic's, and the certificate
+    # int_0^1 s^(1/2) rho(ds) is Sub(1)'s, for every U-norm
+    rep = finite_variation_test(make_spec(sub, 2), mc_paths=2)
+    assert rep["analytic_finite"] is finite_variation_diagnostic(sub) is finite
+    assert rep["criterion_integral"] == pytest.approx(integral, rel=1e-12)

@@ -1,0 +1,141 @@
+"""Every defaulted parameter of the library's public API is set by some call.
+
+A default that no call in ``src/`` or ``tests/`` overrides is a constant
+spelled as an option: it widens the API, and the branches only it reaches go
+untested.  Such a value belongs in a module constant.  The exceptions are
+modelling inputs, each with its reason in ``ALLOWED``.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "levyfield"
+CALLERS = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+
+# (function, parameter) of the defaults no call sets, each with its reason
+ALLOWED = {
+    ("blowup_probe", "window_h"):
+        "the window after the first large jump; its default 0.1 T scales with the horizon",
+    ("blowup_probe", "T"): "the horizon of the probed noise path",
+    ("blowup_probe", "cutoff_eps"): "the jump cutoff of the probed noise path",
+    ("finite_variation_test", "T"): "the horizon of the sampled paths",
+    ("finite_variation_test", "u_space"): "the norm |.|_U whose total variation is measured",
+    ("intensity_measure_functional", "u_space"): "the norm |.|_U of the jump marks",
+    ("scalar_levy_jumps", "cutoff_eps"): "the jump cutoff of the driving path",
+    ("solve_stochastic_burgers", "cutoff_eps"): "the jump cutoff of the driving noise",
+    ("TrajectoryEnsemble.simulate", "cutoff_eps"): "the jump cutoff of the simulated noise",
+}
+
+
+def _function_options(fn: ast.FunctionDef, skip_first: bool) -> list[tuple[str, int]]:
+    """(name, position) of each defaulted parameter of ``fn``; keyword-only
+    parameters get no position (-1)."""
+    names = [a.arg for a in fn.args.posonlyargs + fn.args.args][1 if skip_first else 0:]
+    out = [(n, names.index(n)) for n in names[len(names) - len(fn.args.defaults):]]
+    out += [(a.arg, -1) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+    return out
+
+
+def public_options(source: str) -> dict[tuple[str, str], tuple[str, int]]:
+    """{(label, parameter): (callee, position)} for the defaulted parameters
+    of the public functions, methods and dataclass fields in ``source``; the
+    callee is the name a call uses (the class name for a constructor)."""
+    found = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            for name, pos in _function_options(node, False):
+                found[(node.name, name)] = (node.name, pos)
+        if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+            continue
+        fields = [s for s in node.body if isinstance(s, ast.AnnAssign)
+                  and isinstance(s.target, ast.Name)]
+        for pos, s in enumerate(fields):
+            if s.value is not None:
+                found[(node.name, s.target.id)] = (node.name, pos)
+        for fn in node.body:
+            if not isinstance(fn, ast.FunctionDef) or (fn.name.startswith("_")
+                                                       and fn.name != "__init__"):
+                continue
+            static = any(getattr(d, "id", "") == "staticmethod" for d in fn.decorator_list)
+            callee = node.name if fn.name == "__init__" else fn.name
+            for name, pos in _function_options(fn, not static):
+                found[(f"{node.name}.{fn.name}", name)] = (callee, pos)
+    return found
+
+
+class _Calls(ast.NodeVisitor):
+    """(callee, positional count, keyword names) of every call; ``cls(...)``
+    inside a class body is a call of that class, and a ``*args`` or
+    ``**kwargs`` argument counts as passing every parameter of its kind."""
+
+    def __init__(self):
+        self.classes, self.calls = [], []
+
+    def visit_ClassDef(self, node):
+        self.classes.append(node.name)
+        self.generic_visit(node)
+        self.classes.pop()
+
+    def visit_Call(self, node):
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+        if name == "cls" and self.classes:
+            name = self.classes[-1]
+        n_pos = float("inf") if any(isinstance(a, ast.Starred) for a in node.args) \
+            else len(node.args)
+        keywords = {kw.arg for kw in node.keywords}
+        self.calls.append((name, n_pos, keywords))
+        self.generic_visit(node)
+
+
+def call_sites(sources) -> list[tuple[str, float, set]]:
+    visitor = _Calls()
+    for source in sources:
+        visitor.visit(ast.parse(source))
+    return visitor.calls
+
+
+def idle_options(modules: dict[str, str], callers) -> list[tuple[str, str]]:
+    """(label, parameter) of each defaulted public parameter in ``modules``
+    ({file name: source}) that no call in ``callers`` passes."""
+    calls = call_sites(callers)
+    idle = []
+    for source in modules.values():
+        for (label, name), (callee, pos) in public_options(source).items():
+            if not any(c == callee and (name in kws or None in kws or 0 <= pos < n)
+                       for c, n, kws in calls):
+                idle.append((label, name))
+    return sorted(idle)
+
+
+def _library():
+    return {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+
+
+def test_every_public_option_is_set_by_some_call():
+    idle = idle_options(_library(), [p.read_text() for p in CALLERS])
+    assert [o for o in idle if o not in ALLOWED] == []
+
+
+def test_allowed_options_are_still_idle():
+    # an allowance for an option that is gone, or that a call now sets,
+    # should be deleted with it
+    idle = set(idle_options(_library(), [p.read_text() for p in CALLERS]))
+    assert sorted(set(ALLOWED) - idle) == []
+
+
+def test_scan_flags_unset_options_and_passes_set_ones():
+    library = ("def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n"
+               "def _private(x=1):\n    pass\n"
+               "class K:\n"
+               "    x: int\n"
+               "    y: int = 0\n"
+               "    z: int = 1\n"
+               "    def m(self, p=1, q=2):\n        pass\n"
+               "    @classmethod\n"
+               "    def make(cls, v):\n        return cls(v, z=v)\n")
+    callers = [library, "f(1, 2, d=3)\n", "K(1, 2).m(5)\n"]
+    assert idle_options({"lib.py": library}, callers) == [
+        ("K.m", "q"), ("f", "c"), ("f", "e")]
+    assert idle_options({"lib.py": library}, ["f(*xs, **kw)\nK(*xs)\nK.m(K, **kw)\n"]) == []

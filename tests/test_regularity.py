@@ -158,6 +158,16 @@ def test_time_integrability_zero_noise():
     assert rep["mean_integral"][-1] == 0.0
 
 
+@pytest.mark.parametrize("n_times", [1, 2, 4])
+def test_time_integrability_needs_two_dyadic_levels(n_times):
+    ens = TrajectoryEnsemble(times=np.linspace(0.1, 1.0, n_times),
+                             coefficients=np.zeros((3, n_times, 4)))
+    with pytest.raises(ValueError, match="at least 8 grid times"):
+        time_integrability(ens, SpaceSpec(2.0, np.ones(4)), p=4.0)
+    ens8 = TrajectoryEnsemble(times=np.linspace(0.125, 1.0, 8), coefficients=np.ones((3, 8, 4)))
+    assert time_integrability(ens8, SpaceSpec(2.0, np.ones(4)), p=2.0)["mesh_cells"] == [4, 8]
+
+
 def test_time_integrability_stabilizes_for_ou():
     N = 64
     op = SpectralOperator.dirichlet(1, 1.0, N)
@@ -190,8 +200,8 @@ def test_blowup_detected_in_small_space():
     op = SpectralOperator.dirichlet(1, 1.0, Nmax)
     noise = make_noise(SubordinatorSpec.stable(0.5), Nmax)
     j = np.arange(1.0, Nmax + 1)
-    F = SpaceSpec(2.0, j, "F")            # sum (F/H ratio)^2 = sum j^2 = inf
-    U = SpaceSpec(2.0, 1.0 / j, "U")
+    F = SpaceSpec(2.0, j)            # sum (F/H ratio)^2 = sum j^2 = inf
+    U = SpaceSpec(2.0, 1.0 / j)
     truncs = [2 ** k for k in range(6, 11)]
     for seed in range(5):
         rep = blowup_probe(op, noise, F, truncs, seed=seed, threshold=0.05,
@@ -212,7 +222,7 @@ def test_blowup_bounded_in_matching_space():
     noise = make_noise(SubordinatorSpec.stable(0.5), Nmax)
     # weights 1/j: sum of squared weight ratios converges, so the jump mark
     # has a finite F-norm and the sup saturates across truncations
-    F = SpaceSpec(2.0, 1.0 / np.arange(1.0, Nmax + 1), "F")
+    F = SpaceSpec(2.0, 1.0 / np.arange(1.0, Nmax + 1))
     rep = blowup_probe(op, noise, F, [2 ** k for k in range(6, 11)],
                        seed=1, threshold=0.05)
     assert rep["conclusive"]
@@ -267,8 +277,8 @@ def test_blowup_probe_matches_the_per_truncation_loop(q, with_u):
     op = SpectralOperator.dirichlet(1, 1.0, Nmax)
     noise = make_noise(SubordinatorSpec.stable(0.5), Nmax)
     j = np.arange(1.0, Nmax + 1)
-    F = SpaceSpec(q, j, "F")
-    U = SpaceSpec(q, 1.0 / j, "U") if with_u else None
+    F = SpaceSpec(q, j)
+    U = SpaceSpec(q, 1.0 / j) if with_u else None
     truncs = [2 ** k for k in range(4, 10)]
     conclusive = 0
     for seed in range(6):
@@ -280,10 +290,10 @@ def test_blowup_probe_matches_the_per_truncation_loop(q, with_u):
     assert conclusive >= 3
 
 
-def test_space_prefix_keeps_exponent_and_role():
-    E = SpaceSpec(3.0, np.arange(1.0, 6.0), "F")
+def test_space_prefix_keeps_exponent_and_weights():
+    E = SpaceSpec(3.0, np.arange(1.0, 6.0))
     P = E.prefix(2)
-    assert (P.exponent_q, P.role, P.weights.tolist()) == (3.0, "F", [1.0, 2.0])
+    assert (P.exponent_q, P.weights.tolist()) == (3.0, [1.0, 2.0])
     assert E.prefix(5).dim == 5
     for n in (-1, 0, 6):
         with pytest.raises(ValueError):
@@ -299,6 +309,17 @@ def test_circle_constant_profile_gives_total_mass():
     cp = CirclePath(profile=prof, jump_times=times, jump_increments=incs)
     out = circle_convolution(cp, 128)
     assert np.allclose(out, incs.sum(), atol=1e-10)
+
+
+def test_scalar_path_of_a_pure_drift_is_brownian_on_the_slope_grid():
+    # no jumps: the whole path is the Brownian part, drawn from stream(seed, 1)
+    T, b = 2.0 * np.pi, 0.7
+    times, incs = scalar_levy_jumps(SubordinatorSpec.drift_only(b), seed=4)
+    assert np.array_equal(times, np.linspace(T / 4096, T, 4096))
+    assert np.array_equal(incs, math.sqrt(b * T / 4096) * stream(4, 1).standard_normal(4096))
+    # a zero drift leaves nothing to draw
+    times, incs = scalar_levy_jumps(SubordinatorSpec.drift_only(0.0), seed=4)
+    assert times.size == incs.size == 0
 
 
 def test_circle_smooth_profile_sup_stabilizes():

@@ -116,3 +116,7 @@ def test_by_blocks_hands_fn_at_most_block_rows(monkeypatch):
 def test_too_coarse_grid_is_refused():
     with pytest.raises(ValueError):
         sine_values(np.ones(N), N)
+    # 0 is a grid size like any other, not a request for the default
+    for refuse in (lambda c: sine_values(c, 0), lambda c: l4_norm4(c, 0)):
+        with pytest.raises(ValueError, match="grid size M must exceed"):
+            refuse(np.ones(N))

@@ -55,8 +55,8 @@ def test_dirichlet_eigenvalues_2d_sorted():
 
 def test_semigroup_norm_unit_weights():
     op = SpectralOperator.dirichlet(1, 1.0, 32)
-    U = SpaceSpec(2.0, np.ones(32), "U")
-    E = SpaceSpec(2.0, np.ones(32), "E")
+    U = SpaceSpec(2.0, np.ones(32))
+    E = SpaceSpec(2.0, np.ones(32))
     out = semigroup_norm(op, U, E, t=0.7)
     assert out["norm"] == pytest.approx(math.exp(-op.lambdas[0] * 0.7), rel=1e-14)
     assert out["argmax_mode"] == 0

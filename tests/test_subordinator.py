@@ -98,6 +98,15 @@ def test_finite_variation_verdicts():
     assert finite_variation_diagnostic(
         SubordinatorSpec.compound_poisson([1.5], [2.0])) is True
     assert finite_variation_diagnostic(SubordinatorSpec.drift_only(1.0)) is False
+    # int_0^1 s^(1/2) rho(ds) converges exactly for beta < 1/2
+    assert finite_variation_diagnostic(SubordinatorSpec.stable(0.49)) is True
+    assert finite_variation_diagnostic(SubordinatorSpec.stable(0.5)) is False
+    # a drift of Z gives W(Z) a Brownian part, however small the jumps
+    for sub in (SubordinatorSpec.compound_poisson([0.5, 1.0], [2.0, 1.0], drift_b=0.5),
+                SubordinatorSpec(kind="stable", beta=0.25, drift_b=0.5),
+                SubordinatorSpec.tabulated(lambda x: np.exp(-x), drift_b=1e-9)):
+        assert sub_p_membership(sub, 1.0)[0]
+        assert finite_variation_diagnostic(sub) is False
 
 
 # -- exact stable sampling -----------------------------------------------
