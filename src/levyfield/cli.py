@@ -33,25 +33,14 @@ from .regularity import (CirclePath, blowup_probe, circle_convolution,
 from .burgers import (StepSizeError, check_apriori, solve_modified_burgers,
                       solve_stochastic_burgers, weak_residual)
 
-# experiment name -> (function, default of every config key it accepts)
+# experiment name -> (function, default of every config key it accepts,
+# one-line summary shown by list-experiments), in the order they are listed
 EXPERIMENTS = {}
 
-# static mapping shown by list-experiments
-EXPERIMENT_SUMMARY = {
-    "subordinator-check": "Laplace-transform identity of exact stable subordinator paths",
-    "charfn-test": "characteristic functional of the subordinated cylindrical noise",
-    "ou-sample": "OU stochastic convolution sampler vs the quadrature oracle",
-    "regularity": "spatial Hoelder exponent of the OU field vs its critical value",
-    "blowup": "post-jump norm blow-up of the large-jump part across truncations",
-    "circle": "circle convolution of a profile family against a scalar Levy path",
-    "burgers": "stochastic Burgers solve with weak-form residual check",
-    "bounds": "modified-Burgers a priori energy inequalities on random instances",
-}
 
-
-def _experiment(name, **defaults):
+def _experiment(name, summary, **defaults):
     def wrap(fn):
-        EXPERIMENTS[name] = (fn, defaults)
+        EXPERIMENTS[name] = (fn, defaults, summary)
         return fn
     return wrap
 
@@ -100,25 +89,33 @@ def _write_csv(path: Path, header, rows):
         w.writerows(rows)
 
 
-@_experiment("subordinator-check", betas=[0.25, 0.5, 0.9], r_values=[0.5, 1.0, 2.0],
-             n_paths=100000)
+def _mc_check(vals: np.ndarray, analytic) -> list:
+    """[empirical mean, its standard error, analytic, pass] of a Monte Carlo
+    check, which passes when the mean lies within 4 standard errors."""
+    emp, se = float(vals.mean()), float(vals.std() / math.sqrt(vals.size))
+    return [emp, se, analytic, abs(emp - analytic) <= 4.0 * se]
+
+
+def _checks_summary(rows) -> tuple[dict, bool]:
+    """The case and failure counts of rows ending in a _mc_check, and
+    whether all passed."""
+    failures = sum(not row[-1] for row in rows)
+    return {"cases": len(rows), "failures": failures}, failures == 0
+
+
+@_experiment("subordinator-check", "Laplace-transform identity of exact stable subordinator paths",
+             betas=[0.25, 0.5, 0.9], r_values=[0.5, 1.0, 2.0], n_paths=100000)
 def _run_subordinator(cfg, out: Path):
     betas = _within(cfg, "betas", 0.0, 1.0)
     rs = _non_empty(cfg, "r_values")
     n_paths = _at_least_one(cfg, "n_paths")
     seed = int(cfg["master_seed"])
-    rows, checks = [], []
+    rows = []
     for i, beta in enumerate(betas):
         s = sample_stable_oneside(beta, n_paths, stream(seed, i))
-        for r in rs:
-            vals = np.exp(-r * s)
-            emp, se = float(vals.mean()), float(vals.std() / math.sqrt(n_paths))
-            ana = math.exp(-r ** beta)
-            ok = abs(emp - ana) <= 4.0 * se
-            rows.append([beta, r, emp, se, ana, ok])
-            checks.append(ok)
+        rows += [[beta, r, *_mc_check(np.exp(-r * s), math.exp(-r ** beta))] for r in rs]
     _write_csv(out / "laplace.csv", ["beta", "r", "empirical", "stderr", "analytic", "pass"], rows)
-    return {"cases": len(rows), "failures": int(len(checks) - sum(checks))}, all(checks)
+    return _checks_summary(rows)
 
 
 def _charfn_projections(spec: LevyNoiseSpec, phis, t: float, n_paths: int,
@@ -137,8 +134,8 @@ def _charfn_projections(spec: LevyNoiseSpec, phis, t: float, n_paths: int,
                            for lo in range(0, dz.size, rows)])
 
 
-@_experiment("charfn-test", n_modes=64, beta=0.9, t_values=[0.5, 1.0], n_phi=5,
-             mc_paths=100000)
+@_experiment("charfn-test", "characteristic functional of the subordinated cylindrical noise",
+             n_modes=64, beta=0.9, t_values=[0.5, 1.0], n_phi=5, mc_paths=100000)
 def _run_charfn(cfg, out: Path):
     N = _at_least_one(cfg, "n_modes")
     beta = float(cfg["beta"])
@@ -148,17 +145,13 @@ def _run_charfn(cfg, out: Path):
     seed = int(cfg["master_seed"])
     spec = LevyNoiseSpec(CylindricalWienerSpec(np.ones(N)), SubordinatorSpec.stable(beta))
     phis = stream(seed, 0).standard_normal((n_phi, N)) / math.sqrt(N)
-    rows, checks = [], []
+    rows = []
     for case, t in enumerate(ts):
         vals = np.cos(_charfn_projections(spec, phis, t, mc, seed, case))
-        for i, phi in enumerate(phis):
-            emp, se = float(vals[:, i].mean()), float(vals[:, i].std() / math.sqrt(mc))
-            ana = char_functional(spec, phi, t)
-            ok = abs(emp - ana) <= 4.0 * se
-            rows.append([t, i, emp, se, ana, ok])
-            checks.append(ok)
+        rows += [[t, i, *_mc_check(vals[:, i], char_functional(spec, phi, t))]
+                 for i, phi in enumerate(phis)]
     _write_csv(out / "charfn.csv", ["t", "phi_index", "empirical", "stderr", "analytic", "pass"], rows)
-    return {"cases": len(rows), "failures": int(len(checks) - sum(checks))}, all(checks)
+    return _checks_summary(rows)
 
 
 def _ou_draws(op: SpectralOperator, spec: LevyNoiseSpec, t: float, n_paths: int,
@@ -174,7 +167,8 @@ def _ou_draws(op: SpectralOperator, spec: LevyNoiseSpec, t: float, n_paths: int,
     return sample_convolution_batch(op, spec, batch, t, stream(seed, 2, case))
 
 
-@_experiment("ou-sample", n_modes=16, beta=0.5, mc_paths=20000, n_pairs=4)
+@_experiment("ou-sample", "OU stochastic convolution sampler vs the quadrature oracle",
+             n_modes=16, beta=0.5, mc_paths=20000, n_pairs=4)
 def _run_ou(cfg, out: Path):
     N = _at_least_one(cfg, "n_modes")
     beta = float(cfg["beta"])
@@ -184,24 +178,22 @@ def _run_ou(cfg, out: Path):
     op = SpectralOperator.dirichlet(1, 1.0, N)
     spec = LevyNoiseSpec(CylindricalWienerSpec(np.ones(N)), SubordinatorSpec.stable(beta))
     rng = stream(seed, 0)
-    rows, checks = [], []
+    rows = []
     for i in range(n_pairs):
         phi = rng.standard_normal(N) / math.sqrt(N)
         t = float(rng.uniform(0.4, 1.2))
         ana = charfn_oracle(op, spec, phi, t)
         vals = np.cos(_ou_draws(op, spec, t, mc, seed, i, cutoff_eps=1e-3) @ phi)
-        emp, se = float(vals.mean()), float(vals.std() / math.sqrt(mc))
-        ok = abs(emp - ana) <= 4.0 * se
-        rows.append([i, t, emp, se, ana, ok])
-        checks.append(ok)
+        rows.append([i, t, *_mc_check(vals, ana)])
     _write_csv(out / "ou_charfn.csv", ["pair", "t", "empirical", "stderr", "analytic", "pass"], rows)
     # one exported field sample, drawn as case n_pairs at the default cutoff
     coeffs = _ou_draws(op, spec, 1.0, 1, seed, n_pairs, cutoff_eps=DEFAULT_CUTOFF)[0]
     FieldSample(coefficients=coeffs, time_t=1.0).to_csv(out / "field_sample.csv", op)
-    return {"cases": len(rows), "failures": int(len(checks) - sum(checks))}, all(checks)
+    return _checks_summary(rows)
 
 
-@_experiment("regularity", n_modes=512, grid_M=2048, n_paths=10)
+@_experiment("regularity", "spatial Hoelder exponent of the OU field vs its critical value",
+             n_modes=512, grid_M=2048, n_paths=10)
 def _run_regularity(cfg, out: Path):
     N = _at_least_one(cfg, "n_modes")
     M = int(cfg["grid_M"])
@@ -224,8 +216,8 @@ def _run_regularity(cfg, out: Path):
     return results, ok
 
 
-@_experiment("blowup", n_modes=4096, truncations=[2 ** k for k in range(6, 13)],
-             threshold=0.05)
+@_experiment("blowup", "post-jump norm blow-up of the large-jump part across truncations",
+             n_modes=4096, truncations=[2 ** k for k in range(6, 13)], threshold=0.05)
 def _run_blowup(cfg, out: Path):
     Nmax = _at_least_one(cfg, "n_modes")
     truncs = cfg["truncations"]
@@ -246,7 +238,8 @@ def _run_blowup(cfg, out: Path):
     return rep, ok
 
 
-@_experiment("circle", beta=0.75, thetas=[0.0, 0.5, 1.0, 2.0], grids=[128, 256, 512, 1024])
+@_experiment("circle", "circle convolution of a profile family against a scalar Levy path",
+             beta=0.75, thetas=[0.0, 0.5, 1.0, 2.0], grids=[128, 256, 512, 1024])
 def _run_circle(cfg, out: Path):
     beta = float(cfg["beta"])
     thetas = _non_empty(cfg, "thetas")
@@ -264,7 +257,8 @@ def _run_circle(cfg, out: Path):
     return {"rows": len(rows)}, True
 
 
-@_experiment("burgers", n_modes=255, dt=1e-4, T=0.2, theta=0.25, weight_scale=5.0,
+@_experiment("burgers", "stochastic Burgers solve with weak-form residual check",
+             n_modes=255, dt=1e-4, T=0.2, theta=0.25, weight_scale=5.0,
              residual_tol=1e-3, u0_amplitude=0.2, forcing_amplitude=0.1)
 def _run_burgers(cfg, out: Path):
     n = int(cfg["n_modes"])
@@ -292,7 +286,8 @@ def _run_burgers(cfg, out: Path):
             "max_residual": max(abs(r) for r in residuals)}, ok
 
 
-@_experiment("bounds", n_modes=63, n_instances=20, dt=1e-3, T=0.5)
+@_experiment("bounds", "modified-Burgers a priori energy inequalities on random instances",
+             n_modes=63, n_instances=20, dt=1e-3, T=0.5)
 def _run_bounds(cfg, out: Path):
     n = int(cfg["n_modes"])
     n_instances = _at_least_one(cfg, "n_instances")
@@ -337,7 +332,7 @@ def run(config: dict, out_dir: str) -> int:
     if "master_seed" not in config:
         print("error: config is missing required field 'master_seed'", file=sys.stderr)
         return 2
-    experiment, defaults = EXPERIMENTS[kind]
+    experiment, defaults, _ = EXPERIMENTS[kind]
     unknown = sorted(set(config) - {"experiment", "master_seed"} - set(defaults))
     if unknown:
         print(f"error: unknown config keys {unknown} for {kind}; accepted: {sorted(defaults)}",
@@ -381,9 +376,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "list-experiments":
-        width = max(map(len, EXPERIMENT_SUMMARY))
-        for name, desc in EXPERIMENT_SUMMARY.items():
-            print(f"{name:<{width}}  {desc}")
+        width = max(map(len, EXPERIMENTS))
+        for name, (_, _, summary) in EXPERIMENTS.items():
+            print(f"{name:<{width}}  {summary}")
         return 0
 
     try:

@@ -1,11 +1,12 @@
 """Jump-measure view of the subordinated noise and moment inequalities.
 
 The noise Y jumps exactly where its subordinator Z jumps; the mark of a
-jump of size dZ is a Gaussian vector with mode-j variance w_j^{-2} dZ.
-This module materializes the jump list, splits it at a U-norm threshold
-into small and large parts, integrates time-dependent diagonal kernels
-against either part, and verifies the p-th moment inequalities for
-Poisson stochastic integrals of step functions by Monte Carlo.
+jump of size dZ is a Gaussian vector with mode-j variance w_j^{-2} dZ,
+which ``noise.increment_coefficients`` draws for every jump of a
+``PathBatch``.  This module integrates time-dependent diagonal kernels
+against a list of marked jumps, and verifies the p-th moment
+inequalities for Poisson stochastic integrals of step functions by
+Monte Carlo.
 """
 
 from __future__ import annotations
@@ -16,15 +17,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._rng import stream
-from .spaces import SpaceSpec
-from .noise import LevyNoiseSpec, _u_norm, increment_coefficients
-from .subordinator import PathBatch
 
 __all__ = [
-    "MarkedJumpList",
     "StepIntegrand",
-    "marked_path_from_z",
-    "split",
     "integrate_large",
     "verify_moment_inequality_p_le_1",
     "verify_moment_inequality_type_p",
@@ -37,81 +32,21 @@ SIGNS_MC = 4096
 TYPE_P_MARGIN = 1.25
 
 
-@dataclass(frozen=True)
-class MarkedJumpList:
-    """Ordered jumps (time, mark vector, U-size) of a truncated noise path."""
-
-    horizon_T: float
-    times: np.ndarray          # (n,)
-    marks: np.ndarray          # (n, N)
-    sizes: np.ndarray          # (n,)  U-norms of the marks
-    threshold: float = 1.0
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        m = np.atleast_2d(np.asarray(self.marks, dtype=float))
-        s = np.asarray(self.sizes, dtype=float)
-        if t.size == 0:
-            m = m.reshape(0, m.shape[-1] if m.size else 1)
-        if m.shape[0] != t.size or s.size != t.size:
-            raise ValueError("times, marks, sizes must agree in length")
-        if t.size and np.any(np.diff(t) < 0):
-            raise ValueError("jump times must be nondecreasing")
-        if self.threshold <= 0:
-            raise ValueError("threshold must be positive")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "marks", m)
-        object.__setattr__(self, "sizes", s)
-
-    @property
-    def n_jumps(self) -> int:
-        return self.times.size
-
-
-def marked_path_from_z(
-    spec: LevyNoiseSpec,
-    zpath: PathBatch,
-    rng: np.random.Generator,
-    u_space: Optional[SpaceSpec] = None,
-    threshold: float = 1.0,
-) -> MarkedJumpList:
-    """Attach Gaussian marks drawn from rng to the jumps of a subordinator
-    path, given as a batch of one path (ValueError for more).
-
-    The jump of Y at a jump time of Z with size dZ has mode-j coefficient
-    N(0, w_j^{-2} dZ); the recorded size is the U-norm of that mark
-    (unweighted l2 when ``u_space`` is None).
-    """
-    if zpath.n_paths != 1:
-        raise ValueError(f"zpath must be a batch of one path, not {zpath.n_paths}")
-    marks = increment_coefficients(spec, zpath.sizes, rng)
-    return MarkedJumpList(horizon_T=zpath.horizon_T, times=zpath.times, marks=marks,
-                          sizes=_u_norm(marks, u_space), threshold=threshold)
-
-
-def split(path: MarkedJumpList) -> tuple[MarkedJumpList, MarkedJumpList]:
-    """Small/large decomposition at the U-norm threshold (large: size >= threshold)."""
-    big = path.sizes >= path.threshold
-    def pick(mask):
-        return MarkedJumpList(horizon_T=path.horizon_T, times=path.times[mask],
-                              marks=path.marks[mask], sizes=path.sizes[mask],
-                              threshold=path.threshold)
-    return pick(~big), pick(big)
-
-
-def integrate_large(psi: Callable[[float], np.ndarray], y2: MarkedJumpList,
+def integrate_large(psi: Callable[[float], np.ndarray], times, marks,
                     t: Optional[float] = None) -> np.ndarray:
-    """Sum over jump times tau_k <= t of diag(psi(tau_k)) applied to the mark.
+    """Sum over jump times tau_k <= t (every jump when t is None) of
+    diag(psi(tau_k)) applied to the mark, for nondecreasing ``times`` (n,)
+    and ``marks`` (n, modes).
 
-    This is also the compensated integral over the small part of a split:
-    the Gaussian mark law is symmetric, so its compensator vanishes.
+    This is also the compensated integral over the small jumps: the
+    Gaussian mark law is symmetric, so its compensator vanishes.
     """
-    if t is None:
-        t = y2.horizon_T
-    k = np.searchsorted(y2.times, t, side="right")
-    out = np.zeros(y2.marks.shape[1])
+    times = np.asarray(times, dtype=float)
+    marks = np.asarray(marks, dtype=float)
+    k = times.size if t is None else np.searchsorted(times, t, side="right")
+    out = np.zeros(marks.shape[1])
     for i in range(k):
-        out += np.asarray(psi(y2.times[i]), dtype=float) * y2.marks[i]
+        out += np.asarray(psi(times[i]), dtype=float) * marks[i]
     return out
 
 

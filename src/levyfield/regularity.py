@@ -18,8 +18,7 @@ import numpy as np
 
 from ._rng import stream
 from .spaces import SpaceSpec
-from .noise import LevyNoiseSpec
-from .jumps import marked_path_from_z, split
+from .noise import LevyNoiseSpec, _u_norm, increment_coefficients
 from .sine import BLOCK_ROWS
 from .spectral import FieldSample, SpectralOperator, cell_moments, synthesize
 from .subordinator import PathBatch, SubordinatorSpec, simulate_paths
@@ -221,38 +220,42 @@ def blowup_probe(op: SpectralOperator, noise: LevyNoiseSpec, F: SpaceSpec,
                  cutoff_eps: float = 1e-3) -> dict:
     """Growth of sup |X2(t)|_F right after the first large jump, across truncations.
 
-    One noise path is drawn at the full truncation; sub-truncations take
-    mode prefixes (modes are sorted by eigenvalue, so prefixes are nested).
-    X2 is the convolution of the large jumps only, evaluated at geometric
-    time offsets in (tau_1, tau_1 + h].  A positive log-log slope of the
-    sup in N while the U-norm of the mark stays bounded is the blow-up
-    signature; no large jump in the horizon yields an inconclusive report.
-    Raises ValueError for fewer than two distinct truncations, through
-    which no slope can be fitted.
+    One noise path is drawn at the full truncation: Z from stream(seed),
+    the marks of its jumps from stream(seed, 1); sub-truncations take mode
+    prefixes (modes are sorted by eigenvalue, so prefixes are nested).
+    X2 is the convolution of the large jumps only, those whose mark has
+    U-norm at least ``threshold``, evaluated at geometric time offsets in
+    (tau_1, tau_1 + h].  A positive log-log slope of the sup in N while the
+    U-norm of the mark stays bounded is the blow-up signature; no large
+    jump in the horizon yields an inconclusive report.  Raises ValueError
+    for fewer than two distinct truncations, through which no slope can be
+    fitted, and for a threshold or window_h that is not positive.
     """
     N_sequence = sorted(int(n) for n in N_sequence)
     if len(set(N_sequence)) < 2:
         raise ValueError("a growth slope needs at least two distinct truncations")
     if N_sequence[-1] > op.n_modes:
         raise ValueError("truncation sequence exceeds the operator mode count")
+    if not threshold > 0:
+        raise ValueError("threshold must be positive")
+    if window_h is not None and not window_h > 0:
+        raise ValueError(f"window_h must be positive, not {window_h}")
     zp = simulate_paths(noise.subordinator, T, 1, stream(seed), cutoff_eps=cutoff_eps,
                         method="jumps")
-    marked = marked_path_from_z(noise, zp, stream(seed, 1), u_space=u_space,
-                                threshold=threshold)
-    _, large = split(marked)
-    if large.n_jumps == 0:
+    marks = increment_coefficients(noise, zp.sizes, stream(seed, 1))
+    large = _u_norm(marks, u_space) >= threshold
+    times, marks = zp.times[large], marks[large]
+    if times.size == 0:
         return {"conclusive": False, "reason": "no jump reached the threshold"}
-    tau1 = float(large.times[0])
+    tau1 = float(times[0])
     h = window_h if window_h is not None else 0.1 * T
     t = tau1 + np.geomspace(1e-9, h, 40)
     n = N_sequence[-1]
-    x2 = cell_moments(op.lambdas[:n], 1.0, 0.0, np.zeros(t.size), t, large.times,
-                      large.marks[:, :n], np.zeros(t.size, dtype=int),
-                      np.searchsorted(large.times, t, side="right"))
+    x2 = cell_moments(op.lambdas[:n], 1.0, 0.0, np.zeros(t.size), t, times, marks[:, :n],
+                      np.zeros(t.size, dtype=int), np.searchsorted(times, t, side="right"))
     sups = [float(F.prefix(N).norm(x2[:, :N]).max()) for N in N_sequence]
-    mark = large.marks[0]
-    u_norms = [float(np.sqrt((mark[:N] ** 2).sum()) if u_space is None
-                     else u_space.prefix(N).norm(mark[:N])) for N in N_sequence]
+    mark = marks[0]
+    u_norms = [float(_u_norm(mark[:N], u_space and u_space.prefix(N))) for N in N_sequence]
     slope = float(np.polyfit(np.log(N_sequence), np.log(sups), 1)[0])
     return {
         "conclusive": True, "tau1": tau1, "window_h": h,
@@ -323,8 +326,10 @@ def fourier_profile(theta: float, n_harmonics: int, grid_M: int, seed: int = 0) 
     Random signs per harmonic; theta sweeps the Sobolev smoothness
     W^(theta,2) boundary of the profile family.  The grid_M + 1 values come
     from one inverse FFT, harmonics at or above grid_M folded onto k mod
-    grid_M, which is exact on the grid.
+    grid_M, which is exact on the grid.  Raises ValueError if grid_M < 1.
     """
+    if grid_M < 1:
+        raise ValueError("grid_M must be positive")
     signs = stream(seed).choice([-1.0, 1.0], size=(n_harmonics, 2))
     k = np.arange(1, n_harmonics + 1)
     amp = k ** (-(theta + 0.5))

@@ -197,11 +197,15 @@ def check_radonifying(op: SpectralOperator, alpha: float, r: float,
     User-supplied eigenvalue sequences are decided by fitting the power
     growth of lambda_k over the last decade of modes, unless the caller
     passes the exact ``growth`` exponent (lambda_k ~ c k^growth), which
-    makes boundary cases decidable.
+    makes boundary cases decidable.  Raises ValueError for a fit over fewer
+    than 2 eigenvalues.
     """
     s = r * alpha
     if growth is None and math.isnan(op.gamma):
         lam = op.lambdas
+        if lam.size < 2:
+            raise ValueError("fitting the eigenvalue growth needs at least 2 eigenvalues; "
+                             "pass growth")
         k0, k1 = lam.size // 10 + 1, lam.size
         growth = (math.log(lam[k1 - 1]) - math.log(lam[k0 - 1])) / (math.log(k1) - math.log(k0))
     elif growth is None:

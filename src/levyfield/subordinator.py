@@ -423,10 +423,6 @@ def sub_p_membership(spec: SubordinatorSpec, p: float) -> tuple[bool, float]:
         raise ValueError("p must be in (0,2]")
     if spec.kind == "drift_only":
         return True, 0.0
-    if spec.kind == "stable":
-        if p / 2.0 > spec.beta:
-            return True, spec.intensity.truncated_moment(p / 2.0, 0.0, 1.0)
-        return False, math.inf
     try:
         cert = spec.intensity.truncated_moment(p / 2.0, 0.0, 1.0)
     except QuadratureError:
@@ -521,6 +517,8 @@ def simulate_paths(
         raise ValueError("cutoff_eps must be in (0,1]")
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
+    if grid_n < 1:
+        raise ValueError("grid_n must be positive")
 
     if spec.kind == "drift_only":
         return PathBatch(horizon_T=T, drift_slope=spec.drift_b,

@@ -9,7 +9,7 @@ import pytest
 
 from levyfield import cli, spectral
 from levyfield._rng import stream
-from levyfield.cli import EXPERIMENT_SUMMARY, EXPERIMENTS, _charfn_projections, main
+from levyfield.cli import EXPERIMENTS, _charfn_projections, main
 from levyfield.noise import CylindricalWienerSpec, LevyNoiseSpec
 from levyfield.subordinator import SubordinatorSpec
 
@@ -23,9 +23,8 @@ def write_config(tmp_path, payload, name="cfg.json"):
 def test_list_experiments(capsys):
     assert main(["list-experiments"]) == 0
     out = capsys.readouterr().out
-    for name in EXPERIMENT_SUMMARY:
+    for name in EXPERIMENTS:
         assert name in out
-    assert set(EXPERIMENT_SUMMARY) == set(EXPERIMENTS)
 
 
 COLD_IMPORT = """
@@ -276,7 +275,7 @@ def test_non_finite_output_exit_3(tmp_path, monkeypatch, capsys):
         cli._write_csv(out / "nan.csv", ["x"], [[1.0], [float("nan")]])
         return {}, True
 
-    monkeypatch.setitem(EXPERIMENTS, "nan-probe", (nan_experiment, {}))
+    monkeypatch.setitem(EXPERIMENTS, "nan-probe", (nan_experiment, {}, ""))
     cfg = write_config(tmp_path, {"experiment": "nan-probe", "master_seed": 0})
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 3
@@ -292,7 +291,7 @@ def test_non_finite_summary_exit_3(tmp_path, monkeypatch, capsys, value):
     def probe(cfg, out):
         return {"stat": value, "nested": [1.0, {"x": value}]}, True
 
-    monkeypatch.setitem(EXPERIMENTS, "inf-probe", (probe, {}))
+    monkeypatch.setitem(EXPERIMENTS, "inf-probe", (probe, {}, ""))
     cfg = write_config(tmp_path, {"experiment": "inf-probe", "master_seed": 0})
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 3

@@ -1,6 +1,8 @@
-"""Every name a library module imports is referenced in that module."""
+"""Every name a library module imports is referenced in that module, and
+``__all__`` lists exactly the public definitions of a module that has one."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -60,3 +62,25 @@ def test_scan_sees_annotations_and_flags_the_rest():
               "def f(x: Optional[int]) -> 'PathBatch':\n"
               "    return np.zeros(1)\n")
     assert unused_imports(source) == ["SubordinatorSpec", "csv"]
+
+
+def _exports(tree: ast.Module):
+    """The names of ``__all__`` in a module, or None if it has none."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return [e.value for e in node.value.elts]
+    return None
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")))
+def test_all_lists_exactly_the_public_definitions(module):
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    exports = _exports(tree)
+    if exports is None:
+        return
+    mod = importlib.import_module(f"levyfield.{module}")
+    assert [name for name in exports if not hasattr(mod, name)] == []
+    public = [node.name for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")]
+    assert [name for name in public if name not in exports] == []

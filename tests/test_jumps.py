@@ -6,16 +6,14 @@ from scipy import stats
 
 from levyfield._rng import stream
 from levyfield.jumps import (
-    MarkedJumpList,
     StepIntegrand,
     estimate_type_p_constant,
     integrate_large,
-    marked_path_from_z,
-    split,
     verify_moment_inequality_p_le_1,
     verify_moment_inequality_type_p,
 )
-from levyfield.noise import CylindricalWienerSpec, LevyNoiseSpec, intensity_measure_functional
+from levyfield.noise import (CylindricalWienerSpec, LevyNoiseSpec, _u_norm,
+                             increment_coefficients, intensity_measure_functional)
 from levyfield.subordinator import PathBatch, SubordinatorSpec, simulate_paths
 
 
@@ -23,30 +21,26 @@ def make_spec(sub, n_modes=4):
     return LevyNoiseSpec(CylindricalWienerSpec(np.ones(n_modes)), sub)
 
 
-# -- split ---------------------------------------------------------------
+def marked(spec, zp, rng):
+    """(times, marks, U-sizes) of the jumps of a batch, marks drawn from rng."""
+    marks = increment_coefficients(spec, zp.sizes, rng)
+    return zp.times, marks, _u_norm(marks, None)
 
 
-def test_split_no_large_jumps():
-    path = MarkedJumpList(horizon_T=1.0, times=np.array([0.3, 0.7]),
-                          marks=np.array([[0.1, 0.0], [0.0, 0.2]]),
-                          sizes=np.array([0.1, 0.2]), threshold=1.0)
-    small, large = split(path)
-    assert large.n_jumps == 0
-    assert small.n_jumps == 2
+# -- small and large jumps -----------------------------------------------
 
 
 def test_split_additivity_exact():
     spec = make_spec(SubordinatorSpec.compound_poisson([2.5], [3.0]))
     zp = simulate_paths(spec.subordinator, 1.0, 1, stream(1))
-    path = marked_path_from_z(spec, zp, stream(2))
-    small, large = split(path)
-    assert small.n_jumps + large.n_jumps == path.n_jumps
+    times, marks, sizes = marked(spec, zp, stream(2))
+    big = sizes >= np.median(sizes)
+    assert 0 < big.sum() < big.size
     for t in (0.25, 0.5, 1.0):
-        total = path.marks[path.times <= t].sum(axis=0)
-        parts = [part.marks[part.times <= t].sum(axis=0) for part in (small, large)]
+        total = integrate_large(lambda s: np.ones(4), times, marks, t)
+        parts = [integrate_large(lambda s: np.ones(4), times[m], marks[m], t)
+                 for m in (~big, big)]
         assert np.allclose(parts[0] + parts[1], total, rtol=0.0, atol=1e-14)
-    assert np.all(large.sizes >= path.threshold)
-    assert np.all(small.sizes < path.threshold)
 
 
 def test_repeated_jump_times_are_marked_and_split():
@@ -54,15 +48,14 @@ def test_repeated_jump_times_are_marked_and_split():
     spec = make_spec(SubordinatorSpec.stable(0.5))
     zp = PathBatch(horizon_T=1.0, drift_slope=0.0, offsets=[0, 2], times=[0.5, 0.5],
                    sizes=[1, 2])
-    threshold = float(marked_path_from_z(spec, zp, stream(3)).sizes.max())
-    path = marked_path_from_z(spec, zp, stream(3), threshold=threshold)
-    assert path.n_jumps == 2 and path.threshold == threshold
-    small, large = split(path)
-    assert small.n_jumps == large.n_jumps == 1
-    assert small.times[0] == large.times[0] == 0.5
-    both = path.marks.sum(axis=0)
+    times, marks, sizes = marked(spec, zp, stream(3))
+    big = sizes >= sizes.max()
+    assert big.sum() == (~big).sum() == 1
+    assert times[big][0] == times[~big][0] == 0.5
+    both = marks.sum(axis=0)
     for t, total in ((0.4, np.zeros(4)), (0.5, both), (1.0, both)):
-        parts = [integrate_large(lambda s: np.ones(4), part, t) for part in (small, large)]
+        parts = [integrate_large(lambda s: np.ones(4), times[m], marks[m], t)
+                 for m in (~big, big)]
         assert np.array_equal(parts[0] + parts[1], total)
 
 
@@ -76,8 +69,7 @@ def test_large_jump_count_is_poisson():
     for m in range(400):
         zp = simulate_paths(spec.subordinator, 1.0, 1, stream(m), cutoff_eps=1e-3,
                             method="jumps")
-        path = marked_path_from_z(spec, zp, stream(m + 10_000))
-        counts.append(split(path)[1].n_jumps)
+        counts.append(int((marked(spec, zp, stream(m + 10_000))[2] >= 1.0).sum()))
     counts = np.asarray(counts)
     kmax = int(counts.max())
     observed = np.bincount(counts, minlength=kmax + 1).astype(float)
@@ -99,17 +91,16 @@ def test_large_jump_count_is_poisson():
 def test_integrate_large_identity_kernel():
     spec = make_spec(SubordinatorSpec.compound_poisson([3.0], [2.0]))
     zp = simulate_paths(spec.subordinator, 1.0, 1, stream(3))
-    path = marked_path_from_z(spec, zp, stream(4))
-    out = integrate_large(lambda s: np.ones(4), path)
-    assert np.allclose(out, path.marks[path.times <= 1.0].sum(axis=0), atol=1e-14)
+    times, marks, _ = marked(spec, zp, stream(4))
+    out = integrate_large(lambda s: np.ones(4), times, marks)
+    assert np.allclose(out, marks[times <= 1.0].sum(axis=0), atol=1e-14)
 
 
 def test_integrate_large_single_jump_closed_form():
     mark = np.array([0.5, -1.0, 2.0])
-    path = MarkedJumpList(horizon_T=1.0, times=np.array([0.4]),
-                          marks=mark[None, :], sizes=np.array([2.3]))
     lam, t = 3.0, 0.9
-    out = integrate_large(lambda s: np.exp(-lam * (t - s)) * np.ones(3), path, t=t)
+    out = integrate_large(lambda s: np.exp(-lam * (t - s)) * np.ones(3), [0.4],
+                          mark[None, :], t=t)
     assert np.allclose(out, math.exp(-lam * 0.5) * mark, rtol=1e-14)
 
 
@@ -117,11 +108,9 @@ def test_integrate_large_matches_loop_oracle():
     rng = stream(11)
     times = np.sort(rng.uniform(0.1, 0.9, size=5))
     marks = rng.standard_normal((5, 3))
-    path = MarkedJumpList(horizon_T=1.0, times=times, marks=marks,
-                          sizes=np.sqrt((marks ** 2).sum(axis=1)))
     diag = rng.standard_normal(3)
     psi = lambda s: diag * math.sin(s)
-    out = integrate_large(psi, path, t=0.8)
+    out = integrate_large(psi, times, marks, t=0.8)
     expected = np.zeros(3)
     for tau, u in zip(times, marks):
         if tau <= 0.8:
@@ -133,17 +122,19 @@ def test_small_jump_compensator_vanishes():
     spec = make_spec(SubordinatorSpec.stable(0.5))
     zp = simulate_paths(spec.subordinator, 1.0, 1, stream(5), cutoff_eps=1e-2,
                         method="jumps")
-    small, _ = split(marked_path_from_z(spec, zp, stream(6)))
-    out = integrate_large(lambda s: np.ones(4), small)
-    assert np.allclose(out, small.marks[small.times <= 1.0].sum(axis=0), atol=1e-14)
+    times, marks, sizes = marked(spec, zp, stream(6))
+    small = sizes < 1.0
+    out = integrate_large(lambda s: np.ones(4), times[small], marks[small])
+    assert np.allclose(out, marks[small].sum(axis=0), atol=1e-14)
 
 
 def test_small_jump_zero_kernel():
     spec = make_spec(SubordinatorSpec.stable(0.5))
     zp = simulate_paths(spec.subordinator, 1.0, 1, stream(7), cutoff_eps=1e-2,
                         method="jumps")
-    small, _ = split(marked_path_from_z(spec, zp, stream(8)))
-    out = integrate_large(lambda s: np.zeros(4), small)
+    times, marks, sizes = marked(spec, zp, stream(8))
+    small = sizes < 1.0
+    out = integrate_large(lambda s: np.zeros(4), times[small], marks[small])
     assert np.all(out == 0.0)
 
 
@@ -237,13 +228,3 @@ def test_type_p_rejects_bad_exponents():
         verify_moment_inequality_type_p(step, p=2.0, q=1.0)
     with pytest.raises(ValueError):
         verify_moment_inequality_p_le_1(step, p=1.5)
-
-
-def test_marked_jump_list_validation():
-    with pytest.raises(ValueError, match="nondecreasing"):
-        MarkedJumpList(horizon_T=1.0, times=np.array([0.5, 0.2]),
-                       marks=np.zeros((2, 1)) + 1.0, sizes=np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        MarkedJumpList(horizon_T=1.0, times=np.array([0.5]),
-                       marks=np.array([[1.0]]), sizes=np.array([1.0]),
-                       threshold=0.0)

@@ -15,8 +15,6 @@ CALLERS = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 
 # (function, parameter) of the defaults no call sets, each with its reason
 ALLOWED = {
-    ("blowup_probe", "window_h"):
-        "the window after the first large jump; its default 0.1 T scales with the horizon",
     ("blowup_probe", "T"): "the horizon of the probed noise path",
     ("blowup_probe", "cutoff_eps"): "the jump cutoff of the probed noise path",
     ("finite_variation_test", "T"): "the horizon of the sampled paths",

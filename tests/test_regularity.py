@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from levyfield._rng import stream
-from levyfield.jumps import marked_path_from_z, split
-from levyfield.noise import CylindricalWienerSpec, LevyNoiseSpec
+from levyfield.noise import CylindricalWienerSpec, LevyNoiseSpec, _u_norm, increment_coefficients
 from levyfield.regularity import (
     MAX_CIRCLE_CELLS,
     CirclePath,
@@ -237,15 +236,40 @@ def test_blowup_inconclusive_without_jumps():
     assert not rep["conclusive"]
 
 
+def test_blowup_inconclusive_when_no_mark_reaches_the_threshold():
+    # the path jumps, but every mark's U-norm lies below the threshold
+    Nmax = 64
+    op = SpectralOperator.dirichlet(1, 1.0, Nmax)
+    noise = make_noise(SubordinatorSpec.stable(0.5), Nmax)
+    zp = simulate_paths(noise.subordinator, 1.0, 1, stream(0), cutoff_eps=1e-3, method="jumps")
+    marks = increment_coefficients(noise, zp.sizes, stream(0, 1))
+    assert zp.times.size > 0
+    F = SpaceSpec(2.0, np.ones(Nmax))
+    rep = blowup_probe(op, noise, F, [16, 32, 64], seed=0,
+                       threshold=float(_u_norm(marks, None).max()) * 1.01)
+    assert rep == {"conclusive": False, "reason": "no jump reached the threshold"}
+
+
+@pytest.mark.parametrize("threshold,window_h", [(0.0, None), (-1.0, None), (0.05, 0.0),
+                                                (0.05, -1.0)])
+def test_blowup_refuses_a_threshold_or_window_that_is_not_positive(threshold, window_h):
+    Nmax = 64
+    op = SpectralOperator.dirichlet(1, 1.0, Nmax)
+    noise = make_noise(SubordinatorSpec.stable(0.5), Nmax)
+    with pytest.raises(ValueError, match="threshold" if threshold <= 0 else "window_h"):
+        blowup_probe(op, noise, SpaceSpec(2.0, np.ones(Nmax)), [16, 32, 64], seed=0,
+                     threshold=threshold, window_h=window_h)
+
+
 def _per_truncation_probe(op, noise, F, N_sequence, seed, threshold, u_space):
     """The sups and mark norms of blowup_probe before it summed at the full
     truncation once, with the weighted norms written out."""
     zp = simulate_paths(noise.subordinator, 1.0, 1, stream(seed), cutoff_eps=1e-3,
                         method="jumps")
-    marked = marked_path_from_z(noise, zp, stream(seed, 1), u_space=u_space,
-                                threshold=threshold)
-    _, large = split(marked)
-    tau1 = float(large.times[0])
+    marks = increment_coefficients(noise, zp.sizes, stream(seed, 1))
+    big = _u_norm(marks, u_space) >= threshold
+    times, marks = zp.times[big], marks[big]
+    tau1 = float(times[0])
     sups, u_norms = [], []
     for N in N_sequence:
         lamN = op.lambdas[:N]
@@ -253,14 +277,14 @@ def _per_truncation_probe(op, noise, F, N_sequence, seed, threshold, u_space):
         sup = 0.0
         for dt in np.geomspace(1e-9, 0.1, 40):
             t = tau1 + dt
-            k = np.searchsorted(large.times, t, side="right")
-            x2 = (np.exp(-np.multiply.outer(lamN, t - large.times[:k]))
-                  * large.marks[:k, :N].T).sum(axis=1)
+            k = np.searchsorted(times, t, side="right")
+            x2 = (np.exp(-np.multiply.outer(lamN, t - times[:k]))
+                  * marks[:k, :N].T).sum(axis=1)
             wx = np.abs(x2) * fw
             val = wx.max() if np.isinf(F.exponent_q) else (wx ** F.exponent_q).sum() ** (1.0 / F.exponent_q)
             sup = max(sup, float(val))
         sups.append(sup)
-        mark = large.marks[0, :N]
+        mark = marks[0, :N]
         if u_space is None:
             u_norms.append(float(np.sqrt((mark ** 2).sum())))
         else:
@@ -419,3 +443,8 @@ def test_fourier_profile_matches_harmonic_loop(n_harmonics, grid_M):
         assert f.shape == (grid_M + 1,)
         assert f[0] == f[-1]
         assert_close_to(f, harmonic_loop_profile(theta, n_harmonics, grid_M, seed=5), 1e-12)
+
+
+def test_fourier_profile_refuses_an_empty_grid():
+    with pytest.raises(ValueError, match="grid_M"):
+        fourier_profile(0.5, 8, 0)

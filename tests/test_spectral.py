@@ -120,6 +120,11 @@ def test_radonifying_user_eigenvalues_with_growth():
     assert ok and np.isfinite(cert)
     from scipy.special import zeta
     assert cert == pytest.approx(float(zeta(1.2)), rel=1e-3)
+    # one eigenvalue fits no growth, but a passed growth decides
+    one = SpectralOperator.from_eigenvalues([1.0])
+    with pytest.raises(ValueError, match="growth"):
+        check_radonifying(one, 1.0, 1.0)
+    assert check_radonifying(one, 1.0, 1.0, growth=2.0)[0]
 
 
 def test_radonifying_theorem_setting():

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from levyfield._rng import stream
-from levyfield.jumps import marked_path_from_z
-from levyfield.noise import CylindricalWienerSpec, LevyNoiseSpec
+from levyfield.noise import CylindricalWienerSpec, LevyNoiseSpec, increment_coefficients
 from levyfield.subordinator import (
     MAX_EXPECTED_JUMPS,
     PathBatch,
@@ -85,8 +84,8 @@ def test_sub_p_compound_poisson_all_p():
 
 def test_sub_p_boundary_is_excluded():
     # p/2 == beta diverges (log divergence at 0)
-    ok, _ = sub_p_membership(SubordinatorSpec.stable(0.5), 1.0)
-    assert not ok
+    ok, cert = sub_p_membership(SubordinatorSpec.stable(0.5), 1.0)
+    assert not ok and cert == math.inf
 
 
 # -- finite variation ----------------------------------------------------
@@ -349,12 +348,19 @@ def test_increments_from_zero_are_z_of_t(t):
     assert np.array_equal(batch.increments((0, t))[:, 0], z)
 
 
-def test_single_path_readers_refuse_a_batch_of_two():
+@pytest.mark.parametrize("n_paths", [1, 2, 7])
+def test_marks_of_a_batch_are_bitwise_those_of_its_one_path_slices(n_paths):
+    # the marks of every jump of a batch, drawn in one call, are the marks of
+    # its one-path slices drawn in turn from the same generator, so no
+    # reader of marks needs a batch of one path
     sub = SubordinatorSpec.stable(0.5)
-    noise = LevyNoiseSpec(CylindricalWienerSpec(np.ones(4)), sub)
-    batch = simulate_paths(sub, 1.0, 2, stream(0), cutoff_eps=1e-2, method="jumps")
-    with pytest.raises(ValueError, match="one path"):
-        marked_path_from_z(noise, batch, stream(1))
+    noise = LevyNoiseSpec(CylindricalWienerSpec(np.arange(1.0, 6.0)), sub)
+    batch = simulate_paths(sub, 1.0, n_paths, stream(0), cutoff_eps=1e-2, method="jumps")
+    assert batch.times.size > n_paths
+    marks = increment_coefficients(noise, batch.sizes, stream(1))
+    rng = stream(1)
+    per_path = [increment_coefficients(noise, batch[p:p + 1].sizes, rng) for p in range(n_paths)]
+    assert np.array_equal(marks, np.concatenate(per_path))
 
 
 def _hand_built(**fields):
@@ -540,3 +546,6 @@ def test_invalid_specs_rejected():
         simulate_paths(SubordinatorSpec.stable(0.5), -1.0, 1, stream(0))
     with pytest.raises(ValueError):
         simulate_paths(SubordinatorSpec.stable(0.5), 1.0, 1, stream(0), cutoff_eps=2.0)
+    for grid_n in (0, -2):
+        with pytest.raises(ValueError, match="grid_n"):
+            simulate_paths(SubordinatorSpec.stable(0.5), 1.0, 1, stream(0), grid_n=grid_n)
