@@ -26,8 +26,8 @@ from .subordinator import (DEFAULT_CUTOFF, QuadratureError, SubordinatorSpec,
                            sample_stable_oneside, simulate_paths)
 from .noise import (CylindricalWienerSpec, LevyNoiseSpec, char_functional,
                     increment_coefficients)
-from .spectral import (FieldSample, SpectralOperator, charfn_oracle, regularity_exponent_bound,
-                       sample_convolution_batch)
+from .spectral import (SpectralOperator, charfn_oracle, regularity_exponent_bound,
+                       sample_trajectory)
 from .regularity import (CirclePath, blowup_probe, circle_convolution,
                          estimate_holder, fourier_profile, scalar_levy_jumps)
 from .burgers import (StepSizeError, check_apriori, solve_modified_burgers,
@@ -78,10 +78,10 @@ def _within(cfg, key, lo: float, hi: float) -> list:
 
 
 def _write_csv(path: Path, header, rows):
-    """Writes the rows, or raises FloatingPointError if a float in them is
-    NaN or infinite."""
+    """Writes the header and the rows, or raises FloatingPointError if a float
+    in them is NaN or infinite."""
     rows = list(rows)
-    if _non_finite(rows):
+    if _non_finite([header, rows]):
         raise FloatingPointError(f"non-finite value in {path.name}")
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -157,14 +157,15 @@ def _run_charfn(cfg, out: Path):
 def _ou_draws(op: SpectralOperator, spec: LevyNoiseSpec, t: float, n_paths: int,
               seed: int, case: int, cutoff_eps: float):
     """Per-path draws of X(t), through the cutoff jump route if Z jumps: the
-    coefficients of every path in one call, shape (paths, modes).
+    coefficients of every path in one sample_trajectory call on the grid
+    (t,), shape (paths, modes).
 
     The jumps come from stream(seed, 1, case), the Gaussian mode draws from
     stream(seed, 2, case).
     """
     batch = simulate_paths(spec.subordinator, t, n_paths, stream(seed, 1, case),
                            cutoff_eps=cutoff_eps, method="jumps")
-    return sample_convolution_batch(op, spec, batch, t, stream(seed, 2, case))
+    return sample_trajectory(op, spec, batch, (t,), stream(seed, 2, case))[:, 0]
 
 
 @_experiment("ou-sample", "OU stochastic convolution sampler vs the quadrature oracle",
@@ -188,7 +189,10 @@ def _run_ou(cfg, out: Path):
     _write_csv(out / "ou_charfn.csv", ["pair", "t", "empirical", "stderr", "analytic", "pass"], rows)
     # one exported field sample, drawn as case n_pairs at the default cutoff
     coeffs = _ou_draws(op, spec, 1.0, 1, seed, n_pairs, cutoff_eps=DEFAULT_CUTOFF)[0]
-    FieldSample(coefficients=coeffs, time_t=1.0).to_csv(out / "field_sample.csv", op)
+    _write_csv(out / "field_sample.csv", ["# time_t", 1.0],
+               [["mode", "multi_index", "coefficient"]]
+               + [[j, "x".join(map(str, mi)), c]
+                  for j, (mi, c) in enumerate(zip(op.multi_indices, coeffs.tolist()))])
     return _checks_summary(rows)
 
 
@@ -206,7 +210,7 @@ def _run_regularity(cfg, out: Path):
                                          ("stable_alpha1", SubordinatorSpec.stable(0.5))]):
         spec = LevyNoiseSpec(CylindricalWienerSpec(np.ones(N)), sub)
         coeffs = _ou_draws(op, spec, 1.0, n_paths, seed, case, cutoff_eps=1e-3)
-        ests = [estimate_holder(FieldSample(c, 1.0), op, M)["delta_hat"] for c in coeffs]
+        ests = [estimate_holder(c, op, M)["delta_hat"] for c in coeffs]
         rows += [[label, m, d] for m, d in enumerate(ests)]
         critical = regularity_exponent_bound(op, spec, ("holder", 0.0))["critical_exponent"]
         results[label] = {"mean_delta": float(np.mean(ests)), "per_path": ests, "critical": critical}

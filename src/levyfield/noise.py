@@ -75,8 +75,8 @@ class LevyNoiseSpec:
 
 def char_functional(spec: LevyNoiseSpec, phi, t: float) -> float:
     """E exp(i <Y(t), phi>) = exp(-t psi(0.5 |phi|_H^2)); real and positive."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not t >= 0:
+        raise ValueError(f"t must be nonnegative, not {t}")
     half_sq = 0.5 * spec.wiener.h_norm_sq(phi)
     return float(np.exp(-t * laplace_exponent(spec.subordinator, half_sq)))
 

@@ -3,9 +3,10 @@
 Tools here turn the qualitative path properties into measurable,
 desk-scale statistics: Hoelder exponents from dyadic increments of the
 synthesized field, time-integrability of trajectory norms under grid
-refinement, a blow-up probe for the large-jump part in spaces that are
-too small for the jump marks, and the circle convolution of a periodic
-profile against a scalar subordinated Levy path.
+refinement (the trajectories drawn by ``spectral.sample_trajectory``), a
+blow-up probe for the large-jump part in spaces that are too small for
+the jump marks, and the circle convolution of a periodic profile against
+a scalar subordinated Levy path.
 """
 
 from __future__ import annotations
@@ -19,14 +20,12 @@ import numpy as np
 from ._rng import stream
 from .spaces import SpaceSpec
 from .noise import LevyNoiseSpec, _u_norm, increment_coefficients
-from .sine import BLOCK_ROWS
-from .spectral import FieldSample, SpectralOperator, cell_moments, synthesize
-from .subordinator import PathBatch, SubordinatorSpec, simulate_paths
+from .spectral import SpectralOperator, cell_moments, sample_trajectory, synthesize
+from .subordinator import SubordinatorSpec, simulate_paths
 
 __all__ = [
     "TrajectoryEnsemble",
     "CirclePath",
-    "sample_trajectory",
     "estimate_holder",
     "holder_from_values",
     "time_integrability",
@@ -42,52 +41,6 @@ MAX_CIRCLE_CELLS = 1 << 24
 MIN_SCALES = 4
 # cells of the grid on which scalar_levy_jumps draws the Brownian part
 SLOPE_GRID = 4096
-
-
-# -- exact trajectory sampling ------------------------------------------
-
-
-def sample_trajectory(op: SpectralOperator, noise: LevyNoiseSpec,
-                      batch: PathBatch, times: np.ndarray,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Exact joint draw of X at the given times for every path of a batch,
-    conditionally on the path, shape (n_paths, len(times), n_modes).
-
-    Uses the OU recursion X_j(t') = e^(-lambda_j (t'-t)) X_j(t) + eta with
-    eta Gaussian of variance w_j^(-2) int_t^(t') e^(-2 lambda_j (t'-s)) dZ(s)
-    (closed form over the cell's jumps), so the joint law across the grid is
-    exact given Z.  The Gaussian variates are drawn from rng path after
-    path, cell after cell, so drawing a batch in consecutive slices from one
-    generator gives the same values.
-    """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or np.any(np.diff(times) <= 0) or times[0] < 0:
-        raise ValueError("times must be strictly increasing and nonnegative")
-    if times[-1] > batch.horizon_T:
-        raise ValueError("times exceed the path horizon")
-    lam = op.lambdas
-    inv_w = 1.0 / noise.wiener.hilbert_weights
-    n_paths = batch.n_paths
-    # cell i is (t0[i], t1[i]]; a grid starting at 0 starts with X(0) = 0
-    # and draws nothing for it
-    edges = times if times[0] == 0 else np.append(0.0, times)
-    t0, t1 = edges[:-1], edges[1:]
-    starts, counts = batch.cells(edges)
-    x = rng.standard_normal((n_paths, t1.size, lam.size))
-    prev = np.zeros((n_paths, lam.size))
-    for lo in range(0, t1.size, BLOCK_ROWS):
-        s = slice(lo, lo + BLOCK_ROWS)
-        var = cell_moments(lam, 2.0, batch.total_slope, np.tile(t0[s], n_paths),
-                           np.tile(t1[s], n_paths), batch.times, batch.sizes[:, None],
-                           starts[:, s].ravel(), counts[:, s].ravel())
-        eta = x[:, s]
-        eta *= np.sqrt(var).reshape(eta.shape) * inv_w
-        decay = np.exp(-lam * (t1[s] - t0[s])[:, None])
-        for i in range(eta.shape[1]):
-            prev = eta[:, i] = decay[i] * prev + eta[:, i]
-    if t1.size < times.size:
-        x = np.concatenate((np.zeros((n_paths, 1, lam.size)), x), axis=1)
-    return x
 
 
 @dataclass(frozen=True)
@@ -110,7 +63,10 @@ class TrajectoryEnsemble:
                  n_times: int, n_paths: int, seed: int = 0,
                  cutoff_eps: float = 1e-3) -> "TrajectoryEnsemble":
         """Trajectories of ``n_paths`` paths on n_times times up to T: the paths
-        of Z from stream(seed, 1), the Gaussian draws from stream(seed, 2)."""
+        of Z from stream(seed, 1), the Gaussian draws from stream(seed, 2).
+        Raises ValueError if n_times < 1."""
+        if n_times < 1:
+            raise ValueError(f"n_times must be at least 1, not {n_times}")
         times = np.linspace(T / n_times, T, n_times)
         batch = simulate_paths(noise.subordinator, T, n_paths, stream(seed, 1),
                                cutoff_eps=cutoff_eps, method="jumps")
@@ -159,14 +115,14 @@ def holder_from_values(values: np.ndarray) -> dict:
             "scales": np.asarray(scales), "increments": np.asarray(incs)}
 
 
-def estimate_holder(sample: FieldSample, op: SpectralOperator,
-                    physical_grid_M: int) -> dict:
-    """Synthesize a 1-d field sample on a dyadic grid and estimate its exponent."""
+def estimate_holder(coefficients, op: SpectralOperator, physical_grid_M: int) -> dict:
+    """Synthesize a 1-d field from its coefficients on a dyadic grid and
+    estimate its exponent."""
     if op.dim_d != 1:
         raise ValueError("Hoelder estimation implemented for d=1 grids")
     if physical_grid_M & (physical_grid_M - 1):
         raise ValueError("physical_grid_M must be a power of 2")
-    vals = synthesize(op, sample, physical_grid_M)
+    vals = synthesize(op, coefficients, physical_grid_M)
     return holder_from_values(vals)
 
 
@@ -180,8 +136,8 @@ def time_integrability(ensemble: TrajectoryEnsemble, E: SpaceSpec, p: float) -> 
     evidence that the integral is finite; ``stabilization`` is the relative
     change on the last halving of the mesh (per-path median).
     """
-    if p <= 0:
-        raise ValueError("p must be positive")
+    if not p > 0:
+        raise ValueError(f"p must be positive, not {p}")
     times = ensemble.times
     n_times = times.size
     if n_times & (n_times - 1):
@@ -326,8 +282,11 @@ def fourier_profile(theta: float, n_harmonics: int, grid_M: int, seed: int = 0) 
     Random signs per harmonic; theta sweeps the Sobolev smoothness
     W^(theta,2) boundary of the profile family.  The grid_M + 1 values come
     from one inverse FFT, harmonics at or above grid_M folded onto k mod
-    grid_M, which is exact on the grid.  Raises ValueError if grid_M < 1.
+    grid_M, which is exact on the grid.  Raises ValueError if n_harmonics < 1
+    or grid_M < 1.
     """
+    if n_harmonics < 1:
+        raise ValueError(f"n_harmonics must be positive, not {n_harmonics}")
     if grid_M < 1:
         raise ValueError("grid_M must be positive")
     signs = stream(seed).choice([-1.0, 1.0], size=(n_harmonics, 2))

@@ -30,7 +30,7 @@ class SpaceSpec:
             raise ValueError("weights must be a non-empty 1-d sequence")
         if not np.all(w > 0):
             raise ValueError("weights must be positive")
-        if self.exponent_q < 1:
+        if not self.exponent_q >= 1:
             raise ValueError("exponent_q must be >= 1")
         object.__setattr__(self, "weights", w)
 

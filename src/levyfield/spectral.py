@@ -5,13 +5,15 @@ conditions, diagonal in the product-sine basis with eigenvalues
 lambda_j = (n_1^2 + ... + n_d^2)^gamma.  Everything here is exact on the
 truncation: operator norms of the semigroup between weighted l^q spaces,
 the gamma-radonifying summability test, exact-in-law sampling of the
-stochastic convolution X(t) = int_0^t e^((t-s)A) dY(s) given a
-subordinator path, and the analytic characteristic functional of X.
+stochastic convolution X(t) = int_0^t e^((t-s)A) dY(s) on a time grid
+given a batch of subordinator paths (``sample_trajectory``, the one
+sampler of X; a one-point grid draws X(t)), and the analytic
+characteristic functional of X.  A field at one time is its coefficient
+array, in the operator's mode order.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass
@@ -19,21 +21,20 @@ from typing import Optional
 
 import numpy as np
 
-from .sine import sine_values
+from .sine import BLOCK_ROWS, sine_values
 from .spaces import SpaceSpec
 from .noise import LevyNoiseSpec
 from .subordinator import PathBatch, _checked, laplace_exponent, sub_p_membership
 
 __all__ = [
     "SpectralOperator",
-    "FieldSample",
     "semigroup_norm",
     "semigroup_norm_power",
     "power_law_envelope",
     "check_radonifying",
     "cell_moments",
     "convolution_variances_batch",
-    "sample_convolution_batch",
+    "sample_trajectory",
     "charfn_oracle",
     "regularity_exponent_bound",
     "synthesize",
@@ -80,7 +81,7 @@ class SpectralOperator:
 
     def __post_init__(self):
         lam = np.asarray(self.lambdas, dtype=float)
-        if np.any(lam <= 0) or np.any(np.diff(lam) < 0):
+        if not (np.all(lam > 0) and np.all(np.diff(lam) >= 0)):
             raise ValueError("eigenvalues must be positive and nondecreasing")
         object.__setattr__(self, "lambdas", lam)
 
@@ -90,7 +91,7 @@ class SpectralOperator:
 
     @classmethod
     def dirichlet(cls, dim_d: int, gamma: float, truncation_N: int) -> "SpectralOperator":
-        if dim_d < 1 or truncation_N < 1 or gamma <= 0:
+        if dim_d < 1 or truncation_N < 1 or not gamma > 0:
             raise ValueError("need dim_d >= 1, truncation_N >= 1, gamma > 0")
         axes = [np.arange(1, truncation_N + 1)] * dim_d
         grids = np.meshgrid(*axes, indexing="ij")
@@ -107,30 +108,6 @@ class SpectralOperator:
         idx = np.arange(1, lam.size + 1)[:, None]
         return cls(dim_d=1, gamma=float("nan"), truncation_N=lam.size,
                    multi_indices=idx, mu=idx[:, 0].astype(float), lambdas=lam)
-
-
-@dataclass(frozen=True)
-class FieldSample:
-    """Coefficient vector of a field at one time, in the operator's mode order."""
-
-    coefficients: np.ndarray
-    time_t: float
-
-    def norm(self, space: SpaceSpec) -> float:
-        return float(space.norm(self.coefficients))
-
-    def to_csv(self, path, op: Optional[SpectralOperator] = None) -> None:
-        """Writes the coefficients, or raises FloatingPointError if one of them
-        or time_t is NaN or infinite."""
-        if not (np.isfinite(self.coefficients).all() and math.isfinite(self.time_t)):
-            raise FloatingPointError(f"non-finite value in field sample for {path}")
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["# time_t", self.time_t])
-            w.writerow(["mode", "multi_index", "coefficient"])
-            for j, c in enumerate(self.coefficients):
-                mi = "x".join(map(str, op.multi_indices[j])) if op is not None else str(j + 1)
-                w.writerow([j, mi, repr(float(c))])
 
 
 # -- operator norms ------------------------------------------------------
@@ -282,19 +259,53 @@ def convolution_variances_batch(op: SpectralOperator, batch: PathBatch, t: float
                         batch.times, batch.sizes[:, None], starts[:, 0], counts[:, 0])
 
 
-def sample_convolution_batch(op: SpectralOperator, noise: LevyNoiseSpec,
-                             batch: PathBatch, t: float, rng: np.random.Generator) -> np.ndarray:
-    """Coefficients of one draw of X(t) per path of a batch, shape (n_paths, n_modes).
+def sample_trajectory(op: SpectralOperator, noise: LevyNoiseSpec,
+                      batch: PathBatch, times, rng: np.random.Generator) -> np.ndarray:
+    """Exact joint draw of X at the given times for every path of a batch,
+    conditionally on the path, shape (n_paths, len(times), n_modes).
 
-    X(t) = int_0^t e^((t-s)A) dY(s) is drawn exactly in law given the path:
-    mode j is centered Gaussian with variance w_j^(-2) V_j.  The Gaussian
-    variates are drawn from rng path after path, so drawing a batch in
-    consecutive slices from one generator gives the same values.
+    Uses the OU recursion X_j(t') = e^(-lambda_j (t'-t)) X_j(t) + eta with
+    eta Gaussian of variance w_j^(-2) int_t^(t') e^(-2 lambda_j (t'-s)) dZ(s)
+    (closed form over the cell's jumps), so the joint law across the grid is
+    exact given Z; on a one-point grid (t,), mode j of X(t) is centered
+    Gaussian with variance w_j^(-2) V_j (``convolution_variances_batch``).
+    The Gaussian variates are drawn from rng in one call, path after path,
+    cell after cell, so drawing a batch in consecutive slices from one
+    generator gives the same values.  Raises ValueError for a noise whose
+    truncation is not the operator's mode count, and for times that are
+    empty, not strictly increasing, or not in [0, horizon_T] (NaN included).
     """
+    times = np.asarray(times, dtype=float)
     if noise.wiener.truncation_N != op.n_modes:
         raise ValueError("noise truncation must match the operator mode count")
-    v = convolution_variances_batch(op, batch, t)
-    return np.sqrt(v) / noise.wiener.hilbert_weights * rng.standard_normal(v.shape)
+    if times.ndim != 1 or times.size == 0 or not np.all(np.diff(times) > 0):
+        raise ValueError("times must be a non-empty, strictly increasing sequence")
+    if not (0 <= times[0] and times[-1] <= batch.horizon_T):
+        raise ValueError(f"times must lie in [0, horizon_T = {batch.horizon_T}]")
+    lam = op.lambdas
+    inv_w = 1.0 / noise.wiener.hilbert_weights
+    n_paths = batch.n_paths
+    # cell i is (t0[i], t1[i]]; a grid starting at 0 starts with X(0) = 0
+    # and draws nothing for it
+    edges = times if times[0] == 0 else np.append(0.0, times)
+    t0, t1 = edges[:-1], edges[1:]
+    starts, counts = batch.cells(edges)
+    x = rng.standard_normal((n_paths, t1.size, lam.size))
+    prev = 0.0
+    for lo in range(0, t1.size, BLOCK_ROWS):
+        s = slice(lo, lo + BLOCK_ROWS)
+        var = cell_moments(lam, 2.0, batch.total_slope, np.tile(t0[s], n_paths),
+                           np.tile(t1[s], n_paths), batch.times, batch.sizes[:, None],
+                           starts[:, s].ravel(), counts[:, s].ravel())
+        eta = x[:, s]
+        eta *= np.sqrt(var).reshape(eta.shape) * inv_w
+        decay = np.exp(-lam * (t1[s] - t0[s])[:, None])
+        for i in range(eta.shape[1]):
+            eta[:, i] += decay[i] * prev
+            prev = eta[:, i]
+    if t1.size < times.size:
+        x = np.concatenate((np.zeros((n_paths, 1, lam.size)), x), axis=1)
+    return x
 
 
 def _panel_integral(fn, edges: np.ndarray, rtol: float) -> float:
@@ -328,11 +339,15 @@ def charfn_oracle(op: SpectralOperator, noise: LevyNoiseSpec, phi, t: float,
     The integrand is steepest at sigma = 0, on the scale 1 / lambda_N, so the
     panels start as [0, lo] and ORACLE_PANELS geometric panels from
     lo = 1e-3 min(t, 1 / (2 lambda_N)) up to t.  The mode sums take blocks
-    of at most max(1, CHUNK_TERMS // modes) nodes.
+    of at most max(1, CHUNK_TERMS // modes) nodes.  Raises ValueError for a
+    t that is negative, infinite or NaN, and unless phi and the noise have
+    one coefficient per operator mode.
     """
     phi = np.asarray(phi, dtype=float)
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"t must be finite and nonnegative, not {t}")
+    if phi.shape != (op.n_modes,) or noise.wiener.truncation_N != op.n_modes:
+        raise ValueError("phi and the noise truncation must match the operator mode count")
     if t == 0 or not phi.any():
         return 1.0
     wsq_phi = (noise.wiener.hilbert_weights * phi) ** 2
@@ -401,14 +416,19 @@ def regularity_exponent_bound(op: SpectralOperator, noise: LevyNoiseSpec,
 # -- physical synthesis --------------------------------------------------
 
 
-def synthesize(op: SpectralOperator, sample: FieldSample, grid_M: int) -> np.ndarray:
-    """Evaluate the field on the uniform grid of (0,1)^d via sine synthesis.
+def synthesize(op: SpectralOperator, coefficients, grid_M: int) -> np.ndarray:
+    """Evaluate the field with these coefficients, in the operator's mode
+    order, on the uniform grid of (0,1)^d via sine synthesis.
 
     Basis functions are prod_i sqrt(2) sin(n_i pi x_i); returns values at
-    the interior points (i_1/M, ..., i_d/M), shape (M-1,)*d.
+    the interior points (i_1/M, ..., i_d/M), shape (M-1,)*d.  Raises
+    ValueError unless there is one coefficient per operator mode.
     """
+    coefficients = np.asarray(coefficients, dtype=float)
+    if coefficients.shape != (op.n_modes,):
+        raise ValueError(f"expected {op.n_modes} coefficients, got shape {coefficients.shape}")
     out = np.zeros((op.truncation_N,) * op.dim_d)
-    out[tuple((op.multi_indices - 1).T)] = sample.coefficients
+    out[tuple((op.multi_indices - 1).T)] = coefficients
     for axis in range(op.dim_d):
         out = sine_values(out, grid_M, axis=axis)
     return out

@@ -20,9 +20,8 @@ from levyfield.regularity import (TrajectoryEnsemble, blowup_probe,
                                   estimate_holder, time_integrability)
 from levyfield.sine import l4_norm4, sine_coefficients, sine_values
 from levyfield.spaces import SpaceSpec
-from levyfield.spectral import (FieldSample, SpectralOperator, charfn_oracle,
-                                check_radonifying, sample_convolution_batch,
-                                semigroup_norm_power)
+from levyfield.spectral import (SpectralOperator, charfn_oracle, check_radonifying,
+                                sample_trajectory, semigroup_norm_power)
 from levyfield.subordinator import (SubordinatorSpec, sample_stable_oneside,
                                     simulate_paths)
 
@@ -84,7 +83,7 @@ def test_03_ou_characteristic_functional():
         ana = charfn_oracle(op, spec, phi, t)
         batch = simulate_paths(spec.subordinator, t, mc, stream(303, 1, i), cutoff_eps=1e-3,
                                method="jumps")
-        vals = np.cos(sample_convolution_batch(op, spec, batch, t, stream(303, 2, i)) @ phi)
+        vals = np.cos(sample_trajectory(op, spec, batch, (t,), stream(303, 2, i))[:, 0] @ phi)
         se = vals.std() / math.sqrt(mc)
         checks[f"pair{i}"] = abs(vals.mean() - ana) <= 4.0 * se
     # drift-only noise: closed-form Gaussian stationary-variance expression
@@ -186,9 +185,8 @@ def test_07_holder_regularity_estimator():
         for m in range(n_paths):
             batch = simulate_paths(sub, 1.0, 1, stream(700 + 17 * m), cutoff_eps=eps,
                                    method=method)
-            coeffs = sample_convolution_batch(op, spec, batch, 1.0, stream(701 + 17 * m))[0]
-            fs = FieldSample(coeffs, 1.0)
-            ests.append(estimate_holder(fs, op, M)["delta_hat"])
+            coeffs = sample_trajectory(op, spec, batch, (1.0,), stream(701 + 17 * m))[0, 0]
+            ests.append(estimate_holder(coeffs, op, M)["delta_hat"])
         means[label] = float(np.mean(ests))
     checks["gaussian_band"] = 0.35 <= means["gaussian"] <= 0.65
     checks["stable_high"] = means["stable"] >= 0.8

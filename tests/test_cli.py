@@ -188,7 +188,29 @@ def test_run_ou_sample_small(tmp_path):
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["status"] == "pass" and report["summary"]["cases"] == 2
-    assert (out / "field_sample.csv").exists()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_field_sample_csv_refuses_non_finite_values(tmp_path, monkeypatch, capsys, bad):
+    draws = cli._ou_draws
+
+    def spoiled(op, spec, t, n_paths, *args, **kwargs):
+        x = draws(op, spec, t, n_paths, *args, **kwargs)
+        if n_paths == 1:    # the exported field sample
+            x[0, 1] = bad
+        return x
+
+    monkeypatch.setattr(cli, "_ou_draws", spoiled)
+    cfg = write_config(tmp_path, {"experiment": "ou-sample", "master_seed": 3,
+                                  "n_modes": 4, "mc_paths": 200, "n_pairs": 1})
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+    assert "field_sample.csv" in json.loads((out / "report.json").read_text())["error"]
+    assert not (out / "field_sample.csv").exists()
+    # the header row is checked too
+    with pytest.raises(FloatingPointError):
+        cli._write_csv(tmp_path / "field.csv", ["# time_t", bad], [["mode"]])
+    assert not (tmp_path / "field.csv").exists()
 
 
 @pytest.mark.parametrize("beta", [1.5, float("nan")])

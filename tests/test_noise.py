@@ -30,6 +30,12 @@ def test_charfn_zero_test_function():
         assert char_functional(spec, np.zeros(8), t) == 1.0
 
 
+@pytest.mark.parametrize("t", [float("nan"), -1.0])
+def test_charfn_refuses_a_nan_or_negative_time(t):
+    with pytest.raises(ValueError, match="t must be nonnegative"):
+        char_functional(make_spec(SubordinatorSpec.stable(0.7)), np.ones(8), t)
+
+
 def test_charfn_stable_closed_form():
     # |phi|_H = c gives exp(-t (1/2)^(alpha/2) c^alpha) with alpha = 2 beta
     beta = 0.45

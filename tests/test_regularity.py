@@ -14,17 +14,11 @@ from levyfield.regularity import (
     estimate_holder,
     fourier_profile,
     holder_from_values,
-    sample_trajectory,
     scalar_levy_jumps,
     time_integrability,
 )
 from levyfield.spaces import SpaceSpec
-from levyfield.spectral import (
-    FieldSample,
-    SpectralOperator,
-    convolution_variances_batch,
-    sample_convolution_batch,
-)
+from levyfield.spectral import SpectralOperator, convolution_variances_batch, sample_trajectory
 from levyfield.subordinator import SubordinatorSpec, simulate_paths
 
 
@@ -49,7 +43,7 @@ def test_holder_smooth_mode_saturates_near_one():
     op = SpectralOperator.dirichlet(1, 1.0, 4)
     c = np.zeros(4)
     c[0] = 1.0
-    est = estimate_holder(FieldSample(c, 0.0), op, 2048)["delta_hat"]
+    est = estimate_holder(c, op, 2048)["delta_hat"]
     assert est > 0.9
 
 
@@ -61,8 +55,8 @@ def test_holder_gaussian_field_near_half():
     vals = []
     for s in range(10):
         batch = simulate_paths(noise.subordinator, 1.0, 1, stream(s))
-        fs = FieldSample(sample_convolution_batch(op, noise, batch, 1.0, stream(100 + s))[0], 1.0)
-        vals.append(estimate_holder(fs, op, M)["delta_hat"])
+        c = sample_trajectory(op, noise, batch, (1.0,), stream(100 + s))[0, 0]
+        vals.append(estimate_holder(c, op, M)["delta_hat"])
     assert abs(np.mean(vals) - 0.5) <= 0.15
 
 
@@ -74,7 +68,7 @@ def test_holder_white_coefficient_comparison_oracle():
     vals = []
     for s in range(10):
         c = stream(50, s).standard_normal(N) / np.sqrt(op.lambdas)
-        vals.append(estimate_holder(FieldSample(c, 0.0), op, M)["delta_hat"])
+        vals.append(estimate_holder(c, op, M)["delta_hat"])
     assert abs(np.mean(vals) - 0.5) <= 0.15
 
 
@@ -131,10 +125,11 @@ def _per_cell_trajectory(op, noise, zpath, times, rng):
 
 
 @pytest.mark.parametrize("sub", [SubordinatorSpec.stable(0.5), SubordinatorSpec.drift_only(0.3)])
-@pytest.mark.parametrize("n_times", [3, 512, 2049])
+@pytest.mark.parametrize("n_times", [1, 3, 512, 2049])
 @pytest.mark.parametrize("from_zero", [False, True])
 def test_trajectory_is_bitwise_the_per_cell_loop(sub, n_times, from_zero):
-    # a batch of several paths draws path after path from one generator
+    # a batch of several paths draws path after path from one generator;
+    # n_times = 1 gives the one-point grids [0.0] and [1.0]
     op = SpectralOperator.dirichlet(1, 1.0, 24)
     noise = LevyNoiseSpec(CylindricalWienerSpec(np.linspace(1.0, 3.0, 24)), sub)
     times = np.linspace(0.0 if from_zero else 1.0 / n_times, 1.0, n_times)
@@ -149,12 +144,34 @@ def test_trajectory_is_bitwise_the_per_cell_loop(sub, n_times, from_zero):
             assert np.array_equal(got[p], ref), (n_paths, p)
 
 
+def test_one_time_draws_are_bitwise_the_per_cell_loop():
+    # one-point grids on a 2-d operator too, over paths with no jump and
+    # paths with more than 40
+    jumps = set()
+    for op in (SpectralOperator.dirichlet(1, 1.0, 16), SpectralOperator.dirichlet(2, 0.75, 5)):
+        noise = LevyNoiseSpec(CylindricalWienerSpec(np.linspace(1.0, 2.0, op.n_modes)),
+                              SubordinatorSpec.stable(0.5))
+        for seed in range(15):
+            for eps in (1e-1, 1e-4):
+                batch = simulate_paths(noise.subordinator, 1.0, 1, stream(seed),
+                                       cutoff_eps=eps, method="jumps")
+                jumps.add(batch.times.size)
+                for t in (0.0, 0.45, 1.0):
+                    got = sample_trajectory(op, noise, batch, (t,), stream(seed + 100))
+                    ref = _per_cell_trajectory(op, noise, batch, np.array([t]),
+                                               stream(seed + 100))
+                    assert np.array_equal(got[0], ref), (op.dim_d, seed, eps, t)
+    assert min(jumps) == 0 and max(jumps) > 40
+
+
 def test_time_integrability_zero_noise():
     ens = TrajectoryEnsemble(times=np.linspace(0.1, 1.0, 16),
                              coefficients=np.zeros((3, 16, 4)))
     E = SpaceSpec(2.0, np.ones(4))
     rep = time_integrability(ens, E, p=4.0)
     assert rep["mean_integral"][-1] == 0.0
+    with pytest.raises(ValueError, match="p must be positive"):
+        time_integrability(ens, E, p=float("nan"))
 
 
 @pytest.mark.parametrize("n_times", [1, 2, 4])
@@ -177,6 +194,12 @@ def test_time_integrability_stabilizes_for_ou():
     rep = time_integrability(ens, E, p=2.0)
     assert rep["stabilization"] < 0.05
     assert np.all(np.isfinite(rep["per_path_final"]))
+
+
+def test_ensemble_refuses_an_empty_time_grid():
+    op = SpectralOperator.dirichlet(1, 1.0, 4)
+    with pytest.raises(ValueError, match="n_times"):
+        TrajectoryEnsemble.simulate(op, make_noise(SubordinatorSpec.stable(0.5), 4), 1.0, 0, 2)
 
 
 def test_ensemble_is_bitwise_a_loop_over_one_batch():
@@ -324,6 +347,12 @@ def test_space_prefix_keeps_exponent_and_weights():
             E.prefix(n)
 
 
+def test_space_exponent_refuses_nan_and_keeps_infinity():
+    assert SpaceSpec(math.inf, np.ones(3)).norm(np.array([1.0, -4.0, 2.0])) == 4.0
+    with pytest.raises(ValueError, match="exponent_q"):
+        SpaceSpec(float("nan"), np.ones(3))
+
+
 # -- circle convolution --------------------------------------------------
 
 
@@ -448,3 +477,5 @@ def test_fourier_profile_matches_harmonic_loop(n_harmonics, grid_M):
 def test_fourier_profile_refuses_an_empty_grid():
     with pytest.raises(ValueError, match="grid_M"):
         fourier_profile(0.5, 8, 0)
+    with pytest.raises(ValueError, match="n_harmonics"):
+        fourier_profile(0.5, -1, 8)

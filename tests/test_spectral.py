@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -6,12 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from levyfield import spectral
+from levyfield import cli, spectral
 from levyfield._rng import stream
 from levyfield.noise import CylindricalWienerSpec, LevyNoiseSpec
 from levyfield.spaces import SpaceSpec
 from levyfield.spectral import (
-    FieldSample,
     SpectralOperator,
     cell_moments,
     charfn_oracle,
@@ -19,13 +19,13 @@ from levyfield.spectral import (
     convolution_variances_batch,
     power_law_envelope,
     regularity_exponent_bound,
-    sample_convolution_batch,
+    sample_trajectory,
     semigroup_norm,
     semigroup_norm_power,
     synthesize,
 )
-from levyfield.subordinator import (PathBatch, QuadratureError, SubordinatorSpec, laplace_exponent,
-                                   simulate_paths)
+from levyfield.subordinator import (DEFAULT_CUTOFF, PathBatch, QuadratureError, SubordinatorSpec,
+                                   laplace_exponent, simulate_paths)
 
 
 def make_noise(sub, n_modes):
@@ -39,6 +39,19 @@ def test_dirichlet_eigenvalues_1d():
     op = SpectralOperator.dirichlet(1, 2.0, 5)
     assert np.allclose(op.lambdas, np.arange(1, 6, dtype=float) ** 4)
     assert np.all(np.diff(op.lambdas) > 0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SpectralOperator.dirichlet(1, float("nan"), 4),
+    lambda: SpectralOperator.dirichlet(1, -1.0, 4),
+    lambda: SpectralOperator.from_eigenvalues([1.0, float("nan"), 3.0]),
+    lambda: SpectralOperator.from_eigenvalues([1.0, 3.0, 2.0]),
+    lambda: SpectralOperator.from_eigenvalues([0.0, 1.0]),
+], ids=["dirichlet-nan-gamma", "dirichlet-negative-gamma", "nan-eigenvalue",
+        "decreasing", "zero-eigenvalue"])
+def test_operator_refuses_bad_eigenvalues(make):
+    with pytest.raises(ValueError):
+        make()
 
 
 def test_dirichlet_eigenvalues_2d_sorted():
@@ -177,7 +190,7 @@ def test_sample_convolution_mc_matches_oracle():
     t, mc = 0.8, 20000
     batch = simulate_paths(noise.subordinator, t, mc, stream(5, 1), cutoff_eps=1e-3,
                            method="jumps")
-    vals = np.cos(sample_convolution_batch(op, noise, batch, t, stream(5, 2)) @ phi)
+    vals = np.cos(sample_trajectory(op, noise, batch, (t,), stream(5, 2))[:, 0] @ phi)
     ana = charfn_oracle(op, noise, phi, t)
     se = vals.std() / math.sqrt(mc)
     assert abs(vals.mean() - ana) < 4.0 * se
@@ -287,47 +300,36 @@ def test_cell_moments_bound_their_temporaries():
     assert peak < 16e6
 
 
-def _per_path_sample_convolution(op, noise, zpath, t, seed):
-    """The one-path sampler that a batch of one was before paths were drawn in batches."""
-    lam = op.lambdas
-    v = zpath.total_slope * (1.0 - np.exp(-2.0 * lam * t)) / (2.0 * lam)
-    k = np.searchsorted(zpath.times, t, side="right")
-    if k:
-        v = v + (np.exp(-2.0 * np.multiply.outer(lam, t - zpath.times[:k]))
-                 * zpath.sizes[:k]).sum(axis=1)
-    rng = stream(seed)
-    return np.sqrt(v) / noise.wiener.hilbert_weights * rng.standard_normal(op.n_modes)
-
-
-def test_sample_convolution_is_bitwise_the_per_path_sampler():
-    jumps = set()
-    for op in (SpectralOperator.dirichlet(1, 1.0, 16), SpectralOperator.dirichlet(2, 0.75, 5)):
-        noise = LevyNoiseSpec(CylindricalWienerSpec(np.linspace(1.0, 2.0, op.n_modes)),
-                              SubordinatorSpec.stable(0.5))
-        for seed in range(15):
-            for eps in (1e-1, 1e-4):
-                batch = simulate_paths(noise.subordinator, 1.0, 1, stream(seed),
-                                       cutoff_eps=eps, method="jumps")
-                jumps.add(batch.times.size)
-                for t in (0.0, 0.45, 1.0):
-                    got = sample_convolution_batch(op, noise, batch, t, stream(seed + 100))[0]
-                    ref = _per_path_sample_convolution(op, noise, batch, t, seed + 100)
-                    assert np.array_equal(got, ref), (seed, eps, t)
-    assert min(jumps) == 0 and max(jumps) > 40
-
-
 def test_batch_sample_does_not_depend_on_the_slicing():
     op = SpectralOperator.dirichlet(1, 1.0, 8)
     noise = make_noise(SubordinatorSpec.stable(0.5), 8)
     batch = simulate_paths(noise.subordinator, 1.0, 50, stream(2), cutoff_eps=1e-2,
                            method="jumps")
-    whole = sample_convolution_batch(op, noise, batch, 0.7, stream(3))
+    whole = sample_trajectory(op, noise, batch, (0.7,), stream(3))
     rng = stream(3)
-    parts = [sample_convolution_batch(op, noise, batch[lo:hi], 0.7, rng)
+    parts = [sample_trajectory(op, noise, batch[lo:hi], (0.7,), rng)
              for lo, hi in ((0, 1), (1, 20), (20, 50))]
     assert np.array_equal(whole, np.concatenate(parts))
-    single = sample_convolution_batch(op, noise, batch[0:1], 0.7, stream(3))
+    single = sample_trajectory(op, noise, batch[0:1], (0.7,), stream(3))
     assert np.array_equal(single[0], whole[0])
+
+
+@pytest.mark.parametrize("times, n_weights, message", [
+    ([], 8, "non-empty"),
+    ([float("nan")], 8, "horizon_T"),
+    ([0.2, float("nan"), 0.5], 8, "strictly increasing"),
+    ([0.5, 0.2], 8, "strictly increasing"),
+    ([-0.1, 0.5], 8, "horizon_T"),
+    ([0.5, 1.5], 8, "horizon_T"),
+    ([0.5], 6, "truncation"),
+])
+def test_trajectory_refuses_bad_times_and_a_truncation_mismatch(times, n_weights, message):
+    op = SpectralOperator.dirichlet(1, 1.0, 8)
+    noise = make_noise(SubordinatorSpec.stable(0.5), n_weights)
+    batch = simulate_paths(noise.subordinator, 1.0, 2, stream(2), cutoff_eps=1e-2,
+                           method="jumps")
+    with pytest.raises(ValueError, match=message):
+        sample_trajectory(op, noise, batch, times, stream(3))
 
 
 # -- characteristic-functional oracle ------------------------------------
@@ -338,6 +340,19 @@ def test_charfn_oracle_trivial():
     noise = make_noise(SubordinatorSpec.stable(0.5), 4)
     assert charfn_oracle(op, noise, np.zeros(4), 1.0) == 1.0
     assert charfn_oracle(op, noise, np.ones(4), 0.0) == 1.0
+
+
+@pytest.mark.parametrize("t, n_phi, message", [
+    (float("nan"), 4, "finite and nonnegative"),
+    (math.inf, 4, "finite and nonnegative"),
+    (-0.5, 4, "finite and nonnegative"),
+    (1.0, 3, "mode count"),
+])
+def test_charfn_oracle_refuses_bad_times_and_lengths(t, n_phi, message):
+    op = SpectralOperator.dirichlet(1, 1.0, 4)
+    noise = make_noise(SubordinatorSpec.stable(0.5), 4)
+    with pytest.raises(ValueError, match=message):
+        charfn_oracle(op, noise, np.ones(n_phi), t)
 
 
 def test_charfn_oracle_single_mode_gaussian_closed_form():
@@ -493,7 +508,7 @@ def test_synthesize_single_mode_exact():
     op = SpectralOperator.dirichlet(1, 1.0, 4)
     c = np.zeros(4)
     c[2] = 1.0   # mode n=3
-    vals = synthesize(op, FieldSample(c, 0.0), 16)
+    vals = synthesize(op, c, 16)
     x = np.arange(1, 16) / 16.0
     assert np.allclose(vals, math.sqrt(2.0) * np.sin(3 * math.pi * x), atol=1e-12)
 
@@ -501,29 +516,28 @@ def test_synthesize_single_mode_exact():
 def test_synthesize_2d_exact():
     op = SpectralOperator.dirichlet(2, 1.0, 2)
     coef = stream(13).standard_normal(op.n_modes)
-    vals = synthesize(op, FieldSample(coef, 0.0), 8)
+    vals = synthesize(op, coef, 8)
     x = np.arange(1, 8) / 8.0
     direct = np.zeros((7, 7))
     for (n1, n2), c in zip(op.multi_indices, coef):
         direct += c * 2.0 * np.outer(np.sin(n1 * math.pi * x), np.sin(n2 * math.pi * x))
     assert np.allclose(vals, direct, atol=1e-12)
+    with pytest.raises(ValueError, match="expected 4 coefficients"):
+        synthesize(op, coef[:3], 8)
 
 
 def test_field_sample_csv(tmp_path):
-    op = SpectralOperator.dirichlet(1, 1.0, 3)
-    fs = FieldSample(np.array([1.0, -0.5, 0.25]), 2.0)
-    f = tmp_path / "field.csv"
-    fs.to_csv(f, op)
-    lines = f.read_text().strip().splitlines()
-    assert len(lines) == 5
-    assert lines[2].split(",")[2] == "1.0"
-
-
-@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-def test_field_sample_csv_refuses_non_finite_values(tmp_path, bad):
-    f = tmp_path / "field.csv"
-    with pytest.raises(FloatingPointError):
-        FieldSample(np.array([1.0, bad]), 2.0).to_csv(f)
-    with pytest.raises(FloatingPointError):
-        FieldSample(np.array([1.0, 2.0]), bad).to_csv(f)
-    assert not f.exists()
+    # ou-sample exports one field sample: case n_pairs at the default cutoff,
+    # one row per mode with its multi-index and its coefficient's repr
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "ou-sample", "master_seed": 3,
+                               "n_modes": 8, "mc_paths": 3000, "n_pairs": 2}))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    op = SpectralOperator.dirichlet(1, 1.0, 8)
+    coeffs = cli._ou_draws(op, make_noise(SubordinatorSpec.stable(0.5), 8), 1.0, 1, 3, 2,
+                           cutoff_eps=DEFAULT_CUTOFF)[0]
+    lines = (out / "field_sample.csv").read_text().splitlines()
+    assert len(lines) == 2 + op.n_modes
+    assert lines[:2] == ["# time_t,1.0", "mode,multi_index,coefficient"]
+    assert lines[2:] == [f"{j},{j + 1},{float(c)!r}" for j, c in enumerate(coeffs)]
