@@ -339,7 +339,8 @@ def _regression(v_dy: np.ndarray, v_eta: np.ndarray, cov: np.ndarray):
 def _joint_ou_noise_paths(lam: np.ndarray, inv_w: np.ndarray,
                           zpath: PathBatch, times: np.ndarray,
                           seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact joint draw of the OU path z and the driving noise Y on a grid.
+    """Exact joint draw of the OU path z on a grid and of the driving noise
+    Y at the last grid time: (z at every grid time, Y(times[-1])).
 
     Cell i is (times[i-1], times[i]], with times[-1] taken as 0.  Per cell
     and mode, (Delta Y, OU innovation) is bivariate Gaussian with
@@ -351,13 +352,13 @@ def _joint_ou_noise_paths(lam: np.ndarray, inv_w: np.ndarray,
     in a table whose rows the cells gather.  A cell with jumps adds its jump
     sums to its length's row; the table holds no row per jump, so its size
     does not grow with the number of jumps.  The cells are taken BLOCK_ROWS
-    at a time, Y by one running sum per block; a cell of zero length draws
-    nothing.  The Gaussian draws come from ``stream(seed, 1)``, cell after
-    cell, so they do not depend on the block size.
+    at a time, and Y(times[-1]) is the sum of the increments, cell after
+    cell; a cell of zero length draws nothing.  The Gaussian draws come
+    from ``stream(seed, 1)``, cell after cell, so they do not depend on the
+    block size.
     """
     n = lam.size
     z_hist = np.empty((times.size, n))
-    y_hist = np.empty((times.size, n))
     rng = stream(seed, 1)
     slope = zpath.total_slope
     inv_w2 = inv_w ** 2
@@ -393,12 +394,7 @@ def _joint_ou_noise_paths(lam: np.ndarray, inv_w: np.ndarray,
         g = rng.standard_normal((cells.size, 2, n))
         dy = sd_c * g[:, 0]
         eta = beta_c * dy + sr_c * g[:, 1]
-        # Y is the running sum of the increments, a cell of zero length adding 0
-        ys = y_hist[lo:hi]
-        ys[drawn[lo:hi]] = dy
-        ys[~drawn[lo:hi]] = 0.0
-        ys[0] += y
-        y = np.add.accumulate(ys, axis=0, out=ys)[-1]
+        y = np.add.reduce(np.concatenate(([y], dy)), axis=0)
         j = 0
         for i, fresh in enumerate(drawn[lo:hi].tolist(), lo):
             if fresh:
@@ -407,7 +403,7 @@ def _joint_ou_noise_paths(lam: np.ndarray, inv_w: np.ndarray,
                 j += 1
             else:
                 z_hist[i] = z
-    return z_hist, y_hist
+    return z_hist, y
 
 
 def solve_stochastic_burgers(
@@ -424,18 +420,20 @@ def solve_stochastic_burgers(
 
     z is the sampled stochastic convolution of the noise under the heat
     semigroup (lambda_k = (k pi)^2); v solves the modified equation with
-    g = f - (z^2/2)_x and the solution is u = v + z.  Returns the
-    trajectory, the sampled (z, Y) paths and the solution certificate
-    sup_t |u|^2, int |u|_L4^4 dt.  The path of Z comes from ``stream(seed)``,
-    the Gaussian draws of (z, Y) from ``stream(seed, 1)``.  The forcing
-    ``f`` is None or one time-independent vector of n_modes sine
-    coefficients, the form ``weak_residual`` checks; anything else raises
-    ValueError.
+    g = f - (z^2/2)_x and the solution is u = v + z.  Returns a dict of the
+    grid ``times``, the sine coefficients ``u_coeffs`` of u and
+    ``z_coeffs`` of z at every grid time, the noise ``y_final`` = Y(T) and
+    the solution ``certificate`` sup_t |u|^2, int |u|_L4^4 dt.  The path
+    of Z comes from ``stream(seed)``, the Gaussian draws of (z, Y) from
+    ``stream(seed, 1)``.  The forcing ``f`` is None or one time-independent
+    vector of n_modes sine coefficients, the form ``weak_residual`` checks;
+    anything else raises ValueError.
 
     One blocked pass puts z on the doubled grid once, for |z|_L4^4 and
     |g|_V'^2 = |f + N(z)|_V'^2; g itself is not kept.  The steps run in
     the u-form with h = f, and int |u|_L4^4 comes from the squares the
-    steps already hold on the grid.
+    steps already hold on the grid.  u is formed in v's array, so the
+    solve holds two trajectories, u and z.
     """
     u0 = np.asarray(u0, dtype=float)
     if u0.size != n_modes:
@@ -450,8 +448,8 @@ def solve_stochastic_burgers(
     lam = (np.arange(1, n_modes + 1) * math.pi) ** 2
     sub = noise.subordinator
     zpath = simulate_paths(sub, T, 1, stream(seed), cutoff_eps=cutoff_eps, method="jumps")
-    z_hist, y_hist = _joint_ou_noise_paths(lam, 1.0 / noise.wiener.hilbert_weights,
-                                           zpath, times, seed=seed)
+    z_hist, y_final = _joint_ou_noise_paths(lam, 1.0 / noise.wiener.hilbert_weights,
+                                            zpath, times, seed=seed)
 
     z_l4, g_vp = np.empty(times.size), np.empty(times.size)
     for lo, l4, g in _nonlinear_blocks(z_hist):
@@ -462,12 +460,13 @@ def solve_stochastic_burgers(
         g_vp[lo:hi] = (g ** 2 / lam).sum(axis=1)
 
     traj, u_l4 = _u_form_steps(u0 - z_hist[0], z_hist, f, z_l4, g_vp, T, dt, times)
-    u_hist = traj.v_coeffs + z_hist
+    u_hist = traj.v_coeffs
+    u_hist += z_hist
     u_l2sq = by_blocks(lambda u: (u ** 2).sum(axis=1), u_hist)
     certificate = {"sup_u_sq": float(u_l2sq.max()),
                    "int_u_l4": float(np.trapezoid(u_l4, times))}
-    return {"times": times, "u_coeffs": u_hist, "v_traj": traj,
-            "z_coeffs": z_hist, "y_coeffs": y_hist, "certificate": certificate}
+    return {"times": times, "u_coeffs": u_hist, "z_coeffs": z_hist, "y_final": y_final,
+            "certificate": certificate}
 
 
 def _half_square_against_gradient(u: np.ndarray, modes: Sequence[int]) -> np.ndarray:
@@ -502,7 +501,7 @@ def weak_residual(result: dict, f: Optional[np.ndarray], test_modes: Sequence[in
     """
     times = result["times"]
     u = result["u_coeffs"]
-    y = result["y_coeffs"]
+    y = result["y_final"]
     z = result["z_coeffs"]
     modes = [int(k) for k in test_modes]
     q = _half_square_against_gradient(u, modes)
@@ -514,9 +513,9 @@ def weak_residual(result: dict, f: Optional[np.ndarray], test_modes: Sequence[in
         # rough OU part integrates exactly through its own equation:
         # lam int z_k ds = Y_k(t) - z_k(t) + z_k(0)
         int_lap = float(np.trapezoid(-lamk * (u[:, c] - z[:, c]), times)) \
-            - (y[-1, c] - z[-1, c] + z[0, c])
+            - (y[c] - z[-1, c] + z[0, c])
         int_nl = float(np.trapezoid(q[:, j], times))
         int_f = 0.0 if f is None else float(f[c]) * float(times[-1])
         lhs = u[-1, c] - u[0, c] - int_lap - int_nl
-        residuals.append(float(lhs - (int_f + y[-1, c])))
+        residuals.append(float(lhs - (int_f + y[c])))
     return residuals

@@ -107,7 +107,7 @@ def _checks_summary(rows) -> tuple[dict, bool]:
              betas=[0.25, 0.5, 0.9], r_values=[0.5, 1.0, 2.0], n_paths=100000)
 def _run_subordinator(cfg, out: Path):
     betas = _within(cfg, "betas", 0.0, 1.0)
-    rs = _non_empty(cfg, "r_values")
+    rs = _within(cfg, "r_values", 0.0, math.inf)
     n_paths = _at_least_one(cfg, "n_paths")
     seed = int(cfg["master_seed"])
     rows = []

@@ -119,8 +119,8 @@ def semigroup_norm(op: SpectralOperator, U: SpaceSpec, E: SpaceSpec, t: float) -
     On the diagonal truncation the norm is sup_n e^(-lambda_n t) b_n a_n^(r/q);
     the full mode scan is vectorized, so this is exact on the truncation.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not t > 0:
+        raise ValueError(f"t must be positive, got {t}")
     if U.dim != op.n_modes or E.dim != op.n_modes:
         raise ValueError("space weights must cover all operator modes")
     a = 1.0 / U.weights
@@ -139,8 +139,8 @@ def semigroup_norm_power(op: SpectralOperator, alpha: float, beta: float,
     unimodal in lambda with peak at lambda = theta / t, so only the
     eigenvalues adjacent to the peak need evaluating.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not t > 0:
+        raise ValueError(f"t must be positive, got {t}")
     theta = beta + (r / q) * alpha
     lam = op.lambdas
     if theta <= 0:
@@ -175,8 +175,10 @@ def check_radonifying(op: SpectralOperator, alpha: float, r: float,
     growth of lambda_k over the last decade of modes, unless the caller
     passes the exact ``growth`` exponent (lambda_k ~ c k^growth), which
     makes boundary cases decidable.  Raises ValueError for a fit over fewer
-    than 2 eigenvalues.
+    than 2 eigenvalues and for a NaN alpha or r.
     """
+    if math.isnan(alpha) or math.isnan(r):
+        raise ValueError(f"alpha and r must be numbers, got alpha={alpha}, r={r}")
     s = r * alpha
     if growth is None and math.isnan(op.gamma):
         lam = op.lambdas

@@ -73,20 +73,14 @@ def _checked(val, err, lo, hi, rtol):
 
 
 class IntensityMeasure:
-    """The jump measure rho of a subordinator.
-
-    Either a density on (0, inf) or a finite list of atoms.  Closed-form
-    moment callbacks may be supplied; otherwise moments fall back to
-    adaptive quadrature.
-    """
+    """The jump measure rho of a subordinator: a density on (0, inf), whose
+    moments come from adaptive quadrature, or a finite list of atoms (sizes,
+    rates).  ``stable_intensity`` gives the one density in closed form."""
 
     def __init__(
         self,
         density: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         atoms: Optional[tuple[np.ndarray, np.ndarray]] = None,
-        tail_mass_fn: Optional[Callable[[float], float]] = None,
-        truncated_moment_fn: Optional[Callable[[float, float, float], float]] = None,
-        sample_sizes_fn: Optional[Callable] = None,
     ):
         if (density is None) == (atoms is None):
             raise ValueError("exactly one of density/atoms must be given")
@@ -100,17 +94,12 @@ class IntensityMeasure:
             self.atoms = (sizes[order], rates[order])
         else:
             self.atoms = None
-        self._tail_mass_fn = tail_mass_fn
-        self._truncated_moment_fn = truncated_moment_fn
-        self._sample_sizes_fn = sample_sizes_fn
         self._cdf_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- moments ---------------------------------------------------------
 
     def tail_mass(self, eps: float) -> float:
         """rho([eps, inf))."""
-        if self._tail_mass_fn is not None:
-            return self._tail_mass_fn(eps)
         if self.atoms is not None:
             sizes, rates = self.atoms
             return float(rates[sizes >= eps].sum())
@@ -118,8 +107,6 @@ class IntensityMeasure:
 
     def truncated_moment(self, power: float, lo: float, hi: float) -> float:
         """int_lo^hi xi^power rho(dxi); may return inf for divergent densities."""
-        if self._truncated_moment_fn is not None:
-            return self._truncated_moment_fn(power, lo, hi)
         if self.atoms is not None:
             sizes, rates = self.atoms
             mask = (sizes >= lo) & (sizes < hi)
@@ -144,8 +131,6 @@ class IntensityMeasure:
         """Draw n jump sizes from rho restricted to [eps, inf) and normalized."""
         if n == 0:
             return np.empty(0)
-        if self._sample_sizes_fn is not None:
-            return self._sample_sizes_fn(eps, n, rng)
         if self.atoms is not None:
             sizes, rates = self.atoms
             mask = sizes >= eps
@@ -186,24 +171,25 @@ class IntensityMeasure:
 # -- concrete intensity families ----------------------------------------
 
 
-def stable_intensity(beta: float) -> IntensityMeasure:
-    """Intensity of the one-sided beta-stable subordinator, psi(r) = r^beta.
+class _StableIntensity(IntensityMeasure):
+    """The density c xi^(-1-beta), c = beta / Gamma(1-beta), of the one-sided
+    beta-stable subordinator, with its moments and sampler in closed form."""
 
-    The density is (beta / Gamma(1-beta)) xi^(-1-beta); all moments used by
-    the samplers have closed forms.
-    """
-    if not 0 < beta < 1:
-        raise ValueError("beta must be in (0,1)")
-    c = beta / math.gamma(1.0 - beta)
+    def __init__(self, beta: float):
+        if not 0 < beta < 1:
+            raise ValueError("beta must be in (0,1)")
+        super().__init__(density=self._density)
+        self.beta = beta
+        self._c = beta / math.gamma(1.0 - beta)
 
-    def density(x):
-        return c * np.asarray(x, dtype=float) ** (-1.0 - beta)
+    def _density(self, x):
+        return self._c * np.asarray(x, dtype=float) ** (-1.0 - self.beta)
 
-    def tail_mass(eps):
-        return c / beta * eps ** (-beta)
+    def tail_mass(self, eps: float) -> float:
+        return self._c / self.beta * eps ** (-self.beta)
 
-    def truncated_moment(power, lo, hi):
-        expo = power - beta
+    def truncated_moment(self, power: float, lo: float, hi: float) -> float:
+        expo = power - self.beta
         if lo <= 0.0:
             if expo <= 0:
                 return math.inf
@@ -213,21 +199,19 @@ def stable_intensity(beta: float) -> IntensityMeasure:
         if math.isinf(hi):
             if expo >= 0:
                 return math.inf
-            return c / (-expo) * lo_term
+            return self._c / (-expo) * lo_term
         if expo == 0:
-            return c * math.log(hi / max(lo, 1e-300))
-        return c / expo * (hi ** expo - lo_term)
+            return self._c * math.log(hi / max(lo, 1e-300))
+        return self._c / expo * (hi ** expo - lo_term)
 
-    def sample_sizes(eps, n, rng):
+    def sample_sizes(self, eps: float, n: int, rng: np.random.Generator) -> np.ndarray:
         # Pareto tail: rho([x,inf)) proportional to x^-beta above eps.
-        return eps * rng.uniform(size=n) ** (-1.0 / beta)
+        return eps * rng.uniform(size=n) ** (-1.0 / self.beta)
 
-    return IntensityMeasure(
-        density=density,
-        tail_mass_fn=tail_mass,
-        truncated_moment_fn=truncated_moment,
-        sample_sizes_fn=sample_sizes,
-    )
+
+def stable_intensity(beta: float) -> IntensityMeasure:
+    """Intensity of the one-sided beta-stable subordinator, psi(r) = r^beta."""
+    return _StableIntensity(beta)
 
 
 # -- spec ----------------------------------------------------------------
@@ -235,53 +219,54 @@ def stable_intensity(beta: float) -> IntensityMeasure:
 
 @dataclass(frozen=True)
 class SubordinatorSpec:
-    """Drift + intensity parametrization of a subordinator.
+    """The law of a subordinator: a finite drift ``drift_b`` >= 0 and either
+    ``beta`` in (0,1), psi(r) = b r + r^beta, whose ``intensity`` is then
+    ``stable_intensity(beta)``, or the jump measure ``intensity`` (None for
+    a pure drift).  Raises ValueError for any other drift, for beta with an
+    intensity and for an intensity that fails ``validate``."""
 
-    ``kind`` is one of "stable", "drift_only", "tabulated", "compound_poisson".
-    For the stable kind ``beta`` is set and closed forms are used throughout.
-    """
-
-    kind: str
     drift_b: float = 0.0
     beta: Optional[float] = None
     intensity: Optional[IntensityMeasure] = None
 
     def __post_init__(self):
-        if self.drift_b < 0:
-            raise ValueError("drift must be nonnegative")
-        if self.kind == "stable":
-            if self.beta is None or not 0 < self.beta < 1:
-                raise ValueError("stable kind requires beta in (0,1)")
-            if self.intensity is None:
-                object.__setattr__(self, "intensity", stable_intensity(self.beta))
-        elif self.kind == "drift_only":
+        if not 0 <= self.drift_b < math.inf:
+            raise ValueError(f"drift must be finite and nonnegative, got {self.drift_b}")
+        if self.beta is not None:
             if self.intensity is not None:
-                raise ValueError("drift_only kind has no intensity")
-        elif self.kind in ("tabulated", "compound_poisson"):
-            if self.intensity is None:
-                raise ValueError(f"{self.kind} kind requires an intensity measure")
+                raise ValueError("a stable spec takes beta, not an intensity")
+            object.__setattr__(self, "intensity", stable_intensity(self.beta))
+        elif self.intensity is not None:
             self.intensity.validate()
-        else:
-            raise ValueError(f"unknown kind {self.kind!r}")
+
+    @property
+    def kind(self) -> str:
+        """The family read off the fields: "stable", "drift_only",
+        "compound_poisson" (atoms) or "tabulated" (a density)."""
+        if self.beta is not None:
+            return "stable"
+        if self.intensity is None:
+            return "drift_only"
+        return "compound_poisson" if self.intensity.atoms is not None else "tabulated"
 
     # constructors
 
     @classmethod
     def stable(cls, beta: float) -> "SubordinatorSpec":
-        return cls(kind="stable", beta=beta)
+        return cls(beta=beta)
 
     @classmethod
     def drift_only(cls, b: float) -> "SubordinatorSpec":
-        return cls(kind="drift_only", drift_b=b)
+        return cls(drift_b=b)
 
     @classmethod
     def compound_poisson(cls, sizes, rates, drift_b: float = 0.0) -> "SubordinatorSpec":
-        return cls(kind="compound_poisson", drift_b=drift_b,
+        return cls(drift_b=drift_b,
                    intensity=IntensityMeasure(atoms=(np.asarray(sizes), np.asarray(rates))))
 
     @classmethod
     def tabulated(cls, density, drift_b: float = 0.0) -> "SubordinatorSpec":
-        return cls(kind="tabulated", drift_b=drift_b, intensity=IntensityMeasure(density=density))
+        return cls(drift_b=drift_b, intensity=IntensityMeasure(density=density))
 
 
 # -- paths ---------------------------------------------------------------
@@ -511,8 +496,8 @@ def simulate_paths(
     when the batch would hold more than MAX_EXPECTED_JUMPS jumps in
     expectation.
     """
-    if T <= 0:
-        raise ValueError("T must be positive")
+    if not 0 < T < np.inf:
+        raise ValueError(f"T must be finite and positive, got {T}")
     if not 0 < cutoff_eps <= 1:
         raise ValueError("cutoff_eps must be in (0,1]")
     if n_paths < 1:

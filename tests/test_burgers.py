@@ -383,13 +383,13 @@ def burgers_noise(n, theta=0.25, w_scale=5.0, beta=0.75):
 
 
 def cell_by_cell_ou_noise_paths(lam, inv_w, zpath, times, seed):
-    """Reference for _joint_ou_noise_paths: one cell per iteration."""
+    """Reference for _joint_ou_noise_paths: one cell per iteration; z at
+    every grid time and Y at the last."""
     rng = stream(seed, 1)
     n = lam.size
     z = np.zeros(n)
     y = np.zeros(n)
     z_hist = np.empty((times.size, n))
-    y_hist = np.empty((times.size, n))
     t_prev = 0.0
     for i, t in enumerate(times):
         dtc = t - t_prev
@@ -417,9 +417,8 @@ def cell_by_cell_ou_noise_paths(lam, inv_w, zpath, times, seed):
             y = y + dy
             z = np.exp(-lam * dtc) * z + eta
         z_hist[i] = z
-        y_hist[i] = y
         t_prev = t
-    return z_hist, y_hist
+    return z_hist, y
 
 
 def burgers_cli_path(seed):
@@ -482,19 +481,22 @@ def test_closed_form_nonlinear_term_matches_the_transport_transform(n):
 
 
 def test_stochastic_solve_holds_no_more_than_its_outputs_and_g():
-    # u, v, z and Y are returned; g is never stored, and every other
-    # temporary is a row block: 4.25 trajectories at these sizes
+    # u and z are returned, v becomes u in place, Y is kept at T alone and g
+    # is never stored; every other temporary is a row block.  At these sizes
+    # the peak is 2.21 trajectories (seed 1).  A short solve first loads the
+    # modules the solve imports on first use, which are not its holdings.
     n = 255
     u0 = np.zeros(n); u0[0] = 0.2
     f = np.zeros(n); f[1] = 0.1
     trajectory_bytes = 2001 * n * 8
+    solve_stochastic_burgers(u0, burgers_noise(n), f, T=1e-4, dt=1e-4, n_modes=n, seed=1)
     tracemalloc.start()
     try:
         solve_stochastic_burgers(u0, burgers_noise(n), f, T=0.2, dt=1e-4, n_modes=n, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4.25 * trajectory_bytes
+    assert peak < 2.3 * trajectory_bytes
 
 
 class CountingFFT:

@@ -387,10 +387,14 @@ def test_empty_case_list_exit_2(tmp_path, capsys, payload, key):
     ({"experiment": "subordinator-check", "betas": [1.0]}, "betas must lie in (0, 1), not 1.0"),
     ({"experiment": "subordinator-check", "betas": [0.5, 0.0]}, "betas must lie in (0, 1), not 0.0"),
     ({"experiment": "subordinator-check", "betas": [1.5]}, "betas must lie in (0, 1), not 1.5"),
+    ({"experiment": "subordinator-check", "r_values": [1.0, -0.5]},
+     "r_values must lie in (0, inf), not -0.5"),
+    ({"experiment": "subordinator-check", "r_values": [0]}, "r_values must lie in (0, inf), not 0"),
     ({"experiment": "charfn-test", "t_values": [0.0]}, "t_values must lie in (0, inf), not 0.0"),
     ({"experiment": "charfn-test", "t_values": [0.5, -1.0]},
      "t_values must lie in (0, inf), not -1.0"),
-], ids=["beta-one", "beta-zero", "beta-above-one", "t-zero", "t-negative"])
+], ids=["beta-one", "beta-zero", "beta-above-one", "r-negative", "r-zero", "t-zero",
+        "t-negative"])
 def test_out_of_range_case_value_exit_2(tmp_path, capsys, payload, message):
     # refused before any case runs, naming the key, not as a math domain error
     cfg = write_config(tmp_path, {**payload, "master_seed": 1})

@@ -109,6 +109,14 @@ def test_semigroup_slope_matches_exponent():
     assert slope == pytest.approx(-theta, abs=0.05)
 
 
+def test_semigroup_norms_refuse_a_nan_time():
+    op = SpectralOperator.dirichlet(1, 1.0, 8)
+    with pytest.raises(ValueError, match="t must be positive"):
+        semigroup_norm(op, SpaceSpec(2.0, np.ones(8)), SpaceSpec(2.0, np.ones(8)), math.nan)
+    with pytest.raises(ValueError, match="t must be positive"):
+        semigroup_norm_power(op, 0.5, 0.25, 2.0, 2.0, math.nan)
+
+
 # -- radonifying certificate ---------------------------------------------
 
 
@@ -138,6 +146,15 @@ def test_radonifying_user_eigenvalues_with_growth():
     with pytest.raises(ValueError, match="growth"):
         check_radonifying(one, 1.0, 1.0)
     assert check_radonifying(one, 1.0, 1.0, growth=2.0)[0]
+
+
+@pytest.mark.parametrize("alpha, r", [(math.nan, 1.0), (1.0, math.nan)])
+def test_radonifying_refuses_nan_alpha_or_r(alpha, r):
+    # a NaN exponent decides nothing; it is not a divergent series
+    for op in (SpectralOperator.dirichlet(1, 1.0, 8),
+               SpectralOperator.from_eigenvalues(np.arange(1.0, 9.0) ** 2)):
+        with pytest.raises(ValueError, match="alpha and r"):
+            check_radonifying(op, alpha, r)
 
 
 def test_radonifying_theorem_setting():

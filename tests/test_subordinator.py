@@ -102,7 +102,7 @@ def test_finite_variation_verdicts():
     assert finite_variation_diagnostic(SubordinatorSpec.stable(0.5)) is False
     # a drift of Z gives W(Z) a Brownian part, however small the jumps
     for sub in (SubordinatorSpec.compound_poisson([0.5, 1.0], [2.0, 1.0], drift_b=0.5),
-                SubordinatorSpec(kind="stable", beta=0.25, drift_b=0.5),
+                SubordinatorSpec(beta=0.25, drift_b=0.5),
                 SubordinatorSpec.tabulated(lambda x: np.exp(-x), drift_b=1e-9)):
         assert sub_p_membership(sub, 1.0)[0]
         assert finite_variation_diagnostic(sub) is False
@@ -340,7 +340,7 @@ def test_increments_at_edges_and_outside():
 @pytest.mark.parametrize("t", [0.5, 1.0])
 def test_increments_from_zero_are_z_of_t(t):
     # a grid_n=1 batch has one jump per path at exactly t, and it counts
-    batch = simulate_paths(SubordinatorSpec(kind="stable", beta=0.9, drift_b=0.3), t, 1024,
+    batch = simulate_paths(SubordinatorSpec(beta=0.9, drift_b=0.3), t, 1024,
                            stream(5), grid_n=1)
     up_to_t = batch.times <= t
     z = batch.total_slope * t + np.bincount(batch.rows[up_to_t], weights=batch.sizes[up_to_t],
@@ -441,7 +441,7 @@ def test_paths_are_nondecreasing(beta, seed, kind):
        kind=st.sampled_from(["grid", "jumps"]))
 def test_cells_hold_the_jumps_of_increments(data, seed, n_paths, kind):
     # slope x cell length + the jumps cells() names is the increment of the cell
-    batch = simulate_paths(SubordinatorSpec(kind="stable", beta=0.5, drift_b=0.3), 1.0, n_paths,
+    batch = simulate_paths(SubordinatorSpec(beta=0.5, drift_b=0.3), 1.0, n_paths,
                            stream(seed), cutoff_eps=0.05, grid_n=8,
                            method="jumps" if kind == "jumps" else None)
     # edges on jump times too, so that jumps fall on edges
@@ -462,7 +462,7 @@ def test_cells_hold_the_jumps_of_increments(data, seed, n_paths, kind):
 @settings(max_examples=20, deadline=None)
 @given(r=st.floats(0.0, 50.0), beta=st.floats(0.05, 0.95), b=st.floats(0.0, 3.0))
 def test_laplace_exponent_is_monotone_and_zero_at_zero(r, beta, b):
-    spec = SubordinatorSpec(kind="stable", beta=beta, drift_b=b)
+    spec = SubordinatorSpec(beta=beta, drift_b=b)
     assert laplace_exponent(spec, 0.0) == 0.0
     assert laplace_exponent(spec, r) <= laplace_exponent(spec, r + 1.0)
 
@@ -541,7 +541,7 @@ def test_invalid_specs_rejected():
     with pytest.raises(ValueError):
         SubordinatorSpec.stable(1.5)
     with pytest.raises(ValueError):
-        SubordinatorSpec(kind="drift_only", drift_b=-1.0)
+        SubordinatorSpec(drift_b=-1.0)
     with pytest.raises(ValueError):
         simulate_paths(SubordinatorSpec.stable(0.5), -1.0, 1, stream(0))
     with pytest.raises(ValueError):
@@ -549,3 +549,29 @@ def test_invalid_specs_rejected():
     for grid_n in (0, -2):
         with pytest.raises(ValueError, match="grid_n"):
             simulate_paths(SubordinatorSpec.stable(0.5), 1.0, 1, stream(0), grid_n=grid_n)
+
+
+def test_kind_is_read_off_the_fields_and_a_bad_law_is_refused():
+    assert SubordinatorSpec.stable(0.5).kind == "stable"
+    assert SubordinatorSpec.drift_only(1.0).kind == "drift_only"
+    assert SubordinatorSpec.compound_poisson([1.0], [2.0]).kind == "compound_poisson"
+    assert SubordinatorSpec.tabulated(lambda x: np.exp(-x)).kind == "tabulated"
+    # a law stated twice: its oracle would read beta and its sampler the atoms
+    atoms = SubordinatorSpec.compound_poisson([2.0], [1.0]).intensity
+    with pytest.raises(ValueError, match="beta"):
+        SubordinatorSpec(beta=0.5, intensity=atoms)
+    for b in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="drift"):
+            SubordinatorSpec.drift_only(b)
+        with pytest.raises(ValueError, match="drift"):
+            SubordinatorSpec.compound_poisson([1.0], [1.0], drift_b=b)
+
+
+@pytest.mark.parametrize("T", [math.nan, math.inf])
+@pytest.mark.parametrize("spec, method", [
+    (SubordinatorSpec.stable(0.5), None), (SubordinatorSpec.stable(0.5), "jumps"),
+    (SubordinatorSpec.drift_only(1.0), None), (SubordinatorSpec.compound_poisson([1.0], [1.0]), None)],
+    ids=["stable-grid", "stable-jumps", "drift-only", "compound-poisson"])
+def test_simulate_paths_refuses_a_horizon_that_is_not_finite(spec, method, T):
+    with pytest.raises(ValueError, match="T must be finite and positive"):
+        simulate_paths(spec, T, 1, stream(0), method=method)
