@@ -41,6 +41,9 @@ __all__ = [
     "weak_residual",
 ]
 
+# relative allowance of check_apriori on each bound, for quadrature error
+APRIORI_SLACK = 0.05
+
 
 class StepSizeError(RuntimeError):
     """Energy left the a priori corridor; the explicit step is too large."""
@@ -287,11 +290,11 @@ def solve_modified_burgers(
     return _u_form_steps(v0, zs, h, z_l4, g_vp, T, dt, times)[0]
 
 
-def check_apriori(traj: BurgersTrajectory, slack: float = 0.05) -> dict:
+def check_apriori(traj: BurgersTrajectory) -> dict:
     """Evaluate the four energy inequalities on a computed trajectory.
 
-    Each bound is checked with a multiplicative ``slack`` allowance for
-    quadrature error; violations are reported, not raised.
+    Each bound is checked with a multiplicative ``APRIORI_SLACK`` allowance
+    for quadrature error; violations are reported, not raised.
     """
     times = traj.times
     T = float(times[-1])
@@ -317,7 +320,7 @@ def check_apriori(traj: BurgersTrajectory, slack: float = 0.05) -> dict:
     report = {"constants": {"K": c.K, "L": c.L, "M": c.M, "N": c.N}, "bounds": {}}
     ok = True
     for name, (lhs, rhs) in bounds.items():
-        passed = lhs <= rhs * (1.0 + slack) + 1e-14
+        passed = lhs <= rhs * (1.0 + APRIORI_SLACK) + 1e-14
         ok &= passed
         report["bounds"][name] = {"lhs": lhs, "rhs": rhs, "pass": bool(passed)}
     report["all_pass"] = bool(ok)

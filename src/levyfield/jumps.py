@@ -3,16 +3,14 @@
 The noise Y jumps exactly where its subordinator Z jumps; the mark of a
 jump of size dZ is a Gaussian vector with mode-j variance w_j^{-2} dZ,
 which ``noise.increment_coefficients`` draws for every jump of a
-``PathBatch``.  This module integrates time-dependent diagonal kernels
-against a list of marked jumps, and verifies the p-th moment
-inequalities for Poisson stochastic integrals of step functions by
-Monte Carlo.
+``PathBatch``, and ``spectral.cell_moments`` integrates the OU kernel
+against them.  This module verifies the p-th moment inequalities for
+Poisson stochastic integrals of step functions by Monte Carlo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -20,7 +18,6 @@ from ._rng import stream
 
 __all__ = [
     "StepIntegrand",
-    "integrate_large",
     "verify_moment_inequality_p_le_1",
     "verify_moment_inequality_type_p",
     "estimate_type_p_constant",
@@ -30,24 +27,6 @@ __all__ = [
 SIGNS_MC = 4096
 # factor on the estimated type-p constant, which is a lower bound of the true one
 TYPE_P_MARGIN = 1.25
-
-
-def integrate_large(psi: Callable[[float], np.ndarray], times, marks,
-                    t: Optional[float] = None) -> np.ndarray:
-    """Sum over jump times tau_k <= t (every jump when t is None) of
-    diag(psi(tau_k)) applied to the mark, for nondecreasing ``times`` (n,)
-    and ``marks`` (n, modes).
-
-    This is also the compensated integral over the small jumps: the
-    Gaussian mark law is symmetric, so its compensator vanishes.
-    """
-    times = np.asarray(times, dtype=float)
-    marks = np.asarray(marks, dtype=float)
-    k = times.size if t is None else np.searchsorted(times, t, side="right")
-    out = np.zeros(marks.shape[1])
-    for i in range(k):
-        out += np.asarray(psi(times[i]), dtype=float) * marks[i]
-    return out
 
 
 @dataclass(frozen=True)
@@ -107,17 +86,15 @@ def verify_moment_inequality_p_le_1(step: StepIntegrand, p: float, mc: int = 100
 
 
 def estimate_type_p_constant(p: float, q: float, n: int, values: np.ndarray,
-                             ensembles: int = 200,
-                             rng: Optional[np.random.Generator] = None) -> float:
+                             rng: np.random.Generator, ensembles: int = 200) -> float:
     """Empirical type-p constant of (R^n, l^q).
 
     Maximizes  E_eps |sum_i eps_i x_i|_q^p / sum_i |x_i|_q^p  over random
     vector ensembles (including the supplied values); signs enumerated
     exactly for up to 12 vectors, SIGNS_MC random sign rows otherwise.  A
     lower bound for the true constant K_p^p, so callers add a safety
-    margin.  ``rng`` defaults to stream(1).
+    margin.  Every draw comes from ``rng``.
     """
-    rng = stream(1) if rng is None else rng
     best = 0.0
 
     def ratio(xs):

@@ -137,7 +137,7 @@ def intensity_measure_functional(
     if sub.kind == "drift_only":
         return 0.0
     norms = _radial_norms(spec, u_space)
-    meas = sub.intensity
+    meas = sub.jump_measure
     if meas.atoms is not None:
         sizes, rates = meas.atoms
         return float(sum(rates * _cloud_means(radial_test, sizes, norms)))

@@ -3,10 +3,9 @@
 Tools here turn the qualitative path properties into measurable,
 desk-scale statistics: Hoelder exponents from dyadic increments of the
 synthesized field, time-integrability of trajectory norms under grid
-refinement (the trajectories drawn by ``spectral.sample_trajectory``), a
-blow-up probe for the large-jump part in spaces that are too small for
-the jump marks, and the circle convolution of a periodic profile against
-a scalar subordinated Levy path.
+refinement, a blow-up probe for the large-jump part in spaces that are
+too small for the jump marks, and the circle convolution of a periodic
+profile against a scalar subordinated Levy path.
 """
 
 from __future__ import annotations
@@ -20,11 +19,10 @@ import numpy as np
 from ._rng import stream
 from .spaces import SpaceSpec
 from .noise import LevyNoiseSpec, _u_norm, increment_coefficients
-from .spectral import SpectralOperator, cell_moments, sample_trajectory, synthesize
+from .spectral import SpectralOperator, cell_moments, synthesize
 from .subordinator import SubordinatorSpec, simulate_paths
 
 __all__ = [
-    "TrajectoryEnsemble",
     "CirclePath",
     "estimate_holder",
     "holder_from_values",
@@ -41,37 +39,6 @@ MAX_CIRCLE_CELLS = 1 << 24
 MIN_SCALES = 4
 # cells of the grid on which scalar_levy_jumps draws the Brownian part
 SLOPE_GRID = 4096
-
-
-@dataclass(frozen=True)
-class TrajectoryEnsemble:
-    """Per-path coefficient trajectories on a common time grid."""
-
-    times: np.ndarray                 # (n_times,)
-    coefficients: np.ndarray          # (n_paths, n_times, n_modes)
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        c = np.asarray(self.coefficients, dtype=float)
-        if c.ndim != 3 or c.shape[1] != t.size:
-            raise ValueError("coefficients must have shape (paths, times, modes)")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "coefficients", c)
-
-    @classmethod
-    def simulate(cls, op: SpectralOperator, noise: LevyNoiseSpec, T: float,
-                 n_times: int, n_paths: int, seed: int = 0,
-                 cutoff_eps: float = 1e-3) -> "TrajectoryEnsemble":
-        """Trajectories of ``n_paths`` paths on n_times times up to T: the paths
-        of Z from stream(seed, 1), the Gaussian draws from stream(seed, 2).
-        Raises ValueError if n_times < 1."""
-        if n_times < 1:
-            raise ValueError(f"n_times must be at least 1, not {n_times}")
-        times = np.linspace(T / n_times, T, n_times)
-        batch = simulate_paths(noise.subordinator, T, n_paths, stream(seed, 1),
-                               cutoff_eps=cutoff_eps, method="jumps")
-        coeffs = sample_trajectory(op, noise, batch, times, stream(seed, 2))
-        return cls(times=times, coefficients=coeffs)
 
 
 # -- Hoelder estimation --------------------------------------------------
@@ -129,23 +96,28 @@ def estimate_holder(coefficients, op: SpectralOperator, physical_grid_M: int) ->
 # -- time integrability --------------------------------------------------
 
 
-def time_integrability(ensemble: TrajectoryEnsemble, E: SpaceSpec, p: float) -> dict:
-    """Riemann sums of int |X(t)|_E^p dt at dyadic coarsenings of the grid.
+def time_integrability(norms, T: float, p: float) -> dict:
+    """Riemann sums of int_0^T |X(t)|_E^p dt at dyadic coarsenings of the grid.
 
-    Stabilization of the estimates under refinement is the desk-scale
-    evidence that the integral is finite; ``stabilization`` is the relative
-    change on the last halving of the mesh (per-path median).
+    ``norms`` has shape (paths, n) and holds |X(t_k)|_E at t_k = kT/n, k = 1..n,
+    with n a power of 2 and at least 8; the level of m cells sums the norms at
+    its right endpoints jT/m.  Stabilization of the estimates under refinement
+    is the desk-scale evidence that the integral is finite; ``stabilization``
+    is the relative change on the last halving of the mesh (per-path median).
     """
     if not p > 0:
         raise ValueError(f"p must be positive, not {p}")
-    times = ensemble.times
-    n_times = times.size
+    if not 0 < T < math.inf:
+        raise ValueError(f"T must be finite and positive, not {T}")
+    norms = np.asarray(norms, dtype=float)
+    if norms.ndim != 2:
+        raise ValueError("norms must have shape (paths, n)")
+    n_times = norms.shape[1]
     if n_times & (n_times - 1):
         raise ValueError("time grid length must be a power of 2 for dyadic coarsening")
     if n_times < 8:
         raise ValueError("time_integrability needs at least 8 grid times (two dyadic levels)")
-    norms = E.norm(ensemble.coefficients) ** p     # (paths, times)
-    T = float(times[-1])
+    norms = norms ** p
     levels = []
     stride = 1
     while n_times // stride >= 4:
@@ -158,7 +130,6 @@ def time_integrability(ensemble: TrajectoryEnsemble, E: SpaceSpec, p: float) -> 
     with np.errstate(invalid="ignore", divide="ignore"):
         rel = np.abs(fine - half) / np.where(fine > 0, fine, 1.0)
     return {
-        "p": p, "T": T,
         "mesh_cells": [lv["n_cells"] for lv in levels],
         "mean_integral": [float(lv["integrals"].mean()) for lv in levels],
         "per_path_final": levels[-1]["integrals"],

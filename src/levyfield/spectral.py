@@ -67,16 +67,14 @@ class SpectralOperator:
     """Diagonal generator on a multi-index truncation.
 
     Modes are multi-indices n in {1..N}^d sorted by |n|^2 (ties broken
-    lexicographically); ``mu`` holds |n|^2 and ``lambdas`` the eigenvalues
-    mu^gamma.  ``from_eigenvalues`` wraps a user-supplied increasing
-    sequence instead.
+    lexicographically); ``lambdas`` holds the eigenvalues |n|^(2 gamma).
+    ``from_eigenvalues`` wraps a user-supplied increasing sequence instead.
     """
 
     dim_d: int
     gamma: float
     truncation_N: int
     multi_indices: np.ndarray   # (n_modes, d)
-    mu: np.ndarray              # (n_modes,)
     lambdas: np.ndarray         # (n_modes,)
 
     def __post_init__(self):
@@ -100,14 +98,14 @@ class SpectralOperator:
         order = np.lexsort(tuple(idx[:, k] for k in range(dim_d - 1, -1, -1)) + (mu,))
         idx, mu = idx[order], mu[order]
         return cls(dim_d=dim_d, gamma=gamma, truncation_N=truncation_N,
-                   multi_indices=idx, mu=mu, lambdas=mu ** gamma)
+                   multi_indices=idx, lambdas=mu ** gamma)
 
     @classmethod
     def from_eigenvalues(cls, lambdas) -> "SpectralOperator":
         lam = np.asarray(lambdas, dtype=float)
         idx = np.arange(1, lam.size + 1)[:, None]
         return cls(dim_d=1, gamma=float("nan"), truncation_N=lam.size,
-                   multi_indices=idx, mu=idx[:, 0].astype(float), lambdas=lam)
+                   multi_indices=idx, lambdas=lam)
 
 
 # -- operator norms ------------------------------------------------------

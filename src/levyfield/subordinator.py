@@ -220,10 +220,10 @@ def stable_intensity(beta: float) -> IntensityMeasure:
 @dataclass(frozen=True)
 class SubordinatorSpec:
     """The law of a subordinator: a finite drift ``drift_b`` >= 0 and either
-    ``beta`` in (0,1), psi(r) = b r + r^beta, whose ``intensity`` is then
-    ``stable_intensity(beta)``, or the jump measure ``intensity`` (None for
-    a pure drift).  Raises ValueError for any other drift, for beta with an
-    intensity and for an intensity that fails ``validate``."""
+    ``beta`` in (0,1), psi(r) = b r + r^beta, or the jump measure
+    ``intensity`` (None for a pure drift).  Every reader takes the jump
+    measure from ``jump_measure``.  Raises ValueError for any other drift,
+    for beta with an intensity and for an intensity that fails ``validate``."""
 
     drift_b: float = 0.0
     beta: Optional[float] = None
@@ -235,9 +235,15 @@ class SubordinatorSpec:
         if self.beta is not None:
             if self.intensity is not None:
                 raise ValueError("a stable spec takes beta, not an intensity")
-            object.__setattr__(self, "intensity", stable_intensity(self.beta))
+            if not 0 < self.beta < 1:
+                raise ValueError("beta must be in (0,1)")
         elif self.intensity is not None:
             self.intensity.validate()
+
+    @property
+    def jump_measure(self) -> Optional[IntensityMeasure]:
+        """rho: ``stable_intensity(beta)`` for a stable spec, else ``intensity``."""
+        return stable_intensity(self.beta) if self.beta is not None else self.intensity
 
     @property
     def kind(self) -> str:
@@ -388,13 +394,13 @@ def laplace_exponent(spec: SubordinatorSpec, r) -> np.ndarray:
     if spec.kind == "stable":
         psi = psi + r ** spec.beta
     elif spec.kind == "compound_poisson":
-        sizes, rates = spec.intensity.atoms
+        sizes, rates = spec.jump_measure.atoms
         psi = psi + ((1.0 - np.exp(-np.multiply.outer(r, sizes))) * rates).sum(axis=-1)
     elif spec.kind != "drift_only":
         def one(rv):
             if rv == 0.0:
                 return 0.0
-            integrand = lambda x: (1.0 - np.exp(-rv * x)) * spec.intensity.density(x)
+            integrand = lambda x: (1.0 - np.exp(-rv * x)) * spec.jump_measure.density(x)
             return _quad(integrand, 0.0, 1.0) + _quad(integrand, 1.0, np.inf)
 
         psi = psi + np.vectorize(one)(r)
@@ -408,11 +414,12 @@ def sub_p_membership(spec: SubordinatorSpec, p: float) -> tuple[bool, float]:
         raise ValueError("p must be in (0,2]")
     if spec.kind == "drift_only":
         return True, 0.0
+    rho = spec.jump_measure
     try:
-        cert = spec.intensity.truncated_moment(p / 2.0, 0.0, 1.0)
+        cert = rho.truncated_moment(p / 2.0, 0.0, 1.0)
     except QuadratureError:
         # Divergence shows up as quadrature failure near 0; probe the scaling.
-        probe = [spec.intensity.truncated_moment(p / 2.0, 10.0 ** -k, 1.0) for k in (2, 4, 6)]
+        probe = [rho.truncated_moment(p / 2.0, 10.0 ** -k, 1.0) for k in (2, 4, 6)]
         if probe[-1] > 2.0 * probe[0]:
             return False, math.inf
         return True, probe[-1]
@@ -521,14 +528,15 @@ def simulate_paths(
                          sizes=incr.ravel())
 
     # Marked Poisson process of jumps >= eps, mean-compensated below.
+    rho = spec.jump_measure
     if spec.kind == "compound_poisson":
         eps = 0.0
-        rate = spec.intensity.tail_mass(0.0)
+        rate = rho.tail_mass(0.0)
         compensation = 0.0
     else:
         eps = cutoff_eps
-        rate = spec.intensity.tail_mass(eps)
-        compensation = spec.intensity.truncated_moment(1.0, 0.0, eps)
+        rate = rho.tail_mass(eps)
+        compensation = rho.truncated_moment(1.0, 0.0, eps)
     if not np.isfinite(rate):
         raise ValueError(f"intensity mass above cutoff {eps} is not finite")
     _check_expected_jumps(n_paths * rate * T)
@@ -537,6 +545,6 @@ def simulate_paths(
     n = int(offsets[-1])
     times = rng.uniform(0.0, T, size=n)
     _sort_within_paths(times, offsets)
-    sizes = spec.intensity.sample_sizes(max(eps, 1e-300), n, rng)
+    sizes = rho.sample_sizes(max(eps, 1e-300), n, rng)
     return PathBatch(horizon_T=T, drift_slope=spec.drift_b, offsets=offsets,
                      times=times, sizes=sizes, compensation=compensation)

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from scipy import stats
@@ -8,7 +6,6 @@ from levyfield._rng import stream
 from levyfield.jumps import (
     StepIntegrand,
     estimate_type_p_constant,
-    integrate_large,
     verify_moment_inequality_p_le_1,
     verify_moment_inequality_type_p,
 )
@@ -37,9 +34,9 @@ def test_split_additivity_exact():
     big = sizes >= np.median(sizes)
     assert 0 < big.sum() < big.size
     for t in (0.25, 0.5, 1.0):
-        total = integrate_large(lambda s: np.ones(4), times, marks, t)
-        parts = [integrate_large(lambda s: np.ones(4), times[m], marks[m], t)
-                 for m in (~big, big)]
+        upto = times <= t
+        total = marks[upto].sum(axis=0)
+        parts = [marks[m & upto].sum(axis=0) for m in (~big, big)]
         assert np.allclose(parts[0] + parts[1], total, rtol=0.0, atol=1e-14)
 
 
@@ -54,8 +51,7 @@ def test_repeated_jump_times_are_marked_and_split():
     assert times[big][0] == times[~big][0] == 0.5
     both = marks.sum(axis=0)
     for t, total in ((0.4, np.zeros(4)), (0.5, both), (1.0, both)):
-        parts = [integrate_large(lambda s: np.ones(4), times[m], marks[m], t)
-                 for m in (~big, big)]
+        parts = [marks[m & (times <= t)].sum(axis=0) for m in (~big, big)]
         assert np.array_equal(parts[0] + parts[1], total)
 
 
@@ -83,59 +79,6 @@ def test_large_jump_count_is_poisson():
     chi2 = ((observed - expected) ** 2 / expected).sum()
     pval = stats.chi2.sf(chi2, observed.size - 1)
     assert pval > 0.01
-
-
-# -- integration ---------------------------------------------------------
-
-
-def test_integrate_large_identity_kernel():
-    spec = make_spec(SubordinatorSpec.compound_poisson([3.0], [2.0]))
-    zp = simulate_paths(spec.subordinator, 1.0, 1, stream(3))
-    times, marks, _ = marked(spec, zp, stream(4))
-    out = integrate_large(lambda s: np.ones(4), times, marks)
-    assert np.allclose(out, marks[times <= 1.0].sum(axis=0), atol=1e-14)
-
-
-def test_integrate_large_single_jump_closed_form():
-    mark = np.array([0.5, -1.0, 2.0])
-    lam, t = 3.0, 0.9
-    out = integrate_large(lambda s: np.exp(-lam * (t - s)) * np.ones(3), [0.4],
-                          mark[None, :], t=t)
-    assert np.allclose(out, math.exp(-lam * 0.5) * mark, rtol=1e-14)
-
-
-def test_integrate_large_matches_loop_oracle():
-    rng = stream(11)
-    times = np.sort(rng.uniform(0.1, 0.9, size=5))
-    marks = rng.standard_normal((5, 3))
-    diag = rng.standard_normal(3)
-    psi = lambda s: diag * math.sin(s)
-    out = integrate_large(psi, times, marks, t=0.8)
-    expected = np.zeros(3)
-    for tau, u in zip(times, marks):
-        if tau <= 0.8:
-            expected += psi(tau) * u
-    assert np.allclose(out, expected, rtol=1e-13)
-
-
-def test_small_jump_compensator_vanishes():
-    spec = make_spec(SubordinatorSpec.stable(0.5))
-    zp = simulate_paths(spec.subordinator, 1.0, 1, stream(5), cutoff_eps=1e-2,
-                        method="jumps")
-    times, marks, sizes = marked(spec, zp, stream(6))
-    small = sizes < 1.0
-    out = integrate_large(lambda s: np.ones(4), times[small], marks[small])
-    assert np.allclose(out, marks[small].sum(axis=0), atol=1e-14)
-
-
-def test_small_jump_zero_kernel():
-    spec = make_spec(SubordinatorSpec.stable(0.5))
-    zp = simulate_paths(spec.subordinator, 1.0, 1, stream(7), cutoff_eps=1e-2,
-                        method="jumps")
-    times, marks, sizes = marked(spec, zp, stream(8))
-    small = sizes < 1.0
-    out = integrate_large(lambda s: np.zeros(4), times[small], marks[small])
-    assert np.all(out == 0.0)
 
 
 # -- moment inequalities -------------------------------------------------
@@ -215,7 +158,7 @@ def test_type_p_fractional_p_holds():
 
 def test_type_p_constant_at_least_one():
     # single vector: Rademacher sum ratio is exactly 1
-    k = estimate_type_p_constant(1.5, 2.0, 3, np.array([[1.0, 0.0, 0.0]]),
+    k = estimate_type_p_constant(1.5, 2.0, 3, np.array([[1.0, 0.0, 0.0]]), stream(1),
                                  ensembles=50)
     assert k >= 1.0 - 1e-12
 

@@ -151,8 +151,8 @@ def test_intensity_second_moment_bound():
     lhs = intensity_measure_functional(
         spec, lambda x: np.where(x <= 1.0, x ** 2, 0.0), quad_tol=1e-4)
     c_trace = float((1.0 / spec.wiener.hilbert_weights ** 2).sum())
-    small = spec.subordinator.intensity.truncated_moment(1.0, 0.0, 1.0)
-    tail = spec.subordinator.intensity.tail_mass(1.0)
+    small = spec.subordinator.jump_measure.truncated_moment(1.0, 0.0, 1.0)
+    tail = spec.subordinator.jump_measure.tail_mass(1.0)
     assert lhs <= c_trace * small + tail + 1e-9
 
 

@@ -1,9 +1,11 @@
 """Every defaulted parameter of the library's public API is set by some call.
 
-A default that no call in ``src/`` or ``tests/`` overrides is a constant
-spelled as an option: it widens the API, and the branches only it reaches go
-untested.  Such a value belongs in a module constant.  The exceptions are
-modelling inputs, each with its reason in ``ALLOWED``.
+A default that no call in ``src/`` or ``tests/`` overrides, either because no
+call passes it or because every call that does passes the default's own
+literal, is a constant spelled as an option: it widens the API, and the
+branches only it reaches go untested.  Such a value belongs in a module
+constant.  The exceptions are modelling inputs, each with its reason in
+``ALLOWED``.
 """
 
 import ast
@@ -22,50 +24,52 @@ ALLOWED = {
     ("intensity_measure_functional", "u_space"): "the norm |.|_U of the jump marks",
     ("scalar_levy_jumps", "cutoff_eps"): "the jump cutoff of the driving path",
     ("solve_stochastic_burgers", "cutoff_eps"): "the jump cutoff of the driving noise",
-    ("TrajectoryEnsemble.simulate", "cutoff_eps"): "the jump cutoff of the simulated noise",
 }
 
 
-def _function_options(fn: ast.FunctionDef, skip_first: bool) -> list[tuple[str, int]]:
-    """(name, position) of each defaulted parameter of ``fn``; keyword-only
-    parameters get no position (-1)."""
+def _function_options(fn: ast.FunctionDef,
+                      skip_first: bool) -> list[tuple[str, int, ast.expr]]:
+    """(name, position, default) of each defaulted parameter of ``fn``;
+    keyword-only parameters get no position (-1)."""
     names = [a.arg for a in fn.args.posonlyargs + fn.args.args][1 if skip_first else 0:]
-    out = [(n, names.index(n)) for n in names[len(names) - len(fn.args.defaults):]]
-    out += [(a.arg, -1) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+    defaulted = names[len(names) - len(fn.args.defaults):]
+    out = [(n, names.index(n), d) for n, d in zip(defaulted, fn.args.defaults)]
+    out += [(a.arg, -1, d) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+            if d is not None]
     return out
 
 
-def public_options(source: str) -> dict[tuple[str, str], tuple[str, int]]:
-    """{(label, parameter): (callee, position)} for the defaulted parameters
-    of the public functions, methods and dataclass fields in ``source``; the
-    callee is the name a call uses (the class name for a constructor)."""
+def public_options(source: str) -> dict[tuple[str, str], tuple[str, int, ast.expr]]:
+    """{(label, parameter): (callee, position, default)} for the defaulted
+    parameters of the public functions, methods and dataclass fields in
+    ``source``; the callee is the name a call uses (the class name for a
+    constructor)."""
     found = {}
     for node in ast.parse(source).body:
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-            for name, pos in _function_options(node, False):
-                found[(node.name, name)] = (node.name, pos)
+            for name, pos, default in _function_options(node, False):
+                found[(node.name, name)] = (node.name, pos, default)
         if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
             continue
         fields = [s for s in node.body if isinstance(s, ast.AnnAssign)
                   and isinstance(s.target, ast.Name)]
         for pos, s in enumerate(fields):
             if s.value is not None:
-                found[(node.name, s.target.id)] = (node.name, pos)
+                found[(node.name, s.target.id)] = (node.name, pos, s.value)
         for fn in node.body:
             if not isinstance(fn, ast.FunctionDef) or (fn.name.startswith("_")
                                                        and fn.name != "__init__"):
                 continue
             static = any(getattr(d, "id", "") == "staticmethod" for d in fn.decorator_list)
             callee = node.name if fn.name == "__init__" else fn.name
-            for name, pos in _function_options(fn, not static):
-                found[(f"{node.name}.{fn.name}", name)] = (callee, pos)
+            for name, pos, default in _function_options(fn, not static):
+                found[(f"{node.name}.{fn.name}", name)] = (callee, pos, default)
     return found
 
 
 class _Calls(ast.NodeVisitor):
-    """(callee, positional count, keyword names) of every call; ``cls(...)``
-    inside a class body is a call of that class, and a ``*args`` or
-    ``**kwargs`` argument counts as passing every parameter of its kind."""
+    """(callee, positional arguments, {keyword: argument}) of every call;
+    ``cls(...)`` inside a class body is a call of that class."""
 
     def __init__(self):
         self.classes, self.calls = [], []
@@ -80,29 +84,51 @@ class _Calls(ast.NodeVisitor):
         name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
         if name == "cls" and self.classes:
             name = self.classes[-1]
-        n_pos = float("inf") if any(isinstance(a, ast.Starred) for a in node.args) \
-            else len(node.args)
-        keywords = {kw.arg for kw in node.keywords}
-        self.calls.append((name, n_pos, keywords))
+        self.calls.append((name, node.args, {kw.arg: kw.value for kw in node.keywords}))
         self.generic_visit(node)
 
 
-def call_sites(sources) -> list[tuple[str, float, set]]:
+def call_sites(sources) -> list[tuple[str, list, dict]]:
     visitor = _Calls()
     for source in sources:
         visitor.visit(ast.parse(source))
     return visitor.calls
 
 
+def _argument(args: list, keywords: dict, name: str, pos: int):
+    """The expression a call passes for parameter ``name`` at ``pos``, None
+    if it passes none, or ``...`` if a ``*args`` or ``**kwargs`` argument
+    may pass it."""
+    if name in keywords:
+        return keywords[name]
+    if 0 <= pos:
+        for i, a in enumerate(args):
+            if isinstance(a, ast.Starred):
+                return ...
+            if i == pos:
+                return a
+    return ... if None in keywords else None
+
+
+def _is_literal(node, value: ast.expr) -> bool:
+    """Whether ``node`` is a literal equal to the literal ``value``."""
+    try:
+        return ast.literal_eval(node) == ast.literal_eval(value)
+    except (ValueError, TypeError):
+        return False
+
+
 def idle_options(modules: dict[str, str], callers) -> list[tuple[str, str]]:
     """(label, parameter) of each defaulted public parameter in ``modules``
-    ({file name: source}) that no call in ``callers`` passes."""
+    ({file name: source}) that no call in ``callers`` sets to anything but
+    its default literal."""
     calls = call_sites(callers)
     idle = []
     for source in modules.values():
-        for (label, name), (callee, pos) in public_options(source).items():
-            if not any(c == callee and (name in kws or None in kws or 0 <= pos < n)
-                       for c, n, kws in calls):
+        for (label, name), (callee, pos, default) in public_options(source).items():
+            passed = (_argument(args, kws, name, pos) for c, args, kws in calls if c == callee)
+            if not any(a is ... or (a is not None and not _is_literal(a, default))
+                       for a in passed):
                 idle.append((label, name))
     return sorted(idle)
 
@@ -133,7 +159,11 @@ def test_scan_flags_unset_options_and_passes_set_ones():
                "    def m(self, p=1, q=2):\n        pass\n"
                "    @classmethod\n"
                "    def make(cls, v):\n        return cls(v, z=v)\n")
-    callers = [library, "f(1, 2, d=3)\n", "K(1, 2).m(5)\n"]
+    callers = [library, "f(1, 2, d=5)\n", "K(1, 2).m(5)\n"]
     assert idle_options({"lib.py": library}, callers) == [
         ("K.m", "q"), ("f", "c"), ("f", "e")]
     assert idle_options({"lib.py": library}, ["f(*xs, **kw)\nK(*xs)\nK.m(K, **kw)\n"]) == []
+    # a call that passes the default's own literal does not set it
+    callers = [library, "f(1, 2, 2, d=3.0, e=x)\n", "K(1, y=0, z=2).m(1, q=-2)\n"]
+    assert idle_options({"lib.py": library}, callers) == [
+        ("K", "y"), ("K.m", "p"), ("f", "c"), ("f", "d")]

@@ -8,7 +8,6 @@ from levyfield.noise import CylindricalWienerSpec, LevyNoiseSpec, _u_norm, incre
 from levyfield.regularity import (
     MAX_CIRCLE_CELLS,
     CirclePath,
-    TrajectoryEnsemble,
     blowup_probe,
     circle_convolution,
     estimate_holder,
@@ -165,53 +164,43 @@ def test_one_time_draws_are_bitwise_the_per_cell_loop():
 
 
 def test_time_integrability_zero_noise():
-    ens = TrajectoryEnsemble(times=np.linspace(0.1, 1.0, 16),
-                             coefficients=np.zeros((3, 16, 4)))
-    E = SpaceSpec(2.0, np.ones(4))
-    rep = time_integrability(ens, E, p=4.0)
+    rep = time_integrability(np.zeros((3, 16)), 1.0, p=4.0)
     assert rep["mean_integral"][-1] == 0.0
     with pytest.raises(ValueError, match="p must be positive"):
-        time_integrability(ens, E, p=float("nan"))
+        time_integrability(np.zeros((3, 16)), 1.0, p=float("nan"))
+    for T in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="T must be finite and positive"):
+            time_integrability(np.zeros((3, 16)), T, p=4.0)
+    with pytest.raises(ValueError, match="shape"):
+        time_integrability(np.zeros(16), 1.0, p=4.0)
 
 
 @pytest.mark.parametrize("n_times", [1, 2, 4])
 def test_time_integrability_needs_two_dyadic_levels(n_times):
-    ens = TrajectoryEnsemble(times=np.linspace(0.1, 1.0, n_times),
-                             coefficients=np.zeros((3, n_times, 4)))
     with pytest.raises(ValueError, match="at least 8 grid times"):
-        time_integrability(ens, SpaceSpec(2.0, np.ones(4)), p=4.0)
-    ens8 = TrajectoryEnsemble(times=np.linspace(0.125, 1.0, 8), coefficients=np.ones((3, 8, 4)))
-    assert time_integrability(ens8, SpaceSpec(2.0, np.ones(4)), p=2.0)["mesh_cells"] == [4, 8]
+        time_integrability(np.zeros((3, n_times)), 1.0, p=4.0)
+    assert time_integrability(np.ones((3, 8)), 1.0, p=2.0)["mesh_cells"] == [4, 8]
+
+
+def test_time_integrability_closed_form_on_a_linear_norm():
+    # norms t_k = kT/n: the level of m cells sums jT/m over j = 1..m, times T/m
+    n, T = 64, 2.5
+    rep = time_integrability(np.tile(T * np.arange(1, n + 1) / n, (2, 1)), T, p=1.0)
+    assert rep["mesh_cells"] == [4, 8, 16, 32, 64]
+    for m, got in zip(rep["mesh_cells"], rep["mean_integral"]):
+        assert got == pytest.approx(T ** 2 * (m + 1) / (2 * m), rel=1e-14), m
 
 
 def test_time_integrability_stabilizes_for_ou():
     N = 64
     op = SpectralOperator.dirichlet(1, 1.0, N)
     noise = make_noise(SubordinatorSpec.stable(0.75), N)
-    ens = TrajectoryEnsemble.simulate(op, noise, T=1.0, n_times=512,
-                                      n_paths=4, seed=0)
-    E = SpaceSpec(2.0, np.ones(N))
-    rep = time_integrability(ens, E, p=2.0)
+    batch = simulate_paths(noise.subordinator, 1.0, 4, stream(0, 1), cutoff_eps=1e-3,
+                           method="jumps")
+    coeffs = sample_trajectory(op, noise, batch, np.arange(1, 513) / 512, stream(0, 2))
+    rep = time_integrability(SpaceSpec(2.0, np.ones(N)).norm(coeffs), 1.0, p=2.0)
     assert rep["stabilization"] < 0.05
     assert np.all(np.isfinite(rep["per_path_final"]))
-
-
-def test_ensemble_refuses_an_empty_time_grid():
-    op = SpectralOperator.dirichlet(1, 1.0, 4)
-    with pytest.raises(ValueError, match="n_times"):
-        TrajectoryEnsemble.simulate(op, make_noise(SubordinatorSpec.stable(0.5), 4), 1.0, 0, 2)
-
-
-def test_ensemble_is_bitwise_a_loop_over_one_batch():
-    op = SpectralOperator.dirichlet(1, 1.0, 16)
-    noise = make_noise(SubordinatorSpec.stable(0.6), 16)
-    ens = TrajectoryEnsemble.simulate(op, noise, T=1.0, n_times=64, n_paths=5, seed=3)
-    batch = simulate_paths(noise.subordinator, 1.0, 5, stream(3, 1), cutoff_eps=1e-3,
-                           method="jumps")
-    rng = stream(3, 2)
-    for m in range(5):
-        ref = sample_trajectory(op, noise, batch[m:m + 1], ens.times, rng)[0]
-        assert np.array_equal(ens.coefficients[m], ref), m
 
 
 # -- blow-up probe -------------------------------------------------------

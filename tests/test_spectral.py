@@ -322,13 +322,14 @@ def test_batch_sample_does_not_depend_on_the_slicing():
     noise = make_noise(SubordinatorSpec.stable(0.5), 8)
     batch = simulate_paths(noise.subordinator, 1.0, 50, stream(2), cutoff_eps=1e-2,
                            method="jumps")
-    whole = sample_trajectory(op, noise, batch, (0.7,), stream(3))
-    rng = stream(3)
-    parts = [sample_trajectory(op, noise, batch[lo:hi], (0.7,), rng)
-             for lo, hi in ((0, 1), (1, 20), (20, 50))]
-    assert np.array_equal(whole, np.concatenate(parts))
-    single = sample_trajectory(op, noise, batch[0:1], (0.7,), stream(3))
-    assert np.array_equal(single[0], whole[0])
+    for times in ((0.7,), np.linspace(1.0 / 64, 1.0, 64)):
+        whole = sample_trajectory(op, noise, batch, times, stream(3))
+        rng = stream(3)
+        parts = [sample_trajectory(op, noise, batch[lo:hi], times, rng)
+                 for lo, hi in ((0, 1), (1, 20), (20, 50))]
+        assert np.array_equal(whole, np.concatenate(parts)), len(times)
+        single = sample_trajectory(op, noise, batch[0:1], times, stream(3))
+        assert np.array_equal(single[0], whole[0]), len(times)
 
 
 @pytest.mark.parametrize("times, n_weights, message", [

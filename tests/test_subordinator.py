@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -16,6 +17,7 @@ from levyfield.subordinator import (
     laplace_exponent,
     sample_stable_oneside,
     simulate_paths,
+    stable_intensity,
     sub_p_membership,
 )
 
@@ -185,14 +187,14 @@ def _per_path_sampler(spec, T, cutoff_eps, seed, grid_n, method):
         incr = dt ** (1.0 / spec.beta) * sample_stable_oneside(spec.beta, grid_n, rng)
         return dt * np.arange(1, grid_n + 1), incr, 0.0
     if spec.kind == "compound_poisson":
-        eps, rate, compensation = 0.0, spec.intensity.tail_mass(0.0), 0.0
+        eps, rate, compensation = 0.0, spec.jump_measure.tail_mass(0.0), 0.0
     else:
         eps = cutoff_eps
-        rate = spec.intensity.tail_mass(eps)
-        compensation = spec.intensity.truncated_moment(1.0, 0.0, eps)
+        rate = spec.jump_measure.tail_mass(eps)
+        compensation = spec.jump_measure.truncated_moment(1.0, 0.0, eps)
     n = rng.poisson(rate * T)
     times = np.sort(rng.uniform(0.0, T, size=n))
-    sizes = spec.intensity.sample_sizes(max(eps, 1e-300), n, rng) if n else np.empty(0)
+    sizes = spec.jump_measure.sample_sizes(max(eps, 1e-300), n, rng) if n else np.empty(0)
     return times, sizes, compensation
 
 
@@ -565,6 +567,17 @@ def test_kind_is_read_off_the_fields_and_a_bad_law_is_refused():
             SubordinatorSpec.drift_only(b)
         with pytest.raises(ValueError, match="drift"):
             SubordinatorSpec.compound_poisson([1.0], [1.0], drift_b=b)
+
+
+def test_a_stable_spec_keeps_no_intensity_and_compares_by_its_fields():
+    spec = SubordinatorSpec.stable(0.5)
+    assert spec.intensity is None
+    assert spec == SubordinatorSpec.stable(0.5) != SubordinatorSpec.stable(0.6)
+    drifted = dataclasses.replace(spec, drift_b=1.0)
+    assert (drifted.drift_b, drifted.beta, drifted.kind) == (1.0, 0.5, "stable")
+    assert spec.jump_measure.tail_mass(1.0) == stable_intensity(0.5).tail_mass(1.0)
+    atoms = SubordinatorSpec.compound_poisson([2.0], [1.0])
+    assert atoms.jump_measure is atoms.intensity
 
 
 @pytest.mark.parametrize("T", [math.nan, math.inf])
