@@ -138,7 +138,7 @@ def intensity_measure_functional(
         return 0.0
     norms = _radial_norms(spec, u_space)
     meas = sub.jump_measure
-    if meas.atoms is not None:
+    if sub.kind == "compound_poisson":
         sizes, rates = meas.atoms
         return float(sum(rates * _cloud_means(radial_test, sizes, norms)))
 

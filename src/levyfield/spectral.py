@@ -24,7 +24,7 @@ import numpy as np
 from .sine import BLOCK_ROWS, sine_values
 from .spaces import SpaceSpec
 from .noise import LevyNoiseSpec
-from .subordinator import PathBatch, _checked, laplace_exponent, sub_p_membership
+from .subordinator import PathBatch, QuadratureError, laplace_exponent, sub_p_membership
 
 __all__ = [
     "SpectralOperator",
@@ -306,6 +306,19 @@ def sample_trajectory(op: SpectralOperator, noise: LevyNoiseSpec,
     if t1.size < times.size:
         x = np.concatenate((np.zeros((n_paths, 1, lam.size)), x), axis=1)
     return x
+
+
+def _checked(val, err, lo, hi, rtol):
+    """val, or QuadratureError if the error estimate err of the integral over
+    [lo, hi] exceeds 100 rtol relative to max(|val|, 1e-10)."""
+    scale = max(abs(val), 1e-10)
+    if err / scale > 100 * rtol:
+        raise QuadratureError(
+            f"quadrature on [{lo}, {hi}] reached relative error {err / scale:.2e} "
+            f"(requested {rtol:.2e})",
+            achieved_tol=err / scale,
+        )
+    return val
 
 
 def _panel_integral(fn, edges: np.ndarray, rtol: float) -> float:

@@ -6,18 +6,19 @@ int_0^1 xi rho(dxi) < inf.  Its Laplace exponent is
 
     psi(r) = b r + int_0^inf (1 - exp(-r xi)) rho(dxi),
 
-so that E exp(-r Z(t)) = exp(-t psi(r)).  The one-sided beta-stable
-subordinator (psi(r) = r^beta, beta in (0,1)) is supported exactly; general
-intensities are simulated as marked Poisson jump processes above a cutoff
-with mean-drift compensation of the removed small jumps.
+so that E exp(-r Z(t)) = exp(-t psi(r)).  Three kinds of law are
+supported, each in closed form and each with a drift: the one-sided
+beta-stable subordinator (psi(r) = r^beta, beta in (0,1)), compound-Poisson
+subordinators (finitely many atoms) and a pure drift.  Stable paths are
+drawn exactly on a grid, or as a Poisson jump process above a cutoff with
+mean-drift compensation of the removed small jumps.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -35,7 +36,6 @@ __all__ = [
 ]
 
 DEFAULT_CUTOFF = 1e-4
-QUAD_RTOL = 1e-8
 # simulate_paths refuses to draw more jumps than this in expectation; each
 # jump costs three 8-byte values, so the cap bounds a batch at about 240 MB
 MAX_EXPECTED_JUMPS = 10_000_000
@@ -49,146 +49,81 @@ class QuadratureError(RuntimeError):
         self.achieved_tol = achieved_tol
 
 
-def _quad(fn, lo, hi, rtol=QUAD_RTOL, **kw):
-    from scipy import integrate  # loaded on first use: it dominates import time
-
-    with warnings.catch_warnings():
-        # The explicit error-estimate check below supersedes quad's warning.
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(fn, lo, hi, epsrel=rtol, epsabs=1e-13, limit=200, **kw)
-    return _checked(val, err, lo, hi, rtol)
-
-
-def _checked(val, err, lo, hi, rtol):
-    """val, or QuadratureError if the error estimate err of the integral over
-    [lo, hi] exceeds 100 rtol relative to max(|val|, 1e-10)."""
-    scale = max(abs(val), 1e-10)
-    if err / scale > 100 * rtol:
-        raise QuadratureError(
-            f"quadrature on [{lo}, {hi}] reached relative error {err / scale:.2e} "
-            f"(requested {rtol:.2e})",
-            achieved_tol=err / scale,
-        )
-    return val
-
-
 class IntensityMeasure:
-    """The jump measure rho of a subordinator: a density on (0, inf), whose
-    moments come from adaptive quadrature, or a finite list of atoms (sizes,
-    rates).  ``stable_intensity`` gives the one density in closed form."""
+    """The jump measure rho of a compound-Poisson subordinator: finitely many
+    atoms, ``rates[k]`` jumps per unit time of size ``sizes[k]``.  Raises
+    ValueError unless sizes and rates are 1-d arrays of one length, the
+    sizes finite and positive and the rates finite and nonnegative.  Two
+    measures are equal when their atoms, sorted by size, are."""
 
-    def __init__(
-        self,
-        density: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        atoms: Optional[tuple[np.ndarray, np.ndarray]] = None,
-    ):
-        if (density is None) == (atoms is None):
-            raise ValueError("exactly one of density/atoms must be given")
-        self.density = density
-        if atoms is not None:
-            sizes = np.asarray(atoms[0], dtype=float)
-            rates = np.asarray(atoms[1], dtype=float)
-            if np.any(sizes <= 0) or np.any(rates < 0):
-                raise ValueError("atom sizes must be positive and rates nonnegative")
-            order = np.argsort(sizes)
-            self.atoms = (sizes[order], rates[order])
-        else:
-            self.atoms = None
-        self._cdf_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+    def __init__(self, atoms: tuple[np.ndarray, np.ndarray]):
+        sizes = np.asarray(atoms[0], dtype=float)
+        rates = np.asarray(atoms[1], dtype=float)
+        if sizes.ndim != 1:
+            raise ValueError(f"atom sizes must be a 1-d array, got shape {sizes.shape}")
+        if rates.shape != sizes.shape:
+            raise ValueError(f"atom rates must be a 1-d array as long as the sizes, "
+                             f"got shape {rates.shape} for {sizes.size} sizes")
+        # NaN fails both comparisons of each test
+        if not np.all((sizes > 0) & (sizes < np.inf)):
+            raise ValueError("atom sizes must be finite and positive")
+        if not np.all((rates >= 0) & (rates < np.inf)):
+            raise ValueError("atom rates must be finite and nonnegative")
+        order = np.lexsort((rates, sizes))
+        self.atoms = (sizes[order], rates[order])
 
-    # -- moments ---------------------------------------------------------
+    def __eq__(self, other):
+        if not isinstance(other, IntensityMeasure):
+            return NotImplemented
+        return all(np.array_equal(a, b) for a, b in zip(self.atoms, other.atoms))
+
+    def __hash__(self):
+        # by value, not by bytes: a rate of -0.0 equals one of 0.0
+        return hash(tuple(map(tuple, self.atoms)))
 
     def tail_mass(self, eps: float) -> float:
         """rho([eps, inf))."""
-        if self.atoms is not None:
-            sizes, rates = self.atoms
-            return float(rates[sizes >= eps].sum())
-        return _quad(self.density, eps, np.inf)
+        sizes, rates = self.atoms
+        return float(rates[sizes >= eps].sum())
 
     def truncated_moment(self, power: float, lo: float, hi: float) -> float:
-        """int_lo^hi xi^power rho(dxi); may return inf for divergent densities."""
-        if self.atoms is not None:
-            sizes, rates = self.atoms
-            mask = (sizes >= lo) & (sizes < hi)
-            return float((sizes[mask] ** power * rates[mask]).sum())
-        if hi <= lo:
-            return 0.0
-        return _quad(lambda x: x ** power * self.density(x), lo, hi)
-
-    def validate(self) -> None:
-        """Check integrability of the intensity: finite tail mass and small-jump mean."""
-        tail = self.tail_mass(1.0)
-        small_mean = self.truncated_moment(1.0, 0.0, 1.0)
-        if not (np.isfinite(tail) and np.isfinite(small_mean)):
-            raise ValueError(
-                f"invalid intensity measure: rho([1,inf))={tail}, "
-                f"int_0^1 xi rho(dxi)={small_mean}"
-            )
-
-    # -- sampling --------------------------------------------------------
+        """int_lo^hi xi^power rho(dxi), over [lo, hi)."""
+        sizes, rates = self.atoms
+        mask = (sizes >= lo) & (sizes < hi)
+        return float((sizes[mask] ** power * rates[mask]).sum())
 
     def sample_sizes(self, eps: float, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw n jump sizes from rho restricted to [eps, inf) and normalized."""
         if n == 0:
             return np.empty(0)
-        if self.atoms is not None:
-            sizes, rates = self.atoms
-            mask = sizes >= eps
-            sizes, rates = sizes[mask], rates[mask]
-            total = rates.sum()
-            if total <= 0:
-                raise ValueError(f"no intensity mass above cutoff {eps}")
-            idx = rng.choice(sizes.size, size=n, p=rates / total)
-            return sizes[idx]
-        return self._sample_sizes_density(eps, n, rng)
-
-    def _sample_sizes_density(self, eps, n, rng):
-        # Inverse-CDF on a log-spaced grid; cap chosen so the ignored far tail
-        # carries < 1e-12 of the truncated mass.  The table is cached per eps
-        # so repeated path draws don't redo the quadrature.
-        if eps not in self._cdf_cache:
-            cap = max(10.0 * eps, 1.0)
-            # extend decade by decade; each increment is integrated on its
-            # own (well-scaled) interval rather than as a difference of two
-            # wide integrals, which loses the tail to cancellation
-            mass = _quad(self.density, eps, cap)
-            while cap <= 1e14:
-                inc = _quad(self.density, cap, 10.0 * cap)
-                if inc <= 1e-12 * (mass + inc):
-                    break
-                mass += inc
-                cap *= 10.0
-            grid = np.geomspace(eps, cap, 4096)
-            dens = self.density(grid)
-            cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))])
-            cdf /= cdf[-1]
-            self._cdf_cache[eps] = (cdf, grid)
-        cdf, grid = self._cdf_cache[eps]
-        u = rng.uniform(size=n)
-        return np.interp(u, cdf, grid)
+        sizes, rates = self.atoms
+        mask = sizes >= eps
+        sizes, rates = sizes[mask], rates[mask]
+        total = rates.sum()
+        if total <= 0:
+            raise ValueError(f"no intensity mass above cutoff {eps}")
+        idx = rng.choice(sizes.size, size=n, p=rates / total)
+        return sizes[idx]
 
 
-# -- concrete intensity families ----------------------------------------
-
-
-class _StableIntensity(IntensityMeasure):
+class _StableIntensity:
     """The density c xi^(-1-beta), c = beta / Gamma(1-beta), of the one-sided
     beta-stable subordinator, with its moments and sampler in closed form."""
 
     def __init__(self, beta: float):
         if not 0 < beta < 1:
             raise ValueError("beta must be in (0,1)")
-        super().__init__(density=self._density)
         self.beta = beta
         self._c = beta / math.gamma(1.0 - beta)
 
-    def _density(self, x):
+    def density(self, x):
         return self._c * np.asarray(x, dtype=float) ** (-1.0 - self.beta)
 
     def tail_mass(self, eps: float) -> float:
         return self._c / self.beta * eps ** (-self.beta)
 
     def truncated_moment(self, power: float, lo: float, hi: float) -> float:
+        """int_lo^hi xi^power rho(dxi); inf where it diverges."""
         expo = power - self.beta
         if lo <= 0.0:
             if expo <= 0:
@@ -209,7 +144,7 @@ class _StableIntensity(IntensityMeasure):
         return eps * rng.uniform(size=n) ** (-1.0 / self.beta)
 
 
-def stable_intensity(beta: float) -> IntensityMeasure:
+def stable_intensity(beta: float) -> _StableIntensity:
     """Intensity of the one-sided beta-stable subordinator, psi(r) = r^beta."""
     return _StableIntensity(beta)
 
@@ -220,10 +155,11 @@ def stable_intensity(beta: float) -> IntensityMeasure:
 @dataclass(frozen=True)
 class SubordinatorSpec:
     """The law of a subordinator: a finite drift ``drift_b`` >= 0 and either
-    ``beta`` in (0,1), psi(r) = b r + r^beta, or the jump measure
-    ``intensity`` (None for a pure drift).  Every reader takes the jump
-    measure from ``jump_measure``.  Raises ValueError for any other drift,
-    for beta with an intensity and for an intensity that fails ``validate``."""
+    ``beta`` in (0,1), psi(r) = b r + r^beta, or the compound-Poisson
+    atoms ``intensity`` (None for a pure drift).  Every reader takes the
+    jump measure from ``jump_measure``.  Raises ValueError for any other
+    drift, for beta with an intensity and for an intensity that is not an
+    ``IntensityMeasure``."""
 
     drift_b: float = 0.0
     beta: Optional[float] = None
@@ -237,23 +173,21 @@ class SubordinatorSpec:
                 raise ValueError("a stable spec takes beta, not an intensity")
             if not 0 < self.beta < 1:
                 raise ValueError("beta must be in (0,1)")
-        elif self.intensity is not None:
-            self.intensity.validate()
+        elif self.intensity is not None and not isinstance(self.intensity, IntensityMeasure):
+            raise ValueError("the intensity must be an IntensityMeasure of atoms")
 
     @property
-    def jump_measure(self) -> Optional[IntensityMeasure]:
+    def jump_measure(self) -> IntensityMeasure | _StableIntensity | None:
         """rho: ``stable_intensity(beta)`` for a stable spec, else ``intensity``."""
         return stable_intensity(self.beta) if self.beta is not None else self.intensity
 
     @property
     def kind(self) -> str:
-        """The family read off the fields: "stable", "drift_only",
-        "compound_poisson" (atoms) or "tabulated" (a density)."""
+        """The family read off the fields: "stable" (beta is set),
+        "drift_only" (no intensity) or "compound_poisson" (atoms)."""
         if self.beta is not None:
             return "stable"
-        if self.intensity is None:
-            return "drift_only"
-        return "compound_poisson" if self.intensity.atoms is not None else "tabulated"
+        return "drift_only" if self.intensity is None else "compound_poisson"
 
     # constructors
 
@@ -269,10 +203,6 @@ class SubordinatorSpec:
     def compound_poisson(cls, sizes, rates, drift_b: float = 0.0) -> "SubordinatorSpec":
         return cls(drift_b=drift_b,
                    intensity=IntensityMeasure(atoms=(np.asarray(sizes), np.asarray(rates))))
-
-    @classmethod
-    def tabulated(cls, density, drift_b: float = 0.0) -> "SubordinatorSpec":
-        return cls(drift_b=drift_b, intensity=IntensityMeasure(density=density))
 
 
 # -- paths ---------------------------------------------------------------
@@ -386,7 +316,7 @@ class PathBatch:
 
 
 def laplace_exponent(spec: SubordinatorSpec, r) -> np.ndarray:
-    """psi(r) = b r + int (1 - exp(-r xi)) rho(dxi); closed form where available."""
+    """psi(r) = b r + int (1 - exp(-r xi)) rho(dxi), in closed form."""
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise ValueError("r must be nonnegative")
@@ -396,36 +326,20 @@ def laplace_exponent(spec: SubordinatorSpec, r) -> np.ndarray:
     elif spec.kind == "compound_poisson":
         sizes, rates = spec.jump_measure.atoms
         psi = psi + ((1.0 - np.exp(-np.multiply.outer(r, sizes))) * rates).sum(axis=-1)
-    elif spec.kind != "drift_only":
-        def one(rv):
-            if rv == 0.0:
-                return 0.0
-            integrand = lambda x: (1.0 - np.exp(-rv * x)) * spec.jump_measure.density(x)
-            return _quad(integrand, 0.0, 1.0) + _quad(integrand, 1.0, np.inf)
-
-        psi = psi + np.vectorize(one)(r)
     # a 0-d r gives a numpy scalar, an array r an array
     return psi[()]
 
 
 def sub_p_membership(spec: SubordinatorSpec, p: float) -> tuple[bool, float]:
-    """Whether int_0^1 xi^(p/2) rho(dxi) is finite, with the integral as certificate."""
+    """Whether int_0^1 xi^(p/2) rho(dxi) is finite, with the integral as
+    certificate: a closed form, inf where it diverges (stable with p/2 <=
+    beta), a finite atom sum for compound Poisson and 0 for a pure drift."""
     if not 0 < p <= 2:
         raise ValueError("p must be in (0,2]")
     if spec.kind == "drift_only":
         return True, 0.0
-    rho = spec.jump_measure
-    try:
-        cert = rho.truncated_moment(p / 2.0, 0.0, 1.0)
-    except QuadratureError:
-        # Divergence shows up as quadrature failure near 0; probe the scaling.
-        probe = [rho.truncated_moment(p / 2.0, 10.0 ** -k, 1.0) for k in (2, 4, 6)]
-        if probe[-1] > 2.0 * probe[0]:
-            return False, math.inf
-        return True, probe[-1]
-    if not np.isfinite(cert):
-        return False, math.inf
-    return True, float(cert)
+    cert = float(spec.jump_measure.truncated_moment(p / 2.0, 0.0, 1.0))
+    return math.isfinite(cert), cert
 
 
 def finite_variation_diagnostic(spec: SubordinatorSpec) -> bool:
@@ -537,14 +451,12 @@ def simulate_paths(
         eps = cutoff_eps
         rate = rho.tail_mass(eps)
         compensation = rho.truncated_moment(1.0, 0.0, eps)
-    if not np.isfinite(rate):
-        raise ValueError(f"intensity mass above cutoff {eps} is not finite")
     _check_expected_jumps(n_paths * rate * T)
     counts = rng.poisson(rate * T, size=n_paths)
     offsets = np.concatenate([[0], np.cumsum(counts)])
     n = int(offsets[-1])
     times = rng.uniform(0.0, T, size=n)
     _sort_within_paths(times, offsets)
-    sizes = rho.sample_sizes(max(eps, 1e-300), n, rng)
+    sizes = rho.sample_sizes(eps, n, rng)
     return PathBatch(horizon_T=T, drift_slope=spec.drift_b, offsets=offsets,
                      times=times, sizes=sizes, compensation=compensation)

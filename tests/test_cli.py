@@ -54,30 +54,42 @@ def test_cold_import_defers_scipy_submodules():
     subprocess.run([sys.executable, "-c", COLD_IMPORT], env=env, check=True, timeout=120)
 
 
-STABLE_RUNS = """
+EVERY_RUN = """
 import sys, tempfile
 from levyfield import cli
-configs = [
+stable_noise = [
     {"experiment": "ou-sample", "n_modes": 8, "mc_paths": 200, "n_pairs": 2},
     {"experiment": "charfn-test", "n_modes": 8, "mc_paths": 200, "n_phi": 1, "t_values": [0.5]},
     {"experiment": "circle", "thetas": [0.5], "grids": [64]},
     {"experiment": "blowup", "n_modes": 256, "truncations": [64, 128, 256]},
 ]
-for cfg in configs:
-    with tempfile.TemporaryDirectory() as out:
-        assert cli.run({**cfg, "master_seed": 1}, out) in (0, 1), cfg
+the_rest = [
+    {"experiment": "subordinator-check", "n_paths": 2000},
+    {"experiment": "regularity", "n_modes": 32, "grid_M": 64, "n_paths": 2},
+    {"experiment": "burgers", "n_modes": 31, "T": 0.01},
+    {"experiment": "bounds", "n_modes": 15, "n_instances": 2, "T": 0.05},
+]
+assert sorted(cfg["experiment"] for cfg in stable_noise + the_rest) == sorted(cli.EXPERIMENTS)
+def run(configs):
+    for cfg in configs:
+        with tempfile.TemporaryDirectory() as out:
+            assert cli.run({**cfg, "master_seed": 1}, out) in (0, 1), cfg
+run(stable_noise)
 loaded = [m for m in ("scipy.integrate", "scipy.special") if m in sys.modules]
 assert not loaded, loaded
+run(the_rest)
+assert "scipy.integrate" not in sys.modules
 """
 
 
 def test_stable_noise_runs_load_neither_scipy_integrate_nor_special():
-    # the oracle's quadrature and the stable intensity's Gamma are numpy and
-    # math; only the transforming experiments load scipy (scipy.fft)
+    # no experiment loads scipy.integrate: every law has closed forms and the
+    # oracle's quadrature is numpy; the stable intensity's Gamma is math, so
+    # scipy.special comes only with the scipy.fft of the other experiments
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    subprocess.run([sys.executable, "-c", STABLE_RUNS], env=env, check=True, timeout=120)
+    subprocess.run([sys.executable, "-c", EVERY_RUN], env=env, check=True, timeout=120)
 
 
 def test_run_subordinator_check_passes(tmp_path, capsys):

@@ -1,5 +1,6 @@
-"""Every name a library module imports is referenced in that module, and
-``__all__`` lists exactly the public definitions of a module that has one."""
+"""Every name a library module imports is referenced in that module,
+``__all__`` lists exactly the public definitions of a module that has one,
+and no module imports scipy.integrate."""
 
 import ast
 import importlib
@@ -50,6 +51,39 @@ def unused_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
 def test_module_has_no_unused_import(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def imports_scipy_integrate(source: str) -> bool:
+    """Whether ``source`` imports scipy.integrate, a name from it, or reads
+    it as an attribute of scipy, at any depth."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            if any(a.name.startswith("scipy.integrate") for a in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.startswith("scipy.integrate") or (
+                    node.module == "scipy" and any(a.name == "integrate" for a in node.names)):
+                return True
+        elif (isinstance(node, ast.Attribute) and node.attr == "integrate"
+              and isinstance(node.value, ast.Name) and node.value.id == "scipy"):
+            # scipy loads a submodule on first attribute access
+            return True
+    return False
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_module_does_not_import_scipy_integrate(module):
+    # every law has closed forms, and the oracle's panel rule is numpy
+    assert not imports_scipy_integrate((SRC / module).read_text())
+
+
+@pytest.mark.parametrize("source", [
+    "import scipy.integrate", "import scipy.integrate as si", "from scipy import integrate",
+    "from scipy.integrate import quad", "def f():\n    from scipy import fft, integrate\n",
+    "import scipy\nscipy.integrate.quad(abs, 0, 1)"])
+def test_integrate_scan_sees_every_form(source):
+    assert imports_scipy_integrate(source)
+    assert not imports_scipy_integrate(source.replace("integrate", "special"))
 
 
 def test_scan_sees_annotations_and_flags_the_rest():

@@ -187,8 +187,7 @@ def test_finite_variation_stable_verdict_holds_across_seeds():
     SubordinatorSpec.stable(0.75),
     SubordinatorSpec.drift_only(1.0),
     SubordinatorSpec.compound_poisson([2.5], [1.0], drift_b=0.5),
-    SubordinatorSpec.tabulated(lambda x: 0.5 / math.gamma(0.5) * x ** -1.5),
-], ids=["stable-0.25", "stable-0.75", "gaussian", "compound-poisson", "tabulated"])
+], ids=["stable-0.25", "stable-0.75", "gaussian", "compound-poisson"])
 def test_finite_variation_growth_is_at_least_one(sub):
     # refining the grid of one path cannot lower its total variation
     rep = finite_variation_test(make_spec(sub, 2), mc_paths=8, seed=1)
@@ -210,9 +209,8 @@ def test_finite_variation_compound_poisson():
     (SubordinatorSpec.compound_poisson([2.5], [1.0]), True, 0.0),
     (SubordinatorSpec.compound_poisson([2.5], [1.0], drift_b=0.5), False, 0.0),
     (SubordinatorSpec.compound_poisson([0.5, 1.0], [2.0, 1.0], drift_b=0.5), False, 2.0 * 0.5 ** 0.5),
-    (SubordinatorSpec.tabulated(lambda x: 0.5 / math.gamma(0.5) * x ** -1.5), False, math.inf),
 ], ids=["stable-0.25", "stable-0.49", "stable-0.5", "stable-0.75", "gaussian",
-        "compound-poisson", "compound-poisson-drift", "small-jumps-drift", "tabulated"])
+        "compound-poisson", "compound-poisson-drift", "small-jumps-drift"])
 def test_finite_variation_verdict_is_the_exact_criterion(sub, finite, integral):
     # the verdict is finite_variation_diagnostic's, and the certificate
     # int_0^1 s^(1/2) rho(ds) is Sub(1)'s, for every U-norm

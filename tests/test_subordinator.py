@@ -42,15 +42,6 @@ def test_laplace_exponent_drift_only():
     assert laplace_exponent(spec, 2.0) == pytest.approx(3.0, rel=1e-14)
 
 
-def test_laplace_exponent_tabulated_matches_stable():
-    # same density as the 0.5-stable intensity, but integrated numerically
-    beta = 0.5
-    c = beta / math.gamma(1.0 - beta)
-    spec = SubordinatorSpec.tabulated(lambda x: c * x ** (-1.0 - beta))
-    for r in (0.5, 1.0, 2.0):
-        assert laplace_exponent(spec, r) == pytest.approx(r ** beta, rel=1e-6)
-
-
 def test_laplace_exponent_compound_poisson_exact():
     sizes, rates = np.array([0.5, 2.0]), np.array([1.0, 0.25])
     spec = SubordinatorSpec.compound_poisson(sizes, rates)
@@ -104,8 +95,7 @@ def test_finite_variation_verdicts():
     assert finite_variation_diagnostic(SubordinatorSpec.stable(0.5)) is False
     # a drift of Z gives W(Z) a Brownian part, however small the jumps
     for sub in (SubordinatorSpec.compound_poisson([0.5, 1.0], [2.0, 1.0], drift_b=0.5),
-                SubordinatorSpec(beta=0.25, drift_b=0.5),
-                SubordinatorSpec.tabulated(lambda x: np.exp(-x), drift_b=1e-9)):
+                SubordinatorSpec(beta=0.25, drift_b=0.5)):
         assert sub_p_membership(sub, 1.0)[0]
         assert finite_variation_diagnostic(sub) is False
 
@@ -140,14 +130,6 @@ def test_stable_grid_path_laplace_transform():
     vals = np.exp(-batch.increments((0.0, 1.0))[:, 0])
     se = vals.std() / math.sqrt(vals.size)
     assert abs(vals.mean() - math.exp(-1.0)) < 4.0 * se
-
-
-def test_jump_route_matches_laplace_transform_within_cutoff_bias():
-    beta = 0.5
-    c = beta / math.gamma(1.0 - beta)
-    spec = SubordinatorSpec.tabulated(lambda x: c * x ** (-1.0 - beta))
-    vals = np.exp(-simulate_paths(spec, 1.0, 20000, stream(0), cutoff_eps=1e-4).increments((0.0, 1.0))[:, 0])
-    assert abs(vals.mean() - math.exp(-1.0)) < 1e-2
 
 
 def test_cutoff_bias_decreases_when_halved():
@@ -198,17 +180,11 @@ def _per_path_sampler(spec, T, cutoff_eps, seed, grid_n, method):
     return times, sizes, compensation
 
 
-def _stable_density(beta):
-    c = beta / math.gamma(1.0 - beta)
-    return SubordinatorSpec.tabulated(lambda x: c * x ** (-1.0 - beta))
-
-
 @pytest.mark.parametrize("spec, method", [
     (SubordinatorSpec.stable(0.5), None),
     (SubordinatorSpec.stable(0.9), "jumps"),
     (SubordinatorSpec.drift_only(1.5), None),
     (SubordinatorSpec.compound_poisson([0.3, 2.0], [2.0, 0.5], drift_b=0.2), None),
-    (_stable_density(0.5), None),
 ])
 def test_simulate_path_is_bitwise_the_per_path_sampler(spec, method):
     for seed in range(20):
@@ -557,11 +533,13 @@ def test_kind_is_read_off_the_fields_and_a_bad_law_is_refused():
     assert SubordinatorSpec.stable(0.5).kind == "stable"
     assert SubordinatorSpec.drift_only(1.0).kind == "drift_only"
     assert SubordinatorSpec.compound_poisson([1.0], [2.0]).kind == "compound_poisson"
-    assert SubordinatorSpec.tabulated(lambda x: np.exp(-x)).kind == "tabulated"
     # a law stated twice: its oracle would read beta and its sampler the atoms
     atoms = SubordinatorSpec.compound_poisson([2.0], [1.0]).intensity
     with pytest.raises(ValueError, match="beta"):
         SubordinatorSpec(beta=0.5, intensity=atoms)
+    # the stable law is stated by beta, never as an intensity
+    with pytest.raises(ValueError, match="IntensityMeasure"):
+        SubordinatorSpec(intensity=stable_intensity(0.5))
     for b in (math.nan, math.inf, -1.0):
         with pytest.raises(ValueError, match="drift"):
             SubordinatorSpec.drift_only(b)
@@ -578,6 +556,37 @@ def test_a_stable_spec_keeps_no_intensity_and_compares_by_its_fields():
     assert spec.jump_measure.tail_mass(1.0) == stable_intensity(0.5).tail_mass(1.0)
     atoms = SubordinatorSpec.compound_poisson([2.0], [1.0])
     assert atoms.jump_measure is atoms.intensity
+    # atoms compare by value, sorted by size, and a spec of them stays hashable
+    same = SubordinatorSpec.compound_poisson([2.0], [1.0])
+    assert atoms == same and hash(atoms) == hash(same)
+    assert atoms != SubordinatorSpec.compound_poisson([2.0], [1.5])
+    assert atoms != SubordinatorSpec.compound_poisson([2.0], [1.0], drift_b=0.5)
+    pair = SubordinatorSpec.compound_poisson([0.5, 2.0], [3.0, 1.0])
+    assert pair == SubordinatorSpec.compound_poisson([2.0, 0.5], [1.0, 3.0])
+    assert len({atoms, same, pair}) == 2
+    zero = SubordinatorSpec.compound_poisson([2.0, 3.0], [1.0, 0.0])
+    assert hash(zero) == hash(SubordinatorSpec.compound_poisson([2.0, 3.0], [1.0, -0.0]))
+
+
+@pytest.mark.parametrize("sizes, rates, match", [
+    ([math.nan], [1.0], "sizes"),
+    ([math.inf], [1.0], "sizes"),
+    ([0.0], [1.0], "sizes"),
+    ([-1.0], [1.0], "sizes"),
+    ([1.0], [math.nan], "rates"),
+    ([1.0], [math.inf], "rates"),
+    ([1.0], [-1.0], "rates"),
+    ([1.0, 2.0], [1.0], "rates"),
+    ([[1.0]], [[1.0]], "sizes"),
+    ([1.0], [[1.0]], "rates"),
+    (1.0, 1.0, "sizes"),
+], ids=["nan-size", "inf-size", "zero-size", "negative-size", "nan-rate", "inf-rate",
+        "negative-rate", "lengths-differ", "2d", "2d-rates", "0d"])
+def test_atoms_refuse_bad_input_up_front(sizes, rates, match):
+    # a NaN size once drew no jumps at all, and an infinite one failed only
+    # inside PathBatch: each is refused where the atoms are made
+    with pytest.raises(ValueError, match=f"atom {match}"):
+        SubordinatorSpec.compound_poisson(sizes, rates)
 
 
 @pytest.mark.parametrize("T", [math.nan, math.inf])
