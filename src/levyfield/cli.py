@@ -28,10 +28,13 @@ from .noise import (CylindricalWienerSpec, LevyNoiseSpec, char_functional,
                     increment_coefficients)
 from .spectral import (SpectralOperator, charfn_oracle, regularity_exponent_bound,
                        sample_trajectory)
-from .regularity import (CirclePath, blowup_probe, circle_convolution,
+from .regularity import (MAX_CIRCLE_CELLS, CirclePath, blowup_probe, circle_convolution,
                          estimate_holder, fourier_profile, scalar_levy_jumps)
 from .burgers import (StepSizeError, check_apriori, solve_modified_burgers,
                       solve_stochastic_burgers, weak_residual)
+
+# cells of the circle grid on which the circle experiment draws its profiles
+_CIRCLE_PROFILE_CELLS = 4096
 
 # experiment name -> (function, default of every config key it accepts,
 # one-line summary shown by list-experiments), in the order they are listed
@@ -65,6 +68,18 @@ def _non_empty(cfg, key) -> list:
     if not cfg[key]:
         raise ValueError(f"{key} must not be empty")
     return cfg[key]
+
+
+def _numbers(cfg, key, kinds, what: str) -> list:
+    """cfg[key], or ValueError naming the key unless it is a non-empty list
+    whose entries are all instances of ``kinds`` (``what``); a bool is none."""
+    values = cfg[key]
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{key} must be a list of {what}, not {values!r}")
+    for value in _non_empty(cfg, key):
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise ValueError(f"{key} must hold {what}, not {value!r}")
+    return values
 
 
 def _within(cfg, key, lo: float, hi: float) -> list:
@@ -246,17 +261,28 @@ def _run_blowup(cfg, out: Path):
              beta=0.75, thetas=[0.0, 0.5, 1.0, 2.0], grids=[128, 256, 512, 1024])
 def _run_circle(cfg, out: Path):
     beta = float(cfg["beta"])
-    thetas = _non_empty(cfg, "thetas")
-    grids = _non_empty(cfg, "grids")
+    thetas = _numbers(cfg, "thetas", (int, float), "numbers")
+    grids = _numbers(cfg, "grids", int, "integers")
+    fine = {}   # grid M -> the common grid of L = lcm(profile cells, M) cells
+    for M in grids:
+        if M < 1:
+            raise ValueError(f"grids must hold positive integers, not {M}")
+        fine[M] = math.lcm(_CIRCLE_PROFILE_CELLS, M)
+        if fine[M] > MAX_CIRCLE_CELLS:
+            raise ValueError(f"grids entry {M}: lcm({_CIRCLE_PROFILE_CELLS}, {M}) = {fine[M]} "
+                             f"cells exceeds MAX_CIRCLE_CELLS = {MAX_CIRCLE_CELLS}")
     seed = int(cfg["master_seed"])
     times, incs = scalar_levy_jumps(SubordinatorSpec.stable(beta), seed=seed)
-    rows = []
-    for th in thetas:
-        prof = fourier_profile(th, 512, 4096, seed=seed + 1)
-        cp = CirclePath(profile=prof, jump_times=times, jump_increments=incs)
-        for M in grids:
-            sup = float(np.abs(circle_convolution(cp, M)).max())
-            rows.append([th, M, sup])
+    profiles = [fourier_profile(th, 512, _CIRCLE_PROFILE_CELLS, seed=seed + 1) for th in thetas]
+    cp = CirclePath(profile=np.stack(profiles), jump_times=times, jump_increments=incs)
+    # one convolution per common grid for every profile; grid M reads every
+    # (L/M)-th point of it, which is bitwise the grid-M call
+    sups = {}
+    for L in sorted(set(fine.values())):
+        conv = circle_convolution(cp, L)
+        sups.update({(i, M): float(np.abs(conv[i, ::L // M]).max())
+                     for i in range(len(thetas)) for M in grids if fine[M] == L})
+    rows = [[th, M, sups[i, M]] for i, th in enumerate(thetas) for M in grids]
     _write_csv(out / "circle.csv", ["theta", "grid_M", "sup"], rows)
     return {"rows": len(rows)}, True
 

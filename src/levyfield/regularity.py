@@ -196,12 +196,13 @@ def blowup_probe(op: SpectralOperator, noise: LevyNoiseSpec, F: SpaceSpec,
 
 @dataclass(frozen=True)
 class CirclePath:
-    """Periodic profile plus a scalar driving Levy path on [0, 2*pi].
+    """Periodic profiles plus a scalar driving Levy path on [0, 2*pi].
 
     ``profile`` holds values on the uniform circle grid including both
-    endpoints (first == last).  The driving path is a list of increments at
-    times in (0, 2*pi]; ``scalar_levy_jumps`` merges the continuous part in
-    as Brownian increments on a grid.
+    endpoints (first == last), one profile of shape (P+1,) or a batch of
+    shape (k, P+1), one profile per row.  The driving path is a list of
+    increments at times in (0, 2*pi]; ``scalar_levy_jumps`` merges the
+    continuous part in as Brownian increments on a grid.
     """
 
     profile: np.ndarray
@@ -210,7 +211,9 @@ class CirclePath:
 
     def __post_init__(self):
         f = np.asarray(self.profile, dtype=float)
-        if f.size < 3 or not math.isclose(f[0], f[-1], rel_tol=0.0, abs_tol=1e-12):
+        if f.ndim not in (1, 2) or f.shape[-1] < 3 or f.size == 0:
+            raise ValueError("profile must have shape (P+1,) or (k, P+1), with P >= 2 and k >= 1")
+        if not np.all(np.abs(f[..., 0] - f[..., -1]) <= 1e-12):
             raise ValueError("profile must be periodic: first and last grid values equal")
         t = np.asarray(self.jump_times, dtype=float)
         dy = np.asarray(self.jump_increments, dtype=float)
@@ -274,23 +277,24 @@ def circle_convolution(path: CirclePath, grid_M: int) -> np.ndarray:
     """z -> sum_k profile(z - tau_k) dY_k on the uniform circle grid.
 
     The profile is interpolated periodically and linearly; output has
-    grid_M + 1 points with matching endpoints.  On the grid of L =
+    grid_M + 1 points with matching endpoints, shape (grid_M + 1,) for one
+    profile and (k, grid_M + 1) for a batch of k.  On the grid of L =
     lcm(P, grid_M) cells (P profile cells) the interpolant's knots and the
     output points are grid points, so depositing each increment onto its
     two neighbouring grid points with linear weights and convolving
-    circularly (one FFT) gives the same function exactly.  Raises
-    ValueError if grid_M < 1 or L exceeds MAX_CIRCLE_CELLS.
+    circularly (one FFT) gives the same function exactly.  The deposit and
+    its FFT serve every row of a batch, and each row's result equals its
+    own call's bitwise.  Raises ValueError if grid_M < 1 or L exceeds
+    MAX_CIRCLE_CELLS.
     """
     if grid_M < 1:
         raise ValueError("grid_M must be positive")
     f = path.profile
-    P = f.size - 1
+    P = f.shape[-1] - 1
     L = math.lcm(P, grid_M)
     if L > MAX_CIRCLE_CELLS:
         raise ValueError(f"circle grid of lcm({P}, {grid_M}) = {L} cells exceeds "
                          f"MAX_CIRCLE_CELLS = {MAX_CIRCLE_CELLS}")
-    r = L // P
-    g = np.interp(np.arange(L) / r, np.arange(P + 1), f)
     u = path.jump_times * (L / (2.0 * np.pi))
     cell = np.floor(u)
     w = u - cell
@@ -298,5 +302,18 @@ def circle_convolution(path: CirclePath, grid_M: int) -> np.ndarray:
     dy = path.jump_increments
     d = (np.bincount(i0, (1.0 - w) * dy, minlength=L)
          + np.bincount((i0 + 1) % L, w * dy, minlength=L))
-    conv = np.fft.irfft(np.fft.rfft(g) * np.fft.rfft(d), n=L)[::L // grid_M]
-    return np.append(conv, conv[0])
+    d_hat = np.fft.rfft(d)
+    r = L // P
+    x, knots = np.arange(L) / r, np.arange(P + 1)
+    rows = f.reshape(-1, P + 1)
+    # rows in blocks of at most MAX_CIRCLE_CELLS grid values, so a batch
+    # holds no larger transform than one profile on the finest grid allowed
+    block = max(1, MAX_CIRCLE_CELLS // L)
+    out = np.empty((rows.shape[0], grid_M + 1))
+    for lo in range(0, rows.shape[0], block):
+        part = rows[lo:lo + block]
+        # np.interp at its own knots (r == 1) returns the knot values
+        g = part[:, :-1] if r == 1 else np.stack([np.interp(x, knots, row) for row in part])
+        out[lo:lo + block, :-1] = np.fft.irfft(np.fft.rfft(g) * d_hat, n=L)[:, ::L // grid_M]
+    out[:, -1] = out[:, 0]
+    return out.reshape(f.shape[:-1] + (grid_M + 1,))

@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +13,8 @@ from levyfield import cli, spectral
 from levyfield._rng import stream
 from levyfield.cli import EXPERIMENTS, _charfn_projections, main
 from levyfield.noise import CylindricalWienerSpec, LevyNoiseSpec
+from levyfield.regularity import (CirclePath, circle_convolution, fourier_profile,
+                                   scalar_levy_jumps)
 from levyfield.subordinator import SubordinatorSpec
 
 
@@ -342,6 +346,68 @@ def test_circle_grid_limit_exit_2(tmp_path, capsys):
                                   "thetas": [1.0], "grids": [4097]})
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "MAX_CIRCLE_CELLS" in capsys.readouterr().err
+
+
+def refuse_draws(*args, **kwargs):
+    raise AssertionError("a config error must be found before anything is drawn")
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"grids": [100.5]}, "grids must hold integers, not 100.5"),
+    ({"grids": [-4]}, "grids must hold positive integers, not -4"),
+    ({"grids": [0]}, "grids must hold positive integers, not 0"),
+    ({"grids": 128}, "grids must be a list of integers, not 128"),
+    ({"grids": [True]}, "grids must hold integers, not True"),
+    ({"thetas": [True]}, "thetas must hold numbers, not True"),
+    ({"thetas": ["1"]}, "thetas must hold numbers, not '1'"),
+    ({"thetas": 0.5}, "thetas must be a list of numbers, not 0.5"),
+    ({"grids": [128, 4097]}, "grids entry 4097: lcm(4096, 4097) = 16781312 cells exceeds "
+                             "MAX_CIRCLE_CELLS"),
+], ids=["float-grid", "negative-grid", "zero-grid", "grids-not-a-list", "bool-grid",
+        "bool-theta", "string-theta", "thetas-not-a-list", "common-grid-too-fine"])
+def test_invalid_circle_grids_and_thetas_exit_2(tmp_path, monkeypatch, capsys, payload, message):
+    # refused before the path or a profile is drawn, naming the key
+    monkeypatch.setattr(cli, "scalar_levy_jumps", refuse_draws)
+    monkeypatch.setattr(cli, "fourier_profile", refuse_draws)
+    cfg = write_config(tmp_path, {"experiment": "circle", "master_seed": 1, **payload})
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_circle_csv_is_bitwise_one_call_per_profile_and_grid(tmp_path):
+    grids, seed = [100, 128, 3, 5000, 128], 4
+    thetas = EXPERIMENTS["circle"][1]["thetas"]
+    assert cli.run({"experiment": "circle", "master_seed": seed, "grids": grids},
+                   str(tmp_path)) == 0
+    with open(tmp_path / "circle.csv") as fh:
+        rows = list(csv.reader(fh))[1:]
+    times, incs = scalar_levy_jumps(SubordinatorSpec.stable(0.75), seed=seed)
+    expected = []
+    for th in thetas:
+        cp = CirclePath(fourier_profile(th, 512, 4096, seed=seed + 1), times, incs)
+        expected += [[th, M, float(np.abs(circle_convolution(cp, M)).max())] for M in grids]
+    assert [[float(th), int(M), float(sup)] for th, M, sup in rows] == expected
+
+
+@pytest.mark.parametrize("grids", [None, [100, 128, 3, 5000, 128]])
+def test_circle_makes_one_convolution_per_common_grid(tmp_path, monkeypatch, grids):
+    # every profile and every grid M with one L = lcm(4096, M) share one call
+    calls = []
+
+    def counting(path, grid_M):
+        calls.append(grid_M)
+        return circle_convolution(path, grid_M)
+
+    monkeypatch.setattr(cli, "circle_convolution", counting)
+    cfg = {"experiment": "circle", "master_seed": 2}
+    if grids is not None:
+        cfg["grids"] = grids
+    assert cli.run(cfg, str(tmp_path)) == 0
+    common = {math.lcm(4096, M) for M in grids or EXPERIMENTS["circle"][1]["grids"]}
+    assert sorted(calls) == sorted(common)
+    assert len(calls) == (1 if grids is None else 4)
 
 
 @pytest.mark.parametrize("truncations", [[64], [64, 64]])

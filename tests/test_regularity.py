@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from levyfield import regularity
 from levyfield._rng import stream
 from levyfield.noise import CylindricalWienerSpec, LevyNoiseSpec, _u_norm, increment_coefficients
 from levyfield.regularity import (
@@ -452,6 +453,55 @@ def test_circle_convolution_refuses_too_fine_a_common_grid():
     with pytest.raises(ValueError, match="positive"):
         circle_convolution(cp, 0)
     assert circle_convolution(cp, 4096 * 4) == pytest.approx(1.0)
+
+
+def profile_batch(profile_size, seed=12):
+    # one row per smoothness, the profile family of the circle experiment
+    return np.stack([fourier_profile(th, 96, profile_size - 1, seed=seed)
+                     for th in (0.0, 0.5, 2.0)])
+
+
+@pytest.mark.parametrize("profile_size", [257, 4097])
+@pytest.mark.parametrize("grid_M", [32, 100, 8192])
+def test_circle_batch_matches_one_call_per_row(profile_size, grid_M):
+    times, incs = scalar_levy_jumps(SubordinatorSpec.stable(0.75), seed=11)
+    batch = profile_batch(profile_size)
+    out = circle_convolution(CirclePath(batch, times, incs), grid_M)
+    assert out.shape == (batch.shape[0], grid_M + 1)
+    for row, profile in zip(out, batch):
+        assert np.array_equal(row, circle_convolution(CirclePath(profile, times, incs), grid_M))
+
+
+def test_circle_batch_in_row_blocks_is_unchanged(monkeypatch):
+    # a common grid of MAX_CIRCLE_CELLS cells takes one row per block
+    times, incs = scalar_levy_jumps(SubordinatorSpec.stable(0.75), seed=11)
+    cp = CirclePath(profile_batch(257), times, incs)
+    whole = circle_convolution(cp, 8192)
+    monkeypatch.setattr(regularity, "MAX_CIRCLE_CELLS", 8192)
+    assert np.array_equal(circle_convolution(cp, 8192), whole)
+
+
+@pytest.mark.parametrize("profile_size", [257, 4097])
+@pytest.mark.parametrize("grid_M", [3, 100, 128])
+def test_circle_common_grid_read_off_is_the_grid_call(profile_size, grid_M):
+    # on L = lcm(P, M) cells, the grid-M call reads every (L/M)-th point
+    times, incs = scalar_levy_jumps(SubordinatorSpec.stable(0.75), seed=11)
+    L = math.lcm(profile_size - 1, grid_M)
+    batch = profile_batch(profile_size)
+    for profile in (batch, batch[1]):
+        cp = CirclePath(profile, times, incs)
+        assert np.array_equal(circle_convolution(cp, L)[..., ::L // grid_M],
+                              circle_convolution(cp, grid_M))
+
+
+def test_circle_batch_refuses_a_row_that_is_not_periodic():
+    batch = profile_batch(257)
+    batch[1, -1] += 1e-9
+    with pytest.raises(ValueError, match="periodic"):
+        CirclePath(batch, np.array([1.0]), np.array([1.0]))
+    for shape in ((0, 257), (2, 2), (1, 2, 257)):
+        with pytest.raises(ValueError, match="shape"):
+            CirclePath(np.zeros(shape), np.array([1.0]), np.array([1.0]))
 
 
 @pytest.mark.parametrize("n_harmonics,grid_M", [(512, 4096), (256, 4096), (300, 257)])
