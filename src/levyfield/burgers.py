@@ -29,7 +29,7 @@ import numpy as np
 from ._rng import stream
 from .noise import LevyNoiseSpec
 from .sine import BLOCK_ROWS, by_blocks, l4_norm4, sfft
-from .subordinator import PathBatch, simulate_paths
+from .subordinator import PathBatch, jump_law, simulate_paths
 
 __all__ = [
     "BurgersTrajectory",
@@ -363,7 +363,7 @@ def _joint_ou_noise_paths(lam: np.ndarray, inv_w: np.ndarray,
     n = lam.size
     z_hist = np.empty((times.size, n))
     rng = stream(seed, 1)
-    slope = zpath.total_slope
+    slope = zpath.drift_slope
     inv_w2 = inv_w ** 2
     edges = np.concatenate(([0.0], times))
     dtc = np.diff(edges)
@@ -417,7 +417,6 @@ def solve_stochastic_burgers(
     dt: float,
     n_modes: int,
     seed: int = 0,
-    cutoff_eps: float = 1e-3,
 ) -> dict:
     """Pathwise solution of du + [Au + B(u)]dt = f dt + dY via the OU shift.
 
@@ -427,7 +426,8 @@ def solve_stochastic_burgers(
     grid ``times``, the sine coefficients ``u_coeffs`` of u and
     ``z_coeffs`` of z at every grid time, the noise ``y_final`` = Y(T) and
     the solution ``certificate`` sup_t |u|^2, int |u|_L4^4 dt.  The path
-    of Z comes from ``stream(seed)``, the Gaussian draws of (z, Y) from
+    of Z, of the law ``jump_law`` of the noise's subordinator, comes from
+    ``stream(seed)``, the Gaussian draws of (z, Y) from
     ``stream(seed, 1)``.  The forcing ``f`` is None or one time-independent
     vector of n_modes sine coefficients, the form ``weak_residual`` checks;
     anything else raises ValueError.
@@ -449,8 +449,7 @@ def solve_stochastic_burgers(
         if f.shape != (n_modes,):
             raise ValueError(f"f must be None or one vector of shape ({n_modes},), not {f.shape}")
     lam = (np.arange(1, n_modes + 1) * math.pi) ** 2
-    sub = noise.subordinator
-    zpath = simulate_paths(sub, T, 1, stream(seed), cutoff_eps=cutoff_eps, method="jumps")
+    zpath = simulate_paths(jump_law(noise.subordinator), T, 1, stream(seed))
     z_hist, y_final = _joint_ou_noise_paths(lam, 1.0 / noise.wiener.hilbert_weights,
                                             zpath, times, seed=seed)
 

@@ -22,8 +22,8 @@ import numpy as np
 from . import spectral
 from ._rng import stream
 from .spaces import SpaceSpec
-from .subordinator import (DEFAULT_CUTOFF, QuadratureError, SubordinatorSpec,
-                           sample_stable_oneside, simulate_paths)
+from .subordinator import (QuadratureError, SubordinatorSpec, jump_law, sample_stable_oneside,
+                           simulate_paths)
 from .noise import (CylindricalWienerSpec, LevyNoiseSpec, char_functional,
                     increment_coefficients)
 from .spectral import (SpectralOperator, charfn_oracle, regularity_exponent_bound,
@@ -170,16 +170,16 @@ def _run_charfn(cfg, out: Path):
 
 
 def _ou_draws(op: SpectralOperator, spec: LevyNoiseSpec, t: float, n_paths: int,
-              seed: int, case: int, cutoff_eps: float):
-    """Per-path draws of X(t), through the cutoff jump route if Z jumps: the
-    coefficients of every path in one sample_trajectory call on the grid
-    (t,), shape (paths, modes).
+              seed: int, case: int):
+    """Per-path draws of X(t) driven by Z of the law ``jump_law`` of the
+    subordinator (a stable one truncated at JUMP_CUTOFF): the coefficients
+    of every path in one sample_trajectory call on the grid (t,), shape
+    (paths, modes).
 
     The jumps come from stream(seed, 1, case), the Gaussian mode draws from
     stream(seed, 2, case).
     """
-    batch = simulate_paths(spec.subordinator, t, n_paths, stream(seed, 1, case),
-                           cutoff_eps=cutoff_eps, method="jumps")
+    batch = simulate_paths(jump_law(spec.subordinator), t, n_paths, stream(seed, 1, case))
     return sample_trajectory(op, spec, batch, (t,), stream(seed, 2, case))[:, 0]
 
 
@@ -199,11 +199,12 @@ def _run_ou(cfg, out: Path):
         phi = rng.standard_normal(N) / math.sqrt(N)
         t = float(rng.uniform(0.4, 1.2))
         ana = charfn_oracle(op, spec, phi, t)
-        vals = np.cos(_ou_draws(op, spec, t, mc, seed, i, cutoff_eps=1e-3) @ phi)
+        vals = np.cos(_ou_draws(op, spec, t, mc, seed, i) @ phi)
         rows.append([i, t, *_mc_check(vals, ana)])
     _write_csv(out / "ou_charfn.csv", ["pair", "t", "empirical", "stderr", "analytic", "pass"], rows)
-    # one exported field sample, drawn as case n_pairs at the default cutoff
-    coeffs = _ou_draws(op, spec, 1.0, 1, seed, n_pairs, cutoff_eps=DEFAULT_CUTOFF)[0]
+    # one exported field sample, drawn as case n_pairs with a finer cutoff
+    field = LevyNoiseSpec(spec.wiener, SubordinatorSpec.stable(beta).truncated(1e-4))
+    coeffs = _ou_draws(op, field, 1.0, 1, seed, n_pairs)[0]
     _write_csv(out / "field_sample.csv", ["# time_t", 1.0],
                [["mode", "multi_index", "coefficient"]]
                + [[j, "x".join(map(str, mi)), c]
@@ -224,7 +225,7 @@ def _run_regularity(cfg, out: Path):
     for case, (label, sub) in enumerate([("gaussian", SubordinatorSpec.drift_only(1.0)),
                                          ("stable_alpha1", SubordinatorSpec.stable(0.5))]):
         spec = LevyNoiseSpec(CylindricalWienerSpec(np.ones(N)), sub)
-        coeffs = _ou_draws(op, spec, 1.0, n_paths, seed, case, cutoff_eps=1e-3)
+        coeffs = _ou_draws(op, spec, 1.0, n_paths, seed, case)
         ests = [estimate_holder(c, op, M)["delta_hat"] for c in coeffs]
         rows += [[label, m, d] for m, d in enumerate(ests)]
         critical = regularity_exponent_bound(op, spec, ("holder", 0.0))["critical_exponent"]
@@ -239,7 +240,9 @@ def _run_regularity(cfg, out: Path):
              n_modes=4096, truncations=[2 ** k for k in range(6, 13)], threshold=0.05)
 def _run_blowup(cfg, out: Path):
     Nmax = _at_least_one(cfg, "n_modes")
-    truncs = cfg["truncations"]
+    truncs = _numbers(cfg, "truncations", int, "integers")
+    if min(truncs) < 1:
+        raise ValueError(f"truncations must hold positive integers, not {min(truncs)}")
     seed = int(cfg["master_seed"])
     threshold = float(cfg["threshold"])
     op = SpectralOperator.dirichlet(1, 1.0, Nmax)

@@ -20,7 +20,7 @@ from ._rng import stream
 from .spaces import SpaceSpec
 from .noise import LevyNoiseSpec, _u_norm, increment_coefficients
 from .spectral import SpectralOperator, cell_moments, synthesize
-from .subordinator import SubordinatorSpec, simulate_paths
+from .subordinator import SubordinatorSpec, jump_law, simulate_paths
 
 __all__ = [
     "CirclePath",
@@ -143,13 +143,13 @@ def time_integrability(norms, T: float, p: float) -> dict:
 def blowup_probe(op: SpectralOperator, noise: LevyNoiseSpec, F: SpaceSpec,
                  N_sequence, seed: int = 0, threshold: float = 1.0,
                  window_h: Optional[float] = None, T: float = 1.0,
-                 u_space: Optional[SpaceSpec] = None,
-                 cutoff_eps: float = 1e-3) -> dict:
+                 u_space: Optional[SpaceSpec] = None) -> dict:
     """Growth of sup |X2(t)|_F right after the first large jump, across truncations.
 
-    One noise path is drawn at the full truncation: Z from stream(seed),
-    the marks of its jumps from stream(seed, 1); sub-truncations take mode
-    prefixes (modes are sorted by eigenvalue, so prefixes are nested).
+    One noise path is drawn at the full truncation: Z, of the law
+    ``jump_law`` of the subordinator, from stream(seed), the marks of its
+    jumps from stream(seed, 1); sub-truncations take mode prefixes (modes
+    are sorted by eigenvalue, so prefixes are nested).
     X2 is the convolution of the large jumps only, those whose mark has
     U-norm at least ``threshold``, evaluated at geometric time offsets in
     (tau_1, tau_1 + h].  A positive log-log slope of the sup in N while the
@@ -167,8 +167,7 @@ def blowup_probe(op: SpectralOperator, noise: LevyNoiseSpec, F: SpaceSpec,
         raise ValueError("threshold must be positive")
     if window_h is not None and not window_h > 0:
         raise ValueError(f"window_h must be positive, not {window_h}")
-    zp = simulate_paths(noise.subordinator, T, 1, stream(seed), cutoff_eps=cutoff_eps,
-                        method="jumps")
+    zp = simulate_paths(jump_law(noise.subordinator), T, 1, stream(seed))
     marks = increment_coefficients(noise, zp.sizes, stream(seed, 1))
     large = _u_norm(marks, u_space) >= threshold
     times, marks = zp.times[large], marks[large]
@@ -225,22 +224,22 @@ class CirclePath:
         object.__setattr__(self, "jump_increments", dy)
 
 
-def scalar_levy_jumps(sub: SubordinatorSpec, seed: int = 0,
-                      cutoff_eps: float = 1e-3) -> tuple[np.ndarray, np.ndarray]:
+def scalar_levy_jumps(sub: SubordinatorSpec, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Scalar subordinated Levy path on [0, 2*pi] as (times, increments).
 
-    Jumps of Z get Gaussian marks sqrt(dZ) g; a positive slope of Z
-    contributes Brownian increments on a uniform grid of SLOPE_GRID cells
-    (times at the cell right endpoints), merged into the same list.
+    Z is drawn from ``jump_law(sub)``, from stream(seed).  Jumps of Z get
+    Gaussian marks sqrt(dZ) g; a positive slope of Z contributes Brownian
+    increments on a uniform grid of SLOPE_GRID cells (times at the cell
+    right endpoints), merged into the same list.
     """
     T = 2.0 * np.pi
-    zp = simulate_paths(sub, T, 1, stream(seed), cutoff_eps=cutoff_eps, method="jumps")
+    zp = simulate_paths(jump_law(sub), T, 1, stream(seed))
     rng = stream(seed, 1)
     incs = np.sqrt(zp.sizes) * rng.standard_normal(zp.sizes.size)
     times = zp.times.copy()
-    if zp.total_slope > 0:
+    if zp.drift_slope > 0:
         gt = np.linspace(T / SLOPE_GRID, T, SLOPE_GRID)
-        gi = math.sqrt(zp.total_slope * T / SLOPE_GRID) * rng.standard_normal(SLOPE_GRID)
+        gi = math.sqrt(zp.drift_slope * T / SLOPE_GRID) * rng.standard_normal(SLOPE_GRID)
         times = np.concatenate([times, gt])
         incs = np.concatenate([incs, gi])
         order = np.argsort(times, kind="stable")

@@ -255,7 +255,7 @@ def convolution_variances_batch(op: SpectralOperator, batch: PathBatch, t: float
         raise ValueError("t must lie in [0, horizon_T]")
     starts, counts = batch.cells((0.0, t))
     ends = np.full(batch.n_paths, float(t))
-    return cell_moments(op.lambdas, 2.0, batch.total_slope, np.zeros(batch.n_paths), ends,
+    return cell_moments(op.lambdas, 2.0, batch.drift_slope, np.zeros(batch.n_paths), ends,
                         batch.times, batch.sizes[:, None], starts[:, 0], counts[:, 0])
 
 
@@ -294,7 +294,7 @@ def sample_trajectory(op: SpectralOperator, noise: LevyNoiseSpec,
     prev = 0.0
     for lo in range(0, t1.size, BLOCK_ROWS):
         s = slice(lo, lo + BLOCK_ROWS)
-        var = cell_moments(lam, 2.0, batch.total_slope, np.tile(t0[s], n_paths),
+        var = cell_moments(lam, 2.0, batch.drift_slope, np.tile(t0[s], n_paths),
                            np.tile(t1[s], n_paths), batch.times, batch.sizes[:, None],
                            starts[:, s].ravel(), counts[:, s].ravel())
         eta = x[:, s]
@@ -389,7 +389,11 @@ def regularity_exponent_bound(op: SpectralOperator, noise: LevyNoiseSpec,
         stable index alpha in (0,2):  delta* = g / max(alpha, 1) - d/2
         Sub(p) noise, p in (1,2]:     delta* = g / p - d/2
         Sub(p) noise, p <= 1:         delta* = g - d/2
-        Gaussian (drift-only Z):      delta* = g / 2 - d/2
+        Gaussian (Z with a drift):    delta* = g / 2 - d/2
+
+    A drift of Z gives W(Z) a Brownian part, and every jump delta* is at
+    least the Gaussian one, so any Z with a drift b > 0 (a truncated stable
+    law among them) reads the Gaussian delta*, with no Sub(p) certificate.
 
     ``target`` is ("holder", delta) or ("sobolev", s); a Sobolev order is
     admissible when s < delta* + d/2 (l2 Sobolev-to-Hoelder embedding).
@@ -399,13 +403,13 @@ def regularity_exponent_bound(op: SpectralOperator, noise: LevyNoiseSpec,
     g = 2.0 * op.gamma
     d = op.dim_d
     sub = noise.subordinator
-    if sub.kind == "stable":
+    if sub.kind == "drift_only" or sub.drift_b > 0:
+        delta_star = g / 2.0 - d / 2.0
+        regime = "gaussian"
+    elif sub.kind == "stable":
         alpha = 2.0 * sub.beta
         delta_star = g / max(alpha, 1.0) - d / 2.0
         regime = f"stable(alpha={alpha})"
-    elif sub.kind == "drift_only":
-        delta_star = g / 2.0 - d / 2.0
-        regime = "gaussian"
     else:
         if p_certificate is None:
             raise ValueError("non-stable noise needs an explicit Sub(p) certificate p")

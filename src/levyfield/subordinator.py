@@ -6,12 +6,15 @@ int_0^1 xi rho(dxi) < inf.  Its Laplace exponent is
 
     psi(r) = b r + int_0^inf (1 - exp(-r xi)) rho(dxi),
 
-so that E exp(-r Z(t)) = exp(-t psi(r)).  Three kinds of law are
+so that E exp(-r Z(t)) = exp(-t psi(r)).  Four kinds of law are
 supported, each in closed form and each with a drift: the one-sided
-beta-stable subordinator (psi(r) = r^beta, beta in (0,1)), compound-Poisson
-subordinators (finitely many atoms) and a pure drift.  Stable paths are
-drawn exactly on a grid, or as a Poisson jump process above a cutoff with
-mean-drift compensation of the removed small jumps.
+beta-stable subordinator (psi(r) = r^beta, beta in (0,1)), the stable one
+``truncated(eps)`` (its jumps at or above eps, with the mean of the smaller
+ones added to the drift; Asmussen and Rosinski, J. Appl. Probab. 2001),
+compound-Poisson subordinators (finitely many atoms) and a pure drift.
+Stable paths are drawn exactly on a grid; the laws with finitely many
+jumps per unit time are drawn exactly as Poisson jump processes, with
+exact jump times.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ __all__ = [
     "PathBatch",
     "QuadratureError",
     "stable_intensity",
+    "jump_law",
     "laplace_exponent",
     "sub_p_membership",
     "simulate_paths",
@@ -35,7 +39,8 @@ __all__ = [
     "sample_stable_oneside",
 ]
 
-DEFAULT_CUTOFF = 1e-4
+# the cutoff at which jump_law truncates a stable spec
+JUMP_CUTOFF = 1e-3
 # simulate_paths refuses to draw more jumps than this in expectation; each
 # jump costs three 8-byte values, so the cap bounds a batch at about 240 MB
 MAX_EXPECTED_JUMPS = 10_000_000
@@ -92,38 +97,39 @@ class IntensityMeasure:
         mask = (sizes >= lo) & (sizes < hi)
         return float((sizes[mask] ** power * rates[mask]).sum())
 
-    def sample_sizes(self, eps: float, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw n jump sizes from rho restricted to [eps, inf) and normalized."""
+    def sample_sizes(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """Draw n jump sizes from rho normalized."""
         if n == 0:
             return np.empty(0)
         sizes, rates = self.atoms
-        mask = sizes >= eps
-        sizes, rates = sizes[mask], rates[mask]
-        total = rates.sum()
-        if total <= 0:
-            raise ValueError(f"no intensity mass above cutoff {eps}")
-        idx = rng.choice(sizes.size, size=n, p=rates / total)
+        idx = rng.choice(sizes.size, size=n, p=rates / rates.sum())
         return sizes[idx]
 
 
 class _StableIntensity:
     """The density c xi^(-1-beta), c = beta / Gamma(1-beta), of the one-sided
-    beta-stable subordinator, with its moments and sampler in closed form."""
+    beta-stable subordinator on [lower, inf), with its moments and sampler
+    in closed form; each reader clamps its lower limit to ``lower``, and
+    lower = 0 is the whole stable measure."""
 
-    def __init__(self, beta: float):
+    def __init__(self, beta: float, lower: float = 0.0):
         if not 0 < beta < 1:
             raise ValueError("beta must be in (0,1)")
         self.beta = beta
+        self.lower = lower
         self._c = beta / math.gamma(1.0 - beta)
 
     def density(self, x):
-        return self._c * np.asarray(x, dtype=float) ** (-1.0 - self.beta)
+        x = np.asarray(x, dtype=float)
+        return np.where(x >= self.lower, self._c * x ** (-1.0 - self.beta), 0.0)
 
     def tail_mass(self, eps: float) -> float:
+        eps = max(eps, self.lower)
         return self._c / self.beta * eps ** (-self.beta)
 
     def truncated_moment(self, power: float, lo: float, hi: float) -> float:
         """int_lo^hi xi^power rho(dxi); inf where it diverges."""
+        lo = max(lo, self.lower)
         expo = power - self.beta
         if lo <= 0.0:
             if expo <= 0:
@@ -139,9 +145,9 @@ class _StableIntensity:
             return self._c * math.log(hi / max(lo, 1e-300))
         return self._c / expo * (hi ** expo - lo_term)
 
-    def sample_sizes(self, eps: float, n: int, rng: np.random.Generator) -> np.ndarray:
-        # Pareto tail: rho([x,inf)) proportional to x^-beta above eps.
-        return eps * rng.uniform(size=n) ** (-1.0 / self.beta)
+    def sample_sizes(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        # Pareto tail: rho([x,inf)) proportional to x^-beta above lower > 0.
+        return self.lower * rng.uniform(size=n) ** (-1.0 / self.beta)
 
 
 def stable_intensity(beta: float) -> _StableIntensity:
@@ -156,14 +162,17 @@ def stable_intensity(beta: float) -> _StableIntensity:
 class SubordinatorSpec:
     """The law of a subordinator: a finite drift ``drift_b`` >= 0 and either
     ``beta`` in (0,1), psi(r) = b r + r^beta, or the compound-Poisson
-    atoms ``intensity`` (None for a pure drift).  Every reader takes the
-    jump measure from ``jump_measure``.  Raises ValueError for any other
-    drift, for beta with an intensity and for an intensity that is not an
-    ``IntensityMeasure``."""
+    atoms ``intensity`` (None for a pure drift).  A stable spec with a
+    ``cutoff`` eps keeps only the stable jumps at or above eps; ``truncated``
+    makes it.  Every reader takes the jump measure from ``jump_measure``.
+    Raises ValueError for any other drift, for beta with an intensity, for
+    an intensity that is not an ``IntensityMeasure`` and for a cutoff
+    outside (0, 1] or without beta."""
 
     drift_b: float = 0.0
     beta: Optional[float] = None
     intensity: Optional[IntensityMeasure] = None
+    cutoff: Optional[float] = None
 
     def __post_init__(self):
         if not 0 <= self.drift_b < math.inf:
@@ -175,19 +184,40 @@ class SubordinatorSpec:
                 raise ValueError("beta must be in (0,1)")
         elif self.intensity is not None and not isinstance(self.intensity, IntensityMeasure):
             raise ValueError("the intensity must be an IntensityMeasure of atoms")
+        if self.cutoff is not None and (self.beta is None or not 0 < self.cutoff <= 1):
+            raise ValueError(f"a cutoff truncates a stable spec and lies in (0,1], "
+                             f"got {self.cutoff}")
 
     @property
     def jump_measure(self) -> IntensityMeasure | _StableIntensity | None:
-        """rho: ``stable_intensity(beta)`` for a stable spec, else ``intensity``."""
-        return stable_intensity(self.beta) if self.beta is not None else self.intensity
+        """rho: the stable measure on [cutoff, inf) for a stable spec (all of
+        it without a cutoff), else ``intensity``."""
+        if self.beta is None:
+            return self.intensity
+        return _StableIntensity(self.beta, self.cutoff or 0.0)
 
     @property
     def kind(self) -> str:
         """The family read off the fields: "stable" (beta is set),
-        "drift_only" (no intensity) or "compound_poisson" (atoms)."""
+        "truncated_stable" (beta and a cutoff), "drift_only" (no intensity)
+        or "compound_poisson" (atoms)."""
         if self.beta is not None:
-            return "stable"
+            return "stable" if self.cutoff is None else "truncated_stable"
         return "drift_only" if self.intensity is None else "compound_poisson"
+
+    def truncated(self, eps: float) -> "SubordinatorSpec":
+        """The jumps of this stable law at or above eps, with the mean of the
+        smaller ones, int_0^eps xi rho(dxi), added to the drift: a law with
+        finitely many jumps per unit time, whose Laplace exponent exceeds
+        the stable one by at most r^2 c eps^(2-beta) / (2 (2-beta)).  Raises
+        ValueError for eps outside (0, 1] and for a spec that is not an
+        untruncated stable spec."""
+        if self.kind != "stable":
+            raise ValueError(f"only a stable spec can be truncated, not a {self.kind} spec")
+        if not 0 < eps <= 1:
+            raise ValueError(f"the cutoff must be in (0,1], got {eps}")
+        small_mean = stable_intensity(self.beta).truncated_moment(1.0, 0.0, eps)
+        return SubordinatorSpec(drift_b=self.drift_b + small_mean, beta=self.beta, cutoff=eps)
 
     # constructors
 
@@ -205,6 +235,12 @@ class SubordinatorSpec:
                    intensity=IntensityMeasure(atoms=(np.asarray(sizes), np.asarray(rates))))
 
 
+def jump_law(spec: SubordinatorSpec) -> SubordinatorSpec:
+    """The law drawn where exact jump times are needed: a stable spec
+    truncated at JUMP_CUTOFF, and any other spec as it is."""
+    return spec.truncated(JUMP_CUTOFF) if spec.kind == "stable" else spec
+
+
 # -- paths ---------------------------------------------------------------
 
 
@@ -214,10 +250,9 @@ class PathBatch:
 
     Path p has the jumps ``times[offsets[p]:offsets[p+1]]`` (nondecreasing,
     in [0, horizon_T]) with sizes ``sizes[offsets[p]:offsets[p+1]]``
-    (finite, nonnegative); all paths share the slope ``drift_slope +
-    compensation``, where ``compensation`` absorbs the mean of the removed
-    small jumps.  A single path is a batch of one.  Raises ValueError for
-    a layout that breaks any of these.
+    (finite, nonnegative); all paths share the slope ``drift_slope``, the
+    drift of the law drawn.  A single path is a batch of one.  Raises
+    ValueError for a layout that breaks any of these.
     """
 
     horizon_T: float
@@ -225,7 +260,6 @@ class PathBatch:
     offsets: np.ndarray
     times: np.ndarray
     sizes: np.ndarray
-    compensation: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "offsets", np.asarray(self.offsets, dtype=int))
@@ -254,10 +288,6 @@ class PathBatch:
         return self.offsets.size - 1
 
     @property
-    def total_slope(self) -> float:
-        return self.drift_slope + self.compensation
-
-    @property
     def counts(self) -> np.ndarray:
         """Number of jumps of each path."""
         return np.diff(self.offsets)
@@ -276,7 +306,7 @@ class PathBatch:
         a, b = self.offsets[lo], self.offsets[hi]
         return PathBatch(horizon_T=self.horizon_T, drift_slope=self.drift_slope,
                          offsets=self.offsets[lo:hi + 1] - a, times=self.times[a:b],
-                         sizes=self.sizes[a:b], compensation=self.compensation)
+                         sizes=self.sizes[a:b])
 
     def _bins(self, edges: np.ndarray, weights=None) -> np.ndarray:
         """Jump count (or sum of ``weights``) of every path in each of the
@@ -295,7 +325,7 @@ class PathBatch:
         edge closes, and jumps outside the edges are not counted.
         """
         edges = np.asarray(edges, dtype=float)
-        return self.total_slope * np.diff(edges) + self._bins(edges, self.sizes)[:, 1:-1]
+        return self.drift_slope * np.diff(edges) + self._bins(edges, self.sizes)[:, 1:-1]
 
     def cells(self, edges) -> tuple[np.ndarray, np.ndarray]:
         """(starts, counts), each of shape (n_paths, len(edges) - 1), for
@@ -323,6 +353,13 @@ def laplace_exponent(spec: SubordinatorSpec, r) -> np.ndarray:
     psi = spec.drift_b * r
     if spec.kind == "stable":
         psi = psi + r ** spec.beta
+    elif spec.kind == "truncated_stable":
+        # int_eps^inf (1 - exp(-r xi)) c xi^(-1-beta) dxi, by parts; loaded
+        # here, so that the other laws never load scipy.special
+        from scipy.special import gammaincc
+        beta, eps = spec.beta, spec.cutoff
+        psi = psi + (-np.expm1(-r * eps) * eps ** -beta / math.gamma(1.0 - beta)
+                     + r ** beta * gammaincc(1.0 - beta, r * eps))
     elif spec.kind == "compound_poisson":
         sizes, rates = spec.jump_measure.atoms
         psi = psi + ((1.0 - np.exp(-np.multiply.outer(r, sizes))) * rates).sum(axis=-1)
@@ -401,26 +438,21 @@ def simulate_paths(
     T: float,
     n_paths: int,
     rng: np.random.Generator,
-    cutoff_eps: float = DEFAULT_CUTOFF,
-    method: Optional[str] = None,
     grid_n: int = 256,
 ) -> PathBatch:
     """Simulate ``n_paths`` independent paths of Z on [0, T] in one draw from rng.
 
-    Stable kind defaults to exact grid sampling (increments drawn from the
-    one-sided stable law on a uniform grid of ``grid_n`` cells; the cutoff is
-    ignored).  Passing method="jumps" forces the marked-Poisson route with
-    small jumps below ``cutoff_eps`` folded into the slope, which keeps the
-    exact jump times needed by convolution formulas at the cost of an
-    O(eps^(2-beta)) bias in the law.  The jump route draws every path's jump
-    count, then every jump time, then every jump size; raises ValueError
-    when the batch would hold more than MAX_EXPECTED_JUMPS jumps in
-    expectation.
+    The route is read off the spec, and each is exact in law.  A stable
+    spec is drawn on a uniform grid of ``grid_n`` cells, each increment
+    from the one-sided stable law.  A law with finitely many jumps per unit
+    time (atoms, or a stable spec ``truncated`` at a cutoff) is drawn as a
+    marked Poisson process with exact jump times, as the convolution
+    formulas need: every path's jump count, then every jump time, then
+    every jump size.  Raises ValueError when the batch would hold more than
+    MAX_EXPECTED_JUMPS jumps in expectation.
     """
     if not 0 < T < np.inf:
         raise ValueError(f"T must be finite and positive, got {T}")
-    if not 0 < cutoff_eps <= 1:
-        raise ValueError("cutoff_eps must be in (0,1]")
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
     if grid_n < 1:
@@ -431,7 +463,7 @@ def simulate_paths(
                          offsets=np.zeros(n_paths + 1, dtype=int),
                          times=np.empty(0), sizes=np.empty(0))
 
-    if spec.kind == "stable" and method != "jumps":
+    if spec.kind == "stable":
         _check_expected_jumps(n_paths * grid_n)
         dt = T / grid_n
         incr = dt ** (1.0 / spec.beta) * sample_stable_oneside(spec.beta, (n_paths, grid_n), rng)
@@ -441,22 +473,15 @@ def simulate_paths(
                          offsets=grid_n * np.arange(n_paths + 1), times=times,
                          sizes=incr.ravel())
 
-    # Marked Poisson process of jumps >= eps, mean-compensated below.
+    # marked Poisson process of all the jumps of a finite jump measure
     rho = spec.jump_measure
-    if spec.kind == "compound_poisson":
-        eps = 0.0
-        rate = rho.tail_mass(0.0)
-        compensation = 0.0
-    else:
-        eps = cutoff_eps
-        rate = rho.tail_mass(eps)
-        compensation = rho.truncated_moment(1.0, 0.0, eps)
+    rate = rho.tail_mass(0.0)
     _check_expected_jumps(n_paths * rate * T)
     counts = rng.poisson(rate * T, size=n_paths)
     offsets = np.concatenate([[0], np.cumsum(counts)])
     n = int(offsets[-1])
     times = rng.uniform(0.0, T, size=n)
     _sort_within_paths(times, offsets)
-    sizes = rho.sample_sizes(eps, n, rng)
+    sizes = rho.sample_sizes(n, rng)
     return PathBatch(horizon_T=T, drift_slope=spec.drift_b, offsets=offsets,
-                     times=times, sizes=sizes, compensation=compensation)
+                     times=times, sizes=sizes)

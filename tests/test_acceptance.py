@@ -80,8 +80,7 @@ def test_03_ou_characteristic_functional():
         phi = rng.standard_normal(N) / math.sqrt(N)
         t = float(rng.uniform(0.4, 1.2))
         ana = charfn_oracle(op, spec, phi, t)
-        batch = simulate_paths(spec.subordinator, t, mc, stream(303, 1, i), cutoff_eps=1e-3,
-                               method="jumps")
+        batch = simulate_paths(spec.subordinator.truncated(1e-3), t, mc, stream(303, 1, i))
         vals = np.cos(sample_trajectory(op, spec, batch, (t,), stream(303, 2, i))[:, 0] @ phi)
         se = vals.std() / math.sqrt(mc)
         checks[f"pair{i}"] = abs(vals.mean() - ana) <= 4.0 * se
@@ -176,14 +175,13 @@ def test_07_holder_regularity_estimator():
     op = SpectralOperator.dirichlet(1, 1.0, N)
     checks = {}
     means = {}
-    cases = [("gaussian", SubordinatorSpec.drift_only(1.0), None, 1e-3),
-             ("stable", SubordinatorSpec.stable(0.5), "jumps", 1e-6)]
-    for label, sub, method, eps in cases:
+    cases = [("gaussian", SubordinatorSpec.drift_only(1.0)),
+             ("stable", SubordinatorSpec.stable(0.5).truncated(1e-6))]
+    for label, sub in cases:
         spec = make_noise(sub, N)
         ests = []
         for m in range(n_paths):
-            batch = simulate_paths(sub, 1.0, 1, stream(700 + 17 * m), cutoff_eps=eps,
-                                   method=method)
+            batch = simulate_paths(sub, 1.0, 1, stream(700 + 17 * m))
             coeffs = sample_trajectory(op, spec, batch, (1.0,), stream(701 + 17 * m))[0, 0]
             ests.append(estimate_holder(coeffs, op, M)["delta_hat"])
         means[label] = float(np.mean(ests))
@@ -224,8 +222,7 @@ def test_09_time_integrability_and_scaling():
     N = 64
     op = SpectralOperator.dirichlet(1, 1.0, N)
     spec = make_noise(SubordinatorSpec.stable(0.75), N)
-    batch = simulate_paths(spec.subordinator, 1.0, 8, stream(900, 1), cutoff_eps=1e-3,
-                           method="jumps")
+    batch = simulate_paths(spec.subordinator.truncated(1e-3), 1.0, 8, stream(900, 1))
     coeffs = sample_trajectory(op, spec, batch, np.linspace(1.0 / 16384, 1.0, 16384),
                                stream(900, 2))
     rep = time_integrability(l4_norm4(coeffs) ** 0.25, 1.0, 4.0)
@@ -239,19 +236,18 @@ def test_09_time_integrability_and_scaling():
     # plus sum_jumps xi * H(T - tau) with H(u) = sum_j (1-e^(-2 lam_j u))/(2 lam_j).
     N = 256
     lam = np.arange(1.0, N + 1) ** 2
-    sub = SubordinatorSpec.stable(0.75)
+    sub = SubordinatorSpec.stable(0.75).truncated(1e-3)
     Ts = [1 / 64, 1 / 32, 1 / 16, 1 / 8]
     means = []
     for k, T in enumerate(Ts):
         slope_w = float((T / (2 * lam)
                          - (1 - np.exp(-2 * lam * T)) / (4 * lam ** 2)).sum())
         n_paths = 4000
-        batch = simulate_paths(sub, T, n_paths, stream(910, k), cutoff_eps=1e-3,
-                               method="jumps")
+        batch = simulate_paths(sub, T, n_paths, stream(910, k))
         keep = batch.sizes < 1.0                # small-jump part of the clock
         tau, xi = batch.times[keep], batch.sizes[keep]
         H = ((1 - np.exp(-2 * np.multiply.outer(T - tau, lam))) / (2 * lam)).sum(axis=1)
-        means.append(batch.total_slope * slope_w + float((xi * H).sum()) / n_paths)
+        means.append(batch.drift_slope * slope_w + float((xi * H).sum()) / n_paths)
     slope = float(np.polyfit(np.log(Ts), np.log(means), 1)[0])
     checks["t_scaling"] = abs(slope - 1.5) <= 0.15
     _report(9, "time integrability and horizon scaling", checks)

@@ -394,7 +394,7 @@ def cell_by_cell_ou_noise_paths(lam, inv_w, zpath, times, seed):
     for i, t in enumerate(times):
         dtc = t - t_prev
         if dtc > 0:
-            slope = zpath.total_slope
+            slope = zpath.drift_slope
             dz_cell = zpath.increments([t_prev, t])[0, 0]
             v_dy = dz_cell * np.ones(n)
             v_eta = slope * (1.0 - np.exp(-2.0 * lam * dtc)) / (2.0 * lam)
@@ -424,8 +424,7 @@ def cell_by_cell_ou_noise_paths(lam, inv_w, zpath, times, seed):
 def burgers_cli_path(seed):
     """The path of Z and the noise of the `burgers` experiment at its defaults."""
     noise = burgers_noise(255)
-    zpath = simulate_paths(noise.subordinator, 0.2, 1, stream(seed), cutoff_eps=1e-3,
-                           method="jumps")
+    zpath = simulate_paths(noise.subordinator.truncated(1e-3), 0.2, 1, stream(seed))
     return noise, zpath
 
 

@@ -419,6 +419,26 @@ def test_blowup_needs_two_distinct_truncations_exit_2(tmp_path, capsys, truncati
     assert "two distinct truncations" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("truncations, message", [
+    ([64.5, 128], "truncations must hold integers, not 64.5"),
+    ([True, 128], "truncations must hold integers, not True"),
+    ([0, 128], "truncations must hold positive integers, not 0"),
+    ([-64, 128], "truncations must hold positive integers, not -64"),
+    (128, "truncations must be a list of integers, not 128"),
+], ids=["float", "bool", "zero", "negative", "not-a-list"])
+def test_blowup_truncations_that_are_not_positive_integers_exit_2(tmp_path, monkeypatch, capsys,
+                                                                  truncations, message):
+    # a cast would run 64.5 as 64 and true as 1, with a report that does not
+    # match the config; each is refused before the path is drawn
+    monkeypatch.setattr(cli, "blowup_probe", refuse_draws)
+    cfg = write_config(tmp_path, {"experiment": "blowup", "master_seed": 1,
+                                  "truncations": truncations})
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 @pytest.mark.parametrize("payload, key", [
     ({"experiment": "burgers", "residual_tol": float("nan")}, "residual_tol"),
     ({"experiment": "burgers", "theta": float("inf")}, "theta"),

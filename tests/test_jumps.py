@@ -63,8 +63,7 @@ def test_large_jump_count_is_poisson():
         spec, lambda x: (x >= 1.0).astype(float), quad_tol=1e-4)
     counts = []
     for m in range(400):
-        zp = simulate_paths(spec.subordinator, 1.0, 1, stream(m), cutoff_eps=1e-3,
-                            method="jumps")
+        zp = simulate_paths(spec.subordinator.truncated(1e-3), 1.0, 1, stream(m))
         counts.append(int((marked(spec, zp, stream(m + 10_000))[2] >= 1.0).sum()))
     counts = np.asarray(counts)
     kmax = int(counts.max())

@@ -111,12 +111,11 @@ def test_increment_mc_matches_charfn():
 
 def test_jump_times_of_y_match_z():
     spec = make_spec(SubordinatorSpec.stable(0.5))
-    zp = simulate_paths(spec.subordinator, 1.0, 1, stream(5), cutoff_eps=1e-2,
-                        method="jumps")
+    zp = simulate_paths(spec.subordinator.truncated(1e-2), 1.0, 1, stream(5))
     # increments over cells that contain no Z-jump have zero conditional
-    # variance beyond the compensation slope contribution
+    # variance beyond the drift's contribution
     grid = np.linspace(0.0, 1.0, 21)
-    jump_part = zp.increments(grid)[0] - zp.total_slope * np.diff(grid)
+    jump_part = zp.increments(grid)[0] - zp.drift_slope * np.diff(grid)
     for lo, hi, part in zip(grid[:-1], grid[1:], jump_part):
         in_cell = np.any((zp.times > lo) & (zp.times <= hi))
         assert (part > 1e-12) == bool(in_cell)
@@ -135,8 +134,7 @@ def test_intensity_functional_large_jump_rate_vs_empirical():
     spec = make_spec(SubordinatorSpec.stable(0.5), n_modes=4)
     rate = intensity_measure_functional(
         spec, lambda x: (x >= 1.0).astype(float), quad_tol=1e-4)
-    batch = simulate_paths(spec.subordinator, 1.0, 600, stream(0, 1), cutoff_eps=1e-3,
-                           method="jumps")
+    batch = simulate_paths(spec.subordinator.truncated(1e-3), 1.0, 600, stream(0, 1))
     marks = np.sqrt(batch.sizes)[:, None] * stream(0, 2).standard_normal((batch.sizes.size, 4))
     large = np.sqrt((marks ** 2).sum(axis=1)) >= 1.0
     counts = np.bincount(batch.rows[large], minlength=batch.n_paths)

@@ -18,12 +18,9 @@ CALLERS = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 # (function, parameter) of the defaults no call sets, each with its reason
 ALLOWED = {
     ("blowup_probe", "T"): "the horizon of the probed noise path",
-    ("blowup_probe", "cutoff_eps"): "the jump cutoff of the probed noise path",
     ("finite_variation_test", "T"): "the horizon of the sampled paths",
     ("finite_variation_test", "u_space"): "the norm |.|_U whose total variation is measured",
     ("intensity_measure_functional", "u_space"): "the norm |.|_U of the jump marks",
-    ("scalar_levy_jumps", "cutoff_eps"): "the jump cutoff of the driving path",
-    ("solve_stochastic_burgers", "cutoff_eps"): "the jump cutoff of the driving noise",
 }
 
 

@@ -19,7 +19,7 @@ from levyfield.regularity import (
 )
 from levyfield.spaces import SpaceSpec
 from levyfield.spectral import SpectralOperator, convolution_variances_batch, sample_trajectory
-from levyfield.subordinator import SubordinatorSpec, simulate_paths
+from levyfield.subordinator import JUMP_CUTOFF, SubordinatorSpec, jump_law, simulate_paths
 
 
 def make_noise(sub, n):
@@ -88,8 +88,7 @@ def test_trajectory_matches_marginal_variances():
     N = 4
     op = SpectralOperator.dirichlet(1, 1.0, N)
     noise = make_noise(SubordinatorSpec.stable(0.5), N)
-    batch = simulate_paths(noise.subordinator, 1.0, 1, stream(3), cutoff_eps=1e-3,
-                           method="jumps")
+    batch = simulate_paths(noise.subordinator.truncated(1e-3), 1.0, 1, stream(3))
     times = np.array([0.3, 0.6, 1.0])
     mc = 4000
     acc = np.zeros((times.size, N))
@@ -112,7 +111,7 @@ def _per_cell_trajectory(op, noise, zpath, times, rng):
     for i, t in enumerate(times):
         dt = t - t_prev
         if dt > 0:
-            var = zpath.total_slope * (1.0 - np.exp(-2.0 * lam * dt)) / (2.0 * lam)
+            var = zpath.drift_slope * (1.0 - np.exp(-2.0 * lam * dt)) / (2.0 * lam)
             k0 = np.searchsorted(zpath.times, t_prev, side="right")
             k1 = np.searchsorted(zpath.times, t, side="right")
             if k1 > k0:
@@ -134,8 +133,7 @@ def test_trajectory_is_bitwise_the_per_cell_loop(sub, n_times, from_zero):
     noise = LevyNoiseSpec(CylindricalWienerSpec(np.linspace(1.0, 3.0, 24)), sub)
     times = np.linspace(0.0 if from_zero else 1.0 / n_times, 1.0, n_times)
     for n_paths in (1, 3):
-        zp = simulate_paths(sub, 1.0, n_paths, stream(2), cutoff_eps=1e-3,
-                            method=None if sub.kind == "drift_only" else "jumps")
+        zp = simulate_paths(jump_law(sub), 1.0, n_paths, stream(2))
         got = sample_trajectory(op, noise, zp, times, stream(9))
         assert got.shape == (n_paths, n_times, 24)
         rng = stream(9)
@@ -153,8 +151,7 @@ def test_one_time_draws_are_bitwise_the_per_cell_loop():
                               SubordinatorSpec.stable(0.5))
         for seed in range(15):
             for eps in (1e-1, 1e-4):
-                batch = simulate_paths(noise.subordinator, 1.0, 1, stream(seed),
-                                       cutoff_eps=eps, method="jumps")
+                batch = simulate_paths(noise.subordinator.truncated(eps), 1.0, 1, stream(seed))
                 jumps.add(batch.times.size)
                 for t in (0.0, 0.45, 1.0):
                     got = sample_trajectory(op, noise, batch, (t,), stream(seed + 100))
@@ -196,8 +193,7 @@ def test_time_integrability_stabilizes_for_ou():
     N = 64
     op = SpectralOperator.dirichlet(1, 1.0, N)
     noise = make_noise(SubordinatorSpec.stable(0.75), N)
-    batch = simulate_paths(noise.subordinator, 1.0, 4, stream(0, 1), cutoff_eps=1e-3,
-                           method="jumps")
+    batch = simulate_paths(noise.subordinator.truncated(1e-3), 1.0, 4, stream(0, 1))
     coeffs = sample_trajectory(op, noise, batch, np.arange(1, 513) / 512, stream(0, 2))
     rep = time_integrability(SpaceSpec(2.0, np.ones(N)).norm(coeffs), 1.0, p=2.0)
     assert rep["stabilization"] < 0.05
@@ -254,7 +250,7 @@ def test_blowup_inconclusive_when_no_mark_reaches_the_threshold():
     Nmax = 64
     op = SpectralOperator.dirichlet(1, 1.0, Nmax)
     noise = make_noise(SubordinatorSpec.stable(0.5), Nmax)
-    zp = simulate_paths(noise.subordinator, 1.0, 1, stream(0), cutoff_eps=1e-3, method="jumps")
+    zp = simulate_paths(noise.subordinator.truncated(1e-3), 1.0, 1, stream(0))
     marks = increment_coefficients(noise, zp.sizes, stream(0, 1))
     assert zp.times.size > 0
     F = SpaceSpec(2.0, np.ones(Nmax))
@@ -277,8 +273,7 @@ def test_blowup_refuses_a_threshold_or_window_that_is_not_positive(threshold, wi
 def _per_truncation_probe(op, noise, F, N_sequence, seed, threshold, u_space):
     """The sups and mark norms of blowup_probe before it summed at the full
     truncation once, with the weighted norms written out."""
-    zp = simulate_paths(noise.subordinator, 1.0, 1, stream(seed), cutoff_eps=1e-3,
-                        method="jumps")
+    zp = simulate_paths(noise.subordinator.truncated(1e-3), 1.0, 1, stream(seed))
     marks = increment_coefficients(noise, zp.sizes, stream(seed, 1))
     big = _u_norm(marks, u_space) >= threshold
     times, marks = zp.times[big], marks[big]
@@ -352,6 +347,26 @@ def test_circle_constant_profile_gives_total_mass():
     cp = CirclePath(profile=prof, jump_times=times, jump_increments=incs)
     out = circle_convolution(cp, 128)
     assert np.allclose(out, incs.sum(), atol=1e-10)
+
+
+@pytest.mark.parametrize("beta", [0.5, 0.75])
+def test_jump_time_draws_of_a_stable_spec_are_those_of_it_truncated_at_jump_cutoff(beta):
+    # the circle experiment, and the benchmark's reference for it, call
+    # scalar_levy_jumps with the untruncated stable spec
+    stable = SubordinatorSpec.stable(beta)
+    truncated = stable.truncated(JUMP_CUTOFF)
+    assert jump_law(stable) == truncated and jump_law(truncated) == truncated
+    a, b = (simulate_paths(jump_law(sub), 1.0, 3, stream(6)) for sub in (stable, truncated))
+    assert a.drift_slope == b.drift_slope
+    for field in ("offsets", "times", "sizes"):
+        assert np.array_equal(getattr(a, field), getattr(b, field))
+    for x, y in zip(scalar_levy_jumps(stable, seed=6), scalar_levy_jumps(truncated, seed=6)):
+        assert np.array_equal(x, y)
+    op = SpectralOperator.dirichlet(1, 1.0, 256)
+    F = SpaceSpec(2.0, np.arange(1.0, 257))
+    probe, probe_truncated = (blowup_probe(op, make_noise(sub, 256), F, [64, 128, 256], seed=6,
+                                           threshold=0.05) for sub in (stable, truncated))
+    assert probe["conclusive"] and probe == probe_truncated
 
 
 def test_scalar_path_of_a_pure_drift_is_brownian_on_the_slope_grid():

@@ -24,7 +24,7 @@ from levyfield.spectral import (
     semigroup_norm_power,
     synthesize,
 )
-from levyfield.subordinator import (DEFAULT_CUTOFF, PathBatch, QuadratureError, SubordinatorSpec,
+from levyfield.subordinator import (PathBatch, QuadratureError, SubordinatorSpec,
                                    laplace_exponent, simulate_paths)
 
 
@@ -193,8 +193,7 @@ def test_single_jump_variance():
 @given(seed=st.integers(0, 1000), t=st.floats(0.1, 1.0))
 def test_variances_nonincreasing_in_lambda(seed, t):
     op = SpectralOperator.dirichlet(1, 1.0, 64)
-    batch = simulate_paths(SubordinatorSpec.stable(0.5), 1.0, 1, stream(seed), cutoff_eps=1e-3,
-                           method="jumps")
+    batch = simulate_paths(SubordinatorSpec.stable(0.5).truncated(1e-3), 1.0, 1, stream(seed))
     v = convolution_variances_batch(op, batch, t)[0]
     assert np.all(np.diff(v) <= 1e-14)
 
@@ -205,8 +204,7 @@ def test_sample_convolution_mc_matches_oracle():
     noise = make_noise(SubordinatorSpec.stable(0.5), N)
     phi = stream(5).standard_normal(N) / math.sqrt(N)
     t, mc = 0.8, 20000
-    batch = simulate_paths(noise.subordinator, t, mc, stream(5, 1), cutoff_eps=1e-3,
-                           method="jumps")
+    batch = simulate_paths(noise.subordinator.truncated(1e-3), t, mc, stream(5, 1))
     vals = np.cos(sample_trajectory(op, noise, batch, (t,), stream(5, 2))[:, 0] @ phi)
     ana = charfn_oracle(op, noise, phi, t)
     se = vals.std() / math.sqrt(mc)
@@ -217,7 +215,7 @@ def _batch_with_every_kind_of_path():
     # about 22% of the paths have no jump on [0, 1]; t = 0.6 leaves paths
     # whose jumps all come after t, whose terms overflow exp if not dropped
     spec = SubordinatorSpec.compound_poisson([0.3, 2.0], [1.0, 0.5], drift_b=0.2)
-    batch = simulate_paths(spec, 1.0, 400, stream(21), method="jumps")
+    batch = simulate_paths(spec, 1.0, 400, stream(21))
     t = 0.6
     first = np.full(batch.n_paths, np.inf)
     has = batch.counts > 0
@@ -235,7 +233,7 @@ def test_batch_variances_match_per_path_and_direct_sum():
                            for p in range(batch.n_paths)])
     assert np.allclose(v, loop, rtol=1e-12, atol=0.0)
     lam = op.lambdas
-    slope = batch.total_slope * (1.0 - np.exp(-2.0 * lam * t)) / (2.0 * lam)
+    slope = batch.drift_slope * (1.0 - np.exp(-2.0 * lam * t)) / (2.0 * lam)
     for p in range(batch.n_paths):
         direct = slope.copy()
         jumps = slice(batch.offsets[p], batch.offsets[p + 1])
@@ -320,8 +318,7 @@ def test_cell_moments_bound_their_temporaries():
 def test_batch_sample_does_not_depend_on_the_slicing():
     op = SpectralOperator.dirichlet(1, 1.0, 8)
     noise = make_noise(SubordinatorSpec.stable(0.5), 8)
-    batch = simulate_paths(noise.subordinator, 1.0, 50, stream(2), cutoff_eps=1e-2,
-                           method="jumps")
+    batch = simulate_paths(noise.subordinator.truncated(1e-2), 1.0, 50, stream(2))
     for times in ((0.7,), np.linspace(1.0 / 64, 1.0, 64)):
         whole = sample_trajectory(op, noise, batch, times, stream(3))
         rng = stream(3)
@@ -344,8 +341,7 @@ def test_batch_sample_does_not_depend_on_the_slicing():
 def test_trajectory_refuses_bad_times_and_a_truncation_mismatch(times, n_weights, message):
     op = SpectralOperator.dirichlet(1, 1.0, 8)
     noise = make_noise(SubordinatorSpec.stable(0.5), n_weights)
-    batch = simulate_paths(noise.subordinator, 1.0, 2, stream(2), cutoff_eps=1e-2,
-                           method="jumps")
+    batch = simulate_paths(noise.subordinator.truncated(1e-2), 1.0, 2, stream(2))
     with pytest.raises(ValueError, match=message):
         sample_trajectory(op, noise, batch, times, stream(3))
 
@@ -493,6 +489,20 @@ def test_critical_exponent_gaussian():
     assert rep["admissible"]
 
 
+@pytest.mark.parametrize("sub", [
+    SubordinatorSpec(beta=0.5, drift_b=0.5),
+    SubordinatorSpec.compound_poisson([0.5, 2.0], [1.0, 0.25], drift_b=0.5),
+    SubordinatorSpec.stable(0.5).truncated(1e-3),
+], ids=["drifted-stable", "drifted-compound-poisson", "truncated-stable"])
+def test_critical_exponent_of_a_drifted_law_is_the_gaussian_one(sub):
+    # a drift gives W(Z) a Brownian part, rougher than any jump part, so no
+    # Sub(p) certificate is needed; a truncated stable law has a drift
+    op = SpectralOperator.dirichlet(1, 1.0, 4)
+    rep = regularity_exponent_bound(op, make_noise(sub, 4), ("holder", 0.4))
+    assert rep["critical_exponent"] == pytest.approx(0.5)
+    assert rep["regime"] == "gaussian" and rep["admissible"]
+
+
 def test_critical_exponent_empty_range():
     op = SpectralOperator.dirichlet(2, 0.5, 2)   # g = 1, d = 2 -> delta* = 0
     noise = LevyNoiseSpec(CylindricalWienerSpec(np.ones(4)), SubordinatorSpec.stable(0.5))
@@ -545,7 +555,7 @@ def test_synthesize_2d_exact():
 
 
 def test_field_sample_csv(tmp_path):
-    # ou-sample exports one field sample: case n_pairs at the default cutoff,
+    # ou-sample exports one field sample: case n_pairs at the cutoff 1e-4,
     # one row per mode with its multi-index and its coefficient's repr
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"experiment": "ou-sample", "master_seed": 3,
@@ -553,8 +563,8 @@ def test_field_sample_csv(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     op = SpectralOperator.dirichlet(1, 1.0, 8)
-    coeffs = cli._ou_draws(op, make_noise(SubordinatorSpec.stable(0.5), 8), 1.0, 1, 3, 2,
-                           cutoff_eps=DEFAULT_CUTOFF)[0]
+    coeffs = cli._ou_draws(op, make_noise(SubordinatorSpec.stable(0.5).truncated(1e-4), 8),
+                           1.0, 1, 3, 2)[0]
     lines = (out / "field_sample.csv").read_text().splitlines()
     assert len(lines) == 2 + op.n_modes
     assert lines[:2] == ["# time_t,1.0", "mode,multi_index,coefficient"]

@@ -9,11 +9,13 @@ from hypothesis import example, given, settings, strategies as st
 from levyfield._rng import stream
 from levyfield.noise import CylindricalWienerSpec, LevyNoiseSpec, increment_coefficients
 from levyfield.subordinator import (
+    JUMP_CUTOFF,
     MAX_EXPECTED_JUMPS,
     PathBatch,
     _sort_within_paths,
     SubordinatorSpec,
     finite_variation_diagnostic,
+    jump_law,
     laplace_exponent,
     sample_stable_oneside,
     simulate_paths,
@@ -32,6 +34,7 @@ def test_laplace_exponent_stable_closed_form():
 
 def test_laplace_exponent_zero_argument():
     for spec in (SubordinatorSpec.stable(0.3),
+                 SubordinatorSpec.stable(0.3).truncated(1e-2),
                  SubordinatorSpec.drift_only(1.0),
                  SubordinatorSpec.compound_poisson([2.5], [0.7])):
         assert laplace_exponent(spec, 0.0) == 0.0
@@ -132,84 +135,115 @@ def test_stable_grid_path_laplace_transform():
     assert abs(vals.mean() - math.exp(-1.0)) < 4.0 * se
 
 
-def test_cutoff_bias_decreases_when_halved():
-    spec = SubordinatorSpec.stable(0.5)
-    target = math.exp(-1.0)
+@pytest.mark.parametrize("eps", [2e-2, 0.5])
+def test_truncated_route_matches_its_own_laplace_exponent(eps):
+    # the jump route draws the truncated law exactly, so it meets that law's
+    # own exponent at any path count
+    spec = SubordinatorSpec.stable(0.5).truncated(eps)
+    n = 20000
+    z = simulate_paths(spec, 1.0, n, stream(0)).increments((0.0, 1.0))[:, 0]
+    for r in (0.5, 1.0, 2.0):
+        vals = np.exp(-r * z)
+        se = vals.std() / math.sqrt(n)
+        assert abs(vals.mean() - math.exp(-laplace_exponent(spec, r))) < 4.0 * se, r
 
-    def bias(eps):
-        batch = simulate_paths(spec, 1.0, 3000, stream(0), cutoff_eps=eps, method="jumps")
-        vals = np.exp(-batch.increments((0.0, 1.0))[:, 0])
-        return vals.mean() - target, vals.std() / math.sqrt(vals.size)
 
-    b_coarse, se = bias(2e-2)
-    b_fine, _ = bias(1e-2)
-    assert abs(b_fine) < abs(b_coarse) + 4.0 * se
+def test_truncated_exponent_exceeds_the_stable_one_by_a_bounded_gap():
+    # psi_eps - psi = int_0^eps (r xi - 1 + exp(-r xi)) rho(dxi), which lies
+    # in [0, r^2 / 2 int_0^eps xi^2 rho(dxi)] and falls with the cutoff
+    beta = 0.5
+    c = beta / math.gamma(1.0 - beta)
+    r = np.array([0.1, 1.0, 7.0])
+    psi = laplace_exponent(SubordinatorSpec.stable(beta), r)
+    gaps = []
+    for eps in (0.5, 0.25, 2e-2, 1e-2, 1e-3):
+        gap = laplace_exponent(SubordinatorSpec.stable(beta).truncated(eps), r) - psi
+        assert np.all(gap >= 0.0), eps
+        assert np.all(gap <= r ** 2 * c * eps ** (2.0 - beta) / (2.0 * (2.0 - beta))), eps
+        gaps.append(gap)
+    assert np.all(np.diff(gaps, axis=0) < 0.0)
 
 
 def test_path_determinism_is_bitwise():
-    spec = SubordinatorSpec.stable(0.6)
-    a = simulate_paths(spec, 2.0, 4, stream(7), cutoff_eps=1e-3, method="jumps")
-    b = simulate_paths(spec, 2.0, 4, stream(7), cutoff_eps=1e-3, method="jumps")
+    spec = SubordinatorSpec.stable(0.6).truncated(1e-3)
+    a = simulate_paths(spec, 2.0, 4, stream(7))
+    b = simulate_paths(spec, 2.0, 4, stream(7))
     assert np.array_equal(a.offsets, b.offsets)
     assert np.array_equal(a.times, b.times)
     assert np.array_equal(a.sizes, b.sizes)
-    assert a.compensation == b.compensation
+    assert a.drift_slope == b.drift_slope
 
 
 # -- batched paths -------------------------------------------------------
 
 
-def _per_path_sampler(spec, T, cutoff_eps, seed, grid_n, method):
-    """The one-path sampler that a batch of one was before paths were drawn in batches."""
+def _per_path_sampler(spec, T, seed, grid_n):
+    """The one-path sampler that a batch of one was before paths were drawn in
+    batches, with the truncated stable law written out: rho([eps, inf)) =
+    c eps^(-beta) / beta and Pareto sizes eps U^(-1/beta), c = beta / Gamma(1-beta)."""
     rng = stream(seed)
     if spec.kind == "drift_only":
-        return np.empty(0), np.empty(0), 0.0
-    if spec.kind == "stable" and method != "jumps":
+        return np.empty(0), np.empty(0)
+    if spec.kind == "stable":
         dt = T / grid_n
         incr = dt ** (1.0 / spec.beta) * sample_stable_oneside(spec.beta, grid_n, rng)
-        return dt * np.arange(1, grid_n + 1), incr, 0.0
+        return dt * np.arange(1, grid_n + 1), incr
     if spec.kind == "compound_poisson":
-        eps, rate, compensation = 0.0, spec.jump_measure.tail_mass(0.0), 0.0
+        rate = spec.jump_measure.tail_mass(0.0)
     else:
-        eps = cutoff_eps
-        rate = spec.jump_measure.tail_mass(eps)
-        compensation = spec.jump_measure.truncated_moment(1.0, 0.0, eps)
+        beta, eps = spec.beta, spec.cutoff
+        rate = beta / math.gamma(1.0 - beta) / beta * eps ** (-beta)
     n = rng.poisson(rate * T)
     times = np.sort(rng.uniform(0.0, T, size=n))
-    sizes = spec.jump_measure.sample_sizes(max(eps, 1e-300), n, rng) if n else np.empty(0)
-    return times, sizes, compensation
+    if spec.kind == "compound_poisson":
+        sizes = spec.jump_measure.sample_sizes(n, rng) if n else np.empty(0)
+    else:
+        sizes = eps * rng.uniform(size=n) ** (-1.0 / beta)
+    return times, sizes
 
 
-@pytest.mark.parametrize("spec, method", [
+@pytest.mark.parametrize("spec, route", [
     (SubordinatorSpec.stable(0.5), None),
     (SubordinatorSpec.stable(0.9), "jumps"),
     (SubordinatorSpec.drift_only(1.5), None),
     (SubordinatorSpec.compound_poisson([0.3, 2.0], [2.0, 0.5], drift_b=0.2), None),
 ])
-def test_simulate_path_is_bitwise_the_per_path_sampler(spec, method):
+def test_simulate_path_is_bitwise_the_per_path_sampler(spec, route):
+    # route "jumps" draws the stable spec truncated at each cutoff
+    laws = [spec.truncated(eps) for eps in (1e-2, 1e-4)] if route == "jumps" else [spec]
     for seed in range(20):
-        for eps in (1e-2, 1e-4):
+        for law in laws:
             grid_n = 1 + seed % 7
-            zp = simulate_paths(spec, 1.3, 1, stream(seed), cutoff_eps=eps, method=method,
-                                grid_n=grid_n)
-            times, sizes, compensation = _per_path_sampler(spec, 1.3, eps, seed, grid_n, method)
+            zp = simulate_paths(law, 1.3, 1, stream(seed), grid_n=grid_n)
+            times, sizes = _per_path_sampler(law, 1.3, seed, grid_n)
             assert np.array_equal(zp.times, times)
             assert np.array_equal(zp.sizes, sizes)
-            assert zp.compensation == compensation
-            assert zp.drift_slope == spec.drift_b
+            assert zp.drift_slope == law.drift_b
 
 
-@pytest.mark.parametrize("spec, method", [
+def test_truncation_adds_the_mean_of_the_small_jumps_to_the_drift():
+    # int_0^eps xi c xi^(-1-beta) dxi = c eps^(1-beta) / (1-beta)
+    for beta, b, eps in ((0.9, 0.0, 1e-2), (0.5, 0.3, 1e-4), (0.25, 1.0, 1.0)):
+        spec = SubordinatorSpec(beta=beta, drift_b=b).truncated(eps)
+        c = beta / math.gamma(1.0 - beta)
+        assert (spec.beta, spec.cutoff, spec.kind) == (beta, eps, "truncated_stable")
+        assert spec.drift_b == b + c / (1.0 - beta) * eps ** (1.0 - beta)
+        assert spec.jump_measure.tail_mass(0.0) == c / beta * eps ** (-beta)
+        assert spec.jump_measure.truncated_moment(1.0, 0.0, eps) == 0.0
+        assert np.array_equal(spec.jump_measure.density([0.5 * eps, eps]),
+                              [0.0, c * eps ** (-1.0 - beta)])
+
+
+@pytest.mark.parametrize("spec, route", [
     (SubordinatorSpec.stable(0.5), None),
-    (SubordinatorSpec.stable(0.5), "jumps"),
+    (SubordinatorSpec.stable(0.5).truncated(1e-3), "jumps"),
     (SubordinatorSpec.compound_poisson([0.3, 2.0], [2.0, 0.5], drift_b=0.2), "jumps"),
 ])
-def test_simulate_paths_laplace_identity(spec, method):
-    # E exp(-r Z(T)) = exp(-T psi(r)); the cutoff route's bias at eps=1e-3
-    # is below 1e-5, far under the Monte Carlo standard error
+def test_simulate_paths_laplace_identity(spec, route):
+    # E exp(-r Z(T)) = exp(-T psi(r)), each route against the exponent of
+    # the law it draws
     T, n = 0.8, 20000
-    batch = simulate_paths(spec, T, n, stream(11, 0 if method is None else 1),
-                           cutoff_eps=1e-3, method=method, grid_n=4)
+    batch = simulate_paths(spec, T, n, stream(11, 0 if route is None else 1), grid_n=4)
     z = batch.increments((0.0, T))[:, 0]
     for r in (0.5, 1.0, 2.0):
         vals = np.exp(-r * z)
@@ -248,7 +282,7 @@ def test_times_are_sorted_within_paths_as_by_the_complex_key(counts):
 
 def test_path_batch_csr_layout():
     spec = SubordinatorSpec.compound_poisson([0.3, 2.0], [1.0, 0.5], drift_b=0.2)
-    batch = simulate_paths(spec, 2.0, 300, stream(4), method="jumps")
+    batch = simulate_paths(spec, 2.0, 300, stream(4))
     assert batch.offsets.shape == (301,) and batch.offsets[0] == 0
     assert batch.offsets[-1] == batch.times.size == batch.sizes.size
     assert (batch.counts == 0).any() and (batch.counts > 2).any()
@@ -259,7 +293,7 @@ def test_path_batch_csr_layout():
     assert np.all(within > 0)
     z = batch.increments((0.0, 1.1))[:, 0]
     part = batch[100:200]
-    assert part.n_paths == 100 and part.total_slope == batch.total_slope
+    assert part.n_paths == 100 and part.drift_slope == batch.drift_slope
     assert np.array_equal(part.increments((0.0, 1.1))[:, 0], z[100:200])
     for p in range(100, 200):
         jumps = slice(batch.offsets[p], batch.offsets[p + 1])
@@ -267,7 +301,7 @@ def test_path_batch_csr_layout():
         assert single.n_paths == 1
         assert np.array_equal(single.times, batch.times[jumps])
         assert np.array_equal(single.sizes, batch.sizes[jumps])
-        direct = batch.total_slope * 1.1 + batch.sizes[jumps][batch.times[jumps] <= 1.1].sum()
+        direct = batch.drift_slope * 1.1 + batch.sizes[jumps][batch.times[jumps] <= 1.1].sum()
         assert z[p] == pytest.approx(direct, rel=1e-14)
 
 
@@ -300,7 +334,7 @@ def test_grid_route_times_end_at_T():
 def test_increments_at_edges_and_outside():
     # path 0 jumps before the first edge, on an edge, inside a cell and after
     # the last edge; path 1 has no jumps; path 2 jumps on the repeated edge
-    batch = PathBatch(horizon_T=1.0, drift_slope=0.25, compensation=0.25,
+    batch = PathBatch(horizon_T=1.0, drift_slope=0.5,
                       offsets=np.array([0, 4, 4, 5]),
                       times=np.array([0.1, 0.25, 0.4, 0.9, 0.5]),
                       sizes=np.array([1.0, 2.0, 4.0, 8.0, 16.0]))
@@ -321,7 +355,7 @@ def test_increments_from_zero_are_z_of_t(t):
     batch = simulate_paths(SubordinatorSpec(beta=0.9, drift_b=0.3), t, 1024,
                            stream(5), grid_n=1)
     up_to_t = batch.times <= t
-    z = batch.total_slope * t + np.bincount(batch.rows[up_to_t], weights=batch.sizes[up_to_t],
+    z = batch.drift_slope * t + np.bincount(batch.rows[up_to_t], weights=batch.sizes[up_to_t],
                                             minlength=batch.n_paths)
     assert np.array_equal(batch.increments((0, t))[:, 0], z)
 
@@ -331,9 +365,9 @@ def test_marks_of_a_batch_are_bitwise_those_of_its_one_path_slices(n_paths):
     # the marks of every jump of a batch, drawn in one call, are the marks of
     # its one-path slices drawn in turn from the same generator, so no
     # reader of marks needs a batch of one path
-    sub = SubordinatorSpec.stable(0.5)
+    sub = SubordinatorSpec.stable(0.5).truncated(1e-2)
     noise = LevyNoiseSpec(CylindricalWienerSpec(np.arange(1.0, 6.0)), sub)
-    batch = simulate_paths(sub, 1.0, n_paths, stream(0), cutoff_eps=1e-2, method="jumps")
+    batch = simulate_paths(sub, 1.0, n_paths, stream(0))
     assert batch.times.size > n_paths
     marks = increment_coefficients(noise, batch.sizes, stream(1))
     rng = stream(1)
@@ -377,7 +411,7 @@ def test_hand_built_batch_breaking_the_layout_is_refused(fields, match):
 
 def test_cells_at_edges_and_outside():
     # the batch of test_increments_at_edges_and_outside
-    batch = PathBatch(horizon_T=1.0, drift_slope=0.25, compensation=0.25,
+    batch = PathBatch(horizon_T=1.0, drift_slope=0.5,
                       offsets=np.array([0, 4, 4, 5]),
                       times=np.array([0.1, 0.25, 0.4, 0.9, 0.5]),
                       sizes=np.array([1.0, 2.0, 4.0, 8.0, 16.0]))
@@ -390,8 +424,7 @@ def test_cells_at_edges_and_outside():
 
 def test_expected_jump_count_is_bounded_before_drawing():
     with pytest.raises(ValueError, match="jumps in expectation"):
-        simulate_paths(SubordinatorSpec.stable(0.9), 1.0, 1, stream(0),
-                       cutoff_eps=1e-12, method="jumps")
+        simulate_paths(SubordinatorSpec.stable(0.9).truncated(1e-12), 1.0, 1, stream(0))
     with pytest.raises(ValueError, match="jumps in expectation"):
         simulate_paths(SubordinatorSpec.stable(0.5), 1.0, MAX_EXPECTED_JUMPS + 1,
                        stream(0), grid_n=1)
@@ -407,8 +440,9 @@ def test_expected_jump_count_is_bounded_before_drawing():
        kind=st.sampled_from(["grid", "jumps"]))
 def test_paths_are_nondecreasing(beta, seed, kind):
     spec = SubordinatorSpec.stable(beta)
-    zp = simulate_paths(spec, 1.0, 1, stream(seed), cutoff_eps=1e-3,
-                        method="jumps" if kind == "jumps" else None)
+    if kind == "jumps":
+        spec = spec.truncated(1e-3)
+    zp = simulate_paths(spec, 1.0, 1, stream(seed))
     dz = zp.increments(np.linspace(0.0, 1.0, 101))
     assert np.all(dz >= 0)
     assert dz.sum() == pytest.approx(zp.increments((0.0, 1.0))[0, 0], rel=1e-12)
@@ -419,9 +453,10 @@ def test_paths_are_nondecreasing(beta, seed, kind):
        kind=st.sampled_from(["grid", "jumps"]))
 def test_cells_hold_the_jumps_of_increments(data, seed, n_paths, kind):
     # slope x cell length + the jumps cells() names is the increment of the cell
-    batch = simulate_paths(SubordinatorSpec(beta=0.5, drift_b=0.3), 1.0, n_paths,
-                           stream(seed), cutoff_eps=0.05, grid_n=8,
-                           method="jumps" if kind == "jumps" else None)
+    spec = SubordinatorSpec(beta=0.5, drift_b=0.3)
+    if kind == "jumps":
+        spec = spec.truncated(0.05)
+    batch = simulate_paths(spec, 1.0, n_paths, stream(seed), grid_n=8)
     # edges on jump times too, so that jumps fall on edges
     point = st.floats(0.0, 1.0)
     if batch.times.size:
@@ -433,7 +468,7 @@ def test_cells_hold_the_jumps_of_increments(data, seed, n_paths, kind):
     assert np.all(starts >= batch.offsets[:-1, None])
     assert np.all(starts + counts <= batch.offsets[1:, None])
     jumps = [[batch.sizes[s:s + c].sum() for s, c in zip(*row)] for row in zip(starts, counts)]
-    summed = batch.total_slope * np.diff(edges) + np.reshape(jumps, starts.shape)
+    summed = batch.drift_slope * np.diff(edges) + np.reshape(jumps, starts.shape)
     assert np.allclose(summed, batch.increments(edges), rtol=1e-12, atol=0.0)
 
 
@@ -522,8 +557,8 @@ def test_invalid_specs_rejected():
         SubordinatorSpec(drift_b=-1.0)
     with pytest.raises(ValueError):
         simulate_paths(SubordinatorSpec.stable(0.5), -1.0, 1, stream(0))
-    with pytest.raises(ValueError):
-        simulate_paths(SubordinatorSpec.stable(0.5), 1.0, 1, stream(0), cutoff_eps=2.0)
+    with pytest.raises(ValueError, match="cutoff"):
+        SubordinatorSpec.stable(0.5).truncated(2.0)
     for grid_n in (0, -2):
         with pytest.raises(ValueError, match="grid_n"):
             simulate_paths(SubordinatorSpec.stable(0.5), 1.0, 1, stream(0), grid_n=grid_n)
@@ -533,6 +568,24 @@ def test_kind_is_read_off_the_fields_and_a_bad_law_is_refused():
     assert SubordinatorSpec.stable(0.5).kind == "stable"
     assert SubordinatorSpec.drift_only(1.0).kind == "drift_only"
     assert SubordinatorSpec.compound_poisson([1.0], [2.0]).kind == "compound_poisson"
+    assert SubordinatorSpec.stable(0.5).truncated(0.1).kind == "truncated_stable"
+    # a cutoff truncates a stable law once, within (0, 1]
+    for spec in (SubordinatorSpec.stable(0.5).truncated(0.1), SubordinatorSpec.drift_only(1.0),
+                 SubordinatorSpec.compound_poisson([1.0], [2.0])):
+        with pytest.raises(ValueError, match="only a stable spec"):
+            spec.truncated(0.1)
+    for eps in (0.0, -0.1, 1.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="cutoff"):
+            SubordinatorSpec.stable(0.5).truncated(eps)
+        with pytest.raises(ValueError, match="cutoff"):
+            SubordinatorSpec(beta=0.5, cutoff=eps)
+    with pytest.raises(ValueError, match="cutoff"):
+        SubordinatorSpec(drift_b=1.0, cutoff=0.1)
+    assert jump_law(SubordinatorSpec.stable(0.5)) == SubordinatorSpec.stable(0.5).truncated(
+        JUMP_CUTOFF)
+    for spec in (SubordinatorSpec.stable(0.5).truncated(0.1), SubordinatorSpec.drift_only(1.0),
+                 SubordinatorSpec.compound_poisson([1.0], [2.0])):
+        assert jump_law(spec) is spec
     # a law stated twice: its oracle would read beta and its sampler the atoms
     atoms = SubordinatorSpec.compound_poisson([2.0], [1.0]).intensity
     with pytest.raises(ValueError, match="beta"):
@@ -590,10 +643,10 @@ def test_atoms_refuse_bad_input_up_front(sizes, rates, match):
 
 
 @pytest.mark.parametrize("T", [math.nan, math.inf])
-@pytest.mark.parametrize("spec, method", [
-    (SubordinatorSpec.stable(0.5), None), (SubordinatorSpec.stable(0.5), "jumps"),
-    (SubordinatorSpec.drift_only(1.0), None), (SubordinatorSpec.compound_poisson([1.0], [1.0]), None)],
+@pytest.mark.parametrize("spec", [
+    SubordinatorSpec.stable(0.5), SubordinatorSpec.stable(0.5).truncated(1e-4),
+    SubordinatorSpec.drift_only(1.0), SubordinatorSpec.compound_poisson([1.0], [1.0])],
     ids=["stable-grid", "stable-jumps", "drift-only", "compound-poisson"])
-def test_simulate_paths_refuses_a_horizon_that_is_not_finite(spec, method, T):
+def test_simulate_paths_refuses_a_horizon_that_is_not_finite(spec, T):
     with pytest.raises(ValueError, match="T must be finite and positive"):
-        simulate_paths(spec, T, 1, stream(0), method=method)
+        simulate_paths(spec, T, 1, stream(0))
