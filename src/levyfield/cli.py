@@ -5,6 +5,16 @@ Every experiment is described by a JSON config file ({"experiment": kind,
 report.json plus plot-ready CSV files.  Exit codes: 0 all assertions
 passed, 1 assertion failures, 2 config errors, 3 numeric/runtime
 failures.
+
+Each experiment declares the keys it accepts, with their defaults, in its
+@_experiment(...) line, and run() checks every value of a config against
+its key's default before the experiment starts, naming the key: an integer
+default takes a JSON integer of at least 1, a number default a finite int
+or float, a list default a non-empty list whose entries each follow the
+rule for the default's first entry, and master_seed an integer of at least
+0; a bool is neither an integer nor a number.  What a type cannot say (a
+beta in (0, 1), a grid that is a power of 2) the experiments and the
+library refuse themselves, also before anything is drawn.
 """
 
 from __future__ import annotations
@@ -55,39 +65,45 @@ def _non_finite(value) -> bool:
     return isinstance(value, float) and not math.isfinite(value)
 
 
-def _at_least_one(cfg, key) -> int:
-    """cfg[key] as an int, or ValueError naming the key if it is below 1."""
-    value = int(cfg[key])
-    if value < 1:
-        raise ValueError(f"{key} must be at least 1, not {value}")
-    return value
+def _check_value(key, value, default, kind: str, least: int, lowest: str):
+    """ValueError naming ``key`` unless ``value`` is a finite int or float,
+    and an int of at least ``least`` if ``default`` is one (a bool is
+    neither); the message says ``kind`` or ``lowest`` of what it must be."""
+    integer = isinstance(default, int)
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise ValueError(f"{key} must {kind}, not {value!r}")
+    if _non_finite(value):
+        raise ValueError(f"non-finite value {value!r} for config key {key!r}")
+    if integer and value < least:
+        raise ValueError(f"{key} must {lowest}, not {value!r}")
 
 
-def _non_empty(cfg, key) -> list:
-    """cfg[key], or ValueError naming the key if it holds no entry."""
-    if not cfg[key]:
-        raise ValueError(f"{key} must not be empty")
-    return cfg[key]
-
-
-def _numbers(cfg, key, kinds, what: str) -> list:
-    """cfg[key], or ValueError naming the key unless it is a non-empty list
-    whose entries are all instances of ``kinds`` (``what``); a bool is none."""
-    values = cfg[key]
-    if not isinstance(values, (list, tuple)):
-        raise ValueError(f"{key} must be a list of {what}, not {values!r}")
-    for value in _non_empty(cfg, key):
-        if isinstance(value, bool) or not isinstance(value, kinds):
-            raise ValueError(f"{key} must hold {what}, not {value!r}")
-    return values
+def _check_config(config: dict, defaults: dict):
+    """ValueError naming the key unless every value of ``config`` follows the
+    rule of the module docstring for the default of its key in ``defaults``."""
+    for key, value in config.items():
+        if key == "experiment":
+            continue
+        default, least = (0, 0) if key == "master_seed" else (defaults[key], 1)
+        if not isinstance(default, list):
+            kind = "be an integer" if isinstance(default, int) else "be a number"
+            _check_value(key, value, default, kind, least, f"be at least {least}")
+            continue
+        what = "integers" if isinstance(default[0], int) else "numbers"
+        if not isinstance(value, list):
+            raise ValueError(f"{key} must be a list of {what}, not {value!r}")
+        if not value:
+            raise ValueError(f"{key} must not be empty")
+        for entry in value:
+            _check_value(key, entry, default[0], f"hold {what}", 1, "hold positive integers")
 
 
 def _within(cfg, key, lo: float, hi: float) -> list:
-    """cfg[key], or ValueError naming the key if it holds no entry or an entry
-    outside the open interval (lo, hi)."""
-    values = _non_empty(cfg, key)
+    """cfg[key], or ValueError naming the key if it holds an entry outside
+    the open interval (lo, hi)."""
+    values = cfg[key]
     for value in values:
-        if not lo < float(value) < hi:
+        if not lo < value < hi:
             raise ValueError(f"{key} must lie in ({lo:g}, {hi:g}), not {value}")
     return values
 
@@ -123,11 +139,9 @@ def _checks_summary(rows) -> tuple[dict, bool]:
 def _run_subordinator(cfg, out: Path):
     betas = _within(cfg, "betas", 0.0, 1.0)
     rs = _within(cfg, "r_values", 0.0, math.inf)
-    n_paths = _at_least_one(cfg, "n_paths")
-    seed = int(cfg["master_seed"])
     rows = []
     for i, beta in enumerate(betas):
-        s = sample_stable_oneside(beta, n_paths, stream(seed, i))
+        s = sample_stable_oneside(beta, cfg["n_paths"], stream(cfg["master_seed"], i))
         rows += [[beta, r, *_mc_check(np.exp(-r * s), math.exp(-r ** beta))] for r in rs]
     _write_csv(out / "laplace.csv", ["beta", "r", "empirical", "stderr", "analytic", "pass"], rows)
     return _checks_summary(rows)
@@ -152,17 +166,13 @@ def _charfn_projections(spec: LevyNoiseSpec, phis, t: float, n_paths: int,
 @_experiment("charfn-test", "characteristic functional of the subordinated cylindrical noise",
              n_modes=64, beta=0.9, t_values=[0.5, 1.0], n_phi=5, mc_paths=100000)
 def _run_charfn(cfg, out: Path):
-    N = _at_least_one(cfg, "n_modes")
-    beta = float(cfg["beta"])
+    N, seed = cfg["n_modes"], cfg["master_seed"]
     ts = _within(cfg, "t_values", 0.0, math.inf)
-    n_phi = _at_least_one(cfg, "n_phi")
-    mc = _at_least_one(cfg, "mc_paths")
-    seed = int(cfg["master_seed"])
-    spec = LevyNoiseSpec(CylindricalWienerSpec(np.ones(N)), SubordinatorSpec.stable(beta))
-    phis = stream(seed, 0).standard_normal((n_phi, N)) / math.sqrt(N)
+    spec = LevyNoiseSpec(CylindricalWienerSpec(np.ones(N)), SubordinatorSpec.stable(cfg["beta"]))
+    phis = stream(seed, 0).standard_normal((cfg["n_phi"], N)) / math.sqrt(N)
     rows = []
     for case, t in enumerate(ts):
-        vals = np.cos(_charfn_projections(spec, phis, t, mc, seed, case))
+        vals = np.cos(_charfn_projections(spec, phis, t, cfg["mc_paths"], seed, case))
         rows += [[t, i, *_mc_check(vals[:, i], char_functional(spec, phi, t))]
                  for i, phi in enumerate(phis)]
     _write_csv(out / "charfn.csv", ["t", "phi_index", "empirical", "stderr", "analytic", "pass"], rows)
@@ -186,11 +196,7 @@ def _ou_draws(op: SpectralOperator, spec: LevyNoiseSpec, t: float, n_paths: int,
 @_experiment("ou-sample", "OU stochastic convolution sampler vs the quadrature oracle",
              n_modes=16, beta=0.5, mc_paths=20000, n_pairs=4)
 def _run_ou(cfg, out: Path):
-    N = _at_least_one(cfg, "n_modes")
-    beta = float(cfg["beta"])
-    mc = _at_least_one(cfg, "mc_paths")
-    n_pairs = _at_least_one(cfg, "n_pairs")
-    seed = int(cfg["master_seed"])
+    N, beta, n_pairs, seed = cfg["n_modes"], cfg["beta"], cfg["n_pairs"], cfg["master_seed"]
     op = SpectralOperator.dirichlet(1, 1.0, N)
     spec = LevyNoiseSpec(CylindricalWienerSpec(np.ones(N)), SubordinatorSpec.stable(beta))
     rng = stream(seed, 0)
@@ -199,7 +205,7 @@ def _run_ou(cfg, out: Path):
         phi = rng.standard_normal(N) / math.sqrt(N)
         t = float(rng.uniform(0.4, 1.2))
         ana = charfn_oracle(op, spec, phi, t)
-        vals = np.cos(_ou_draws(op, spec, t, mc, seed, i) @ phi)
+        vals = np.cos(_ou_draws(op, spec, t, cfg["mc_paths"], seed, i) @ phi)
         rows.append([i, t, *_mc_check(vals, ana)])
     _write_csv(out / "ou_charfn.csv", ["pair", "t", "empirical", "stderr", "analytic", "pass"], rows)
     # one exported field sample, drawn as case n_pairs with a finer cutoff
@@ -215,17 +221,16 @@ def _run_ou(cfg, out: Path):
 @_experiment("regularity", "spatial Hoelder exponent of the OU field vs its critical value",
              n_modes=512, grid_M=2048, n_paths=10)
 def _run_regularity(cfg, out: Path):
-    N = _at_least_one(cfg, "n_modes")
-    M = int(cfg["grid_M"])
-    n_paths = int(cfg["n_paths"])
-    seed = int(cfg["master_seed"])
+    N, M = cfg["n_modes"], cfg["grid_M"]
+    if M & (M - 1) or M <= N:
+        raise ValueError(f"grid_M must be a power of 2 above n_modes = {N}, not {M}")
     op = SpectralOperator.dirichlet(1, 1.0, N)
     rows = []
     results = {}
     for case, (label, sub) in enumerate([("gaussian", SubordinatorSpec.drift_only(1.0)),
                                          ("stable_alpha1", SubordinatorSpec.stable(0.5))]):
         spec = LevyNoiseSpec(CylindricalWienerSpec(np.ones(N)), sub)
-        coeffs = _ou_draws(op, spec, 1.0, n_paths, seed, case)
+        coeffs = _ou_draws(op, spec, 1.0, cfg["n_paths"], cfg["master_seed"], case)
         ests = [estimate_holder(c, op, M)["delta_hat"] for c in coeffs]
         rows += [[label, m, d] for m, d in enumerate(ests)]
         critical = regularity_exponent_bound(op, spec, ("holder", 0.0))["critical_exponent"]
@@ -239,18 +244,14 @@ def _run_regularity(cfg, out: Path):
 @_experiment("blowup", "post-jump norm blow-up of the large-jump part across truncations",
              n_modes=4096, truncations=[2 ** k for k in range(6, 13)], threshold=0.05)
 def _run_blowup(cfg, out: Path):
-    Nmax = _at_least_one(cfg, "n_modes")
-    truncs = _numbers(cfg, "truncations", int, "integers")
-    if min(truncs) < 1:
-        raise ValueError(f"truncations must hold positive integers, not {min(truncs)}")
-    seed = int(cfg["master_seed"])
-    threshold = float(cfg["threshold"])
+    Nmax = cfg["n_modes"]
     op = SpectralOperator.dirichlet(1, 1.0, Nmax)
     spec = LevyNoiseSpec(CylindricalWienerSpec(np.ones(Nmax)), SubordinatorSpec.stable(0.5))
     j = np.arange(1.0, Nmax + 1)
     F = SpaceSpec(2.0, j)
     U = SpaceSpec(2.0, 1.0 / j)
-    rep = blowup_probe(op, spec, F, truncs, seed=seed, threshold=threshold, u_space=U)
+    rep = blowup_probe(op, spec, F, cfg["truncations"], seed=cfg["master_seed"],
+                       threshold=cfg["threshold"], u_space=U)
     if rep.get("conclusive"):
         _write_csv(out / "blowup.csv", ["N", "sup_F", "u_norm"],
                    list(zip(rep["truncations"], rep["sup_F"], rep["u_norm_of_mark"])))
@@ -263,19 +264,14 @@ def _run_blowup(cfg, out: Path):
 @_experiment("circle", "circle convolution of a profile family against a scalar Levy path",
              beta=0.75, thetas=[0.0, 0.5, 1.0, 2.0], grids=[128, 256, 512, 1024])
 def _run_circle(cfg, out: Path):
-    beta = float(cfg["beta"])
-    thetas = _numbers(cfg, "thetas", (int, float), "numbers")
-    grids = _numbers(cfg, "grids", int, "integers")
+    thetas, grids, seed = cfg["thetas"], cfg["grids"], cfg["master_seed"]
     fine = {}   # grid M -> the common grid of L = lcm(profile cells, M) cells
     for M in grids:
-        if M < 1:
-            raise ValueError(f"grids must hold positive integers, not {M}")
         fine[M] = math.lcm(_CIRCLE_PROFILE_CELLS, M)
         if fine[M] > MAX_CIRCLE_CELLS:
             raise ValueError(f"grids entry {M}: lcm({_CIRCLE_PROFILE_CELLS}, {M}) = {fine[M]} "
                              f"cells exceeds MAX_CIRCLE_CELLS = {MAX_CIRCLE_CELLS}")
-    seed = int(cfg["master_seed"])
-    times, incs = scalar_levy_jumps(SubordinatorSpec.stable(beta), seed=seed)
+    times, incs = scalar_levy_jumps(SubordinatorSpec.stable(cfg["beta"]), seed=seed)
     profiles = [fourier_profile(th, 512, _CIRCLE_PROFILE_CELLS, seed=seed + 1) for th in thetas]
     cp = CirclePath(profile=np.stack(profiles), jump_times=times, jump_increments=incs)
     # one convolution per common grid for every profile; grid M reads every
@@ -294,27 +290,22 @@ def _run_circle(cfg, out: Path):
              n_modes=255, dt=1e-4, T=0.2, theta=0.25, weight_scale=5.0,
              residual_tol=1e-3, u0_amplitude=0.2, forcing_amplitude=0.1)
 def _run_burgers(cfg, out: Path):
-    n = int(cfg["n_modes"])
-    dt = float(cfg["dt"])
-    T = float(cfg["T"])
-    theta = float(cfg["theta"])
-    w_scale = float(cfg["weight_scale"])
-    tol = float(cfg["residual_tol"])
-    seed = int(cfg["master_seed"])
+    n = cfg["n_modes"]
     if n < 5:
         raise ValueError(f"n_modes must be at least 5, not {n}: the weak residual tests modes 1-5")
-    k = np.arange(1, n + 1)
-    w = w_scale * (k * math.pi) ** theta
+    if not cfg["weight_scale"] > 0:
+        raise ValueError(f"weight_scale must be positive, not {cfg['weight_scale']}")
+    w = cfg["weight_scale"] * (np.arange(1, n + 1) * math.pi) ** cfg["theta"]
     noise = LevyNoiseSpec(CylindricalWienerSpec(w), SubordinatorSpec.stable(0.75))
-    u0 = np.zeros(n); u0[0] = float(cfg["u0_amplitude"])
-    f = np.zeros(n); f[1] = float(cfg["forcing_amplitude"])
-    res = solve_stochastic_burgers(u0, noise, f, T, dt, n, seed=seed)
+    u0 = np.zeros(n); u0[0] = cfg["u0_amplitude"]
+    f = np.zeros(n); f[1] = cfg["forcing_amplitude"]
+    res = solve_stochastic_burgers(u0, noise, f, cfg["T"], cfg["dt"], n, seed=cfg["master_seed"])
     residuals = weak_residual(res, f, range(1, 6))
     _write_csv(out / "burgers_residuals.csv", ["test_mode", "residual"],
                list(enumerate(residuals, start=1)))
     _write_csv(out / "burgers_final.csv", ["mode", "u_coefficient"],
                list(enumerate(res["u_coeffs"][-1], start=1)))
-    ok = max(abs(r) for r in residuals) < tol
+    ok = max(abs(r) for r in residuals) < cfg["residual_tol"]
     return {"certificate": res["certificate"],
             "max_residual": max(abs(r) for r in residuals)}, ok
 
@@ -322,22 +313,18 @@ def _run_burgers(cfg, out: Path):
 @_experiment("bounds", "modified-Burgers a priori energy inequalities on random instances",
              n_modes=63, n_instances=20, dt=1e-3, T=0.5)
 def _run_bounds(cfg, out: Path):
-    n = int(cfg["n_modes"])
-    n_instances = _at_least_one(cfg, "n_instances")
-    dt = float(cfg["dt"])
-    T = float(cfg["T"])
-    seed = int(cfg["master_seed"])
+    n, n_instances = cfg["n_modes"], cfg["n_instances"]
     if n < 4:
         raise ValueError(f"n_modes must be at least 4, not {n}: "
                          "each instance sets one of the first four modes")
-    rng = stream(seed)
+    rng = stream(cfg["master_seed"])
     rows, all_ok = [], True
     for i in range(n_instances):
         v0 = np.zeros(n)
         v0[rng.integers(0, 4)] = rng.uniform(-0.3, 0.3)
         zc = np.zeros(n); zc[rng.integers(0, 4)] = rng.uniform(-0.3, 0.3)
         gc = np.zeros(n); gc[rng.integers(0, 4)] = rng.uniform(-0.3, 0.3)
-        traj = solve_modified_burgers(v0, zc, gc, T, dt, n)
+        traj = solve_modified_burgers(v0, zc, gc, cfg["T"], cfg["dt"], n)
         rep = check_apriori(traj)
         all_ok &= rep["all_pass"]
         for name, b in rep["bounds"].items():
@@ -371,13 +358,9 @@ def run(config: dict, out_dir: str) -> int:
         print(f"error: unknown config keys {unknown} for {kind}; accepted: {sorted(defaults)}",
               file=sys.stderr)
         return 2
-    non_finite = sorted(key for key, value in config.items() if _non_finite(value))
-    if non_finite:
-        print(f"error: non-finite values (NaN or Infinity) for config keys {non_finite}",
-              file=sys.stderr)
-        return 2
     t0 = time.time()
     try:
+        _check_config(config, defaults)
         summary, passed = experiment({**defaults, **config}, out)
         report = {"experiment": kind, "config": config,
                   "status": "pass" if passed else "fail",

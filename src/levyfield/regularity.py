@@ -156,9 +156,13 @@ def blowup_probe(op: SpectralOperator, noise: LevyNoiseSpec, F: SpaceSpec,
     U-norm of the mark stays bounded is the blow-up signature; no large
     jump in the horizon yields an inconclusive report.  Raises ValueError
     for fewer than two distinct truncations, through which no slope can be
-    fitted, and for a threshold or window_h that is not positive.
+    fitted, for a truncation that is not a positive integer (a bool is
+    none), and for a threshold or window_h that is not positive.
     """
-    N_sequence = sorted(int(n) for n in N_sequence)
+    if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1
+               for n in N_sequence):
+        raise ValueError(f"truncations must be positive integers, not {list(N_sequence)}")
+    N_sequence = sorted(map(int, N_sequence))
     if len(set(N_sequence)) < 2:
         raise ValueError("a growth slope needs at least two distinct truncations")
     if N_sequence[-1] > op.n_modes:
