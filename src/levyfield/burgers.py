@@ -330,13 +330,13 @@ def check_apriori(traj: BurgersTrajectory) -> dict:
 # -- stochastic solver ---------------------------------------------------
 
 
-def _regression(v_dy: np.ndarray, v_eta: np.ndarray, cov: np.ndarray):
-    """sqrt Var(DY), the slope beta of eta on DY and sqrt Var(eta - beta DY)
-    from the moments of (DY, eta); a DY of zero variance has beta = 0."""
+def _regression(v_eta: np.ndarray, v_dy: np.ndarray, cov: np.ndarray):
+    """sqrt Var(eta), the slope b of DY on eta and Var(DY - b eta) from the
+    moments of (eta, DY); an eta of zero variance has b = 0."""
     with np.errstate(invalid="ignore", divide="ignore"):
-        beta = np.where(v_dy > 0, cov / np.where(v_dy > 0, v_dy, 1.0), 0.0)
-        resid = np.maximum(v_eta - beta * cov, 0.0)
-    return np.sqrt(v_dy), beta, np.sqrt(resid)
+        b = np.where(v_eta > 0, cov / np.where(v_eta > 0, v_eta, 1.0), 0.0)
+        resid = np.maximum(v_dy - b * cov, 0.0)
+    return np.sqrt(v_eta), b, resid
 
 
 def _joint_ou_noise_paths(lam: np.ndarray, inv_w: np.ndarray,
@@ -346,19 +346,25 @@ def _joint_ou_noise_paths(lam: np.ndarray, inv_w: np.ndarray,
     Y at the last grid time: (z at every grid time, Y(times[-1])).
 
     Cell i is (times[i-1], times[i]], with times[-1] taken as 0.  Per cell
-    and mode, (Delta Y, OU innovation) is bivariate Gaussian with
-    Var(DY) = w^-2 dZ, Var(eta) = w^-2 int e^(-2 lam (t'-s)) dZ and
+    and mode, (OU innovation eta, Delta Y) is bivariate Gaussian with
+    Var(eta) = w^-2 int e^(-2 lam (t'-s)) dZ, Var(DY) = w^-2 dZ and
     Cov = w^-2 int e^(-lam (t'-s)) dZ, all closed-form over the cell's jumps.
     A cell without jumps has dZ = slope * length, so its moments depend on
     its length alone: they are computed once per distinct cell length (13
     for the 2,000 cells of dt * (0, 1, ..., 2000), which round differently),
     in a table whose rows the cells gather.  A cell with jumps adds its jump
     sums to its length's row; the table holds no row per jump, so its size
-    does not grow with the number of jumps.  The cells are taken BLOCK_ROWS
-    at a time, and Y(times[-1]) is the sum of the increments, cell after
-    cell; a cell of zero length draws nothing.  The Gaussian draws come
-    from ``stream(seed, 1)``, cell after cell, so they do not depend on the
-    block size.
+    does not grow with the number of jumps.
+
+    Only Y at the last grid time is read, so no Delta Y is drawn: given
+    every eta the increments are independent, and
+    Y = sum_i b_i eta_i + (sum_i r_i^2)^(1/2) G with b = Cov / Var(eta) and
+    r^2 = Var(DY) - b Cov, per mode, which is the law of the sum of the
+    increments.  The cells are taken BLOCK_ROWS at a time: one Gaussian per
+    cell and mode for eta, and after the last block one per mode for G,
+    all from ``stream(seed, 1)``, so they and the cell-after-cell sums do
+    not depend on the block size.  A cell of zero length draws nothing
+    and keeps the z before it.
     """
     n = lam.size
     z_hist = np.empty((times.size, n))
@@ -378,35 +384,33 @@ def _joint_ou_noise_paths(lam: np.ndarray, inv_w: np.ndarray,
     decay = np.exp(-lam * d)
     v_eta = slope * (1.0 - np.exp(-2.0 * lam * d)) / (2.0 * lam)
     cov = slope * (1.0 - decay) / lam
-    sd, beta, sr = _regression(slope * d * inv_w2, v_eta * inv_w2, cov * inv_w2)
-    z = np.zeros(n)
-    y = np.zeros(n)
+    sd, b, r2 = _regression(v_eta * inv_w2, slope * d * inv_w2, cov * inv_w2)
+    z, z_rows = np.zeros(n), list(z_hist)
+    y_mean = np.zeros(n)    # sum_i b_i eta_i
+    y_var = np.zeros(n)     # sum_i r_i^2
     for lo in range(0, times.size, BLOCK_ROWS):
-        hi = min(lo + BLOCK_ROWS, times.size)
-        cells = lo + np.flatnonzero(drawn[lo:hi])
+        cells = lo + np.flatnonzero(drawn[lo:lo + BLOCK_ROWS])
         rows = row[cells]
-        sd_c, beta_c, sr_c = sd[rows], beta[rows], sr[rows]
+        sd_c, b_c, r2_c = sd[rows], b[rows], r2[rows]
         for j in np.flatnonzero(counts[cells]).tolist():
             c, r = cells[j], rows[j]
             jumps = slice(starts[c], starts[c] + counts[c])
             e1 = np.exp(-np.multiply.outer(lam, times[c] - zpath.times[jumps]))
-            sd_c[j], beta_c[j], sr_c[j] = _regression(
-                dz[c] * inv_w2,
+            sd_c[j], b_c[j], r2_c[j] = _regression(
                 (v_eta[r] + (e1 ** 2 * zpath.sizes[jumps]).sum(axis=1)) * inv_w2,
+                dz[c] * inv_w2,
                 (cov[r] + (e1 * zpath.sizes[jumps]).sum(axis=1)) * inv_w2)
-        g = rng.standard_normal((cells.size, 2, n))
-        dy = sd_c * g[:, 0]
-        eta = beta_c * dy + sr_c * g[:, 1]
-        y = np.add.reduce(np.concatenate(([y], dy)), axis=0)
-        j = 0
-        for i, fresh in enumerate(drawn[lo:hi].tolist(), lo):
-            if fresh:
-                z = np.multiply(decay[row[i]], z, out=z_hist[i])
-                z += eta[j]
-                j += 1
-            else:
-                z_hist[i] = z
-    return z_hist, y
+        eta = sd_c * rng.standard_normal((cells.size, n))
+        y_mean = np.add.reduce(np.concatenate(([y_mean], b_c * eta)), axis=0)
+        y_var = np.add.reduce(np.concatenate(([y_var], r2_c)), axis=0)
+        # z_i = decay z_(i-1) + eta_i, cell after cell, into the rows of z_hist
+        for zi, dec, e in zip([z_rows[i] for i in cells.tolist()], decay[rows], eta):
+            np.multiply(dec, z, zi)
+            np.add(zi, e, zi)
+            z = zi
+    for i in np.flatnonzero(~drawn).tolist():
+        z_hist[i] = z_hist[i - 1] if i else 0.0
+    return z_hist, y_mean + np.sqrt(y_var) * rng.standard_normal(n)
 
 
 def solve_stochastic_burgers(

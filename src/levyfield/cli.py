@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import spectral
+from . import spectral, subordinator
 from ._rng import stream
 from .spaces import SpaceSpec
 from .subordinator import (QuadratureError, SubordinatorSpec, jump_law, sample_stable_oneside,
@@ -200,10 +200,17 @@ def _run_ou(cfg, out: Path):
     op = SpectralOperator.dirichlet(1, 1.0, N)
     spec = LevyNoiseSpec(CylindricalWienerSpec(np.ones(N)), SubordinatorSpec.stable(beta))
     rng = stream(seed, 0)
+    cases = [(rng.standard_normal(N) / math.sqrt(N), float(rng.uniform(0.4, 1.2)))
+             for _ in range(n_pairs)]
+    # the longest case draws the most jumps; refuse before any case is drawn
+    rate = jump_law(spec.subordinator).jump_measure.tail_mass(0.0)
+    expected = cfg["mc_paths"] * rate * max(t for _, t in cases)
+    if not expected <= subordinator.MAX_EXPECTED_JUMPS:
+        raise ValueError(f"mc_paths = {cfg['mc_paths']} would draw {expected:.3g} jumps in "
+                         f"expectation in the longest case, more than the limit "
+                         f"{subordinator.MAX_EXPECTED_JUMPS:.3g}")
     rows = []
-    for i in range(n_pairs):
-        phi = rng.standard_normal(N) / math.sqrt(N)
-        t = float(rng.uniform(0.4, 1.2))
+    for i, (phi, t) in enumerate(cases):
         ana = charfn_oracle(op, spec, phi, t)
         vals = np.cos(_ou_draws(op, spec, t, cfg["mc_paths"], seed, i) @ phi)
         rows.append([i, t, *_mc_check(vals, ana)])

@@ -20,7 +20,7 @@ import numpy as np
 def _lazy_module(name: str):
     """``name`` as registered in sys.modules, executed on its first attribute access.
 
-    The object never changes identity, so ``sfft is sys.modules["scipy.fft"]``
+    The object never changes identity, so ``sfft is sys.modules["scipy.fftpack"]``
     holds before and after the load.
     """
     if name in sys.modules:
@@ -33,7 +33,9 @@ def _lazy_module(name: str):
     return module
 
 
-sfft = _lazy_module("scipy.fft")
+# scipy.fftpack runs the same pocketfft DST-I and DCT-I kernels as scipy.fft,
+# bit for bit, without scipy.fft's backend dispatch on every call
+sfft = _lazy_module("scipy.fftpack")
 
 __all__ = ["by_blocks", "sine_values", "sine_coefficients", "cos_coefficients", "l4_norm4"]
 

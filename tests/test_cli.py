@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from levyfield import cli, spectral
+from levyfield import cli, spectral, subordinator
 from levyfield._rng import stream
 from levyfield.cli import EXPERIMENTS, _charfn_projections, main
 from levyfield.noise import CylindricalWienerSpec, LevyNoiseSpec
@@ -34,24 +34,27 @@ def test_list_experiments(capsys):
 COLD_IMPORT = """
 import sys
 import levyfield.cli
-loaded = [m for m in ("scipy.integrate", "scipy.special", "scipy.fft._basic") if m in sys.modules]
+loaded = [m for m in ("scipy.integrate", "scipy.special", "scipy.fft", "scipy.fftpack._basic")
+          if m in sys.modules]
 assert not loaded, loaded
 import numpy as np
 from levyfield import sine
-fft = sys.modules["scipy.fft"]
-assert sine.sfft is fft
+fftpack = sys.modules["scipy.fftpack"]
+assert sine.sfft is fftpack
 values = sine.sine_values(np.arange(1.0, 6.0))
-assert "scipy.fft._basic" in sys.modules
-assert sine.sfft is fft and sys.modules["scipy.fft"] is fft
+assert "scipy.fftpack._basic" in sys.modules
+assert sine.sfft is fftpack and sys.modules["scipy.fftpack"] is fftpack
+import scipy.fftpack
+assert scipy.fftpack is fftpack
 import scipy.fft
-assert scipy.fft is fft
-assert np.array_equal(values, fft.dst(np.arange(1.0, 6.0), type=1) * (2.0 ** 0.5 / 2.0))
+assert np.array_equal(values, scipy.fft.dst(np.arange(1.0, 6.0), type=1) * (2.0 ** 0.5 / 2.0))
 """
 
 
 def test_cold_import_defers_scipy_submodules():
-    # scipy's integrate, special and fft load on first use, not with the CLI;
-    # the lazy scipy.fft keeps its identity, which the benchmark's tracer uses
+    # scipy's integrate, special, fft and fftpack load on first use, not with
+    # the CLI: sine registers scipy.fftpack as a lazy module, which keeps its
+    # identity when the first transform executes it
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
@@ -89,7 +92,7 @@ assert "scipy.integrate" not in sys.modules
 def test_stable_noise_runs_load_neither_scipy_integrate_nor_special():
     # no experiment loads scipy.integrate: every law has closed forms and the
     # oracle's quadrature is numpy; the stable intensity's Gamma is math, so
-    # scipy.special comes only with the scipy.fft of the other experiments
+    # scipy.special comes only with the scipy.fftpack of the other experiments
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
@@ -243,6 +246,22 @@ def test_expected_jump_limit_exit_2(tmp_path, capsys):
                                   "mc_paths": 10 ** 12, "n_pairs": 1})
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "jumps in expectation" in capsys.readouterr().err
+
+
+def test_expected_jump_limit_is_checked_before_any_case_is_drawn(tmp_path, capsys, monkeypatch):
+    # at master seed 1 the cases' t are 1.04, 1.10, 1.05 and 0.98, and about
+    # 17.8 jumps fall in a unit of time: 52 paths fit the limit of 1,000 at
+    # the first t but not at the second
+    monkeypatch.setattr(subordinator, "MAX_EXPECTED_JUMPS", 1000)
+    drawn = []
+    monkeypatch.setattr(cli, "sample_trajectory", lambda *args: drawn.append(args))
+    cfg = write_config(tmp_path, {"experiment": "ou-sample", "master_seed": 1, "mc_paths": 52})
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "mc_paths = 52" in err and "jumps in expectation" in err
+    assert drawn == []
+    assert not (out / "report.json").exists()
 
 
 def test_unknown_config_key_exit_2(tmp_path, capsys):

@@ -73,6 +73,19 @@ def test_transforms_are_bitwise_the_one_vector_helpers(shape, case):
     assert np.array_equal(out, expected)
 
 
+@pytest.mark.parametrize("shape", [(511,), (513,), (7,), (BLOCK_ROWS, 511), (5, 513), (3, 7)],
+                         ids=str)
+@pytest.mark.parametrize("kind", ["dst", "dct"])
+def test_held_transforms_are_bitwise_scipy_fft(kind, shape):
+    # sine holds another module than scipy.fft for its DST-I and DCT-I; on
+    # one row and on a block, and when the input may be overwritten, its
+    # values are scipy.fft's bit for bit
+    x = stream(9, len(shape)).standard_normal(shape)
+    want = getattr(sfft, kind)(x, type=1)
+    assert getattr(sine.sfft, kind)(x, type=1).tobytes() == want.tobytes()
+    assert getattr(sine.sfft, kind)(x.copy(), type=1, overwrite_x=True).tobytes() == want.tobytes()
+
+
 def test_one_vector_l4_norm_is_a_scalar():
     c = stream(4).standard_normal(N)
     assert np.ndim(l4_norm4(c)) == 0
