@@ -20,8 +20,7 @@ import numpy as np
 
 from ._rng import stream
 from .spaces import SpaceSpec
-from .subordinator import (QuadratureError, SubordinatorSpec, finite_variation_diagnostic,
-                           laplace_exponent, simulate_paths, sub_p_membership)
+from .subordinator import QuadratureError, SubordinatorSpec, laplace_exponent
 
 __all__ = [
     "CylindricalWienerSpec",
@@ -29,11 +28,8 @@ __all__ = [
     "char_functional",
     "increment_coefficients",
     "intensity_measure_functional",
-    "finite_variation_test",
 ]
 
-# cells of finite_variation_test's fine grid; its coarse grid has 1/16 as many
-FV_CELLS = 4096
 # s-nodes per block when averaging over the 4096-norm Gaussian cloud: 512 KB
 # per temporary, which stays in a core's L2; 256-node (8 MB) blocks ran 3-4x
 # slower on a 2-vCPU Xeon with 4 MB of L2
@@ -74,9 +70,10 @@ class LevyNoiseSpec:
 
 
 def char_functional(spec: LevyNoiseSpec, phi, t: float) -> float:
-    """E exp(i <Y(t), phi>) = exp(-t psi(0.5 |phi|_H^2)); real and positive."""
-    if not t >= 0:
-        raise ValueError(f"t must be nonnegative, not {t}")
+    """E exp(i <Y(t), phi>) = exp(-t psi(0.5 |phi|_H^2)); real and positive.
+    Raises ValueError for a t that is negative, infinite or NaN."""
+    if not 0 <= t < np.inf:
+        raise ValueError(f"t must be finite and nonnegative, not {t}")
     half_sq = 0.5 * spec.wiener.h_norm_sq(phi)
     return float(np.exp(-t * laplace_exponent(spec.subordinator, half_sq)))
 
@@ -130,17 +127,13 @@ def intensity_measure_functional(
     The intensity is nu(G) = int_0^inf zeta_s(G) rho(ds) with zeta_s the
     N-mode Gaussian law of W(s).  The inner Gaussian expectation is an
     average over the fixed cloud of ``_radial_norms``; the outer rho-integral
-    is a log-spaced trapezoid rule, or an atom sum for compound-Poisson
-    intensities.
+    is a log-spaced trapezoid rule.
     """
     sub = spec.subordinator
     if sub.kind == "drift_only":
         return 0.0
     norms = _radial_norms(spec, u_space)
     meas = sub.jump_measure
-    if sub.kind == "compound_poisson":
-        sizes, rates = meas.atoms
-        return float(sum(rates * _cloud_means(radial_test, sizes, norms)))
 
     # The inner expectation is an average over a finite cloud, so it has
     # O(1/M)-size kinks in s that defeat adaptive quadrature.  A log-spaced
@@ -154,52 +147,3 @@ def intensity_measure_functional(
         raise QuadratureError("intensity integrand has not decayed by s=1e16; "
                               "supply a faster-decaying radial_test")
     return float(np.trapezoid(logland, np.log(svals)))
-
-
-def finite_variation_test(
-    spec: LevyNoiseSpec,
-    mc_paths: int = 20,
-    T: float = 1.0,
-    seed: int = 0,
-    u_space: Optional[SpaceSpec] = None,
-) -> dict:
-    """Finite-variation verdict for Y, exact criterion plus an MC cross-check.
-
-    Exact: ``analytic_finite`` is ``finite_variation_diagnostic`` of the
-    subordinator (no drift and int_0^1 s^(1/2) rho(ds) < inf), and
-    ``criterion_integral`` is that integral, from ``sub_p_membership`` at
-    p = 1.  Both hold for every U-norm on the mode truncation.
-
-    Empirical: the total variation of each of ``mc_paths`` sampled paths on
-    FV_CELLS cells and on 1/16 as many, whose increments are sums of 16
-    consecutive fine ones.  So both scales see the same path, exactly in law
-    (a sum of independent stable increments is stable).  A median growth
-    per 4x refinement of 1.25 or more flags infinite variation.  Z comes
-    from stream(seed, 1), the Gaussian mode draws from stream(seed, 2).
-    Disagreement is reported, not raised.
-    """
-    sub = spec.subordinator
-    analytic_finite = finite_variation_diagnostic(sub)
-    criterion_integral = sub_p_membership(sub, 1.0)[1]
-
-    # empirical cross-check: TV growth under grid refinement
-    batch = simulate_paths(sub, T, mc_paths, stream(seed, 1), grid_n=FV_CELLS)
-    grid = np.linspace(0.0, T, FV_CELLS + 1)
-    dz = batch.increments(grid)
-    inc = increment_coefficients(spec, dz, stream(seed, 2))
-    fine = _u_norm(inc, u_space).sum(axis=1)
-    coarse = _u_norm(inc.reshape(mc_paths, FV_CELLS // 16, 16, -1).sum(axis=2),
-                     u_space).sum(axis=1)
-    # growth per 4x refinement step: ~1 for finite variation, 2 for Brownian,
-    # 4^(1-1/(2 beta)) for the stable kind, and 1 for a path without jumps
-    # (possible for finite intensities)
-    ratios = np.divide(fine, coarse, out=np.ones(mc_paths), where=coarse > 0) ** 0.5
-    growth = float(np.median(ratios))
-    empirical_finite = growth < 1.25
-    return {
-        "analytic_finite": bool(analytic_finite),
-        "criterion_integral": criterion_integral,
-        "empirical_growth_ratio": growth,
-        "empirical_finite": bool(empirical_finite),
-        "agree": bool(analytic_finite == empirical_finite),
-    }

@@ -3,9 +3,9 @@
 The generator is A = -(-Laplacian)^gamma on the d-cube with Dirichlet
 conditions, diagonal in the product-sine basis with eigenvalues
 lambda_j = (n_1^2 + ... + n_d^2)^gamma.  Everything here is exact on the
-truncation: operator norms of the semigroup between weighted l^q spaces,
-the gamma-radonifying summability test, exact-in-law sampling of the
-stochastic convolution X(t) = int_0^t e^((t-s)A) dY(s) on a time grid
+truncation: operator norms of the semigroup between power-weighted l^q
+spaces, the gamma-radonifying summability test, exact-in-law sampling of
+the stochastic convolution X(t) = int_0^t e^((t-s)A) dY(s) on a time grid
 given a batch of subordinator paths (``sample_trajectory``, the one
 sampler of X; a one-point grid draws X(t)), and the analytic
 characteristic functional of X.  A field at one time is its coefficient
@@ -22,15 +22,12 @@ from typing import Optional
 import numpy as np
 
 from .sine import BLOCK_ROWS, sine_values
-from .spaces import SpaceSpec
 from .noise import LevyNoiseSpec
-from .subordinator import PathBatch, QuadratureError, laplace_exponent, sub_p_membership
+from .subordinator import PathBatch, QuadratureError, laplace_exponent
 
 __all__ = [
     "SpectralOperator",
-    "semigroup_norm",
     "semigroup_norm_power",
-    "power_law_envelope",
     "check_radonifying",
     "cell_moments",
     "convolution_variances_batch",
@@ -111,31 +108,14 @@ class SpectralOperator:
 # -- operator norms ------------------------------------------------------
 
 
-def semigroup_norm(op: SpectralOperator, U: SpaceSpec, E: SpaceSpec, t: float) -> dict:
-    """|e^(tA)|_{L(U,E)} for U = l^r with weights 1/a and E = l^q with weights b.
-
-    On the diagonal truncation the norm is sup_n e^(-lambda_n t) b_n a_n^(r/q);
-    the full mode scan is vectorized, so this is exact on the truncation.
-    """
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
-    if U.dim != op.n_modes or E.dim != op.n_modes:
-        raise ValueError("space weights must cover all operator modes")
-    a = 1.0 / U.weights
-    b = E.weights
-    r, q = U.exponent_q, E.exponent_q
-    vals = np.exp(-op.lambdas * t) * b * a ** (r / q)
-    j = int(np.argmax(vals))
-    return {"norm": float(vals[j]), "argmax_mode": j, "argmax_lambda": float(op.lambdas[j])}
-
-
 def semigroup_norm_power(op: SpectralOperator, alpha: float, beta: float,
                          r: float, q: float, t: float) -> dict:
-    """Same norm for the power-law weights a = lambda^alpha, b = lambda^beta.
+    """|e^(tA)|_{L(U,E)} for U = l^r with weights lambda^(-alpha) and E = l^q
+    with weights lambda^beta, on the diagonal truncation.
 
-    The mode value e^(-lambda t) lambda^theta (theta = beta + (r/q) alpha) is
-    unimodal in lambda with peak at lambda = theta / t, so only the
-    eigenvalues adjacent to the peak need evaluating.
+    The norm is the largest mode value e^(-lambda t) lambda^theta, theta =
+    beta + (r/q) alpha, which is unimodal in lambda with peak at lambda =
+    theta / t, so only the eigenvalues adjacent to the peak need evaluating.
     """
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
@@ -150,16 +130,6 @@ def semigroup_norm_power(op: SpectralOperator, alpha: float, beta: float,
     j = int(cands[np.argmax(vals)])
     return {"norm": float(vals.max()), "argmax_mode": j,
             "argmax_lambda": float(lam[j]), "theta": theta}
-
-
-def power_law_envelope(alpha: float, beta: float, r: float, q: float, t) -> np.ndarray:
-    """Envelope c* t^(-theta) with c* = e^(-theta) theta^theta dominating the norm."""
-    theta = beta + (r / q) * alpha
-    t = np.asarray(t, dtype=float)
-    if theta == 0:
-        return np.ones_like(t)
-    c_star = math.exp(-theta) * theta ** theta
-    return c_star * t ** (-theta)
 
 
 def check_radonifying(op: SpectralOperator, alpha: float, r: float,
@@ -378,8 +348,7 @@ def charfn_oracle(op: SpectralOperator, noise: LevyNoiseSpec, phi, t: float,
 
 
 def regularity_exponent_bound(op: SpectralOperator, noise: LevyNoiseSpec,
-                              target: tuple[str, float],
-                              p_certificate: Optional[float] = None) -> dict:
+                              target: tuple[str, float]) -> dict:
     """Critical Hoelder exponent of X(t) and admissibility of a target.
 
     With the generator written as a fractional power of order g (so
@@ -387,13 +356,14 @@ def regularity_exponent_bound(op: SpectralOperator, noise: LevyNoiseSpec,
     critical exponents are
 
         stable index alpha in (0,2):  delta* = g / max(alpha, 1) - d/2
-        Sub(p) noise, p in (1,2]:     delta* = g / p - d/2
         Sub(p) noise, p <= 1:         delta* = g - d/2
         Gaussian (Z with a drift):    delta* = g / 2 - d/2
 
-    A drift of Z gives W(Z) a Brownian part, and every jump delta* is at
-    least the Gaussian one, so any Z with a drift b > 0 (a truncated stable
-    law among them) reads the Gaussian delta*, with no Sub(p) certificate.
+    Every law is read off the spec.  A drift of Z gives W(Z) a Brownian
+    part, and every jump delta* is at least the Gaussian one, so any Z with
+    a drift b > 0 (a truncated stable law among them) reads the Gaussian
+    delta*.  An undrifted truncated stable law has finitely many jumps per
+    unit time, so it is Sub(p) for every p and reads g - d/2.
 
     ``target`` is ("holder", delta) or ("sobolev", s); a Sobolev order is
     admissible when s < delta* + d/2 (l2 Sobolev-to-Hoelder embedding).
@@ -411,14 +381,8 @@ def regularity_exponent_bound(op: SpectralOperator, noise: LevyNoiseSpec,
         delta_star = g / max(alpha, 1.0) - d / 2.0
         regime = f"stable(alpha={alpha})"
     else:
-        if p_certificate is None:
-            raise ValueError("non-stable noise needs an explicit Sub(p) certificate p")
-        p = p_certificate
-        ok, _ = sub_p_membership(sub, p)
-        if not ok:
-            raise ValueError(f"subordinator is not Sub({p})")
-        delta_star = (g - d / 2.0) if p <= 1 else (g / p - d / 2.0)
-        regime = f"sub_p(p={p})"
+        delta_star = g - d / 2.0
+        regime = "finite_jumps"
     kind, value = target
     if kind == "holder":
         admissible = 0.0 <= value < delta_star

@@ -6,15 +6,14 @@ int_0^1 xi rho(dxi) < inf.  Its Laplace exponent is
 
     psi(r) = b r + int_0^inf (1 - exp(-r xi)) rho(dxi),
 
-so that E exp(-r Z(t)) = exp(-t psi(r)).  Four kinds of law are
+so that E exp(-r Z(t)) = exp(-t psi(r)).  Three kinds of law are
 supported, each in closed form and each with a drift: the one-sided
 beta-stable subordinator (psi(r) = r^beta, beta in (0,1)), the stable one
 ``truncated(eps)`` (its jumps at or above eps, with the mean of the smaller
-ones added to the drift; Asmussen and Rosinski, J. Appl. Probab. 2001),
-compound-Poisson subordinators (finitely many atoms) and a pure drift.
-Stable paths are drawn exactly on a grid; the laws with finitely many
-jumps per unit time are drawn exactly as Poisson jump processes, with
-exact jump times.
+ones added to the drift; Asmussen and Rosinski, J. Appl. Probab. 2001)
+and a pure drift.  Stable paths are drawn exactly on a grid; the
+truncated law, with finitely many jumps per unit time, is drawn exactly
+as a Poisson jump process, with exact jump times.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from typing import Optional
 import numpy as np
 
 __all__ = [
-    "IntensityMeasure",
     "SubordinatorSpec",
     "PathBatch",
     "QuadratureError",
@@ -52,58 +50,6 @@ class QuadratureError(RuntimeError):
     def __init__(self, message, achieved_tol=None):
         super().__init__(message)
         self.achieved_tol = achieved_tol
-
-
-class IntensityMeasure:
-    """The jump measure rho of a compound-Poisson subordinator: finitely many
-    atoms, ``rates[k]`` jumps per unit time of size ``sizes[k]``.  Raises
-    ValueError unless sizes and rates are 1-d arrays of one length, the
-    sizes finite and positive and the rates finite and nonnegative.  Two
-    measures are equal when their atoms, sorted by size, are."""
-
-    def __init__(self, atoms: tuple[np.ndarray, np.ndarray]):
-        sizes = np.asarray(atoms[0], dtype=float)
-        rates = np.asarray(atoms[1], dtype=float)
-        if sizes.ndim != 1:
-            raise ValueError(f"atom sizes must be a 1-d array, got shape {sizes.shape}")
-        if rates.shape != sizes.shape:
-            raise ValueError(f"atom rates must be a 1-d array as long as the sizes, "
-                             f"got shape {rates.shape} for {sizes.size} sizes")
-        # NaN fails both comparisons of each test
-        if not np.all((sizes > 0) & (sizes < np.inf)):
-            raise ValueError("atom sizes must be finite and positive")
-        if not np.all((rates >= 0) & (rates < np.inf)):
-            raise ValueError("atom rates must be finite and nonnegative")
-        order = np.lexsort((rates, sizes))
-        self.atoms = (sizes[order], rates[order])
-
-    def __eq__(self, other):
-        if not isinstance(other, IntensityMeasure):
-            return NotImplemented
-        return all(np.array_equal(a, b) for a, b in zip(self.atoms, other.atoms))
-
-    def __hash__(self):
-        # by value, not by bytes: a rate of -0.0 equals one of 0.0
-        return hash(tuple(map(tuple, self.atoms)))
-
-    def tail_mass(self, eps: float) -> float:
-        """rho([eps, inf))."""
-        sizes, rates = self.atoms
-        return float(rates[sizes >= eps].sum())
-
-    def truncated_moment(self, power: float, lo: float, hi: float) -> float:
-        """int_lo^hi xi^power rho(dxi), over [lo, hi)."""
-        sizes, rates = self.atoms
-        mask = (sizes >= lo) & (sizes < hi)
-        return float((sizes[mask] ** power * rates[mask]).sum())
-
-    def sample_sizes(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw n jump sizes from rho normalized."""
-        if n == 0:
-            return np.empty(0)
-        sizes, rates = self.atoms
-        idx = rng.choice(sizes.size, size=n, p=rates / rates.sum())
-        return sizes[idx]
 
 
 class _StableIntensity:
@@ -160,50 +106,41 @@ def stable_intensity(beta: float) -> _StableIntensity:
 
 @dataclass(frozen=True)
 class SubordinatorSpec:
-    """The law of a subordinator: a finite drift ``drift_b`` >= 0 and either
-    ``beta`` in (0,1), psi(r) = b r + r^beta, or the compound-Poisson
-    atoms ``intensity`` (None for a pure drift).  A stable spec with a
-    ``cutoff`` eps keeps only the stable jumps at or above eps; ``truncated``
-    makes it.  Every reader takes the jump measure from ``jump_measure``.
-    Raises ValueError for any other drift, for beta with an intensity, for
-    an intensity that is not an ``IntensityMeasure`` and for a cutoff
-    outside (0, 1] or without beta."""
+    """The law of a subordinator: a finite drift ``drift_b`` >= 0 and
+    ``beta`` in (0,1), psi(r) = b r + r^beta, or no beta for a pure drift.
+    A stable spec with a ``cutoff`` eps keeps only the stable jumps at or
+    above eps; ``truncated`` makes it.  Every reader takes the jump measure
+    from ``jump_measure``.  Raises ValueError for any other drift or beta
+    and for a cutoff outside (0, 1] or without beta."""
 
     drift_b: float = 0.0
     beta: Optional[float] = None
-    intensity: Optional[IntensityMeasure] = None
     cutoff: Optional[float] = None
 
     def __post_init__(self):
         if not 0 <= self.drift_b < math.inf:
             raise ValueError(f"drift must be finite and nonnegative, got {self.drift_b}")
-        if self.beta is not None:
-            if self.intensity is not None:
-                raise ValueError("a stable spec takes beta, not an intensity")
-            if not 0 < self.beta < 1:
-                raise ValueError("beta must be in (0,1)")
-        elif self.intensity is not None and not isinstance(self.intensity, IntensityMeasure):
-            raise ValueError("the intensity must be an IntensityMeasure of atoms")
+        if self.beta is not None and not 0 < self.beta < 1:
+            raise ValueError("beta must be in (0,1)")
         if self.cutoff is not None and (self.beta is None or not 0 < self.cutoff <= 1):
             raise ValueError(f"a cutoff truncates a stable spec and lies in (0,1], "
                              f"got {self.cutoff}")
 
     @property
-    def jump_measure(self) -> IntensityMeasure | _StableIntensity | None:
+    def jump_measure(self) -> _StableIntensity | None:
         """rho: the stable measure on [cutoff, inf) for a stable spec (all of
-        it without a cutoff), else ``intensity``."""
+        it without a cutoff), else None."""
         if self.beta is None:
-            return self.intensity
+            return None
         return _StableIntensity(self.beta, self.cutoff or 0.0)
 
     @property
     def kind(self) -> str:
         """The family read off the fields: "stable" (beta is set),
-        "truncated_stable" (beta and a cutoff), "drift_only" (no intensity)
-        or "compound_poisson" (atoms)."""
+        "truncated_stable" (beta and a cutoff) or "drift_only" (no beta)."""
         if self.beta is not None:
             return "stable" if self.cutoff is None else "truncated_stable"
-        return "drift_only" if self.intensity is None else "compound_poisson"
+        return "drift_only"
 
     def truncated(self, eps: float) -> "SubordinatorSpec":
         """The jumps of this stable law at or above eps, with the mean of the
@@ -228,11 +165,6 @@ class SubordinatorSpec:
     @classmethod
     def drift_only(cls, b: float) -> "SubordinatorSpec":
         return cls(drift_b=b)
-
-    @classmethod
-    def compound_poisson(cls, sizes, rates, drift_b: float = 0.0) -> "SubordinatorSpec":
-        return cls(drift_b=drift_b,
-                   intensity=IntensityMeasure(atoms=(np.asarray(sizes), np.asarray(rates))))
 
 
 def jump_law(spec: SubordinatorSpec) -> SubordinatorSpec:
@@ -360,9 +292,6 @@ def laplace_exponent(spec: SubordinatorSpec, r) -> np.ndarray:
         beta, eps = spec.beta, spec.cutoff
         psi = psi + (-np.expm1(-r * eps) * eps ** -beta / math.gamma(1.0 - beta)
                      + r ** beta * gammaincc(1.0 - beta, r * eps))
-    elif spec.kind == "compound_poisson":
-        sizes, rates = spec.jump_measure.atoms
-        psi = psi + ((1.0 - np.exp(-np.multiply.outer(r, sizes))) * rates).sum(axis=-1)
     # a 0-d r gives a numpy scalar, an array r an array
     return psi[()]
 
@@ -370,7 +299,7 @@ def laplace_exponent(spec: SubordinatorSpec, r) -> np.ndarray:
 def sub_p_membership(spec: SubordinatorSpec, p: float) -> tuple[bool, float]:
     """Whether int_0^1 xi^(p/2) rho(dxi) is finite, with the integral as
     certificate: a closed form, inf where it diverges (stable with p/2 <=
-    beta), a finite atom sum for compound Poisson and 0 for a pure drift."""
+    beta), and 0 for a pure drift."""
     if not 0 < p <= 2:
         raise ValueError("p must be in (0,2]")
     if spec.kind == "drift_only":
@@ -395,9 +324,12 @@ def sample_stable_oneside(beta: float, size, rng: np.random.Generator) -> np.nda
     Kanter's representation from one uniform and one exponential variate:
     S = (A(U)/E)^((1-beta)/beta) with
     A(u) = [sin(beta u)^beta sin((1-beta) u)^(1-beta) / sin(u)]^(1/(1-beta)).
-    Raises OverflowError when a draw exceeds the double range, which only
+    Raises ValueError for beta outside (0, 1), NaN included, before it
+    draws, and OverflowError when a draw exceeds the double range, which only
     small beta make likely (about exp(-709.8 beta) / Gamma(1-beta) per draw).
     """
+    if not 0 < beta < 1:
+        raise ValueError(f"beta must be in (0,1), got {beta}")
     u = rng.uniform(0.0, np.pi, size=size)
     e = rng.exponential(size=size)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -444,8 +376,8 @@ def simulate_paths(
 
     The route is read off the spec, and each is exact in law.  A stable
     spec is drawn on a uniform grid of ``grid_n`` cells, each increment
-    from the one-sided stable law.  A law with finitely many jumps per unit
-    time (atoms, or a stable spec ``truncated`` at a cutoff) is drawn as a
+    from the one-sided stable law.  A stable spec ``truncated`` at a
+    cutoff, with finitely many jumps per unit time, is drawn as a
     marked Poisson process with exact jump times, as the convolution
     formulas need: every path's jump count, then every jump time, then
     every jump size.  Raises ValueError when the batch would hold more than

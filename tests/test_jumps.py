@@ -28,7 +28,7 @@ def marked(spec, zp, rng):
 
 
 def test_split_additivity_exact():
-    spec = make_spec(SubordinatorSpec.compound_poisson([2.5], [3.0]))
+    spec = make_spec(SubordinatorSpec.stable(0.5).truncated(1e-2))
     zp = simulate_paths(spec.subordinator, 1.0, 1, stream(1))
     times, marks, sizes = marked(spec, zp, stream(2))
     big = sizes >= np.median(sizes)

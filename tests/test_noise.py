@@ -9,11 +9,10 @@ from levyfield.noise import (
     CylindricalWienerSpec,
     LevyNoiseSpec,
     char_functional,
-    finite_variation_test,
     increment_coefficients,
     intensity_measure_functional,
 )
-from levyfield.subordinator import SubordinatorSpec, finite_variation_diagnostic, simulate_paths
+from levyfield.subordinator import SubordinatorSpec, simulate_paths
 
 
 def make_spec(sub, n_modes=8, weights=None):
@@ -30,9 +29,9 @@ def test_charfn_zero_test_function():
         assert char_functional(spec, np.zeros(8), t) == 1.0
 
 
-@pytest.mark.parametrize("t", [float("nan"), -1.0])
-def test_charfn_refuses_a_nan_or_negative_time(t):
-    with pytest.raises(ValueError, match="t must be nonnegative"):
+@pytest.mark.parametrize("t", [float("nan"), math.inf, -math.inf, -1.0])
+def test_charfn_refuses_a_non_finite_or_negative_time(t):
+    with pytest.raises(ValueError, match="t must be finite and nonnegative"):
         char_functional(make_spec(SubordinatorSpec.stable(0.7)), np.ones(8), t)
 
 
@@ -124,10 +123,17 @@ def test_jump_times_of_y_match_z():
 # -- intensity measure ---------------------------------------------------
 
 
-def test_intensity_functional_compound_poisson_total_mass():
-    spec = make_spec(SubordinatorSpec.compound_poisson([0.5, 2.0], [1.2, 0.3]))
+@pytest.mark.parametrize("beta, eps", [(0.5, 0.1), (0.75, 0.3)])
+def test_intensity_functional_truncated_stable_total_mass(beta, eps):
+    # nu has the total mass of rho, c eps^(-beta) / beta; at the default
+    # quad_tol the trapezoid has 20,000 nodes over log s in [log 1e-12,
+    # log 1e16], and the cutoff's jump, of height c eps^(-beta) per unit of
+    # log s, costs at most half a step h of it
+    spec = make_spec(SubordinatorSpec(beta=beta, cutoff=eps), n_modes=4)
     total = intensity_measure_functional(spec, lambda x: np.ones_like(x))
-    assert total == pytest.approx(1.5, rel=1e-12)
+    exact = eps ** -beta / math.gamma(1.0 - beta)
+    h = math.log(1e28) / 19999
+    assert total == pytest.approx(exact, rel=beta * h / 2.0)
 
 
 def test_intensity_functional_large_jump_rate_vs_empirical():
@@ -152,66 +158,3 @@ def test_intensity_second_moment_bound():
     small = spec.subordinator.jump_measure.truncated_moment(1.0, 0.0, 1.0)
     tail = spec.subordinator.jump_measure.tail_mass(1.0)
     assert lhs <= c_trace * small + tail + 1e-9
-
-
-# -- finite variation ----------------------------------------------------
-
-
-def test_finite_variation_scalar_stable_cases():
-    fine = finite_variation_test(make_spec(SubordinatorSpec.stable(0.25), 1))
-    assert fine["analytic_finite"] and fine["empirical_finite"] and fine["agree"]
-    rough = finite_variation_test(make_spec(SubordinatorSpec.stable(0.75), 1))
-    assert not rough["analytic_finite"] and not rough["empirical_finite"]
-
-
-def test_finite_variation_gaussian_case():
-    rep = finite_variation_test(make_spec(SubordinatorSpec.drift_only(1.0), 1))
-    assert not rep["analytic_finite"]
-    assert not rep["empirical_finite"]
-    # Brownian total variation doubles per 4x refinement step
-    assert rep["empirical_growth_ratio"] == pytest.approx(2.0, abs=0.2)
-
-
-def test_finite_variation_stable_verdict_holds_across_seeds():
-    # int_0^1 s^(1/2) rho(ds) < inf for beta = 1/4: every seed must agree
-    spec = make_spec(SubordinatorSpec.stable(0.25), 1)
-    for seed in range(10):
-        rep = finite_variation_test(spec, seed=seed)
-        assert rep["analytic_finite"] and rep["agree"], (seed, rep)
-
-
-@pytest.mark.parametrize("sub", [
-    SubordinatorSpec.stable(0.25),
-    SubordinatorSpec.stable(0.75),
-    SubordinatorSpec.drift_only(1.0),
-    SubordinatorSpec.compound_poisson([2.5], [1.0], drift_b=0.5),
-], ids=["stable-0.25", "stable-0.75", "gaussian", "compound-poisson"])
-def test_finite_variation_growth_is_at_least_one(sub):
-    # refining the grid of one path cannot lower its total variation
-    rep = finite_variation_test(make_spec(sub, 2), mc_paths=8, seed=1)
-    assert rep["empirical_growth_ratio"] >= 1.0
-
-
-def test_finite_variation_compound_poisson():
-    rep = finite_variation_test(
-        make_spec(SubordinatorSpec.compound_poisson([2.5], [1.0]), 1))
-    assert rep["analytic_finite"] and rep["empirical_finite"]
-
-
-@pytest.mark.parametrize("sub, finite, integral", [
-    (SubordinatorSpec.stable(0.25), True, 0.25 / math.gamma(0.75) / 0.25),
-    (SubordinatorSpec.stable(0.49), True, 0.49 / math.gamma(0.51) / 0.01),
-    (SubordinatorSpec.stable(0.5), False, math.inf),
-    (SubordinatorSpec.stable(0.75), False, math.inf),
-    (SubordinatorSpec.drift_only(1.0), False, 0.0),
-    (SubordinatorSpec.compound_poisson([2.5], [1.0]), True, 0.0),
-    (SubordinatorSpec.compound_poisson([2.5], [1.0], drift_b=0.5), False, 0.0),
-    (SubordinatorSpec.compound_poisson([0.5, 1.0], [2.0, 1.0], drift_b=0.5), False, 2.0 * 0.5 ** 0.5),
-], ids=["stable-0.25", "stable-0.49", "stable-0.5", "stable-0.75", "gaussian",
-        "compound-poisson", "compound-poisson-drift", "small-jumps-drift"])
-def test_finite_variation_verdict_is_the_exact_criterion(sub, finite, integral):
-    # the verdict is finite_variation_diagnostic's, and the certificate
-    # int_0^1 s^(1/2) rho(ds) is Sub(1)'s, for every U-norm
-    rep = finite_variation_test(make_spec(sub, 2), mc_paths=2)
-    assert rep["analytic_finite"] is finite_variation_diagnostic(sub) is finite
-    assert rep["criterion_integral"] == pytest.approx(integral, rel=1e-12)

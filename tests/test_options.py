@@ -18,8 +18,6 @@ CALLERS = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 # (function, parameter) of the defaults no call sets, each with its reason
 ALLOWED = {
     ("blowup_probe", "T"): "the horizon of the probed noise path",
-    ("finite_variation_test", "T"): "the horizon of the sampled paths",
-    ("finite_variation_test", "u_space"): "the norm |.|_U whose total variation is measured",
     ("intensity_measure_functional", "u_space"): "the norm |.|_U of the jump marks",
 }
 
@@ -139,9 +137,14 @@ def test_every_public_option_is_set_by_some_call():
     assert [o for o in idle if o not in ALLOWED] == []
 
 
+def test_allowed_options_are_still_there():
+    # an allowance that names no option should be deleted with its option
+    options = {key for source in _library().values() for key in public_options(source)}
+    assert sorted(set(ALLOWED) - options) == []
+
+
 def test_allowed_options_are_still_idle():
-    # an allowance for an option that is gone, or that a call now sets,
-    # should be deleted with it
+    # an allowance for an option that a call now sets should be deleted
     idle = set(idle_options(_library(), [p.read_text() for p in CALLERS]))
     assert sorted(set(ALLOWED) - idle) == []
 

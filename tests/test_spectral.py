@@ -10,17 +10,14 @@ from scipy import integrate
 from levyfield import cli, spectral
 from levyfield._rng import stream
 from levyfield.noise import CylindricalWienerSpec, LevyNoiseSpec
-from levyfield.spaces import SpaceSpec
 from levyfield.spectral import (
     SpectralOperator,
     cell_moments,
     charfn_oracle,
     check_radonifying,
     convolution_variances_batch,
-    power_law_envelope,
     regularity_exponent_bound,
     sample_trajectory,
-    semigroup_norm,
     semigroup_norm_power,
     synthesize,
 )
@@ -67,10 +64,9 @@ def test_dirichlet_eigenvalues_2d_sorted():
 
 
 def test_semigroup_norm_unit_weights():
+    # alpha = beta = 0: the weights are all ones, and the norm is the first mode's
     op = SpectralOperator.dirichlet(1, 1.0, 32)
-    U = SpaceSpec(2.0, np.ones(32))
-    E = SpaceSpec(2.0, np.ones(32))
-    out = semigroup_norm(op, U, E, t=0.7)
+    out = semigroup_norm_power(op, 0.0, 0.0, 2.0, 2.0, t=0.7)
     assert out["norm"] == pytest.approx(math.exp(-op.lambdas[0] * 0.7), rel=1e-14)
     assert out["argmax_mode"] == 0
 
@@ -90,12 +86,14 @@ def test_semigroup_norm_power_matches_full_scan():
         assert fast["norm"] == pytest.approx(float(scan[j]), rel=1e-14)
 
 
-def test_power_law_envelope_dominates():
+def test_semigroup_norm_power_is_below_the_power_law_envelope():
+    # sup over lambda > 0 of e^(-lambda t) lambda^theta is e^(-theta) theta^theta t^(-theta)
     op = SpectralOperator.dirichlet(1, 1.0, 4096)
     alpha, beta, r, q = 0.4, 0.3, 2.0, 2.0
+    theta = beta + (r / q) * alpha
     for t in np.geomspace(1e-5, 10.0, 40):
         sup = semigroup_norm_power(op, alpha, beta, r, q, float(t))["norm"]
-        env = float(power_law_envelope(alpha, beta, r, q, t))
+        env = math.exp(-theta) * theta ** theta * t ** (-theta)
         assert sup <= env * (1.0 + 1e-12)
 
 
@@ -109,10 +107,8 @@ def test_semigroup_slope_matches_exponent():
     assert slope == pytest.approx(-theta, abs=0.05)
 
 
-def test_semigroup_norms_refuse_a_nan_time():
+def test_semigroup_norm_refuses_a_nan_time():
     op = SpectralOperator.dirichlet(1, 1.0, 8)
-    with pytest.raises(ValueError, match="t must be positive"):
-        semigroup_norm(op, SpaceSpec(2.0, np.ones(8)), SpaceSpec(2.0, np.ones(8)), math.nan)
     with pytest.raises(ValueError, match="t must be positive"):
         semigroup_norm_power(op, 0.5, 0.25, 2.0, 2.0, math.nan)
 
@@ -212,9 +208,9 @@ def test_sample_convolution_mc_matches_oracle():
 
 
 def _batch_with_every_kind_of_path():
-    # about 22% of the paths have no jump on [0, 1]; t = 0.6 leaves paths
+    # about 23% of the paths have no jump on [0, 1]; t = 0.6 leaves paths
     # whose jumps all come after t, whose terms overflow exp if not dropped
-    spec = SubordinatorSpec.compound_poisson([0.3, 2.0], [1.0, 0.5], drift_b=0.2)
+    spec = SubordinatorSpec(beta=0.5, drift_b=0.2).truncated(0.15)
     batch = simulate_paths(spec, 1.0, 400, stream(21))
     t = 0.6
     first = np.full(batch.n_paths, np.inf)
@@ -418,8 +414,8 @@ def _quad_oracle(op, noise, phi, t):
     SubordinatorSpec.stable(0.5),
     SubordinatorSpec.stable(0.9),
     SubordinatorSpec.drift_only(1.3),
-    SubordinatorSpec.compound_poisson([0.5, 2.0], [1.0, 0.3], drift_b=0.2),
-], ids=["stable-0.1", "stable-0.5", "stable-0.9", "drift-only", "compound-poisson"])
+    SubordinatorSpec(beta=0.7, drift_b=0.2).truncated(0.3),
+], ids=["stable-0.1", "stable-0.5", "stable-0.9", "drift-only", "truncated-stable"])
 @pytest.mark.parametrize("N", [1, 16, 256])
 def test_charfn_oracle_matches_adaptive_quadrature(sub, N):
     op = SpectralOperator.dirichlet(1, 1.0, N)
@@ -432,14 +428,22 @@ def test_charfn_oracle_matches_adaptive_quadrature(sub, N):
 
 
 @pytest.mark.parametrize("size", [1e8, 1e12])
-def test_charfn_oracle_halves_the_panels_of_a_steep_integrand(size):
-    # psi(r) = 1 - exp(-size r) switches from 1 to 0 within sigma ~ 1 around
-    # sigma = log(size) / 2, where a geometric panel is wider than 10
-    op = SpectralOperator.dirichlet(1, 1.0, 1)
-    noise = make_noise(SubordinatorSpec.compound_poisson([size], [1.0]), 1)
-    phi, t = np.ones(1), 50.0
-    assert charfn_oracle(op, noise, phi, t) == pytest.approx(
-        _quad_oracle(op, noise, phi, t), rel=1e-12)
+def test_charfn_oracle_halves_the_panels_of_a_steep_integrand(size, monkeypatch):
+    # 1 - exp(-size e^(-2 sigma) / 2) switches from 1 to 0 within sigma ~ 1
+    # around sigma = log(size) / 2, where a geometric panel is wider than 10;
+    # the panels are charfn_oracle's for one mode with lambda = 1 at t = 50
+    def integrand(sigma):
+        return 1.0 - np.exp(-size * np.exp(-2.0 * sigma) / 2.0)
+
+    t = 50.0
+    edges = np.concatenate([[0.0], np.geomspace(5e-4, t, spectral.ORACLE_PANELS + 1)])
+    ref = integrate.quad(integrand, 0.0, t, epsrel=1e-13, epsabs=0.0, limit=500,
+                         points=[math.log(size) / 2.0])[0]
+    assert spectral._panel_integral(integrand, edges, 1e-10) == pytest.approx(ref, rel=1e-12)
+    # the geometric panels alone miss the tolerance
+    monkeypatch.setattr(spectral, "ORACLE_SPLITS", 0)
+    with pytest.raises(QuadratureError):
+        spectral._panel_integral(integrand, edges, 1e-10)
 
 
 def test_charfn_oracle_raises_at_an_unreachable_tolerance():
@@ -491,12 +495,12 @@ def test_critical_exponent_gaussian():
 
 @pytest.mark.parametrize("sub", [
     SubordinatorSpec(beta=0.5, drift_b=0.5),
-    SubordinatorSpec.compound_poisson([0.5, 2.0], [1.0, 0.25], drift_b=0.5),
     SubordinatorSpec.stable(0.5).truncated(1e-3),
-], ids=["drifted-stable", "drifted-compound-poisson", "truncated-stable"])
+    SubordinatorSpec(beta=0.9, drift_b=0.5, cutoff=0.5),
+], ids=["drifted-stable", "truncated-stable", "drifted-finite-jumps"])
 def test_critical_exponent_of_a_drifted_law_is_the_gaussian_one(sub):
-    # a drift gives W(Z) a Brownian part, rougher than any jump part, so no
-    # Sub(p) certificate is needed; a truncated stable law has a drift
+    # a drift gives W(Z) a Brownian part, rougher than any jump part; a
+    # truncated stable law has a drift
     op = SpectralOperator.dirichlet(1, 1.0, 4)
     rep = regularity_exponent_bound(op, make_noise(sub, 4), ("holder", 0.4))
     assert rep["critical_exponent"] == pytest.approx(0.5)
@@ -520,13 +524,18 @@ def test_critical_exponent_monotone_in_alpha():
     assert vals[0] > vals[1] > vals[2]
 
 
-def test_critical_exponent_sub_p_route():
-    op = SpectralOperator.dirichlet(1, 2.0, 4)
-    noise = make_noise(SubordinatorSpec.compound_poisson([0.5], [1.0]), 4)
-    rep = regularity_exponent_bound(op, noise, ("holder", 0.0), p_certificate=1.5)
-    assert rep["critical_exponent"] == pytest.approx(4.0 / 1.5 - 0.5)
-    rep2 = regularity_exponent_bound(op, noise, ("holder", 0.0), p_certificate=0.8)
-    assert rep2["critical_exponent"] == pytest.approx(4.0 - 0.5)
+@pytest.mark.parametrize("sub", [
+    SubordinatorSpec(beta=0.5, cutoff=1e-3), SubordinatorSpec(beta=0.9, cutoff=0.5),
+], ids=["beta-0.5", "beta-0.9"])
+@pytest.mark.parametrize("gamma, delta_star", [(1.0, 1.5), (2.0, 3.5)])
+def test_critical_exponent_of_an_undrifted_truncated_law(gamma, delta_star, sub):
+    # finitely many jumps and no drift: Sub(p) for every p, so delta* = g - d/2
+    # is read off the law, whatever its beta, with no certificate passed
+    op = SpectralOperator.dirichlet(1, gamma, 4)
+    noise = make_noise(sub, 4)
+    rep = regularity_exponent_bound(op, noise, ("holder", 0.0))
+    assert rep["critical_exponent"] == pytest.approx(delta_star)
+    assert rep["regime"] == "finite_jumps" and rep["admissible"]
 
 
 # -- synthesis -----------------------------------------------------------

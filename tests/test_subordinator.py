@@ -35,8 +35,7 @@ def test_laplace_exponent_stable_closed_form():
 def test_laplace_exponent_zero_argument():
     for spec in (SubordinatorSpec.stable(0.3),
                  SubordinatorSpec.stable(0.3).truncated(1e-2),
-                 SubordinatorSpec.drift_only(1.0),
-                 SubordinatorSpec.compound_poisson([2.5], [0.7])):
+                 SubordinatorSpec.drift_only(1.0)):
         assert laplace_exponent(spec, 0.0) == 0.0
 
 
@@ -45,12 +44,21 @@ def test_laplace_exponent_drift_only():
     assert laplace_exponent(spec, 2.0) == pytest.approx(3.0, rel=1e-14)
 
 
-def test_laplace_exponent_compound_poisson_exact():
-    sizes, rates = np.array([0.5, 2.0]), np.array([1.0, 0.25])
-    spec = SubordinatorSpec.compound_poisson(sizes, rates)
-    r = 1.3
-    expected = ((1.0 - np.exp(-r * sizes)) * rates).sum()
-    assert laplace_exponent(spec, r) == pytest.approx(expected, rel=1e-14)
+@pytest.mark.parametrize("beta, eps, b, r", [
+    (0.3, 1e-2, 0.0, 1.3),
+    (0.5, 0.5, 0.0, 0.2),
+    (0.75, 0.3, 0.2, 7.0),
+    (0.9, 1e-3, 0.0, 50.0),
+    (0.5, 1e-3, 0.0, 1e-6),
+])
+def test_laplace_exponent_truncated_stable_matches_the_levy_khintchine_integral(beta, eps, b, r):
+    # b r + int_eps^inf (1 - exp(-r xi)) c xi^(-1-beta) dxi, by quadrature
+    c = beta / math.gamma(1.0 - beta)
+    with mpmath.workdps(50):
+        jumps = mpmath.quad(lambda xi: -mpmath.expm1(-r * xi) * c * xi ** (-1 - beta),
+                            [eps, 1, mpmath.inf])
+    spec = SubordinatorSpec(beta=beta, drift_b=b, cutoff=eps)
+    assert laplace_exponent(spec, r) == pytest.approx(b * r + float(jumps), rel=1e-12)
 
 
 def test_laplace_exponent_rejects_negative_argument():
@@ -71,11 +79,15 @@ def test_sub_p_stable_above_and_below():
     assert cert == pytest.approx(c / (0.5 - 0.25), rel=1e-12)
 
 
-def test_sub_p_compound_poisson_all_p():
-    spec = SubordinatorSpec.compound_poisson([0.5, 2.0], [1.0, 1.0])
-    ok, cert = sub_p_membership(spec, 0.1)
+@pytest.mark.parametrize("p", [0.1, 1.0, 2.0])
+def test_sub_p_truncated_stable_all_p(p):
+    # finitely many jumps: int_eps^1 xi^(p/2) c xi^(-1-beta) dxi is finite
+    # for every p, c (1 - eps^(p/2-beta)) / (p/2 - beta)
+    beta, eps = 0.75, 0.5
+    ok, cert = sub_p_membership(SubordinatorSpec(beta=beta, cutoff=eps), p)
+    c = beta / math.gamma(1.0 - beta)
     assert ok
-    assert cert == pytest.approx(0.5 ** 0.05, rel=1e-12)  # only the atom < 1 counts
+    assert cert == pytest.approx(c * (1.0 - eps ** (p / 2 - beta)) / (p / 2 - beta), rel=1e-12)
 
 
 def test_sub_p_boundary_is_excluded():
@@ -90,17 +102,35 @@ def test_sub_p_boundary_is_excluded():
 def test_finite_variation_verdicts():
     assert finite_variation_diagnostic(SubordinatorSpec.stable(0.25)) is True
     assert finite_variation_diagnostic(SubordinatorSpec.stable(0.75)) is False
-    assert finite_variation_diagnostic(
-        SubordinatorSpec.compound_poisson([1.5], [2.0])) is True
+    # finitely many jumps, however heavy the stable law they come from
+    assert finite_variation_diagnostic(SubordinatorSpec(beta=0.75, cutoff=0.5)) is True
     assert finite_variation_diagnostic(SubordinatorSpec.drift_only(1.0)) is False
     # int_0^1 s^(1/2) rho(ds) converges exactly for beta < 1/2
     assert finite_variation_diagnostic(SubordinatorSpec.stable(0.49)) is True
     assert finite_variation_diagnostic(SubordinatorSpec.stable(0.5)) is False
     # a drift of Z gives W(Z) a Brownian part, however small the jumps
-    for sub in (SubordinatorSpec.compound_poisson([0.5, 1.0], [2.0, 1.0], drift_b=0.5),
+    for sub in (SubordinatorSpec.stable(0.75).truncated(0.5),
                 SubordinatorSpec(beta=0.25, drift_b=0.5)):
         assert sub_p_membership(sub, 1.0)[0]
         assert finite_variation_diagnostic(sub) is False
+
+
+@pytest.mark.parametrize("sub, finite, integral", [
+    (SubordinatorSpec.stable(0.25), True, 0.25 / math.gamma(0.75) / 0.25),
+    (SubordinatorSpec.stable(0.49), True, 0.49 / math.gamma(0.51) / 0.01),
+    (SubordinatorSpec.stable(0.5), False, math.inf),
+    (SubordinatorSpec.stable(0.75), False, math.inf),
+    (SubordinatorSpec.drift_only(1.0), False, 0.0),
+    # at p/2 = beta the integral int_eps^1 c xi^(-1) dxi is c log(1/eps)
+    (SubordinatorSpec(beta=0.5, cutoff=0.5), True, 0.5 / math.gamma(0.5) * math.log(2.0)),
+    (SubordinatorSpec.stable(0.5).truncated(0.5), False, 0.5 / math.gamma(0.5) * math.log(2.0)),
+], ids=["stable-0.25", "stable-0.49", "stable-0.5", "stable-0.75", "gaussian",
+        "truncated", "truncated-drift"])
+def test_finite_variation_verdict_is_the_exact_criterion(sub, finite, integral):
+    # the verdict is Sub(1) without a drift, and its certificate is
+    # int_0^1 s^(1/2) rho(ds)
+    assert finite_variation_diagnostic(sub) is finite
+    assert sub_p_membership(sub, 1.0)[1] == pytest.approx(integral, rel=1e-12)
 
 
 # -- exact stable sampling -----------------------------------------------
@@ -115,6 +145,16 @@ def test_stable_sampler_laplace_transform():
             emp = vals.mean()
             se = vals.std() / math.sqrt(vals.size)
             assert abs(emp - math.exp(-r ** beta)) < 4.0 * se, (beta, r)
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0, 1.2, -0.5, math.nan, math.inf])
+def test_stable_sampler_refuses_beta_outside_the_unit_interval(beta):
+    # checked before any draw: NaN once gave NaN draws, and 0, 1 or 1.2 a
+    # bare math domain error
+    rng = stream(0)
+    with pytest.raises(ValueError, match="beta"):
+        sample_stable_oneside(beta, 4, rng)
+    assert rng.bit_generator.state == stream(0).bit_generator.state
 
 
 # -- path simulation -----------------------------------------------------
@@ -188,17 +228,11 @@ def _per_path_sampler(spec, T, seed, grid_n):
         dt = T / grid_n
         incr = dt ** (1.0 / spec.beta) * sample_stable_oneside(spec.beta, grid_n, rng)
         return dt * np.arange(1, grid_n + 1), incr
-    if spec.kind == "compound_poisson":
-        rate = spec.jump_measure.tail_mass(0.0)
-    else:
-        beta, eps = spec.beta, spec.cutoff
-        rate = beta / math.gamma(1.0 - beta) / beta * eps ** (-beta)
+    beta, eps = spec.beta, spec.cutoff
+    rate = beta / math.gamma(1.0 - beta) / beta * eps ** (-beta)
     n = rng.poisson(rate * T)
     times = np.sort(rng.uniform(0.0, T, size=n))
-    if spec.kind == "compound_poisson":
-        sizes = spec.jump_measure.sample_sizes(n, rng) if n else np.empty(0)
-    else:
-        sizes = eps * rng.uniform(size=n) ** (-1.0 / beta)
+    sizes = eps * rng.uniform(size=n) ** (-1.0 / beta)
     return times, sizes
 
 
@@ -206,7 +240,7 @@ def _per_path_sampler(spec, T, seed, grid_n):
     (SubordinatorSpec.stable(0.5), None),
     (SubordinatorSpec.stable(0.9), "jumps"),
     (SubordinatorSpec.drift_only(1.5), None),
-    (SubordinatorSpec.compound_poisson([0.3, 2.0], [2.0, 0.5], drift_b=0.2), None),
+    (SubordinatorSpec(beta=0.3, drift_b=0.2).truncated(0.05), None),
 ])
 def test_simulate_path_is_bitwise_the_per_path_sampler(spec, route):
     # route "jumps" draws the stable spec truncated at each cutoff
@@ -237,7 +271,7 @@ def test_truncation_adds_the_mean_of_the_small_jumps_to_the_drift():
 @pytest.mark.parametrize("spec, route", [
     (SubordinatorSpec.stable(0.5), None),
     (SubordinatorSpec.stable(0.5).truncated(1e-3), "jumps"),
-    (SubordinatorSpec.compound_poisson([0.3, 2.0], [2.0, 0.5], drift_b=0.2), "jumps"),
+    (SubordinatorSpec(beta=0.75, drift_b=0.2).truncated(0.3), "jumps"),
 ])
 def test_simulate_paths_laplace_identity(spec, route):
     # E exp(-r Z(T)) = exp(-T psi(r)), each route against the exponent of
@@ -281,7 +315,8 @@ def test_times_are_sorted_within_paths_as_by_the_complex_key(counts):
 
 
 def test_path_batch_csr_layout():
-    spec = SubordinatorSpec.compound_poisson([0.3, 2.0], [1.0, 0.5], drift_b=0.2)
+    # about 2 jumps per path
+    spec = SubordinatorSpec(beta=0.5, drift_b=0.2).truncated(0.3)
     batch = simulate_paths(spec, 2.0, 300, stream(4))
     assert batch.offsets.shape == (301,) and batch.offsets[0] == 0
     assert batch.offsets[-1] == batch.times.size == batch.sizes.size
@@ -567,11 +602,9 @@ def test_invalid_specs_rejected():
 def test_kind_is_read_off_the_fields_and_a_bad_law_is_refused():
     assert SubordinatorSpec.stable(0.5).kind == "stable"
     assert SubordinatorSpec.drift_only(1.0).kind == "drift_only"
-    assert SubordinatorSpec.compound_poisson([1.0], [2.0]).kind == "compound_poisson"
     assert SubordinatorSpec.stable(0.5).truncated(0.1).kind == "truncated_stable"
     # a cutoff truncates a stable law once, within (0, 1]
-    for spec in (SubordinatorSpec.stable(0.5).truncated(0.1), SubordinatorSpec.drift_only(1.0),
-                 SubordinatorSpec.compound_poisson([1.0], [2.0])):
+    for spec in (SubordinatorSpec.stable(0.5).truncated(0.1), SubordinatorSpec.drift_only(1.0)):
         with pytest.raises(ValueError, match="only a stable spec"):
             spec.truncated(0.1)
     for eps in (0.0, -0.1, 1.5, math.nan, math.inf):
@@ -583,70 +616,35 @@ def test_kind_is_read_off_the_fields_and_a_bad_law_is_refused():
         SubordinatorSpec(drift_b=1.0, cutoff=0.1)
     assert jump_law(SubordinatorSpec.stable(0.5)) == SubordinatorSpec.stable(0.5).truncated(
         JUMP_CUTOFF)
-    for spec in (SubordinatorSpec.stable(0.5).truncated(0.1), SubordinatorSpec.drift_only(1.0),
-                 SubordinatorSpec.compound_poisson([1.0], [2.0])):
+    for spec in (SubordinatorSpec.stable(0.5).truncated(0.1), SubordinatorSpec.drift_only(1.0)):
         assert jump_law(spec) is spec
-    # a law stated twice: its oracle would read beta and its sampler the atoms
-    atoms = SubordinatorSpec.compound_poisson([2.0], [1.0]).intensity
-    with pytest.raises(ValueError, match="beta"):
-        SubordinatorSpec(beta=0.5, intensity=atoms)
-    # the stable law is stated by beta, never as an intensity
-    with pytest.raises(ValueError, match="IntensityMeasure"):
-        SubordinatorSpec(intensity=stable_intensity(0.5))
+    for beta in (0.0, 1.0, math.nan):
+        with pytest.raises(ValueError, match="beta"):
+            SubordinatorSpec(beta=beta)
     for b in (math.nan, math.inf, -1.0):
         with pytest.raises(ValueError, match="drift"):
             SubordinatorSpec.drift_only(b)
         with pytest.raises(ValueError, match="drift"):
-            SubordinatorSpec.compound_poisson([1.0], [1.0], drift_b=b)
+            SubordinatorSpec(beta=0.5, drift_b=b)
 
 
-def test_a_stable_spec_keeps_no_intensity_and_compares_by_its_fields():
+def test_a_stable_spec_compares_by_its_fields():
     spec = SubordinatorSpec.stable(0.5)
-    assert spec.intensity is None
     assert spec == SubordinatorSpec.stable(0.5) != SubordinatorSpec.stable(0.6)
     drifted = dataclasses.replace(spec, drift_b=1.0)
     assert (drifted.drift_b, drifted.beta, drifted.kind) == (1.0, 0.5, "stable")
     assert spec.jump_measure.tail_mass(1.0) == stable_intensity(0.5).tail_mass(1.0)
-    atoms = SubordinatorSpec.compound_poisson([2.0], [1.0])
-    assert atoms.jump_measure is atoms.intensity
-    # atoms compare by value, sorted by size, and a spec of them stays hashable
-    same = SubordinatorSpec.compound_poisson([2.0], [1.0])
-    assert atoms == same and hash(atoms) == hash(same)
-    assert atoms != SubordinatorSpec.compound_poisson([2.0], [1.5])
-    assert atoms != SubordinatorSpec.compound_poisson([2.0], [1.0], drift_b=0.5)
-    pair = SubordinatorSpec.compound_poisson([0.5, 2.0], [3.0, 1.0])
-    assert pair == SubordinatorSpec.compound_poisson([2.0, 0.5], [1.0, 3.0])
-    assert len({atoms, same, pair}) == 2
-    zero = SubordinatorSpec.compound_poisson([2.0, 3.0], [1.0, 0.0])
-    assert hash(zero) == hash(SubordinatorSpec.compound_poisson([2.0, 3.0], [1.0, -0.0]))
-
-
-@pytest.mark.parametrize("sizes, rates, match", [
-    ([math.nan], [1.0], "sizes"),
-    ([math.inf], [1.0], "sizes"),
-    ([0.0], [1.0], "sizes"),
-    ([-1.0], [1.0], "sizes"),
-    ([1.0], [math.nan], "rates"),
-    ([1.0], [math.inf], "rates"),
-    ([1.0], [-1.0], "rates"),
-    ([1.0, 2.0], [1.0], "rates"),
-    ([[1.0]], [[1.0]], "sizes"),
-    ([1.0], [[1.0]], "rates"),
-    (1.0, 1.0, "sizes"),
-], ids=["nan-size", "inf-size", "zero-size", "negative-size", "nan-rate", "inf-rate",
-        "negative-rate", "lengths-differ", "2d", "2d-rates", "0d"])
-def test_atoms_refuse_bad_input_up_front(sizes, rates, match):
-    # a NaN size once drew no jumps at all, and an infinite one failed only
-    # inside PathBatch: each is refused where the atoms are made
-    with pytest.raises(ValueError, match=f"atom {match}"):
-        SubordinatorSpec.compound_poisson(sizes, rates)
+    # a truncated spec too, and it stays hashable
+    cut = spec.truncated(0.1)
+    assert cut == SubordinatorSpec.stable(0.5).truncated(0.1) != spec.truncated(0.2)
+    assert len({cut, SubordinatorSpec.stable(0.5).truncated(0.1), spec}) == 2
 
 
 @pytest.mark.parametrize("T", [math.nan, math.inf])
 @pytest.mark.parametrize("spec", [
     SubordinatorSpec.stable(0.5), SubordinatorSpec.stable(0.5).truncated(1e-4),
-    SubordinatorSpec.drift_only(1.0), SubordinatorSpec.compound_poisson([1.0], [1.0])],
-    ids=["stable-grid", "stable-jumps", "drift-only", "compound-poisson"])
+    SubordinatorSpec.drift_only(1.0), SubordinatorSpec(beta=0.3, drift_b=0.2).truncated(0.05)],
+    ids=["stable-grid", "stable-jumps", "drift-only", "drifted-jumps"])
 def test_simulate_paths_refuses_a_horizon_that_is_not_finite(spec, T):
     with pytest.raises(ValueError, match="T must be finite and positive"):
         simulate_paths(spec, T, 1, stream(0))
