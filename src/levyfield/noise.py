@@ -127,7 +127,8 @@ def intensity_measure_functional(
     The intensity is nu(G) = int_0^inf zeta_s(G) rho(ds) with zeta_s the
     N-mode Gaussian law of W(s).  The inner Gaussian expectation is an
     average over the fixed cloud of ``_radial_norms``; the outer rho-integral
-    is a log-spaced trapezoid rule.
+    is a log-spaced trapezoid rule from the cutoff of a truncated law (from
+    1e-12 otherwise) up to 1e16.
     """
     sub = spec.subordinator
     if sub.kind == "drift_only":
@@ -140,7 +141,9 @@ def intensity_measure_functional(
     # trapezoid rule averages over them instead; node count is sized from
     # quad_tol.  Endpoint decay is checked so truncating the s-range is safe.
     n_nodes = int(np.clip(20.0 / np.sqrt(max(quad_tol, 1e-12)), 2000, 20000))
-    svals = np.geomspace(1e-12, 1e16, n_nodes)
+    # rho is 0 below a truncated law's cutoff: starting there keeps the
+    # density's step at the cutoff out of the trapezoid
+    svals = np.geomspace(sub.cutoff or 1e-12, 1e16, n_nodes)
     fvals = _cloud_means(radial_test, svals, norms) * np.asarray(meas.density(svals), dtype=float)
     logland = fvals * svals  # integrand per unit of log s
     if logland.max() > 0 and logland[-1] > 1e-6 * logland.max():

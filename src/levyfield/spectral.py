@@ -180,37 +180,72 @@ def cell_moments(lam: np.ndarray, c: float, slope: float, t0: np.ndarray, t1: np
     (jumps, 1) (one size per jump) or (jumps, modes) (one mark per jump and
     mode); the jumps of cell s are ``starts[s]:starts[s] + counts[s]``.  So
 
-        moment = slope (1 - e^(-c lam (t1_s - t0_s))) / (c lam)
-                 + sum_(k in cell s) e^(-c lam (t1_s - tau_k)) w_k.
+        moment = sum_(k in cell s) e^(-c lam (t1_s - tau_k)) w_k
+                 + slope (1 - e^(-c lam (t1_s - t0_s))) / (c lam).
 
-    The slope term is computed once per distinct cell length and gathered.
-    Cells are summed in groups of equal jump count k, each group in slices
-    of at most max(1, CHUNK_TERMS // (k * modes)) cells, so every jump x
-    mode array built holds at most CHUNK_TERMS terms (or one cell's
-    k * modes), whatever the number of cells.  Each slice is one (modes,
-    cells, jumps) array reduced over its last axis: every cell's sum then
-    rounds exactly as it does for a slice of one cell.
+    Each cell's jump terms are added in time order, the first term first,
+    and the slope term last: the moment is bitwise a Python loop over the
+    cell's jumps, whatever the cells around it.  A cell with at most 7
+    jumps therefore also equals np.sum of its (modes, jumps) block, which
+    adds fewer than 8 terms in order; a longer one moves by about 1 ulp
+    from numpy's pairwise sum.  The slope term is computed once per
+    distinct cell length and gathered.
+
+    The cells with jumps, sorted by falling jump count, go in blocks of
+    max(1, CHUNK_TERMS // modes) cells, each with one contiguous (modes,
+    cells) accumulator.  Rank r adds jump r of every cell of the block with
+    more than r jumps, which are the first cells of the block, as one
+    column slice.  Once no more cells remain than ranks, each remaining
+    cell is finished in one call: its partial sum stacked on its remaining
+    terms, summed over the jump axis.  So every jump x mode array built
+    holds at most CHUNK_TERMS terms (or one cell's), whatever the number of
+    cells, and the values do not depend on that bound.
     """
+    # for c = 1 or 2, a power of two, (-c lam) dt rounds as -c (lam dt)
+    rate = -c * lam
     # the slope term depends on the cell length alone: one row per distinct
     # length, which each cell finds by searchsorted; np.unique's own inverse
     # runs an argsort, which raised the peak RSS of ou-sample by about 0.7 MB
     lengths = t1 - t0
     table = np.unique(lengths)
-    out = (slope * (1.0 - np.exp(-c * lam * table[:, None])) / (c * lam))[
+    out = (slope * (1.0 - np.exp(rate * table[:, None])) / (c * lam))[
         np.searchsorted(table, lengths)]
-    weights = weights.T
-    for k in np.unique(counts[counts > 0]):
-        group = np.flatnonzero(counts == k)
-        step = max(1, CHUNK_TERMS // (k * lam.size))
-        for lo in range(0, group.size, step):
-            cells = group[lo:lo + step]
-            jumps = starts[cells][:, None] + np.arange(k)
-            # updated in place, so a slice holds one (modes, cells, jumps) array
-            terms = lam[:, None, None] * (t1[cells][:, None] - jump_times[jumps])
-            terms *= -c
+    # a stable sort: numpy's default one loads its SIMD sort code, which
+    # raised the peak RSS of ou-sample by about 0.3 MB
+    cells = np.flatnonzero(counts)
+    cells = cells[np.argsort(-counts[cells], kind="stable")]
+    width = max(1, CHUNK_TERMS // lam.size)
+    for lo in range(0, cells.size, width):
+        block = cells[lo:lo + width]
+        k, first, end = counts[block], starts[block], t1[block]
+        # active[r] cells, the first of the block, have more than r jumps
+        active = np.searchsorted(-k, -np.arange(k[0] + 1))
+        # rank 0 always runs; the ranks stop once no more cells remain than ranks
+        switch = next(r for r in range(1, k[0] + 1) if active[r] <= k[0] - r)
+        acc = np.empty((lam.size, block.size))
+        buf = np.empty_like(acc)
+        for r in range(switch):
+            m = active[r]
+            jumps = first[:m] + r
+            # rank 0 covers every cell of the block and starts its sums
+            terms = np.multiply.outer(rate, end[:m] - jump_times[jumps],
+                                      out=(buf if r else acc)[:, :m])
             np.exp(terms, out=terms)
-            terms *= weights[:, jumps]
-            out[cells] += terms.sum(axis=-1).T
+            terms *= weights[jumps].T
+            if r:
+                acc[:, :m] += terms
+        for i in range(active[switch]):
+            jumps = slice(first[i] + switch, first[i] + k[i])
+            rows = np.empty((k[i] - switch + 1, lam.size))
+            rows[0] = acc[:, i]
+            terms = rows[1:]
+            np.multiply.outer(end[i] - jump_times[jumps], rate, out=terms)
+            np.exp(terms, out=terms)
+            terms *= weights[jumps]
+            # ndarray.sum over the first axis adds whole rows in order, but
+            # one column is a contiguous run, which numpy sums pairwise
+            acc[:, i] = rows.sum(axis=0) if lam.size > 1 else np.cumsum(rows, axis=0)[-1]
+        out[block] += acc.T
     return out
 
 

@@ -243,7 +243,10 @@ class PathBatch:
     def _bins(self, edges: np.ndarray, weights=None) -> np.ndarray:
         """Jump count (or sum of ``weights``) of every path in each of the
         len(edges) + 1 bins: up to edges[0], each cell (edges[i], edges[i+1]]
-        and after edges[-1]; shape (n_paths, len(edges) + 1)."""
+        and after edges[-1]; shape (n_paths, len(edges) + 1).  Raises
+        ValueError unless the edges are 1-d, finite and nondecreasing."""
+        if edges.ndim != 1 or not (np.isfinite(edges).all() and np.all(np.diff(edges) >= 0)):
+            raise ValueError("edges must be a 1-d, finite, nondecreasing sequence")
         n_bins = edges.size + 1
         flat = np.searchsorted(edges, self.times, side="left") + n_bins * self.rows
         return np.bincount(flat, weights, minlength=self.n_paths * n_bins).reshape(-1, n_bins)
@@ -254,10 +257,12 @@ class PathBatch:
 
         Each cell is the slope times its length plus one sum of the jumps in
         (edges[i], edges[i+1]]: a jump on an edge belongs to the cell that
-        edge closes, and jumps outside the edges are not counted.
+        edge closes, and jumps outside the edges are not counted.  Raises
+        ValueError for edges that are not 1-d, finite and nondecreasing.
         """
         edges = np.asarray(edges, dtype=float)
-        return self.drift_slope * np.diff(edges) + self._bins(edges, self.sizes)[:, 1:-1]
+        jumps = self._bins(edges, self.sizes)[:, 1:-1]
+        return self.drift_slope * np.diff(edges) + jumps
 
     def cells(self, edges) -> tuple[np.ndarray, np.ndarray]:
         """(starts, counts), each of shape (n_paths, len(edges) - 1), for
@@ -266,6 +271,7 @@ class PathBatch:
 
         The cells are those of ``increments``: a jump on an edge belongs to
         the cell that edge closes, and jumps outside the edges are in none.
+        Raises ValueError as ``increments`` does.
         """
         bins = self._bins(np.asarray(edges, dtype=float))
         # times are sorted within a path, so the bins, path after path, are

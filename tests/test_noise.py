@@ -123,17 +123,15 @@ def test_jump_times_of_y_match_z():
 # -- intensity measure ---------------------------------------------------
 
 
-@pytest.mark.parametrize("beta, eps", [(0.5, 0.1), (0.75, 0.3)])
+@pytest.mark.parametrize("beta, eps", [(0.5, 0.1), (0.75, 0.3), (0.5, 0.5), (0.5, 1e-3)])
 def test_intensity_functional_truncated_stable_total_mass(beta, eps):
-    # nu has the total mass of rho, c eps^(-beta) / beta; at the default
-    # quad_tol the trapezoid has 20,000 nodes over log s in [log 1e-12,
-    # log 1e16], and the cutoff's jump, of height c eps^(-beta) per unit of
-    # log s, costs at most half a step h of it
+    # nu has the total mass of rho, c eps^(-beta) / beta; the trapezoid
+    # starts at the cutoff, so it integrates the smooth c s^(-beta) per unit
+    # of log s and never straddles the density's step at eps
     spec = make_spec(SubordinatorSpec(beta=beta, cutoff=eps), n_modes=4)
     total = intensity_measure_functional(spec, lambda x: np.ones_like(x))
     exact = eps ** -beta / math.gamma(1.0 - beta)
-    h = math.log(1e28) / 19999
-    assert total == pytest.approx(exact, rel=beta * h / 2.0)
+    assert total == pytest.approx(exact, rel=1e-6)
 
 
 def test_intensity_functional_large_jump_rate_vs_empirical():

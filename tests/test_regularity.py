@@ -102,7 +102,8 @@ def test_trajectory_matches_marginal_variances():
 
 def _per_cell_trajectory(op, noise, zpath, times, rng):
     """The per-cell loop that sample_trajectory was for one path before it
-    summed cells in blocks."""
+    summed cells in blocks: a cell's variance adds its jumps' terms in time
+    order, then the slope term."""
     lam = op.lambdas
     inv_w = 1.0 / noise.wiener.hilbert_weights
     out = np.empty((times.size, lam.size))
@@ -115,8 +116,10 @@ def _per_cell_trajectory(op, noise, zpath, times, rng):
             k0 = np.searchsorted(zpath.times, t_prev, side="right")
             k1 = np.searchsorted(zpath.times, t, side="right")
             if k1 > k0:
-                var = var + (np.exp(-2.0 * np.multiply.outer(lam, t - zpath.times[k0:k1]))
-                             * zpath.sizes[k0:k1]).sum(axis=1)
+                jumps = -0.0
+                for tau, size in zip(zpath.times[k0:k1], zpath.sizes[k0:k1]):
+                    jumps = jumps + np.exp(-2.0 * (lam * (t - tau))) * size
+                var = jumps + var
             x = np.exp(-lam * dt) * x + np.sqrt(var) * inv_w * rng.standard_normal(lam.size)
         out[i] = x
         t_prev = t

@@ -270,10 +270,80 @@ def test_cell_moments_match_a_direct_double_loop(c, marks):
                                       / (c * lam))
 
 
+def _per_jump_loop(lam, c, slope, t0, t1, jump_times, weights, starts, counts):
+    """Each cell's moment as a Python loop: its jump terms added one at a
+    time in time order, then the slope term."""
+    out = np.empty((t0.size, lam.size))
+    for s in range(t0.size):
+        moment = -0.0
+        for j in range(starts[s], starts[s] + counts[s]):
+            moment = moment + np.exp(-c * lam * (t1[s] - jump_times[j])) * weights[j]
+        out[s] = moment + slope * (1.0 - np.exp(-c * lam * (t1[s] - t0[s]))) / (c * lam)
+    return out
+
+
+@pytest.mark.parametrize("chunk_terms", [spectral.CHUNK_TERMS, 1])
+@pytest.mark.parametrize("n_modes", [1, 16])
+@pytest.mark.parametrize("c", [1.0, 2.0])
+@pytest.mark.parametrize("marks", [False, True])
+@pytest.mark.parametrize("layout", ["sizes", "nested", "many"])
+def test_cell_moments_are_bitwise_a_per_jump_loop(monkeypatch, chunk_terms, n_modes, c, marks,
+                                                  layout):
+    # "sizes": cells of 0 to 2,000 jumps in no order of count, which the
+    # tail finishes after rank 0; "nested": the same counts, every cell
+    # starting at the first jump, as blowup_probe's windows do; "many": 300
+    # cells of up to 11 jumps beside two of 150, so ranks 1 and on add
+    # column slices before the tail takes the longest cells
+    monkeypatch.setattr(spectral, "CHUNK_TERMS", chunk_terms)
+    rng = stream(11)
+    lam = SpectralOperator.dirichlet(1, 1.0, n_modes).lambdas
+    counts = np.array([8, 0, 150, 1, 2000, 7, 9, 0, 8, 1, 7, 150])
+    if layout == "many":
+        counts = rng.permutation(np.append(rng.integers(0, 12, 300), [150, 150]))
+    if layout == "nested":
+        jump_times = np.sort(rng.uniform(0.0, 1.0, counts.max()))
+        starts = np.zeros_like(counts)
+        t1 = np.append(jump_times, 1.0)[np.maximum(counts - 1, 0)] + 0.01
+        t0 = np.zeros(counts.size)
+    else:
+        starts = np.cumsum(counts) - counts
+        t1 = rng.uniform(0.5, 1.0, counts.size)
+        t0 = t1 - rng.uniform(0.0, 0.5, counts.size)
+        jump_times = np.repeat(t1, counts) - np.sort(rng.uniform(0.0, 0.5, counts.sum()))[::-1]
+    n_jumps = jump_times.size
+    weights = (rng.standard_normal((n_jumps, n_modes)) if marks
+               else rng.exponential(size=(n_jumps, 1)))
+    args = (lam, c, 0.7, t0, t1, jump_times, weights, starts, counts)
+    np.testing.assert_array_equal(cell_moments(*args), _per_jump_loop(*args))
+
+
+@pytest.mark.parametrize("c", [1.0, 2.0])
+@pytest.mark.parametrize("marks", [False, True])
+def test_cells_of_at_most_seven_jumps_are_bitwise_np_sum(c, marks):
+    # numpy sums fewer than 8 contiguous terms one after another, so the
+    # time-order rule keeps these cells' bits from the pairwise sum
+    rng = stream(12)
+    lam = SpectralOperator.dirichlet(1, 1.0, 16).lambdas
+    counts = np.arange(1, 8)
+    starts = np.cumsum(counts) - counts
+    t1 = rng.uniform(0.5, 1.0, counts.size)
+    t0 = t1 - 0.5
+    jump_times = np.repeat(t1, counts) - rng.uniform(0.0, 0.5, counts.sum())
+    weights = (rng.standard_normal((counts.sum(), 16)) if marks
+               else rng.exponential(size=(counts.sum(), 1)))
+    got = cell_moments(lam, c, 0.7, t0, t1, jump_times, weights, starts, counts)
+    for s, (start, k) in enumerate(zip(starts, counts)):
+        jumps = slice(start, start + k)
+        block = np.exp(np.multiply.outer(-c * lam, t1[s] - jump_times[jumps])) * weights[jumps].T
+        slope = 0.7 * (1.0 - np.exp(-c * lam * (t1[s] - t0[s]))) / (c * lam)
+        np.testing.assert_array_equal(got[s], np.sum(block, axis=1) + slope)
+
+
 @pytest.mark.parametrize("marks", [False, True])
 def test_cell_moments_do_not_depend_on_the_term_bound(monkeypatch, marks):
-    # each (mode, cell) row is one contiguous sum, whatever slice holds it;
-    # counts of 128 and more reach numpy's pairwise blocks
+    # each cell's terms are added in time order, whatever block holds it and
+    # whether the rank phase or the tail finishes it; at the default bound
+    # the cells with jumps are one block, at a bound of 1 each is its own
     rng = stream(5)
     lam = SpectralOperator.dirichlet(1, 1.0, 16).lambdas
     counts = rng.integers(0, 40, 400)
@@ -285,8 +355,7 @@ def test_cell_moments_do_not_depend_on_the_term_bound(monkeypatch, marks):
     weights = (rng.standard_normal((counts.sum(), 16)) if marks
                else rng.exponential(size=(counts.sum(), 1)))
     args = (lam, 2.0, 0.7, t0, t1, jump_times, weights, starts, counts)
-    # at the default bound no group of this call is split
-    assert counts.max() * lam.size * np.bincount(counts).max() <= spectral.CHUNK_TERMS
+    assert np.count_nonzero(counts) * lam.size <= spectral.CHUNK_TERMS
     whole = cell_moments(*args)
     monkeypatch.setattr(spectral, "CHUNK_TERMS", 1)
     np.testing.assert_array_equal(cell_moments(*args), whole)

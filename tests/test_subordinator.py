@@ -457,6 +457,19 @@ def test_cells_at_edges_and_outside():
     assert starts.shape == counts.shape == (3, 0)
 
 
+@pytest.mark.parametrize("edges", [[0.5, 0.2], [0.0, 0.5, 0.25], [0.0, math.nan, 1.0],
+                                   [0.0, math.inf], [-math.inf, 0.5], [[0.0, 0.5]], 0.5])
+def test_increments_and_cells_refuse_bad_edges(edges):
+    # unchecked, falling edges give a negative "increment" without the
+    # jumps, and a NaN edge gives NaN increments and arbitrary cells
+    batch = PathBatch(horizon_T=1.0, drift_slope=0.5, offsets=np.array([0, 4, 4, 5]),
+                      times=np.array([0.1, 0.25, 0.4, 0.9, 0.5]),
+                      sizes=np.array([1.0, 2.0, 4.0, 8.0, 16.0]))
+    for reader in (batch.increments, batch.cells):
+        with pytest.raises(ValueError, match="1-d, finite, nondecreasing"):
+            reader(edges)
+
+
 def test_expected_jump_count_is_bounded_before_drawing():
     with pytest.raises(ValueError, match="jumps in expectation"):
         simulate_paths(SubordinatorSpec.stable(0.9).truncated(1e-12), 1.0, 1, stream(0))
