@@ -5,7 +5,8 @@ jump of size dZ is a Gaussian vector with mode-j variance w_j^{-2} dZ,
 which ``noise.increment_coefficients`` draws for every jump of a
 ``PathBatch``, and ``spectral.cell_moments`` integrates the OU kernel
 against them.  This module verifies the p-th moment inequalities for
-Poisson stochastic integrals of step functions by Monte Carlo.
+Poisson stochastic integrals of step functions by Monte Carlo; the bound
+for p in (1, 2] takes the exact type-p constant of l^2, which is 1.
 """
 
 from __future__ import annotations
@@ -20,12 +21,9 @@ __all__ = [
     "StepIntegrand",
     "verify_moment_inequality_p_le_1",
     "verify_moment_inequality_type_p",
-    "estimate_type_p_constant",
 ]
 
-# random sign rows per ensemble of more than 12 vectors in estimate_type_p_constant
-SIGNS_MC = 4096
-# factor on the estimated type-p constant, which is a lower bound of the true one
+# fixed slack on the type-p bound of verify_moment_inequality_type_p
 TYPE_P_MARGIN = 1.25
 
 
@@ -85,64 +83,26 @@ def verify_moment_inequality_p_le_1(step: StepIntegrand, p: float, mc: int = 100
     }
 
 
-def estimate_type_p_constant(p: float, q: float, n: int, values: np.ndarray,
-                             rng: np.random.Generator, ensembles: int = 200) -> float:
-    """Empirical type-p constant of (R^n, l^q).
+def verify_moment_inequality_type_p(step: StepIntegrand, p: float, mc: int = 100000,
+                                    seed: int = 0) -> dict:
+    """Check E|int f dpi~|^p <= 2^(2-p) K_p int |f|^p dnu for p in (1, 2]
+    and f valued in l^2.
 
-    Maximizes  E_eps |sum_i eps_i x_i|_q^p / sum_i |x_i|_q^p  over random
-    vector ensembles (including the supplied values); signs enumerated
-    exactly for up to 12 vectors, SIGNS_MC random sign rows otherwise.  A
-    lower bound for the true constant K_p^p, so callers add a safety
-    margin.  Every draw comes from ``rng``.
-    """
-    best = 0.0
-
-    def ratio(xs):
-        k = xs.shape[0]
-        if k == 0:
-            return 0.0
-        denom = (np.linalg.norm(xs, ord=q, axis=1) ** p).sum()
-        if denom == 0:
-            return 0.0
-        if k <= 12:
-            signs = np.array(np.meshgrid(*([[-1.0, 1.0]] * k))).reshape(k, -1).T
-        else:
-            signs = rng.choice([-1.0, 1.0], size=(SIGNS_MC, k))
-        sums = signs @ xs
-        return float(np.mean(np.linalg.norm(sums, ord=q, axis=1) ** p)) / denom
-
-    best = max(best, ratio(np.atleast_2d(values)))
-    for _ in range(ensembles):
-        k = rng.integers(1, 9)
-        xs = rng.standard_normal((k, n)) * rng.exponential(size=(k, 1))
-        best = max(best, ratio(xs))
-    return best
-
-
-def verify_moment_inequality_type_p(step: StepIntegrand, p: float, q: float = 2.0,
-                                    mc: int = 100000, seed: int = 0) -> dict:
-    """Check E|int f dpi~|^p <= 2^(2-p) K_p int |f|^p dnu for p in (1, 2].
-
-    pi~ is the compensated Poisson measure; K_p is the empirical type-p
-    constant of (R^n, l^q) inflated by TYPE_P_MARGIN (the estimator maximizes a
-    ratio, hence is a lower bound).  The Poisson counts come from
-    stream(seed, 1) and the constant from stream(seed, 2), so calls at
-    consecutive seeds share no draws.
+    pi~ is the compensated Poisson measure.  l^2 has type-p constant
+    K_p = 1 for p <= 2: E|sum_i eps_i x_i|^p <= (sum_i |x_i|^2)^(p/2)
+    <= sum_i |x_i|^p, with equality for one vector.  The bound carries the
+    fixed slack TYPE_P_MARGIN.  The Poisson counts come from
+    stream(seed, 1).
     """
     if not 1 < p <= 2:
         raise ValueError("p must be in (1,2]")
-    if q < p:
-        raise ValueError("l^q is type p only for q >= p")
-    norms = _poisson_integral_norms(step, q, mc, stream(seed, 1), compensated=True)
+    norms = _poisson_integral_norms(step, 2.0, mc, stream(seed, 1), compensated=True)
     lhs = float(np.mean(norms ** p))
     se = float(np.std(norms ** p) / np.sqrt(mc))
-    n = step.values.shape[1]
-    k_hat = estimate_type_p_constant(p, q, n, step.values, rng=stream(seed, 2))
-    rhs = 2.0 ** (2.0 - p) * TYPE_P_MARGIN * k_hat * step.lp_nu(p, q)
+    rhs = 2.0 ** (2.0 - p) * TYPE_P_MARGIN * step.lp_nu(p)
     return {
         "inequality": "compensated_type_p",
-        "p": p, "q": q, "mc": mc,
-        "k_hat": k_hat, "margin": TYPE_P_MARGIN,
+        "p": p, "mc": mc, "margin": TYPE_P_MARGIN,
         "lhs_estimate": lhs, "lhs_stderr": se, "rhs": rhs,
         "pass": bool(lhs - 4.0 * se <= rhs),
     }

@@ -8,48 +8,50 @@ characteristic functional
 
     E exp(i <Y(t), phi>) = exp(-t psi(0.5 |phi|_H^2))
 
-available in closed form (psi = Laplace exponent of Z).
+available in closed form (psi = Laplace exponent of Z).  The jumps of Y
+are those of Z with Gaussian marks, so their intensity
+nu = int_0^inf zeta_s rho(ds) (zeta_s the law of W(s)) has the exact rate
+``jump_rate`` above a threshold for a stable Z.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from ._rng import stream
 from .spaces import SpaceSpec
-from .subordinator import QuadratureError, SubordinatorSpec, laplace_exponent
+from .subordinator import SubordinatorSpec, laplace_exponent
 
 __all__ = [
     "CylindricalWienerSpec",
     "LevyNoiseSpec",
     "char_functional",
     "increment_coefficients",
-    "intensity_measure_functional",
+    "jump_rate",
 ]
 
-# s-nodes per block when averaging over the 4096-norm Gaussian cloud: 512 KB
-# per temporary, which stays in a core's L2; 256-node (8 MB) blocks ran 3-4x
-# slower on a 2-vCPU Xeon with 4 MB of L2
-CLOUD_BLOCK = 16
+# relative tolerance of jump_rate's quadrature
+RATE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
 class CylindricalWienerSpec:
     """Cylindrical Wiener process on H = weighted-l2 over a mode truncation.
 
-    ``hilbert_weights`` are the per-mode weights w_j of the H-norm; all ones
-    gives H = L^2 of the sine basis.
+    ``hilbert_weights`` are the per-mode weights w_j of the H-norm, each
+    positive and finite; all ones gives H = L^2 of the sine basis.
     """
 
     hilbert_weights: np.ndarray
 
     def __post_init__(self):
         w = np.asarray(self.hilbert_weights, dtype=float)
-        if w.ndim != 1 or w.size == 0 or not np.all(w > 0):
-            raise ValueError("hilbert_weights must be a non-empty positive 1-d sequence")
+        if w.ndim != 1 or w.size == 0 or not np.all((w > 0) & (w < np.inf)):
+            raise ValueError("hilbert_weights must be a non-empty 1-d sequence of positive, "
+                             "finite weights")
         object.__setattr__(self, "hilbert_weights", w)
 
     @property
@@ -94,59 +96,59 @@ def _u_norm(x: np.ndarray, u_space: Optional[SpaceSpec]) -> np.ndarray:
     return np.sqrt((x ** 2).sum(axis=-1)) if u_space is None else u_space.norm(x)
 
 
-def _radial_norms(spec: LevyNoiseSpec, u_space: Optional[SpaceSpec]) -> np.ndarray:
-    """|W(1)|_U over a fixed cloud of 4096 draws of the N-mode Gaussian law of
-    W(1), from stream(12345).
+def jump_rate(spec: LevyNoiseSpec, threshold: float,
+              u_space: Optional[SpaceSpec] = None) -> float:
+    """nu(|u|_U >= threshold): the rate per unit time of the jumps of Y whose
+    mark has U-norm at least the threshold (the Euclidean norm when u_space
+    is None).
 
-    sqrt(s) times the cloud is a cloud of W(s): averages over it are common
-    random numbers, so they are smooth in s.
+    The jump intensity of Y is nu = int_0^inf zeta_s rho(ds), with zeta_s
+    the Gaussian law of W(s).  For the stable rho the scaling in s gives
+
+        nu(|u|_U >= r) = r^(-2 beta) E X^beta / Gamma(1 - beta),
+
+    X = |W(1)|_U^2 = sum_j a_j g_j^2, a_j = (u_j / w_j)^2, and
+
+        E X^beta = beta / Gamma(1 - beta)
+                   * int_0^inf (1 - prod_j (1 + 2 a_j u)^(-1/2)) u^(-1-beta) du,
+
+    taken by ``spectral._panel_integral`` on one geometric panel per decade
+    of [1e-12 / sum a, 1e20 / min a], plus the integrand's leading terms in
+    closed form below and above; the mode sums take blocks of at most
+    max(1, CHUNK_TERMS // modes) nodes.  A pure drift has no jumps, so
+    its rate is 0.  Raises ValueError for a truncated law, whose scaling
+    stops at its cutoff, for a U-norm other than a weighted l^2 norm on the
+    noise's modes, and for a threshold that is not positive.
     """
-    inv_w = 1.0 / spec.wiener.hilbert_weights
-    return _u_norm(stream(12345).standard_normal((4096, inv_w.size)) * inv_w, u_space)
+    # imported here: spectral imports this module
+    from .spectral import CHUNK_TERMS, _panel_integral
 
-
-def _cloud_means(radial_test, svals: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """Mean of radial_test(sqrt(s) * norms) over the cloud at each s of svals,
-    CLOUD_BLOCK nodes at a time."""
-    means = np.empty(svals.size)
-    for lo in range(0, svals.size, CLOUD_BLOCK):
-        sl = svals[lo:lo + CLOUD_BLOCK]
-        means[lo:lo + sl.size] = np.asarray(
-            radial_test(np.sqrt(sl)[:, None] * norms[None, :]), dtype=float).mean(axis=1)
-    return means
-
-
-def intensity_measure_functional(
-    spec: LevyNoiseSpec,
-    radial_test: Callable[[np.ndarray], np.ndarray],
-    quad_tol: float = 1e-6,
-    u_space: Optional[SpaceSpec] = None,
-) -> float:
-    """Integral of radial_test(|u|_U) against the jump intensity of Y.
-
-    The intensity is nu(G) = int_0^inf zeta_s(G) rho(ds) with zeta_s the
-    N-mode Gaussian law of W(s).  The inner Gaussian expectation is an
-    average over the fixed cloud of ``_radial_norms``; the outer rho-integral
-    is a log-spaced trapezoid rule from the cutoff of a truncated law (from
-    1e-12 otherwise) up to 1e16.
-    """
     sub = spec.subordinator
+    if sub.kind == "truncated_stable":
+        raise ValueError("the jump rate is in closed form for an untruncated law only")
+    n = spec.wiener.truncation_N
+    u_weights = np.ones(n) if u_space is None else u_space.weights
+    if u_space is not None and (u_space.exponent_q != 2 or u_space.dim != n):
+        raise ValueError(f"the U-norm must be a weighted l^2 norm on {n} modes")
+    if not threshold > 0:
+        raise ValueError(f"threshold must be positive, not {threshold}")
     if sub.kind == "drift_only":
         return 0.0
-    norms = _radial_norms(spec, u_space)
-    meas = sub.jump_measure
+    beta = sub.beta
+    two_a = 2.0 * (u_weights / spec.wiener.hilbert_weights) ** 2
+    rows = max(1, CHUNK_TERMS // n)
 
-    # The inner expectation is an average over a finite cloud, so it has
-    # O(1/M)-size kinks in s that defeat adaptive quadrature.  A log-spaced
-    # trapezoid rule averages over them instead; node count is sized from
-    # quad_tol.  Endpoint decay is checked so truncating the s-range is safe.
-    n_nodes = int(np.clip(20.0 / np.sqrt(max(quad_tol, 1e-12)), 2000, 20000))
-    # rho is 0 below a truncated law's cutoff: starting there keeps the
-    # density's step at the cutoff out of the trapezoid
-    svals = np.geomspace(sub.cutoff or 1e-12, 1e16, n_nodes)
-    fvals = _cloud_means(radial_test, svals, norms) * np.asarray(meas.density(svals), dtype=float)
-    logland = fvals * svals  # integrand per unit of log s
-    if logland.max() > 0 and logland[-1] > 1e-6 * logland.max():
-        raise QuadratureError("intensity integrand has not decayed by s=1e16; "
-                              "supply a faster-decaying radial_test")
-    return float(np.trapezoid(logland, np.log(svals)))
+    def integrand(u):
+        # 1 - prod_j (1 + 2 a_j u)^(-1/2), without cancellation at small u
+        log_prod = np.concatenate([-0.5 * np.log1p(np.multiply.outer(u[i:i + rows], two_a))
+                                   .sum(axis=1) for i in range(0, u.size, rows)])
+        return -np.expm1(log_prod) * u ** (-1.0 - beta)
+
+    lo, hi = 2e-12 / two_a.sum(), 2e20 / two_a.min()
+    edges = np.geomspace(lo, hi, math.ceil(math.log10(hi / lo)) + 1)
+    # below lo the integrand is sum_j a_j u^(-beta), above hi it is u^(-1-beta)
+    head = 0.5 * two_a.sum() * lo ** (1.0 - beta) / (1.0 - beta)
+    tail = hi ** -beta / beta
+    gamma = math.gamma(1.0 - beta)
+    mean_x_beta = beta / gamma * (head + _panel_integral(integrand, edges, RATE_RTOL) + tail)
+    return threshold ** (-2.0 * beta) * mean_x_beta / gamma

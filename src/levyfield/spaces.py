@@ -18,7 +18,8 @@ import numpy as np
 class SpaceSpec:
     """A weighted l^q space restricted to a finite mode set.
 
-    ``weights`` holds one positive weight per retained mode.
+    ``weights`` holds one positive, finite weight per retained mode; any
+    other weight is a ValueError.
     """
 
     exponent_q: float
@@ -28,8 +29,8 @@ class SpaceSpec:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a non-empty 1-d sequence")
-        if not np.all(w > 0):
-            raise ValueError("weights must be positive")
+        if not np.all((w > 0) & (w < np.inf)):
+            raise ValueError("weights must be positive and finite")
         if not self.exponent_q >= 1:
             raise ValueError("exponent_q must be >= 1")
         object.__setattr__(self, "weights", w)

@@ -111,8 +111,7 @@ def test_04_poisson_integral_moment_inequalities():
         step = StepIntegrand(measures=rng.exponential(size=k),
                              values=rng.standard_normal((k, 3)))
         p = float(rng.uniform(1.1, 2.0))
-        rep = verify_moment_inequality_type_p(step, p=p, q=2.0, mc=30000,
-                                              seed=100 + trial)
+        rep = verify_moment_inequality_type_p(step, p=p, mc=30000, seed=100 + trial)
         checks[f"compensated_p{trial}"] = rep["pass"]
     # p=2 with a single piece: exact Poisson variance identity
     step = StepIntegrand(measures=np.array([3.0]), values=np.array([[1.0]]))

@@ -10,8 +10,9 @@ from levyfield.noise import (
     LevyNoiseSpec,
     char_functional,
     increment_coefficients,
-    intensity_measure_functional,
+    jump_rate,
 )
+from levyfield.spaces import SpaceSpec
 from levyfield.subordinator import SubordinatorSpec, simulate_paths
 
 
@@ -120,24 +121,82 @@ def test_jump_times_of_y_match_z():
         assert (part > 1e-12) == bool(in_cell)
 
 
-# -- intensity measure ---------------------------------------------------
+# -- weights -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [math.inf, float("nan"), 0.0, -1.0])
+def test_wiener_spec_refuses_a_weight_that_is_not_positive_and_finite(bad):
+    with pytest.raises(ValueError, match="positive, finite"):
+        CylindricalWienerSpec([1.0, bad])
+
+
+# -- jump rate -----------------------------------------------------------
+
+
+def unit_weight_rate(beta, n_modes, r):
+    """nu(|u| >= r) for unit weights: X is chi-square with n_modes degrees,
+    so E X^beta = 2^beta Gamma(n/2 + beta) / Gamma(n/2)."""
+    mean_x_beta = 2.0 ** beta * math.exp(math.lgamma(n_modes / 2 + beta)
+                                         - math.lgamma(n_modes / 2))
+    return r ** (-2.0 * beta) * mean_x_beta / math.gamma(1.0 - beta)
+
+
+@pytest.mark.parametrize("r", [0.05, 1.0, 3.0])
+@pytest.mark.parametrize("n_modes", [1, 4, 64])
+@pytest.mark.parametrize("beta", [0.1, 0.5, 0.95])
+def test_jump_rate_matches_the_unit_weight_closed_form(beta, n_modes, r):
+    spec = make_spec(SubordinatorSpec.stable(beta), n_modes=n_modes)
+    assert jump_rate(spec, r) == pytest.approx(unit_weight_rate(beta, n_modes, r), rel=1e-10)
+
+
+@pytest.mark.parametrize("c", [0.3, 7.0])
+@pytest.mark.parametrize("beta", [0.2, 0.6, 0.9])
+def test_jump_rate_scales_the_wiener_weights_into_the_threshold(beta, c):
+    # W(1) with weights c w is W(1) with weights w divided by c
+    w = np.array([0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+    U = SpaceSpec(2.0, [1.0, 0.3, 2.0, 0.7, 0.1, 5.0])
+    scaled = jump_rate(make_spec(SubordinatorSpec.stable(beta), 6, c * w), 0.8, U)
+    assert scaled == pytest.approx(
+        jump_rate(make_spec(SubordinatorSpec.stable(beta), 6, w), c * 0.8, U), rel=1e-10)
+
+
+def test_jump_rate_at_the_blowup_defaults():
+    # 4096 unit-weight modes, U-weights 1/j, beta = 0.5 and threshold 0.05
+    j = np.arange(1.0, 4097.0)
+    rate = jump_rate(make_spec(SubordinatorSpec.stable(0.5), 4096), 0.05, SpaceSpec(2.0, 1.0 / j))
+    assert round(rate, 2) == 13.40
+
+
+def test_jump_rate_of_a_pure_drift_is_zero():
+    assert jump_rate(make_spec(SubordinatorSpec.drift_only(1.3)), 0.5) == 0.0
 
 
 @pytest.mark.parametrize("beta, eps", [(0.5, 0.1), (0.75, 0.3), (0.5, 0.5), (0.5, 1e-3)])
-def test_intensity_functional_truncated_stable_total_mass(beta, eps):
-    # nu has the total mass of rho, c eps^(-beta) / beta; the trapezoid
-    # starts at the cutoff, so it integrates the smooth c s^(-beta) per unit
-    # of log s and never straddles the density's step at eps
-    spec = make_spec(SubordinatorSpec(beta=beta, cutoff=eps), n_modes=4)
-    total = intensity_measure_functional(spec, lambda x: np.ones_like(x))
-    exact = eps ** -beta / math.gamma(1.0 - beta)
-    assert total == pytest.approx(exact, rel=1e-6)
+def test_jump_rate_refuses_a_truncated_law(beta, eps):
+    # the scaling in s behind the closed form stops at the cutoff
+    with pytest.raises(ValueError, match="untruncated"):
+        jump_rate(make_spec(SubordinatorSpec(beta=beta, cutoff=eps), n_modes=4), 1.0)
 
 
-def test_intensity_functional_large_jump_rate_vs_empirical():
+@pytest.mark.parametrize("U", [SpaceSpec(1.0, np.ones(8)), SpaceSpec(math.inf, np.ones(8)),
+                               SpaceSpec(2.0, np.ones(7))])
+def test_jump_rate_refuses_a_u_norm_that_is_not_l2_on_the_modes(U):
+    with pytest.raises(ValueError, match="weighted l\\^2"):
+        jump_rate(make_spec(SubordinatorSpec.stable(0.5)), 1.0, U)
+
+
+@pytest.mark.parametrize("r", [0.0, -1.0, float("nan")])
+def test_jump_rate_refuses_a_threshold_that_is_not_positive(r):
+    with pytest.raises(ValueError, match="threshold"):
+        jump_rate(make_spec(SubordinatorSpec.stable(0.5)), r)
+
+
+def test_large_jump_rate_vs_empirical():
+    # the law drawn is truncated at 1e-3; a jump below it has a mark of norm
+    # >= 1 only if chi-square_4 >= 1000, so its gap to the exact rate of the
+    # untruncated law is below 1e-200
     spec = make_spec(SubordinatorSpec.stable(0.5), n_modes=4)
-    rate = intensity_measure_functional(
-        spec, lambda x: (x >= 1.0).astype(float), quad_tol=1e-4)
+    rate = jump_rate(spec, 1.0)
     batch = simulate_paths(spec.subordinator.truncated(1e-3), 1.0, 600, stream(0, 1))
     marks = np.sqrt(batch.sizes)[:, None] * stream(0, 2).standard_normal((batch.sizes.size, 4))
     large = np.sqrt((marks ** 2).sum(axis=1)) >= 1.0
@@ -145,14 +204,3 @@ def test_intensity_functional_large_jump_rate_vs_empirical():
     emp = np.mean(counts)
     se = np.std(counts) / math.sqrt(counts.size)
     assert abs(emp - rate) < 4.0 * se
-
-
-def test_intensity_second_moment_bound():
-    # int_{|u|<=1} |u|^2 nu(du) <= sum w_j^-2 * int_0^1 s rho(ds) + rho([1,inf))
-    spec = make_spec(SubordinatorSpec.stable(0.4), n_modes=4)
-    lhs = intensity_measure_functional(
-        spec, lambda x: np.where(x <= 1.0, x ** 2, 0.0), quad_tol=1e-4)
-    c_trace = float((1.0 / spec.wiener.hilbert_weights ** 2).sum())
-    small = spec.subordinator.jump_measure.truncated_moment(1.0, 0.0, 1.0)
-    tail = spec.subordinator.jump_measure.tail_mass(1.0)
-    assert lhs <= c_trace * small + tail + 1e-9

@@ -18,7 +18,6 @@ CALLERS = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 # (function, parameter) of the defaults no call sets, each with its reason
 ALLOWED = {
     ("blowup_probe", "T"): "the horizon of the probed noise path",
-    ("intensity_measure_functional", "u_space"): "the norm |.|_U of the jump marks",
 }
 
 

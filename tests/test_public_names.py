@@ -23,8 +23,8 @@ ALLOWED = {
                                    "regularity check",
     "finite_variation_diagnostic": "the exact finite-variation criterion of W(Z): no drift "
                                    "and Sub(1)",
-    "intensity_measure_functional": "integrals against the jump intensity of Y, the rate "
-                                    "that the large-jump counts are checked against",
+    "jump_rate": "the exact rate of the jumps of Y above a threshold, that the large-jump "
+                 "counts are checked against",
 }
 
 

@@ -341,6 +341,13 @@ def test_space_exponent_refuses_nan_and_keeps_infinity():
         SpaceSpec(float("nan"), np.ones(3))
 
 
+@pytest.mark.parametrize("bad", [math.inf, float("nan"), 0.0, -1.0])
+def test_space_refuses_a_weight_that_is_not_positive_and_finite(bad):
+    # an infinite weight made norm([1, 0]) NaN, from 0 * inf
+    with pytest.raises(ValueError, match="positive and finite"):
+        SpaceSpec(2.0, [1.0, bad])
+
+
 # -- circle convolution --------------------------------------------------
 
 

@@ -1,8 +1,9 @@
-"""No library module seeds a draw with arithmetic on ``seed``.
+"""No library module seeds a draw with arithmetic on ``seed`` or with a literal.
 
 Streams come from ``master_seed`` through spawn keys (``stream(seed, *key)``),
 so neighbouring seeds share no draws; ``stream(seed + 1)`` would give
-``master_seed`` 0 the draws of ``master_seed`` 1.
+``master_seed`` 0 the draws of ``master_seed`` 1, and ``stream(12345)``
+gives every master seed the same draws.
 """
 
 import ast
@@ -29,17 +30,24 @@ def _is_offset(node: ast.AST) -> bool:
         isinstance(sub, ast.Name) and sub.id == "seed" for sub in ast.walk(node))
 
 
+def _is_int_literal(node: ast.AST) -> bool:
+    return isinstance(node, ast.Constant) and type(node.value) is int
+
+
 def seed_offsets(source: str) -> list[tuple[str, int]]:
     """(callee, line) of every call in ``source`` that passes an offset seed
-    to ``stream`` or as a ``seed=`` argument."""
+    to ``stream`` or as a ``seed=`` argument, or an integer literal as the
+    master seed of ``stream``."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.Call):
             continue
         args = [kw.value for kw in node.keywords if kw.arg == "seed"]
+        literal = False
         if _callee(node) == "stream":
             args += node.args
-        if any(_is_offset(a) for a in args):
+            literal = bool(node.args) and _is_int_literal(node.args[0])
+        if literal or any(_is_offset(a) for a in args):
             found.append((_callee(node), node.lineno))
     return found
 
@@ -63,5 +71,9 @@ def test_scan_flags_offsets_and_passes_spawn_keys():
               "c = rng.stream(17 * m + seed)\n"
               "d = draw(spec, seed=seed + 1)\n"
               "e = draw(spec, seed=seed)\n"
-              "f = draw(spec, seed + 1)\n")
-    assert seed_offsets(source) == [("stream", 1), ("stream", 3), ("draw", 4)]
+              "f = draw(spec, seed + 1)\n"
+              "g = stream(12345)\n"
+              "h = stream(0, 2)\n"
+              "i = stream(cfg[\"master_seed\"], 1)\n")
+    assert seed_offsets(source) == [("stream", 1), ("stream", 3), ("draw", 4),
+                                    ("stream", 7), ("stream", 8)]
