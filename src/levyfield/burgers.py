@@ -28,7 +28,7 @@ import numpy as np
 
 from ._rng import stream
 from .noise import LevyNoiseSpec
-from .sine import BLOCK_ROWS, by_blocks, l4_norm4, sfft
+from .sine import BLOCK_ROWS, _dct1, _dst1, by_blocks, l4_norm4
 from .subordinator import PathBatch, jump_law, simulate_paths
 
 __all__ = [
@@ -51,13 +51,17 @@ class StepSizeError(RuntimeError):
 
 def _transport_work(shape: tuple[int, ...]):
     """The work arrays of ``_transport_coefficients`` for w of ``shape``: the
-    zero-padded inputs of its sine and cosine transforms, and k pi."""
+    zero-padded input of its sine transform and that transform's output, the
+    input of its cosine transform (zero at both ends) and that transform's
+    output, and k pi.  The transforms write into the outputs, so a call that
+    reuses the work allocates nothing for them."""
     rows, n = shape[:-1], shape[-1]
-    return (np.zeros(rows + (2 * n + 1,)), np.zeros(rows + (2 * n + 3,)),
+    return (np.zeros(rows + (2 * n + 1,)), np.empty(rows + (2 * n + 1,)),
+            np.zeros(rows + (2 * n + 3,)), np.empty(rows + (2 * n + 3,)),
             np.arange(1, n + 1) * math.pi)
 
 
-def _transport_coefficients(w: np.ndarray, out: Optional[np.ndarray] = None,
+def _transport_coefficients(w: Optional[np.ndarray], out: Optional[np.ndarray] = None,
                             work=None) -> np.ndarray:
     """Sine coefficients of N(w) = -(w^2/2)_x, dealiased on a doubled grid.
 
@@ -68,18 +72,23 @@ def _transport_coefficients(w: np.ndarray, out: Optional[np.ndarray] = None,
     w is one vector or a block of rows, and a caller with a whole trajectory
     takes it in blocks.  A caller that applies it again and again passes
     the ``_transport_work(w.shape)`` to reuse as ``work``, and ``out`` for
-    the result.  The cosine input of ``work`` keeps q on the grid, between
-    zero ends, after the call; ``_l4_of_half_squares`` reads |w|_L4^4 from it.
+    the result; with ``work``, w = None takes the w the caller has already
+    written into the first n entries of its sine input.  The transforms
+    write into the outputs the work holds, and the result is a new array
+    or ``out``, never part of the work.  The cosine input of ``work`` keeps
+    q on the grid, between zero ends, after the call;
+    ``_l4_of_half_squares`` reads |w|_L4^4 from it.
     """
-    n = w.shape[-1]
-    sin_in, cos_in, kpi = _transport_work(w.shape) if work is None else work
-    sin_in[..., :n] = w
-    ww = sfft.dst(sin_in, type=1)
+    sin_in, sin_out, cos_in, cos_out, kpi = _transport_work(w.shape) if work is None else work
+    n = kpi.size
+    if w is not None:
+        sin_in[..., :n] = w
+    ww = _dst1(sin_in, out=sin_out)
     ww *= math.sqrt(2.0) / 2.0
     q = cos_in[..., 1:-1]          # the ends stay zero: q vanishes at x = 0 and 1
     np.multiply(0.5, ww, out=q)
     q *= ww
-    c = sfft.dct(cos_in, type=1)[..., 1:n + 1]
+    c = _dct1(cos_in, out=cos_out)[..., 1:n + 1]
     c *= math.sqrt(2.0) / (2.0 * (2 * n + 2))
     return np.multiply(kpi, c, out=out)
 
@@ -96,12 +105,12 @@ def _nonlinear_blocks(zs: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndar
     """(first row, |z|_L4^4, N(z)) of each block of BLOCK_ROWS rows of the
     sine coefficients ``zs``: one sine transform puts the block on the grid,
     and its values serve both."""
-    sin_in, cos_in, kpi = _transport_work((min(BLOCK_ROWS, len(zs)), zs.shape[-1]))
+    *buffers, kpi = _transport_work((min(BLOCK_ROWS, len(zs)), zs.shape[-1]))
     for lo in range(0, len(zs), BLOCK_ROWS):
         block = zs[lo:lo + BLOCK_ROWS]
-        work = (sin_in[:len(block)], cos_in[:len(block)], kpi)
+        work = [a[:len(block)] for a in buffers] + [kpi]
         nz = _transport_coefficients(block, work=work)
-        yield lo, _l4_of_half_squares(work[1]), nz
+        yield lo, _l4_of_half_squares(work[2]), nz
 
 
 @dataclass(frozen=True)
@@ -186,11 +195,13 @@ def _u_form_steps(v0: np.ndarray, zs: Optional[np.ndarray], h: Optional[np.ndarr
     the grid), and StepSizeError if |v|^2 leaves 10x its a priori corridor
     after any step, which is how an unstable explicit step shows up.
 
-    The steps go BLOCK_ROWS at a time.  Each step makes one sine transform
-    of v + z and one cosine transform of half its square, writing v into the
+    The steps go BLOCK_ROWS at a time.  Each step writes v + z straight into
+    the sine input and makes one sine transform of it and one cosine
+    transform of half its square, into held outputs; it writes v into the
     trajectory, the right-hand side into a block buffer and the cosine
-    input into a block of rows; once per block |v'|^2_V' comes from the
-    right-hand sides and |v + z|_L4^4 from the cosine inputs.
+    input into a block of rows, and allocates no array.  Once per block
+    |v'|^2_V' comes from the right-hand sides and |v + z|_L4^4 from the
+    cosine inputs.
     """
     n_modes = v0.size
     shape = (times.size, n_modes)
@@ -217,20 +228,25 @@ def _u_form_steps(v0: np.ndarray, zs: Optional[np.ndarray], h: Optional[np.ndarr
     w_l4 = np.empty(times.size)
     v_hist[0] = v0
     rhs = np.empty((min(BLOCK_ROWS, times.size), n_modes))
-    sin_in, cos_row, kpi = _transport_work((n_modes,))
+    push = np.empty(n_modes)       # phi1 times the right-hand side
+    sin_in, sin_out, cos_row, cos_out, kpi = _transport_work((n_modes,))
     cos_in = np.zeros((len(rhs),) + cos_row.shape)
     u = sin_in[:n_modes]           # v + z goes straight into the sine input
     for lo in range(0, times.size, BLOCK_ROWS):
         hi = min(lo + BLOCK_ROWS, times.size)
         for i in range(lo, hi):
-            w = v_hist[i] if zs is None else np.add(v_hist[i], zs[i], out=u)
-            r = _transport_coefficients(w, out=rhs[i - lo], work=(sin_in, cos_in[i - lo], kpi))
+            if zs is None:
+                u[:] = v_hist[i]
+            else:
+                np.add(v_hist[i], zs[i], out=u)
+            r = _transport_coefficients(None, out=rhs[i - lo],
+                                        work=(sin_in, sin_out, cos_in[i - lo], cos_out, kpi))
             if h is not None:
                 r += h[i]
             if i == times.size - 1:
                 break
             v = np.multiply(decay, v_hist[i], out=v_hist[i + 1])
-            v += phi1 * r
+            v += np.multiply(phi1, r, out=push)
             if v @ v > corridor:
                 raise StepSizeError(
                     f"|v|^2 exceeded 10x the a priori bound at t={times[i + 1]:.4g}; "

@@ -6,36 +6,40 @@ last axis of any array; ``sine_values`` any ``axis``) BLOCK_ROWS rows at a
 time, and ``by_blocks`` runs a caller's chain of transforms the same way.
 The row kernels ``_values`` and ``_cos`` take one vector or a block of rows
 as they are, for callers that do their own blocking.
+
+Every transform of the library is ``_dst1`` or ``_dct1``: scipy's compiled
+pocketfft binding, the kernels that ``scipy.fft`` and ``scipy.fftpack`` both
+end in, called without their per-call Python wrapper and imported on the
+first transform, not with this module.
 """
 
 from __future__ import annotations
 
-import importlib.util
+import functools
 import math
-import sys
 
 import numpy as np
 
 
-def _lazy_module(name: str):
-    """``name`` as registered in sys.modules, executed on its first attribute access.
-
-    The object never changes identity, so ``sfft is sys.modules["scipy.fftpack"]``
-    holds before and after the load.
-    """
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.find_spec(name)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
+@functools.cache
+def _pocketfft():
+    """scipy's pocketfft binding, imported on its first use."""
+    from scipy.fft._pocketfft import pypocketfft
+    return pypocketfft
 
 
-# scipy.fftpack runs the same pocketfft DST-I and DCT-I kernels as scipy.fft,
-# bit for bit, without scipy.fft's backend dispatch on every call
-sfft = _lazy_module("scipy.fftpack")
+def _dst1(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Unnormalized DST-I of the float array x along its last axis, into
+    ``out`` if given (x itself, or an array that does not overlap it):
+    ``scipy.fft.dst(x, type=1)`` bit for bit."""
+    return _pocketfft().dst(x, 1, (-1,), 0, out)
+
+
+def _dct1(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Unnormalized DCT-I of x along its last axis, as ``_dst1``:
+    ``scipy.fft.dct(x, type=1)`` bit for bit."""
+    return _pocketfft().dct(x, 1, (-1,), 0, out)
+
 
 __all__ = ["by_blocks", "sine_values", "sine_coefficients", "cos_coefficients", "l4_norm4"]
 
@@ -64,7 +68,7 @@ def _values(coef: np.ndarray, M: int) -> np.ndarray:
         raise ValueError("the grid size M must exceed the number of coefficients")
     full = np.zeros(coef.shape[:-1] + (M - 1,))
     full[..., :coef.shape[-1]] = coef
-    return sfft.dst(full, type=1, overwrite_x=True) * (math.sqrt(2.0) / 2.0)
+    return _dst1(full, out=full) * (math.sqrt(2.0) / 2.0)
 
 
 def sine_values(coef, M: int | None = None, axis: int = -1) -> np.ndarray:
@@ -74,15 +78,14 @@ def sine_values(coef, M: int | None = None, axis: int = -1) -> np.ndarray:
 
 def sine_coefficients(values) -> np.ndarray:
     """Inverse of sine_values on the same grid (n values give n coefficients)."""
-    return by_blocks(lambda v: sfft.dst(v, type=1, axis=-1) / (math.sqrt(2.0) * (v.shape[-1] + 1)),
-                     values)
+    return by_blocks(lambda v: _dst1(v) / (math.sqrt(2.0) * (v.shape[-1] + 1)), values)
 
 
 def _cos(q: np.ndarray) -> np.ndarray:
     full = np.zeros(q.shape[:-1] + (q.shape[-1] + 2,))
     full[..., 1:-1] = q
     scale = math.sqrt(2.0) / (2.0 * (q.shape[-1] + 1))
-    return sfft.dct(full, type=1, overwrite_x=True)[..., 1:-1] * scale
+    return _dct1(full, out=full)[..., 1:-1] * scale
 
 
 def cos_coefficients(values) -> np.ndarray:

@@ -12,6 +12,7 @@ from levyfield.burgers import (
     _half_square_against_gradient,
     _joint_ou_noise_paths,
     _l4_of_half_squares,
+    _nonlinear_blocks,
     _transport_coefficients,
     _transport_work,
     check_apriori,
@@ -48,7 +49,7 @@ def test_transport_of_one_vector_is_bitwise_its_row_and_the_blocked_composition(
     work = _transport_work(w.shape)
     block = _transport_coefficients(w, work=work)
     # the squares the kernel leaves on the grid give l4_norm4, bitwise
-    assert np.array_equal(_l4_of_half_squares(work[1]), l4_norm4(w))
+    assert np.array_equal(_l4_of_half_squares(work[2]), l4_norm4(w))
     # the step loop hands one work to every step
     row_work = _transport_work((n,)) if reused_work else None
     for i in range(5):
@@ -57,6 +58,36 @@ def test_transport_of_one_vector_is_bitwise_its_row_and_the_blocked_composition(
         # the same square through the blocked public transforms
         ww = sine_values(w[i], 2 * (n + 1))
         assert np.array_equal(row, np.arange(1, n + 1) * math.pi * cos_coefficients(0.5 * ww * ww)[:n])
+
+
+@pytest.mark.parametrize("shape", [(31,), (5, 31)], ids=str)
+def test_transport_results_never_share_the_reused_work(shape):
+    # the transforms write into the outputs the work holds; a result is a
+    # new array, so the next call on the same work leaves it as it was
+    w = stream(23, len(shape)).standard_normal((2,) + shape)
+    work = _transport_work(shape)
+    first = _transport_coefficients(w[0], work=work)
+    kept = first.copy()
+    second = _transport_coefficients(w[1], work=work)
+    assert first.tobytes() == kept.tobytes()
+    assert second.tobytes() == _transport_coefficients(w[1]).tobytes()
+    for result in (first, second):
+        assert not any(np.shares_memory(result, a) for a in work)
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 64])
+def test_nonlinear_blocks_are_bitwise_the_per_row_calls(monkeypatch, block_rows):
+    # 71 rows: a multiple of none of the block sizes but 1, so the last
+    # block reuses a part of the work
+    zs = stream(24).standard_normal((71, 31)) / np.arange(1, 32)
+    monkeypatch.setattr(burgers, "BLOCK_ROWS", block_rows)
+    l4, nz = np.full(len(zs), np.nan), np.full(zs.shape, np.nan)
+    for lo, block_l4, block_nz in _nonlinear_blocks(zs):
+        assert len(block_l4) == len(block_nz) == min(block_rows, len(zs) - lo)
+        l4[lo:lo + len(block_l4)] = block_l4
+        nz[lo:lo + len(block_nz)] = block_nz
+    assert l4.tobytes() == np.array([l4_norm4(z) for z in zs]).tobytes()
+    assert nz.tobytes() == np.array([_transport_coefficients(z) for z in zs]).tobytes()
 
 
 # -- deterministic solver ------------------------------------------------
@@ -531,30 +562,30 @@ def test_stochastic_solve_holds_no_more_than_its_outputs_and_g():
     assert peak < 2.3 * trajectory_bytes
 
 
-class CountingFFT:
-    """The dst and dct of the transform module sine holds, counting their calls."""
+class CountingKernels:
+    """sine's transform kernels ``_dst1`` and ``_dct1``, counting their calls."""
 
-    def __init__(self, fft):
-        self.fft, self.calls = fft, 0
+    def __init__(self):
+        self.calls = 0
 
-    def dst(self, *args, **kwargs):
-        self.calls += 1
-        return self.fft.dst(*args, **kwargs)
-
-    def dct(self, *args, **kwargs):
-        self.calls += 1
-        return self.fft.dct(*args, **kwargs)
+    def counted(self, kernel):
+        def call(*args, **kwargs):
+            self.calls += 1
+            return kernel(*args, **kwargs)
+        return call
 
 
 @pytest.mark.parametrize("block_rows", [7, 64])
 def test_stochastic_solve_stays_at_the_transform_floor(monkeypatch, block_rows):
     # one sine and one cosine transform per step and per block of z's rows:
     # a third transform per step exceeds the count, and a step transform
-    # that goes round the module sine holds falls below it
+    # that goes round the kernels falls below it
     n, T, dt = 31, 0.05, 1e-3
-    counter = CountingFFT(burgers.sfft)
-    monkeypatch.setattr(burgers, "sfft", counter)
-    monkeypatch.setattr(sine, "sfft", counter)
+    counter = CountingKernels()
+    for name in ("_dst1", "_dct1"):
+        kernel = counter.counted(getattr(sine, name))
+        monkeypatch.setattr(sine, name, kernel)
+        monkeypatch.setattr(burgers, name, kernel)
     monkeypatch.setattr(burgers, "BLOCK_ROWS", block_rows)
     u0 = np.zeros(n); u0[0] = 0.2
     res = solve_stochastic_burgers(u0, burgers_noise(n), None, T=T, dt=dt, n_modes=n, seed=3)

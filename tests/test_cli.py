@@ -34,18 +34,16 @@ def test_list_experiments(capsys):
 COLD_IMPORT = """
 import sys
 import levyfield.cli
-loaded = [m for m in ("scipy.integrate", "scipy.special", "scipy.fft", "scipy.fftpack._basic")
+loaded = [m for m in ("scipy.integrate", "scipy.special", "scipy.fft", "scipy.fftpack")
           if m in sys.modules]
 assert not loaded, loaded
 import numpy as np
 from levyfield import sine
-fftpack = sys.modules["scipy.fftpack"]
-assert sine.sfft is fftpack
+binding = "scipy.fft._pocketfft.pypocketfft"
+assert binding not in sys.modules
 values = sine.sine_values(np.arange(1.0, 6.0))
-assert "scipy.fftpack._basic" in sys.modules
-assert sine.sfft is fftpack and sys.modules["scipy.fftpack"] is fftpack
-import scipy.fftpack
-assert scipy.fftpack is fftpack
+assert sine._pocketfft() is sys.modules[binding]
+assert "scipy.fftpack" not in sys.modules
 import scipy.fft
 assert np.array_equal(values, scipy.fft.dst(np.arange(1.0, 6.0), type=1) * (2.0 ** 0.5 / 2.0))
 """
@@ -53,8 +51,7 @@ assert np.array_equal(values, scipy.fft.dst(np.arange(1.0, 6.0), type=1) * (2.0 
 
 def test_cold_import_defers_scipy_submodules():
     # scipy's integrate, special, fft and fftpack load on first use, not with
-    # the CLI: sine registers scipy.fftpack as a lazy module, which keeps its
-    # identity when the first transform executes it
+    # the CLI: sine imports scipy's pocketfft binding on the first transform
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
@@ -92,7 +89,7 @@ assert "scipy.integrate" not in sys.modules
 def test_stable_noise_runs_load_neither_scipy_integrate_nor_special():
     # no experiment loads scipy.integrate: every law has closed forms and the
     # oracle's quadrature is numpy; the stable intensity's Gamma is math, so
-    # scipy.special comes only with the scipy.fftpack of the other experiments
+    # scipy.special comes only with the first transform of the other experiments
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}

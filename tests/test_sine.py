@@ -77,13 +77,20 @@ def test_transforms_are_bitwise_the_one_vector_helpers(shape, case):
                          ids=str)
 @pytest.mark.parametrize("kind", ["dst", "dct"])
 def test_held_transforms_are_bitwise_scipy_fft(kind, shape):
-    # sine holds another module than scipy.fft for its DST-I and DCT-I; on
-    # one row and on a block, and when the input may be overwritten, its
-    # values are scipy.fft's bit for bit
+    # every transform of the library is _dst1 or _dct1 on pocketfft's binding;
+    # on one row and on a block, into a new array, into a separate out and
+    # into the input itself, its values are scipy.fft's type-1 transform bit
+    # for bit
+    kernel = {"dst": sine._dst1, "dct": sine._dct1}[kind]
     x = stream(9, len(shape)).standard_normal(shape)
-    want = getattr(sfft, kind)(x, type=1)
-    assert getattr(sine.sfft, kind)(x, type=1).tobytes() == want.tobytes()
-    assert getattr(sine.sfft, kind)(x.copy(), type=1, overwrite_x=True).tobytes() == want.tobytes()
+    want = getattr(sfft, kind)(x, type=1).tobytes()
+    assert kernel(x).tobytes() == want
+    out = np.empty_like(x)
+    assert kernel(x, out=out) is out
+    assert out.tobytes() == want
+    inplace = x.copy()
+    assert kernel(inplace, out=inplace) is inplace
+    assert inplace.tobytes() == want
 
 
 def test_one_vector_l4_norm_is_a_scalar():
