@@ -240,7 +240,7 @@ def _run_regularity(cfg, out: Path):
         coeffs = _ou_draws(op, spec, 1.0, cfg["n_paths"], cfg["master_seed"], case)
         ests = [estimate_holder(c, op, M)["delta_hat"] for c in coeffs]
         rows += [[label, m, d] for m, d in enumerate(ests)]
-        critical = regularity_exponent_bound(op, spec, ("holder", 0.0))["critical_exponent"]
+        critical = regularity_exponent_bound(op, spec)["critical_exponent"]
         results[label] = {"mean_delta": float(np.mean(ests)), "per_path": ests, "critical": critical}
     _write_csv(out / "holder.csv", ["case", "path", "delta_hat"], rows)
     ok = (0.2 <= results["gaussian"]["mean_delta"] <= 0.8
@@ -352,7 +352,8 @@ def run(config: dict, out_dir: str) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     kind = config.get("experiment")
-    if kind not in EXPERIMENTS:
+    # a JSON list or object is no experiment name, and no dict key either
+    if not isinstance(kind, str) or kind not in EXPERIMENTS:
         print(f"error: unknown experiment {kind!r}; choices: {sorted(EXPERIMENTS)}",
               file=sys.stderr)
         return 2

@@ -39,6 +39,9 @@ MAX_CIRCLE_CELLS = 1 << 24
 MIN_SCALES = 4
 # cells of the grid on which scalar_levy_jumps draws the Brownian part
 SLOPE_GRID = 4096
+# horizon of blowup_probe's noise path, and its window after the first large jump
+BLOWUP_HORIZON = 1.0
+BLOWUP_WINDOW = 0.1
 
 
 # -- Hoelder estimation --------------------------------------------------
@@ -142,22 +145,21 @@ def time_integrability(norms, T: float, p: float) -> dict:
 
 def blowup_probe(op: SpectralOperator, noise: LevyNoiseSpec, F: SpaceSpec,
                  N_sequence, seed: int = 0, threshold: float = 1.0,
-                 window_h: Optional[float] = None, T: float = 1.0,
                  u_space: Optional[SpaceSpec] = None) -> dict:
     """Growth of sup |X2(t)|_F right after the first large jump, across truncations.
 
-    One noise path is drawn at the full truncation: Z, of the law
-    ``jump_law`` of the subordinator, from stream(seed), the marks of its
-    jumps from stream(seed, 1); sub-truncations take mode prefixes (modes
-    are sorted by eigenvalue, so prefixes are nested).
+    One noise path on [0, BLOWUP_HORIZON] is drawn at the full truncation:
+    Z, of the law ``jump_law`` of the subordinator, from stream(seed), the
+    marks of its jumps from stream(seed, 1); sub-truncations take mode
+    prefixes (modes are sorted by eigenvalue, so prefixes are nested).
     X2 is the convolution of the large jumps only, those whose mark has
     U-norm at least ``threshold``, evaluated at geometric time offsets in
-    (tau_1, tau_1 + h].  A positive log-log slope of the sup in N while the
-    U-norm of the mark stays bounded is the blow-up signature; no large
-    jump in the horizon yields an inconclusive report.  Raises ValueError
+    (tau_1, tau_1 + BLOWUP_WINDOW].  A positive log-log slope of the sup in
+    N while the U-norm of the mark stays bounded is the blow-up signature;
+    no large jump in the horizon yields an inconclusive report.  Raises ValueError
     for fewer than two distinct truncations, through which no slope can be
     fitted, for a truncation that is not a positive integer (a bool is
-    none), and for a threshold or window_h that is not positive.
+    none), and for a threshold that is not positive.
     """
     if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1
                for n in N_sequence):
@@ -169,17 +171,14 @@ def blowup_probe(op: SpectralOperator, noise: LevyNoiseSpec, F: SpaceSpec,
         raise ValueError("truncation sequence exceeds the operator mode count")
     if not threshold > 0:
         raise ValueError("threshold must be positive")
-    if window_h is not None and not window_h > 0:
-        raise ValueError(f"window_h must be positive, not {window_h}")
-    zp = simulate_paths(jump_law(noise.subordinator), T, 1, stream(seed))
+    zp = simulate_paths(jump_law(noise.subordinator), BLOWUP_HORIZON, 1, stream(seed))
     marks = increment_coefficients(noise, zp.sizes, stream(seed, 1))
     large = _u_norm(marks, u_space) >= threshold
     times, marks = zp.times[large], marks[large]
     if times.size == 0:
         return {"conclusive": False, "reason": "no jump reached the threshold"}
     tau1 = float(times[0])
-    h = window_h if window_h is not None else 0.1 * T
-    t = tau1 + np.geomspace(1e-9, h, 40)
+    t = tau1 + np.geomspace(1e-9, BLOWUP_WINDOW, 40)
     n = N_sequence[-1]
     x2 = cell_moments(op.lambdas[:n], 1.0, 0.0, np.zeros(t.size), t, times, marks[:, :n],
                       np.zeros(t.size, dtype=int), np.searchsorted(times, t, side="right"))
@@ -188,7 +187,7 @@ def blowup_probe(op: SpectralOperator, noise: LevyNoiseSpec, F: SpaceSpec,
     u_norms = [float(_u_norm(mark[:N], u_space and u_space.prefix(N))) for N in N_sequence]
     slope = float(np.polyfit(np.log(N_sequence), np.log(sups), 1)[0])
     return {
-        "conclusive": True, "tau1": tau1, "window_h": h,
+        "conclusive": True, "tau1": tau1, "window_h": BLOWUP_WINDOW,
         "truncations": N_sequence, "sup_F": sups, "u_norm_of_mark": u_norms,
         "growth_slope": slope, "blowup_detected": bool(slope > 0.1),
     }

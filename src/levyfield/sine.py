@@ -94,11 +94,11 @@ def cos_coefficients(values) -> np.ndarray:
     return by_blocks(_cos, values)
 
 
-def l4_norm4(coef, grid_M: int | None = None):
-    """int_0^1 v^4 dx from sine coefficients (rectangle rule on a grid of grid_M
-    cells, by default 2(n+1)); one vector gives a scalar."""
+def l4_norm4(coef):
+    """int_0^1 v^4 dx from n sine coefficients (rectangle rule on a grid of
+    2(n+1) cells); one vector gives a scalar."""
     def rows(c):
-        M = 2 * (c.shape[-1] + 1) if grid_M is None else grid_M
+        M = 2 * (c.shape[-1] + 1)
         return np.square(np.square(_values(c, M))).sum(axis=-1) / M
 
     return by_blocks(rows, coef)

@@ -18,8 +18,8 @@ import numpy as np
 class SpaceSpec:
     """A weighted l^q space restricted to a finite mode set.
 
-    ``weights`` holds one positive, finite weight per retained mode; any
-    other weight is a ValueError.
+    ``weights`` holds one positive, finite weight per retained mode and
+    ``exponent_q`` is finite and at least 1; anything else is a ValueError.
     """
 
     exponent_q: float
@@ -31,8 +31,8 @@ class SpaceSpec:
             raise ValueError("weights must be a non-empty 1-d sequence")
         if not np.all((w > 0) & (w < np.inf)):
             raise ValueError("weights must be positive and finite")
-        if not self.exponent_q >= 1:
-            raise ValueError("exponent_q must be >= 1")
+        if not 1 <= self.exponent_q < np.inf:
+            raise ValueError(f"exponent_q must be finite and >= 1, not {self.exponent_q}")
         object.__setattr__(self, "weights", w)
 
     @property
@@ -51,6 +51,4 @@ class SpaceSpec:
         if x.shape[-1] != self.dim:
             raise ValueError(f"expected {self.dim} coefficients, got {x.shape[-1]}")
         wx = np.abs(x) * self.weights
-        if np.isinf(self.exponent_q):
-            return wx.max(axis=-1)
         return (wx ** self.exponent_q).sum(axis=-1) ** (1.0 / self.exponent_q)

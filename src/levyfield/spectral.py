@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -41,9 +40,10 @@ __all__ = [
 # mode terms in memory at once
 CHUNK_TERMS = 1 << 16
 # charfn_oracle's Gauss-Legendre nodes per panel (twice as many for the
-# error estimate), its initial geometric panels, and how many times it may
-# halve the panels that miss the tolerance
+# error estimate), its relative tolerance, its initial geometric panels, and
+# how many times it may halve the panels that miss the tolerance
 ORACLE_NODES = 16
+ORACLE_RTOL = 1e-10
 ORACLE_PANELS = 24
 ORACLE_SPLITS = 8
 # check_radonifying reads s * growth within this of 1 as the divergent boundary
@@ -115,17 +115,15 @@ def semigroup_norm_power(op: SpectralOperator, alpha: float, beta: float,
 
     The norm is the largest mode value e^(-lambda t) lambda^theta, theta =
     beta + (r/q) alpha, which is unimodal in lambda with peak at lambda =
-    theta / t, so only the eigenvalues adjacent to the peak need evaluating.
+    theta / t, so only the eigenvalues adjacent to the peak need evaluating
+    (for theta <= 0 it is decreasing, and the peak is the first mode).
     """
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
     theta = beta + (r / q) * alpha
     lam = op.lambdas
-    if theta <= 0:
-        cands = np.array([0])
-    else:
-        k = np.searchsorted(lam, theta / t)
-        cands = np.unique(np.clip(np.arange(k - 1, k + 2), 0, lam.size - 1))
+    k = np.searchsorted(lam, theta / t)
+    cands = np.unique(np.clip(np.arange(k - 1, k + 2), 0, lam.size - 1))
     vals = np.exp(-lam[cands] * t) * lam[cands] ** theta
     j = int(cands[np.argmax(vals)])
     return {"norm": float(vals.max()), "argmax_mode": j,
@@ -133,30 +131,21 @@ def semigroup_norm_power(op: SpectralOperator, alpha: float, beta: float,
 
 
 def check_radonifying(op: SpectralOperator, alpha: float, r: float,
-                      growth: Optional[float] = None) -> tuple[bool, float]:
+                      growth: float) -> tuple[bool, float]:
     """Summability test sum_j lambda_j^(-r alpha) deciding gamma-radonification.
 
-    For the Dirichlet eigenvalues (lambda_k ~ k^(2 gamma / d)) the verdict
-    is the p-series criterion r*alpha*2*gamma/d > 1; the certificate is the
+    ``growth`` is the exact power growth of the eigenvalues, lambda_k ~ c
+    k^growth (2 gamma / d for the Dirichlet ones).  The verdict is the
+    p-series criterion r * alpha * growth > 1; the certificate is the
     truncation partial sum plus an integral tail estimate when convergent.
-    User-supplied eigenvalue sequences are decided by fitting the power
-    growth of lambda_k over the last decade of modes, unless the caller
-    passes the exact ``growth`` exponent (lambda_k ~ c k^growth), which
-    makes boundary cases decidable.  Raises ValueError for a fit over fewer
-    than 2 eigenvalues and for a NaN alpha or r.
+    Raises ValueError for a NaN alpha or r and for a growth that is NaN,
+    infinite or not positive.
     """
     if math.isnan(alpha) or math.isnan(r):
         raise ValueError(f"alpha and r must be numbers, got alpha={alpha}, r={r}")
+    if not 0 < growth < math.inf:
+        raise ValueError(f"growth must be finite and positive, got {growth}")
     s = r * alpha
-    if growth is None and math.isnan(op.gamma):
-        lam = op.lambdas
-        if lam.size < 2:
-            raise ValueError("fitting the eigenvalue growth needs at least 2 eigenvalues; "
-                             "pass growth")
-        k0, k1 = lam.size // 10 + 1, lam.size
-        growth = (math.log(lam[k1 - 1]) - math.log(lam[k0 - 1])) / (math.log(k1) - math.log(k0))
-    elif growth is None:
-        growth = 2.0 * op.gamma / op.dim_d
     partial = float((op.lambdas ** (-s)).sum())
     # the boundary |s * growth - 1| <= RADON_TOL is treated as divergent (harmonic-type)
     if s * growth > 1.0 + RADON_TOL:
@@ -350,13 +339,13 @@ def _panel_integral(fn, edges: np.ndarray, rtol: float) -> float:
     return _checked(total, max(float(gaps.sum()), floor), edges[0], edges[-1], rtol)
 
 
-def charfn_oracle(op: SpectralOperator, noise: LevyNoiseSpec, phi, t: float,
-                  quad_tol: float = 1e-10) -> float:
+def charfn_oracle(op: SpectralOperator, noise: LevyNoiseSpec, phi, t: float) -> float:
     """E exp(i <X(t), phi>) = exp(-int_0^t psi(0.5 |e^(sigma A) phi|_H^2) dsigma).
 
     The integrand is steepest at sigma = 0, on the scale 1 / lambda_N, so the
     panels start as [0, lo] and ORACLE_PANELS geometric panels from
-    lo = 1e-3 min(t, 1 / (2 lambda_N)) up to t.  The mode sums take blocks
+    lo = 1e-3 min(t, 1 / (2 lambda_N)) up to t, and the quadrature is held
+    to the relative tolerance ORACLE_RTOL.  The mode sums take blocks
     of at most max(1, CHUNK_TERMS // modes) nodes.  Raises ValueError for a
     t that is negative, infinite or NaN, and unless phi and the noise have
     one coefficient per operator mode.
@@ -379,12 +368,11 @@ def charfn_oracle(op: SpectralOperator, noise: LevyNoiseSpec, phi, t: float,
 
     lo = 1e-3 * min(t, 1.0 / (2.0 * op.lambdas[-1]))
     edges = np.concatenate([[0.0], np.geomspace(lo, t, ORACLE_PANELS + 1)])
-    return math.exp(-_panel_integral(integrand, edges, quad_tol))
+    return math.exp(-_panel_integral(integrand, edges, ORACLE_RTOL))
 
 
-def regularity_exponent_bound(op: SpectralOperator, noise: LevyNoiseSpec,
-                              target: tuple[str, float]) -> dict:
-    """Critical Hoelder exponent of X(t) and admissibility of a target.
+def regularity_exponent_bound(op: SpectralOperator, noise: LevyNoiseSpec) -> dict:
+    """Critical Hoelder exponent delta* of X(t), with the regime it is read in.
 
     With the generator written as a fractional power of order g (so
     eigenvalues grow like |n|^g, i.e. g = 2*gamma for this operator), the
@@ -398,10 +386,8 @@ def regularity_exponent_bound(op: SpectralOperator, noise: LevyNoiseSpec,
     part, and every jump delta* is at least the Gaussian one, so any Z with
     a drift b > 0 (a truncated stable law among them) reads the Gaussian
     delta*.  An undrifted truncated stable law has finitely many jumps per
-    unit time, so it is Sub(p) for every p and reads g - d/2.
-
-    ``target`` is ("holder", delta) or ("sobolev", s); a Sobolev order is
-    admissible when s < delta* + d/2 (l2 Sobolev-to-Hoelder embedding).
+    unit time, so it is Sub(p) for every p and reads g - d/2.  Raises
+    ValueError for an operator without the fractional-power form.
     """
     if math.isnan(op.gamma):
         raise ValueError("critical exponents need the fractional-power form of A")
@@ -418,15 +404,7 @@ def regularity_exponent_bound(op: SpectralOperator, noise: LevyNoiseSpec,
     else:
         delta_star = g - d / 2.0
         regime = "finite_jumps"
-    kind, value = target
-    if kind == "holder":
-        admissible = 0.0 <= value < delta_star
-    elif kind == "sobolev":
-        admissible = value < delta_star + d / 2.0
-    else:
-        raise ValueError("target kind must be 'holder' or 'sobolev'")
-    return {"critical_exponent": delta_star, "regime": regime,
-            "target": {"kind": kind, "value": value}, "admissible": bool(admissible)}
+    return {"critical_exponent": delta_star, "regime": regime}
 
 
 # -- physical synthesis --------------------------------------------------

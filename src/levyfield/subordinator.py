@@ -55,8 +55,8 @@ class QuadratureError(RuntimeError):
 class _StableIntensity:
     """The density c xi^(-1-beta), c = beta / Gamma(1-beta), of the one-sided
     beta-stable subordinator on [lower, inf), with its moments and sampler
-    in closed form; each reader clamps its lower limit to ``lower``, and
-    lower = 0 is the whole stable measure."""
+    in closed form; no reader integrates below ``lower``, and lower = 0 is
+    the whole stable measure."""
 
     def __init__(self, beta: float, lower: float = 0.0):
         if not 0 < beta < 1:
@@ -65,17 +65,13 @@ class _StableIntensity:
         self.lower = lower
         self._c = beta / math.gamma(1.0 - beta)
 
-    def density(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x >= self.lower, self._c * x ** (-1.0 - self.beta), 0.0)
-
     def tail_mass(self, eps: float) -> float:
         eps = max(eps, self.lower)
         return self._c / self.beta * eps ** (-self.beta)
 
-    def truncated_moment(self, power: float, lo: float, hi: float) -> float:
-        """int_lo^hi xi^power rho(dxi); inf where it diverges."""
-        lo = max(lo, self.lower)
+    def truncated_moment(self, power: float, hi: float) -> float:
+        """int_lower^hi xi^power rho(dxi) for a finite hi; inf where it diverges."""
+        lo = self.lower
         expo = power - self.beta
         if lo <= 0.0:
             if expo <= 0:
@@ -83,10 +79,6 @@ class _StableIntensity:
             lo_term = 0.0
         else:
             lo_term = lo ** expo
-        if math.isinf(hi):
-            if expo >= 0:
-                return math.inf
-            return self._c / (-expo) * lo_term
         if expo == 0:
             return self._c * math.log(hi / max(lo, 1e-300))
         return self._c / expo * (hi ** expo - lo_term)
@@ -153,7 +145,7 @@ class SubordinatorSpec:
             raise ValueError(f"only a stable spec can be truncated, not a {self.kind} spec")
         if not 0 < eps <= 1:
             raise ValueError(f"the cutoff must be in (0,1], got {eps}")
-        small_mean = stable_intensity(self.beta).truncated_moment(1.0, 0.0, eps)
+        small_mean = stable_intensity(self.beta).truncated_moment(1.0, eps)
         return SubordinatorSpec(drift_b=self.drift_b + small_mean, beta=self.beta, cutoff=eps)
 
     # constructors
@@ -310,7 +302,7 @@ def sub_p_membership(spec: SubordinatorSpec, p: float) -> tuple[bool, float]:
         raise ValueError("p must be in (0,2]")
     if spec.kind == "drift_only":
         return True, 0.0
-    cert = float(spec.jump_measure.truncated_moment(p / 2.0, 0.0, 1.0))
+    cert = float(spec.jump_measure.truncated_moment(p / 2.0, 1.0))
     return math.isfinite(cert), cert
 
 

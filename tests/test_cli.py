@@ -137,10 +137,12 @@ def test_malformed_config_exit_2(tmp_path, capsys):
                  "--out", str(tmp_path / "o")]) == 2
 
 
-def test_unknown_experiment_exit_2(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"experiment": "nope", "master_seed": 1})
+@pytest.mark.parametrize("kind", ["nope", ["burgers"], {"name": "burgers"}])
+def test_unknown_experiment_exit_2(tmp_path, capsys, kind):
+    cfg = write_config(tmp_path, {"experiment": kind, "master_seed": 1})
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "unknown experiment" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "report.json").exists()
 
 
 def test_missing_master_seed_exit_2(tmp_path, capsys):

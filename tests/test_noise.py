@@ -178,7 +178,7 @@ def test_jump_rate_refuses_a_truncated_law(beta, eps):
         jump_rate(make_spec(SubordinatorSpec(beta=beta, cutoff=eps), n_modes=4), 1.0)
 
 
-@pytest.mark.parametrize("U", [SpaceSpec(1.0, np.ones(8)), SpaceSpec(math.inf, np.ones(8)),
+@pytest.mark.parametrize("U", [SpaceSpec(1.0, np.ones(8)), SpaceSpec(3.0, np.ones(8)),
                                SpaceSpec(2.0, np.ones(7))])
 def test_jump_rate_refuses_a_u_norm_that_is_not_l2_on_the_modes(U):
     with pytest.raises(ValueError, match="weighted l\\^2"):

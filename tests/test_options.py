@@ -1,11 +1,12 @@
-"""Every defaulted parameter of the library's public API is set by some call.
+"""Every defaulted parameter of the library's public API is set by the library
+or by an acceptance test.
 
-A default that no call in ``src/`` or ``tests/`` overrides, either because no
-call passes it or because every call that does passes the default's own
-literal, is a constant spelled as an option: it widens the API, and the
-branches only it reaches go untested.  Such a value belongs in a module
-constant.  The exceptions are modelling inputs, each with its reason in
-``ALLOWED``.
+A default that no call in ``src/levyfield`` or ``tests/test_acceptance.py``
+overrides, either because no call passes it or because every call that does
+passes the default's own literal, is a constant spelled as an option: it
+widens the API, and the branches only it reaches serve its unit tests alone.
+Such a value belongs in a module constant.  The exceptions, each with its
+reason in ``ALLOWED``, are options kept on purpose.
 """
 
 import ast
@@ -13,11 +14,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "levyfield"
-CALLERS = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+CALLERS = sorted(SRC.glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
 
 # (function, parameter) of the defaults no call sets, each with its reason
 ALLOWED = {
-    ("blowup_probe", "T"): "the horizon of the probed noise path",
+    ("jump_rate", "u_space"): "the U-norm of the large-jump rate, which the blow-up "
+                              "probe's jump counts are to be checked against",
+    ("main", "argv"): "the command line the CLI's entry point parses; tests pass their own",
 }
 
 

@@ -262,15 +262,14 @@ def test_blowup_inconclusive_when_no_mark_reaches_the_threshold():
     assert rep == {"conclusive": False, "reason": "no jump reached the threshold"}
 
 
-@pytest.mark.parametrize("threshold,window_h", [(0.0, None), (-1.0, None), (0.05, 0.0),
-                                                (0.05, -1.0)])
-def test_blowup_refuses_a_threshold_or_window_that_is_not_positive(threshold, window_h):
+@pytest.mark.parametrize("threshold", [0.0, -1.0, math.nan])
+def test_blowup_refuses_a_threshold_that_is_not_positive(threshold):
     Nmax = 64
     op = SpectralOperator.dirichlet(1, 1.0, Nmax)
     noise = make_noise(SubordinatorSpec.stable(0.5), Nmax)
-    with pytest.raises(ValueError, match="threshold" if threshold <= 0 else "window_h"):
+    with pytest.raises(ValueError, match="threshold"):
         blowup_probe(op, noise, SpaceSpec(2.0, np.ones(Nmax)), [16, 32, 64], seed=0,
-                     threshold=threshold, window_h=window_h)
+                     threshold=threshold)
 
 
 def _per_truncation_probe(op, noise, F, N_sequence, seed, threshold, u_space):
@@ -292,20 +291,18 @@ def _per_truncation_probe(op, noise, F, N_sequence, seed, threshold, u_space):
             x2 = (np.exp(-np.multiply.outer(lamN, t - times[:k]))
                   * marks[:k, :N].T).sum(axis=1)
             wx = np.abs(x2) * fw
-            val = wx.max() if np.isinf(F.exponent_q) else (wx ** F.exponent_q).sum() ** (1.0 / F.exponent_q)
-            sup = max(sup, float(val))
+            sup = max(sup, float((wx ** F.exponent_q).sum() ** (1.0 / F.exponent_q)))
         sups.append(sup)
         mark = marks[0, :N]
         if u_space is None:
             u_norms.append(float(np.sqrt((mark ** 2).sum())))
         else:
             um = np.abs(mark) * u_space.weights[:N]
-            u_norms.append(float(um.max() if np.isinf(u_space.exponent_q)
-                                 else (um ** u_space.exponent_q).sum() ** (1.0 / u_space.exponent_q)))
+            u_norms.append(float((um ** u_space.exponent_q).sum() ** (1.0 / u_space.exponent_q)))
     return sups, u_norms
 
 
-@pytest.mark.parametrize("q", [2.0, math.inf])
+@pytest.mark.parametrize("q", [2.0, 1.0])
 @pytest.mark.parametrize("with_u", [False, True])
 def test_blowup_probe_matches_the_per_truncation_loop(q, with_u):
     Nmax = 512
@@ -335,10 +332,10 @@ def test_space_prefix_keeps_exponent_and_weights():
             E.prefix(n)
 
 
-def test_space_exponent_refuses_nan_and_keeps_infinity():
-    assert SpaceSpec(math.inf, np.ones(3)).norm(np.array([1.0, -4.0, 2.0])) == 4.0
+@pytest.mark.parametrize("q", [float("nan"), math.inf, 0.5])
+def test_space_exponent_refuses_nan_and_infinity(q):
     with pytest.raises(ValueError, match="exponent_q"):
-        SpaceSpec(float("nan"), np.ones(3))
+        SpaceSpec(q, np.ones(3))
 
 
 @pytest.mark.parametrize("bad", [math.inf, float("nan"), 0.0, -1.0])

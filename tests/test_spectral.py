@@ -63,12 +63,17 @@ def test_dirichlet_eigenvalues_2d_sorted():
 # -- semigroup norms -----------------------------------------------------
 
 
-def test_semigroup_norm_unit_weights():
-    # alpha = beta = 0: the weights are all ones, and the norm is the first mode's
+@pytest.mark.parametrize("beta", [0.0, -0.5])
+def test_semigroup_norm_unit_weights(beta):
+    # theta = beta <= 0: e^(-lambda t) lambda^theta falls in lambda, and the
+    # norm is the first mode's
     op = SpectralOperator.dirichlet(1, 1.0, 32)
-    out = semigroup_norm_power(op, 0.0, 0.0, 2.0, 2.0, t=0.7)
-    assert out["norm"] == pytest.approx(math.exp(-op.lambdas[0] * 0.7), rel=1e-14)
+    out = semigroup_norm_power(op, 0.0, beta, 2.0, 2.0, t=0.7)
+    assert out["norm"] == math.exp(-op.lambdas[0] * 0.7) * op.lambdas[0] ** beta
     assert out["argmax_mode"] == 0
+    # tied first eigenvalues keep the first of them
+    tied = SpectralOperator.from_eigenvalues([2.0, 2.0, 3.0])
+    assert semigroup_norm_power(tied, 0.0, beta, 2.0, 2.0, t=0.7)["argmax_mode"] == 0
 
 
 def test_semigroup_norm_power_matches_full_scan():
@@ -118,14 +123,14 @@ def test_semigroup_norm_refuses_a_nan_time():
 
 def test_radonifying_p_series_convergent():
     op = SpectralOperator.dirichlet(1, 1.0, 20000)
-    ok, cert = check_radonifying(op, alpha=1.0, r=1.0)
+    ok, cert = check_radonifying(op, alpha=1.0, r=1.0, growth=2.0)
     assert ok
     assert cert == pytest.approx(math.pi ** 2 / 6.0, rel=1e-6)
 
 
 def test_radonifying_boundary_divergent():
     op = SpectralOperator.dirichlet(1, 1.0, 1000)
-    ok, cert = check_radonifying(op, alpha=0.5, r=1.0)   # s*growth = 1 exactly
+    ok, cert = check_radonifying(op, alpha=0.5, r=1.0, growth=2.0)   # s*growth = 1 exactly
     assert not ok and cert == math.inf
 
 
@@ -137,20 +142,22 @@ def test_radonifying_user_eigenvalues_with_growth():
     assert ok and np.isfinite(cert)
     from scipy.special import zeta
     assert cert == pytest.approx(float(zeta(1.2)), rel=1e-3)
-    # one eigenvalue fits no growth, but a passed growth decides
+    # the growth decides a single eigenvalue too
     one = SpectralOperator.from_eigenvalues([1.0])
-    with pytest.raises(ValueError, match="growth"):
-        check_radonifying(one, 1.0, 1.0)
     assert check_radonifying(one, 1.0, 1.0, growth=2.0)[0]
 
 
-@pytest.mark.parametrize("alpha, r", [(math.nan, 1.0), (1.0, math.nan)])
-def test_radonifying_refuses_nan_alpha_or_r(alpha, r):
-    # a NaN exponent decides nothing; it is not a divergent series
+@pytest.mark.parametrize("alpha, r, growth, match", [
+    (math.nan, 1.0, 2.0, "alpha and r"), (1.0, math.nan, 2.0, "alpha and r"),
+    (1.0, 1.0, math.nan, "growth"), (1.0, 1.0, math.inf, "growth"),
+    (1.0, 1.0, 0.0, "growth"), (1.0, 1.0, -2.0, "growth")])
+def test_radonifying_refuses_nan_alpha_or_r(alpha, r, growth, match):
+    # a NaN exponent, or a growth that is no power growth, decides nothing;
+    # it is not a divergent series
     for op in (SpectralOperator.dirichlet(1, 1.0, 8),
                SpectralOperator.from_eigenvalues(np.arange(1.0, 9.0) ** 2)):
-        with pytest.raises(ValueError, match="alpha and r"):
-            check_radonifying(op, alpha, r)
+        with pytest.raises(ValueError, match=match):
+            check_radonifying(op, alpha, r, growth)
 
 
 def test_radonifying_theorem_setting():
@@ -158,11 +165,12 @@ def test_radonifying_theorem_setting():
     # r*alpha < 1/p; the wrong side fails
     gamma, d, p = 1.0, 1, 0.7
     op = SpectralOperator.dirichlet(d, gamma, 5000)
+    growth = 2 * gamma / d
     ralpha_good = 0.5 * (d / (2 * gamma) + 1.0 / p)      # between the bounds
-    assert check_radonifying(op, ralpha_good, 1.0)[0]
+    assert check_radonifying(op, ralpha_good, 1.0, growth)[0]
     assert ralpha_good < 1.0 / p
     ralpha_bad = 0.9 * d / (2 * gamma)
-    assert not check_radonifying(op, ralpha_bad, 1.0)[0]
+    assert not check_radonifying(op, ralpha_bad, 1.0, growth)[0]
 
 
 # -- convolution sampling ------------------------------------------------
@@ -515,12 +523,13 @@ def test_charfn_oracle_halves_the_panels_of_a_steep_integrand(size, monkeypatch)
         spectral._panel_integral(integrand, edges, 1e-10)
 
 
-def test_charfn_oracle_raises_at_an_unreachable_tolerance():
+def test_charfn_oracle_raises_at_an_unreachable_tolerance(monkeypatch):
     op = SpectralOperator.dirichlet(1, 1.0, 16)
     noise = make_noise(SubordinatorSpec.stable(0.5), 16)
     phi = stream(13).standard_normal(16) / 4.0
+    monkeypatch.setattr(spectral, "ORACLE_RTOL", 1e-20)
     with pytest.raises(QuadratureError) as info:
-        charfn_oracle(op, noise, phi, 0.7, quad_tol=1e-20)
+        charfn_oracle(op, noise, phi, 0.7)
     assert info.value.achieved_tol > 1e-18
 
 
@@ -548,18 +557,17 @@ def test_critical_exponent_stable():
     # order-2 generator (lambda ~ n^2), alpha = 1, d = 1 -> delta* = 1.5
     op = SpectralOperator.dirichlet(1, 1.0, 4)
     noise = make_noise(SubordinatorSpec.stable(0.5), 4)   # alpha = 1
-    rep = regularity_exponent_bound(op, noise, ("holder", 1.0))
+    rep = regularity_exponent_bound(op, noise)
     assert rep["critical_exponent"] == pytest.approx(1.5)
-    assert rep["admissible"]
-    assert not regularity_exponent_bound(op, noise, ("holder", 1.5))["admissible"]
+    assert rep["regime"] == "stable(alpha=1.0)"
 
 
 def test_critical_exponent_gaussian():
     op = SpectralOperator.dirichlet(1, 1.0, 4)
     noise = make_noise(SubordinatorSpec.drift_only(1.0), 4)
-    rep = regularity_exponent_bound(op, noise, ("holder", 0.4))
+    rep = regularity_exponent_bound(op, noise)
     assert rep["critical_exponent"] == pytest.approx(0.5)
-    assert rep["admissible"]
+    assert rep["regime"] == "gaussian"
 
 
 @pytest.mark.parametrize("sub", [
@@ -571,17 +579,16 @@ def test_critical_exponent_of_a_drifted_law_is_the_gaussian_one(sub):
     # a drift gives W(Z) a Brownian part, rougher than any jump part; a
     # truncated stable law has a drift
     op = SpectralOperator.dirichlet(1, 1.0, 4)
-    rep = regularity_exponent_bound(op, make_noise(sub, 4), ("holder", 0.4))
+    rep = regularity_exponent_bound(op, make_noise(sub, 4))
     assert rep["critical_exponent"] == pytest.approx(0.5)
-    assert rep["regime"] == "gaussian" and rep["admissible"]
+    assert rep["regime"] == "gaussian"
 
 
 def test_critical_exponent_empty_range():
     op = SpectralOperator.dirichlet(2, 0.5, 2)   # g = 1, d = 2 -> delta* = 0
     noise = LevyNoiseSpec(CylindricalWienerSpec(np.ones(4)), SubordinatorSpec.stable(0.5))
-    rep = regularity_exponent_bound(op, noise, ("holder", 0.0))
-    assert rep["critical_exponent"] <= 0.0
-    assert not rep["admissible"]
+    # no Hoelder exponent in [0, delta*) is left
+    assert regularity_exponent_bound(op, noise)["critical_exponent"] <= 0.0
 
 
 def test_critical_exponent_monotone_in_alpha():
@@ -589,7 +596,7 @@ def test_critical_exponent_monotone_in_alpha():
     vals = []
     for alpha in (1.2, 1.5, 1.8):
         noise = make_noise(SubordinatorSpec.stable(alpha / 2.0), 4)
-        vals.append(regularity_exponent_bound(op, noise, ("holder", 0.0))["critical_exponent"])
+        vals.append(regularity_exponent_bound(op, noise)["critical_exponent"])
     assert vals[0] > vals[1] > vals[2]
 
 
@@ -602,9 +609,9 @@ def test_critical_exponent_of_an_undrifted_truncated_law(gamma, delta_star, sub)
     # is read off the law, whatever its beta, with no certificate passed
     op = SpectralOperator.dirichlet(1, gamma, 4)
     noise = make_noise(sub, 4)
-    rep = regularity_exponent_bound(op, noise, ("holder", 0.0))
+    rep = regularity_exponent_bound(op, noise)
     assert rep["critical_exponent"] == pytest.approx(delta_star)
-    assert rep["regime"] == "finite_jumps" and rep["admissible"]
+    assert rep["regime"] == "finite_jumps"
 
 
 # -- synthesis -----------------------------------------------------------
