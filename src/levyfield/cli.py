@@ -350,7 +350,6 @@ def _report_json(report: dict) -> str:
 
 def run(config: dict, out_dir: str) -> int:
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     kind = config.get("experiment")
     # a JSON list or object is no experiment name, and no dict key either
     if not isinstance(kind, str) or kind not in EXPERIMENTS:
@@ -369,6 +368,7 @@ def run(config: dict, out_dir: str) -> int:
     t0 = time.time()
     try:
         _check_config(config, defaults)
+        out.mkdir(parents=True, exist_ok=True)
         summary, passed = experiment({**defaults, **config}, out)
         report = {"experiment": kind, "config": config,
                   "status": "pass" if passed else "fail",

@@ -9,23 +9,44 @@ as they are, for callers that do their own blocking.
 
 Every transform of the library is ``_dst1`` or ``_dct1``: scipy's compiled
 pocketfft binding, the kernels that ``scipy.fft`` and ``scipy.fftpack`` both
-end in, called without their per-call Python wrapper and imported on the
-first transform, not with this module.
+end in, called without their per-call Python wrapper.  The binding is loaded
+from its extension file on the first transform, not with this module, and
+without the ``scipy.fft`` package, whose import runs some 300 modules that
+no transform uses.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 
 import numpy as np
 
 
 @functools.cache
 def _pocketfft():
-    """scipy's pocketfft binding, imported on its first use."""
-    from scipy.fft._pocketfft import pypocketfft
-    return pypocketfft
+    """scipy's pocketfft binding, loaded on its first use from its file
+    ``scipy/fft/_pocketfft/pypocketfft<suffix>`` under its full name.
+
+    ``find_spec`` locates scipy without importing it, and the module is not
+    added to ``sys.modules``; a later ``import scipy.fft`` gets the same
+    module object.  The file's path is private to scipy: where it is missing
+    this raises ImportError naming the path.
+    """
+    name = "scipy.fft._pocketfft.pypocketfft"
+    scipy = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    stem = os.path.join(scipy, "fft", "_pocketfft", "pypocketfft")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if os.path.isfile(stem + suffix):
+            loader = importlib.machinery.ExtensionFileLoader(name, stem + suffix)
+            module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+            loader.exec_module(module)
+            return module
+    raise ImportError(f"scipy's pocketfft binding is not at {stem}"
+                      f"{{{','.join(importlib.machinery.EXTENSION_SUFFIXES)}}}", path=stem)
 
 
 def _dst1(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

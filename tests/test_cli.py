@@ -31,69 +31,69 @@ def test_list_experiments(capsys):
         assert name in out
 
 
+UNUSED_SCIPY = ("scipy.integrate", "scipy.special", "scipy.fft", "scipy.fftpack")
+
 COLD_IMPORT = """
 import sys
 import levyfield.cli
-loaded = [m for m in ("scipy.integrate", "scipy.special", "scipy.fft", "scipy.fftpack")
-          if m in sys.modules]
-assert not loaded, loaded
+unused = %r
+assert not [m for m in unused if m in sys.modules]
 import numpy as np
 from levyfield import sine
-binding = "scipy.fft._pocketfft.pypocketfft"
-assert binding not in sys.modules
-values = sine.sine_values(np.arange(1.0, 6.0))
-assert sine._pocketfft() is sys.modules[binding]
-assert "scipy.fftpack" not in sys.modules
+sine.sine_values(np.arange(1.0, 6.0))
+loaded = [m for m in unused if m in sys.modules]
+assert not loaded, loaded
 import scipy.fft
-assert np.array_equal(values, scipy.fft.dst(np.arange(1.0, 6.0), type=1) * (2.0 ** 0.5 / 2.0))
-"""
+rng = np.random.default_rng(5)
+for n in (7, 511, 513, 997, 1000):
+    for x in (rng.standard_normal(n), rng.standard_normal((3, n))):
+        assert np.array_equal(sine._dst1(x), scipy.fft.dst(x, type=1)), n
+        assert np.array_equal(sine._dct1(x), scipy.fft.dct(x, type=1)), n
+""" % (UNUSED_SCIPY,)
 
 
-def test_cold_import_defers_scipy_submodules():
-    # scipy's integrate, special, fft and fftpack load on first use, not with
-    # the CLI: sine imports scipy's pocketfft binding on the first transform
+def _run_fresh(code):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    subprocess.run([sys.executable, "-c", COLD_IMPORT], env=env, check=True, timeout=120)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
+def test_cold_import_defers_scipy_submodules():
+    # sine loads scipy's pocketfft binding from its file on the first
+    # transform, so neither the CLI nor a transform loads scipy's integrate,
+    # special, fft or fftpack; a later import of scipy.fft gives the same
+    # kernels, bit for bit
+    _run_fresh(COLD_IMPORT)
 
 
 EVERY_RUN = """
 import sys, tempfile
 from levyfield import cli
-stable_noise = [
+configs = [
     {"experiment": "ou-sample", "n_modes": 8, "mc_paths": 200, "n_pairs": 2},
     {"experiment": "charfn-test", "n_modes": 8, "mc_paths": 200, "n_phi": 1, "t_values": [0.5]},
     {"experiment": "circle", "thetas": [0.5], "grids": [64]},
     {"experiment": "blowup", "n_modes": 256, "truncations": [64, 128, 256]},
-]
-the_rest = [
     {"experiment": "subordinator-check", "n_paths": 2000},
     {"experiment": "regularity", "n_modes": 32, "grid_M": 64, "n_paths": 2},
     {"experiment": "burgers", "n_modes": 31, "T": 0.01},
     {"experiment": "bounds", "n_modes": 15, "n_instances": 2, "T": 0.05},
 ]
-assert sorted(cfg["experiment"] for cfg in stable_noise + the_rest) == sorted(cli.EXPERIMENTS)
-def run(configs):
-    for cfg in configs:
-        with tempfile.TemporaryDirectory() as out:
-            assert cli.run({**cfg, "master_seed": 1}, out) in (0, 1), cfg
-run(stable_noise)
-loaded = [m for m in ("scipy.integrate", "scipy.special") if m in sys.modules]
-assert not loaded, loaded
-run(the_rest)
-assert "scipy.integrate" not in sys.modules
-"""
+assert sorted(cfg["experiment"] for cfg in configs) == sorted(cli.EXPERIMENTS)
+for cfg in configs:
+    with tempfile.TemporaryDirectory() as out:
+        assert cli.run({**cfg, "master_seed": 1}, out) in (0, 1), cfg
+    loaded = [m for m in %r if m in sys.modules]
+    assert not loaded, (cfg["experiment"], loaded)
+""" % (UNUSED_SCIPY,)
 
 
-def test_stable_noise_runs_load_neither_scipy_integrate_nor_special():
-    # no experiment loads scipy.integrate: every law has closed forms and the
-    # oracle's quadrature is numpy; the stable intensity's Gamma is math, so
-    # scipy.special comes only with the first transform of the other experiments
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    subprocess.run([sys.executable, "-c", EVERY_RUN], env=env, check=True, timeout=120)
+def test_no_run_loads_scipy_integrate_special_fft_or_fftpack():
+    # every law has closed forms and the oracle's quadrature is numpy, the
+    # stable intensity's Gamma is math, and the transforms call the pocketfft
+    # binding loaded from its file
+    _run_fresh(EVERY_RUN)
 
 
 def test_run_subordinator_check_passes(tmp_path, capsys):
@@ -142,13 +142,14 @@ def test_unknown_experiment_exit_2(tmp_path, capsys, kind):
     cfg = write_config(tmp_path, {"experiment": kind, "master_seed": 1})
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "unknown experiment" in capsys.readouterr().err
-    assert not (tmp_path / "o" / "report.json").exists()
+    assert not (tmp_path / "o").exists()
 
 
 def test_missing_master_seed_exit_2(tmp_path, capsys):
     cfg = write_config(tmp_path, {"experiment": "subordinator-check"})
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "master_seed" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_burgers_step_size_failure_exit_3(tmp_path, capsys):

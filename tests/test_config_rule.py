@@ -2,7 +2,8 @@
 
 Every key of every experiment, ``master_seed`` included, is given values
 that break the rule its default declares; each must exit 2 with a message
-naming the key, before anything is drawn and without a report.json.
+naming the key, before anything is drawn and without a report.json; a
+key that breaks its default's rule leaves no output directory either.
 """
 
 import json
@@ -56,7 +57,7 @@ CASES = [(name, key, value)
 def _run(tmp_path, capsys, config):
     out = tmp_path / "o"
     code = cli.run(config, str(out))
-    return code, capsys.readouterr().err, (out / "report.json").exists()
+    return code, capsys.readouterr().err, out
 
 
 def _names(err, key) -> bool:
@@ -72,9 +73,8 @@ def test_defaults_follow_the_rule(name):
 @pytest.mark.parametrize("name, key, value", CASES, ids=lambda v: repr(v))
 def test_every_key_refuses_what_its_default_rules_out(tmp_path, capsys, no_draws,
                                                       name, key, value):
-    code, err, report = _run(tmp_path, capsys,
-                             {"experiment": name, "master_seed": 1, key: value})
-    assert code == 2 and _names(err, key) and not report, err
+    code, err, out = _run(tmp_path, capsys, {"experiment": name, "master_seed": 1, key: value})
+    assert code == 2 and _names(err, key) and not out.exists(), err
 
 
 @pytest.mark.parametrize("payload, key", [
@@ -93,8 +93,8 @@ def test_every_key_refuses_what_its_default_rules_out(tmp_path, capsys, no_draws
 def test_values_once_cast_or_refused_late_exit_2(tmp_path, capsys, no_draws, payload, key):
     # a cast once ran 64.5 modes as 64, true paths as 1 and "63" as 63; a
     # grid or weight refusal came after the draws and did not name the key
-    code, err, report = _run(tmp_path, capsys, {"master_seed": 1, **payload})
-    assert code == 2 and _names(err, key) and not report, err
+    code, err, out = _run(tmp_path, capsys, {"master_seed": 1, **payload})
+    assert code == 2 and _names(err, key) and not (out / "report.json").exists(), err
 
 
 @pytest.mark.parametrize("seed, message", [
@@ -111,7 +111,7 @@ def test_seed_option_follows_the_rule(tmp_path, capsys, no_draws, seed, message)
         code = exc.code
     assert code == 2
     assert message in capsys.readouterr().err
-    assert not (out / "report.json").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("truncations", [[64.5, 128], [True, 128], [0, 128], ["64", 128]])

@@ -5,6 +5,7 @@ used before the transforms moved to ``levyfield.sine``; every transform must
 equal them bitwise, one row at a time, at every shape and block count.
 """
 
+import importlib.machinery
 import math
 
 import numpy as np
@@ -137,3 +138,15 @@ def test_too_coarse_grid_is_refused():
     # 0 is a grid size like any other, not a request for the default
     with pytest.raises(ValueError, match="grid size M must exceed"):
         sine_values(np.ones(N), 0)
+
+
+def test_binding_is_scipy_fft_s_own_module():
+    assert sine._pocketfft() is sfft._pocketfft.pypocketfft
+
+
+def test_missing_binding_file_raises_import_error_naming_its_path(monkeypatch):
+    # scipy keeps the binding at a private path: a scipy that moves it fails
+    # here, with the path it was looked for at
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+    with pytest.raises(ImportError, match=r"fft.*_pocketfft.*pypocketfft\{\.missing\}"):
+        sine._pocketfft.__wrapped__()
