@@ -13,9 +13,10 @@ physical grid (exact dealiasing for quadratic products).  The stochastic
 Burgers equation du + [Au + B(u)]dt = f dt + dY is solved pathwise as
 u = v + z with z the sampled OU convolution of the noise and
 g = f - (z^2/2)_x, which is the same construction the a priori estimates
-are stated for; in the u-form its h is f itself.  The weak residual that
-checks a solution takes its nonlinear term in closed form from the sine
-coefficients, not through the solver's transforms.
+are stated for; in the u-form its h is f itself.  Both solvers read the
+mode count off the initial data.  The weak residual checks a solve with
+the forcing its result holds, and takes its nonlinear term in closed form
+from the sine coefficients, not through the solver's transforms.
 """
 
 from __future__ import annotations
@@ -114,21 +115,6 @@ def _nonlinear_blocks(zs: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndar
 
 
 @dataclass(frozen=True)
-class BurgersTrajectory:
-    """Solution record of the modified equation on a uniform time grid."""
-
-    times: np.ndarray              # (n_steps+1,) including t=0
-    v_coeffs: np.ndarray           # (n_steps+1, n_modes)
-    z_l4: np.ndarray               # |z(t)|_{L^4}^4 at grid times
-    g_vprime: np.ndarray           # |g(t)|_{V'}^2 at grid times
-    vprime_vprime: np.ndarray      # |v'(t)|_{V'}^2 at grid times (from the equation)
-
-    @property
-    def n_modes(self) -> int:
-        return self.v_coeffs.shape[1]
-
-
-@dataclass(frozen=True)
 class AprioriConstants:
     """The four constants of the modified-equation energy estimates.
 
@@ -159,6 +145,20 @@ class AprioriConstants:
         return cls(K=K, L=L, M=M, N=N)
 
 
+@dataclass(frozen=True)
+class BurgersTrajectory:
+    """Solution record of the modified equation on a uniform time grid."""
+
+    times: np.ndarray              # (n_steps+1,) including t=0
+    v_coeffs: np.ndarray           # (n_steps+1, n_modes)
+    vprime_vprime: np.ndarray      # |v'(t)|_{V'}^2 at grid times (from the equation)
+    constants: AprioriConstants    # K, L, M, N of the data, on [0, times[-1]]
+
+    @property
+    def n_modes(self) -> int:
+        return self.v_coeffs.shape[1]
+
+
 def _on_grid(name: str, a, shape: tuple[int, int]) -> Optional[np.ndarray]:
     """``a`` as a float array of shape ``shape[1:]`` (one row for every grid
     time) or ``shape``; None stays None."""
@@ -183,17 +183,18 @@ def _time_grid(T: float, dt: float) -> tuple[int, np.ndarray]:
 
 
 def _u_form_steps(v0: np.ndarray, zs: Optional[np.ndarray], h: Optional[np.ndarray],
-                  z_l4: np.ndarray, g_vp: np.ndarray, T: float, dt: float,
+                  z_l4: np.ndarray, g_vp: np.ndarray, dt: float,
                   times: np.ndarray) -> tuple[BurgersTrajectory, np.ndarray]:
     """The modified equation stepped in its u-form, and |v + z|_L4^4 at the grid times.
 
     v_(i+1) = e^(-lam dt) v_i + phi1 (N(v_i + z_i) + h_i) with
     phi1 = (1 - e^(-lam dt)) / lam; ``zs`` and ``h`` are None (zero) or
     broadcast to one row per grid time, and ``z_l4``, ``g_vp`` are |z|_L4^4
-    and |g|_V'^2 there.  Raises RuntimeError if int |z|_L4^4 exceeds 1 and
-    4 times its trapezoid sum over every other grid point (z too rough for
-    the grid), and StepSizeError if |v|^2 leaves 10x its a priori corridor
-    after any step, which is how an unstable explicit step shows up.
+    and |g|_V'^2 there, for the a priori constants on [0, times[-1]].
+    Raises RuntimeError if int |z|_L4^4 exceeds 1 and 4 times its trapezoid
+    sum over every other grid point (z too rough for the grid), and
+    StepSizeError if |v|^2 leaves 10x its a priori corridor after any
+    step, which is how an unstable explicit step shows up.
 
     The steps go BLOCK_ROWS at a time.  Each step writes v + z straight into
     the sine input and makes one sine transform of it and one cosine
@@ -216,9 +217,10 @@ def _u_form_steps(v0: np.ndarray, zs: Optional[np.ndarray], h: Optional[np.ndarr
         raise RuntimeError(
             f"int |Y_A|_L4^4 not stable under refinement ({half:.3g} -> {int_z:.3g}); "
             "the OU path is too rough for this grid")
-    # explicit a priori corridor for the blow-up guard
+    # the trajectory's a priori constants, and from them the blow-up guard's corridor
     int_g = float(np.trapezoid(g_vp, times))
-    consts = AprioriConstants.from_data(float(np.sqrt((v0 ** 2).sum())), int_z, int_g, T)
+    consts = AprioriConstants.from_data(float(np.sqrt((v0 ** 2).sum())), int_z, int_g,
+                                        float(times[-1]))
     corridor = 10.0 * (consts.K * consts.L) ** 2 + 1e-12
 
     zs = None if zs is None else np.broadcast_to(zs, shape)
@@ -253,8 +255,8 @@ def _u_form_steps(v0: np.ndarray, zs: Optional[np.ndarray], h: Optional[np.ndarr
                     f"reduce dt (currently {dt:g})")
         vp_hist[lo:hi] = ((rhs[:hi - lo] - lam * v_hist[lo:hi]) ** 2 / lam).sum(axis=1)
         w_l4[lo:hi] = _l4_of_half_squares(cos_in[:hi - lo])
-    traj = BurgersTrajectory(times=times, v_coeffs=v_hist, z_l4=z_l4,
-                             g_vprime=g_vp, vprime_vprime=vp_hist)
+    traj = BurgersTrajectory(times=times, v_coeffs=v_hist, vprime_vprime=vp_hist,
+                             constants=consts)
     return traj, w_l4
 
 
@@ -264,17 +266,16 @@ def solve_modified_burgers(
     gs: Optional[np.ndarray],
     T: float,
     dt: float,
-    n_modes: int,
 ) -> BurgersTrajectory:
     """Exponential-Euler integration of the modified Burgers equation.
 
-    ``zs``/``gs`` hold sine coefficients of z and g: None (zero), one
-    constant (n_modes,) vector, or an (n_steps+1, n_modes) array with one
-    row per grid time; any other shape is a ValueError.  Raises
-    StepSizeError if |v|^2 leaves 10x its a priori corridor,
-    which is how an unstable explicit step shows up, and RuntimeError if
-    int |z|_L4^4 exceeds 1 and 4 times its trapezoid sum over every other
-    grid point (z too rough for the grid).
+    ``v0`` is a vector of n_modes >= 1 sine coefficients; ``zs``/``gs`` hold
+    those of z and g: None (zero), one constant (n_modes,) vector, or an
+    (n_steps+1, n_modes) array with one row per grid time; any other shape
+    is a ValueError.  Raises StepSizeError if |v|^2 leaves 10x its a
+    priori corridor, which is how an unstable explicit step shows up, and
+    RuntimeError if int |z|_L4^4 exceeds 1 and 4 times its trapezoid sum
+    over every other grid point (z too rough for the grid).
 
     The steps run in the u-form, v_t + A v = N(v + z) + h with
     N(w) = -(w^2/2)_x and h = g - N(z): z's rows are put on the doubled
@@ -283,8 +284,9 @@ def solve_modified_burgers(
     makes one sine transform of v + z and one cosine transform.
     """
     v0 = np.asarray(v0, dtype=float)
-    if v0.size != n_modes:
-        raise ValueError("v0 must have n_modes sine coefficients")
+    if v0.ndim != 1 or v0.size == 0:
+        raise ValueError(f"v0 must be a non-empty vector, not of shape {v0.shape}")
+    n_modes = v0.size
     n_steps, times = _time_grid(T, dt)
     shape = (n_steps + 1, n_modes)
     zs = _on_grid("zs", zs, shape)
@@ -303,22 +305,17 @@ def solve_modified_burgers(
     g_vp = np.zeros(n_steps + 1)
     if gs is not None:
         g_vp[:] = by_blocks(lambda g: (g ** 2 / lam).sum(axis=1), np.atleast_2d(gs))
-    return _u_form_steps(v0, zs, h, z_l4, g_vp, T, dt, times)[0]
+    return _u_form_steps(v0, zs, h, z_l4, g_vp, dt, times)[0]
 
 
 def check_apriori(traj: BurgersTrajectory) -> dict:
     """Evaluate the four energy inequalities on a computed trajectory.
 
-    Each bound is checked with a multiplicative ``APRIORI_SLACK`` allowance
-    for quadrature error; violations are reported, not raised.
+    Each bound, from the trajectory's ``constants``, is checked with a
+    multiplicative ``APRIORI_SLACK`` allowance; violations are reported.
     """
-    times = traj.times
-    T = float(times[-1])
+    times, c = traj.times, traj.constants
     lam = (np.arange(1, traj.n_modes + 1) * math.pi) ** 2
-    v0_l2 = float(np.sqrt((traj.v_coeffs[0] ** 2).sum()))
-    int_z = float(np.trapezoid(traj.z_l4, times))
-    int_g = float(np.trapezoid(traj.g_vprime, times))
-    c = AprioriConstants.from_data(v0_l2, int_z, int_g, T)
 
     sup_v2 = float((traj.v_coeffs ** 2).sum(axis=1).max())
     grad2 = (traj.v_coeffs ** 2 * lam).sum(axis=1)
@@ -331,7 +328,7 @@ def check_apriori(traj: BurgersTrajectory) -> dict:
         "sup_v_sq": (sup_v2, (c.K * c.L) ** 2),
         "int_grad_sq": (int_grad, c.M ** 2),
         "int_vprime_sq": (int_vp, c.N ** 2),
-        "int_v_l4": (int_v4, 2.0 * math.sqrt(T) * c.K ** 3 * c.L ** 3 * c.M),
+        "int_v_l4": (int_v4, 2.0 * math.sqrt(times[-1]) * c.K ** 3 * c.L ** 3 * c.M),
     }
     report = {"constants": {"K": c.K, "L": c.L, "M": c.M, "N": c.N}, "bounds": {}}
     ok = True
@@ -435,7 +432,6 @@ def solve_stochastic_burgers(
     f: Optional[np.ndarray],
     T: float,
     dt: float,
-    n_modes: int,
     seed: int = 0,
 ) -> dict:
     """Pathwise solution of du + [Au + B(u)]dt = f dt + dY via the OU shift.
@@ -444,13 +440,14 @@ def solve_stochastic_burgers(
     semigroup (lambda_k = (k pi)^2); v solves the modified equation with
     g = f - (z^2/2)_x and the solution is u = v + z.  Returns a dict of the
     grid ``times``, the sine coefficients ``u_coeffs`` of u and
-    ``z_coeffs`` of z at every grid time, the noise ``y_final`` = Y(T) and
-    the solution ``certificate`` sup_t |u|^2, int |u|_L4^4 dt.  The path
-    of Z, of the law ``jump_law`` of the noise's subordinator, comes from
-    ``stream(seed)``, the Gaussian draws of (z, Y) from
-    ``stream(seed, 1)``.  The forcing ``f`` is None or one time-independent
-    vector of n_modes sine coefficients, the form ``weak_residual`` checks;
-    anything else raises ValueError.
+    ``z_coeffs`` of z at every grid time, the noise ``y_final`` = Y(T), the
+    forcing ``f`` and the solution ``certificate`` sup_t |u|^2,
+    int |u|_L4^4 dt.  The path of Z, of the law ``jump_law`` of the
+    noise's subordinator, comes from ``stream(seed)``, the Gaussian draws
+    of (z, Y) from ``stream(seed, 1)``.  ``u0`` is a vector of n_modes >= 1
+    sine coefficients, the noise is truncated at n_modes, and ``f`` is
+    None or one time-independent vector of n_modes coefficients, the form
+    ``weak_residual`` checks; anything else raises ValueError.
 
     One blocked pass puts z on the doubled grid once, for |z|_L4^4 and
     |g|_V'^2 = |f + N(z)|_V'^2; g itself is not kept.  The steps run in
@@ -459,10 +456,11 @@ def solve_stochastic_burgers(
     solve holds two trajectories, u and z.
     """
     u0 = np.asarray(u0, dtype=float)
-    if u0.size != n_modes:
-        raise ValueError("u0 must have n_modes sine coefficients")
+    if u0.ndim != 1 or u0.size == 0:
+        raise ValueError(f"u0 must be a non-empty vector, not of shape {u0.shape}")
+    n_modes = u0.size
     if noise.wiener.truncation_N != n_modes:
-        raise ValueError("noise truncation must equal n_modes")
+        raise ValueError(f"noise truncation must equal len(u0) = {n_modes}")
     _, times = _time_grid(T, dt)
     if f is not None:
         f = np.asarray(f, dtype=float)
@@ -481,14 +479,14 @@ def solve_stochastic_burgers(
             g += f
         g_vp[lo:hi] = (g ** 2 / lam).sum(axis=1)
 
-    traj, u_l4 = _u_form_steps(u0 - z_hist[0], z_hist, f, z_l4, g_vp, T, dt, times)
+    traj, u_l4 = _u_form_steps(u0 - z_hist[0], z_hist, f, z_l4, g_vp, dt, times)
     u_hist = traj.v_coeffs
     u_hist += z_hist
     u_l2sq = by_blocks(lambda u: (u ** 2).sum(axis=1), u_hist)
     certificate = {"sup_u_sq": float(u_l2sq.max()),
                    "int_u_l4": float(np.trapezoid(u_l4, times))}
     return {"times": times, "u_coeffs": u_hist, "z_coeffs": z_hist, "y_final": y_final,
-            "certificate": certificate}
+            "f": f, "certificate": certificate}
 
 
 def _half_square_against_gradient(u: np.ndarray, modes: Sequence[int]) -> np.ndarray:
@@ -511,9 +509,10 @@ def _half_square_against_gradient(u: np.ndarray, modes: Sequence[int]) -> np.nda
     return out
 
 
-def weak_residual(result: dict, f: Optional[np.ndarray], test_modes: Sequence[int]) -> list[float]:
+def weak_residual(result: dict, test_modes: Sequence[int]) -> list[float]:
     """Residuals of the weak identity against psi = sqrt(2) sin(k pi x), one
-    per test mode k in ``test_modes``.
+    per test mode k in ``test_modes``, of a ``solve_stochastic_burgers``
+    result with the forcing f it was solved with.
 
     (u(t),psi) - (u0,psi) - int (u, Lap psi) - 1/2 int (u^2, grad psi)
       - int (f,psi) - <psi, Y(t)>, with time integrals by the trapezoid
@@ -525,6 +524,7 @@ def weak_residual(result: dict, f: Optional[np.ndarray], test_modes: Sequence[in
     u = result["u_coeffs"]
     y = result["y_final"]
     z = result["z_coeffs"]
+    f = result["f"]
     modes = [int(k) for k in test_modes]
     q = _half_square_against_gradient(u, modes)
     residuals = []

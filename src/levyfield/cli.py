@@ -4,7 +4,8 @@ Every experiment is described by a JSON config file ({"experiment": kind,
 "master_seed": int, ...params}); results land in an output directory as
 report.json plus plot-ready CSV files.  Exit codes: 0 all assertions
 passed, 1 assertion failures, 2 config errors, 3 numeric/runtime
-failures.
+failures.  The directory is made where the first file is written, so a
+run refused with exit 2 leaves no output, not even the directory.
 
 Each experiment declares the keys it accepts, with their defaults, in its
 @_experiment(...) line, and run() checks every value of a config against
@@ -109,11 +110,12 @@ def _within(cfg, key, lo: float, hi: float) -> list:
 
 
 def _write_csv(path: Path, header, rows):
-    """Writes the header and the rows, or raises FloatingPointError if a float
-    in them is NaN or infinite."""
+    """Writes the header and the rows, making the directory, or raises
+    FloatingPointError if a float in them is NaN or infinite."""
     rows = list(rows)
     if _non_finite([header, rows]):
         raise FloatingPointError(f"non-finite value in {path.name}")
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
@@ -203,7 +205,7 @@ def _run_ou(cfg, out: Path):
     cases = [(rng.standard_normal(N) / math.sqrt(N), float(rng.uniform(0.4, 1.2)))
              for _ in range(n_pairs)]
     # the longest case draws the most jumps; refuse before any case is drawn
-    rate = jump_law(spec.subordinator).jump_measure.tail_mass(0.0)
+    rate = jump_law(spec.subordinator).jump_measure.mass
     expected = cfg["mc_paths"] * rate * max(t for _, t in cases)
     if not expected <= subordinator.MAX_EXPECTED_JUMPS:
         raise ValueError(f"mc_paths = {cfg['mc_paths']} would draw {expected:.3g} jumps in "
@@ -306,8 +308,8 @@ def _run_burgers(cfg, out: Path):
     noise = LevyNoiseSpec(CylindricalWienerSpec(w), SubordinatorSpec.stable(0.75))
     u0 = np.zeros(n); u0[0] = cfg["u0_amplitude"]
     f = np.zeros(n); f[1] = cfg["forcing_amplitude"]
-    res = solve_stochastic_burgers(u0, noise, f, cfg["T"], cfg["dt"], n, seed=cfg["master_seed"])
-    residuals = weak_residual(res, f, range(1, 6))
+    res = solve_stochastic_burgers(u0, noise, f, cfg["T"], cfg["dt"], seed=cfg["master_seed"])
+    residuals = weak_residual(res, range(1, 6))
     _write_csv(out / "burgers_residuals.csv", ["test_mode", "residual"],
                list(enumerate(residuals, start=1)))
     _write_csv(out / "burgers_final.csv", ["mode", "u_coefficient"],
@@ -331,7 +333,7 @@ def _run_bounds(cfg, out: Path):
         v0[rng.integers(0, 4)] = rng.uniform(-0.3, 0.3)
         zc = np.zeros(n); zc[rng.integers(0, 4)] = rng.uniform(-0.3, 0.3)
         gc = np.zeros(n); gc[rng.integers(0, 4)] = rng.uniform(-0.3, 0.3)
-        traj = solve_modified_burgers(v0, zc, gc, cfg["T"], cfg["dt"], n)
+        traj = solve_modified_burgers(v0, zc, gc, cfg["T"], cfg["dt"])
         rep = check_apriori(traj)
         all_ok &= rep["all_pass"]
         for name, b in rep["bounds"].items():
@@ -368,7 +370,6 @@ def run(config: dict, out_dir: str) -> int:
     t0 = time.time()
     try:
         _check_config(config, defaults)
-        out.mkdir(parents=True, exist_ok=True)
         summary, passed = experiment({**defaults, **config}, out)
         report = {"experiment": kind, "config": config,
                   "status": "pass" if passed else "fail",
@@ -377,12 +378,14 @@ def run(config: dict, out_dir: str) -> int:
     except (StepSizeError, QuadratureError, ArithmeticError, RuntimeError) as exc:
         report = {"experiment": kind, "config": config, "status": "numeric-failure",
                   "error": str(exc)}
+        out.mkdir(parents=True, exist_ok=True)
         (out / "report.json").write_text(json.dumps(report, indent=2, default=str))
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(text)
     print(f"{kind}: {report['status']} ({report['elapsed_s']}s)")
     return 0 if passed else 1

@@ -193,10 +193,11 @@ def cell_moments(lam: np.ndarray, c: float, slope: float, t0: np.ndarray, t1: np
     # for c = 1 or 2, a power of two, (-c lam) dt rounds as -c (lam dt)
     rate = -c * lam
     # the slope term depends on the cell length alone: one row per distinct
-    # length, which each cell finds by searchsorted; np.unique's own inverse
-    # runs an argsort, which raised the peak RSS of ou-sample by about 0.7 MB
+    # length, which each cell finds by searchsorted.  np.unique loads numpy.ma,
+    # and its inverse runs an argsort (+0.7 MB peak RSS in ou-sample)
     lengths = t1 - t0
-    table = np.unique(lengths)
+    table = np.sort(lengths, kind="stable")
+    table = table[np.diff(table, prepend=-np.inf) > 0]
     out = (slope * (1.0 - np.exp(rate * table[:, None])) / (c * lam))[
         np.searchsorted(table, lengths)]
     # a stable sort: numpy's default one loads its SIMD sort code, which

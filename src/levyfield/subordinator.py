@@ -28,7 +28,6 @@ __all__ = [
     "SubordinatorSpec",
     "PathBatch",
     "QuadratureError",
-    "stable_intensity",
     "jump_law",
     "laplace_exponent",
     "sub_p_membership",
@@ -56,18 +55,17 @@ class _StableIntensity:
     """The density c xi^(-1-beta), c = beta / Gamma(1-beta), of the one-sided
     beta-stable subordinator on [lower, inf), with its moments and sampler
     in closed form; no reader integrates below ``lower``, and lower = 0 is
-    the whole stable measure."""
+    the whole stable measure.  Only ``SubordinatorSpec.jump_measure`` makes it."""
 
-    def __init__(self, beta: float, lower: float = 0.0):
-        if not 0 < beta < 1:
-            raise ValueError("beta must be in (0,1)")
+    def __init__(self, beta: float, lower: float):
         self.beta = beta
         self.lower = lower
         self._c = beta / math.gamma(1.0 - beta)
 
-    def tail_mass(self, eps: float) -> float:
-        eps = max(eps, self.lower)
-        return self._c / self.beta * eps ** (-self.beta)
+    @property
+    def mass(self) -> float:
+        """rho([lower, inf)): inf for the whole stable measure."""
+        return self._c / self.beta * self.lower ** (-self.beta) if self.lower > 0 else math.inf
 
     def truncated_moment(self, power: float, hi: float) -> float:
         """int_lower^hi xi^power rho(dxi) for a finite hi; inf where it diverges."""
@@ -86,11 +84,6 @@ class _StableIntensity:
     def sample_sizes(self, n: int, rng: np.random.Generator) -> np.ndarray:
         # Pareto tail: rho([x,inf)) proportional to x^-beta above lower > 0.
         return self.lower * rng.uniform(size=n) ** (-1.0 / self.beta)
-
-
-def stable_intensity(beta: float) -> _StableIntensity:
-    """Intensity of the one-sided beta-stable subordinator, psi(r) = r^beta."""
-    return _StableIntensity(beta)
 
 
 # -- spec ----------------------------------------------------------------
@@ -145,7 +138,7 @@ class SubordinatorSpec:
             raise ValueError(f"only a stable spec can be truncated, not a {self.kind} spec")
         if not 0 < eps <= 1:
             raise ValueError(f"the cutoff must be in (0,1], got {eps}")
-        small_mean = stable_intensity(self.beta).truncated_moment(1.0, eps)
+        small_mean = self.jump_measure.truncated_moment(1.0, eps)
         return SubordinatorSpec(drift_b=self.drift_b + small_mean, beta=self.beta, cutoff=eps)
 
     # constructors
@@ -358,7 +351,9 @@ def _sort_within_paths(times: np.ndarray, offsets: np.ndarray) -> None:
     (paths, k) array, for each count k above 1.
     """
     counts = np.diff(offsets)
-    for k in np.unique(counts[counts > 1]):
+    # the distinct counts, by bincount: np.unique would load numpy.ma
+    present = np.flatnonzero(np.bincount(counts))
+    for k in present[present > 1]:
         jumps = offsets[:-1][counts == k][:, None] + np.arange(k)
         times[jumps] = np.sort(times[jumps], axis=1)
 
@@ -405,7 +400,7 @@ def simulate_paths(
 
     # marked Poisson process of all the jumps of a finite jump measure
     rho = spec.jump_measure
-    rate = rho.tail_mass(0.0)
+    rate = rho.mass
     _check_expected_jumps(n_paths * rate * T)
     counts = rng.poisson(rate * T, size=n_paths)
     offsets = np.concatenate([[0], np.cumsum(counts)])

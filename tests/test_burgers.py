@@ -98,11 +98,12 @@ def test_constant_data_equals_its_broadcast_array():
     n, T, dt = 31, 0.05, 1e-3
     rng = stream(22)
     v0, zc, gc = 0.3 * rng.standard_normal((3, n)) / np.arange(1, n + 1)
-    const = solve_modified_burgers(v0, zc, gc, T=T, dt=dt, n_modes=n)
+    const = solve_modified_burgers(v0, zc, gc, T=T, dt=dt)
     rows = np.tile(zc, (51, 1)), np.tile(gc, (51, 1))
-    full = solve_modified_burgers(v0, *rows, T=T, dt=dt, n_modes=n)
-    for field in ("v_coeffs", "z_l4", "g_vprime", "vprime_vprime"):
+    full = solve_modified_burgers(v0, *rows, T=T, dt=dt)
+    for field in ("v_coeffs", "vprime_vprime"):
         assert np.array_equal(getattr(const, field), getattr(full, field)), field
+    assert const.constants == full.constants
 
 
 @pytest.mark.parametrize("shape", [(32,), (50, 31), (51, 1), (51, 31, 1), ()], ids=str)
@@ -111,7 +112,7 @@ def test_data_of_a_wrong_shape_is_refused(shape, which):
     n = 31
     data = {"zs": None, "gs": None, which: np.zeros(shape)}
     with pytest.raises(ValueError, match=which):
-        solve_modified_burgers(np.zeros(n), **data, T=0.05, dt=1e-3, n_modes=n)
+        solve_modified_burgers(np.zeros(n), **data, T=0.05, dt=1e-3)
 
 
 @pytest.mark.parametrize("T, dt, message", [
@@ -121,9 +122,9 @@ def test_data_of_a_wrong_shape_is_refused(shape, which):
 def test_both_solvers_refuse_a_bad_time_grid(T, dt, message):
     n = 15
     with pytest.raises(ValueError, match=message):
-        solve_modified_burgers(np.zeros(n), None, None, T=T, dt=dt, n_modes=n)
+        solve_modified_burgers(np.zeros(n), None, None, T=T, dt=dt)
     with pytest.raises(ValueError, match=message):
-        solve_stochastic_burgers(np.zeros(n), burgers_noise(n), None, T=T, dt=dt, n_modes=n)
+        solve_stochastic_burgers(np.zeros(n), burgers_noise(n), None, T=T, dt=dt)
 
 
 @pytest.mark.parametrize("shape", [(51, 15), (1, 15), (16,), ()], ids=str)
@@ -133,13 +134,40 @@ def test_stochastic_solver_takes_only_a_constant_forcing(shape):
     n = 15
     with pytest.raises(ValueError, match="f must be"):
         solve_stochastic_burgers(np.zeros(n), burgers_noise(n), np.zeros(shape),
-                                 T=0.05, dt=1e-3, n_modes=n)
+                                 T=0.05, dt=1e-3)
+
+
+@pytest.mark.parametrize("shape", [(2, 15), (1, 15), (0,), ()], ids=str)
+def test_solvers_refuse_initial_data_that_is_not_one_vector(shape):
+    # the mode count is read off the initial data
+    with pytest.raises(ValueError, match="v0 must be a non-empty vector"):
+        solve_modified_burgers(np.zeros(shape), None, None, T=0.05, dt=1e-3)
+    with pytest.raises(ValueError, match="u0 must be a non-empty vector"):
+        solve_stochastic_burgers(np.zeros(shape), burgers_noise(15), None, T=0.05, dt=1e-3)
+
+
+@pytest.mark.parametrize("truncation", [14, 16])
+def test_stochastic_solver_refuses_a_noise_of_another_truncation(truncation):
+    with pytest.raises(ValueError, match="noise truncation"):
+        solve_stochastic_burgers(np.zeros(15), burgers_noise(truncation), None, T=0.05, dt=1e-3)
+
+
+def reference_constants(v0, zs, gs, times, end):
+    """The a priori constants of v0 and of z, g (None or one row per grid
+    time), with their integrals over ``times`` and the horizon ``end``."""
+    lam = (np.arange(1, v0.size + 1) * math.pi) ** 2
+    z_l4 = np.zeros(times.size) if zs is None else l4_norm4(zs)
+    g_vp = np.zeros(times.size) if gs is None else (gs ** 2 / lam).sum(axis=1)
+    return AprioriConstants.from_data(float(np.sqrt((v0 ** 2).sum())),
+                                      float(np.trapezoid(z_l4, times)),
+                                      float(np.trapezoid(g_vp, times)), end)
 
 
 def per_step_modified_burgers(v0, zs, gs, T, dt, n):
     """Reference for solve_modified_burgers: one step per iteration, each with
     one sine transform of v and z stacked and one cosine transform, and
-    |v'|^2_V' step by step.  Returns (v_coeffs, vprime_vprime)."""
+    |v'|^2_V' step by step.  Returns (v_coeffs, vprime_vprime,
+    constants)."""
     n_steps = round(T / dt)
     times = dt * np.arange(n_steps + 1)
     lam = (np.arange(1, n + 1) * math.pi) ** 2
@@ -147,11 +175,7 @@ def per_step_modified_burgers(v0, zs, gs, T, dt, n):
     phi1 = (1.0 - decay) / lam
     zs = None if zs is None else np.broadcast_to(zs, (n_steps + 1, n))
     gs = None if gs is None else np.broadcast_to(gs, (n_steps + 1, n))
-    z_l4 = np.zeros(n_steps + 1) if zs is None else l4_norm4(zs)
-    g_vp = np.zeros(n_steps + 1) if gs is None else (gs ** 2 / lam).sum(axis=1)
-    c = AprioriConstants.from_data(float(np.sqrt((v0 ** 2).sum())),
-                                   float(np.trapezoid(z_l4, times)),
-                                   float(np.trapezoid(g_vp, times)), T)
+    c = reference_constants(v0, zs, gs, times, float(times[-1]))
     corridor = 10.0 * (c.K * c.L) ** 2 + 1e-12
     M2 = 2 * (n + 1)
     v = v0.copy()
@@ -177,13 +201,14 @@ def per_step_modified_burgers(v0, zs, gs, T, dt, n):
                 f"|v|^2 exceeded 10x the a priori bound at t={times[i + 1]:.4g}; "
                 f"reduce dt (currently {dt:g})")
         v_hist[i + 1] = v
-    return v_hist, vp_hist
+    return v_hist, vp_hist, c
 
 
 def per_step_u_form_burgers(v0, zs, gs, T, dt, n):
     """Reference for the u-form steps: one step per iteration, each with one
     sine transform of v + z and one cosine transform, h = g - N(z) and
-    |v'|^2_V' step by step.  Returns (v_coeffs, vprime_vprime)."""
+    |v'|^2_V' step by step.  Returns (v_coeffs, vprime_vprime,
+    constants)."""
     n_steps = round(T / dt)
     times = dt * np.arange(n_steps + 1)
     lam = (np.arange(1, n + 1) * math.pi) ** 2
@@ -191,11 +216,7 @@ def per_step_u_form_burgers(v0, zs, gs, T, dt, n):
     phi1 = (1.0 - decay) / lam
     zs = None if zs is None else np.broadcast_to(zs, (n_steps + 1, n))
     gs = None if gs is None else np.broadcast_to(gs, (n_steps + 1, n))
-    z_l4 = np.zeros(n_steps + 1) if zs is None else l4_norm4(zs)
-    g_vp = np.zeros(n_steps + 1) if gs is None else (gs ** 2 / lam).sum(axis=1)
-    c = AprioriConstants.from_data(float(np.sqrt((v0 ** 2).sum())),
-                                   float(np.trapezoid(z_l4, times)),
-                                   float(np.trapezoid(g_vp, times)), T)
+    c = reference_constants(v0, zs, gs, times, float(times[-1]))
     corridor = 10.0 * (c.K * c.L) ** 2 + 1e-12
 
     def transport(w):       # N(w) = -(w^2/2)_x
@@ -221,7 +242,7 @@ def per_step_u_form_burgers(v0, zs, gs, T, dt, n):
                 f"|v|^2 exceeded 10x the a priori bound at t={times[i + 1]:.4g}; "
                 f"reduce dt (currently {dt:g})")
         v_hist[i + 1] = v
-    return v_hist, vp_hist
+    return v_hist, vp_hist, c
 
 
 def step_loop_data(z_kind, g_kind):
@@ -246,9 +267,22 @@ def test_blocked_step_loop_equals_the_per_step_loop(monkeypatch, block_rows, z_k
     v0, zs, gs = step_loop_data(z_kind, g_kind)
     want = per_step_u_form_burgers(v0, zs, gs, T, dt, n)
     monkeypatch.setattr(burgers, "BLOCK_ROWS", block_rows)
-    got = solve_modified_burgers(v0, zs, gs, T=T, dt=dt, n_modes=n)
+    got = solve_modified_burgers(v0, zs, gs, T=T, dt=dt)
     assert got.v_coeffs.tobytes() == want[0].tobytes()
     assert got.vprime_vprime.tobytes() == want[1].tobytes()
+    assert got.constants == want[2]
+
+
+def test_constants_are_built_on_the_grid_the_solve_ends_at():
+    # 23 steps of 0.1 end at 2.3000000000000003, not at T = 2.3, and N moves
+    # with the end: the constants and check_apriori both take the grid's end
+    n = 31
+    v0 = step_loop_data(None, None)[0]
+    traj = solve_modified_burgers(v0, None, None, T=2.3, dt=0.1)
+    c = traj.constants
+    assert c == per_step_u_form_burgers(v0, None, None, 2.3, 0.1, n)[2]
+    assert c.N != reference_constants(v0, None, None, traj.times, 2.3).N
+    assert check_apriori(traj)["constants"] == {"K": c.K, "L": c.L, "M": c.M, "N": c.N}
 
 
 @pytest.mark.parametrize("z_kind", [None, "constant", "array"])
@@ -258,7 +292,7 @@ def test_u_form_steps_match_the_v_form_loop(z_kind, g_kind):
     n, T, dt = 31, 0.07, 1e-3
     v0, zs, gs = step_loop_data(z_kind, g_kind)
     want = per_step_modified_burgers(v0, zs, gs, T, dt, n)[0]
-    got = solve_modified_burgers(v0, zs, gs, T=T, dt=dt, n_modes=n).v_coeffs
+    got = solve_modified_burgers(v0, zs, gs, T=T, dt=dt).v_coeffs
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -271,12 +305,12 @@ def test_unstable_step_raises_the_per_step_message(monkeypatch, block_rows):
         per_step_modified_burgers(v0, None, None, 0.2, 5e-3, n)
     monkeypatch.setattr(burgers, "BLOCK_ROWS", block_rows)
     with pytest.raises(StepSizeError) as got:
-        solve_modified_burgers(v0, None, None, T=0.2, dt=5e-3, n_modes=n)
+        solve_modified_burgers(v0, None, None, T=0.2, dt=5e-3)
     assert str(got.value) == str(want.value)
 
 
 def test_zero_data_stays_zero():
-    traj = solve_modified_burgers(np.zeros(31), None, None, T=0.1, dt=1e-3, n_modes=31)
+    traj = solve_modified_burgers(np.zeros(31), None, None, T=0.1, dt=1e-3)
     assert np.all(traj.v_coeffs == 0.0)
 
 
@@ -284,7 +318,7 @@ def test_pure_burgers_energy_decay():
     n = 63
     v0 = np.zeros(n)
     v0[0] = 1.0 / math.sqrt(2.0)   # v(0) = sin(pi x)
-    traj = solve_modified_burgers(v0, None, None, T=0.1, dt=1e-4, n_modes=n)
+    traj = solve_modified_burgers(v0, None, None, T=0.1, dt=1e-4)
     energy = (traj.v_coeffs ** 2).sum(axis=1)
     assert np.all(np.diff(energy) <= 1e-12)
 
@@ -318,7 +352,7 @@ def test_manufactured_solution_convergence_in_dt():
     for dt in (4e-3, 2e-3, 1e-3):
         times = dt * np.arange(round(0.2 / dt) + 1)
         gs = np.array([g(t) for t in times])
-        traj = solve_modified_burgers(v_star(0.0), z, gs, T=0.2, dt=dt, n_modes=n)
+        traj = solve_modified_burgers(v_star(0.0), z, gs, T=0.2, dt=dt)
         errs.append(float(np.abs(traj.v_coeffs[-1] - v_star(0.2)).max()))
     order = math.log(errs[0] / errs[-1]) / math.log(4.0)
     assert order >= 0.9
@@ -329,7 +363,7 @@ def test_step_size_guard_trips():
     v0 = np.zeros(n)
     v0[0] = 40.0
     with pytest.raises(StepSizeError):
-        solve_modified_burgers(v0, None, None, T=0.2, dt=5e-3, n_modes=n)
+        solve_modified_burgers(v0, None, None, T=0.2, dt=5e-3)
 
 
 # -- a priori bounds -----------------------------------------------------
@@ -339,7 +373,7 @@ def test_apriori_zero_z_g_reduces_to_energy_decay():
     n = 63
     v0 = np.zeros(n)
     v0[0] = 0.5
-    traj = solve_modified_burgers(v0, None, None, T=0.2, dt=1e-3, n_modes=n)
+    traj = solve_modified_burgers(v0, None, None, T=0.2, dt=1e-3)
     rep = check_apriori(traj)
     assert rep["constants"]["K"] == pytest.approx(1.0)
     assert rep["constants"]["L"] == pytest.approx(0.5)
@@ -357,7 +391,7 @@ def test_apriori_time_derivative_bound_has_a_gap_without_forcing():
     n = 63
     v0 = np.zeros(n)
     v0[0] = 0.5
-    traj = solve_modified_burgers(v0, None, None, T=0.2, dt=1e-3, n_modes=n)
+    traj = solve_modified_burgers(v0, None, None, T=0.2, dt=1e-3)
     rep = check_apriori(traj)
     b = rep["bounds"]["int_vprime_sq"]
     assert b["lhs"] > b["rhs"]
@@ -370,7 +404,7 @@ def test_apriori_bounds_on_smooth_instance():
     v0 = np.zeros(n); v0[0] = 0.3
     zc = np.zeros(n); zc[1] = 0.25
     gc = np.zeros(n); gc[2] = 0.2
-    traj = solve_modified_burgers(v0, zc, gc, T=0.5, dt=1e-3, n_modes=n)
+    traj = solve_modified_burgers(v0, zc, gc, T=0.5, dt=1e-3)
     rep = check_apriori(traj)
     assert rep["all_pass"], rep
 
@@ -382,7 +416,7 @@ def test_apriori_forcing_scaling():
     lam2 = (2 * math.pi) ** 2
 
     def consts(scale):
-        traj = solve_modified_burgers(v0, None, scale * gc, T=0.3, dt=1e-3, n_modes=n)
+        traj = solve_modified_burgers(v0, None, scale * gc, T=0.3, dt=1e-3)
         rep = check_apriori(traj)
         return rep
 
@@ -401,7 +435,7 @@ def test_apriori_random_instances():
         v0 = np.zeros(n); v0[rng.integers(0, 4)] = rng.uniform(-0.3, 0.3)
         zc = np.zeros(n); zc[rng.integers(0, 4)] = rng.uniform(-0.3, 0.3)
         gc = np.zeros(n); gc[rng.integers(0, 4)] = rng.uniform(-0.3, 0.3)
-        traj = solve_modified_burgers(v0, zc, gc, T=0.5, dt=1e-3, n_modes=n)
+        traj = solve_modified_burgers(v0, zc, gc, T=0.5, dt=1e-3)
         assert check_apriori(traj)["all_pass"]
 
 
@@ -553,10 +587,10 @@ def test_stochastic_solve_holds_no_more_than_its_outputs_and_g():
     u0 = np.zeros(n); u0[0] = 0.2
     f = np.zeros(n); f[1] = 0.1
     trajectory_bytes = 2001 * n * 8
-    solve_stochastic_burgers(u0, burgers_noise(n), f, T=1e-4, dt=1e-4, n_modes=n, seed=1)
+    solve_stochastic_burgers(u0, burgers_noise(n), f, T=1e-4, dt=1e-4, seed=1)
     tracemalloc.start()
     try:
-        solve_stochastic_burgers(u0, burgers_noise(n), f, T=0.2, dt=1e-4, n_modes=n, seed=1)
+        solve_stochastic_burgers(u0, burgers_noise(n), f, T=0.2, dt=1e-4, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -589,7 +623,7 @@ def test_stochastic_solve_stays_at_the_transform_floor(monkeypatch, block_rows):
         monkeypatch.setattr(burgers, name, kernel)
     monkeypatch.setattr(burgers, "BLOCK_ROWS", block_rows)
     u0 = np.zeros(n); u0[0] = 0.2
-    res = solve_stochastic_burgers(u0, burgers_noise(n), None, T=T, dt=dt, n_modes=n, seed=3)
+    res = solve_stochastic_burgers(u0, burgers_noise(n), None, T=T, dt=dt, seed=3)
     rows = res["times"].size
     assert rows == 51
     assert 2 * rows <= counter.calls <= 2 * rows + 2 * math.ceil(rows / block_rows)
@@ -602,8 +636,8 @@ def test_stochastic_zero_noise_matches_deterministic():
     k = np.arange(1, n + 1)
     noise = LevyNoiseSpec(CylindricalWienerSpec(1e9 * np.ones(n)),
                           SubordinatorSpec.drift_only(1e-12))
-    res = solve_stochastic_burgers(u0, noise, f, T=0.1, dt=1e-3, n_modes=n, seed=0)
-    det = solve_modified_burgers(u0, None, f, T=0.1, dt=1e-3, n_modes=n)
+    res = solve_stochastic_burgers(u0, noise, f, T=0.1, dt=1e-3, seed=0)
+    det = solve_modified_burgers(u0, None, f, T=0.1, dt=1e-3)
     assert np.allclose(res["u_coeffs"][-1], det.v_coeffs[-1], atol=1e-6)
 
 
@@ -611,18 +645,21 @@ def test_stochastic_weak_residual_small():
     n = 127
     u0 = np.zeros(n); u0[0] = 0.2
     f = np.zeros(n); f[1] = 0.1
-    res = solve_stochastic_burgers(u0, burgers_noise(n), f, T=0.1, dt=5e-4,
-                                   n_modes=n, seed=4)
-    residuals = weak_residual(res, f, range(1, 6))
+    res = solve_stochastic_burgers(u0, burgers_noise(n), f, T=0.1, dt=5e-4, seed=4)
+    residuals = weak_residual(res, range(1, 6))
     assert len(residuals) == 5
     assert max(abs(r) for r in residuals) < 1e-3
+    # the residual reads the forcing the solve stored: without it, residual
+    # k moves by int (f, psi_k) = f_k T
+    assert res["f"] is not None and np.array_equal(res["f"], f)
+    unforced = weak_residual({**res, "f": None}, range(1, 6))
+    assert np.allclose(np.subtract(unforced, residuals), f[:5] * 0.1, rtol=0.0, atol=1e-15)
 
 
 def test_stochastic_certificate_finite():
     n = 63
     u0 = np.zeros(n); u0[0] = 0.2
-    res = solve_stochastic_burgers(u0, burgers_noise(n), None, T=0.1, dt=1e-3,
-                                   n_modes=n, seed=7)
+    res = solve_stochastic_burgers(u0, burgers_noise(n), None, T=0.1, dt=1e-3, seed=7)
     cert = res["certificate"]
     assert np.isfinite(cert["sup_u_sq"]) and np.isfinite(cert["int_u_l4"])
 
@@ -632,7 +669,7 @@ def test_certificate_l4_integral_is_the_trajectory_l4_norm():
     n = 63
     u0 = np.zeros(n); u0[0] = 0.2
     f = np.zeros(n); f[1] = 0.1
-    res = solve_stochastic_burgers(u0, burgers_noise(n), f, T=0.1, dt=1e-3, n_modes=n, seed=7)
+    res = solve_stochastic_burgers(u0, burgers_noise(n), f, T=0.1, dt=1e-3, seed=7)
     want = float(np.trapezoid(l4_norm4(res["u_coeffs"]), res["times"]))
     assert res["certificate"]["int_u_l4"] == pytest.approx(want, rel=1e-13, abs=0.0)
 
@@ -640,10 +677,8 @@ def test_certificate_l4_integral_is_the_trajectory_l4_norm():
 def test_stochastic_determinism():
     n = 31
     u0 = np.zeros(n); u0[0] = 0.2
-    a = solve_stochastic_burgers(u0, burgers_noise(n), None, T=0.05, dt=1e-3,
-                                 n_modes=n, seed=11)
-    b = solve_stochastic_burgers(u0, burgers_noise(n), None, T=0.05, dt=1e-3,
-                                 n_modes=n, seed=11)
+    a = solve_stochastic_burgers(u0, burgers_noise(n), None, T=0.05, dt=1e-3, seed=11)
+    b = solve_stochastic_burgers(u0, burgers_noise(n), None, T=0.05, dt=1e-3, seed=11)
     assert np.array_equal(a["u_coeffs"], b["u_coeffs"])
 
 
@@ -655,7 +690,7 @@ def test_rough_z_fails_the_refinement_diagnostic():
     big[0], tiny[3] = 6.0, 1e-3
     zs = np.array([big if i % 2 else tiny for i in range(21)])
     with pytest.raises(RuntimeError, match="not stable under refinement"):
-        solve_modified_burgers(np.zeros(n), zs, None, T=0.02, dt=dt, n_modes=n)
+        solve_modified_burgers(np.zeros(n), zs, None, T=0.02, dt=dt)
 
 
 def test_apriori_constants_formulas():

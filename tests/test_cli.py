@@ -31,7 +31,7 @@ def test_list_experiments(capsys):
         assert name in out
 
 
-UNUSED_SCIPY = ("scipy.integrate", "scipy.special", "scipy.fft", "scipy.fftpack")
+UNUSED = ("scipy.integrate", "scipy.special", "scipy.fft", "scipy.fftpack", "numpy.ma")
 
 COLD_IMPORT = """
 import sys
@@ -49,7 +49,7 @@ for n in (7, 511, 513, 997, 1000):
     for x in (rng.standard_normal(n), rng.standard_normal((3, n))):
         assert np.array_equal(sine._dst1(x), scipy.fft.dst(x, type=1)), n
         assert np.array_equal(sine._dct1(x), scipy.fft.dct(x, type=1)), n
-""" % (UNUSED_SCIPY,)
+""" % (UNUSED,)
 
 
 def _run_fresh(code):
@@ -62,8 +62,8 @@ def _run_fresh(code):
 def test_cold_import_defers_scipy_submodules():
     # sine loads scipy's pocketfft binding from its file on the first
     # transform, so neither the CLI nor a transform loads scipy's integrate,
-    # special, fft or fftpack; a later import of scipy.fft gives the same
-    # kernels, bit for bit
+    # special, fft or fftpack, or numpy.ma; a later import of scipy.fft gives
+    # the same kernels, bit for bit
     _run_fresh(COLD_IMPORT)
 
 
@@ -86,13 +86,14 @@ for cfg in configs:
         assert cli.run({**cfg, "master_seed": 1}, out) in (0, 1), cfg
     loaded = [m for m in %r if m in sys.modules]
     assert not loaded, (cfg["experiment"], loaded)
-""" % (UNUSED_SCIPY,)
+""" % (UNUSED,)
 
 
-def test_no_run_loads_scipy_integrate_special_fft_or_fftpack():
+def test_no_run_loads_scipy_integrate_special_fft_fftpack_or_numpy_ma():
     # every law has closed forms and the oracle's quadrature is numpy, the
     # stable intensity's Gamma is math, and the transforms call the pocketfft
-    # binding loaded from its file
+    # binding loaded from its file; no distinct values come from np.unique,
+    # which loads numpy.ma
     _run_fresh(EVERY_RUN)
 
 
@@ -261,7 +262,7 @@ def test_expected_jump_limit_is_checked_before_any_case_is_drawn(tmp_path, capsy
     err = capsys.readouterr().err
     assert "mc_paths = 52" in err and "jumps in expectation" in err
     assert drawn == []
-    assert not (out / "report.json").exists()
+    assert not out.exists()
 
 
 def test_unknown_config_key_exit_2(tmp_path, capsys):
@@ -392,7 +393,7 @@ def test_invalid_circle_grids_and_thetas_exit_2(tmp_path, monkeypatch, capsys, p
     out = tmp_path / "o"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
-    assert not (out / "report.json").exists()
+    assert not out.exists()
 
 
 def test_circle_csv_is_bitwise_one_call_per_profile_and_grid(tmp_path):
@@ -455,7 +456,7 @@ def test_blowup_truncations_that_are_not_positive_integers_exit_2(tmp_path, monk
     out = tmp_path / "o"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
-    assert not (out / "report.json").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("payload, key", [
@@ -471,7 +472,7 @@ def test_non_finite_config_value_exit_2(tmp_path, capsys, payload, key):
     assert main(["run", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "non-finite" in err and repr(key) in err
-    assert not (out / "report.json").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("payload, key", [
@@ -497,7 +498,7 @@ def test_empty_case_list_exit_2(tmp_path, capsys, payload, key):
     out = tmp_path / "o"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 2
     assert key in capsys.readouterr().err
-    assert not (out / "report.json").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("payload, message", [
@@ -518,7 +519,7 @@ def test_out_of_range_case_value_exit_2(tmp_path, capsys, payload, message):
     out = tmp_path / "o"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
-    assert not (out / "report.json").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("payload, message", [
@@ -532,5 +533,7 @@ def test_out_of_range_case_value_exit_2(tmp_path, capsys, payload, message):
         "bounds-n_modes", "bounds-n_instances"])
 def test_invalid_burgers_and_bounds_values_exit_2(tmp_path, capsys, payload, message):
     cfg = write_config(tmp_path, {**payload, "master_seed": 1})
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()

@@ -2,8 +2,8 @@
 
 Every key of every experiment, ``master_seed`` included, is given values
 that break the rule its default declares; each must exit 2 with a message
-naming the key, before anything is drawn and without a report.json; a
-key that breaks its default's rule leaves no output directory either.
+naming the key, before anything is drawn and without an output
+directory.
 """
 
 import json
@@ -94,7 +94,7 @@ def test_values_once_cast_or_refused_late_exit_2(tmp_path, capsys, no_draws, pay
     # a cast once ran 64.5 modes as 64, true paths as 1 and "63" as 63; a
     # grid or weight refusal came after the draws and did not name the key
     code, err, out = _run(tmp_path, capsys, {"master_seed": 1, **payload})
-    assert code == 2 and _names(err, key) and not (out / "report.json").exists(), err
+    assert code == 2 and _names(err, key) and not out.exists(), err
 
 
 @pytest.mark.parametrize("seed, message", [

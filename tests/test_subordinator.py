@@ -19,7 +19,6 @@ from levyfield.subordinator import (
     laplace_exponent,
     sample_stable_oneside,
     simulate_paths,
-    stable_intensity,
     sub_p_membership,
 )
 
@@ -262,9 +261,16 @@ def test_truncation_adds_the_mean_of_the_small_jumps_to_the_drift():
         c = beta / math.gamma(1.0 - beta)
         assert (spec.beta, spec.cutoff, spec.kind) == (beta, eps, "truncated_stable")
         assert spec.drift_b == b + c / (1.0 - beta) * eps ** (1.0 - beta)
-        assert spec.jump_measure.tail_mass(0.0) == c / beta * eps ** (-beta)
+        assert spec.jump_measure.mass == c / beta * eps ** (-beta)
         # the truncated measure holds nothing below its cutoff
         assert spec.jump_measure.truncated_moment(1.0, eps) == 0.0
+
+
+@pytest.mark.parametrize("beta", [0.25, 0.5, 0.9])
+def test_an_untruncated_stable_measure_has_infinite_mass(beta):
+    for spec in (SubordinatorSpec.stable(beta), SubordinatorSpec(beta=beta, drift_b=1.0)):
+        assert spec.jump_measure.mass == math.inf
+    assert SubordinatorSpec.stable(beta).truncated(1.0).jump_measure.mass == beta / math.gamma(1.0 - beta) / beta
 
 
 @pytest.mark.parametrize("spec, route", [
@@ -645,7 +651,7 @@ def test_a_stable_spec_compares_by_its_fields():
     assert spec == SubordinatorSpec.stable(0.5) != SubordinatorSpec.stable(0.6)
     drifted = dataclasses.replace(spec, drift_b=1.0)
     assert (drifted.drift_b, drifted.beta, drifted.kind) == (1.0, 0.5, "stable")
-    assert spec.jump_measure.tail_mass(1.0) == stable_intensity(0.5).tail_mass(1.0)
+    assert drifted.jump_measure.mass == spec.jump_measure.mass == math.inf
     # a truncated spec too, and it stays hashable
     cut = spec.truncated(0.1)
     assert cut == SubordinatorSpec.stable(0.5).truncated(0.1) != spec.truncated(0.2)
