@@ -8,8 +8,9 @@ with A the Dirichlet Laplacian, is solved pseudo-spectrally in the
 orthonormal sine basis sqrt(2) sin(k pi x), in its u-form: with
 N(w) = -(w^2/2)_x its transport and g are N(v + z) + h, h = g - N(z), so
 a step transports the one field v + z.  Diffusion is integrated exactly
-per mode (exponential Euler), the transport is evaluated on a doubled
-physical grid (exact dealiasing for quadratic products).  The stochastic
+per mode (exponential Euler), and the transport on the doubled grid of
+``sine``, whose kernels and held work alone know that grid, its padding
+and scales (exact dealiasing for quadratic products).  The stochastic
 Burgers equation du + [Au + B(u)]dt = f dt + dY is solved pathwise as
 u = v + z with z the sampled OU convolution of the noise and
 g = f - (z^2/2)_x, which is the same construction the a priori estimates
@@ -29,7 +30,7 @@ import numpy as np
 
 from ._rng import stream
 from .noise import LevyNoiseSpec
-from .sine import BLOCK_ROWS, _dct1, _dst1, by_blocks, l4_norm4
+from .sine import BLOCK_ROWS, _half_square_cos, _l4, _work, by_blocks, l4_norm4
 from .subordinator import PathBatch, jump_law, simulate_paths
 
 __all__ = [
@@ -50,68 +51,30 @@ class StepSizeError(RuntimeError):
     """Energy left the a priori corridor; the explicit step is too large."""
 
 
-def _transport_work(shape: tuple[int, ...]):
-    """The work arrays of ``_transport_coefficients`` for w of ``shape``: the
-    zero-padded input of its sine transform and that transform's output, the
-    input of its cosine transform (zero at both ends) and that transform's
-    output, and k pi.  The transforms write into the outputs, so a call that
-    reuses the work allocates nothing for them."""
-    rows, n = shape[:-1], shape[-1]
-    return (np.zeros(rows + (2 * n + 1,)), np.empty(rows + (2 * n + 1,)),
-            np.zeros(rows + (2 * n + 3,)), np.empty(rows + (2 * n + 3,)),
-            np.arange(1, n + 1) * math.pi)
-
-
-def _transport_coefficients(w: Optional[np.ndarray], out: Optional[np.ndarray] = None,
-                            work=None) -> np.ndarray:
-    """Sine coefficients of N(w) = -(w^2/2)_x, dealiased on a doubled grid.
+def _transport_coefficients(w: np.ndarray, kpi: np.ndarray, work,
+                            out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Sine coefficients of N(w) = -(w^2/2)_x, dealiased on sine's doubled grid.
 
     Integration by parts against the sine basis turns the x-derivative into
-    k pi times the cosine coefficients of q = w^2/2; the doubled grid
-    i/(2(n+1)), i = 1..2n+1, makes the square's cosine transform exact.  One
-    sine and one cosine transform call, along the last axis and unblocked:
-    w is one vector or a block of rows, and a caller with a whole trajectory
-    takes it in blocks.  A caller that applies it again and again passes
-    the ``_transport_work(w.shape)`` to reuse as ``work``, and ``out`` for
-    the result; with ``work``, w = None takes the w the caller has already
-    written into the first n entries of its sine input.  The transforms
-    write into the outputs the work holds, and the result is a new array
-    or ``out``, never part of the work.  The cosine input of ``work`` keeps
-    q on the grid, between zero ends, after the call;
-    ``_l4_of_half_squares`` reads |w|_L4^4 from it.
+    k pi (``kpi``) times the cosine coefficients of q = w^2/2.  w is one
+    vector or a block of rows; the transforms write into ``work``, a
+    ``sine._work(w.shape)`` that keeps w's grid values for ``sine._l4``, and
+    the result is a new array or ``out``, never part of the work.
     """
-    sin_in, sin_out, cos_in, cos_out, kpi = _transport_work(w.shape) if work is None else work
-    n = kpi.size
-    if w is not None:
-        sin_in[..., :n] = w
-    ww = _dst1(sin_in, out=sin_out)
-    ww *= math.sqrt(2.0) / 2.0
-    q = cos_in[..., 1:-1]          # the ends stay zero: q vanishes at x = 0 and 1
-    np.multiply(0.5, ww, out=q)
-    q *= ww
-    c = _dct1(cos_in, out=cos_out)[..., 1:n + 1]
-    c *= math.sqrt(2.0) / (2.0 * (2 * n + 2))
-    return np.multiply(kpi, c, out=out)
+    return np.multiply(kpi, _half_square_cos(w, work)[..., :kpi.size], out=out)
 
 
-def _l4_of_half_squares(cos_in: np.ndarray) -> np.ndarray:
-    """|w|_L4^4 of each row from the cosine input ``_transport_coefficients``
-    leaves in its work: 2q = w^2 on the 2n+1 grid points, so this is
-    ``l4_norm4``'s expression on the same values, bitwise."""
-    squares = 2.0 * cos_in[..., 1:-1]
-    return np.square(squares, out=squares).sum(axis=-1) / (cos_in.shape[-1] - 1)
-
-
-def _nonlinear_blocks(zs: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """(first row, |z|_L4^4, N(z)) of each block of BLOCK_ROWS rows of the
-    sine coefficients ``zs``: one sine transform puts the block on the grid,
-    and its values serve both."""
-    *buffers, kpi = _transport_work((min(BLOCK_ROWS, len(zs)), zs.shape[-1]))
+def _nonlinear_blocks(zs: np.ndarray) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """(rows, |z|_L4^4, N(z)) of each block of BLOCK_ROWS rows of the sine
+    coefficients ``zs``, with rows the block's slice of ``zs``: one sine
+    transform puts the block on the grid, and its values serve both."""
+    kpi = np.arange(1, zs.shape[-1] + 1) * math.pi
+    held = _work((min(BLOCK_ROWS, len(zs)), zs.shape[-1]))
     for lo in range(0, len(zs), BLOCK_ROWS):
         block = zs[lo:lo + BLOCK_ROWS]
-        work = [a[:len(block)] for a in buffers] + [kpi]
-        nz = _transport_coefficients(block, work=work)
-        yield lo, _l4_of_half_squares(work[2]), nz
+        work = [a[:len(block)] for a in held]
+        nz = _transport_coefficients(block, kpi, work)
+        yield slice(lo, lo + len(block)), _l4(work[1]), nz
 
 
 @dataclass(frozen=True)
@@ -159,15 +122,30 @@ class BurgersTrajectory:
         return self.v_coeffs.shape[1]
 
 
+def _finite(name: str, a: np.ndarray) -> np.ndarray:
+    """``a``; a NaN or an infinity, which no step guard sees, is a ValueError."""
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite, not hold NaN or inf")
+    return a
+
+
+def _initial(name: str, a) -> np.ndarray:
+    """``a`` as a float vector; ValueError unless it is non-empty and finite."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 1 or a.size == 0:
+        raise ValueError(f"{name} must be a non-empty vector, not of shape {a.shape}")
+    return _finite(name, a)
+
+
 def _on_grid(name: str, a, shape: tuple[int, int]) -> Optional[np.ndarray]:
-    """``a`` as a float array of shape ``shape[1:]`` (one row for every grid
-    time) or ``shape``; None stays None."""
+    """``a`` as a finite float array of shape ``shape[1:]`` (one row for
+    every grid time) or ``shape``; None stays None."""
     if a is None:
         return None
     a = np.asarray(a, dtype=float)
     if a.shape not in (shape[1:], shape):
         raise ValueError(f"{name} must have shape {shape[1:]} or {shape}, not {a.shape}")
-    return a
+    return _finite(name, a)
 
 
 def _time_grid(T: float, dt: float) -> tuple[int, np.ndarray]:
@@ -196,17 +174,17 @@ def _u_form_steps(v0: np.ndarray, zs: Optional[np.ndarray], h: Optional[np.ndarr
     StepSizeError if |v|^2 leaves 10x its a priori corridor after any
     step, which is how an unstable explicit step shows up.
 
-    The steps go BLOCK_ROWS at a time.  Each step writes v + z straight into
-    the sine input and makes one sine transform of it and one cosine
-    transform of half its square, into held outputs; it writes v into the
-    trajectory, the right-hand side into a block buffer and the cosine
-    input into a block of rows, and allocates no array.  Once per block
-    |v'|^2_V' comes from the right-hand sides and |v + z|_L4^4 from the
-    cosine inputs.
+    The steps go BLOCK_ROWS at a time.  Each step makes one sine transform
+    of v + z and one cosine transform of half its square, into a held
+    ``sine._work``; it writes v into the trajectory, the right-hand side
+    into a block buffer and the grid values into a block of rows, and
+    allocates no array.  Once per block |v'|^2_V' comes from the
+    right-hand sides and |v + z|_L4^4 from the grid values.
     """
     n_modes = v0.size
     shape = (times.size, n_modes)
-    lam = (np.arange(1, n_modes + 1) * math.pi) ** 2
+    kpi = np.arange(1, n_modes + 1) * math.pi
+    lam = kpi ** 2
     decay = np.exp(-lam * dt)
     phi1 = (1.0 - decay) / lam
 
@@ -231,18 +209,15 @@ def _u_form_steps(v0: np.ndarray, zs: Optional[np.ndarray], h: Optional[np.ndarr
     v_hist[0] = v0
     rhs = np.empty((min(BLOCK_ROWS, times.size), n_modes))
     push = np.empty(n_modes)       # phi1 times the right-hand side
-    sin_in, sin_out, cos_row, cos_out, kpi = _transport_work((n_modes,))
-    cos_in = np.zeros((len(rhs),) + cos_row.shape)
-    u = sin_in[:n_modes]           # v + z goes straight into the sine input
+    u = np.empty(n_modes)          # v + z
+    sin_in, _, cos_in, cos_out = _work((n_modes,))
+    grid = np.empty((len(rhs),) + sin_in.shape)    # the grid values of a block of steps
     for lo in range(0, times.size, BLOCK_ROWS):
         hi = min(lo + BLOCK_ROWS, times.size)
         for i in range(lo, hi):
-            if zs is None:
-                u[:] = v_hist[i]
-            else:
-                np.add(v_hist[i], zs[i], out=u)
-            r = _transport_coefficients(None, out=rhs[i - lo],
-                                        work=(sin_in, sin_out, cos_in[i - lo], cos_out, kpi))
+            w = v_hist[i] if zs is None else np.add(v_hist[i], zs[i], out=u)
+            r = _transport_coefficients(w, kpi, (sin_in, grid[i - lo], cos_in, cos_out),
+                                        out=rhs[i - lo])
             if h is not None:
                 r += h[i]
             if i == times.size - 1:
@@ -254,7 +229,7 @@ def _u_form_steps(v0: np.ndarray, zs: Optional[np.ndarray], h: Optional[np.ndarr
                     f"|v|^2 exceeded 10x the a priori bound at t={times[i + 1]:.4g}; "
                     f"reduce dt (currently {dt:g})")
         vp_hist[lo:hi] = ((rhs[:hi - lo] - lam * v_hist[lo:hi]) ** 2 / lam).sum(axis=1)
-        w_l4[lo:hi] = _l4_of_half_squares(cos_in[:hi - lo])
+        w_l4[lo:hi] = _l4(grid[:hi - lo])
     traj = BurgersTrajectory(times=times, v_coeffs=v_hist, vprime_vprime=vp_hist,
                              constants=consts)
     return traj, w_l4
@@ -271,11 +246,12 @@ def solve_modified_burgers(
 
     ``v0`` is a vector of n_modes >= 1 sine coefficients; ``zs``/``gs`` hold
     those of z and g: None (zero), one constant (n_modes,) vector, or an
-    (n_steps+1, n_modes) array with one row per grid time; any other shape
-    is a ValueError.  Raises StepSizeError if |v|^2 leaves 10x its a
-    priori corridor, which is how an unstable explicit step shows up, and
-    RuntimeError if int |z|_L4^4 exceeds 1 and 4 times its trapezoid sum
-    over every other grid point (z too rough for the grid).
+    (n_steps+1, n_modes) array with one row per grid time; any other shape,
+    or a NaN or infinity in any of them, is a ValueError.  Raises
+    StepSizeError if |v|^2 leaves 10x its a priori corridor, which is how
+    an unstable explicit step shows up, and RuntimeError if int |z|_L4^4
+    exceeds 1 and 4 times its trapezoid sum over every other grid point
+    (z too rough for the grid).
 
     The steps run in the u-form, v_t + A v = N(v + z) + h with
     N(w) = -(w^2/2)_x and h = g - N(z): z's rows are put on the doubled
@@ -283,9 +259,7 @@ def solve_modified_burgers(
     one vector unless ``zs`` or ``gs`` is a full array.  Each step then
     makes one sine transform of v + z and one cosine transform.
     """
-    v0 = np.asarray(v0, dtype=float)
-    if v0.ndim != 1 or v0.size == 0:
-        raise ValueError(f"v0 must be a non-empty vector, not of shape {v0.shape}")
+    v0 = _initial("v0", v0)
     n_modes = v0.size
     n_steps, times = _time_grid(T, dt)
     shape = (n_steps + 1, n_modes)
@@ -297,9 +271,9 @@ def solve_modified_burgers(
     if zs is not None:
         z_rows = np.atleast_2d(zs)
         row_l4, nz = np.empty(len(z_rows)), np.empty(z_rows.shape)
-        for lo, l4, block in _nonlinear_blocks(z_rows):
-            row_l4[lo:lo + len(l4)] = l4
-            nz[lo:lo + len(l4)] = block
+        for rows, l4, block in _nonlinear_blocks(z_rows):
+            row_l4[rows] = l4
+            nz[rows] = block
         z_l4[:] = row_l4
         h = -nz if gs is None else gs - nz
     g_vp = np.zeros(n_steps + 1)
@@ -447,7 +421,8 @@ def solve_stochastic_burgers(
     of (z, Y) from ``stream(seed, 1)``.  ``u0`` is a vector of n_modes >= 1
     sine coefficients, the noise is truncated at n_modes, and ``f`` is
     None or one time-independent vector of n_modes coefficients, the form
-    ``weak_residual`` checks; anything else raises ValueError.
+    ``weak_residual`` checks; anything else, or a NaN or infinity in u0 or
+    f, raises ValueError.
 
     One blocked pass puts z on the doubled grid once, for |z|_L4^4 and
     |g|_V'^2 = |f + N(z)|_V'^2; g itself is not kept.  The steps run in
@@ -455,16 +430,14 @@ def solve_stochastic_burgers(
     steps already hold on the grid.  u is formed in v's array, so the
     solve holds two trajectories, u and z.
     """
-    u0 = np.asarray(u0, dtype=float)
-    if u0.ndim != 1 or u0.size == 0:
-        raise ValueError(f"u0 must be a non-empty vector, not of shape {u0.shape}")
+    u0 = _initial("u0", u0)
     n_modes = u0.size
     if noise.wiener.truncation_N != n_modes:
         raise ValueError(f"noise truncation must equal len(u0) = {n_modes}")
     _, times = _time_grid(T, dt)
     if f is not None:
-        f = np.asarray(f, dtype=float)
-        if f.shape != (n_modes,):
+        f = _initial("f", f)
+        if f.size != n_modes:
             raise ValueError(f"f must be None or one vector of shape ({n_modes},), not {f.shape}")
     lam = (np.arange(1, n_modes + 1) * math.pi) ** 2
     zpath = simulate_paths(jump_law(noise.subordinator), T, 1, stream(seed))
@@ -472,12 +445,11 @@ def solve_stochastic_burgers(
                                             zpath, times, seed=seed)
 
     z_l4, g_vp = np.empty(times.size), np.empty(times.size)
-    for lo, l4, g in _nonlinear_blocks(z_hist):
-        hi = lo + len(l4)
-        z_l4[lo:hi] = l4
+    for rows, l4, g in _nonlinear_blocks(z_hist):
+        z_l4[rows] = l4
         if f is not None:
             g += f
-        g_vp[lo:hi] = (g ** 2 / lam).sum(axis=1)
+        g_vp[rows] = (g ** 2 / lam).sum(axis=1)
 
     traj, u_l4 = _u_form_steps(u0 - z_hist[0], z_hist, f, z_l4, g_vp, dt, times)
     u_hist = traj.v_coeffs

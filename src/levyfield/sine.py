@@ -4,8 +4,11 @@ Values live at the interior points i/M (i = 1..M-1) of a uniform grid, where
 DST-I and DCT-I are exact.  Each function transforms a whole trajectory (the
 last axis of any array; ``sine_values`` any ``axis``) BLOCK_ROWS rows at a
 time, and ``by_blocks`` runs a caller's chain of transforms the same way.
-The row kernels ``_values`` and ``_cos`` take one vector or a block of rows
-as they are, for callers that do their own blocking.
+The row kernels ``_values``, ``_cos`` and ``_l4`` take one vector or a
+block of rows as they are, for callers that do their own blocking.  On the
+doubled grid of 2(n+1) cells, where the square of n modes is exact,
+``l4_norm4`` integrates and ``_half_square_cos`` gives the cosine
+coefficients of v^2/2, into the held arrays of a ``_work``.
 
 Every transform of the library is ``_dst1`` or ``_dct1``: scipy's compiled
 pocketfft binding, the kernels that ``scipy.fft`` and ``scipy.fftpack`` both
@@ -84,12 +87,23 @@ def by_blocks(fn, a, axis: int = -1) -> np.ndarray:
     return np.moveaxis(out, -1, axis) if out.ndim == a.ndim else out[()]
 
 
-def _values(coef: np.ndarray, M: int) -> np.ndarray:
+def _work(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """The arrays ``_half_square_cos`` writes into, for n coefficients on the
+    last axis of ``shape``: the zero-padded sine input and its output (the
+    values on the doubled grid), the cosine input (zero ends) and its output."""
+    lead, m = shape[:-1], 2 * shape[-1] + 1
+    return (np.zeros(lead + (m,)), np.empty(lead + (m,)),
+            np.zeros(lead + (m + 2,)), np.empty(lead + (m + 2,)))
+
+
+def _values(coef: np.ndarray, M: int, work=None) -> np.ndarray:
     if M - 1 < coef.shape[-1]:
         raise ValueError("the grid size M must exceed the number of coefficients")
-    full = np.zeros(coef.shape[:-1] + (M - 1,))
+    full, out = (np.zeros(coef.shape[:-1] + (M - 1,)),) * 2 if work is None else work[:2]
     full[..., :coef.shape[-1]] = coef
-    return _dst1(full, out=full) * (math.sqrt(2.0) / 2.0)
+    out = _dst1(full, out=out)
+    out *= math.sqrt(2.0) / 2.0
+    return out
 
 
 def sine_values(coef, M: int | None = None, axis: int = -1) -> np.ndarray:
@@ -102,11 +116,12 @@ def sine_coefficients(values) -> np.ndarray:
     return by_blocks(lambda v: _dst1(v) / (math.sqrt(2.0) * (v.shape[-1] + 1)), values)
 
 
-def _cos(q: np.ndarray) -> np.ndarray:
-    full = np.zeros(q.shape[:-1] + (q.shape[-1] + 2,))
-    full[..., 1:-1] = q
-    scale = math.sqrt(2.0) / (2.0 * (q.shape[-1] + 1))
-    return _dct1(full, out=full)[..., 1:-1] * scale
+def _cos(q: np.ndarray, work=None) -> np.ndarray:
+    full, out = (np.zeros(q.shape[:-1] + (q.shape[-1] + 2,)),) * 2 if work is None else work[2:]
+    full[..., 1:-1] = q            # the ends stay zero; no copy when q is that part of full
+    out = _dct1(full, out=out)[..., 1:-1]
+    out *= math.sqrt(2.0) / (2.0 * (q.shape[-1] + 1))
+    return out
 
 
 def cos_coefficients(values) -> np.ndarray:
@@ -115,11 +130,23 @@ def cos_coefficients(values) -> np.ndarray:
     return by_blocks(_cos, values)
 
 
+def _half_square_cos(coef: np.ndarray, work) -> np.ndarray:
+    """Cosine coefficients of q = v^2/2, v the values of the sine coefficients
+    ``coef`` on the doubled grid, with both transforms written into ``work``,
+    a ``_work(coef.shape)``; the result is a view of it."""
+    v = _values(coef, work[0].shape[-1] + 1, work)
+    q = work[2][..., 1:-1]
+    np.multiply(0.5, v, out=q)
+    q *= v
+    return _cos(q, work)
+
+
+def _l4(values: np.ndarray) -> np.ndarray:
+    """int v^4 dx of each row by the rectangle rule on the grid of its ``values``."""
+    return np.square(np.square(values)).sum(axis=-1) / (values.shape[-1] + 1)
+
+
 def l4_norm4(coef):
     """int_0^1 v^4 dx from n sine coefficients (rectangle rule on a grid of
     2(n+1) cells); one vector gives a scalar."""
-    def rows(c):
-        M = 2 * (c.shape[-1] + 1)
-        return np.square(np.square(_values(c, M))).sum(axis=-1) / M
-
-    return by_blocks(rows, coef)
+    return by_blocks(lambda c: _l4(_values(c, 2 * (c.shape[-1] + 1))), coef)

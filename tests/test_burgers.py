@@ -11,10 +11,8 @@ from levyfield.burgers import (
     StepSizeError,
     _half_square_against_gradient,
     _joint_ou_noise_paths,
-    _l4_of_half_squares,
     _nonlinear_blocks,
     _transport_coefficients,
-    _transport_work,
     check_apriori,
     solve_modified_burgers,
     solve_stochastic_burgers,
@@ -47,18 +45,21 @@ def test_l4_norm_of_single_mode():
 def test_transport_of_one_vector_is_bitwise_its_row_and_the_blocked_composition(n, reused_work):
     rng = stream(21, n)
     w = rng.standard_normal((5, n))
-    work = _transport_work(w.shape)
-    block = _transport_coefficients(w, work=work)
-    # the squares the kernel leaves on the grid give l4_norm4, bitwise
-    assert np.array_equal(_l4_of_half_squares(work[2]), l4_norm4(w))
+    kpi = np.arange(1, n + 1) * math.pi
+    work = sine._work(w.shape)
+    block = _transport_coefficients(w, kpi, work)
+    # the kernel leaves w's values on the doubled grid in the work, and
+    # |w|_L4^4 read from them is l4_norm4, bitwise
+    assert np.array_equal(work[1], sine_values(w, 2 * (n + 1)))
+    assert np.array_equal(sine._l4(work[1]), l4_norm4(w))
     # the step loop hands one work to every step
-    row_work = _transport_work((n,)) if reused_work else None
+    held = sine._work((n,))
     for i in range(5):
-        row = _transport_coefficients(w[i], work=row_work)
+        row = _transport_coefficients(w[i], kpi, held if reused_work else sine._work((n,)))
         assert np.array_equal(row, block[i])
         # the same square through the blocked public transforms
         ww = sine_values(w[i], 2 * (n + 1))
-        assert np.array_equal(row, np.arange(1, n + 1) * math.pi * cos_coefficients(0.5 * ww * ww)[:n])
+        assert np.array_equal(row, kpi * cos_coefficients(0.5 * ww * ww)[:n])
 
 
 @pytest.mark.parametrize("shape", [(31,), (5, 31)], ids=str)
@@ -66,12 +67,13 @@ def test_transport_results_never_share_the_reused_work(shape):
     # the transforms write into the outputs the work holds; a result is a
     # new array, so the next call on the same work leaves it as it was
     w = stream(23, len(shape)).standard_normal((2,) + shape)
-    work = _transport_work(shape)
-    first = _transport_coefficients(w[0], work=work)
+    kpi = np.arange(1, 32) * math.pi
+    work = sine._work(shape)
+    first = _transport_coefficients(w[0], kpi, work)
     kept = first.copy()
-    second = _transport_coefficients(w[1], work=work)
+    second = _transport_coefficients(w[1], kpi, work)
     assert first.tobytes() == kept.tobytes()
-    assert second.tobytes() == _transport_coefficients(w[1]).tobytes()
+    assert second.tobytes() == _transport_coefficients(w[1], kpi, sine._work(shape)).tobytes()
     for result in (first, second):
         assert not any(np.shares_memory(result, a) for a in work)
 
@@ -83,12 +85,15 @@ def test_nonlinear_blocks_are_bitwise_the_per_row_calls(monkeypatch, block_rows)
     zs = stream(24).standard_normal((71, 31)) / np.arange(1, 32)
     monkeypatch.setattr(burgers, "BLOCK_ROWS", block_rows)
     l4, nz = np.full(len(zs), np.nan), np.full(zs.shape, np.nan)
-    for lo, block_l4, block_nz in _nonlinear_blocks(zs):
-        assert len(block_l4) == len(block_nz) == min(block_rows, len(zs) - lo)
-        l4[lo:lo + len(block_l4)] = block_l4
-        nz[lo:lo + len(block_nz)] = block_nz
+    for rows, block_l4, block_nz in _nonlinear_blocks(zs):
+        assert rows.start % block_rows == 0
+        assert len(block_l4) == len(block_nz) == min(block_rows, len(zs) - rows.start)
+        l4[rows] = block_l4
+        nz[rows] = block_nz
     assert l4.tobytes() == np.array([l4_norm4(z) for z in zs]).tobytes()
-    assert nz.tobytes() == np.array([_transport_coefficients(z) for z in zs]).tobytes()
+    kpi = np.arange(1, 32) * math.pi
+    rows = [_transport_coefficients(z, kpi, sine._work(z.shape)) for z in zs]
+    assert nz.tobytes() == np.array(rows).tobytes()
 
 
 # -- deterministic solver ------------------------------------------------
@@ -144,6 +149,22 @@ def test_solvers_refuse_initial_data_that_is_not_one_vector(shape):
         solve_modified_burgers(np.zeros(shape), None, None, T=0.05, dt=1e-3)
     with pytest.raises(ValueError, match="u0 must be a non-empty vector"):
         solve_stochastic_burgers(np.zeros(shape), burgers_noise(15), None, T=0.05, dt=1e-3)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["v0", "zs", "gs", "u0", "f"])
+def test_both_solvers_refuse_non_finite_data(name, bad):
+    # a NaN never trips the step guard |v|^2 > corridor: the solve would
+    # return a NaN trajectory with NaN a priori constants
+    n = 15
+    data = {"v0": np.zeros(n), "zs": np.zeros((51, n)), "gs": np.zeros(n),
+            "u0": np.zeros(n), "f": np.zeros(n)}
+    data[name][-1] = bad
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        if name in ("u0", "f"):
+            solve_stochastic_burgers(data["u0"], burgers_noise(n), data["f"], T=0.05, dt=1e-3)
+        else:
+            solve_modified_burgers(data["v0"], data["zs"], data["gs"], T=0.05, dt=1e-3)
 
 
 @pytest.mark.parametrize("truncation", [14, 16])
@@ -570,7 +591,8 @@ def test_closed_form_nonlinear_term_matches_the_transport_transform(n):
     rng = stream(25, n)
     u = rng.standard_normal((6, n)) / np.arange(1, n + 1)
     modes = sorted({1, 3, 5, n})
-    want = _transport_coefficients(u)[:, [k - 1 for k in modes]]
+    want = _transport_coefficients(u, np.arange(1, n + 1) * math.pi, sine._work(u.shape))
+    want = want[:, [k - 1 for k in modes]]
     got = _half_square_against_gradient(u, modes)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     for k in (0, n + 1):
@@ -614,13 +636,11 @@ class CountingKernels:
 def test_stochastic_solve_stays_at_the_transform_floor(monkeypatch, block_rows):
     # one sine and one cosine transform per step and per block of z's rows:
     # a third transform per step exceeds the count, and a step transform
-    # that goes round the kernels falls below it
+    # that goes round sine's kernels falls below it
     n, T, dt = 31, 0.05, 1e-3
     counter = CountingKernels()
     for name in ("_dst1", "_dct1"):
-        kernel = counter.counted(getattr(sine, name))
-        monkeypatch.setattr(sine, name, kernel)
-        monkeypatch.setattr(burgers, name, kernel)
+        monkeypatch.setattr(sine, name, counter.counted(getattr(sine, name)))
     monkeypatch.setattr(burgers, "BLOCK_ROWS", block_rows)
     u0 = np.zeros(n); u0[0] = 0.2
     res = solve_stochastic_burgers(u0, burgers_noise(n), None, T=T, dt=dt, seed=3)

@@ -1,6 +1,7 @@
 """Every name a library module imports is referenced in that module,
 ``__all__`` lists exactly the public definitions of a module that has one,
-and no module imports scipy.integrate."""
+no module imports scipy.integrate, and no module but ``sine`` names its
+transform kernels."""
 
 import ast
 import importlib
@@ -96,6 +97,44 @@ def test_scan_sees_annotations_and_flags_the_rest():
               "def f(x: Optional[int]) -> 'PathBatch':\n"
               "    return np.zeros(1)\n")
     assert unused_imports(source) == ["SubordinatorSpec", "csv"]
+
+
+TRANSFORM_KERNELS = {"_dst1", "_dct1", "_pocketfft"}
+
+
+def transform_kernels_named(source: str) -> list[str]:
+    """The names of ``sine``'s transform kernels that ``source`` imports,
+    defines or reads, bare, as an attribute or as a string."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.alias):
+            names |= {node.name, node.asname}
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.add(node.name)
+    return sorted(names & TRANSFORM_KERNELS)
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py") if p.name != "sine.py"))
+def test_only_sine_names_the_transform_kernels(module):
+    # every transform goes through sine's kernels, so that one module knows
+    # the basis, its grids and scales, and a count of sine's kernels sees
+    # every transform
+    assert transform_kernels_named((SRC / module).read_text()) == []
+
+
+@pytest.mark.parametrize("source", [
+    "from .sine import _dst1", "from .sine import _dct1 as dct",
+    "from . import sine\nsine._pocketfft()",
+    "import levyfield.sine as s\ngetattr(s, '_dst1')", "def _dct1(x):\n    return x\n"])
+def test_kernel_scan_sees_every_form(source):
+    assert transform_kernels_named(source) != []
+    assert transform_kernels_named(source.replace("_d", "_e").replace("_pocket", "_")) == []
 
 
 def _exports(tree: ast.Module):

@@ -19,8 +19,8 @@ ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
 
 # public names that nothing but their unit tests reaches, each with its reason
 ALLOWED = {
-    "cos_coefficients": "the reference cosine transform that the Burgers transforms are "
-                        "checked against",
+    "cos_coefficients": "the blocked public form of sine's cosine kernel, which the Burgers "
+                        "transport runs on; tests check it against scipy's DCT-I",
     "convolution_variances_batch": "the closed-form OU variances V_j of a path batch at "
                                    "one time, kept for the critical-exponent gate of the "
                                    "regularity check",
