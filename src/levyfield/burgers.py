@@ -8,16 +8,17 @@ with A the Dirichlet Laplacian, is solved pseudo-spectrally in the
 orthonormal sine basis sqrt(2) sin(k pi x), in its u-form: with
 N(w) = -(w^2/2)_x its transport and g are N(v + z) + h, h = g - N(z), so
 a step transports the one field v + z.  Diffusion is integrated exactly
-per mode (exponential Euler), and the transport on the doubled grid of
-``sine``, whose kernels and held work alone know that grid, its padding
-and scales (exact dealiasing for quadratic products).  The stochastic
-Burgers equation du + [Au + B(u)]dt = f dt + dY is solved pathwise as
-u = v + z with z the sampled OU convolution of the noise and
-g = f - (z^2/2)_x, which is the same construction the a priori estimates
-are stated for; in the u-form its h is f itself.  Both solvers read the
-mode count off the initial data.  The weak residual checks a solve with
-the forcing its result holds, and takes its nonlinear term in closed form
-from the sine coefficients, not through the solver's transforms.
+per mode (exponential Euler), and the transport by one call of
+``sine._transport`` on sine's doubled grid, into held work; only ``sine``
+knows that grid, its padding and scales (exact dealiasing for quadratic
+products).  The stochastic Burgers equation du + [Au + B(u)]dt = f dt + dY,
+with f one constant vector, is solved pathwise as u = v + z with z the
+sampled OU convolution of the noise and g = f - (z^2/2)_x, which is the
+same construction the a priori estimates are stated for; in the u-form
+its h is f itself.  Both solvers read the mode count off the initial
+data.  The weak residual checks a solve with the forcing its result
+holds, and takes its nonlinear term in closed form from the sine
+coefficients, not through the solver's transforms.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from ._rng import stream
 from .noise import LevyNoiseSpec
-from .sine import BLOCK_ROWS, _half_square_cos, _l4, _work, by_blocks, l4_norm4
+from .sine import BLOCK_ROWS, _l4, _transport, _work, by_blocks, l4_norm4
 from .subordinator import PathBatch, jump_law, simulate_paths
 
 __all__ = [
@@ -51,19 +52,6 @@ class StepSizeError(RuntimeError):
     """Energy left the a priori corridor; the explicit step is too large."""
 
 
-def _transport_coefficients(w: np.ndarray, kpi: np.ndarray, work,
-                            out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Sine coefficients of N(w) = -(w^2/2)_x, dealiased on sine's doubled grid.
-
-    Integration by parts against the sine basis turns the x-derivative into
-    k pi (``kpi``) times the cosine coefficients of q = w^2/2.  w is one
-    vector or a block of rows; the transforms write into ``work``, a
-    ``sine._work(w.shape)`` that keeps w's grid values for ``sine._l4``, and
-    the result is a new array or ``out``, never part of the work.
-    """
-    return np.multiply(kpi, _half_square_cos(w, work)[..., :kpi.size], out=out)
-
-
 def _nonlinear_blocks(zs: np.ndarray) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
     """(rows, |z|_L4^4, N(z)) of each block of BLOCK_ROWS rows of the sine
     coefficients ``zs``, with rows the block's slice of ``zs``: one sine
@@ -73,7 +61,7 @@ def _nonlinear_blocks(zs: np.ndarray) -> Iterator[tuple[slice, np.ndarray, np.nd
     for lo in range(0, len(zs), BLOCK_ROWS):
         block = zs[lo:lo + BLOCK_ROWS]
         work = [a[:len(block)] for a in held]
-        nz = _transport_coefficients(block, kpi, work)
+        nz = _transport(block, kpi, work)
         yield slice(lo, lo + len(block)), _l4(work[1]), nz
 
 
@@ -174,12 +162,13 @@ def _u_form_steps(v0: np.ndarray, zs: Optional[np.ndarray], h: Optional[np.ndarr
     StepSizeError if |v|^2 leaves 10x its a priori corridor after any
     step, which is how an unstable explicit step shows up.
 
-    The steps go BLOCK_ROWS at a time.  Each step makes one sine transform
-    of v + z and one cosine transform of half its square, into a held
-    ``sine._work``; it writes v into the trajectory, the right-hand side
-    into a block buffer and the grid values into a block of rows, and
-    allocates no array.  Once per block |v'|^2_V' comes from the
-    right-hand sides and |v + z|_L4^4 from the grid values.
+    The steps go BLOCK_ROWS at a time.  Each step makes one
+    ``sine._transport`` call, a sine transform of v + z and a cosine
+    transform of half its square, into a held ``sine._work``; it writes v
+    into the trajectory, the right-hand side into a block buffer and the
+    grid values into a block of rows, and allocates no array.  Once per
+    block |v'|^2_V' comes from the right-hand sides and |v + z|_L4^4 from
+    the grid values.
     """
     n_modes = v0.size
     shape = (times.size, n_modes)
@@ -216,8 +205,7 @@ def _u_form_steps(v0: np.ndarray, zs: Optional[np.ndarray], h: Optional[np.ndarr
         hi = min(lo + BLOCK_ROWS, times.size)
         for i in range(lo, hi):
             w = v_hist[i] if zs is None else np.add(v_hist[i], zs[i], out=u)
-            r = _transport_coefficients(w, kpi, (sin_in, grid[i - lo], cos_in, cos_out),
-                                        out=rhs[i - lo])
+            r = _transport(w, kpi, (sin_in, grid[i - lo], cos_in, cos_out), out=rhs[i - lo])
             if h is not None:
                 r += h[i]
             if i == times.size - 1:
@@ -403,7 +391,7 @@ def _joint_ou_noise_paths(lam: np.ndarray, inv_w: np.ndarray,
 def solve_stochastic_burgers(
     u0: np.ndarray,
     noise: LevyNoiseSpec,
-    f: Optional[np.ndarray],
+    f: np.ndarray,
     T: float,
     dt: float,
     seed: int = 0,
@@ -420,7 +408,7 @@ def solve_stochastic_burgers(
     noise's subordinator, comes from ``stream(seed)``, the Gaussian draws
     of (z, Y) from ``stream(seed, 1)``.  ``u0`` is a vector of n_modes >= 1
     sine coefficients, the noise is truncated at n_modes, and ``f`` is
-    None or one time-independent vector of n_modes coefficients, the form
+    one time-independent vector of n_modes coefficients, the form
     ``weak_residual`` checks; anything else, or a NaN or infinity in u0 or
     f, raises ValueError.
 
@@ -435,10 +423,9 @@ def solve_stochastic_burgers(
     if noise.wiener.truncation_N != n_modes:
         raise ValueError(f"noise truncation must equal len(u0) = {n_modes}")
     _, times = _time_grid(T, dt)
-    if f is not None:
-        f = _initial("f", f)
-        if f.size != n_modes:
-            raise ValueError(f"f must be None or one vector of shape ({n_modes},), not {f.shape}")
+    f = _initial("f", f)
+    if f.size != n_modes:
+        raise ValueError(f"f must be one vector of shape ({n_modes},), not {f.shape}")
     lam = (np.arange(1, n_modes + 1) * math.pi) ** 2
     zpath = simulate_paths(jump_law(noise.subordinator), T, 1, stream(seed))
     z_hist, y_final = _joint_ou_noise_paths(lam, 1.0 / noise.wiener.hilbert_weights,
@@ -447,8 +434,7 @@ def solve_stochastic_burgers(
     z_l4, g_vp = np.empty(times.size), np.empty(times.size)
     for rows, l4, g in _nonlinear_blocks(z_hist):
         z_l4[rows] = l4
-        if f is not None:
-            g += f
+        g += f
         g_vp[rows] = (g ** 2 / lam).sum(axis=1)
 
     traj, u_l4 = _u_form_steps(u0 - z_hist[0], z_hist, f, z_l4, g_vp, dt, times)
@@ -509,7 +495,7 @@ def weak_residual(result: dict, test_modes: Sequence[int]) -> list[float]:
         int_lap = float(np.trapezoid(-lamk * (u[:, c] - z[:, c]), times)) \
             - (y[c] - z[-1, c] + z[0, c])
         int_nl = float(np.trapezoid(q[:, j], times))
-        int_f = 0.0 if f is None else float(f[c]) * float(times[-1])
+        int_f = float(f[c]) * float(times[-1])
         lhs = u[-1, c] - u[0, c] - int_lap - int_nl
         residuals.append(float(lhs - (int_f + y[c])))
     return residuals

@@ -375,7 +375,7 @@ def run(config: dict, out_dir: str) -> int:
                   "status": "pass" if passed else "fail",
                   "elapsed_s": round(time.time() - t0, 3), "summary": summary}
         text = _report_json(report)
-    except (StepSizeError, QuadratureError, ArithmeticError, RuntimeError) as exc:
+    except (StepSizeError, QuadratureError, ArithmeticError, RuntimeError, MemoryError) as exc:
         report = {"experiment": kind, "config": config, "status": "numeric-failure",
                   "error": str(exc)}
         out.mkdir(parents=True, exist_ok=True)

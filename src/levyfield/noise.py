@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -91,16 +90,10 @@ def increment_coefficients(spec: LevyNoiseSpec, dz, rng: np.random.Generator) ->
     return np.sqrt(dz)[..., None] * inv_w * rng.standard_normal(dz.shape + inv_w.shape)
 
 
-def _u_norm(x: np.ndarray, u_space: Optional[SpaceSpec]) -> np.ndarray:
-    """|x|_U along the last axis; the Euclidean norm when u_space is None."""
-    return np.sqrt((x ** 2).sum(axis=-1)) if u_space is None else u_space.norm(x)
-
-
 def jump_rate(spec: LevyNoiseSpec, threshold: float,
-              u_space: Optional[SpaceSpec] = None) -> float:
+              u_space: SpaceSpec) -> float:
     """nu(|u|_U >= threshold): the rate per unit time of the jumps of Y whose
-    mark has U-norm at least the threshold (the Euclidean norm when u_space
-    is None).
+    mark has U-norm, in ``u_space``, at least the threshold.
 
     The jump intensity of Y is nu = int_0^inf zeta_s rho(ds), with zeta_s
     the Gaussian law of W(s).  For the stable rho the scaling in s gives
@@ -127,15 +120,14 @@ def jump_rate(spec: LevyNoiseSpec, threshold: float,
     if sub.kind == "truncated_stable":
         raise ValueError("the jump rate is in closed form for an untruncated law only")
     n = spec.wiener.truncation_N
-    u_weights = np.ones(n) if u_space is None else u_space.weights
-    if u_space is not None and (u_space.exponent_q != 2 or u_space.dim != n):
+    if u_space.exponent_q != 2 or u_space.dim != n:
         raise ValueError(f"the U-norm must be a weighted l^2 norm on {n} modes")
     if not threshold > 0:
         raise ValueError(f"threshold must be positive, not {threshold}")
     if sub.kind == "drift_only":
         return 0.0
     beta = sub.beta
-    two_a = 2.0 * (u_weights / spec.wiener.hilbert_weights) ** 2
+    two_a = 2.0 * (u_space.weights / spec.wiener.hilbert_weights) ** 2
     rows = max(1, CHUNK_TERMS // n)
 
     def integrand(u):

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from ._rng import stream
 from .spaces import SpaceSpec
-from .noise import LevyNoiseSpec, _u_norm, increment_coefficients
+from .noise import LevyNoiseSpec, increment_coefficients
 from .spectral import SpectralOperator, cell_moments, synthesize
 from .subordinator import SubordinatorSpec, jump_law, simulate_paths
 
@@ -144,8 +143,8 @@ def time_integrability(norms, T: float, p: float) -> dict:
 
 
 def blowup_probe(op: SpectralOperator, noise: LevyNoiseSpec, F: SpaceSpec,
-                 N_sequence, seed: int = 0, threshold: float = 1.0,
-                 u_space: Optional[SpaceSpec] = None) -> dict:
+                 N_sequence, seed: int = 0, threshold: float = 1.0, *,
+                 u_space: SpaceSpec) -> dict:
     """Growth of sup |X2(t)|_F right after the first large jump, across truncations.
 
     One noise path on [0, BLOWUP_HORIZON] is drawn at the full truncation:
@@ -173,7 +172,7 @@ def blowup_probe(op: SpectralOperator, noise: LevyNoiseSpec, F: SpaceSpec,
         raise ValueError("threshold must be positive")
     zp = simulate_paths(jump_law(noise.subordinator), BLOWUP_HORIZON, 1, stream(seed))
     marks = increment_coefficients(noise, zp.sizes, stream(seed, 1))
-    large = _u_norm(marks, u_space) >= threshold
+    large = u_space.norm(marks) >= threshold
     times, marks = zp.times[large], marks[large]
     if times.size == 0:
         return {"conclusive": False, "reason": "no jump reached the threshold"}
@@ -184,7 +183,7 @@ def blowup_probe(op: SpectralOperator, noise: LevyNoiseSpec, F: SpaceSpec,
                       np.zeros(t.size, dtype=int), np.searchsorted(times, t, side="right"))
     sups = [float(F.prefix(N).norm(x2[:, :N]).max()) for N in N_sequence]
     mark = marks[0]
-    u_norms = [float(_u_norm(mark[:N], u_space and u_space.prefix(N))) for N in N_sequence]
+    u_norms = [float(u_space.prefix(N).norm(mark[:N])) for N in N_sequence]
     slope = float(np.polyfit(np.log(N_sequence), np.log(sups), 1)[0])
     return {
         "conclusive": True, "tau1": tau1, "window_h": BLOWUP_WINDOW,

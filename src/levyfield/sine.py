@@ -4,11 +4,12 @@ Values live at the interior points i/M (i = 1..M-1) of a uniform grid, where
 DST-I and DCT-I are exact.  Each function transforms a whole trajectory (the
 last axis of any array; ``sine_values`` any ``axis``) BLOCK_ROWS rows at a
 time, and ``by_blocks`` runs a caller's chain of transforms the same way.
-The row kernels ``_values``, ``_cos`` and ``_l4`` take one vector or a
-block of rows as they are, for callers that do their own blocking.  On the
-doubled grid of 2(n+1) cells, where the square of n modes is exact,
-``l4_norm4`` integrates and ``_half_square_cos`` gives the cosine
-coefficients of v^2/2, into the held arrays of a ``_work``.
+The row kernels ``_values``, ``_cos``, ``_l4`` and ``_transport`` take one
+vector or a block of rows as they are, for callers that do their own
+blocking.  On the doubled grid of 2(n+1) cells, where the square of n
+modes is exact, ``l4_norm4`` integrates and ``_transport`` gives the sine
+coefficients of -(v^2/2)_x, with both its transforms written into the held
+arrays of a ``_work``.
 
 Every transform of the library is ``_dst1`` or ``_dct1``: scipy's compiled
 pocketfft binding, the kernels that ``scipy.fft`` and ``scipy.fftpack`` both
@@ -88,7 +89,7 @@ def by_blocks(fn, a, axis: int = -1) -> np.ndarray:
 
 
 def _work(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """The arrays ``_half_square_cos`` writes into, for n coefficients on the
+    """The arrays ``_transport`` writes into, for n coefficients on the
     last axis of ``shape``: the zero-padded sine input and its output (the
     values on the doubled grid), the cosine input (zero ends) and its output."""
     lead, m = shape[:-1], 2 * shape[-1] + 1
@@ -116,10 +117,10 @@ def sine_coefficients(values) -> np.ndarray:
     return by_blocks(lambda v: _dst1(v) / (math.sqrt(2.0) * (v.shape[-1] + 1)), values)
 
 
-def _cos(q: np.ndarray, work=None) -> np.ndarray:
-    full, out = (np.zeros(q.shape[:-1] + (q.shape[-1] + 2,)),) * 2 if work is None else work[2:]
-    full[..., 1:-1] = q            # the ends stay zero; no copy when q is that part of full
-    out = _dct1(full, out=out)[..., 1:-1]
+def _cos(q: np.ndarray) -> np.ndarray:
+    full = np.zeros(q.shape[:-1] + (q.shape[-1] + 2,))
+    full[..., 1:-1] = q            # the ends stay zero
+    out = _dct1(full, out=full)[..., 1:-1]
     out *= math.sqrt(2.0) / (2.0 * (q.shape[-1] + 1))
     return out
 
@@ -130,15 +131,26 @@ def cos_coefficients(values) -> np.ndarray:
     return by_blocks(_cos, values)
 
 
-def _half_square_cos(coef: np.ndarray, work) -> np.ndarray:
-    """Cosine coefficients of q = v^2/2, v the values of the sine coefficients
-    ``coef`` on the doubled grid, with both transforms written into ``work``,
-    a ``_work(coef.shape)``; the result is a view of it."""
+def _transport(coef: np.ndarray, kpi: np.ndarray, work,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """Sine coefficients of -(v^2/2)_x for the n = ``kpi.size`` sine
+    coefficients ``coef`` of v (one vector or a block of rows), dealiased on
+    the doubled grid; ``kpi`` is k pi, k = 1..n.
+
+    Integration by parts against the sine basis turns the x-derivative into
+    k pi times the cosine coefficients of v^2/2.  Both transforms write into
+    ``work``, a ``_work(coef.shape)`` that keeps v's grid values for ``_l4``;
+    only the n cosine coefficients read are scaled, and the result is
+    ``out`` or a new array, never part of the work.
+    """
     v = _values(coef, work[0].shape[-1] + 1, work)
     q = work[2][..., 1:-1]
     np.multiply(0.5, v, out=q)
     q *= v
-    return _cos(q, work)
+    c = _dct1(work[2], out=work[3])[..., 1:kpi.size + 1]
+    out = np.multiply(c, math.sqrt(2.0) / (2.0 * (q.shape[-1] + 1)), out=out)
+    out *= kpi
+    return out
 
 
 def _l4(values: np.ndarray) -> np.ndarray:

@@ -46,7 +46,7 @@ MAX_EXPECTED_JUMPS = 10_000_000
 class QuadratureError(RuntimeError):
     """Raised when adaptive quadrature cannot reach the requested tolerance."""
 
-    def __init__(self, message, achieved_tol=None):
+    def __init__(self, message, achieved_tol):
         super().__init__(message)
         self.achieved_tol = achieved_tol
 

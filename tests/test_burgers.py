@@ -12,7 +12,6 @@ from levyfield.burgers import (
     _half_square_against_gradient,
     _joint_ou_noise_paths,
     _nonlinear_blocks,
-    _transport_coefficients,
     check_apriori,
     solve_modified_burgers,
     solve_stochastic_burgers,
@@ -47,7 +46,7 @@ def test_transport_of_one_vector_is_bitwise_its_row_and_the_blocked_composition(
     w = rng.standard_normal((5, n))
     kpi = np.arange(1, n + 1) * math.pi
     work = sine._work(w.shape)
-    block = _transport_coefficients(w, kpi, work)
+    block = sine._transport(w, kpi, work)
     # the kernel leaves w's values on the doubled grid in the work, and
     # |w|_L4^4 read from them is l4_norm4, bitwise
     assert np.array_equal(work[1], sine_values(w, 2 * (n + 1)))
@@ -55,7 +54,7 @@ def test_transport_of_one_vector_is_bitwise_its_row_and_the_blocked_composition(
     # the step loop hands one work to every step
     held = sine._work((n,))
     for i in range(5):
-        row = _transport_coefficients(w[i], kpi, held if reused_work else sine._work((n,)))
+        row = sine._transport(w[i], kpi, held if reused_work else sine._work((n,)))
         assert np.array_equal(row, block[i])
         # the same square through the blocked public transforms
         ww = sine_values(w[i], 2 * (n + 1))
@@ -69,11 +68,11 @@ def test_transport_results_never_share_the_reused_work(shape):
     w = stream(23, len(shape)).standard_normal((2,) + shape)
     kpi = np.arange(1, 32) * math.pi
     work = sine._work(shape)
-    first = _transport_coefficients(w[0], kpi, work)
+    first = sine._transport(w[0], kpi, work)
     kept = first.copy()
-    second = _transport_coefficients(w[1], kpi, work)
+    second = sine._transport(w[1], kpi, work)
     assert first.tobytes() == kept.tobytes()
-    assert second.tobytes() == _transport_coefficients(w[1], kpi, sine._work(shape)).tobytes()
+    assert second.tobytes() == sine._transport(w[1], kpi, sine._work(shape)).tobytes()
     for result in (first, second):
         assert not any(np.shares_memory(result, a) for a in work)
 
@@ -92,7 +91,7 @@ def test_nonlinear_blocks_are_bitwise_the_per_row_calls(monkeypatch, block_rows)
         nz[rows] = block_nz
     assert l4.tobytes() == np.array([l4_norm4(z) for z in zs]).tobytes()
     kpi = np.arange(1, 32) * math.pi
-    rows = [_transport_coefficients(z, kpi, sine._work(z.shape)) for z in zs]
+    rows = [sine._transport(z, kpi, sine._work(z.shape)) for z in zs]
     assert nz.tobytes() == np.array(rows).tobytes()
 
 
@@ -129,7 +128,7 @@ def test_both_solvers_refuse_a_bad_time_grid(T, dt, message):
     with pytest.raises(ValueError, match=message):
         solve_modified_burgers(np.zeros(n), None, None, T=T, dt=dt)
     with pytest.raises(ValueError, match=message):
-        solve_stochastic_burgers(np.zeros(n), burgers_noise(n), None, T=T, dt=dt)
+        solve_stochastic_burgers(np.zeros(n), burgers_noise(n), np.zeros(n), T=T, dt=dt)
 
 
 @pytest.mark.parametrize("shape", [(51, 15), (1, 15), (16,), ()], ids=str)
@@ -142,13 +141,20 @@ def test_stochastic_solver_takes_only_a_constant_forcing(shape):
                                  T=0.05, dt=1e-3)
 
 
+def test_stochastic_solver_refuses_no_forcing():
+    # f is one vector; None is no longer zero forcing
+    with pytest.raises(ValueError, match="^f must be a non-empty vector"):
+        solve_stochastic_burgers(np.zeros(15), burgers_noise(15), None, T=0.05, dt=1e-3)
+
+
 @pytest.mark.parametrize("shape", [(2, 15), (1, 15), (0,), ()], ids=str)
 def test_solvers_refuse_initial_data_that_is_not_one_vector(shape):
     # the mode count is read off the initial data
     with pytest.raises(ValueError, match="v0 must be a non-empty vector"):
         solve_modified_burgers(np.zeros(shape), None, None, T=0.05, dt=1e-3)
     with pytest.raises(ValueError, match="u0 must be a non-empty vector"):
-        solve_stochastic_burgers(np.zeros(shape), burgers_noise(15), None, T=0.05, dt=1e-3)
+        solve_stochastic_burgers(np.zeros(shape), burgers_noise(15), np.zeros(15),
+                                 T=0.05, dt=1e-3)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -170,7 +176,8 @@ def test_both_solvers_refuse_non_finite_data(name, bad):
 @pytest.mark.parametrize("truncation", [14, 16])
 def test_stochastic_solver_refuses_a_noise_of_another_truncation(truncation):
     with pytest.raises(ValueError, match="noise truncation"):
-        solve_stochastic_burgers(np.zeros(15), burgers_noise(truncation), None, T=0.05, dt=1e-3)
+        solve_stochastic_burgers(np.zeros(15), burgers_noise(truncation), np.zeros(15),
+                                 T=0.05, dt=1e-3)
 
 
 def reference_constants(v0, zs, gs, times, end):
@@ -420,6 +427,29 @@ def test_apriori_time_derivative_bound_has_a_gap_without_forcing():
     assert not rep["all_pass"]
 
 
+def heat_flow_of_the_second_mode(T):
+    """The modified solve of v0 = 0.3 e_2 with z = g = 0 on 63 modes: heat flow."""
+    v0 = np.zeros(63)
+    v0[1] = 0.3
+    return solve_modified_burgers(v0, None, None, T=T, dt=1e-3)
+
+
+def test_int_vprime_of_heat_flow_is_its_closed_form():
+    # v = a e^(-lam t) e_2, so int |v'|_V'^2 = int lam |v|^2 = a^2 (1 - e^(-2 lam T)) / 2
+    lam, T = (2 * math.pi) ** 2, 0.05
+    lhs = check_apriori(heat_flow_of_the_second_mode(T))["bounds"]["int_vprime_sq"]["lhs"]
+    assert lhs == pytest.approx(0.09 * (1.0 - math.exp(-2.0 * lam * T)) / 2.0, rel=2e-3)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "N has no term for the linear part |Av|_L2(0,T;V') = |v|_L2(0,T;V) <= M, so N -> 0 as "
+    "T -> 0 while int |v'|_V'^2 grows like T lam |v0|^2: here 0.04416 against N^2 = 0.03354"))
+def test_int_vprime_bound_holds_on_heat_flow_over_a_short_horizon():
+    # the bounds experiment at master seed 0 with T from 0.002 to 0.05 fails
+    # on int_vprime_sq alone, in 3 to 7 of its 20 instances
+    assert check_apriori(heat_flow_of_the_second_mode(0.05))["bounds"]["int_vprime_sq"]["pass"]
+
+
 def test_apriori_bounds_on_smooth_instance():
     n = 63
     v0 = np.zeros(n); v0[0] = 0.3
@@ -591,7 +621,7 @@ def test_closed_form_nonlinear_term_matches_the_transport_transform(n):
     rng = stream(25, n)
     u = rng.standard_normal((6, n)) / np.arange(1, n + 1)
     modes = sorted({1, 3, 5, n})
-    want = _transport_coefficients(u, np.arange(1, n + 1) * math.pi, sine._work(u.shape))
+    want = sine._transport(u, np.arange(1, n + 1) * math.pi, sine._work(u.shape))
     want = want[:, [k - 1 for k in modes]]
     got = _half_square_against_gradient(u, modes)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -643,7 +673,7 @@ def test_stochastic_solve_stays_at_the_transform_floor(monkeypatch, block_rows):
         monkeypatch.setattr(sine, name, counter.counted(getattr(sine, name)))
     monkeypatch.setattr(burgers, "BLOCK_ROWS", block_rows)
     u0 = np.zeros(n); u0[0] = 0.2
-    res = solve_stochastic_burgers(u0, burgers_noise(n), None, T=T, dt=dt, seed=3)
+    res = solve_stochastic_burgers(u0, burgers_noise(n), np.zeros(n), T=T, dt=dt, seed=3)
     rows = res["times"].size
     assert rows == 51
     assert 2 * rows <= counter.calls <= 2 * rows + 2 * math.ceil(rows / block_rows)
@@ -671,15 +701,15 @@ def test_stochastic_weak_residual_small():
     assert max(abs(r) for r in residuals) < 1e-3
     # the residual reads the forcing the solve stored: without it, residual
     # k moves by int (f, psi_k) = f_k T
-    assert res["f"] is not None and np.array_equal(res["f"], f)
-    unforced = weak_residual({**res, "f": None}, range(1, 6))
+    assert np.array_equal(res["f"], f)
+    unforced = weak_residual({**res, "f": np.zeros(n)}, range(1, 6))
     assert np.allclose(np.subtract(unforced, residuals), f[:5] * 0.1, rtol=0.0, atol=1e-15)
 
 
 def test_stochastic_certificate_finite():
     n = 63
     u0 = np.zeros(n); u0[0] = 0.2
-    res = solve_stochastic_burgers(u0, burgers_noise(n), None, T=0.1, dt=1e-3, seed=7)
+    res = solve_stochastic_burgers(u0, burgers_noise(n), np.zeros(n), T=0.1, dt=1e-3, seed=7)
     cert = res["certificate"]
     assert np.isfinite(cert["sup_u_sq"]) and np.isfinite(cert["int_u_l4"])
 
@@ -697,8 +727,8 @@ def test_certificate_l4_integral_is_the_trajectory_l4_norm():
 def test_stochastic_determinism():
     n = 31
     u0 = np.zeros(n); u0[0] = 0.2
-    a = solve_stochastic_burgers(u0, burgers_noise(n), None, T=0.05, dt=1e-3, seed=11)
-    b = solve_stochastic_burgers(u0, burgers_noise(n), None, T=0.05, dt=1e-3, seed=11)
+    a = solve_stochastic_burgers(u0, burgers_noise(n), np.zeros(n), T=0.05, dt=1e-3, seed=11)
+    b = solve_stochastic_burgers(u0, burgers_noise(n), np.zeros(n), T=0.05, dt=1e-3, seed=11)
     assert np.array_equal(a["u_coeffs"], b["u_coeffs"])
 
 

@@ -187,6 +187,25 @@ def test_burgers_apriori_constant_overflow_names_its_integral(tmp_path, capsys):
     assert report["status"] == "numeric-failure" and report["error"] in err
 
 
+def test_out_of_memory_exit_3(tmp_path, monkeypatch, capsys):
+    # a draw too large to allocate is a numeric failure, not an assertion
+    # failure (exit 1); the draw raises rather than allocates, since whether
+    # a huge allocation fails at once depends on the host's overcommit policy
+    message = "Unable to allocate 7.28 TiB for an array with shape (1000000000000,)"
+
+    def unallocatable(beta, n, rng):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "sample_stable_oneside", unallocatable)
+    cfg = write_config(tmp_path, {"experiment": "subordinator-check", "master_seed": 0,
+                                  "n_paths": 10 ** 12})
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+    assert f"numeric failure: {message}" in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "numeric-failure" and report["error"] == message
+
+
 def test_report_and_csv_deterministic_across_reruns(tmp_path):
     payload = {"experiment": "subordinator-check", "master_seed": 5,
                "n_paths": 5000}

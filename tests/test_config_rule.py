@@ -119,14 +119,15 @@ def test_blowup_probe_refuses_truncations_that_are_not_positive_integers(truncat
     op = SpectralOperator.dirichlet(1, 1.0, 128)
     noise = LevyNoiseSpec(CylindricalWienerSpec(np.ones(128)), SubordinatorSpec.stable(0.5))
     with pytest.raises(ValueError, match="truncations must be positive integers"):
-        blowup_probe(op, noise, SpaceSpec(2.0, np.ones(128)), truncations, seed=0)
+        blowup_probe(op, noise, SpaceSpec(2.0, np.ones(128)), truncations, seed=0,
+                     u_space=SpaceSpec(2.0, np.ones(128)))
 
 
 def test_blowup_probe_takes_numpy_integers():
     op = SpectralOperator.dirichlet(1, 1.0, 64)
     noise = LevyNoiseSpec(CylindricalWienerSpec(np.ones(64)), SubordinatorSpec.stable(0.5))
     F = SpaceSpec(2.0, np.ones(64))
-    reps = [blowup_probe(op, noise, F, truncs, seed=3, threshold=0.05)
+    reps = [blowup_probe(op, noise, F, truncs, seed=3, threshold=0.05, u_space=F)
             for truncs in ([16, 32, 64], np.array([16, 32, 64]))]
     assert reps[0]["conclusive"] and reps[0] == reps[1]
     assert [type(n) for n in reps[1]["truncations"]] == [int] * 3

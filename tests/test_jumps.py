@@ -8,8 +8,9 @@ from levyfield.jumps import (
     verify_moment_inequality_p_le_1,
     verify_moment_inequality_type_p,
 )
-from levyfield.noise import (CylindricalWienerSpec, LevyNoiseSpec, _u_norm,
-                             increment_coefficients, jump_rate)
+from levyfield.noise import (CylindricalWienerSpec, LevyNoiseSpec, increment_coefficients,
+                             jump_rate)
+from levyfield.spaces import SpaceSpec
 from levyfield.subordinator import PathBatch, SubordinatorSpec, simulate_paths
 
 
@@ -20,7 +21,7 @@ def make_spec(sub, n_modes=4):
 def marked(spec, zp, rng):
     """(times, marks, U-sizes) of the jumps of a batch, marks drawn from rng."""
     marks = increment_coefficients(spec, zp.sizes, rng)
-    return zp.times, marks, _u_norm(marks, None)
+    return zp.times, marks, np.sqrt((marks ** 2).sum(axis=-1))
 
 
 # -- small and large jumps -----------------------------------------------
@@ -59,7 +60,7 @@ def test_large_jump_count_is_poisson():
     # against the Poisson pmf over 400 independent paths; a jump below the
     # drawn law's cutoff 1e-3 reaches the threshold only if chi-square_4 >= 1000
     spec = make_spec(SubordinatorSpec.stable(0.5))
-    rate = jump_rate(spec, 1.0)
+    rate = jump_rate(spec, 1.0, SpaceSpec(2.0, np.ones(4)))
     counts = []
     for m in range(400):
         zp = simulate_paths(spec.subordinator.truncated(1e-3), 1.0, 1, stream(m))

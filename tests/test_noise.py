@@ -21,6 +21,11 @@ def make_spec(sub, n_modes=8, weights=None):
     return LevyNoiseSpec(CylindricalWienerSpec(w), sub)
 
 
+def euclidean(n_modes=8):
+    """U = l^2 with unit weights on n_modes modes: |u|_U is the Euclidean norm."""
+    return SpaceSpec(2.0, np.ones(n_modes))
+
+
 # -- characteristic functional -------------------------------------------
 
 
@@ -146,7 +151,8 @@ def unit_weight_rate(beta, n_modes, r):
 @pytest.mark.parametrize("beta", [0.1, 0.5, 0.95])
 def test_jump_rate_matches_the_unit_weight_closed_form(beta, n_modes, r):
     spec = make_spec(SubordinatorSpec.stable(beta), n_modes=n_modes)
-    assert jump_rate(spec, r) == pytest.approx(unit_weight_rate(beta, n_modes, r), rel=1e-10)
+    rate = jump_rate(spec, r, euclidean(n_modes))
+    assert rate == pytest.approx(unit_weight_rate(beta, n_modes, r), rel=1e-10)
 
 
 @pytest.mark.parametrize("c", [0.3, 7.0])
@@ -168,14 +174,15 @@ def test_jump_rate_at_the_blowup_defaults():
 
 
 def test_jump_rate_of_a_pure_drift_is_zero():
-    assert jump_rate(make_spec(SubordinatorSpec.drift_only(1.3)), 0.5) == 0.0
+    assert jump_rate(make_spec(SubordinatorSpec.drift_only(1.3)), 0.5, euclidean()) == 0.0
 
 
 @pytest.mark.parametrize("beta, eps", [(0.5, 0.1), (0.75, 0.3), (0.5, 0.5), (0.5, 1e-3)])
 def test_jump_rate_refuses_a_truncated_law(beta, eps):
     # the scaling in s behind the closed form stops at the cutoff
     with pytest.raises(ValueError, match="untruncated"):
-        jump_rate(make_spec(SubordinatorSpec(beta=beta, cutoff=eps), n_modes=4), 1.0)
+        jump_rate(make_spec(SubordinatorSpec(beta=beta, cutoff=eps), n_modes=4), 1.0,
+                  euclidean(4))
 
 
 @pytest.mark.parametrize("U", [SpaceSpec(1.0, np.ones(8)), SpaceSpec(3.0, np.ones(8)),
@@ -188,7 +195,7 @@ def test_jump_rate_refuses_a_u_norm_that_is_not_l2_on_the_modes(U):
 @pytest.mark.parametrize("r", [0.0, -1.0, float("nan")])
 def test_jump_rate_refuses_a_threshold_that_is_not_positive(r):
     with pytest.raises(ValueError, match="threshold"):
-        jump_rate(make_spec(SubordinatorSpec.stable(0.5)), r)
+        jump_rate(make_spec(SubordinatorSpec.stable(0.5)), r, euclidean())
 
 
 def test_large_jump_rate_vs_empirical():
@@ -196,7 +203,7 @@ def test_large_jump_rate_vs_empirical():
     # >= 1 only if chi-square_4 >= 1000, so its gap to the exact rate of the
     # untruncated law is below 1e-200
     spec = make_spec(SubordinatorSpec.stable(0.5), n_modes=4)
-    rate = jump_rate(spec, 1.0)
+    rate = jump_rate(spec, 1.0, euclidean(4))
     batch = simulate_paths(spec.subordinator.truncated(1e-3), 1.0, 600, stream(0, 1))
     marks = np.sqrt(batch.sizes)[:, None] * stream(0, 2).standard_normal((batch.sizes.size, 4))
     large = np.sqrt((marks ** 2).sum(axis=1)) >= 1.0

@@ -1,12 +1,15 @@
 """Every defaulted parameter of the library's public API is set by the library
-or by an acceptance test.
+or by an acceptance test, and every None default is left out by one.
 
 A default that no call in ``src/levyfield`` or ``tests/test_acceptance.py``
 overrides, either because no call passes it or because every call that does
 passes the default's own literal, is a constant spelled as an option: it
 widens the API, and the branches only it reaches serve its unit tests alone.
 Such a value belongs in a module constant.  The exceptions, each with its
-reason in ``ALLOWED``, are options kept on purpose.
+reason in ``ALLOWED``, are options kept on purpose.  The mirror case is a
+None default that such calls reach and every one of them overrides: the None
+path serves unit tests alone, and the parameter belongs among the required
+ones.
 """
 
 import ast
@@ -18,8 +21,6 @@ CALLERS = sorted(SRC.glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
 
 # (function, parameter) of the defaults no call sets, each with its reason
 ALLOWED = {
-    ("jump_rate", "u_space"): "the U-norm of the large-jump rate, which the blow-up "
-                              "probe's jump counts are to be checked against",
     ("main", "argv"): "the command line the CLI's entry point parses; tests pass their own",
 }
 
@@ -115,19 +116,33 @@ def _is_literal(node, value: ast.expr) -> bool:
         return False
 
 
-def idle_options(modules: dict[str, str], callers) -> list[tuple[str, str]]:
-    """(label, parameter) of each defaulted public parameter in ``modules``
-    ({file name: source}) that no call in ``callers`` sets to anything but
-    its default literal."""
+def _passed(modules: dict[str, str], callers):
+    """(label, parameter, default, the argument of each call) of every
+    defaulted public parameter in ``modules`` ({file name: source}), with the
+    arguments of the calls in ``callers`` as ``_argument`` reads them."""
     calls = call_sites(callers)
-    idle = []
     for source in modules.values():
         for (label, name), (callee, pos, default) in public_options(source).items():
-            passed = (_argument(args, kws, name, pos) for c, args, kws in calls if c == callee)
-            if not any(a is ... or (a is not None and not _is_literal(a, default))
-                       for a in passed):
-                idle.append((label, name))
-    return sorted(idle)
+            yield label, name, default, [_argument(args, kws, name, pos)
+                                         for c, args, kws in calls if c == callee]
+
+
+def idle_options(modules: dict[str, str], callers) -> list[tuple[str, str]]:
+    """(label, parameter) of each defaulted public parameter in ``modules``
+    that no call in ``callers`` sets to anything but its default literal."""
+    return sorted((label, name) for label, name, default, passed in _passed(modules, callers)
+                  if not any(a is ... or (a is not None and not _is_literal(a, default))
+                             for a in passed))
+
+
+def always_set_none_defaults(modules: dict[str, str], callers) -> list[tuple[str, str]]:
+    """(label, parameter) of each public parameter in ``modules`` whose
+    default is None while some call in ``callers`` exists and every such
+    call passes it something other than the literal None."""
+    return sorted((label, name) for label, name, default, passed in _passed(modules, callers)
+                  if _is_literal(default, ast.Constant(None)) and passed
+                  and all(a is not None and a is not ... and not _is_literal(a, default)
+                          for a in passed))
 
 
 def _library():
@@ -137,6 +152,10 @@ def _library():
 def test_every_public_option_is_set_by_some_call():
     idle = idle_options(_library(), [p.read_text() for p in CALLERS])
     assert [o for o in idle if o not in ALLOWED] == []
+
+
+def test_every_none_default_is_left_out_by_some_call():
+    assert always_set_none_defaults(_library(), [p.read_text() for p in CALLERS]) == []
 
 
 def test_allowed_options_are_still_there():
@@ -169,3 +188,9 @@ def test_scan_flags_unset_options_and_passes_set_ones():
     callers = [library, "f(1, 2, 2, d=3.0, e=x)\n", "K(1, y=0, z=2).m(1, q=-2)\n"]
     assert idle_options({"lib.py": library}, callers) == [
         ("K", "y"), ("K.m", "p"), ("f", "c"), ("f", "d")]
+    # a None default that every call overrides is a None path only unit tests take;
+    # one that a call leaves out or passes as None, or that no call reaches, is not
+    library = "def g(a, b=None, c=None, d=None, *, e=None):\n    pass\ndef h(x=None):\n    pass\n"
+    callers = ["g(1, 2, None, e=3)\ng(1, b=5, d=x, e=4)\n", "g(*xs, e=1)\n"]
+    assert always_set_none_defaults({"lib.py": library}, callers[:1]) == [("g", "b"), ("g", "e")]
+    assert always_set_none_defaults({"lib.py": library}, callers) == [("g", "e")]

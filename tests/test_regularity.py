@@ -5,7 +5,7 @@ import pytest
 
 from levyfield import regularity
 from levyfield._rng import stream
-from levyfield.noise import CylindricalWienerSpec, LevyNoiseSpec, _u_norm, increment_coefficients
+from levyfield.noise import CylindricalWienerSpec, LevyNoiseSpec, increment_coefficients
 from levyfield.regularity import (
     MAX_CIRCLE_CELLS,
     CirclePath,
@@ -235,7 +235,7 @@ def test_blowup_bounded_in_matching_space():
     # has a finite F-norm and the sup saturates across truncations
     F = SpaceSpec(2.0, 1.0 / np.arange(1.0, Nmax + 1))
     rep = blowup_probe(op, noise, F, [2 ** k for k in range(6, 11)],
-                       seed=1, threshold=0.05)
+                       seed=1, threshold=0.05, u_space=F)
     assert rep["conclusive"]
     assert not rep["blowup_detected"]
 
@@ -244,7 +244,8 @@ def test_blowup_inconclusive_without_jumps():
     Nmax = 64
     op = SpectralOperator.dirichlet(1, 1.0, Nmax)
     noise = make_noise(SubordinatorSpec.drift_only(1.0), Nmax)
-    rep = blowup_probe(op, noise, SpaceSpec(2.0, np.ones(Nmax)), [16, 32, 64], seed=0)
+    E = SpaceSpec(2.0, np.ones(Nmax))
+    rep = blowup_probe(op, noise, E, [16, 32, 64], seed=0, u_space=E)
     assert not rep["conclusive"]
 
 
@@ -257,8 +258,8 @@ def test_blowup_inconclusive_when_no_mark_reaches_the_threshold():
     marks = increment_coefficients(noise, zp.sizes, stream(0, 1))
     assert zp.times.size > 0
     F = SpaceSpec(2.0, np.ones(Nmax))
-    rep = blowup_probe(op, noise, F, [16, 32, 64], seed=0,
-                       threshold=float(_u_norm(marks, None).max()) * 1.01)
+    rep = blowup_probe(op, noise, F, [16, 32, 64], seed=0, u_space=F,
+                       threshold=float(F.norm(marks).max()) * 1.01)
     assert rep == {"conclusive": False, "reason": "no jump reached the threshold"}
 
 
@@ -267,9 +268,9 @@ def test_blowup_refuses_a_threshold_that_is_not_positive(threshold):
     Nmax = 64
     op = SpectralOperator.dirichlet(1, 1.0, Nmax)
     noise = make_noise(SubordinatorSpec.stable(0.5), Nmax)
+    E = SpaceSpec(2.0, np.ones(Nmax))
     with pytest.raises(ValueError, match="threshold"):
-        blowup_probe(op, noise, SpaceSpec(2.0, np.ones(Nmax)), [16, 32, 64], seed=0,
-                     threshold=threshold)
+        blowup_probe(op, noise, E, [16, 32, 64], seed=0, threshold=threshold, u_space=E)
 
 
 def _per_truncation_probe(op, noise, F, N_sequence, seed, threshold, u_space):
@@ -277,7 +278,8 @@ def _per_truncation_probe(op, noise, F, N_sequence, seed, threshold, u_space):
     truncation once, with the weighted norms written out."""
     zp = simulate_paths(noise.subordinator.truncated(1e-3), 1.0, 1, stream(seed))
     marks = increment_coefficients(noise, zp.sizes, stream(seed, 1))
-    big = _u_norm(marks, u_space) >= threshold
+    um = np.abs(marks) * u_space.weights
+    big = (um ** u_space.exponent_q).sum(axis=-1) ** (1.0 / u_space.exponent_q) >= threshold
     times, marks = zp.times[big], marks[big]
     tau1 = float(times[0])
     sups, u_norms = [], []
@@ -294,23 +296,20 @@ def _per_truncation_probe(op, noise, F, N_sequence, seed, threshold, u_space):
             sup = max(sup, float((wx ** F.exponent_q).sum() ** (1.0 / F.exponent_q)))
         sups.append(sup)
         mark = marks[0, :N]
-        if u_space is None:
-            u_norms.append(float(np.sqrt((mark ** 2).sum())))
-        else:
-            um = np.abs(mark) * u_space.weights[:N]
-            u_norms.append(float((um ** u_space.exponent_q).sum() ** (1.0 / u_space.exponent_q)))
+        um = np.abs(mark) * u_space.weights[:N]
+        u_norms.append(float((um ** u_space.exponent_q).sum() ** (1.0 / u_space.exponent_q)))
     return sups, u_norms
 
 
 @pytest.mark.parametrize("q", [2.0, 1.0])
-@pytest.mark.parametrize("with_u", [False, True])
-def test_blowup_probe_matches_the_per_truncation_loop(q, with_u):
+@pytest.mark.parametrize("weighted_u", [False, True])
+def test_blowup_probe_matches_the_per_truncation_loop(q, weighted_u):
     Nmax = 512
     op = SpectralOperator.dirichlet(1, 1.0, Nmax)
     noise = make_noise(SubordinatorSpec.stable(0.5), Nmax)
     j = np.arange(1.0, Nmax + 1)
     F = SpaceSpec(q, j)
-    U = SpaceSpec(q, 1.0 / j) if with_u else None
+    U = SpaceSpec(q, 1.0 / j if weighted_u else np.ones(Nmax))
     truncs = [2 ** k for k in range(4, 10)]
     conclusive = 0
     for seed in range(6):
@@ -372,7 +371,8 @@ def test_jump_time_draws_of_a_stable_spec_are_those_of_it_truncated_at_jump_cuto
     op = SpectralOperator.dirichlet(1, 1.0, 256)
     F = SpaceSpec(2.0, np.arange(1.0, 257))
     probe, probe_truncated = (blowup_probe(op, make_noise(sub, 256), F, [64, 128, 256], seed=6,
-                                           threshold=0.05) for sub in (stable, truncated))
+                                           threshold=0.05, u_space=F)
+                              for sub in (stable, truncated))
     assert probe["conclusive"] and probe == probe_truncated
 
 

@@ -46,7 +46,7 @@ ALLOWED: dict[str, list[tuple[str, str, str]]] = {
         ('cli', 'main', 'return 2'),
         ('cli', 'run', '"error": str(exc)}'),
         ('cli', 'run', '(out / "report.json").write_text(json.dumps(report, indent=2, default=str))'),
-        ('cli', 'run', 'except (StepSizeError, QuadratureError, ArithmeticError, RuntimeError) as exc:'),
+        ('cli', 'run', 'except (StepSizeError, QuadratureError, ArithmeticError, RuntimeError, MemoryError) as exc:'),
         ('cli', 'run', 'except (ValueError, TypeError) as exc:'),
         ('cli', 'run', 'file=sys.stderr)'),
         ('cli', 'run', 'file=sys.stderr)'),
@@ -78,7 +78,7 @@ ALLOWED: dict[str, list[tuple[str, str, str]]] = {
         ('noise', 'jump_rate', 'if not threshold > 0:'),
         ('noise', 'jump_rate', 'if sub.kind == "drift_only":'),
         ('noise', 'jump_rate', 'if sub.kind == "truncated_stable":'),
-        ('noise', 'jump_rate', 'if u_space is not None and (u_space.exponent_q != 2 or u_space.dim != n):'),
+        ('noise', 'jump_rate', 'if u_space.exponent_q != 2 or u_space.dim != n:'),
         ('noise', 'jump_rate', 'lo, hi = 2e-12 / two_a.sum(), 2e20 / two_a.min()'),
         ('noise', 'jump_rate', 'mean_x_beta = beta / gamma * (head + _panel_integral(integrand, edges, RATE_RTOL) + tail)'),
         ('noise', 'jump_rate', 'n = spec.wiener.truncation_N'),
@@ -87,8 +87,7 @@ ALLOWED: dict[str, list[tuple[str, str, str]]] = {
         ('noise', 'jump_rate', 'rows = max(1, CHUNK_TERMS // n)'),
         ('noise', 'jump_rate', 'sub = spec.subordinator'),
         ('noise', 'jump_rate', 'tail = hi ** -beta / beta'),
-        ('noise', 'jump_rate', 'two_a = 2.0 * (u_weights / spec.wiener.hilbert_weights) ** 2'),
-        ('noise', 'jump_rate', 'u_weights = np.ones(n) if u_space is None else u_space.weights'),
+        ('noise', 'jump_rate', 'two_a = 2.0 * (u_space.weights / spec.wiener.hilbert_weights) ** 2'),
         ('noise', 'jump_rate.<locals>.integrand', '.sum(axis=1) for i in range(0, u.size, rows)])'),
         ('noise', 'jump_rate.<locals>.integrand', 'def integrand(u):'),
         ('noise', 'jump_rate.<locals>.integrand', 'log_prod = np.concatenate([-0.5 * np.log1p(np.multiply.outer(u[i:i + rows], two_a))'),
@@ -118,14 +117,21 @@ ALLOWED: dict[str, list[tuple[str, str, str]]] = {
         ('spectral', '_panel_integral', 'edges = np.insert(edges, np.flatnonzero(wide) + 1, mid[wide])'),
         ('spectral', '_panel_integral', 'wide = gaps >= gaps.mean()'),
         ('spectral', 'charfn_oracle', 'return 1.0'),
-        ('subordinator', 'QuadratureError.__init__', 'def __init__(self, message, achieved_tol=None):'),
+        ('subordinator', 'QuadratureError.__init__', 'def __init__(self, message, achieved_tol):'),
         ('subordinator', 'QuadratureError.__init__', 'self.achieved_tol = achieved_tol'),
         ('subordinator', 'QuadratureError.__init__', 'super().__init__(message)'),
         ('subordinator', 'SubordinatorSpec.jump_measure', 'return None'),
     ],
     "the tests' references: PathBatch.__getitem__ (tests compare a batch with "
-    "its slices) and cos_coefficients (the blocked cosine transform that tests "
-    "check against scipy's DCT-I)": [
+    "its slices) and cos_coefficients with its kernel _cos (the blocked cosine "
+    "transform that tests check against scipy's DCT-I and the transport "
+    "against)": [
+        ('sine', '_cos', 'def _cos(q: np.ndarray) -> np.ndarray:'),
+        ('sine', '_cos', 'full = np.zeros(q.shape[:-1] + (q.shape[-1] + 2,))'),
+        ('sine', '_cos', 'full[..., 1:-1] = q            # the ends stay zero'),
+        ('sine', '_cos', 'out *= math.sqrt(2.0) / (2.0 * (q.shape[-1] + 1))'),
+        ('sine', '_cos', 'out = _dct1(full, out=full)[..., 1:-1]'),
+        ('sine', '_cos', 'return out'),
         ('sine', 'cos_coefficients', 'def cos_coefficients(values) -> np.ndarray:'),
         ('sine', 'cos_coefficients', 'return by_blocks(_cos, values)'),
         ('subordinator', 'PathBatch.__getitem__', 'a, b = self.offsets[lo], self.offsets[hi]'),
