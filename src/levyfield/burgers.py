@@ -8,9 +8,9 @@ with A the Dirichlet Laplacian, is solved pseudo-spectrally in the
 orthonormal sine basis sqrt(2) sin(k pi x), in its u-form: with
 N(w) = -(w^2/2)_x its transport and g are N(v + z) + h, h = g - N(z), so
 a step transports the one field v + z.  Diffusion is integrated exactly
-per mode (exponential Euler), and the transport by one call of
-``sine._transport`` on sine's doubled grid, into held work; only ``sine``
-knows that grid, its padding and scales (exact dealiasing for quadratic
+per mode (exponential Euler), and the transport by one call of a held
+``sine._transport_kernel`` on sine's doubled grid; only ``sine`` knows
+that grid, its padding and scales (exact dealiasing for quadratic
 products).  The stochastic Burgers equation du + [Au + B(u)]dt = f dt + dY,
 with f one constant vector, is solved pathwise as u = v + z with z the
 sampled OU convolution of the noise and g = f - (z^2/2)_x, which is the
@@ -31,7 +31,7 @@ import numpy as np
 
 from ._rng import stream
 from .noise import LevyNoiseSpec
-from .sine import BLOCK_ROWS, _l4, _transport, _work, by_blocks, l4_norm4
+from .sine import BLOCK_ROWS, _grid, _l4, _transport_kernel, by_blocks, l4_norm4
 from .subordinator import PathBatch, jump_law, simulate_paths
 
 __all__ = [
@@ -56,13 +56,14 @@ def _nonlinear_blocks(zs: np.ndarray) -> Iterator[tuple[slice, np.ndarray, np.nd
     """(rows, |z|_L4^4, N(z)) of each block of BLOCK_ROWS rows of the sine
     coefficients ``zs``, with rows the block's slice of ``zs``: one sine
     transform puts the block on the grid, and its values serve both."""
-    kpi = np.arange(1, zs.shape[-1] + 1) * math.pi
-    held = _work((min(BLOCK_ROWS, len(zs)), zs.shape[-1]))
     for lo in range(0, len(zs), BLOCK_ROWS):
         block = zs[lo:lo + BLOCK_ROWS]
-        work = [a[:len(block)] for a in held]
-        nz = _transport(block, kpi, work)
-        yield slice(lo, lo + len(block)), _l4(work[1]), nz
+        if lo == 0 or len(block) < BLOCK_ROWS:
+            coef, transport = _transport_kernel(block.shape)
+            values = np.empty(_grid(block.shape))
+        coef[...] = block
+        nz = transport(values, np.empty(block.shape))
+        yield slice(lo, lo + len(block)), _l4(values), nz
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,8 @@ class AprioriConstants:
 
     K^2 = exp(2 int |z|_L4^4), L^2 = |v0|^2 + 2 int |g|_V'^2,
     M^2 = |v0|^2 + 9KL int |z|_L4^4 + int |g|_V'^2,
-    N   = |g|_L2(V') + 2KLM |z|^2_L4(L4) + (T^(1/4)/sqrt2) K^(3/2) L^(1/2).
+    N   = M + |g|_L2(V') + 2KLM |z|^2_L4(L4) + (T^(1/4)/sqrt2) K^(3/2) L^(1/2):
+    |v'|_L2(V') <= |Av|_L2(V') + |v' + Av|_L2(V'), and |Av|_L2(V') <= M.
     """
 
     K: float
@@ -87,7 +89,7 @@ class AprioriConstants:
             K = math.exp(int_z_l4)                       # K = e^{int |z|^4}
             L = math.sqrt(v0_l2 ** 2 + 2.0 * int_g_vp)
             M = math.sqrt(v0_l2 ** 2 + 9.0 * K * L * int_z_l4 + int_g_vp)
-            N = math.sqrt(int_g_vp) + 2.0 * K * L * M * math.sqrt(int_z_l4) \
+            N = M + math.sqrt(int_g_vp) + 2.0 * K * L * M * math.sqrt(int_z_l4) \
                 + T ** 0.25 / math.sqrt(2.0) * K ** 1.5 * math.sqrt(L)
         except OverflowError:
             raise RuntimeError(
@@ -162,18 +164,16 @@ def _u_form_steps(v0: np.ndarray, zs: Optional[np.ndarray], h: Optional[np.ndarr
     StepSizeError if |v|^2 leaves 10x its a priori corridor after any
     step, which is how an unstable explicit step shows up.
 
-    The steps go BLOCK_ROWS at a time.  Each step makes one
-    ``sine._transport`` call, a sine transform of v + z and a cosine
-    transform of half its square, into a held ``sine._work``; it writes v
-    into the trajectory, the right-hand side into a block buffer and the
-    grid values into a block of rows, and allocates no array.  Once per
-    block |v'|^2_V' comes from the right-hand sides and |v + z|_L4^4 from
-    the grid values.
+    The steps go BLOCK_ROWS at a time, each block by ``zip`` over lists
+    of its rows (v, the next v, z, h, right-hand side, grid values), so no
+    step indexes an array.  A step writes v + z into the input of a held
+    ``sine._transport_kernel``, whose one call writes the step's grid values
+    and right-hand side, and allocates no array.  Once per block |v'|^2_V'
+    comes from the right-hand sides and |v + z|_L4^4 from the grid values.
     """
     n_modes = v0.size
     shape = (times.size, n_modes)
-    kpi = np.arange(1, n_modes + 1) * math.pi
-    lam = kpi ** 2
+    lam = (np.arange(1, n_modes + 1) * math.pi) ** 2
     decay = np.exp(-lam * dt)
     phi1 = (1.0 - decay) / lam
 
@@ -190,29 +190,32 @@ def _u_form_steps(v0: np.ndarray, zs: Optional[np.ndarray], h: Optional[np.ndarr
                                         float(times[-1]))
     corridor = 10.0 * (consts.K * consts.L) ** 2 + 1e-12
 
-    zs = None if zs is None else np.broadcast_to(zs, shape)
-    h = None if h is None else np.broadcast_to(h, shape)
+    # v + 0 is v up to the sign of a zero, which the transport squares away
+    zs = np.broadcast_to(np.zeros(n_modes) if zs is None else zs, shape)
+    h = [None] * times.size if h is None else np.broadcast_to(h, shape)
     v_hist = np.empty(shape)
     vp_hist = np.empty(times.size)
     w_l4 = np.empty(times.size)
     v_hist[0] = v0
     rhs = np.empty((min(BLOCK_ROWS, times.size), n_modes))
+    grid = np.empty(_grid(rhs.shape))    # the grid values of a block of steps
+    rhs_rows, grid_rows = list(rhs), list(grid)
     push = np.empty(n_modes)       # phi1 times the right-hand side
-    u = np.empty(n_modes)          # v + z
-    sin_in, _, cos_in, cos_out = _work((n_modes,))
-    grid = np.empty((len(rhs),) + sin_in.shape)    # the grid values of a block of steps
+    coef, transport = _transport_kernel((n_modes,))
     for lo in range(0, times.size, BLOCK_ROWS):
         hi = min(lo + BLOCK_ROWS, times.size)
-        for i in range(lo, hi):
-            w = v_hist[i] if zs is None else np.add(v_hist[i], zs[i], out=u)
-            r = _transport(w, kpi, (sin_in, grid[i - lo], cos_in, cos_out), out=rhs[i - lo])
-            if h is not None:
-                r += h[i]
-            if i == times.size - 1:
+        steps = zip(range(lo, hi), list(v_hist[lo:hi]), list(v_hist[lo + 1:hi + 1]) + [None],
+                    list(zs[lo:hi]), list(h[lo:hi]), rhs_rows, grid_rows)
+        for i, v, v_next, z, g, r, values in steps:
+            np.add(v, z, out=coef)
+            transport(values, r)
+            if g is not None:
+                r += g
+            if v_next is None:     # the last grid time
                 break
-            v = np.multiply(decay, v_hist[i], out=v_hist[i + 1])
-            v += np.multiply(phi1, r, out=push)
-            if v @ v > corridor:
+            np.multiply(decay, v, out=v_next)
+            v_next += np.multiply(phi1, r, out=push)
+            if v_next @ v_next > corridor:
                 raise StepSizeError(
                     f"|v|^2 exceeded 10x the a priori bound at t={times[i + 1]:.4g}; "
                     f"reduce dt (currently {dt:g})")
@@ -338,8 +341,9 @@ def _joint_ou_noise_paths(lam: np.ndarray, inv_w: np.ndarray,
     increments.  The cells are taken BLOCK_ROWS at a time: one Gaussian per
     cell and mode for eta, and after the last block one per mode for G,
     all from ``stream(seed, 1)``, so they and the cell-after-cell sums do
-    not depend on the block size.  A cell of zero length draws nothing
-    and keeps the z before it.
+    not depend on the block size; a block's b_i eta_i and r_i^2 go below the
+    sums so far, in held arrays.  A cell of zero length draws nothing and
+    keeps the z before it.
     """
     n = lam.size
     z_hist = np.empty((times.size, n))
@@ -360,13 +364,14 @@ def _joint_ou_noise_paths(lam: np.ndarray, inv_w: np.ndarray,
     v_eta = slope * (1.0 - np.exp(-2.0 * lam * d)) / (2.0 * lam)
     cov = slope * (1.0 - decay) / lam
     sd, b, r2 = _regression(v_eta * inv_w2, slope * d * inv_w2, cov * inv_w2)
-    z, z_rows = np.zeros(n), list(z_hist)
-    y_mean = np.zeros(n)    # sum_i b_i eta_i
-    y_var = np.zeros(n)     # sum_i r_i^2
+    z, z_rows, decay_rows = np.zeros(n), list(z_hist), list(decay)
+    y_mean = np.zeros((BLOCK_ROWS + 1, n))    # sum_i b_i eta_i, then a block's terms
+    y_var = np.zeros((BLOCK_ROWS + 1, n))     # sum_i r_i^2, then a block's terms
     for lo in range(0, times.size, BLOCK_ROWS):
         cells = lo + np.flatnonzero(drawn[lo:lo + BLOCK_ROWS])
         rows = row[cells]
-        sd_c, b_c, r2_c = sd[rows], b[rows], r2[rows]
+        sd_c, k = sd[rows], cells.size + 1
+        b_c, r2_c = np.take(b, rows, 0, y_mean[1:k]), np.take(r2, rows, 0, y_var[1:k])
         for j in np.flatnonzero(counts[cells]).tolist():
             c, r = cells[j], rows[j]
             jumps = slice(starts[c], starts[c] + counts[c])
@@ -375,17 +380,19 @@ def _joint_ou_noise_paths(lam: np.ndarray, inv_w: np.ndarray,
                 (v_eta[r] + (e1 ** 2 * zpath.sizes[jumps]).sum(axis=1)) * inv_w2,
                 dz[c] * inv_w2,
                 (cov[r] + (e1 * zpath.sizes[jumps]).sum(axis=1)) * inv_w2)
-        eta = sd_c * rng.standard_normal((cells.size, n))
-        y_mean = np.add.reduce(np.concatenate(([y_mean], b_c * eta)), axis=0)
-        y_var = np.add.reduce(np.concatenate(([y_var], r2_c)), axis=0)
+        eta = rng.standard_normal((cells.size, n))
+        eta *= sd_c
+        b_c *= eta
+        np.add.reduce(y_mean[:k], axis=0, out=y_mean[0])
+        np.add.reduce(y_var[:k], axis=0, out=y_var[0])
         # z_i = decay z_(i-1) + eta_i, cell after cell, into the rows of z_hist
-        for zi, dec, e in zip([z_rows[i] for i in cells.tolist()], decay[rows], eta):
-            np.multiply(dec, z, zi)
+        for zi, r, e in zip([z_rows[i] for i in cells.tolist()], rows.tolist(), eta):
+            np.multiply(decay_rows[r], z, zi)
             np.add(zi, e, zi)
             z = zi
     for i in np.flatnonzero(~drawn).tolist():
         z_hist[i] = z_hist[i - 1] if i else 0.0
-    return z_hist, y_mean + np.sqrt(y_var) * rng.standard_normal(n)
+    return z_hist, y_mean[0] + np.sqrt(y_var[0]) * rng.standard_normal(n)
 
 
 def solve_stochastic_burgers(

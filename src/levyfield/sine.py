@@ -4,12 +4,11 @@ Values live at the interior points i/M (i = 1..M-1) of a uniform grid, where
 DST-I and DCT-I are exact.  Each function transforms a whole trajectory (the
 last axis of any array; ``sine_values`` any ``axis``) BLOCK_ROWS rows at a
 time, and ``by_blocks`` runs a caller's chain of transforms the same way.
-The row kernels ``_values``, ``_cos``, ``_l4`` and ``_transport`` take one
-vector or a block of rows as they are, for callers that do their own
-blocking.  On the doubled grid of 2(n+1) cells, where the square of n
-modes is exact, ``l4_norm4`` integrates and ``_transport`` gives the sine
-coefficients of -(v^2/2)_x, with both its transforms written into the held
-arrays of a ``_work``.
+The row kernels ``_values`` and ``_l4``, and the call ``_transport_kernel``
+builds, take one vector or a block of rows, for callers that do their own
+blocking.  On the doubled grid of 2(n+1) cells, where the square of n modes
+is exact, ``l4_norm4`` integrates and that call gives the sine
+coefficients of -(v^2/2)_x, on arrays the kernel holds.
 
 Every transform of the library is ``_dst1`` or ``_dct1``: scipy's compiled
 pocketfft binding, the kernels that ``scipy.fft`` and ``scipy.fftpack`` both
@@ -66,7 +65,7 @@ def _dct1(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return _pocketfft().dct(x, 1, (-1,), 0, out)
 
 
-__all__ = ["by_blocks", "sine_values", "sine_coefficients", "cos_coefficients", "l4_norm4"]
+__all__ = ["by_blocks", "sine_values", "sine_coefficients", "l4_norm4"]
 
 BLOCK_ROWS = 64
 
@@ -88,21 +87,17 @@ def by_blocks(fn, a, axis: int = -1) -> np.ndarray:
     return np.moveaxis(out, -1, axis) if out.ndim == a.ndim else out[()]
 
 
-def _work(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """The arrays ``_transport`` writes into, for n coefficients on the
-    last axis of ``shape``: the zero-padded sine input and its output (the
-    values on the doubled grid), the cosine input (zero ends) and its output."""
-    lead, m = shape[:-1], 2 * shape[-1] + 1
-    return (np.zeros(lead + (m,)), np.empty(lead + (m,)),
-            np.zeros(lead + (m + 2,)), np.empty(lead + (m + 2,)))
+def _grid(shape: tuple[int, ...]) -> tuple[int, ...]:
+    """The shape of the values on the doubled grid of ``shape``'s rows of coefficients."""
+    return shape[:-1] + (2 * shape[-1] + 1,)
 
 
-def _values(coef: np.ndarray, M: int, work=None) -> np.ndarray:
+def _values(coef: np.ndarray, M: int) -> np.ndarray:
     if M - 1 < coef.shape[-1]:
         raise ValueError("the grid size M must exceed the number of coefficients")
-    full, out = (np.zeros(coef.shape[:-1] + (M - 1,)),) * 2 if work is None else work[:2]
-    full[..., :coef.shape[-1]] = coef
-    out = _dst1(full, out=out)
+    out = np.zeros(coef.shape[:-1] + (M - 1,))
+    out[..., :coef.shape[-1]] = coef
+    out = _dst1(out, out=out)
     out *= math.sqrt(2.0) / 2.0
     return out
 
@@ -117,40 +112,38 @@ def sine_coefficients(values) -> np.ndarray:
     return by_blocks(lambda v: _dst1(v) / (math.sqrt(2.0) * (v.shape[-1] + 1)), values)
 
 
-def _cos(q: np.ndarray) -> np.ndarray:
-    full = np.zeros(q.shape[:-1] + (q.shape[-1] + 2,))
-    full[..., 1:-1] = q            # the ends stay zero
-    out = _dct1(full, out=full)[..., 1:-1]
-    out *= math.sqrt(2.0) / (2.0 * (q.shape[-1] + 1))
-    return out
+def _transport_kernel(shape: tuple[int, ...]):
+    """``(coef, transport)`` on arrays held for n = shape[-1] sine
+    coefficients per row of ``shape``: ``coef`` is the head of the
+    zero-padded sine input, where the caller writes v, and
+    ``transport(values, out)`` writes v's values on the doubled grid into
+    ``values`` (of shape ``_grid(shape)``) and the sine coefficients of
+    -(v^2/2)_x, k pi times the cosine coefficients of v^2/2, into ``out``.
 
-
-def cos_coefficients(values) -> np.ndarray:
-    """Coefficients int q(x) sqrt(2) cos(k pi x) dx, k = 1..M-1, from the ``values``
-    of q at i/M; q = 0 at both ends, as for products v*z and v^2 of Dirichlet fields."""
-    return by_blocks(_cos, values)
-
-
-def _transport(coef: np.ndarray, kpi: np.ndarray, work,
-               out: np.ndarray | None = None) -> np.ndarray:
-    """Sine coefficients of -(v^2/2)_x for the n = ``kpi.size`` sine
-    coefficients ``coef`` of v (one vector or a block of rows), dealiased on
-    the doubled grid; ``kpi`` is k pi, k = 1..n.
-
-    Integration by parts against the sine basis turns the x-derivative into
-    k pi times the cosine coefficients of v^2/2.  Both transforms write into
-    ``work``, a ``_work(coef.shape)`` that keeps v's grid values for ``_l4``;
-    only the n cosine coefficients read are scaled, and the result is
-    ``out`` or a new array, never part of the work.
+    The cosine transform takes v^2, and the half goes into its scale:
+    halving is exact and the DCT commutes exactly with a factor of 2, so
+    this is bit for bit the transform of v^2/2 as long as no value of v^2
+    or of the transform's intermediates is subnormal.  Only the n cosine
+    coefficients read are scaled.  Every call looks up ``_dst1`` and
+    ``_dct1`` anew, so that a caller can count them.
     """
-    v = _values(coef, work[0].shape[-1] + 1, work)
-    q = work[2][..., 1:-1]
-    np.multiply(0.5, v, out=q)
-    q *= v
-    c = _dct1(work[2], out=work[3])[..., 1:kpi.size + 1]
-    out = np.multiply(c, math.sqrt(2.0) / (2.0 * (q.shape[-1] + 1)), out=out)
-    out *= kpi
-    return out
+    n = shape[-1]
+    sin_in, cos_in = np.zeros(_grid(shape)), np.zeros(shape[:-1] + (2 * n + 3,))
+    cos_out = np.empty(cos_in.shape)
+    square, cos = cos_in[..., 1:-1], cos_out[..., 1:n + 1]     # cos_in's ends stay zero
+    kpi = np.arange(1, n + 1) * math.pi
+    value_scale, cos_scale = math.sqrt(2.0) / 2.0, math.sqrt(2.0) / (4.0 * (2 * n + 2))
+
+    def transport(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        _dst1(sin_in, out=values)
+        values *= value_scale
+        np.square(values, out=square)
+        _dct1(cos_in, out=cos_out)
+        np.multiply(cos, cos_scale, out=out)
+        out *= kpi
+        return out
+
+    return sin_in[..., :n], transport
 
 
 def _l4(values: np.ndarray) -> np.ndarray:

@@ -14,8 +14,7 @@ from scipy import fft as sfft
 
 from levyfield import sine
 from levyfield._rng import stream
-from levyfield.sine import (BLOCK_ROWS, by_blocks, cos_coefficients, l4_norm4,
-                            sine_coefficients, sine_values)
+from levyfield.sine import BLOCK_ROWS, by_blocks, l4_norm4, sine_coefficients, sine_values
 
 
 def ref_sine_values(coef, M=None):
@@ -31,11 +30,21 @@ def ref_sine_coefficients(values):
     return sfft.dst(values, type=1) / (math.sqrt(2.0) * M)
 
 
-def ref_cos_coefficients(values_inner):
-    M = values_inner.size + 1
-    full = np.concatenate([[0.0], values_inner, [0.0]])
+def ref_transport(coef):
+    """The sine coefficients of -(v^2/2)_x on the doubled grid: k pi times
+    the cosine coefficients of v^2/2, from scipy's DCT-I."""
+    n = coef.size
+    vals = ref_sine_values(coef, 2 * (n + 1))
+    full = np.concatenate([[0.0], 0.5 * vals * vals, [0.0]])
     d = sfft.dct(full, type=1)
-    return d[1:-1] * (math.sqrt(2.0) / (2.0 * M))
+    return np.arange(1, n + 1) * math.pi * (d[1:n + 1] * (math.sqrt(2.0) / (2.0 * (2 * n + 2))))
+
+
+def held_transport(a):
+    """The transport of a, any number of rows, by one kernel for its shape."""
+    coef, transport = sine._transport_kernel(a.shape)
+    coef[...] = a
+    return transport(np.empty(sine._grid(a.shape)), np.empty(a.shape))
 
 
 def ref_l4_norm4(coef):
@@ -56,7 +65,7 @@ CASES = [
     (lambda a: sine_values(a), ref_sine_values),
     (lambda a: sine_values(a, 4 * (N + 1)), lambda r: ref_sine_values(r, 4 * (N + 1))),
     (sine_coefficients, ref_sine_coefficients),
-    (cos_coefficients, ref_cos_coefficients),
+    (held_transport, ref_transport),
     (l4_norm4, ref_l4_norm4),
 ]
 
@@ -119,7 +128,6 @@ def test_no_rows_give_an_empty_result(lead):
     assert sine_values(a).shape == lead + (N,)
     assert sine_values(a, 64).shape == lead + (63,)
     assert sine_coefficients(a).shape == lead + (N,)
-    assert cos_coefficients(a).shape == lead + (N,)
     assert l4_norm4(a).shape == lead
 
 

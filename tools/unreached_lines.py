@@ -122,18 +122,8 @@ ALLOWED: dict[str, list[tuple[str, str, str]]] = {
         ('subordinator', 'QuadratureError.__init__', 'super().__init__(message)'),
         ('subordinator', 'SubordinatorSpec.jump_measure', 'return None'),
     ],
-    "the tests' references: PathBatch.__getitem__ (tests compare a batch with "
-    "its slices) and cos_coefficients with its kernel _cos (the blocked cosine "
-    "transform that tests check against scipy's DCT-I and the transport "
-    "against)": [
-        ('sine', '_cos', 'def _cos(q: np.ndarray) -> np.ndarray:'),
-        ('sine', '_cos', 'full = np.zeros(q.shape[:-1] + (q.shape[-1] + 2,))'),
-        ('sine', '_cos', 'full[..., 1:-1] = q            # the ends stay zero'),
-        ('sine', '_cos', 'out *= math.sqrt(2.0) / (2.0 * (q.shape[-1] + 1))'),
-        ('sine', '_cos', 'out = _dct1(full, out=full)[..., 1:-1]'),
-        ('sine', '_cos', 'return out'),
-        ('sine', 'cos_coefficients', 'def cos_coefficients(values) -> np.ndarray:'),
-        ('sine', 'cos_coefficients', 'return by_blocks(_cos, values)'),
+    "the tests' reference: PathBatch.__getitem__ (tests compare a batch with "
+    "its slices)": [
         ('subordinator', 'PathBatch.__getitem__', 'a, b = self.offsets[lo], self.offsets[hi]'),
         ('subordinator', 'PathBatch.__getitem__', 'def __getitem__(self, paths: slice) -> "PathBatch":'),
         ('subordinator', 'PathBatch.__getitem__', 'hi = max(lo, hi)'),
