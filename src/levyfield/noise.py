@@ -57,12 +57,6 @@ class CylindricalWienerSpec:
     def truncation_N(self) -> int:
         return self.hilbert_weights.size
 
-    def h_norm_sq(self, phi: np.ndarray) -> float:
-        phi = np.asarray(phi, dtype=float)
-        if phi.shape[-1] != self.truncation_N:
-            raise ValueError(f"expected {self.truncation_N} coefficients")
-        return ((self.hilbert_weights * phi) ** 2).sum(axis=-1)
-
 
 @dataclass(frozen=True)
 class LevyNoiseSpec:
@@ -72,10 +66,15 @@ class LevyNoiseSpec:
 
 def char_functional(spec: LevyNoiseSpec, phi, t: float) -> float:
     """E exp(i <Y(t), phi>) = exp(-t psi(0.5 |phi|_H^2)); real and positive.
-    Raises ValueError for a t that is negative, infinite or NaN."""
+    Raises ValueError for a t that is negative, infinite or NaN, and unless
+    phi has shape (n_modes,)."""
     if not 0 <= t < np.inf:
         raise ValueError(f"t must be finite and nonnegative, not {t}")
-    half_sq = 0.5 * spec.wiener.h_norm_sq(phi)
+    w = spec.wiener.hilbert_weights
+    phi = np.asarray(phi, dtype=float)
+    if phi.shape != w.shape:
+        raise ValueError(f"phi must have shape {w.shape}, not {phi.shape}")
+    half_sq = 0.5 * ((w * phi) ** 2).sum(axis=-1)
     return float(np.exp(-t * laplace_exponent(spec.subordinator, half_sq)))
 
 

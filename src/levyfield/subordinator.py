@@ -30,9 +30,7 @@ __all__ = [
     "QuadratureError",
     "jump_law",
     "laplace_exponent",
-    "sub_p_membership",
     "simulate_paths",
-    "finite_variation_diagnostic",
     "sample_stable_oneside",
 ]
 
@@ -53,9 +51,9 @@ class QuadratureError(RuntimeError):
 
 class _StableIntensity:
     """The density c xi^(-1-beta), c = beta / Gamma(1-beta), of the one-sided
-    beta-stable subordinator on [lower, inf), with its moments and sampler
-    in closed form; no reader integrates below ``lower``, and lower = 0 is
-    the whole stable measure.  Only ``SubordinatorSpec.jump_measure`` makes it."""
+    beta-stable subordinator on [lower, inf), with its mass and sampler in
+    closed form; lower = 0 is the whole stable measure.  Only
+    ``SubordinatorSpec.jump_measure`` makes it."""
 
     def __init__(self, beta: float, lower: float):
         self.beta = beta
@@ -66,20 +64,6 @@ class _StableIntensity:
     def mass(self) -> float:
         """rho([lower, inf)): inf for the whole stable measure."""
         return self._c / self.beta * self.lower ** (-self.beta) if self.lower > 0 else math.inf
-
-    def truncated_moment(self, power: float, hi: float) -> float:
-        """int_lower^hi xi^power rho(dxi) for a finite hi; inf where it diverges."""
-        lo = self.lower
-        expo = power - self.beta
-        if lo <= 0.0:
-            if expo <= 0:
-                return math.inf
-            lo_term = 0.0
-        else:
-            lo_term = lo ** expo
-        if expo == 0:
-            return self._c * math.log(hi / max(lo, 1e-300))
-        return self._c / expo * (hi ** expo - lo_term)
 
     def sample_sizes(self, n: int, rng: np.random.Generator) -> np.ndarray:
         # Pareto tail: rho([x,inf)) proportional to x^-beta above lower > 0.
@@ -138,8 +122,10 @@ class SubordinatorSpec:
             raise ValueError(f"only a stable spec can be truncated, not a {self.kind} spec")
         if not 0 < eps <= 1:
             raise ValueError(f"the cutoff must be in (0,1], got {eps}")
-        small_mean = self.jump_measure.truncated_moment(1.0, eps)
-        return SubordinatorSpec(drift_b=self.drift_b + small_mean, beta=self.beta, cutoff=eps)
+        beta = self.beta
+        c = beta / math.gamma(1.0 - beta)
+        small_mean = c / (1.0 - beta) * eps ** (1.0 - beta)
+        return SubordinatorSpec(drift_b=self.drift_b + small_mean, beta=beta, cutoff=eps)
 
     # constructors
 
@@ -285,28 +271,6 @@ def laplace_exponent(spec: SubordinatorSpec, r) -> np.ndarray:
                      + r ** beta * gammaincc(1.0 - beta, r * eps))
     # a 0-d r gives a numpy scalar, an array r an array
     return psi[()]
-
-
-def sub_p_membership(spec: SubordinatorSpec, p: float) -> tuple[bool, float]:
-    """Whether int_0^1 xi^(p/2) rho(dxi) is finite, with the integral as
-    certificate: a closed form, inf where it diverges (stable with p/2 <=
-    beta), and 0 for a pure drift."""
-    if not 0 < p <= 2:
-        raise ValueError("p must be in (0,2]")
-    if spec.kind == "drift_only":
-        return True, 0.0
-    cert = float(spec.jump_measure.truncated_moment(p / 2.0, 1.0))
-    return math.isfinite(cert), cert
-
-
-def finite_variation_diagnostic(spec: SubordinatorSpec) -> bool:
-    """Whether W(Z) has finite variation, for W Brownian on finitely many modes.
-
-    |W(s)| has the law of s^(1/2) |W(1)|, so by the Levy-Ito criterion W(Z)
-    has finite variation iff Z has no drift (a drift gives W(Z) a Brownian
-    part) and int_0^1 s^(1/2) rho(ds) < inf, which is Sub(1).
-    """
-    return spec.drift_b == 0 and sub_p_membership(spec, 1.0)[0]
 
 
 def sample_stable_oneside(beta: float, size, rng: np.random.Generator) -> np.ndarray:

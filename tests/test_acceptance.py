@@ -1,7 +1,8 @@
 """End-to-end acceptance checks, one per headline library guarantee.
 
-Each test prints a single PASS/FAIL line (visible with ``pytest -s`` or in
-captured output) and asserts the same verdict.
+Each check prints a single PASS/FAIL line (visible with ``pytest -s`` or in
+captured output) and asserts the same verdict; one more test shows that
+check 04 fails on a wrong jump law.
 """
 
 import math
@@ -13,16 +14,14 @@ from scipy.special import zeta
 from levyfield._rng import stream
 from levyfield.burgers import (check_apriori, solve_modified_burgers,
                                solve_stochastic_burgers, weak_residual)
-from levyfield.jumps import (StepIntegrand, verify_moment_inequality_p_le_1,
-                             verify_moment_inequality_type_p)
 from levyfield.noise import CylindricalWienerSpec, LevyNoiseSpec, char_functional
 from levyfield.regularity import blowup_probe, estimate_holder, time_integrability
 from levyfield.sine import l4_norm4, sine_coefficients, sine_values
 from levyfield.spaces import SpaceSpec
 from levyfield.spectral import (SpectralOperator, charfn_oracle, check_radonifying,
                                 sample_trajectory, semigroup_norm_power)
-from levyfield.subordinator import (SubordinatorSpec, sample_stable_oneside,
-                                    simulate_paths)
+from levyfield.subordinator import (PathBatch, SubordinatorSpec, _StableIntensity,
+                                    sample_stable_oneside, simulate_paths)
 
 
 def _report(num, label, checks):
@@ -96,29 +95,78 @@ def test_03_ou_characteristic_functional():
     _report(3, "stochastic convolution characteristic functional", checks)
 
 
-def test_04_poisson_integral_moment_inequalities():
-    rng = stream(404)
+# check 04's sets B_i: a time window by a jump-size band of
+# stable(0.5).truncated(1e-3), its jump measure nu in closed form
+CHECK_04_WINDOWS = (0.0, 0.5, 1.0)
+CHECK_04_BANDS = (1e-3, 1e-2, 1e-1, 1.0, math.inf)
+# the slack on the type-p bound, whose constant for l^2 is exactly 1
+TYPE_P_MARGIN = 1.25
+
+
+def _poisson_integral_checks() -> dict:
+    """Check 04's verdicts on the jumps of one simulate_paths batch.
+
+    The count of the jumps of each path in each set B_i (time window (s, t],
+    as PathBatch.cells bins them, by size band [a, b)) has the mean
+    nu(B_i) = (t - s) (a^-beta - b^-beta) / Gamma(1 - beta).  For the step
+    function f = sum_i f_i 1_{B_i}, valued in l^2 = R^2, the same counts
+    give the compensated isometry E|int f dpi~|^2 = sum_i nu_i |f_i|^2 and
+    the two moment inequalities: E|int f dpi|^p <= int |f|^p dnu for p <= 1,
+    and E|int f dpi~|^p <= 2^(2-p) int |f|^p dnu for p in (1, 2].
+    """
+    beta, n_paths = 0.5, 30_000
+    batch = simulate_paths(SubordinatorSpec.stable(beta).truncated(1e-3), 1.0, n_paths,
+                           stream(404))
+    counts = []
+    for lo, hi in zip(CHECK_04_BANDS[:-1], CHECK_04_BANDS[1:]):
+        band = (batch.sizes >= lo) & (batch.sizes < hi)
+        per_path = np.bincount(batch.rows[band], minlength=n_paths)
+        jumps = PathBatch(horizon_T=1.0, drift_slope=0.0,
+                          offsets=np.concatenate(([0], np.cumsum(per_path))),
+                          times=batch.times[band], sizes=batch.sizes[band])
+        counts.append(jumps.cells(CHECK_04_WINDOWS)[1])
+    counts = np.stack(counts, axis=2).reshape(n_paths, -1)    # set i = (window, band)
+    a, b = np.array(CHECK_04_BANDS[:-1]), np.array(CHECK_04_BANDS[1:])
+    nu = np.outer(np.diff(CHECK_04_WINDOWS), (a ** -beta - b ** -beta) / math.gamma(1.0 - beta))
+    nu = nu.ravel()
+    # f_i rises with the band, on the first axis in the first window and on
+    # the second in the second
+    f = np.zeros((2, 4, 2))
+    f[0, :, 0] = f[1, :, 1] = (1.0, 3.0, 10.0, 30.0)
+    f = f.reshape(-1, 2)
+    f_norm = np.linalg.norm(f, axis=1)
+
+    def mean_se(vals):
+        return vals.mean(axis=0), vals.std(axis=0) / math.sqrt(n_paths)
+
     checks = {}
-    for trial in range(50):
-        k = int(rng.integers(1, 5))
-        step = StepIntegrand(measures=rng.exponential(size=k),
-                             values=rng.standard_normal((k, 3)))
-        p = float(rng.choice([0.3, 0.7, 1.0]))
-        rep = verify_moment_inequality_p_le_1(step, p=p, mc=30000, seed=trial)
-        checks[f"plain_p{trial}"] = rep["pass"]
-    for trial in range(20):
-        k = int(rng.integers(1, 5))
-        step = StepIntegrand(measures=rng.exponential(size=k),
-                             values=rng.standard_normal((k, 3)))
-        p = float(rng.uniform(1.1, 2.0))
-        rep = verify_moment_inequality_type_p(step, p=p, mc=30000, seed=100 + trial)
-        checks[f"compensated_p{trial}"] = rep["pass"]
-    # p=2 with a single piece: exact Poisson variance identity
-    step = StepIntegrand(measures=np.array([3.0]), values=np.array([[1.0]]))
-    rep = verify_moment_inequality_type_p(step, p=2.0, mc=200000, seed=9)
-    checks["poisson_variance"] = (
-        abs(rep["lhs_estimate"] - 3.0) <= 4.0 * rep["lhs_stderr"] and rep["pass"])
-    _report(4, "jump-measure moment inequalities", checks)
+    for i, (mean, se) in enumerate(zip(*mean_se(counts))):
+        checks[f"count_window{i // 4}_band{i % 4}"] = abs(mean - nu[i]) <= 4.0 * se
+    plain = np.linalg.norm(counts @ f, axis=1)
+    compensated = np.linalg.norm((counts - nu) @ f, axis=1)
+    mean, se = mean_se(compensated ** 2)
+    checks["isometry"] = abs(mean - (nu * f_norm ** 2).sum()) <= 4.0 * se
+    for p in (0.3, 0.5, 0.7, 1.0):
+        mean, se = mean_se(plain ** p)
+        checks[f"plain_p{p}"] = mean - 4.0 * se <= (nu * f_norm ** p).sum()
+    for p in (1.2, 1.5, 1.8, 2.0):
+        mean, se = mean_se(compensated ** p)
+        bound = 2.0 ** (2.0 - p) * TYPE_P_MARGIN * (nu * f_norm ** p).sum()
+        checks[f"compensated_p{p}"] = mean - 4.0 * se <= bound
+    return checks
+
+
+def test_04_poisson_integral_moment_inequalities():
+    _report(4, "jump-measure moment inequalities", _poisson_integral_checks())
+
+
+def test_04_fails_when_the_jump_sizes_follow_another_law(monkeypatch):
+    # the Pareto tail of beta + 0.02 at the same rate moves every band's count
+    def sizes(self, n, rng):
+        return self.lower * rng.uniform(size=n) ** (-1.0 / (self.beta + 0.02))
+
+    monkeypatch.setattr(_StableIntensity, "sample_sizes", sizes)
+    assert not all(_poisson_integral_checks().values())
 
 
 def test_05_diagonal_semigroup_norm():

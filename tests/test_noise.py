@@ -13,7 +13,7 @@ from levyfield.noise import (
     jump_rate,
 )
 from levyfield.spaces import SpaceSpec
-from levyfield.subordinator import SubordinatorSpec, simulate_paths
+from levyfield.subordinator import PathBatch, SubordinatorSpec, simulate_paths
 
 
 def make_spec(sub, n_modes=8, weights=None):
@@ -39,6 +39,13 @@ def test_charfn_zero_test_function():
 def test_charfn_refuses_a_non_finite_or_negative_time(t):
     with pytest.raises(ValueError, match="t must be finite and nonnegative"):
         char_functional(make_spec(SubordinatorSpec.stable(0.7)), np.ones(8), t)
+
+
+@pytest.mark.parametrize("phi", [1.0, np.ones((2, 8)), np.ones(7)],
+                         ids=["scalar", "block", "short"])
+def test_charfn_refuses_a_phi_that_is_not_one_coefficient_per_mode(phi):
+    with pytest.raises(ValueError, match=r"phi must have shape \(8,\)"):
+        char_functional(make_spec(SubordinatorSpec.stable(0.7)), phi, 1.0)
 
 
 def test_charfn_stable_closed_form():
@@ -211,3 +218,65 @@ def test_large_jump_rate_vs_empirical():
     emp = np.mean(counts)
     se = np.std(counts) / math.sqrt(counts.size)
     assert abs(emp - rate) < 4.0 * se
+
+
+# -- small and large jumps -----------------------------------------------
+
+
+def marked(spec, zp, rng):
+    """(times, marks, U-sizes) of the jumps of a batch, marks drawn from rng."""
+    marks = increment_coefficients(spec, zp.sizes, rng)
+    return zp.times, marks, np.sqrt((marks ** 2).sum(axis=-1))
+
+
+def test_split_additivity_exact():
+    spec = make_spec(SubordinatorSpec.stable(0.5).truncated(1e-2), n_modes=4)
+    zp = simulate_paths(spec.subordinator, 1.0, 1, stream(1))
+    times, marks, sizes = marked(spec, zp, stream(2))
+    big = sizes >= np.median(sizes)
+    assert 0 < big.sum() < big.size
+    for t in (0.25, 0.5, 1.0):
+        upto = times <= t
+        total = marks[upto].sum(axis=0)
+        parts = [marks[m & upto].sum(axis=0) for m in (~big, big)]
+        assert np.allclose(parts[0] + parts[1], total, rtol=0.0, atol=1e-14)
+
+
+def test_repeated_jump_times_are_marked_and_split():
+    # a batch may hold two jumps at one time; marking it once raised
+    spec = make_spec(SubordinatorSpec.stable(0.5), n_modes=4)
+    zp = PathBatch(horizon_T=1.0, drift_slope=0.0, offsets=[0, 2], times=[0.5, 0.5],
+                   sizes=[1, 2])
+    times, marks, sizes = marked(spec, zp, stream(3))
+    big = sizes >= sizes.max()
+    assert big.sum() == (~big).sum() == 1
+    assert times[big][0] == times[~big][0] == 0.5
+    both = marks.sum(axis=0)
+    for t, total in ((0.4, np.zeros(4)), (0.5, both), (1.0, both)):
+        parts = [marks[m & (times <= t)].sum(axis=0) for m in (~big, big)]
+        assert np.array_equal(parts[0] + parts[1], total)
+
+
+def test_large_jump_count_is_poisson():
+    # count of jumps above the threshold vs the exact rate, chi-square
+    # against the Poisson pmf over 400 independent paths; a jump below the
+    # drawn law's cutoff 1e-3 reaches the threshold only if chi-square_4 >= 1000
+    spec = make_spec(SubordinatorSpec.stable(0.5), n_modes=4)
+    rate = jump_rate(spec, 1.0, SpaceSpec(2.0, np.ones(4)))
+    counts = []
+    for m in range(400):
+        zp = simulate_paths(spec.subordinator.truncated(1e-3), 1.0, 1, stream(m))
+        counts.append(int((marked(spec, zp, stream(m + 10_000))[2] >= 1.0).sum()))
+    counts = np.asarray(counts)
+    kmax = int(counts.max())
+    observed = np.bincount(counts, minlength=kmax + 1).astype(float)
+    expected = stats.poisson.pmf(np.arange(kmax + 1), rate) * counts.size
+    expected[-1] += counts.size - expected.sum()   # fold the pmf tail in
+    # merge sparse right-hand bins so every cell has expected count >= 5
+    while expected.size > 2 and expected[-1] < 5.0:
+        expected[-2] += expected[-1]
+        observed[-2] += observed[-1]
+        expected, observed = expected[:-1], observed[:-1]
+    chi2 = ((observed - expected) ** 2 / expected).sum()
+    pval = stats.chi2.sf(chi2, observed.size - 1)
+    assert pval > 0.01

@@ -22,8 +22,6 @@ ALLOWED = {
     "convolution_variances_batch": "the closed-form OU variances V_j of a path batch at "
                                    "one time, kept for the critical-exponent gate of the "
                                    "regularity check",
-    "finite_variation_diagnostic": "the exact finite-variation criterion of W(Z): no drift "
-                                   "and Sub(1)",
     "jump_rate": "the exact rate of the jumps of Y above a threshold, that the large-jump "
                  "counts are checked against",
 }

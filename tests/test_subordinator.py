@@ -14,12 +14,10 @@ from levyfield.subordinator import (
     PathBatch,
     _sort_within_paths,
     SubordinatorSpec,
-    finite_variation_diagnostic,
     jump_law,
     laplace_exponent,
     sample_stable_oneside,
     simulate_paths,
-    sub_p_membership,
 )
 
 
@@ -63,73 +61,6 @@ def test_laplace_exponent_truncated_stable_matches_the_levy_khintchine_integral(
 def test_laplace_exponent_rejects_negative_argument():
     with pytest.raises(ValueError):
         laplace_exponent(SubordinatorSpec.stable(0.5), -1.0)
-
-
-# -- Sub(p) membership ---------------------------------------------------
-
-
-def test_sub_p_stable_above_and_below():
-    ok, cert = sub_p_membership(SubordinatorSpec.stable(0.75), 1.0)
-    assert not ok and cert == math.inf
-    ok, cert = sub_p_membership(SubordinatorSpec.stable(0.25), 1.0)
-    assert ok and np.isfinite(cert)
-    # closed form: c/(p/2 - beta) with c = beta/Gamma(1-beta)
-    c = 0.25 / math.gamma(0.75)
-    assert cert == pytest.approx(c / (0.5 - 0.25), rel=1e-12)
-
-
-@pytest.mark.parametrize("p", [0.1, 1.0, 2.0])
-def test_sub_p_truncated_stable_all_p(p):
-    # finitely many jumps: int_eps^1 xi^(p/2) c xi^(-1-beta) dxi is finite
-    # for every p, c (1 - eps^(p/2-beta)) / (p/2 - beta)
-    beta, eps = 0.75, 0.5
-    ok, cert = sub_p_membership(SubordinatorSpec(beta=beta, cutoff=eps), p)
-    c = beta / math.gamma(1.0 - beta)
-    assert ok
-    assert cert == pytest.approx(c * (1.0 - eps ** (p / 2 - beta)) / (p / 2 - beta), rel=1e-12)
-
-
-def test_sub_p_boundary_is_excluded():
-    # p/2 == beta diverges (log divergence at 0)
-    ok, cert = sub_p_membership(SubordinatorSpec.stable(0.5), 1.0)
-    assert not ok and cert == math.inf
-
-
-# -- finite variation ----------------------------------------------------
-
-
-def test_finite_variation_verdicts():
-    assert finite_variation_diagnostic(SubordinatorSpec.stable(0.25)) is True
-    assert finite_variation_diagnostic(SubordinatorSpec.stable(0.75)) is False
-    # finitely many jumps, however heavy the stable law they come from
-    assert finite_variation_diagnostic(SubordinatorSpec(beta=0.75, cutoff=0.5)) is True
-    assert finite_variation_diagnostic(SubordinatorSpec.drift_only(1.0)) is False
-    # int_0^1 s^(1/2) rho(ds) converges exactly for beta < 1/2
-    assert finite_variation_diagnostic(SubordinatorSpec.stable(0.49)) is True
-    assert finite_variation_diagnostic(SubordinatorSpec.stable(0.5)) is False
-    # a drift of Z gives W(Z) a Brownian part, however small the jumps
-    for sub in (SubordinatorSpec.stable(0.75).truncated(0.5),
-                SubordinatorSpec(beta=0.25, drift_b=0.5)):
-        assert sub_p_membership(sub, 1.0)[0]
-        assert finite_variation_diagnostic(sub) is False
-
-
-@pytest.mark.parametrize("sub, finite, integral", [
-    (SubordinatorSpec.stable(0.25), True, 0.25 / math.gamma(0.75) / 0.25),
-    (SubordinatorSpec.stable(0.49), True, 0.49 / math.gamma(0.51) / 0.01),
-    (SubordinatorSpec.stable(0.5), False, math.inf),
-    (SubordinatorSpec.stable(0.75), False, math.inf),
-    (SubordinatorSpec.drift_only(1.0), False, 0.0),
-    # at p/2 = beta the integral int_eps^1 c xi^(-1) dxi is c log(1/eps)
-    (SubordinatorSpec(beta=0.5, cutoff=0.5), True, 0.5 / math.gamma(0.5) * math.log(2.0)),
-    (SubordinatorSpec.stable(0.5).truncated(0.5), False, 0.5 / math.gamma(0.5) * math.log(2.0)),
-], ids=["stable-0.25", "stable-0.49", "stable-0.5", "stable-0.75", "gaussian",
-        "truncated", "truncated-drift"])
-def test_finite_variation_verdict_is_the_exact_criterion(sub, finite, integral):
-    # the verdict is Sub(1) without a drift, and its certificate is
-    # int_0^1 s^(1/2) rho(ds)
-    assert finite_variation_diagnostic(sub) is finite
-    assert sub_p_membership(sub, 1.0)[1] == pytest.approx(integral, rel=1e-12)
 
 
 # -- exact stable sampling -----------------------------------------------
@@ -262,8 +193,6 @@ def test_truncation_adds_the_mean_of_the_small_jumps_to_the_drift():
         assert (spec.beta, spec.cutoff, spec.kind) == (beta, eps, "truncated_stable")
         assert spec.drift_b == b + c / (1.0 - beta) * eps ** (1.0 - beta)
         assert spec.jump_measure.mass == c / beta * eps ** (-beta)
-        # the truncated measure holds nothing below its cutoff
-        assert spec.jump_measure.truncated_moment(1.0, eps) == 0.0
 
 
 @pytest.mark.parametrize("beta", [0.25, 0.5, 0.9])

@@ -133,22 +133,6 @@ ALLOWED: dict[str, list[tuple[str, str, str]]] = {
         ('subordinator', 'PathBatch.__getitem__', 'return PathBatch(horizon_T=self.horizon_T, drift_slope=self.drift_slope,'),
         ('subordinator', 'PathBatch.__getitem__', 'sizes=self.sizes[a:b])'),
     ],
-    "the Sub(p) certificate: sub_p_membership under the allow-listed "
-    "finite_variation_diagnostic, and the branches of "
-    "_StableIntensity.truncated_moment that only it reaches (a positive lower "
-    "limit, and power = beta); item 2's report may wire them in": [
-        ('subordinator', '_StableIntensity.truncated_moment', 'lo_term = lo ** expo'),
-        ('subordinator', '_StableIntensity.truncated_moment', 'return math.inf'),
-        ('subordinator', '_StableIntensity.truncated_moment', 'return self._c * math.log(hi / max(lo, 1e-300))'),
-        ('subordinator', 'finite_variation_diagnostic', 'def finite_variation_diagnostic(spec: SubordinatorSpec) -> bool:'),
-        ('subordinator', 'finite_variation_diagnostic', 'return spec.drift_b == 0 and sub_p_membership(spec, 1.0)[0]'),
-        ('subordinator', 'sub_p_membership', 'cert = float(spec.jump_measure.truncated_moment(p / 2.0, 1.0))'),
-        ('subordinator', 'sub_p_membership', 'def sub_p_membership(spec: SubordinatorSpec, p: float) -> tuple[bool, float]:'),
-        ('subordinator', 'sub_p_membership', 'if not 0 < p <= 2:'),
-        ('subordinator', 'sub_p_membership', 'if spec.kind == "drift_only":'),
-        ('subordinator', 'sub_p_membership', 'return True, 0.0'),
-        ('subordinator', 'sub_p_membership', 'return math.isfinite(cert), cert'),
-    ],
 }
 
 
