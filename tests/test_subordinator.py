@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy import stats
 
 from levyfield._rng import stream
 from levyfield.noise import CylindricalWienerSpec, LevyNoiseSpec, increment_coefficients
@@ -200,6 +201,100 @@ def test_an_untruncated_stable_measure_has_infinite_mass(beta):
     for spec in (SubordinatorSpec.stable(beta), SubordinatorSpec(beta=beta, drift_b=1.0)):
         assert spec.jump_measure.mass == math.inf
     assert SubordinatorSpec.stable(beta).truncated(1.0).jump_measure.mass == beta / math.gamma(1.0 - beta) / beta
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1.0])
+@pytest.mark.parametrize("beta", [0.1, 0.5, 0.9])
+def test_truncated_law_splits_the_measure_at_eps_by_quadrature(beta, eps):
+    # the drift gains int_0^eps xi rho(dxi), and the kept jumps have mass
+    # rho([eps, inf)), each against a numerical integral of rho(dxi) =
+    # c xi^(-1-beta) dxi, taken in xi = eps e^(-u) and xi = eps e^u, u > 0
+    b = 0.2
+    spec = SubordinatorSpec(beta=beta, drift_b=b).truncated(eps)
+    with mpmath.workdps(30):
+        c = beta / mpmath.gamma(1 - mpmath.mpf(beta))
+        small_mean = mpmath.quad(lambda u: c * (eps * mpmath.exp(-u)) ** (1 - beta),
+                                 [0, mpmath.inf])
+        mass = mpmath.quad(lambda u: c * (eps * mpmath.exp(u)) ** (-beta), [0, mpmath.inf])
+    assert spec.drift_b - b == pytest.approx(float(small_mean), rel=1e-12)
+    assert spec.jump_measure.mass == pytest.approx(float(mass), rel=1e-12)
+
+
+# -- the jump measure of the drawn jumps ---------------------------------
+
+JUMP_BANDS = (1e-3, 1e-2, 1e-1, 1.0, math.inf)
+
+
+def _band_measure(beta, T, lo, hi):
+    """rho([lo, hi)) T for the stable measure: T (lo^-beta - hi^-beta) / Gamma(1 - beta)."""
+    return T * (lo ** -beta - hi ** -beta) / math.gamma(1.0 - beta)
+
+
+@pytest.fixture(scope="module")
+def set_counts():
+    """Jump counts of 4,000 paths of stable(0.5).truncated(1e-3) on T = 1 in
+    the sets (window, size band), windows (0, 0.5] and (0.5, 1] as
+    PathBatch.cells bins them; shape (4000, 2, 4)."""
+    n = 4000
+    batch = simulate_paths(SubordinatorSpec.stable(0.5).truncated(1e-3), 1.0, n, stream(47))
+    band = np.searchsorted(JUMP_BANDS, batch.sizes, side="right") - 1
+    window = (batch.times > 0.5).astype(int)
+    flat = 8 * batch.rows + 4 * window + band
+    return np.bincount(flat, minlength=8 * n).reshape(n, 2, 4)
+
+
+@pytest.mark.parametrize("band", range(4))
+def test_band_counts_are_poisson_with_the_closed_form_mean(set_counts, band):
+    # chi-square of one band's per-path count on [0, 1] against the Poisson
+    # pmf with mean rho(band)
+    counts = set_counts[:, :, band].sum(axis=1)
+    rate = _band_measure(0.5, 1.0, JUMP_BANDS[band], JUMP_BANDS[band + 1])
+    kmax = int(counts.max())
+    observed = np.bincount(counts, minlength=kmax + 1).astype(float)
+    expected = stats.poisson.pmf(np.arange(kmax + 1), rate) * counts.size
+    expected[-1] += counts.size - expected.sum()   # fold the pmf tail in
+    # merge sparse bins at both ends so every cell has expected count >= 5
+    while expected.size > 2 and expected[-1] < 5.0:
+        expected[-2] += expected[-1]
+        observed[-2] += observed[-1]
+        expected, observed = expected[:-1], observed[:-1]
+    while expected.size > 2 and expected[0] < 5.0:
+        expected[1] += expected[0]
+        observed[1] += observed[0]
+        expected, observed = expected[1:], observed[1:]
+    chi2 = ((observed - expected) ** 2 / expected).sum()
+    assert stats.chi2.sf(chi2, observed.size - 1) > 0.01
+
+
+def test_counts_in_disjoint_sets_are_uncorrelated(set_counts):
+    # a Poisson random measure: counts in disjoint sets are independent, so
+    # every sample covariance of two sets is 0 within 4 SE
+    x = set_counts.reshape(set_counts.shape[0], -1).astype(float)
+    x -= x.mean(axis=0)
+    for i in range(8):
+        for j in range(i + 1, 8):
+            prod = x[:, i] * x[:, j]
+            assert abs(prod.mean()) <= 4.0 * prod.std() / math.sqrt(prod.size), (i, j)
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5, 1.0, 1.2, 1.5, 2.0])
+def test_poisson_integral_moment_is_the_enumerated_one_and_obeys_its_bound(set_counts, p):
+    # f = e_1 on (window 0, band 1) and -2 e_2 on (window 1, band 2), in
+    # l^2 = R^2: E|int f dpi|^p for p <= 1 and E|int f dpi~|^p for p > 1 by
+    # summing over the Poisson count pairs, against the drawn counts within
+    # 4 SE; the sum obeys the paper's bound, int |f|^p dnu for p <= 1 and
+    # 2^(2-p) int |f|^p dnu for p in (1, 2] (equality at p = 2)
+    n1, n2 = set_counts[:, 0, 1], set_counts[:, 1, 2]
+    nu = np.array([_band_measure(0.5, 0.5, 1e-2, 1e-1), _band_measure(0.5, 0.5, 1e-1, 1.0)])
+    f_norm = np.array([1.0, 2.0])
+    shift = nu if p > 1 else np.zeros(2)
+    k = np.arange(60.0)
+    weight = np.outer(stats.poisson.pmf(k, nu[0]), stats.poisson.pmf(k, nu[1]))
+    exact = (weight * np.hypot.outer(k - shift[0], 2.0 * (k - shift[1])) ** p).sum()
+    drawn = np.hypot(n1 - shift[0], 2.0 * (n2 - shift[1])) ** p
+    assert abs(drawn.mean() - exact) <= 4.0 * drawn.std() / math.sqrt(drawn.size)
+    bound = (2.0 ** (2.0 - p) if p > 1 else 1.0) * (nu * f_norm ** p).sum()
+    assert exact <= bound * (1.0 + 1e-12)
 
 
 @pytest.mark.parametrize("spec, route", [
