@@ -18,7 +18,9 @@ same construction the a priori estimates are stated for; in the u-form
 its h is f itself.  Both solvers read the mode count off the initial
 data.  The weak residual checks a solve with the forcing its result
 holds, and takes its nonlinear term in closed form from the sine
-coefficients, not through the solver's transforms.
+coefficients, not through the solver's transforms.  It is v's equation,
+from which the noise Y cancels against z's own OU identity, so the
+stochastic solver draws z alone, never Y.
 """
 
 from __future__ import annotations
@@ -50,6 +52,11 @@ APRIORI_SLACK = 0.05
 
 class StepSizeError(RuntimeError):
     """Energy left the a priori corridor; the explicit step is too large."""
+
+
+def _heat_eigenvalues(n_modes: int) -> np.ndarray:
+    """The eigenvalues (k pi)^2, k = 1..n_modes, of A on the sine basis."""
+    return (np.arange(1, n_modes + 1) * math.pi) ** 2
 
 
 def _nonlinear_blocks(zs: np.ndarray) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
@@ -173,7 +180,7 @@ def _u_form_steps(v0: np.ndarray, zs: Optional[np.ndarray], h: Optional[np.ndarr
     """
     n_modes = v0.size
     shape = (times.size, n_modes)
-    lam = (np.arange(1, n_modes + 1) * math.pi) ** 2
+    lam = _heat_eigenvalues(n_modes)
     decay = np.exp(-lam * dt)
     phi1 = (1.0 - decay) / lam
 
@@ -256,7 +263,7 @@ def solve_modified_burgers(
     shape = (n_steps + 1, n_modes)
     zs = _on_grid("zs", zs, shape)
     gs = _on_grid("gs", gs, shape)
-    lam = (np.arange(1, n_modes + 1) * math.pi) ** 2
+    lam = _heat_eigenvalues(n_modes)
 
     z_l4, h = np.zeros(n_steps + 1), gs
     if zs is not None:
@@ -280,7 +287,7 @@ def check_apriori(traj: BurgersTrajectory) -> dict:
     multiplicative ``APRIORI_SLACK`` allowance; violations are reported.
     """
     times, c = traj.times, traj.constants
-    lam = (np.arange(1, traj.n_modes + 1) * math.pi) ** 2
+    lam = _heat_eigenvalues(traj.n_modes)
 
     sup_v2 = float((traj.v_coeffs ** 2).sum(axis=1).max())
     grad2 = (traj.v_coeffs ** 2 * lam).sum(axis=1)
@@ -308,51 +315,31 @@ def check_apriori(traj: BurgersTrajectory) -> dict:
 # -- stochastic solver ---------------------------------------------------
 
 
-def _regression(v_eta: np.ndarray, v_dy: np.ndarray, cov: np.ndarray):
-    """sqrt Var(eta), the slope b of DY on eta and Var(DY - b eta) from the
-    moments of (eta, DY); an eta of zero variance has b = 0."""
-    with np.errstate(invalid="ignore", divide="ignore"):
-        b = np.where(v_eta > 0, cov / np.where(v_eta > 0, v_eta, 1.0), 0.0)
-        resid = np.maximum(v_dy - b * cov, 0.0)
-    return np.sqrt(v_eta), b, resid
-
-
-def _joint_ou_noise_paths(lam: np.ndarray, inv_w: np.ndarray,
-                          zpath: PathBatch, times: np.ndarray,
-                          seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact joint draw of the OU path z on a grid and of the driving noise
-    Y at the last grid time: (z at every grid time, Y(times[-1])).
+def _ou_noise_path(lam: np.ndarray, inv_w: np.ndarray, zpath: PathBatch,
+                   times: np.ndarray, seed: int) -> np.ndarray:
+    """Exact draw of the OU path z of the noise at every grid time.
 
     Cell i is (times[i-1], times[i]], with times[-1] taken as 0.  Per cell
-    and mode, (OU innovation eta, Delta Y) is bivariate Gaussian with
-    Var(eta) = w^-2 int e^(-2 lam (t'-s)) dZ, Var(DY) = w^-2 dZ and
-    Cov = w^-2 int e^(-lam (t'-s)) dZ, all closed-form over the cell's jumps.
-    A cell without jumps has dZ = slope * length, so its moments depend on
-    its length alone: they are computed once per distinct cell length (13
-    for the 2,000 cells of dt * (0, 1, ..., 2000), which round differently),
-    in a table whose rows the cells gather.  A cell with jumps adds its jump
-    sums to its length's row; the table holds no row per jump, so its size
-    does not grow with the number of jumps.
+    and mode the OU innovation eta is Gaussian with
+    Var(eta) = w^-2 int e^(-2 lam (t'-s)) dZ, closed-form over the cell's
+    jumps.  A cell without jumps has dZ = slope * length, so its variance
+    depends on its length alone: it is computed once per distinct cell
+    length (13 for the 2,000 cells of dt * (0, 1, ..., 2000), which round
+    differently), in a table whose rows the cells gather.  A cell with jumps
+    adds its jump sums to its length's row; the table holds no row per jump,
+    so its size does not grow with the number of jumps.
 
-    Only Y at the last grid time is read, so no Delta Y is drawn: given
-    every eta the increments are independent, and
-    Y = sum_i b_i eta_i + (sum_i r_i^2)^(1/2) G with b = Cov / Var(eta) and
-    r^2 = Var(DY) - b Cov, per mode, which is the law of the sum of the
-    increments.  The cells are taken BLOCK_ROWS at a time: one Gaussian per
-    cell and mode for eta, and after the last block one per mode for G,
-    all from ``stream(seed, 1)``, so they and the cell-after-cell sums do
-    not depend on the block size; a block's b_i eta_i and r_i^2 go below the
-    sums so far, in held arrays.  A cell of zero length draws nothing and
-    keeps the z before it.
+    The cells are taken BLOCK_ROWS at a time, one Gaussian per cell and
+    mode from ``stream(seed, 1)``, so the draws and z_i = e^(-lam dt_i)
+    z_(i-1) + eta_i, cell after cell, do not depend on the block size.  A
+    cell of zero length draws nothing and keeps the z before it.
     """
     n = lam.size
     z_hist = np.empty((times.size, n))
     rng = stream(seed, 1)
-    slope = zpath.drift_slope
     inv_w2 = inv_w ** 2
     edges = np.concatenate(([0.0], times))
     dtc = np.diff(edges)
-    dz = zpath.increments(edges)[0]
     # the jumps of cell i are zpath.times[starts[i]:starts[i] + counts[i]]
     (starts,), (counts,) = zpath.cells(edges)
     drawn = dtc > 0
@@ -361,30 +348,21 @@ def _joint_ou_noise_paths(lam: np.ndarray, inv_w: np.ndarray,
     row[drawn] = length_row
     d = lengths[:, None]
     decay = np.exp(-lam * d)
-    v_eta = slope * (1.0 - np.exp(-2.0 * lam * d)) / (2.0 * lam)
-    cov = slope * (1.0 - decay) / lam
-    sd, b, r2 = _regression(v_eta * inv_w2, slope * d * inv_w2, cov * inv_w2)
+    v_eta = zpath.drift_slope * (1.0 - np.exp(-2.0 * lam * d)) / (2.0 * lam)
+    sd = np.sqrt(v_eta * inv_w2)
     z, z_rows, decay_rows = np.zeros(n), list(z_hist), list(decay)
-    y_mean = np.zeros((BLOCK_ROWS + 1, n))    # sum_i b_i eta_i, then a block's terms
-    y_var = np.zeros((BLOCK_ROWS + 1, n))     # sum_i r_i^2, then a block's terms
     for lo in range(0, times.size, BLOCK_ROWS):
         cells = lo + np.flatnonzero(drawn[lo:lo + BLOCK_ROWS])
         rows = row[cells]
-        sd_c, k = sd[rows], cells.size + 1
-        b_c, r2_c = np.take(b, rows, 0, y_mean[1:k]), np.take(r2, rows, 0, y_var[1:k])
+        sd_c = sd[rows]
         for j in np.flatnonzero(counts[cells]).tolist():
-            c, r = cells[j], rows[j]
+            c = cells[j]
             jumps = slice(starts[c], starts[c] + counts[c])
             e1 = np.exp(-np.multiply.outer(lam, times[c] - zpath.times[jumps]))
-            sd_c[j], b_c[j], r2_c[j] = _regression(
-                (v_eta[r] + (e1 ** 2 * zpath.sizes[jumps]).sum(axis=1)) * inv_w2,
-                dz[c] * inv_w2,
-                (cov[r] + (e1 * zpath.sizes[jumps]).sum(axis=1)) * inv_w2)
+            sd_c[j] = np.sqrt((v_eta[rows[j]] + (e1 ** 2 * zpath.sizes[jumps]).sum(axis=1))
+                              * inv_w2)
         eta = rng.standard_normal((cells.size, n))
         eta *= sd_c
-        b_c *= eta
-        np.add.reduce(y_mean[:k], axis=0, out=y_mean[0])
-        np.add.reduce(y_var[:k], axis=0, out=y_var[0])
         # z_i = decay z_(i-1) + eta_i, cell after cell, into the rows of z_hist
         for zi, r, e in zip([z_rows[i] for i in cells.tolist()], rows.tolist(), eta):
             np.multiply(decay_rows[r], z, zi)
@@ -392,7 +370,7 @@ def _joint_ou_noise_paths(lam: np.ndarray, inv_w: np.ndarray,
             z = zi
     for i in np.flatnonzero(~drawn).tolist():
         z_hist[i] = z_hist[i - 1] if i else 0.0
-    return z_hist, y_mean[0] + np.sqrt(y_var[0]) * rng.standard_normal(n)
+    return z_hist
 
 
 def solve_stochastic_burgers(
@@ -409,11 +387,12 @@ def solve_stochastic_burgers(
     semigroup (lambda_k = (k pi)^2); v solves the modified equation with
     g = f - (z^2/2)_x and the solution is u = v + z.  Returns a dict of the
     grid ``times``, the sine coefficients ``u_coeffs`` of u and
-    ``z_coeffs`` of z at every grid time, the noise ``y_final`` = Y(T), the
-    forcing ``f`` and the solution ``certificate`` sup_t |u|^2,
-    int |u|_L4^4 dt.  The path of Z, of the law ``jump_law`` of the
+    ``z_coeffs`` of z at every grid time, the forcing ``f`` and the
+    solution ``certificate`` sup_t |u|^2, int |u|_L4^4 dt.  The noise Y
+    itself is not drawn: ``weak_residual`` checks v's equation, in which
+    it does not appear.  The path of Z, of the law ``jump_law`` of the
     noise's subordinator, comes from ``stream(seed)``, the Gaussian draws
-    of (z, Y) from ``stream(seed, 1)``.  ``u0`` is a vector of n_modes >= 1
+    of z from ``stream(seed, 1)``.  ``u0`` is a vector of n_modes >= 1
     sine coefficients, the noise is truncated at n_modes, and ``f`` is
     one time-independent vector of n_modes coefficients, the form
     ``weak_residual`` checks; anything else, or a NaN or infinity in u0 or
@@ -433,10 +412,9 @@ def solve_stochastic_burgers(
     f = _initial("f", f)
     if f.size != n_modes:
         raise ValueError(f"f must be one vector of shape ({n_modes},), not {f.shape}")
-    lam = (np.arange(1, n_modes + 1) * math.pi) ** 2
+    lam = _heat_eigenvalues(n_modes)
     zpath = simulate_paths(jump_law(noise.subordinator), T, 1, stream(seed))
-    z_hist, y_final = _joint_ou_noise_paths(lam, 1.0 / noise.wiener.hilbert_weights,
-                                            zpath, times, seed=seed)
+    z_hist = _ou_noise_path(lam, 1.0 / noise.wiener.hilbert_weights, zpath, times, seed)
 
     z_l4, g_vp = np.empty(times.size), np.empty(times.size)
     for rows, l4, g in _nonlinear_blocks(z_hist):
@@ -450,8 +428,8 @@ def solve_stochastic_burgers(
     u_l2sq = by_blocks(lambda u: (u ** 2).sum(axis=1), u_hist)
     certificate = {"sup_u_sq": float(u_l2sq.max()),
                    "int_u_l4": float(np.trapezoid(u_l4, times))}
-    return {"times": times, "u_coeffs": u_hist, "z_coeffs": z_hist, "y_final": y_final,
-            "f": f, "certificate": certificate}
+    return {"times": times, "u_coeffs": u_hist, "z_coeffs": z_hist, "f": f,
+            "certificate": certificate}
 
 
 def _half_square_against_gradient(u: np.ndarray, modes: Sequence[int]) -> np.ndarray:
@@ -475,34 +453,37 @@ def _half_square_against_gradient(u: np.ndarray, modes: Sequence[int]) -> np.nda
 
 
 def weak_residual(result: dict, test_modes: Sequence[int]) -> list[float]:
-    """Residuals of the weak identity against psi = sqrt(2) sin(k pi x), one
+    """Residuals of the weak identity against psi_k = sqrt(2) sin(k pi x), one
     per test mode k in ``test_modes``, of a ``solve_stochastic_burgers``
     result with the forcing f it was solved with.
 
-    (u(t),psi) - (u0,psi) - int (u, Lap psi) - 1/2 int (u^2, grad psi)
-      - int (f,psi) - <psi, Y(t)>, with time integrals by the trapezoid
-    rule on the solver grid, at the final grid time t.  The nonlinear term
-    is computed in closed form from the sine coefficients of u, so the check
-    shares no transform code with the solver it checks.
+    The weak form of du + [Au + B(u)]dt = f dt + dY against psi_k is
+    u_k(t) - u_k(0) + lam_k int u_k - 1/2 int (u^2, d/dx psi_k) - f_k t = Y_k(t),
+    and z = u - v satisfies z_k(t) - z_k(0) + lam_k int z_k = Y_k(t) exactly,
+    its own OU identity.  Their difference holds no Y:
+
+        v_k(T) - v_k(0) + lam_k int v_k - 1/2 int (u^2, d/dx psi_k) - f_k T,
+
+    at the final grid time T, which is the residual returned.  So the
+    check is v's modified equation, with z entering through u^2 and
+    through v = u - z.  Time integrals take the trapezoid rule on the
+    solver grid, over v, which is smooth, not over the rough z.  The
+    nonlinear term is computed in closed form from the sine coefficients of
+    u, so the check shares no transform code with the solver it checks.
     """
     times = result["times"]
     u = result["u_coeffs"]
-    y = result["y_final"]
     z = result["z_coeffs"]
     f = result["f"]
     modes = [int(k) for k in test_modes]
     q = _half_square_against_gradient(u, modes)
+    lam = _heat_eigenvalues(u.shape[1])
     residuals = []
     for j, k in enumerate(modes):
         c = k - 1
-        lamk = (k * math.pi) ** 2
-        # (u, Lap psi) = -lam_k u_k; the v part is smooth (trapezoid), while the
-        # rough OU part integrates exactly through its own equation:
-        # lam int z_k ds = Y_k(t) - z_k(t) + z_k(0)
-        int_lap = float(np.trapezoid(-lamk * (u[:, c] - z[:, c]), times)) \
-            - (y[c] - z[-1, c] + z[0, c])
+        v = u[:, c] - z[:, c]
+        int_lap = float(np.trapezoid(-lam[c] * v, times))   # int (v, Lap psi_k)
         int_nl = float(np.trapezoid(q[:, j], times))
         int_f = float(f[c]) * float(times[-1])
-        lhs = u[-1, c] - u[0, c] - int_lap - int_nl
-        residuals.append(float(lhs - (int_f + y[c])))
+        residuals.append(float(v[-1] - v[0] - int_lap - int_nl - int_f))
     return residuals

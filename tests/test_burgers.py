@@ -11,8 +11,8 @@ from levyfield.burgers import (
     AprioriConstants,
     StepSizeError,
     _half_square_against_gradient,
-    _joint_ou_noise_paths,
     _nonlinear_blocks,
+    _ou_noise_path,
     check_apriori,
     solve_modified_burgers,
     solve_stochastic_burgers,
@@ -524,43 +524,28 @@ def burgers_noise(n, theta=0.25, w_scale=5.0, beta=0.75):
 
 
 def cell_by_cell_ou_noise_paths(lam, inv_w, zpath, times, seed):
-    """Reference for _joint_ou_noise_paths: one cell per iteration, each
-    drawing its OU innovation eta; z at every grid time, and Y at the last
-    as sum_i b_i eta_i plus one Gaussian of variance sum_i r_i^2 per mode."""
+    """Reference for _ou_noise_path: one cell per iteration, each drawing
+    its OU innovation eta; z at every grid time."""
     rng = stream(seed, 1)
     n = lam.size
     z = np.zeros(n)
-    y_mean = np.zeros(n)
-    y_var = np.zeros(n)
     z_hist = np.empty((times.size, n))
     t_prev = 0.0
     for i, t in enumerate(times):
         dtc = t - t_prev
         if dtc > 0:
             slope = zpath.drift_slope
-            dz_cell = zpath.increments([t_prev, t])[0, 0]
-            v_dy = dz_cell * np.ones(n)
             v_eta = slope * (1.0 - np.exp(-2.0 * lam * dtc)) / (2.0 * lam)
-            cov = slope * (1.0 - np.exp(-lam * dtc)) / lam
             k0 = np.searchsorted(zpath.times, t_prev, side="right")
             k1 = np.searchsorted(zpath.times, t, side="right")
             if k1 > k0:
                 e1 = np.exp(-np.multiply.outer(lam, t - zpath.times[k0:k1]))
                 v_eta = v_eta + (e1 ** 2 * zpath.sizes[k0:k1]).sum(axis=1)
-                cov = cov + (e1 * zpath.sizes[k0:k1]).sum(axis=1)
-            v_dy = v_dy * inv_w ** 2
-            v_eta = v_eta * inv_w ** 2
-            cov = cov * inv_w ** 2
-            eta = np.sqrt(v_eta) * rng.standard_normal(n)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                b = np.where(v_eta > 0, cov / np.where(v_eta > 0, v_eta, 1.0), 0.0)
-                resid = np.maximum(v_dy - b * cov, 0.0)
-            y_mean = y_mean + b * eta
-            y_var = y_var + resid
+            eta = np.sqrt(v_eta * inv_w ** 2) * rng.standard_normal(n)
             z = np.exp(-lam * dtc) * z + eta
         z_hist[i] = z
         t_prev = t
-    return z_hist, y_mean + np.sqrt(y_var) * rng.standard_normal(n)
+    return z_hist
 
 
 def burgers_cli_path(seed):
@@ -603,38 +588,38 @@ def test_blocked_ou_noise_paths_equal_the_cell_by_cell_draw(monkeypatch, case):
     want = cell_by_cell_ou_noise_paths(lam, inv_w, zpath, times, seed=5)
     for block_rows in (1, 7, 64):
         monkeypatch.setattr(burgers, "BLOCK_ROWS", block_rows)
-        got = _joint_ou_noise_paths(lam, inv_w, zpath, times, seed=5)
-        for a, b in zip(got, want):
-            assert a.tobytes() == b.tobytes(), block_rows
+        got = _ou_noise_path(lam, inv_w, zpath, times, seed=5)
+        assert got.tobytes() == want.tobytes(), block_rows
 
 
 @pytest.mark.parametrize("cells", [13, 50])
-def test_noise_path_has_the_joint_law_of_z_and_y_at_the_last_time(cells):
+def test_noise_path_has_the_law_of_z_at_a_mid_time_and_the_last(cells):
     # given the path of Z, over the Gaussian draws of independent seeds:
-    # Var Y_k(T) = w_k^-2 Z(T), Cov(z_k(T), Y_k(T)) = w_k^-2 int e^(-lam_k (T-s)) dZ(s)
-    # and Var z_k(T) = w_k^-2 int e^(-2 lam_k (T-s)) dZ(s).  At T = 0.13 the
-    # two jumps of the last cell make z_1(T) and Y_1(T) nearly collinear; in
-    # mode 25 a cell's innovation explains little of its increment, so most
-    # of Var Y_25(T) is the one draw after the cells
+    # Var z_k(t) = w_k^-2 int_0^t e^(-2 lam_k (t-r)) dZ(r), and z_k(T) is
+    # e^(-lam_k (T-s)) z_k(s) plus innovations independent of it, so
+    # Cov(z_k(s), z_k(T)) = e^(-lam_k (T-s)) Var z_k(s) at the mid-grid
+    # time s.  At T = 0.13 the two jumps of the last cell carry most of
+    # Var z_1(T); in mode 25 the decay over T - s is at most e^(-432), so
+    # that mode checks that z_25(s) and z_25(T) are uncorrelated
     k = np.array([1, 5, 25])
     lam = (k * math.pi) ** 2
     inv_w = 1.0 / burgers_noise(25).wiener.hilbert_weights[k - 1]
     times = HAND_TIMES[:cells + 1]
-    T = times[-1]
-    draws = [_joint_ou_noise_paths(lam, inv_w, HAND_PATH, times, seed) for seed in range(2000)]
-    z = np.array([z_hist[-1] for z_hist, _ in draws])
-    y = np.array([y_final for _, y_final in draws])
-    before = HAND_PATH.times <= T
-    age, sizes = T - HAND_PATH.times[before], HAND_PATH.sizes[before]
-    slope = HAND_PATH.drift_slope
-    e1 = np.exp(-np.multiply.outer(lam, age))
-    want = {
-        "var_y": inv_w ** 2 * (slope * T + sizes.sum()),
-        "cov_zy": inv_w ** 2 * (slope * (1.0 - np.exp(-lam * T)) / lam + e1 @ sizes),
-        "var_z": inv_w ** 2 * (slope * (1.0 - np.exp(-2.0 * lam * T)) / (2.0 * lam)
-                               + e1 ** 2 @ sizes),
-    }
-    for name, products in (("var_y", y * y), ("cov_zy", z * y), ("var_z", z * z)):
+    mid, T = cells // 2, times[-1]
+    s = times[mid]
+    draws = np.array([_ou_noise_path(lam, inv_w, HAND_PATH, times, seed)[[mid, -1]]
+                      for seed in range(2000)])
+    z_s, z_t = draws[:, 0], draws[:, 1]
+
+    def var_z(t):
+        before = HAND_PATH.times <= t
+        e1 = np.exp(-np.multiply.outer(lam, t - HAND_PATH.times[before]))
+        slope = HAND_PATH.drift_slope
+        return inv_w ** 2 * (slope * (1.0 - np.exp(-2.0 * lam * t)) / (2.0 * lam)
+                             + e1 ** 2 @ HAND_PATH.sizes[before])
+
+    want = {"var_z": var_z(T), "cov_z_s_z_t": np.exp(-lam * (T - s)) * var_z(s)}
+    for name, products in (("var_z", z_t * z_t), ("cov_z_s_z_t", z_s * z_t)):
         mean = products.mean(axis=0)
         se = products.std(axis=0) / math.sqrt(len(products))
         assert np.all(np.abs(mean - want[name]) <= 4.0 * se), (name, mean, want[name], se)
@@ -654,8 +639,8 @@ def test_closed_form_nonlinear_term_matches_the_transport_transform(n):
 
 
 def test_stochastic_solve_holds_no_more_than_its_outputs_and_g():
-    # u and z are returned, v becomes u in place, Y is kept at T alone and g
-    # is never stored; every other temporary is a row block.  At these sizes
+    # u and z are returned, v becomes u in place, Y is not drawn and g is
+    # never stored; every other temporary is a row block.  At these sizes
     # the peak is 2.21 trajectories (seed 1).  A short solve first loads the
     # modules the solve imports on first use, which are not its holdings.
     n = 255
@@ -727,6 +712,20 @@ def test_stochastic_weak_residual_small():
     assert np.array_equal(res["f"], f)
     unforced = weak_residual({**res, "f": np.zeros(n)}, range(1, 6))
     assert np.allclose(np.subtract(unforced, residuals), f[:5] * 0.1, rtol=0.0, atol=1e-15)
+
+
+def test_weak_residual_sees_the_results_own_z():
+    # the residual checks v = u - z, so the z of another seed's draw, with
+    # u kept, fails the gate that the result's own z passes
+    n = 127
+    u0 = np.zeros(n); u0[0] = 0.2
+    f = np.zeros(n); f[1] = 0.1
+    noise = burgers_noise(n)
+    res = solve_stochastic_burgers(u0, noise, f, T=0.1, dt=5e-4, seed=4)
+    other_z = solve_stochastic_burgers(u0, noise, f, T=0.1, dt=5e-4, seed=5)["z_coeffs"]
+    assert max(abs(r) for r in weak_residual(res, range(1, 6))) < 1e-3
+    swapped = weak_residual({**res, "z_coeffs": other_z}, range(1, 6))
+    assert max(abs(r) for r in swapped) > 1e-3
 
 
 def test_stochastic_certificate_finite():
