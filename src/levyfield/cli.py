@@ -16,6 +16,12 @@ rule for the default's first entry, and master_seed an integer of at least
 0; a bool is neither an integer nor a number.  What a type cannot say (a
 beta in (0, 1), a grid that is a power of 2) the experiments and the
 library refuse themselves, also before anything is drawn.
+
+charfn-test and subordinator-check run their cases (the t_values and the
+betas) on two threads, this one and one more.  Each case draws from its
+own streams, so no output depends on which thread runs it or on how many
+CPUs there are; peak memory is that of up to two cases at once.  The other
+experiments run their cases one after another.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import csv
 import json
 import math
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -129,11 +136,38 @@ def _mc_check(vals: np.ndarray, analytic) -> list:
     return [emp, se, analytic, abs(emp - analytic) <= 4.0 * se]
 
 
-def _checks_summary(rows) -> tuple[dict, bool]:
-    """The case and failure counts of rows ending in a _mc_check, and
-    whether all passed."""
+def _checks_summary(rows, path_sets: int) -> tuple[dict, bool]:
+    """The counts of rows ending in a _mc_check, of the independent path
+    sets they are drawn from and of failures, and whether all passed."""
     failures = sum(not row[-1] for row in rows)
-    return {"cases": len(rows), "failures": failures}, failures == 0
+    return {"cases": len(rows), "path_sets": path_sets, "failures": failures}, failures == 0
+
+
+def _each_case(fn, cases) -> list:
+    """[fn(case) for case in cases], run by this thread and one more, which
+    take the cases from one shared iterator.
+
+    Every case runs; then the exception of the lowest-index case that
+    raised one is raised, the one a loop over the cases would raise first.
+    """
+    cases = list(cases)
+    results, errors = [None] * len(cases), {}
+    todo = enumerate(cases)
+
+    def work():
+        for i, case in todo:
+            try:
+                results[i] = fn(case)
+            except BaseException as exc:
+                errors[i] = exc
+
+    helper = threading.Thread(target=work)
+    helper.start()
+    work()
+    helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 @_experiment("subordinator-check", "Laplace-transform identity of exact stable subordinator paths",
@@ -141,12 +175,15 @@ def _checks_summary(rows) -> tuple[dict, bool]:
 def _run_subordinator(cfg, out: Path):
     betas = _within(cfg, "betas", 0.0, 1.0)
     rs = _within(cfg, "r_values", 0.0, math.inf)
-    rows = []
-    for i, beta in enumerate(betas):
+
+    def checks(i):
+        beta = betas[i]
         s = sample_stable_oneside(beta, cfg["n_paths"], stream(cfg["master_seed"], i))
-        rows += [[beta, r, *_mc_check(np.exp(-r * s), math.exp(-r ** beta))] for r in rs]
+        return [[beta, r, *_mc_check(np.exp(-r * s), math.exp(-r ** beta))] for r in rs]
+
+    rows = [row for case in _each_case(checks, range(len(betas))) for row in case]
     _write_csv(out / "laplace.csv", ["beta", "r", "empirical", "stderr", "analytic", "pass"], rows)
-    return _checks_summary(rows)
+    return _checks_summary(rows, len(betas))
 
 
 def _charfn_projections(spec: LevyNoiseSpec, phis, t: float, n_paths: int,
@@ -172,13 +209,16 @@ def _run_charfn(cfg, out: Path):
     ts = _within(cfg, "t_values", 0.0, math.inf)
     spec = LevyNoiseSpec(CylindricalWienerSpec(np.ones(N)), SubordinatorSpec.stable(cfg["beta"]))
     phis = stream(seed, 0).standard_normal((cfg["n_phi"], N)) / math.sqrt(N)
-    rows = []
-    for case, t in enumerate(ts):
+
+    def checks(case):
+        t = ts[case]
         vals = np.cos(_charfn_projections(spec, phis, t, cfg["mc_paths"], seed, case))
-        rows += [[t, i, *_mc_check(vals[:, i], char_functional(spec, phi, t))]
-                 for i, phi in enumerate(phis)]
+        return [[t, i, *_mc_check(vals[:, i], char_functional(spec, phi, t))]
+                for i, phi in enumerate(phis)]
+
+    rows = [row for case in _each_case(checks, range(len(ts))) for row in case]
     _write_csv(out / "charfn.csv", ["t", "phi_index", "empirical", "stderr", "analytic", "pass"], rows)
-    return _checks_summary(rows)
+    return _checks_summary(rows, len(ts))
 
 
 def _ou_draws(op: SpectralOperator, spec: LevyNoiseSpec, t: float, n_paths: int,
@@ -224,7 +264,7 @@ def _run_ou(cfg, out: Path):
                [["mode", "multi_index", "coefficient"]]
                + [[j, "x".join(map(str, mi)), c]
                   for j, (mi, c) in enumerate(zip(op.multi_indices, coeffs.tolist()))])
-    return _checks_summary(rows)
+    return _checks_summary(rows, n_pairs)
 
 
 @_experiment("regularity", "spatial Hoelder exponent of the OU field vs its critical value",

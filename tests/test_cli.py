@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,8 @@ def test_list_experiments(capsys):
         assert name in out
 
 
-UNUSED = ("scipy.integrate", "scipy.special", "scipy.fft", "scipy.fftpack", "numpy.ma")
+UNUSED = ("scipy.integrate", "scipy.special", "scipy.fft", "scipy.fftpack", "numpy.ma",
+          "concurrent.futures")
 
 COLD_IMPORT = """
 import sys
@@ -62,8 +64,9 @@ def _run_fresh(code):
 def test_cold_import_defers_scipy_submodules():
     # sine loads scipy's pocketfft binding from its file on the first
     # transform, so neither the CLI nor a transform loads scipy's integrate,
-    # special, fft or fftpack, or numpy.ma; a later import of scipy.fft gives
-    # the same kernels, bit for bit
+    # special, fft or fftpack, or numpy.ma; the cli runs cases on a
+    # threading.Thread, which numpy has loaded, not on concurrent.futures;
+    # a later import of scipy.fft gives the same kernels, bit for bit
     _run_fresh(COLD_IMPORT)
 
 
@@ -204,6 +207,105 @@ def test_out_of_memory_exit_3(tmp_path, monkeypatch, capsys):
     assert f"numeric failure: {message}" in capsys.readouterr().err
     report = json.loads((out / "report.json").read_text())
     assert report["status"] == "numeric-failure" and report["error"] == message
+
+
+def _serial(fn, cases):
+    return [fn(case) for case in cases]
+
+
+def _outputs(out: Path) -> dict:
+    """Every file of an output directory, report.json without elapsed_s."""
+    files = {path.name: path.read_text() for path in sorted(out.iterdir())}
+    report = json.loads(files.pop("report.json"))
+    report.pop("elapsed_s", None)
+    return {**files, "report.json": report}
+
+
+def test_each_case_keeps_the_case_order_and_runs_on_two_threads():
+    # each case waits at the barrier until the other arrives: both run at once
+    barrier = threading.Barrier(2, timeout=10)
+    threads = {}
+
+    def fn(case):
+        barrier.wait()
+        threads[case] = threading.get_ident()
+        return case * case
+
+    assert cli._each_case(fn, iter([3, 4])) == [9, 16]
+    assert len(set(threads.values())) == 2
+    assert cli._each_case(fn, []) == []
+    assert cli._each_case(lambda case: -case, range(7)) == [0, -1, -2, -3, -4, -5, -6]
+
+
+def test_each_case_runs_every_case_and_raises_the_first_failure():
+    ran = []
+
+    def fn(case):
+        ran.append(case)
+        if case in (2, 4):
+            raise ValueError(f"case {case}")
+        return case
+
+    with pytest.raises(ValueError, match="case 2"):
+        cli._each_case(fn, range(6))
+    assert sorted(ran) == list(range(6))
+
+
+@pytest.mark.parametrize("experiment, csv_name", [("charfn-test", "charfn.csv"),
+                                                  ("subordinator-check", "laplace.csv")])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_threaded_cases_match_a_serial_loop(tmp_path, monkeypatch, experiment, csv_name, seed):
+    # the cases draw from their own streams, so which thread runs a case
+    # changes no bit of any output
+    cfg = write_config(tmp_path, {"experiment": experiment, "master_seed": seed})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "threads")]) == 0
+    monkeypatch.setattr(cli, "_each_case", _serial)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "serial")]) == 0
+    threaded = _outputs(tmp_path / "threads")
+    assert sorted(threaded) == sorted([csv_name, "report.json"])
+    assert threaded == _outputs(tmp_path / "serial")
+
+
+def _failing_beta(monkeypatch, failures: dict):
+    """Makes subordinator-check's draw at each beta of ``failures`` raise
+    the exception given for it."""
+    draw = cli.sample_stable_oneside
+
+    def sample(beta, n, rng):
+        if beta in failures:
+            raise failures[beta]
+        return draw(beta, n, rng)
+
+    monkeypatch.setattr(cli, "sample_stable_oneside", sample)
+
+
+def test_a_later_case_out_of_memory_exits_3_with_the_serial_report(tmp_path, monkeypatch,
+                                                                   capsys):
+    # only case 1 raises: the cases around it run, and the report is the
+    # one a loop over the cases writes
+    _failing_beta(monkeypatch, {0.5: MemoryError("Unable to allocate case 1")})
+    cfg = write_config(tmp_path, {"experiment": "subordinator-check", "master_seed": 0,
+                                  "n_paths": 5000})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "threads")]) == 3
+    monkeypatch.setattr(cli, "_each_case", _serial)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "serial")]) == 3
+    assert capsys.readouterr().err.count("numeric failure: Unable to allocate case 1") == 2
+    threaded = _outputs(tmp_path / "threads")
+    assert threaded == _outputs(tmp_path / "serial")
+    assert threaded["report.json"]["status"] == "numeric-failure"
+
+
+def test_the_first_failing_case_sets_the_exit_code(tmp_path, monkeypatch, capsys):
+    # a loop would stop at case 0's refusal: exit 2 and no directory, though
+    # case 1 runs out of memory
+    _failing_beta(monkeypatch, {0.25: ValueError("case 0 refused"),
+                                0.5: MemoryError("Unable to allocate case 1")})
+    cfg = write_config(tmp_path, {"experiment": "subordinator-check", "master_seed": 0,
+                                  "n_paths": 5000})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: case 0 refused" in err and "case 1" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_report_and_csv_deterministic_across_reruns(tmp_path):

@@ -3,6 +3,7 @@ library line no experiment and no acceptance test runs, on a small module."""
 
 import importlib.util
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -60,3 +61,17 @@ def test_tracer_reaches_the_lines_a_call_runs_and_only_in_its_files(tmp_path):
     assert reached == {("f", 4), ("f", 5), ("f", 8), ("f", 9), ("f", 10),
                        ("f.<locals>.<listcomp>", 8), ("f.<locals>.<listcomp>", 9)}
     assert guard.executable_lines(path) - reached == {("K.g", 16), ("K.g", 17)}
+
+
+def test_tracer_reaches_the_lines_another_thread_runs(tmp_path):
+    path = tmp_path / "lib.py"
+    path.write_text(SOURCE)
+    namespace = {}
+    exec(compile(SOURCE, str(path), "exec"), namespace)
+    with guard.LineTracer({str(path)}) as tracer:
+        helper = threading.Thread(target=namespace["K"]().g)
+        helper.start()
+        helper.join()
+    assert threading.gettrace() is None
+    reached = {(function, line) for _, function, line in tracer.reached}
+    assert reached == {("K.g", 16), ("K.g", 17)}

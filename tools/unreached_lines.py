@@ -1,7 +1,8 @@
 """Line-level guard: every line of ``src/levyfield`` that no experiment and no
 acceptance test executes is listed in ``ALLOWED`` with its reason.
 
-Under a ``sys.settrace`` line tracer it runs ``levyfield list-experiments``,
+Under a line tracer of every thread (``sys.settrace`` and
+``threading.settrace``) it runs ``levyfield list-experiments``,
 every experiment at its defaults and master seed 0, the ``circle`` grids
 config that CI runs, and ``tests/test_acceptance.py``.  The executable
 lines are those of the library's function bodies (module and class bodies
@@ -27,6 +28,7 @@ import inspect
 import json
 import sys
 import tempfile
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -36,9 +38,12 @@ SRC = ROOT / "src" / "levyfield"
 # reason -> the (module, function, stripped line) of each line that nothing
 # above reaches; the item numbers are those of ROADMAP.md
 ALLOWED: dict[str, list[tuple[str, str, str]]] = {
-    "cli's error paths: refusals (exit 2), numeric failures (exit 3) and the "
-    "--seed override of the console script, which tests/test_cli.py, "
-    "tests/test_config_rule.py and CI's exit-2 steps reach": [
+    "cli's error paths: refusals (exit 2), numeric failures (exit 3), a case "
+    "of _each_case that raises, and the --seed override of the console "
+    "script, which tests/test_cli.py, tests/test_config_rule.py and CI's "
+    "exit-2 steps reach": [
+        ('cli', '_each_case.<locals>.work', 'errors[i] = exc'),
+        ('cli', '_each_case.<locals>.work', 'except BaseException as exc:'),
         ('cli', '_report_json', 'except ValueError as exc:'),
         ('cli', 'main', 'config["master_seed"] = args.seed'),
         ('cli', 'main', 'except (OSError, ValueError) as exc:'),
@@ -172,11 +177,14 @@ class LineTracer:
         return self._local
 
     def __enter__(self):
+        # the cli runs some experiments' cases on a second thread
+        threading.settrace(self._global)
         sys.settrace(self._global)
         return self
 
     def __exit__(self, *exc):
         sys.settrace(None)
+        threading.settrace(None)
 
 
 def run_everything(cli) -> None:
