@@ -17,11 +17,12 @@ rule for the default's first entry, and master_seed an integer of at least
 beta in (0, 1), a grid that is a power of 2) the experiments and the
 library refuse themselves, also before anything is drawn.
 
-charfn-test and subordinator-check run their cases (the t_values and the
-betas) on two threads, this one and one more.  Each case draws from its
-own streams, so no output depends on which thread runs it or on how many
-CPUs there are; peak memory is that of up to two cases at once.  The other
-experiments run their cases one after another.
+charfn-test, subordinator-check and ou-sample run their cases (the
+t_values, the betas and the (phi, t) pairs) on two threads, this one and
+one more.  Each case draws from its own streams, so no output depends on
+which thread runs it or on how many CPUs there are; peak memory is that of
+up to two cases at once.  The other experiments run their cases one after
+another.
 """
 
 from __future__ import annotations
@@ -229,7 +230,8 @@ def _ou_draws(op: SpectralOperator, spec: LevyNoiseSpec, t: float, n_paths: int,
     (paths, modes).
 
     The jumps come from stream(seed, 1, case), the Gaussian mode draws from
-    stream(seed, 2, case).
+    stream(seed, 2, case), so ou-sample can draw two cases at once on two
+    threads; regularity draws its cases one after another.
     """
     batch = simulate_paths(jump_law(spec.subordinator), t, n_paths, stream(seed, 1, case))
     return sample_trajectory(op, spec, batch, (t,), stream(seed, 2, case))[:, 0]
@@ -238,6 +240,10 @@ def _ou_draws(op: SpectralOperator, spec: LevyNoiseSpec, t: float, n_paths: int,
 @_experiment("ou-sample", "OU stochastic convolution sampler vs the quadrature oracle",
              n_modes=16, beta=0.5, mc_paths=20000, n_pairs=4)
 def _run_ou(cfg, out: Path):
+    """Each (phi, t) pair checks its draws against charfn_oracle.  The pairs
+    run on two threads (_each_case); the field sample is drawn after them.
+    MAX_EXPECTED_JUMPS bounds the longest pair alone, so two pairs at that
+    cap may be held at once."""
     N, beta, n_pairs, seed = cfg["n_modes"], cfg["beta"], cfg["n_pairs"], cfg["master_seed"]
     op = SpectralOperator.dirichlet(1, 1.0, N)
     spec = LevyNoiseSpec(CylindricalWienerSpec(np.ones(N)), SubordinatorSpec.stable(beta))
@@ -251,11 +257,14 @@ def _run_ou(cfg, out: Path):
         raise ValueError(f"mc_paths = {cfg['mc_paths']} would draw {expected:.3g} jumps in "
                          f"expectation in the longest case, more than the limit "
                          f"{subordinator.MAX_EXPECTED_JUMPS:.3g}")
-    rows = []
-    for i, (phi, t) in enumerate(cases):
+
+    def check(i):
+        phi, t = cases[i]
         ana = charfn_oracle(op, spec, phi, t)
         vals = np.cos(_ou_draws(op, spec, t, cfg["mc_paths"], seed, i) @ phi)
-        rows.append([i, t, *_mc_check(vals, ana)])
+        return [i, t, *_mc_check(vals, ana)]
+
+    rows = _each_case(check, range(n_pairs))
     _write_csv(out / "ou_charfn.csv", ["pair", "t", "empirical", "stderr", "analytic", "pass"], rows)
     # one exported field sample, drawn as case n_pairs with a finer cutoff
     field = LevyNoiseSpec(spec.wiener, SubordinatorSpec.stable(beta).truncated(1e-4))

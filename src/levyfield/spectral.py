@@ -235,7 +235,13 @@ def cell_moments(lam: np.ndarray, c: float, slope: float, t0: np.ndarray, t1: np
             # ndarray.sum over the first axis adds whole rows in order, but
             # one column is a contiguous run, which numpy sums pairwise
             acc[:, i] = rows.sum(axis=0) if lam.size > 1 else np.cumsum(rows, axis=0)[-1]
-        out[block] += acc.T
+        # out[block] += acc.T, through buf, which is free by now: the
+        # indexed += would gather a copy of out[block].  The block's cells
+        # are in range, so "clip" clips none; np.take's default "raise"
+        # would buffer its output in a copy
+        part = np.take(out, block, axis=0, out=buf.reshape(block.size, lam.size), mode="clip")
+        part += acc.T
+        out[block] = part
     return out
 
 
@@ -285,15 +291,22 @@ def sample_trajectory(op: SpectralOperator, noise: LevyNoiseSpec,
     edges = times if times[0] == 0 else np.append(0.0, times)
     t0, t1 = edges[:-1], edges[1:]
     starts, counts = batch.cells(edges)
-    x = rng.standard_normal((n_paths, t1.size, lam.size))
+    # the grid (0,) has no cell, and draws nothing
+    x = np.empty((n_paths, 0, lam.size))
     prev = 0.0
     for lo in range(0, t1.size, BLOCK_ROWS):
         s = slice(lo, lo + BLOCK_ROWS)
         var = cell_moments(lam, 2.0, batch.drift_slope, np.tile(t0[s], n_paths),
                            np.tile(t1[s], n_paths), batch.times, batch.sizes[:, None],
                            starts[:, s].ravel(), counts[:, s].ravel())
+        if not lo:
+            # drawn once the first block's moments are, so that x and the
+            # moment sums are not held at once
+            x = rng.standard_normal((n_paths, t1.size, lam.size))
+        np.sqrt(var, out=var)
+        var *= inv_w
         eta = x[:, s]
-        eta *= np.sqrt(var).reshape(eta.shape) * inv_w
+        eta *= var.reshape(eta.shape)
         decay = np.exp(-lam * (t1[s] - t0[s])[:, None])
         for i in range(eta.shape[1]):
             eta[:, i] += decay[i] * prev

@@ -36,8 +36,11 @@ __all__ = [
 
 # the cutoff at which jump_law truncates a stable spec
 JUMP_CUTOFF = 1e-3
-# simulate_paths refuses to draw more jumps than this in expectation; each
-# jump costs three 8-byte values, so the cap bounds a batch at about 240 MB
+# simulate_paths refuses to draw more jumps than this in expectation.  A
+# batch holds two 8-byte values per jump (time and size), 160 MB at the cap,
+# and PathBatch._bins two more (bin and path offset) while it bins them, so
+# about 320 MB in all.  The cap holds per batch: ou-sample draws two cases
+# at once, and may hold two batches at the cap.
 MAX_EXPECTED_JUMPS = 10_000_000
 
 
@@ -66,8 +69,12 @@ class _StableIntensity:
         return self._c / self.beta * self.lower ** (-self.beta) if self.lower > 0 else math.inf
 
     def sample_sizes(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        # Pareto tail: rho([x,inf)) proportional to x^-beta above lower > 0.
-        return self.lower * rng.uniform(size=n) ** (-1.0 / self.beta)
+        # Pareto tail: rho([x,inf)) proportional to x^-beta above lower > 0;
+        # lower * u^(-1/beta), taken in place on the uniforms
+        u = rng.uniform(size=n)
+        np.power(u, -1.0 / self.beta, out=u)
+        u *= self.lower
+        return u
 
 
 # -- spec ----------------------------------------------------------------
@@ -219,7 +226,9 @@ class PathBatch:
         if edges.ndim != 1 or not (np.isfinite(edges).all() and np.all(np.diff(edges) >= 0)):
             raise ValueError("edges must be a 1-d, finite, nondecreasing sequence")
         n_bins = edges.size + 1
-        flat = np.searchsorted(edges, self.times, side="left") + n_bins * self.rows
+        # bin of each jump, then shifted in place to its path's run of bins
+        flat = np.searchsorted(edges, self.times, side="left")
+        flat += np.repeat(n_bins * np.arange(self.n_paths), self.counts)
         return np.bincount(flat, weights, minlength=self.n_paths * n_bins).reshape(-1, n_bins)
 
     def increments(self, edges) -> np.ndarray:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from levyfield.cli import EXPERIMENTS, _charfn_projections, main
 from levyfield.noise import CylindricalWienerSpec, LevyNoiseSpec
 from levyfield.regularity import (CirclePath, circle_convolution, fourier_profile,
                                    scalar_levy_jumps)
+from levyfield.spectral import SpectralOperator
 from levyfield.subordinator import SubordinatorSpec
 
 
@@ -251,10 +253,13 @@ def test_each_case_runs_every_case_and_raises_the_first_failure():
     assert sorted(ran) == list(range(6))
 
 
-@pytest.mark.parametrize("experiment, csv_name", [("charfn-test", "charfn.csv"),
-                                                  ("subordinator-check", "laplace.csv")])
+@pytest.mark.parametrize("experiment, csv_names", [
+    ("charfn-test", ["charfn.csv"]),
+    ("subordinator-check", ["laplace.csv"]),
+    ("ou-sample", ["ou_charfn.csv", "field_sample.csv"]),
+], ids=["charfn-test-charfn.csv", "subordinator-check-laplace.csv", "ou-sample"])
 @pytest.mark.parametrize("seed", [0, 1])
-def test_threaded_cases_match_a_serial_loop(tmp_path, monkeypatch, experiment, csv_name, seed):
+def test_threaded_cases_match_a_serial_loop(tmp_path, monkeypatch, experiment, csv_names, seed):
     # the cases draw from their own streams, so which thread runs a case
     # changes no bit of any output
     cfg = write_config(tmp_path, {"experiment": experiment, "master_seed": seed})
@@ -262,7 +267,7 @@ def test_threaded_cases_match_a_serial_loop(tmp_path, monkeypatch, experiment, c
     monkeypatch.setattr(cli, "_each_case", _serial)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "serial")]) == 0
     threaded = _outputs(tmp_path / "threads")
-    assert sorted(threaded) == sorted([csv_name, "report.json"])
+    assert sorted(threaded) == sorted([*csv_names, "report.json"])
     assert threaded == _outputs(tmp_path / "serial")
 
 
@@ -292,6 +297,34 @@ def test_a_later_case_out_of_memory_exits_3_with_the_serial_report(tmp_path, mon
     assert capsys.readouterr().err.count("numeric failure: Unable to allocate case 1") == 2
     threaded = _outputs(tmp_path / "threads")
     assert threaded == _outputs(tmp_path / "serial")
+    assert threaded["report.json"]["status"] == "numeric-failure"
+
+
+def test_a_failing_ou_pair_exits_3_with_the_serial_report(tmp_path, monkeypatch, capsys):
+    # pair 1's oracle misses its tolerance: pairs 0 and 2 still run, and the
+    # report is the one a loop over the pairs writes
+    cfg = write_config(tmp_path, {"experiment": "ou-sample", "master_seed": 0, "n_modes": 8,
+                                  "mc_paths": 2000, "n_pairs": 3})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "pass")]) == 0
+    with open(tmp_path / "pass" / "ou_charfn.csv", newline="") as f:
+        ts = [float(row["t"]) for row in csv.DictReader(f)]
+    oracle, ran = cli.charfn_oracle, []
+
+    def oracle_failing_at_pair_1(op, spec, phi, t):
+        ran.append(t)
+        if t == ts[1]:
+            raise subordinator.QuadratureError("pair 1 missed its tolerance", achieved_tol=1e-6)
+        return oracle(op, spec, phi, t)
+
+    monkeypatch.setattr(cli, "charfn_oracle", oracle_failing_at_pair_1)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "threads")]) == 3
+    assert sorted(ran) == sorted(ts)
+    monkeypatch.setattr(cli, "_each_case", _serial)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "serial")]) == 3
+    assert capsys.readouterr().err.count("numeric failure: pair 1 missed its tolerance") == 2
+    threaded = _outputs(tmp_path / "threads")
+    assert threaded == _outputs(tmp_path / "serial")
+    assert sorted(threaded) == ["report.json"]
     assert threaded["report.json"]["status"] == "numeric-failure"
 
 
@@ -329,6 +362,26 @@ def test_run_ou_sample_small(tmp_path):
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["status"] == "pass" and report["summary"]["cases"] == 2
+
+
+def test_one_ou_case_peaks_low_enough_for_two_at_once():
+    # ou-sample runs two pairs at once, so one pair's draw at the size of
+    # the ou-jumps benchmark (about 86,000 jumps) must stay small: 3.65 MB
+    # at master seed 1.  It was 4.52 MB with the Gaussians drawn before the
+    # cell moments and a gathered copy of the moments in cell_moments, and
+    # 4.16 MB or 4.01 MB with either one alone
+    N = 16
+    op = SpectralOperator.dirichlet(1, 1.0, N)
+    spec = LevyNoiseSpec(CylindricalWienerSpec(np.ones(N)), SubordinatorSpec.stable(0.5))
+    cli._ou_draws(op, spec, 1.2, 10, 1, 0)
+    tracemalloc.start()
+    try:
+        x = cli._ou_draws(op, spec, 1.2, 4000, 1, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.shape == (4000, N)
+    assert peak < 3.9e6
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

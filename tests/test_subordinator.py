@@ -167,6 +167,14 @@ def _per_path_sampler(spec, T, seed, grid_n):
     return times, sizes
 
 
+@pytest.mark.parametrize("beta, eps", [(0.25, 1.0), (0.5, JUMP_CUTOFF), (0.9, 1e-4)])
+def test_jump_sizes_are_bitwise_the_pareto_formula_of_the_streams_uniforms(beta, eps):
+    # the power and the scale are taken in place on the uniforms
+    rho = SubordinatorSpec.stable(beta).truncated(eps).jump_measure
+    u = stream(9).uniform(size=5000)
+    assert np.array_equal(rho.sample_sizes(5000, stream(9)), eps * u ** (-1.0 / beta))
+
+
 @pytest.mark.parametrize("spec, route", [
     (SubordinatorSpec.stable(0.5), None),
     (SubordinatorSpec.stable(0.9), "jumps"),
